@@ -31,7 +31,18 @@ func Collect(seq slurm.RecordSeq, bucket time.Duration) (*Bundle, error) {
 // child span carrying the observed row count — the serving plane's
 // per-request attribution for figure recomputation cost.
 func CollectCtx(ctx context.Context, seq slurm.RecordSeq, bucket time.Duration) (*Bundle, error) {
-	b := NewBundle(bucket)
+	return collectInto(ctx, seq, NewBundle(bucket))
+}
+
+// RecollectCtx is CollectCtx for the bundle that replaces prev, a bundle
+// of the same stream a few appends ago: every sample slice starts at
+// prev's length plus an eighth, so the pass allocates its final size once
+// where append regrowth from empty allocates about five times that.
+func RecollectCtx(ctx context.Context, seq slurm.RecordSeq, prev *Bundle) (*Bundle, error) {
+	return collectInto(ctx, seq, prev.sizedAlike())
+}
+
+func collectInto(ctx context.Context, seq slurm.RecordSeq, b *Bundle) (*Bundle, error) {
 	if sp := obs.SpanFromContext(ctx).Child("analyze-collect"); sp != nil {
 		var rows int64
 		counted := slurm.RecordSeq(func(yield func(*slurm.Record, error) bool) {
@@ -371,6 +382,9 @@ func (c *ClassCollector) Merge(o *ClassCollector) {
 func (c *ClassCollector) Result() []ClassSummary {
 	out := make([]ClassSummary, 0, len(c.byClass))
 	for class, a := range c.byClass {
+		if a.jobs == 0 {
+			continue // presized by sizedAlike, never observed
+		}
 		out = append(out, a.summary(class))
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -430,6 +444,25 @@ func NewBundle(bucket time.Duration) *Bundle {
 		Timeline: NewTimelineCollector(bucket),
 		Classes:  NewClassCollector(),
 	}
+}
+
+// sizedAlike returns an empty bundle at b's timeline resolution whose
+// sample slices have room for what b holds and an eighth more.
+func (b *Bundle) sizedAlike() *Bundle {
+	room := func(n int) int { return n + n/8 }
+	nb := NewBundle(b.Timeline.bucket)
+	nb.Scale.points = make([]NodesElapsedPoint, 0, room(len(b.Scale.points)))
+	nb.Waits.points = make([]WaitPoint, 0, room(len(b.Waits.points)))
+	nb.Backfill.points = make([]BackfillPoint, 0, room(len(b.Backfill.points)))
+	nb.Timeline.edges = make([]tlEdge, 0, room(len(b.Timeline.edges)))
+	for class, a := range b.Classes.byClass {
+		nb.Classes.byClass[class] = &classAcc{
+			waits:  make([]float64, 0, room(len(a.waits))),
+			nodes:  make([]float64, 0, room(len(a.nodes))),
+			ratios: make([]float64, 0, room(len(a.ratios))),
+		}
+	}
+	return nb
 }
 
 // Observe feeds one record to every collector.

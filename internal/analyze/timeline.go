@@ -100,8 +100,10 @@ func (c *TimelineCollector) Result() []TimelinePoint {
 	if !c.dirty {
 		return c.cached
 	}
-	c.dirty = false
+	// cached before dirty: a reader that sees the flag clear must also
+	// see the sweep it stands for.
 	c.cached = c.sweep()
+	c.dirty = false
 	return c.cached
 }
 

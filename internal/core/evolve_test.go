@@ -275,6 +275,19 @@ func TestEvolveRoundSnapshotsIndependent(t *testing.T) {
 		t.Errorf("round snapshots age=%d,%d; want 450000,675000 (aliased audit records?)",
 			age(0), age(1))
 	}
+	// A round's scorecard shows the weights its scores were made with —
+	// the previous round's output — not the ones its own deltas then set.
+	scoredAge := func(sc *tournament.Scorecard) int64 {
+		for _, p := range sc.Policies {
+			if p.Name == "evolved" && p.Spec.Weights != nil && p.Spec.Weights.Age != nil {
+				return *p.Spec.Weights.Age
+			}
+		}
+		return 0 // scored with the default weights
+	}
+	if a0, a1, fin := scoredAge(res.Rounds[0].Scorecard), scoredAge(res.Rounds[1].Scorecard), scoredAge(res.Final); a0 != 0 || a1 != 450_000 || fin != 675_000 {
+		t.Errorf("scorecards echo age=%d,%d,final %d; want default,450000,675000 (scorecard shares the live spec's weights?)", a0, a1, fin)
+	}
 }
 
 func TestEvolveConfigValidation(t *testing.T) {

@@ -39,7 +39,7 @@ func (s *Store) DumpBinaryFile(path string) error {
 }
 
 func (s *Store) shardInputs() ([]colstore.ShardInput, error) {
-	months, recs, err := s.snapshot()
+	months, recs, _, err := s.snapshot(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -180,14 +180,8 @@ func (s *Store) materializeLocked(ctx context.Context, m Month) error {
 // Shards decode concurrently over the store's decode pool (see
 // SetDecodeWorkers); the warmed store is identical to a sequential
 // warm's at every worker count.
-func (s *Store) Warm() error { return s.materializeAll() }
+func (s *Store) Warm() error { return s.warmMonths(context.Background(), nil) }
 
 // WarmCtx is Warm under a request context: when ctx carries an active
 // obs span, each shard decode reports itself under it.
 func (s *Store) WarmCtx(ctx context.Context) error { return s.warmMonths(ctx, nil) }
-
-// materializeAll decodes every remaining lazy shard over the decode
-// pool.
-func (s *Store) materializeAll() error {
-	return s.warmMonths(context.Background(), nil)
-}

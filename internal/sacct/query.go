@@ -272,6 +272,41 @@ func (s *Store) scan(ctx context.Context, q Query, proj []string) slurm.RecordSe
 	}
 }
 
+// SnapshotCtx is a full scan (steps included) pinned to one generation:
+// it materialises any lazy shards, then captures every shard and the
+// generation under a single read lock, so the returned sequence yields
+// exactly the records of the returned generation, in Scan order, whatever
+// lands while the caller iterates. Like ScanCtx it reports a "store-scan"
+// span (the capture and any shard decode it triggers) and yields pointers
+// into store-owned storage.
+func (s *Store) SnapshotCtx(ctx context.Context) (uint64, slurm.RecordSeq, error) {
+	sp := obs.SpanFromContext(ctx).Child("store-scan")
+	if sp != nil {
+		ctx = obs.ContextWithSpan(ctx, sp)
+		defer sp.End()
+	}
+	_, shards, gen, err := s.snapshot(ctx)
+	if err != nil {
+		sp.SetAttr("error", err.Error())
+		return 0, nil, err
+	}
+	rows := 0
+	for _, shard := range shards {
+		rows += len(shard)
+	}
+	sp.SetAttrInt("shards", int64(len(shards)))
+	sp.SetAttrInt("rows", int64(rows))
+	return gen, func(yield func(*slurm.Record, error) bool) {
+		for _, shard := range shards {
+			for i := range shard {
+				if !yield(&shard[i], nil) {
+					return
+				}
+			}
+		}
+	}, nil
+}
+
 // lazyAmong filters months down to those still lazy on disk.
 func (s *Store) lazyAmong(months []Month) []Month {
 	s.mu.RLock()

@@ -19,6 +19,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -73,11 +74,12 @@ func ParseMonth(s string) (Month, error) {
 }
 
 // Store is an in-memory accounting database sharded by submission month.
-// Queries, Add, and Finalize may run concurrently: mutators never write
-// through record storage a reader could be holding (Finalize sorts into
-// a fresh copy and swaps the shard pointer; Add appends past every
-// captured length), so a scan started before a mutation sees a
-// consistent pre-mutation view of each shard it visits.
+// Queries, Add, AppendBatch, and Finalize may run concurrently: mutators
+// never write through record storage a reader could be holding (Finalize
+// and a late AppendBatch build a fresh slice and swap the shard pointer;
+// Add and a tail AppendBatch append past every captured length), so a
+// scan started before a mutation sees a consistent pre-mutation view of
+// each shard it visits.
 //
 // A store opened with OpenBinary starts lazy: each month shard stays on
 // disk as columns until the first full scan touches it (at which point
@@ -125,11 +127,11 @@ func NewStore() *Store {
 	}
 }
 
-// Generation returns the store's mutation counter: it advances after
-// every Add/Ingest that lands records and every Finalize that reorders a
-// shard, and never otherwise. Two reads returning the same value
-// bracket a window in which every query answer was stable, which is
-// what makes it usable as a response-cache key.
+// Generation returns the store's mutation counter: it advances once per
+// AppendBatch that lands, after every Add/Ingest that lands records and
+// every Finalize that reorders a shard, and never otherwise. Two reads
+// returning the same value bracket a window in which every query answer
+// was stable, which is what makes it usable as a response-cache key.
 func (s *Store) Generation() uint64 { return s.gen.Load() }
 
 // recordCmp is the shard emission order: submission time, ties broken
@@ -188,6 +190,107 @@ func (s *Store) Add(records ...slurm.Record) error {
 		s.gen.Add(1)
 	}
 	return nil
+}
+
+// AppendBatch is the live-append path: it lands one batch atomically —
+// every record or none — in scan order, for exactly one generation. Add
+// and Finalize remain the bulk-load pair.
+//
+// The batch is sorted in place by recordCmp (stably, so duplicate
+// (submit, id) keys keep arrival order), and on return records is in the
+// order a scan visits it. Every target month still lazy on disk is
+// materialised before any shard changes, so a corrupt backing shard
+// refuses the whole batch: nothing lands and the generation stays put.
+// A month's rows that sort at or after its shard's last record append in
+// place; otherwise shard and rows merge into one fresh slice, leaving
+// scans that hold the old slice on their pre-append view. The result is
+// the shard order Add followed by Finalize would produce.
+//
+// tail reports that the whole batch landed behind every record the store
+// held before the call — a full scan of the new store is the old scan
+// followed by records — which is what lets a consumer that folded the
+// old scan fold only the batch.
+func (s *Store) AppendBatch(records []slurm.Record) (gen uint64, tail bool, err error) {
+	slices.SortStableFunc(records, recordCmp)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(records) == 0 {
+		return s.gen.Load(), true, nil
+	}
+	for i := range records {
+		m := MonthOf(records[i].Submit)
+		if _, ok := s.lazy[m]; !ok {
+			continue
+		}
+		if err := s.materializeLocked(context.Background(), m); err != nil {
+			return s.gen.Load(), false, fmt.Errorf("sacct: append into shard %s: %w", m, err)
+		}
+	}
+	last, populated := s.lastMonthLocked()
+	tail = true
+	for lo := 0; lo < len(records); {
+		m := MonthOf(records[lo].Submit)
+		hi := lo + 1
+		for hi < len(records) && MonthOf(records[hi].Submit) == m {
+			hi++
+		}
+		part := records[lo:hi]
+		lo = hi
+		shard := s.shards[m]
+		switch {
+		case len(shard) == 0 || s.sorted[m] && recordCmp(shard[len(shard)-1], part[0]) <= 0:
+			s.shards[m] = append(shard, part...)
+			tail = tail && !(populated && m.Before(last))
+		case s.sorted[m]:
+			s.shards[m] = mergeBehind(shard, part)
+			tail = false
+		default: // Add left the shard awaiting Finalize: finalize it here
+			shard = append(slices.Clip(shard), part...)
+			slices.SortStableFunc(shard, recordCmp)
+			s.shards[m] = shard
+			tail = false
+		}
+		s.sorted[m] = true
+		rg, ok := s.ranges[m]
+		if !ok {
+			ns := part[0].Submit.UnixNano()
+			rg = shardRange{min: ns, max: ns}
+		}
+		s.ranges[m] = rg.extend(part[0].Submit).extend(part[len(part)-1].Submit)
+	}
+	return s.gen.Add(1), tail, nil
+}
+
+// lastMonthLocked returns the latest populated month, lazy shards
+// included. The caller holds s.mu.
+func (s *Store) lastMonthLocked() (last Month, ok bool) {
+	for m, shard := range s.shards {
+		if len(shard) > 0 && (!ok || last.Before(m)) {
+			last, ok = m, true
+		}
+	}
+	for m, sh := range s.lazy {
+		if sh.Rows() > 0 && (!ok || last.Before(m)) {
+			last, ok = m, true
+		}
+	}
+	return last, ok
+}
+
+// mergeBehind merges a sorted batch into a sorted shard as one fresh
+// slice: each batch record lands behind every shard record that does not
+// sort after it, which is where a stable sort of shard+batch puts it.
+func mergeBehind(shard, part []slurm.Record) []slurm.Record {
+	out := make([]slurm.Record, 0, len(shard)+len(part))
+	from := 0
+	for i := range part {
+		at := from + sort.Search(len(shard)-from, func(j int) bool {
+			return recordCmp(shard[from+j], part[i]) > 0
+		})
+		out = append(append(out, shard[from:at]...), part[i])
+		from = at
+	}
+	return append(out, shard[from:]...)
 }
 
 // Ingest loads a complete simulation result (jobs and steps).
@@ -264,12 +367,13 @@ func (s *Store) Len() int {
 }
 
 // snapshot materialises any lazy shards, then returns every populated
-// month with its record slice under a single read lock — so a
-// concurrent Add cannot interleave between shards mid-iteration. The
-// returned slices alias store storage; callers must not mutate them.
-func (s *Store) snapshot() ([]Month, [][]slurm.Record, error) {
-	if err := s.materializeAll(); err != nil {
-		return nil, nil, err
+// month with its record slice, and the generation they belong to, under
+// a single read lock — so a concurrent mutation cannot interleave
+// between shards mid-iteration or between the shards and their label.
+// The returned slices alias store storage; callers must not mutate them.
+func (s *Store) snapshot(ctx context.Context) ([]Month, [][]slurm.Record, uint64, error) {
+	if err := s.warmMonths(ctx, nil); err != nil {
+		return nil, nil, 0, err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -282,14 +386,14 @@ func (s *Store) snapshot() ([]Month, [][]slurm.Record, error) {
 	for i, m := range months {
 		shards[i] = s.shards[m]
 	}
-	return months, shards, nil
+	return months, shards, s.gen.Load(), nil
 }
 
 // Dump writes the full store as pipe-separated text with the complete
 // curated field selection, suitable for Load.
 func (s *Store) Dump(w io.Writer) error {
 	fields := slurm.SelectedNames()
-	_, shards, err := s.snapshot()
+	_, shards, _, err := s.snapshot(context.Background())
 	if err != nil {
 		return err
 	}

@@ -328,7 +328,7 @@ func score(res *sched.Result, sp *Spec) PolicyScore {
 	st := res.Stats
 	ps := PolicyScore{
 		Name:        sp.Name,
-		Spec:        *sp,
+		Spec:        sp.Clone(), // the caller may go on to evolve sp
 		Completed:   st.JobsCompleted,
 		Failed:      st.JobsFailed,
 		Cancelled:   st.JobsCancelled,

@@ -30,8 +30,9 @@ type entry struct {
 	key    string
 	body   []byte
 	ctype  string
-	rows   int  // -1 when not a row-count response
-	bypass bool // too large to keep: share with concurrent callers, skip LRU
+	rows   int    // -1 when not a row-count response
+	gen    uint64 // store generation the body shows
+	bypass bool   // too large to keep: share with concurrent callers, skip LRU
 }
 
 // flight is one in-progress computation that followers wait on.

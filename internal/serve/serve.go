@@ -10,7 +10,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -23,6 +25,7 @@ import (
 	"slurmsight/internal/analyze"
 	"slurmsight/internal/core"
 	"slurmsight/internal/obs"
+	"slurmsight/internal/plot"
 	"slurmsight/internal/sacct"
 	"slurmsight/internal/sacct/colstore"
 	"slurmsight/internal/slurm"
@@ -82,12 +85,16 @@ type Server struct {
 	ingestBatches, ingestRows, ingestMalformed, ingestErrors *obs.Counter
 	genGauge, rowsGauge                                      *obs.Gauge
 
-	// One analyze.Bundle feeds every figure at a given generation; the
-	// mutex serialises (re)collection so a burst of figure requests
-	// after an append scans the store once, not seven times.
-	figMu     sync.Mutex
-	figGen    uint64
-	figBundle *analyze.Bundle
+	// One resident analyze.Bundle feeds every figure. figMu guards it
+	// and is taken before the store lock: appendBatch folds each tail
+	// batch into the bundle under it, and chartAt builds charts under it,
+	// so nothing reads the bundle's maps while a batch lands in them. The
+	// bundle holds exactly the store's generation figGen; a label behind
+	// the store's marks a stale bundle, kept only to size its successor.
+	figMu       sync.Mutex
+	figGen      uint64
+	figBundle   *analyze.Bundle
+	figAbsorbed bool // figGen was reached by absorbing a batch no figure has shown yet
 }
 
 // New validates cfg and builds a Server.
@@ -241,6 +248,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			body:   body,
 			ctype:  "text/plain; charset=utf-8",
 			rows:   n,
+			gen:    gen,
 			bypass: len(body) > maxCacheBody,
 		}, nil
 	})
@@ -248,12 +256,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.writeCached(w, r, ent, outcome, gen)
+	s.writeCached(w, r, ent, outcome)
 }
 
 // handleFigure answers GET /figures/<key>.json with the chart spec for
-// one figure, computed from a store-wide single-pass bundle that is
-// re-collected at most once per generation.
+// one figure, built from the resident bundle. X-Store-Generation is the
+// generation the body shows, which is at least the one the request
+// arrived at.
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	key, ok := strings.CutSuffix(name, ".json")
@@ -261,13 +270,8 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown figure %q", name), http.StatusNotFound)
 		return
 	}
-	gen := s.store.Generation()
-	ent, outcome, err := s.cache.do(fmt.Sprintf("fig|g=%d|%s", gen, key), func() (*entry, error) {
-		b, err := s.bundleAt(r.Context(), gen)
-		if err != nil {
-			return nil, err
-		}
-		chart, err := core.ChartFromBundleCtx(r.Context(), key, s.cfg.System, b, s.cfg.TopUsers, s.cfg.Nodes)
+	ent, outcome, err := s.cache.do(fmt.Sprintf("fig|g=%d|%s", s.store.Generation(), key), func() (*entry, error) {
+		chart, gen, err := s.chartAt(r.Context(), key)
 		if err != nil {
 			return nil, err
 		}
@@ -275,13 +279,13 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return &entry{body: body, ctype: "application/json", rows: -1}, nil
+		return &entry{body: body, ctype: "application/json", rows: -1, gen: gen}, nil
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.writeCached(w, r, ent, outcome, gen)
+	s.writeCached(w, r, ent, outcome)
 }
 
 func validFigure(key string) bool {
@@ -298,38 +302,76 @@ func validFigure(key string) bool {
 	return false
 }
 
-// bundleAt returns the figure bundle for gen, re-collecting when the
-// cached one is from another generation. An append landing mid-scan can
-// leave a bundle slightly ahead of its label; the next generation's
-// request recomputes, so staleness never outlives one append.
-func (s *Server) bundleAt(ctx context.Context, gen uint64) (*analyze.Bundle, error) {
+// chartAt builds one figure from the resident bundle and returns the
+// generation the chart shows. A bundle labelled with the store's current
+// generation is used as it stands — collected at it, or brought to it by
+// appendBatch. Any other label means something changed the store without
+// the bundle seeing it (a late batch, a watcher), so the bundle is
+// re-collected from one snapshot of every shard and the generation they
+// belong to, sized after the stale bundle it replaces.
+func (s *Server) chartAt(ctx context.Context, key string) (*plot.Chart, uint64, error) {
 	s.figMu.Lock()
 	defer s.figMu.Unlock()
-	if s.figBundle != nil && s.figGen == gen {
-		if sp := obs.SpanFromContext(ctx); sp != nil {
-			sp.SetAttr("bundle", "cached")
+	path := "cached"
+	switch {
+	case s.figBundle == nil || s.figGen != s.store.Generation():
+		gen, seq, err := s.store.SnapshotCtx(ctx)
+		if err != nil {
+			return nil, 0, err
 		}
-		return s.figBundle, nil
+		var b *analyze.Bundle
+		if s.figBundle != nil {
+			b, err = analyze.RecollectCtx(ctx, seq, s.figBundle)
+		} else {
+			b, err = analyze.CollectCtx(ctx, seq, core.TimelineBucket)
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		s.figBundle, s.figGen, path = b, gen, "recollect"
+	case s.figAbsorbed:
+		path = "incremental"
 	}
-	b, err := analyze.CollectCtx(ctx, s.store.ScanCtx(ctx, sacct.Query{IncludeSteps: true}), core.TimelineBucket)
-	if err != nil {
-		return nil, err
-	}
-	s.figBundle, s.figGen = b, gen
-	return b, nil
+	s.figAbsorbed = false
+	s.m.Counter(obs.Label("serve_figure_bundle_total", "path", path)).Inc()
+	obs.SpanFromContext(ctx).SetAttr("bundle", path)
+	chart, err := core.ChartFromBundleCtx(ctx, key, s.cfg.System, s.figBundle, s.cfg.TopUsers, s.cfg.Nodes)
+	return chart, s.figGen, err
 }
 
-func (s *Server) writeCached(w http.ResponseWriter, r *http.Request, ent *entry, outcome cacheOutcome, gen uint64) {
+// appendBatch lands one decoded batch and returns the generation that
+// holds it. When the resident bundle shows the generation the append
+// started from and the whole batch landed behind the store's previous
+// tail, the bundle observes the batch — the records a fresh scan would
+// visit next, in that order — and moves to the new generation. Otherwise
+// its label falls behind and the next figure re-collects.
+func (s *Server) appendBatch(recs []slurm.Record) (uint64, error) {
+	s.figMu.Lock()
+	defer s.figMu.Unlock()
+	gen, tail, err := s.store.AppendBatch(recs)
+	if err != nil || len(recs) == 0 {
+		return gen, err
+	}
+	if tail && s.figBundle != nil && s.figGen == gen-1 {
+		for i := range recs {
+			s.figBundle.Observe(&recs[i])
+		}
+		s.figGen, s.figAbsorbed = gen, true
+	}
+	return gen, nil
+}
+
+func (s *Server) writeCached(w http.ResponseWriter, r *http.Request, ent *entry, outcome cacheOutcome) {
 	h := w.Header()
 	h.Set("Content-Type", ent.ctype)
-	h.Set("X-Store-Generation", strconv.FormatUint(gen, 10))
+	h.Set("X-Store-Generation", strconv.FormatUint(ent.gen, 10))
 	h.Set("X-Cache", string(outcome))
 	if ent.rows >= 0 {
 		h.Set("X-Rows", strconv.Itoa(ent.rows))
 	}
 	if sp := obs.SpanFromContext(r.Context()); sp != nil {
 		sp.SetAttr("cache", string(outcome))
-		sp.SetAttrInt("generation", int64(gen))
+		sp.SetAttrInt("generation", int64(ent.gen))
 		if ent.rows >= 0 {
 			sp.SetAttrInt("rows", int64(ent.rows))
 		}
@@ -345,19 +387,21 @@ type ingestResponse struct {
 }
 
 // handleIngest appends a record batch: a columnar blob (sniffed by
-// magic) or pipe-text with a header line. The batch lands under the
-// store lock, Finalize restores scan order, and the response reports
-// the post-append generation — a client that re-queries with at least
-// that generation in X-Store-Generation has proof its rows are visible.
+// magic) or pipe-text with a header line. The batch lands whole, in scan
+// order, as one generation, and the response reports that generation — a
+// client that re-queries with at least it in X-Store-Generation has
+// proof its rows are visible. A batch the store refuses lands nothing.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r, maxIngestBody)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, maxIngestBody)); err != nil {
+		http.Error(w, fmt.Sprintf("serve: ingest body: %v (limit %d bytes)", err, maxIngestBody), http.StatusRequestEntityTooLarge)
 		return
 	}
 	var (
+		body      = buf.Bytes()
 		recs      []slurm.Record
 		malformed int
+		err       error
 	)
 	decode := func() {
 		if colstore.SniffBytes(body) {
@@ -383,45 +427,23 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(recs) > 0 {
-		if err := s.store.Add(recs...); err != nil {
-			// The store refused the append (a corrupt lazy shard,
-			// typically) — the data-loss path this service exists to
-			// close. Surface it loudly; nothing was silently dropped.
-			s.ingestErrors.Inc()
-			s.updateStoreGauges()
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		s.store.Finalize()
+	gen, err := s.appendBatch(recs)
+	if err != nil {
+		// The store refused the append (a corrupt lazy shard,
+		// typically) — the data-loss path this service exists to
+		// close. Surface it loudly; nothing landed, nothing was dropped.
+		s.ingestErrors.Inc()
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
 	s.ingestBatches.Inc()
 	s.ingestRows.Add(int64(len(recs)))
 	s.ingestMalformed.Add(int64(malformed))
 	s.updateStoreGauges()
-	gen := s.store.Generation()
 	s.logf("ingest: +%d rows (%d malformed), generation %d", len(recs), malformed, gen)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Store-Generation", strconv.FormatUint(gen, 10))
 	json.NewEncoder(w).Encode(ingestResponse{Rows: len(recs), Malformed: malformed, Generation: gen})
-}
-
-func readBody(r *http.Request, max int64) ([]byte, error) {
-	body, err := readAllLimit(r, max)
-	if err != nil {
-		return nil, err
-	}
-	return body, nil
-}
-
-func readAllLimit(r *http.Request, max int64) ([]byte, error) {
-	var buf bytes.Buffer
-	n, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, max))
-	if err != nil {
-		return nil, fmt.Errorf("serve: ingest body: %w (limit %d bytes)", err, max)
-	}
-	_ = n
-	return buf.Bytes(), nil
 }
 
 // decodeBinaryBatch opens a columnar blob (via a temp file — the reader
@@ -455,31 +477,49 @@ func decodeBinaryBatch(body []byte) ([]slurm.Record, error) {
 // header, malformed rows are counted and skipped (the curation stage's
 // contract), an unusable header is an error.
 func decodeTextBatch(body []byte) (recs []slurm.Record, malformed int, err error) {
-	var fields []string
-	for _, raw := range strings.Split(string(body), "\n") {
-		line := strings.TrimSuffix(raw, "\r")
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		if fields == nil {
-			names := strings.Split(line, slurm.Separator)
-			for _, name := range names {
-				if _, ok := slurm.FieldByName(name); !ok {
-					return nil, 0, fmt.Errorf("serve: header has unknown field %q", name)
-				}
-			}
-			fields = names
-			continue
-		}
-		rec, err := slurm.DecodeRecord(line, fields)
-		if err != nil {
-			malformed++
-			continue
-		}
-		recs = append(recs, *rec)
-	}
-	if fields == nil {
+	header, rows := splitHeader(body)
+	if header == nil {
 		return nil, 0, fmt.Errorf("serve: empty batch (no header line)")
+	}
+	return decodeRows(header, rows)
+}
+
+// splitHeader cuts the header — the first non-blank line, its newline
+// included — off the front of pipe-text. A nil header means text holds
+// only blank lines.
+func splitHeader(text []byte) (header, rows []byte) {
+	for len(text) > 0 {
+		line := text
+		if nl := bytes.IndexByte(text, '\n'); nl >= 0 {
+			line = text[:nl+1]
+		}
+		text = text[len(line):]
+		if len(bytes.TrimSpace(line)) > 0 {
+			return line, text
+		}
+	}
+	return nil, nil
+}
+
+// decodeRows is the one pipe-text decoder behind POST /ingest and the
+// Watcher: the data rows under header, through the byte record reader.
+// Malformed rows are counted and skipped; an unusable header or an
+// over-long line is an error.
+func decodeRows(header, rows []byte) (recs []slurm.Record, malformed int, err error) {
+	br, err := slurm.NewByteRecordReader(io.MultiReader(bytes.NewReader(header), bytes.NewReader(rows)))
+	if err != nil {
+		return nil, 0, err
+	}
+	for rec, err := range br.All() {
+		var rowErr *slurm.RowError
+		switch {
+		case err == nil:
+			recs = append(recs, *rec) // the reader reuses rec
+		case errors.As(err, &rowErr):
+			malformed++
+		default:
+			return nil, 0, err
+		}
 	}
 	return recs, malformed, nil
 }

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -86,7 +87,11 @@ func get(t *testing.T, url string) (*http.Response, string) {
 // textBatch renders records as a pipe-text ingest body.
 func textBatch(t *testing.T, recs ...slurm.Record) string {
 	t.Helper()
-	fields := []string{"JobID", "User", "Account", "Partition", "Submit", "Start", "End", "Elapsed", "State", "NNodes", "NCPUs"}
+	return string(encodeBatch(t, []string{"JobID", "User", "Account", "Partition", "Submit", "Start", "End", "Elapsed", "State", "NNodes", "NCPUs"}, recs))
+}
+
+func encodeBatch(t testing.TB, fields []string, recs []slurm.Record) []byte {
+	t.Helper()
 	var sb strings.Builder
 	sb.WriteString(slurm.Header(fields))
 	sb.WriteByte('\n')
@@ -98,7 +103,7 @@ func textBatch(t *testing.T, recs ...slurm.Record) string {
 		sb.WriteString(line)
 		sb.WriteByte('\n')
 	}
-	return sb.String()
+	return []byte(sb.String())
 }
 
 // TestQueryIngestGeneration pins the tentpole contract: a generation
@@ -148,6 +153,9 @@ func TestQueryIngestGeneration(t *testing.T) {
 	ingResp.Body.Close()
 	if ingResp.StatusCode != http.StatusOK || ack.Rows != 5 {
 		t.Fatalf("ingest status %d ack %+v", ingResp.StatusCode, ack)
+	}
+	if want := s.store.Generation(); ack.Generation != want || gen0 != strconv.FormatUint(want-1, 10) {
+		t.Fatalf("one batch moved the generation %s → %d (acked %d), want one step", gen0, want, ack.Generation)
 	}
 
 	// The bump invalidates the cached response exactly once: one new

@@ -1,16 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"slurmsight/internal/obs"
 	"slurmsight/internal/sacct"
-	"slurmsight/internal/slurm"
 )
 
 // Watcher tails a pipe-text period file the way an accounting host
@@ -26,9 +25,9 @@ type Watcher struct {
 	Metrics  *obs.Registry        // nil meters nothing
 	Logf     func(string, ...any) // nil discards
 
-	fields  []string // resolved header, nil until seen
-	offset  int64    // bytes consumed through the last complete row
-	partial []byte   // bytes past the last newline, kept across polls
+	header  []byte // header line, nil until seen
+	offset  int64  // bytes consumed through the last complete row
+	partial []byte // bytes past the last newline, kept across polls
 }
 
 // Run tails the file until ctx is cancelled. A missing file is waited
@@ -83,7 +82,7 @@ func (w *Watcher) poll() (added, malformed int, err error) {
 	if info.Size() < w.offset {
 		// Rotated or truncated: the retained offset points past the new
 		// content, so start over, header included.
-		w.offset, w.fields, w.partial = 0, nil, nil
+		w.offset, w.header, w.partial = 0, nil, nil
 	}
 	if info.Size() == w.offset {
 		return 0, 0, nil
@@ -103,47 +102,24 @@ func (w *Watcher) poll() (added, malformed int, err error) {
 	w.offset += int64(len(fresh))
 
 	buf := append(w.partial, fresh...)
-	var batch []slurm.Record
-	for {
-		nl := -1
-		for i, b := range buf {
-			if b == '\n' {
-				nl = i
-				break
-			}
+	end := bytes.LastIndexByte(buf, '\n') + 1
+	complete := buf[:end]
+	w.partial = bytes.Clone(buf[end:])
+	if w.header == nil {
+		header, rows := splitHeader(complete)
+		if header == nil {
+			return 0, 0, nil
 		}
-		if nl < 0 {
-			break
-		}
-		line := strings.TrimSuffix(string(buf[:nl]), "\r")
-		buf = buf[nl+1:]
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		if w.fields == nil {
-			fields := strings.Split(line, slurm.Separator)
-			for _, name := range fields {
-				if _, ok := slurm.FieldByName(name); !ok {
-					return added, malformed, fmt.Errorf("header has unknown field %q", name)
-				}
-			}
-			w.fields = fields
-			continue
-		}
-		rec, err := slurm.DecodeRecord(line, w.fields)
-		if err != nil {
-			malformed++
-			continue
-		}
-		batch = append(batch, *rec)
+		w.header, complete = bytes.Clone(header), rows
 	}
-	w.partial = append([]byte(nil), buf...)
+	batch, malformed, err := decodeRows(w.header, complete)
+	if err != nil {
+		return 0, 0, err
+	}
 	if len(batch) > 0 {
-		if err := w.Store.Add(batch...); err != nil {
-			return added, malformed, err
+		if _, _, err := w.Store.AppendBatch(batch); err != nil {
+			return 0, malformed, err
 		}
-		w.Store.Finalize()
-		added += len(batch)
 	}
-	return added, malformed, nil
+	return len(batch), malformed, nil
 }
