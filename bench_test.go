@@ -646,6 +646,7 @@ func BenchmarkSchedulerScaling(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(len(reqs)), "requests")
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sim, err := sched.New(sched.DefaultConfig(cluster.Frontier()))

@@ -88,7 +88,19 @@ const (
 
 // Evolve runs the tournament→advise→apply loop for cfg.Rounds rounds (or
 // until the advisor returns no deltas) and returns the audit trajectory.
+//
+// The whole call shares one tournament field: only the target's
+// configuration moves between tournaments, so every tournament after the
+// first simulates at most that one arm, and none when no applied delta
+// changed it.
 func Evolve(ctx context.Context, cfg EvolveConfig) (*EvolveResult, error) {
+	field := tournament.NewField(cfg.Reqs, cfg.System, cfg.Seed, cfg.Metrics, cfg.Tracer)
+	return evolve(ctx, cfg, field.Run)
+}
+
+// evolve is the loop over a given way of scoring the field; tests hand it
+// an un-memoised one as the reference.
+func evolve(ctx context.Context, cfg EvolveConfig, score func([]tournament.Spec) (*tournament.Scorecard, error)) (*EvolveResult, error) {
 	if cfg.Client == nil {
 		return nil, fmt.Errorf("evolve: needs an LLM client")
 	}
@@ -116,21 +128,18 @@ func Evolve(ctx context.Context, cfg EvolveConfig) (*EvolveResult, error) {
 	span.SetAttr("objective", cfg.Objective)
 	defer span.End()
 
+	// The target is cloned: applyDelta writes through Spec.Weights, which
+	// a plain slice copy would still share with the caller's spec (and, in
+	// a chained run, with the previous call's FinalSpec).
 	specs := append([]tournament.Spec(nil), cfg.Specs...)
+	specs[targetIdx] = specs[targetIdx].Clone()
 	res := &EvolveResult{Schema: "evolve/v1", Objective: cfg.Objective, Target: cfg.Target}
-
-	runTournament := func() (*tournament.Scorecard, error) {
-		return tournament.Run(tournament.Input{
-			Specs: specs, Reqs: cfg.Reqs, System: cfg.System, Seed: cfg.Seed,
-			Metrics: cfg.Metrics, Tracer: cfg.Tracer,
-		})
-	}
 
 	for round := 0; round < cfg.Rounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sc, err := runTournament()
+		sc, err := score(specs)
 		if err != nil {
 			return nil, fmt.Errorf("evolve round %d: %w", round, err)
 		}
@@ -176,7 +185,7 @@ func Evolve(ctx context.Context, cfg EvolveConfig) (*EvolveResult, error) {
 
 	// Final re-score so the trajectory always ends with the evolved
 	// spec's measured outcome, applied deltas included.
-	final, err := runTournament()
+	final, err := score(specs)
 	if err != nil {
 		return nil, fmt.Errorf("evolve final score: %w", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math/rand"
@@ -309,6 +310,170 @@ func TestEvolveConfigValidation(t *testing.T) {
 			mutate(&cfg)
 			if _, err := Evolve(context.Background(), cfg); err == nil {
 				t.Error("Evolve accepted bad config")
+			}
+		})
+	}
+}
+
+// stubAdvisor serves /v1/evolve with whatever deltas pick returns for the
+// round it is asked about.
+func stubAdvisor(t *testing.T, pick func(round int) []llm.ParamDelta) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req llm.EvolveRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(llm.EvolveResponse{Rationale: "stub", Deltas: pick(req.Round)})
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+func ageScale(v float64) []llm.ParamDelta {
+	return []llm.ParamDelta{{Policy: "evolved", Param: "age_weight", Op: "scale", Value: v}}
+}
+
+func armsSimulated(reg *obs.Registry) int64 {
+	return reg.Counter(obs.Label("schedbench_arms_total", "source", "simulated")).Value()
+}
+
+// TestEvolveLeavesCallerSpecsUntouched: the loop evolves its own copy of
+// the target. Neither the caller's slice nor, in a chained run, the
+// previous call's FinalSpec may move when a later call applies deltas.
+func TestEvolveLeavesCallerSpecsUntouched(t *testing.T) {
+	ts := stubAdvisor(t, func(int) []llm.ParamDelta { return ageScale(1.25) })
+	sys := evolveSystem()
+	reqs := evolveTrace(t, sys)
+	age := int64(300_000)
+	specs := []tournament.Spec{
+		{Name: "fifo", Preset: "fifo"},
+		{Name: "evolved", Weights: &tournament.Weights{Age: &age}},
+	}
+	call := func() *EvolveResult {
+		t.Helper()
+		res, err := Evolve(context.Background(), EvolveConfig{
+			Client: llm.NewClient(ts.URL, ""), Rounds: 1, Target: "evolved",
+			Specs: specs, Reqs: reqs, System: sys, Seed: 53,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first := call()
+	if got := *specs[1].Weights.Age; got != 300_000 || age != 300_000 {
+		t.Fatalf("caller's target reads age=%d (variable %d) after one round, passed in 300000", got, age)
+	}
+	if got := *first.FinalSpec.Weights.Age; got != 375_000 {
+		t.Fatalf("first call's FinalSpec age=%d, want 375000", got)
+	}
+	// Chain as loopbench and schedbench drivers do: the next call starts
+	// from the previous call's final spec.
+	specs[1] = first.FinalSpec
+	second := call()
+	if got := *first.FinalSpec.Weights.Age; got != 375_000 {
+		t.Errorf("call 2 rewrote call 1's FinalSpec: age=%d, want 375000", got)
+	}
+	if got := *second.FinalSpec.Weights.Age; got != 468_750 {
+		t.Errorf("second call's FinalSpec age=%d, want 468750", got)
+	}
+}
+
+// TestEvolveMemoisedMatchesFreshFields holds a three-round trajectory from
+// the shared field against the same loop scoring every tournament on a
+// field of its own: the evolve/v1 bytes must agree once the wall-clock
+// fields are stripped.
+func TestEvolveMemoisedMatchesFreshFields(t *testing.T) {
+	srv := llm.NewServer("sk-test")
+	srv.RatePerSec = 0
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	sys := evolveSystem()
+	cfg := EvolveConfig{
+		Client:    llm.NewClient(ts.URL, "sk-test"),
+		Rounds:    3,
+		Objective: "mean_wait_sec",
+		Target:    "evolved",
+		Specs:     append(tournament.DefaultSpecs(), tournament.Spec{Name: "evolved"}),
+		Reqs:      evolveTrace(t, sys),
+		System:    sys,
+		Seed:      53,
+	}
+	encode := func(res *EvolveResult, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.StripElapsed()
+		b, err := json.MarshalIndent(res, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	got := encode(Evolve(context.Background(), cfg))
+	want := encode(evolve(context.Background(), cfg, func(specs []tournament.Spec) (*tournament.Scorecard, error) {
+		return tournament.Run(tournament.Input{Specs: specs, Reqs: cfg.Reqs, System: cfg.System, Seed: cfg.Seed})
+	}))
+	if !bytes.Contains(got, []byte(`"applied"`)) {
+		t.Fatal("no delta applied: the comparison would hold for a memo that never hits")
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("memoised trajectory differs from the fresh-field reference:\n--- memoised\n%s\n--- reference\n%s", got, want)
+	}
+}
+
+// TestEvolveSimulatesOnlyWhatChanged counts simulations over a whole call:
+// the field's distinct configurations once, plus one per tournament whose
+// target actually moved — and none for a round that only rejected deltas
+// or scaled by one.
+func TestEvolveSimulatesOnlyWhatChanged(t *testing.T) {
+	sys := evolveSystem()
+	reqs := evolveTrace(t, sys)
+	// Eight arms, seven configurations: "evolved" starts as default's twin.
+	specs := append(tournament.DefaultSpecs(), tournament.Spec{Name: "evolved"})
+	const distinct = 7
+
+	for _, tc := range []struct {
+		name   string
+		rounds int
+		pick   func(round int) []llm.ParamDelta
+		want   int64
+	}{
+		{"every round applies", 3, func(int) []llm.ParamDelta { return ageScale(1.5) }, distinct + 3},
+		{"rejected only", 2, func(int) []llm.ParamDelta { return ageScale(99) }, distinct},
+		{"scale by one", 2, func(int) []llm.ParamDelta { return ageScale(1) }, distinct},
+		{"moves once then holds", 3, func(r int) []llm.ParamDelta {
+			if r == 0 {
+				return ageScale(1.5)
+			}
+			return ageScale(99)
+		}, distinct + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := stubAdvisor(t, tc.pick)
+			reg := obs.NewRegistry()
+			res, err := Evolve(context.Background(), EvolveConfig{
+				Client: llm.NewClient(ts.URL, ""), Rounds: tc.rounds, Target: "evolved",
+				Specs: specs, Reqs: reqs, System: sys, Seed: 53, Metrics: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rounds) != tc.rounds {
+				t.Fatalf("%d rounds, want %d", len(res.Rounds), tc.rounds)
+			}
+			if got := armsSimulated(reg); got != tc.want {
+				t.Errorf("schedbench_arms_total{source=\"simulated\"} = %d, want %d", got, tc.want)
+			}
+			arms := int64(len(specs) * (tc.rounds + 1))
+			memo := reg.Counter(obs.Label("schedbench_arms_total", "source", "memoised")).Value()
+			if memo != arms-tc.want {
+				t.Errorf("memoised = %d, want %d of %d arms", memo, arms-tc.want, arms)
 			}
 		})
 	}

@@ -8,14 +8,17 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Metric naming convention (DESIGN.md §5e): snake_case,
-// <subsystem>_<what>_<unit>; monotonic counters end in _total,
-// histograms carry their unit (_seconds, _bytes) as the suffix.
+// <subsystem>_<what>_<unit>; monotonic counters end in _total (or in
+// _sum when they accumulate a quantity whose sample count is a _total
+// beside them, as a histogram's own _sum does), histograms carry their
+// unit (_seconds, _bytes) as the suffix.
 // Examples: llm_requests_total, dataflow_task_seconds, sched_queue_depth.
 
 // LatencyBuckets is the shared histogram layout for durations in
@@ -315,9 +318,15 @@ func (r *Registry) WriteText(w io.Writer) {
 // → sched_backfill_starts_total{policy="easy"}. The registry is purely
 // name-keyed, so each labelled name is its own instrument; WriteText
 // emits it verbatim, which the Prometheus text format parses as a
-// labelled sample.
+// labelled sample. A name that already carries labels gains the pair
+// inside its braces: Label(`x_total{phase="a"}`, "policy", "easy") →
+// x_total{phase="a",policy="easy"}.
 func Label(name, key, value string) string {
-	return name + "{" + key + "=" + strconv.Quote(value) + "}"
+	pair := key + "=" + strconv.Quote(value) + "}"
+	if strings.HasSuffix(name, "}") {
+		return name[:len(name)-1] + "," + pair
+	}
+	return name + "{" + pair
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -150,3 +150,13 @@ func TestHistogramKeepsFirstLayout(t *testing.T) {
 		t.Errorf("layout changed: %d buckets", len(a.Buckets()))
 	}
 }
+
+func TestLabelAppendsToLabelledName(t *testing.T) {
+	one := Label("sched_phase_ns_total", "phase", "backfill")
+	if want := `sched_phase_ns_total{phase="backfill"}`; one != want {
+		t.Errorf("Label = %s, want %s", one, want)
+	}
+	if got, want := Label(one, "policy", "easy"), `sched_phase_ns_total{phase="backfill",policy="easy"}`; got != want {
+		t.Errorf("Label on a labelled name = %s, want %s", got, want)
+	}
+}

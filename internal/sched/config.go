@@ -91,9 +91,11 @@ type Config struct {
 	Reservations []Reservation
 
 	// Metrics, when non-nil, publishes simulator counters and gauges
-	// under sched_* names (events processed, scheduling passes,
-	// backfill attempts/starts, queue depth, jobs running). Nil keeps
-	// the hot path unmetered.
+	// under sched_* names (events processed, scheduling passes and the
+	// pending depth summed over them, backfill attempts/starts, queue
+	// depth, jobs running) and the run's wall time split by phase
+	// (sched_phase_ns_total{phase=…}, see phases.go). Nil keeps the hot
+	// path unmetered: no counter writes and no clock reads.
 	Metrics *obs.Registry
 }
 
@@ -148,6 +150,29 @@ func (c *Config) backfillName() string {
 		return "easy"
 	}
 	return "none"
+}
+
+// Fingerprint renders every setting that decides a run's outcome: two
+// configs with equal fingerprints simulate the same requests on the same
+// System to the same Result. Policy names are resolved first, so an empty
+// name and the default it stands for agree. System is left to the caller
+// (the tournament binds one per field) and Metrics only observes. The
+// whole struct is rendered rather than a field list so that a setting
+// added later joins the key without anyone remembering it; at worst a
+// pointer-typed one prints its address and two equal configs compare
+// unequal, which costs a simulation and never a wrong result.
+func (c *Config) Fingerprint() string {
+	k := *c
+	k.System, k.Metrics = nil, nil
+	k.Backfill = c.backfillName()
+	k.EnableBackfill = k.Backfill != "none"
+	if k.Priority == "" {
+		k.Priority = "multifactor"
+	}
+	if k.NodeSelect == "" {
+		k.NodeSelect = "pool"
+	}
+	return fmt.Sprintf("%+v", k)
 }
 
 // Validate checks the configuration.

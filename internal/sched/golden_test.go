@@ -92,10 +92,9 @@ func checkGolden(t *testing.T, res *Result, want goldenWant) {
 	}
 }
 
-// TestGoldenFrontierMixed replays a contended Frontier workload that
-// exercises chains, arrays, urgent preemption, and an advance reservation
-// window, with step records materialized.
-func TestGoldenFrontierMixed(t *testing.T) {
+// goldenFrontierTrace is the workload TestGoldenFrontierMixed replays.
+func goldenFrontierTrace(t *testing.T) []tracegen.Request {
+	t.Helper()
 	p := tracegen.FrontierProfile()
 	p.JobsPerDay, p.Users = 120, 60
 	reqs, err := tracegen.Generate([]tracegen.Phase{{
@@ -112,12 +111,25 @@ func TestGoldenFrontierMixed(t *testing.T) {
 			reqs[i].Reservation = "beamline-a"
 		}
 	}
-	cfg := DefaultConfig(cluster.Frontier())
-	cfg.Seed = 7
-	cfg.Reservations = []Reservation{{
+	return reqs
+}
+
+// goldenReservations is the advance reservation goldenFrontierTrace tags.
+func goldenReservations() []Reservation {
+	return []Reservation{{
 		Name: "beamline-a", Nodes: 256,
 		Start: t0.AddDate(0, 0, 2), End: t0.AddDate(0, 0, 3),
 	}}
+}
+
+// TestGoldenFrontierMixed replays a contended Frontier workload that
+// exercises chains, arrays, urgent preemption, and an advance reservation
+// window, with step records materialized.
+func TestGoldenFrontierMixed(t *testing.T) {
+	reqs := goldenFrontierTrace(t)
+	cfg := DefaultConfig(cluster.Frontier())
+	cfg.Seed = 7
+	cfg.Reservations = goldenReservations()
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

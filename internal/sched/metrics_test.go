@@ -40,3 +40,97 @@ func TestSimulatorMetrics(t *testing.T) {
 		t.Errorf("sched_jobs_running = %d at end of run", got)
 	}
 }
+
+// phaseNs reads every sched_phase_ns_total{phase=…} a metered run
+// published.
+func phaseNs(reg *obs.Registry) (byName map[string]int64, sum int64) {
+	byName = map[string]int64{}
+	for _, name := range phaseNames {
+		ns := reg.Counter(obs.Label("sched_phase_ns_total", "phase", name)).Value()
+		byName[name] = ns
+		sum += ns
+	}
+	return byName, sum
+}
+
+// TestPhasesAccountForTheRun checks the per-phase clock on a contended
+// trace: the records are the unmetered run's, every phase that ran shows
+// time, the phases sum to the run's wall within a tenth, and the
+// pending-depth sum over the pass count is a mean depth of at least one
+// job.
+func TestPhasesAccountForTheRun(t *testing.T) {
+	for _, sel := range []string{"pool", "firstfit"} {
+		t.Run(sel, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			cfg := DefaultConfig(tinySystem())
+			cfg.Seed = 4242
+			cfg.NodeSelect = sel
+			cfg.Metrics = reg
+			sim, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs := ablationTrace(t)
+			start := time.Now()
+			res, err := sim.Run(reqs, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wall := time.Since(start).Nanoseconds()
+
+			// Metering observes; the schedule is the unmetered one.
+			plain := runAblation(t, func(c *Config) { c.NodeSelect = sel })
+			gotJobs, _, gotStats := goldenDigest(t, res)
+			wantJobs, _, wantStats := goldenDigest(t, plain)
+			if gotJobs != wantJobs || gotStats != wantStats {
+				t.Errorf("metered run diverged from the unmetered one: jobs %#x vs %#x, stats %#x vs %#x",
+					gotJobs, wantJobs, gotStats, wantStats)
+			}
+
+			phases, sum := phaseNs(reg)
+			if diff := wall - sum; diff < 0 || diff > wall/10 {
+				t.Errorf("phases sum to %d ns of a %d ns run: %v", sum, wall, phases)
+			}
+			for _, name := range []string{"events", "reprioritize", "main_pass", "backfill", "build_result"} {
+				if phases[name] <= 0 {
+					t.Errorf("phase %s shows no time: %v", name, phases)
+				}
+			}
+			// The pool selector does no work and is not timed.
+			if got := phases["node_select"]; (got > 0) != (sel != "pool") {
+				t.Errorf("node_select = %d ns under the %s selector", got, sel)
+			}
+			passes := reg.Counter("sched_passes_total").Value()
+			if depth := reg.Counter("sched_pending_depth_sum").Value(); passes == 0 || depth < passes {
+				t.Errorf("sched_pending_depth_sum %d over %d passes", depth, passes)
+			}
+		})
+	}
+}
+
+// TestUnmeteredRunReadsNoClock pins the nil path: without Config.Metrics
+// the simulator holds no phase clock and no timing selector, and the marks
+// left in the event loop cost no allocation.
+func TestUnmeteredRunReadsNoClock(t *testing.T) {
+	cfg := DefaultConfig(tinySystem())
+	cfg.NodeSelect = "firstfit"
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim.clk != nil {
+		t.Error("unmetered simulator holds a phase clock")
+	}
+	if _, timed := sim.sel.(timedSelector); timed {
+		t.Error("unmetered simulator times its node selector")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		sim.clk.start()
+		sim.clk.enter(phaseBackfill)
+		sim.mDepthSum.Add(1)
+		sim.clk.publish(nil)
+	})
+	if allocs != 0 {
+		t.Errorf("nil phase clock allocated %.0f times per pass", allocs)
+	}
+}

@@ -345,3 +345,54 @@ func TestPreemptCounters(t *testing.T) {
 		t.Errorf("sched_preempt_evictions_total = %d, want 1", got)
 	}
 }
+
+// TestConfigFingerprint pins the memo key's two duties: spellings of one
+// configuration agree, and every setting that changes a run disagrees.
+func TestConfigFingerprint(t *testing.T) {
+	base := DefaultConfig(tinySystem())
+	want := base.Fingerprint()
+
+	same := map[string]func(*Config){
+		"named defaults":        func(c *Config) { c.Priority, c.Backfill, c.NodeSelect = "multifactor", "easy", "pool" },
+		"metrics attached":      func(c *Config) { c.Metrics = obs.NewRegistry() },
+		"another system handle": func(c *Config) { c.System = tinySystem() },
+		"none beats the toggle": func(c *Config) { c.Backfill = "easy"; c.EnableBackfill = false },
+	}
+	for name, mutate := range same {
+		c := base
+		mutate(&c)
+		if got := c.Fingerprint(); got != want {
+			t.Errorf("%s: fingerprint moved\n got %s\nwant %s", name, got, want)
+		}
+	}
+
+	differ := map[string]func(*Config){
+		"seed":        func(c *Config) { c.Seed++ },
+		"base":        func(c *Config) { c.Base++ },
+		"age weight":  func(c *Config) { c.AgeWeight++ },
+		"size weight": func(c *Config) { c.SizeWeight++ },
+		"fair share":  func(c *Config) { c.FairShareWeight++ },
+		"age max":     func(c *Config) { c.AgeMax++ },
+		"half life":   func(c *Config) { c.FairShareHalfLife++ },
+		"resort":      func(c *Config) { c.ResortEvery = time.Minute },
+		"depth":       func(c *Config) { c.BackfillDepth++ },
+		"sharing":     func(c *Config) { c.EnableNodeSharing = true },
+		"priority":    func(c *Config) { c.Priority = "fifo" },
+		"backfill":    func(c *Config) { c.Backfill = "conservative" },
+		"toggle off":  func(c *Config) { c.EnableBackfill = false },
+		"selector":    func(c *Config) { c.NodeSelect = "firstfit" },
+		"reservation": func(c *Config) {
+			c.Reservations = []Reservation{{Name: "r", Nodes: 1, Start: t0, End: t0.Add(time.Hour)}}
+		},
+	}
+	seen := map[string]string{want: "default"}
+	for name, mutate := range differ {
+		c := base
+		mutate(&c)
+		got := c.Fingerprint()
+		if prev, dup := seen[got]; dup {
+			t.Errorf("%s: fingerprint equals %s's", name, prev)
+		}
+		seen[got] = name
+	}
+}

@@ -170,6 +170,10 @@ type Simulator struct {
 	mPreemptEvict   *obs.Counter
 	mQueueDepth     *obs.Gauge
 	mRunning        *obs.Gauge
+	// mDepthSum adds the pending depth at every pass: over mPasses it is
+	// the mean depth a pass worked on.
+	mDepthSum *obs.Counter
+	clk       *phaseClock // nil when unmetered: no clock reads
 }
 
 // New builds a simulator; the configuration is validated.
@@ -206,6 +210,11 @@ func New(cfg Config) (*Simulator, error) {
 		s.mPreemptEvict = cfg.Metrics.Counter("sched_preempt_evictions_total")
 		s.mQueueDepth = cfg.Metrics.Gauge("sched_queue_depth")
 		s.mRunning = cfg.Metrics.Gauge("sched_jobs_running")
+		s.mDepthSum = cfg.Metrics.Counter("sched_pending_depth_sum")
+		s.clk = &phaseClock{}
+		if _, pool := s.sel.(poolSelector); !pool {
+			s.sel = timedSelector{s.sel, s.clk}
+		}
 	}
 	for _, q := range cfg.System.QOSLevels {
 		s.qosDefs[q.Name] = q
@@ -248,6 +257,7 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("sched: no requests")
 	}
+	s.clk.start()
 	arena := make([]job, len(reqs)) // one allocation for every job
 	jobs := make([]*job, len(reqs))
 	arrayBase := map[int64]int64{} // tracegen array group → base job id
@@ -406,7 +416,10 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 	}
 	s.stats.NodeSecondsCap = float64(s.cfg.System.Nodes) * last.Sub(first).Seconds()
 
-	return s.buildResult(jobs, arrayBase, opts)
+	s.clk.enter(phaseBuildResult)
+	res, err := s.buildResult(jobs, arrayBase, opts)
+	s.clk.publish(s.cfg.Metrics)
+	return res, err
 }
 
 func (s *Simulator) nextSeq() int64 { s.seq++; return s.seq }
@@ -716,16 +729,22 @@ func (s *Simulator) schedule(t time.Time) {
 	}
 	s.schedDirty = false
 	s.mPasses.Inc()
+	s.mDepthSum.Add(int64(s.npending))
+	s.clk.enter(phaseReprioritize)
 	s.reprioritize(t, false)
+	s.clk.enter(phaseMainPass)
 	if len(s.resPools) > 0 {
 		s.reservationPass(t)
 	}
 	s.heapifyPending()
 	head := s.mainPass(t)
 	if head != nil && s.npending > 1 {
+		s.clk.enter(phaseBackfill)
 		s.bf.Pass(s, head, t)
+		s.clk.enter(phaseMainPass)
 	}
 	s.finishPass(head)
+	s.clk.enter(phaseEvents)
 	s.mQueueDepth.Set(int64(s.npending))
 	s.mRunning.Set(int64(len(s.running)))
 }

@@ -5,12 +5,16 @@
 // policy change would improve the metrics users feel: queue wait,
 // slowdown, backfill share, utilization.
 //
-// Each policy runs in its own goroutine against a shared immutable
-// request slice (the simulator never mutates its input; it orders via an
-// index permutation), so an N-policy tournament costs one trace
-// generation and N concurrent simulations. Everything in the scorecard
-// except the wall-clock elapsed_ms fields is a pure function of the
-// trace and the policy set: byte-identical across runs, which CI asserts.
+// A tournament is run on a Field: one immutable trace (the simulator never
+// mutates its input; it orders via an index permutation) and a memo of
+// every configuration simulated on it. The simulator is deterministic in
+// (config, requests, seed), so a field simulates each distinct
+// materialised configuration once, concurrently with the others it has
+// not seen, and an N-policy tournament costs one trace generation and at
+// most N simulations — one, in the evolution loop, for every round after
+// the first. Everything in the scorecard except the wall-clock elapsed_ms
+// fields is a pure function of the trace and the policy set:
+// byte-identical across runs and across memo hits, which CI asserts.
 package tournament
 
 import (
@@ -185,7 +189,7 @@ type ClassScore struct {
 	BackfillFrac float64 `json:"backfill_frac"`
 }
 
-// Input configures a tournament run.
+// Input configures a one-off tournament.
 type Input struct {
 	Specs  []Spec
 	Reqs   []tracegen.Request // shared read-only across policies
@@ -195,24 +199,67 @@ type Input struct {
 	// Metrics, when non-nil, receives each policy's simulator counters
 	// re-published under policy-labelled names (obs.Label), plus the
 	// tournament's own instruments. Tracer, when non-nil, records one
-	// span per policy run.
+	// span per simulated policy.
 	Metrics *obs.Registry
 	Tracer  *obs.Tracer
 }
 
-// Run races every spec concurrently over the shared trace and returns
-// the scorecard. The policy order in the scorecard follows the spec
-// order; all metric content is deterministic for a given (trace, specs).
+// Run races every spec over the shared trace on a field of its own and
+// returns the scorecard.
 func Run(in Input) (*Scorecard, error) {
-	if len(in.Specs) == 0 {
+	return NewField(in.Reqs, in.System, in.Seed, in.Metrics, in.Tracer).Run(in.Specs)
+}
+
+// Field is a tournament bound to one immutable trace: a system, a request
+// slice and a seed. The simulator is deterministic in (config, requests,
+// seed), so the field simulates each distinct materialised configuration
+// once in its lifetime and answers every later arm that materialises to
+// the same configuration — under any name, in the same Run call or a later
+// one — from the row it kept. The memo is the field's alone: it needs no
+// digest of the trace, because the field never sees another, and it dies
+// with the field. Run calls on one Field must not overlap.
+type Field struct {
+	reqs    []tracegen.Request
+	system  *cluster.System
+	seed    int64
+	metrics *obs.Registry
+	tracer  *obs.Tracer
+
+	// rows holds one scored row per simulated configuration, keyed by
+	// sched.Config.Fingerprint. Name and Spec are blank in a kept row;
+	// Run stamps them on the copy each arm gets.
+	rows map[string]*PolicyScore
+}
+
+// NewField binds a field to its trace. The requests are shared read-only
+// with every simulation the field runs and must not change while it lives.
+// metrics and tracer may be nil; see Input.
+func NewField(reqs []tracegen.Request, system *cluster.System, seed int64, metrics *obs.Registry, tracer *obs.Tracer) *Field {
+	return &Field{
+		reqs: reqs, system: system, seed: seed, metrics: metrics, tracer: tracer,
+		rows: map[string]*PolicyScore{},
+	}
+}
+
+// Run scores every spec and returns the scorecard, simulating concurrently
+// the configurations the field has not seen. The policy order follows the
+// spec order; all metric content is deterministic for a given (trace,
+// specs). A row answered from the memo carries the elapsed_ms of the
+// simulation that produced it; Scorecard.ElapsedMS is this call's wall.
+func (f *Field) Run(specs []Spec) (*Scorecard, error) {
+	if len(specs) == 0 {
 		return nil, fmt.Errorf("tournament: no specs")
 	}
-	if len(in.Reqs) == 0 {
+	if len(f.reqs) == 0 {
 		return nil, fmt.Errorf("tournament: no requests")
 	}
+	// Materialise every spec once, up front: one bad config fails fast
+	// instead of racing N−1 healthy policies first.
+	cfgs := make([]sched.Config, len(specs))
+	keys := make([]string, len(specs))
 	seen := map[string]bool{}
-	for i := range in.Specs {
-		name := in.Specs[i].Name
+	for i := range specs {
+		name := specs[i].Name
 		if name == "" {
 			return nil, fmt.Errorf("tournament: spec %d needs a name", i)
 		}
@@ -220,101 +267,124 @@ func Run(in Input) (*Scorecard, error) {
 			return nil, fmt.Errorf("tournament: duplicate spec name %q", name)
 		}
 		seen[name] = true
-		// Validate every spec up front so one bad config fails fast
-		// instead of racing N−1 healthy policies first.
-		if _, err := in.Specs[i].Config(in.System, in.Seed); err != nil {
+		cfg, err := specs[i].Config(f.system, f.seed)
+		if err != nil {
 			return nil, err
 		}
+		cfgs[i], keys[i] = cfg, cfg.Fingerprint()
 	}
 
 	t0 := time.Now()
-	root := in.Tracer.Start("tournament.run")
-	root.SetAttrInt("policies", int64(len(in.Specs)))
-	root.SetAttrInt("requests", int64(len(in.Reqs)))
+	root := f.tracer.Start("tournament.run")
+	root.SetAttrInt("policies", int64(len(specs)))
+	root.SetAttrInt("requests", int64(len(f.reqs)))
 	defer root.End()
 
-	scores := make([]PolicyScore, len(in.Specs))
-	errs := make([]error, len(in.Specs))
-	var wg sync.WaitGroup
-	for i := range in.Specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			scores[i], errs[i] = runOne(&in, &in.Specs[i], root)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("tournament: policy %q: %w", in.Specs[i].Name, err)
+	// The first arm to name an unseen configuration simulates it; arms
+	// that repeat it, here or in a later call, share the row.
+	var sim []int
+	claimed := map[string]bool{}
+	for i, key := range keys {
+		if f.rows[key] == nil && !claimed[key] {
+			claimed[key] = true
+			sim = append(sim, i)
 		}
 	}
+	root.SetAttrInt("simulated", int64(len(sim)))
+	rows := make([]*PolicyScore, len(sim))
+	errs := make([]error, len(sim))
+	var wg sync.WaitGroup
+	for n, i := range sim {
+		wg.Add(1)
+		go func(n, i int) {
+			defer wg.Done()
+			rows[n], errs[n] = f.simulate(cfgs[i], specs[i].Name, root)
+		}(n, i)
+	}
+	wg.Wait()
+	for n, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("tournament: policy %q: %w", specs[sim[n]].Name, err)
+		}
+	}
+	for n, i := range sim {
+		f.rows[keys[i]] = rows[n]
+	}
 
-	in.Metrics.Counter("schedbench_tournaments_total").Inc()
+	scores := make([]PolicyScore, len(specs))
+	for i := range specs {
+		ps := *f.rows[keys[i]]
+		ps.Name = specs[i].Name
+		ps.Spec = specs[i].Clone() // the caller may go on to evolve the spec
+		ps.Classes = append([]ClassScore(nil), ps.Classes...)
+		scores[i] = ps
+	}
+
+	f.metrics.Counter("schedbench_tournaments_total").Inc()
+	f.metrics.Counter(obs.Label("schedbench_arms_total", "source", "simulated")).Add(int64(len(sim)))
+	f.metrics.Counter(obs.Label("schedbench_arms_total", "source", "memoised")).Add(int64(len(specs) - len(sim)))
 	return &Scorecard{
 		Schema: Schema,
 		Trace: TraceInfo{
-			System:   in.System.Name,
-			Requests: len(in.Reqs),
-			Seed:     in.Seed,
+			System:   f.system.Name,
+			Requests: len(f.reqs),
+			Seed:     f.seed,
 		},
 		Policies:  scores,
 		ElapsedMS: time.Since(t0).Milliseconds(),
 	}, nil
 }
 
-// runOne simulates a single policy and scores its result.
-func runOne(in *Input, sp *Spec, parent *obs.Span) (PolicyScore, error) {
+// simulate runs one configuration over the field's trace and scores it.
+// policy is the arm that asked first; it labels the span and the
+// republished simulator metrics, which are therefore counted once per
+// simulation, never once per arm sharing the row.
+func (f *Field) simulate(cfg sched.Config, policy string, parent *obs.Span) (*PolicyScore, error) {
 	span := parent.Child("tournament.policy")
-	span.SetAttr("policy", sp.Name)
+	span.SetAttr("policy", policy)
 	defer span.End()
 
-	cfg, err := sp.Config(in.System, in.Seed)
-	if err != nil {
-		return PolicyScore{}, err
-	}
-	// Each policy gets a private registry; the shared one receives the
+	// Each simulation gets a private registry; the shared one receives the
 	// values after the run under policy-labelled names, so concurrent
 	// policies never contend and labels stay unambiguous.
-	var priv *obs.Registry
-	if in.Metrics != nil {
-		priv = obs.NewRegistry()
+	if f.metrics != nil {
+		cfg.Metrics = obs.NewRegistry()
 	}
-	cfg.Metrics = priv
-
 	sim, err := sched.New(cfg)
 	if err != nil {
-		return PolicyScore{}, err
+		return nil, err
 	}
 	t0 := time.Now()
-	res, err := sim.Run(in.Reqs, sched.Options{})
+	res, err := sim.Run(f.reqs, sched.Options{})
 	if err != nil {
-		return PolicyScore{}, err
+		return nil, err
 	}
 	elapsed := time.Since(t0)
 	span.SetAttrInt("jobs", int64(len(res.Jobs)))
 	span.SetAttrInt("completed", int64(res.Stats.JobsCompleted))
 
-	if priv != nil {
-		republish(in.Metrics, priv, sp.Name)
+	if f.metrics != nil {
+		republish(f.metrics, cfg.Metrics, policy)
 	}
 
-	ps := score(res, sp)
+	ps := score(res)
 	ps.ElapsedMS = elapsed.Milliseconds()
-	return ps, nil
+	return &ps, nil
 }
 
 // republish copies a policy's private counters and gauges into the
 // shared registry under policy-labelled names. Snapshot flattens both to
-// int64; the _total naming convention recovers the instrument kind.
+// int64; the naming convention recovers the instrument kind: a base name
+// ending in _total or _sum accumulates, anything else is a gauge.
 func republish(dst, src *obs.Registry, policy string) {
 	for name, v := range src.Snapshot() {
 		val, ok := v.(int64)
 		if !ok {
 			continue
 		}
+		base, _, _ := strings.Cut(name, "{")
 		labelled := obs.Label(name, "policy", policy)
-		if strings.HasSuffix(name, "_total") {
+		if strings.HasSuffix(base, "_total") || strings.HasSuffix(base, "_sum") {
 			dst.Counter(labelled).Add(val)
 		} else {
 			dst.Gauge(labelled).Set(val)
@@ -322,13 +392,12 @@ func republish(dst, src *obs.Registry, policy string) {
 	}
 }
 
-// score reduces a simulation result to the scorecard row. All float math
-// is a deterministic function of the records.
-func score(res *sched.Result, sp *Spec) PolicyScore {
+// score reduces a simulation result to the scorecard row, Name and Spec
+// left for the arm to fill. All float math is a deterministic function of
+// the records.
+func score(res *sched.Result) PolicyScore {
 	st := res.Stats
 	ps := PolicyScore{
-		Name:        sp.Name,
-		Spec:        sp.Clone(), // the caller may go on to evolve sp
 		Completed:   st.JobsCompleted,
 		Failed:      st.JobsFailed,
 		Cancelled:   st.JobsCancelled,

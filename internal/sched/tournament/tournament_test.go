@@ -72,6 +72,17 @@ func stripElapsed(sc *Scorecard) {
 	}
 }
 
+// encodeStripped renders the scorecard bytes two runs must agree on.
+func encodeStripped(t *testing.T, sc *Scorecard) []byte {
+	t.Helper()
+	stripElapsed(sc)
+	b, err := sc.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestRunDeterministicAcrossRuns(t *testing.T) {
 	sys := testSystem()
 	reqs := testTrace(t, sys)
@@ -85,12 +96,7 @@ func TestRunDeterministicAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stripElapsed(sc)
-		b, err := sc.EncodeJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+		return encodeStripped(t, sc)
 	}
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {
@@ -178,6 +184,10 @@ func TestRunPolicyLabelledMetricsAndSpans(t *testing.T) {
 		`sched_events_processed_total{policy="default"}`,
 		`sched_events_processed_total{policy="fifo"}`,
 		`sched_backfill_starts_total{policy="default"}`,
+		`sched_phase_ns_total{phase="backfill",policy="default"}`,
+		`sched_phase_ns_total{phase="build_result",policy="fifo"}`,
+		"# TYPE sched_pending_depth_sum{policy=\"fifo\"} counter",
+		`schedbench_arms_total{source="simulated"} 2`,
 		"schedbench_tournaments_total",
 	} {
 		if !strings.Contains(text.String(), want) {
@@ -229,3 +239,107 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 }
 
 func ptr[T any](v T) *T { return &v }
+
+// armsTotal reads schedbench_arms_total{source=…}.
+func armsTotal(reg *obs.Registry, source string) int64 {
+	return reg.Counter(obs.Label("schedbench_arms_total", "source", source)).Value()
+}
+
+// TestFieldSimulatesEachConfigOnce walks one field through the cases the
+// memo must get right, counting simulations by schedbench_arms_total and
+// holding every scorecard against an un-memoised tournament.Run.
+func TestFieldSimulatesEachConfigOnce(t *testing.T) {
+	sys := testSystem()
+	reqs := testTrace(t, sys)
+	reg := obs.NewRegistry()
+	f := NewField(reqs, sys, 31, reg, nil)
+	reference := func(specs []Spec) []byte {
+		t.Helper()
+		sc, err := Run(Input{Specs: specs, Reqs: reqs, System: sys, Seed: 31})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encodeStripped(t, sc)
+	}
+	step := func(what string, specs []Spec, wantSim, wantMemo int64) *Scorecard {
+		t.Helper()
+		sim0, memo0 := armsTotal(reg, "simulated"), armsTotal(reg, "memoised")
+		sc, err := f.Run(specs)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if sim, memo := armsTotal(reg, "simulated")-sim0, armsTotal(reg, "memoised")-memo0; sim != wantSim || memo != wantMemo {
+			t.Errorf("%s: %d simulated, %d memoised; want %d, %d", what, sim, memo, wantSim, wantMemo)
+		}
+		// Compare on a copy: stripping must not touch what callers hold.
+		cp := *sc
+		cp.Policies = append([]PolicyScore(nil), sc.Policies...)
+		if got, want := encodeStripped(t, &cp), reference(specs); !bytes.Equal(got, want) {
+			t.Errorf("%s: scorecard differs from an un-memoised run:\n--- field\n%s\n--- reference\n%s", what, got, want)
+		}
+		return sc
+	}
+
+	// Two names over one materialised config, in one call: the zero-spec
+	// "evolved" arm is "default" until a delta lands.
+	first := step("in-call twin", []Spec{
+		{Name: "default"},
+		{Name: "fifo", Preset: "fifo"},
+		{Name: "evolved"},
+	}, 2, 1)
+	if a, b := first.Policies[0], first.Policies[2]; a.Name != "default" || b.Name != "evolved" ||
+		b.Spec.Name != "evolved" || a.MeanWaitSec != b.MeanWaitSec || a.ElapsedMS != b.ElapsedMS {
+		t.Errorf("twin rows: %+v / %+v", a, b)
+	}
+	// The simulator's labelled counters are republished for the arm that
+	// ran, never for the twin that shared its row.
+	if got := reg.Counter(obs.Label("sched_passes_total", "policy", "default")).Value(); got == 0 {
+		t.Error(`no sched_passes_total{policy="default"}`)
+	}
+	if got := reg.Counter(obs.Label("sched_passes_total", "policy", "evolved")).Value(); got != 0 {
+		t.Errorf(`sched_passes_total{policy="evolved"} = %d for an arm that never simulated`, got)
+	}
+	passes := reg.Counter(obs.Label("sched_passes_total", "policy", "default")).Value()
+
+	// The same field again: nothing to simulate, nothing double counted.
+	step("repeat", []Spec{{Name: "default"}, {Name: "fifo", Preset: "fifo"}}, 0, 2)
+	if got := reg.Counter(obs.Label("sched_passes_total", "policy", "default")).Value(); got != passes {
+		t.Errorf(`sched_passes_total{policy="default"} moved %d → %d on a memoised round`, passes, got)
+	}
+
+	// An override that spells out the preset's own value is the same
+	// materialised config: the key is the config, not the spec's text.
+	spelled := step("override equals default", []Spec{{
+		Name: "spelled", Backfill: "easy", Priority: "multifactor", NodeSelect: "pool",
+		BackfillDepth: 500, Weights: &Weights{Age: ptr(int64(300_000))},
+	}}, 0, 1)
+
+	// The echoed spec is the arm's own, deep-copied: writing through it
+	// reaches neither the caller's spec nor the kept row.
+	*spelled.Policies[0].Spec.Weights.Age = 1
+	spelled.Policies[0].Classes[0].Jobs = -1
+	again := step("after caller mutation", []Spec{{Name: "default"}}, 0, 1)
+	if again.Policies[0].Spec.Weights != nil || again.Policies[0].Classes[0].Jobs < 0 {
+		t.Errorf("a caller's write reached the field's kept row: %+v", again.Policies[0])
+	}
+
+	// A real change simulates exactly the changed arm.
+	step("one arm moved", []Spec{
+		{Name: "default"},
+		{Name: "evolved", Weights: &Weights{Age: ptr(int64(450_000))}},
+	}, 1, 1)
+
+	// A bad spec fails before any arm runs, whatever else is in the call.
+	sim0 := armsTotal(reg, "simulated")
+	if _, err := f.Run([]Spec{{Name: "aging", Preset: "aging"}, {Name: "bad", Backfill: "psychic"}}); err == nil {
+		t.Error("field accepted a bad spec")
+	}
+	if got := armsTotal(reg, "simulated"); got != sim0 {
+		t.Errorf("%d arms simulated beside a bad spec", got-sim0)
+	}
+	step("after the refusal", []Spec{{Name: "aging", Preset: "aging"}}, 1, 0)
+
+	if got := reg.Counter("schedbench_tournaments_total").Value(); got != 6 {
+		t.Errorf("schedbench_tournaments_total = %d, want 6 completed calls", got)
+	}
+}
