@@ -94,19 +94,19 @@ func main() {
 			log.Fatal(err)
 		}
 		shown := 0
-		sel := []string{"JobID", "User", "State", "Start", "Elapsed", "Timelimit", "NNodes", "NCPUS", "Backfill", "Reason"}
-		fmt.Println(slurm.Header(sel))
+		enc, err := slurm.NewEncoder([]string{"JobID", "User", "State", "Start", "Elapsed", "Timelimit", "NNodes", "NCPUS", "Backfill", "Reason"})
+		if err != nil {
+			log.Fatal(err)
+		}
+		out := append(enc.AppendHeader(nil), '\n')
 		for i := range recs {
 			if recs[i].ID.Job != id.Job {
 				continue
 			}
-			line, err := slurm.EncodeRecord(&recs[i], sel)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println(line)
+			out = append(enc.AppendRecord(out, &recs[i]), '\n')
 			shown++
 		}
+		os.Stdout.Write(out)
 		if shown == 0 {
 			log.Fatalf("job %s not found", *jobID)
 		}

@@ -152,65 +152,6 @@ func ToCSV(r io.Reader, w io.Writer, opts Options) (Report, error) {
 	return rep, nil
 }
 
-// normalise applies the per-column unit conversions.
-func normalise(field, value string, opts Options) (string, error) {
-	switch {
-	case opts.DurationsAsMinutes && durationFields[field]:
-		d, err := slurm.ParseDuration(value)
-		if err != nil {
-			return "", err
-		}
-		return strconv.FormatFloat(d.Minutes(), 'f', 2, 64), nil
-	case opts.ExpandCounts && countFields[field]:
-		n, err := slurm.ParseCount(value)
-		if err != nil {
-			return "", err
-		}
-		return strconv.FormatInt(n, 10), nil
-	default:
-		return value, nil
-	}
-}
-
-// normaliseBytes is normalise for the byte decode path. It produces the
-// same output strings for every cell both parsers accept: the byte
-// parsers are exact mirrors of the string ones, and the formatting side
-// (FormatFloat/FormatInt) is shared, so parallel sidecars stay
-// byte-identical to sequential ones.
-func normaliseBytes(field string, cell []byte, opts Options) (string, error) {
-	switch {
-	case opts.DurationsAsMinutes && durationFields[field]:
-		d, err := slurm.ParseDurationBytes(cell)
-		if err != nil {
-			return "", err
-		}
-		return strconv.FormatFloat(d.Minutes(), 'f', 2, 64), nil
-	case opts.ExpandCounts && countFields[field]:
-		n, err := slurm.ParseCountBytes(cell)
-		if err != nil {
-			return "", err
-		}
-		return strconv.FormatInt(n, 10), nil
-	default:
-		return string(cell), nil
-	}
-}
-
-// sidecarHeader renders the CSV sidecar's header row: the input's field
-// names, with duration columns renamed to their minutes rendition when
-// that normalisation is on.
-func sidecarHeader(fields []string, opts Options) []string {
-	header := make([]string, len(fields))
-	for i, f := range fields {
-		name := f
-		if opts.DurationsAsMinutes && durationFields[f] {
-			name += "Minutes"
-		}
-		header[i] = name
-	}
-	return header
-}
-
 // ToCSVFile curates inPath (pipe text) into outPath (CSV).
 func ToCSVFile(inPath, outPath string, opts Options) (Report, error) {
 	var rep Report

@@ -2,7 +2,6 @@ package curate
 
 import (
 	"bufio"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"os"
@@ -25,12 +24,14 @@ type ShardFunc func(chunk int) func(*slurm.Record) bool
 
 // StreamFileParallel curates one period file on opts.Workers concurrent
 // chunk decoders: the file is split into newline-aligned byte ranges
-// (slurm.ChunkScanner), each chunk runs the zero-alloc byte decode path
-// end to end — tokenise, validate, normalise, spill its sidecar rows —
-// and a single ordered writer goroutine appends the spills to csvPath in
-// chunk order, so the sidecar is byte-identical to the sequential
-// StreamFile one. Consumers observe records in-shard via shard; combine
-// per-chunk results in chunk index order to reproduce sequential order.
+// (slurm.ChunkScanner), each chunk tokenises and validates its rows on
+// the zero-alloc byte decode path and normalises and spills its sidecar
+// rows through the shared rowWriter (also allocation-free per row; until
+// that writer existed this step built a string per cell), and a single
+// ordered writer goroutine appends the spills to csvPath in chunk order,
+// so the sidecar is byte-identical to the sequential StreamFile one.
+// Consumers observe records in-shard via shard; combine per-chunk
+// results in chunk index order to reproduce sequential order.
 //
 // Counters in rep are exact on success (every row decoded exactly
 // once); after a terminal error or an early consumer stop they reflect
@@ -66,16 +67,8 @@ func StreamFileParallel(inPath, csvPath string, opts Options, rep *Report, shard
 			return chunks, fmt.Errorf("curate: create sidecar %s: %w", csvPath, err)
 		}
 		bw = bufio.NewWriterSize(out, 1<<16)
-		hw := csv.NewWriter(bw)
-		herr := hw.Write(sidecarHeader(cs.Fields(), opts))
-		if herr == nil {
-			hw.Flush()
-			herr = hw.Error()
-		}
-		if herr != nil {
-			out.Close()
-			return chunks, fmt.Errorf("curate: sidecar %s: %w", csvPath, herr)
-		}
+		// Buffered: a failed write surfaces from finishSidecar's flush.
+		bw.Write(appendSidecarHeader(nil, cs.Fields(), columnKinds(cs.Fields(), opts)))
 	}
 	if chunks == 0 {
 		return 0, finishSidecar(out, bw, csvPath, nil)
@@ -224,21 +217,17 @@ func runChunk(cs *slurm.ChunkScanner, i int, spillPath string, opts Options, loc
 		consumer = shard(i)
 	}
 	var sf *os.File
-	var sw *csv.Writer
-	var row []string
-	fields := cs.Fields()
+	var sw *rowWriter[[]byte]
 	if spillPath != "" {
 		sf, err = os.Create(spillPath)
 		if err != nil {
 			stopped.Store(true)
 			return fmt.Errorf("create sidecar shard: %w", err)
 		}
-		sw = csv.NewWriter(sf)
-		row = make([]string, len(fields))
+		sw = newByteRowWriter(sf, cs.Fields(), opts)
 	}
 
 	var terminal error
-decode:
 	for !stopped.Load() {
 		rec, err := rr.Next()
 		if err == io.EOF {
@@ -257,18 +246,9 @@ decode:
 		passRows.Add(1)
 		local.Total++
 		if sw != nil {
-			cols := rr.Row()
-			for j, f := range fields {
-				v, nerr := normaliseBytes(f, cols[j], opts)
-				if nerr != nil {
-					// Cannot happen for a row the decoder accepted.
-					terminal = fmt.Errorf("curate: normalising %s: %w", f, nerr)
-					break decode
-				}
-				row[j] = v
-			}
-			if werr := sw.Write(row); werr != nil {
-				terminal = werr
+			// A write error, or a normalise error — which cannot happen
+			// for a row the decoder accepted.
+			if terminal = sw.row(rr.Row()); terminal != nil {
 				break
 			}
 		}
@@ -279,8 +259,7 @@ decode:
 		}
 	}
 	if sw != nil {
-		sw.Flush()
-		if ferr := sw.Error(); ferr != nil {
+		if ferr := sw.flush(); ferr != nil {
 			if terminal == nil && !stopped.Load() {
 				terminal = ferr
 			} else {

@@ -1,0 +1,170 @@
+package curate
+
+import (
+	"fmt"
+	"io"
+	"strconv"
+	"time"
+	"unicode"
+	"unicode/utf8"
+
+	"slurmsight/internal/slurm"
+)
+
+// cell is one input cell as a decoder hands it over: a string from
+// slurm.RecordReader, a byte slice from slurm.ByteRecordReader.
+type cell interface{ ~string | ~[]byte }
+
+// colKind is what the sidecar does to a column's cells.
+type colKind uint8
+
+const (
+	colRaw     colKind = iota // copied through
+	colMinutes                // duration → decimal minutes
+	colCount                  // abbreviated count → plain integer
+)
+
+// columnKinds resolves each column's normalisation once from the header.
+func columnKinds(fields []string, opts Options) []colKind {
+	kinds := make([]colKind, len(fields))
+	for i, f := range fields {
+		switch {
+		case opts.DurationsAsMinutes && durationFields[f]:
+			kinds[i] = colMinutes
+		case opts.ExpandCounts && countFields[f]:
+			kinds[i] = colCount
+		}
+	}
+	return kinds
+}
+
+// appendSidecarHeader appends the sidecar's header row: the input's field
+// names, duration columns renamed to their minutes rendition.
+func appendSidecarHeader(dst []byte, fields []string, kinds []colKind) []byte {
+	for i, f := range fields {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendField(dst, f)
+		if kinds[i] == colMinutes {
+			dst = append(dst, "Minutes"...)
+		}
+	}
+	return append(dst, '\n')
+}
+
+// rowWriter renders kept rows as the CSV sidecar. Stream (string cells)
+// and runChunk (byte cells) share it, which is what keeps the sequential
+// and parallel sidecars byte-identical: each cell is normalised straight
+// into one reused buffer — no string per cell — and the buffer goes to w
+// each time it passes flushAt. The output is what encoding/csv.Writer
+// (Comma ',', UseCRLF false) writes for the same cells, byte for byte;
+// FuzzSidecarRowMatchesEncodingCSV holds it to that.
+type rowWriter[T cell] struct {
+	w        io.Writer
+	fields   []string
+	kinds    []colKind
+	duration func(T) (time.Duration, error)
+	count    func(T) (int64, error)
+	buf      []byte
+	err      error // first write error; sticky, like csv.Writer's
+}
+
+const flushAt = 1 << 16
+
+func newStringRowWriter(w io.Writer, fields []string, opts Options) *rowWriter[string] {
+	return &rowWriter[string]{w: w, fields: fields, kinds: columnKinds(fields, opts),
+		duration: slurm.ParseDuration, count: slurm.ParseCount}
+}
+
+func newByteRowWriter(w io.Writer, fields []string, opts Options) *rowWriter[[]byte] {
+	return &rowWriter[[]byte]{w: w, fields: fields, kinds: columnKinds(fields, opts),
+		duration: slurm.ParseDurationBytes, count: slurm.ParseCountBytes}
+}
+
+// header buffers the header row.
+func (rw *rowWriter[T]) header() {
+	rw.buf = appendSidecarHeader(rw.buf, rw.fields, rw.kinds)
+}
+
+// row buffers one row, writing the buffer out when it is full. A cell
+// that fails to normalise leaves no partial row behind; a write error is
+// also kept in rw.err.
+func (rw *rowWriter[T]) row(cells []T) error {
+	buf := rw.buf
+	for i, c := range cells {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		// A formatted number never needs quoting: digits, '.', '-'.
+		switch rw.kinds[i] {
+		case colMinutes:
+			d, err := rw.duration(c)
+			if err != nil {
+				return fmt.Errorf("curate: normalising %s: %w", rw.fields[i], err)
+			}
+			buf = strconv.AppendFloat(buf, d.Minutes(), 'f', 2, 64)
+		case colCount:
+			n, err := rw.count(c)
+			if err != nil {
+				return fmt.Errorf("curate: normalising %s: %w", rw.fields[i], err)
+			}
+			buf = strconv.AppendInt(buf, n, 10)
+		default:
+			buf = appendField(buf, c)
+		}
+	}
+	rw.buf = append(buf, '\n')
+	if len(rw.buf) > flushAt {
+		return rw.flush()
+	}
+	return nil
+}
+
+// flush writes out what is buffered and returns the first write error.
+func (rw *rowWriter[T]) flush() error {
+	if rw.err == nil && len(rw.buf) > 0 {
+		_, rw.err = rw.w.Write(rw.buf)
+	}
+	rw.buf = rw.buf[:0]
+	return rw.err
+}
+
+// appendField appends one field under encoding/csv.Writer's quoting
+// rule: quoted when it contains a comma, quote, CR or LF, starts with
+// a space (unicode.IsSpace of its first rune), or is exactly `\.`; inside
+// quotes a quote is doubled and every other byte is verbatim. The empty
+// field is not quoted.
+func appendField[T cell](dst []byte, f T) []byte {
+	if !fieldNeedsQuotes(f) {
+		return append(dst, f...)
+	}
+	dst = append(dst, '"')
+	for i := 0; i < len(f); i++ {
+		if f[i] == '"' {
+			dst = append(dst, '"')
+		}
+		dst = append(dst, f[i])
+	}
+	return append(dst, '"')
+}
+
+func fieldNeedsQuotes[T cell](f T) bool {
+	if len(f) == 0 {
+		return false
+	}
+	if len(f) == 2 && f[0] == '\\' && f[1] == '.' {
+		return true
+	}
+	for i := 0; i < len(f); i++ {
+		switch f[i] {
+		case ',', '"', '\r', '\n':
+			return true
+		}
+	}
+	if f[0] < utf8.RuneSelf {
+		return unicode.IsSpace(rune(f[0]))
+	}
+	r, _ := utf8.DecodeRuneInString(string(f[:min(len(f), utf8.UTFMax)]))
+	return unicode.IsSpace(r)
+}

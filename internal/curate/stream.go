@@ -2,7 +2,6 @@ package curate
 
 import (
 	"bufio"
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
@@ -34,8 +33,8 @@ func Stats() PassStats {
 // kept row is written to it in the same pass, so one read of the input
 // serves both the analytics consumer and the on-disk sidecar. Yielded
 // records alias decoder scratch; consumers that retain them must copy.
-// The CSV writer is flushed exactly once when the stream ends; a flush
-// or write error is yielded terminally when the consumer is still
+// The sidecar's last rows are flushed when the stream ends; a flush or
+// write error is yielded terminally when the consumer is still
 // listening, and counted into rep.SidecarErrors when it is not (early
 // consumer stop).
 func Stream(r io.Reader, csvw io.Writer, opts Options, rep *Report) slurm.RecordSeq {
@@ -50,28 +49,18 @@ func Stream(r io.Reader, csvw io.Writer, opts Options, rep *Report) slurm.Record
 			yield(nil, err)
 			return
 		}
-		fields := rr.Fields()
-		var cw *csv.Writer
-		var row []string
+		var rw *rowWriter[string]
 		flushed := false
 		if csvw != nil {
-			cw = csv.NewWriter(csvw)
-			if err := cw.Write(sidecarHeader(fields, opts)); err != nil {
-				yield(nil, err)
-				return
-			}
-			row = make([]string, len(fields))
+			rw = newStringRowWriter(csvw, rr.Fields(), opts)
+			rw.header()
 			// One flush on every exit path. Exits that already flushed
 			// (or yielded the writer's sticky error) set flushed; the
 			// rest — early consumer stop, terminal decode errors — land
 			// here, where an error can no longer be yielded and is
 			// counted instead of dropped.
 			defer func() {
-				if flushed {
-					return
-				}
-				cw.Flush()
-				if cw.Error() != nil {
+				if !flushed && rw.flush() != nil {
 					rep.SidecarErrors++
 				}
 			}()
@@ -97,18 +86,12 @@ func Stream(r io.Reader, csvw io.Writer, opts Options, rep *Report) slurm.Record
 			passRows.Add(1)
 			rowsRead.Inc()
 			rep.Total++
-			if cw != nil {
-				for i, f := range fields {
-					v, err := normalise(f, rr.Row()[i], opts)
-					if err != nil {
-						// Cannot happen for a row the decoder accepted.
-						yield(nil, fmt.Errorf("curate: normalising %s: %w", f, err))
-						return
-					}
-					row[i] = v
-				}
-				if err := cw.Write(row); err != nil {
-					flushed = true // the error is surfaced, not silently dropped
+			if rw != nil {
+				// A normalise error cannot happen for a row the decoder
+				// accepted; a write error is surfaced here, so the deferred
+				// flush must not count it again.
+				if err := rw.row(rr.Row()); err != nil {
+					flushed = rw.err != nil
 					yield(nil, err)
 					return
 				}
@@ -119,10 +102,9 @@ func Stream(r io.Reader, csvw io.Writer, opts Options, rep *Report) slurm.Record
 				return
 			}
 		}
-		if cw != nil {
+		if rw != nil {
 			flushed = true
-			cw.Flush()
-			if err := cw.Error(); err != nil {
+			if err := rw.flush(); err != nil {
 				yield(nil, err)
 			}
 		}

@@ -206,7 +206,8 @@ func (f *Fetcher) fetchOne(file *FetchedFile, q Query, spec FetchSpec) error {
 		return fmt.Errorf("sacct: fetching %s: %w", file.Period, err)
 	}
 	if err := os.Rename(tmp, file.Path); err != nil {
-		return err
+		os.Remove(tmp)
+		return fmt.Errorf("sacct: fetching %s: %w", file.Period, err)
 	}
 	file.Rows = n
 	return nil

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"slurmsight/internal/obs"
@@ -394,31 +393,59 @@ func (s *Store) WriteNCtx(ctx context.Context, w io.Writer, q Query, limit int) 
 	if s.hasLazy() {
 		proj = q.columns(fields)
 	}
-	var sb strings.Builder
-	sb.WriteString(slurm.Header(fields))
-	sb.WriteByte('\n')
+	tw, err := newTextWriter(w, fields)
+	if err != nil {
+		return 0, err
+	}
 	n := 0
 	for r, err := range s.scan(ctx, q, proj) {
 		if err != nil {
 			return n, err
 		}
-		line, err := slurm.EncodeRecord(r, fields)
-		if err != nil {
-			return n, err
-		}
-		sb.WriteString(line)
-		sb.WriteByte('\n')
 		n++
-		if sb.Len() > 1<<16 {
-			if _, err := io.WriteString(w, sb.String()); err != nil {
-				return n, err
-			}
-			sb.Reset()
+		if err := tw.record(r); err != nil {
+			return n, err
 		}
 		if limit > 0 && n >= limit {
 			break
 		}
 	}
-	_, err = io.WriteString(w, sb.String())
-	return n, err
+	return n, tw.flush()
+}
+
+// textWriter is the store's text emit path, shared by Write and Dump:
+// one slurm.Encoder appending rows into one buffer that is handed to w
+// and reused each time it passes flushAt. The buffer starts empty and
+// grows by append, so a short answer costs what it holds (a /query miss
+// of a few rows must not pay for a bulk dump's buffer) and a long one
+// stops allocating once the buffer has grown past flushAt.
+type textWriter struct {
+	w   io.Writer
+	enc *slurm.Encoder
+	buf []byte
+}
+
+const flushAt = 1 << 16
+
+// newTextWriter resolves fields and buffers the header line.
+func newTextWriter(w io.Writer, fields []string) (*textWriter, error) {
+	enc, err := slurm.NewEncoder(fields)
+	if err != nil {
+		return nil, err
+	}
+	return &textWriter{w: w, enc: enc, buf: append(enc.AppendHeader(nil), '\n')}, nil
+}
+
+func (t *textWriter) record(r *slurm.Record) error {
+	t.buf = append(t.enc.AppendRecord(t.buf, r), '\n')
+	if len(t.buf) > flushAt {
+		return t.flush()
+	}
+	return nil
+}
+
+func (t *textWriter) flush() error {
+	_, err := t.w.Write(t.buf)
+	t.buf = t.buf[:0]
+	return err
 }

@@ -162,11 +162,18 @@ func recordLess(a, b *slurm.Record) bool { return recordCmp(*a, *b) < 0 }
 // it do not, and the corrupt month keeps its on-disk rows visible to
 // Months/Len and its error surfacing on every later scan — nothing is
 // silently dropped on either side.
-func (s *Store) Add(records ...slurm.Record) error {
+func (s *Store) Add(records ...slurm.Record) error { return s.add(records, nil) }
+
+// add is Add with an optional size hint: reserve[m] is how many records
+// the caller is about to add to month m across this and later calls, and
+// the month's shard is grown by that much, once, when its first record
+// lands (the entry is then dropped from reserve).
+func (s *Store) add(records []slurm.Record, reserve map[Month]int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	added := false
-	for _, r := range records {
+	for i := range records {
+		r := &records[i]
 		m := MonthOf(r.Submit)
 		if _, ok := s.lazy[m]; ok {
 			if err := s.materializeLocked(context.Background(), m); err != nil {
@@ -182,7 +189,12 @@ func (s *Store) Add(records ...slurm.Record) error {
 			ns := r.Submit.UnixNano()
 			s.ranges[m] = shardRange{min: ns, max: ns}
 		}
-		s.shards[m] = append(s.shards[m], r)
+		shard := s.shards[m]
+		if n := reserve[m]; n > 0 {
+			shard = slices.Grow(shard, n)
+			delete(reserve, m)
+		}
+		s.shards[m] = append(shard, *r)
 		delete(s.sorted, m)
 		added = true
 	}
@@ -293,12 +305,20 @@ func mergeBehind(shard, part []slurm.Record) []slurm.Record {
 	return append(out, shard[from:]...)
 }
 
-// Ingest loads a complete simulation result (jobs and steps).
+// Ingest loads a complete simulation result (jobs and steps). The
+// result's size is known up front, so each month shard is grown once to
+// what the result adds to it, instead of by doubling under Add.
 func (s *Store) Ingest(res *sched.Result) error {
-	if err := s.Add(res.Jobs...); err != nil {
+	reserve := map[Month]int{}
+	for _, recs := range [][]slurm.Record{res.Jobs, res.Steps} {
+		for i := range recs {
+			reserve[MonthOf(recs[i].Submit)]++
+		}
+	}
+	if err := s.add(res.Jobs, reserve); err != nil {
 		return err
 	}
-	return s.Add(res.Steps...)
+	return s.add(res.Steps, reserve)
 }
 
 // Finalize puts every materialised shard in emission order (recordCmp).
@@ -392,27 +412,22 @@ func (s *Store) snapshot(ctx context.Context) ([]Month, [][]slurm.Record, uint64
 // Dump writes the full store as pipe-separated text with the complete
 // curated field selection, suitable for Load.
 func (s *Store) Dump(w io.Writer) error {
-	fields := slurm.SelectedNames()
 	_, shards, _, err := s.snapshot(context.Background())
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, slurm.Header(fields)); err != nil {
+	tw, err := newTextWriter(w, slurm.SelectedNames())
+	if err != nil {
 		return err
 	}
 	for _, shard := range shards {
 		for i := range shard {
-			line, err := slurm.EncodeRecord(&shard[i], fields)
-			if err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintln(bw, line); err != nil {
+			if err := tw.record(&shard[i]); err != nil {
 				return err
 			}
 		}
 	}
-	return bw.Flush()
+	return tw.flush()
 }
 
 // DumpFile writes the store to a file.

@@ -15,6 +15,17 @@ func (s *Simulator) buildResult(jobs []*job, arrayBase map[int64]int64, opts Opt
 		StepsPerJob: make([]int, 0, len(jobs)),
 		Stats:       s.stats,
 	}
+	steps := 0
+	for _, j := range jobs {
+		n := plannedSteps(j)
+		res.StepsPerJob = append(res.StepsPerJob, n)
+		steps += n
+	}
+	if opts.EmitSteps {
+		// Sized once from the planned counts: grown by append, the step
+		// records (745 B each) were re-copied through every growth step.
+		res.Steps = make([]slurm.Record, 0, steps)
+	}
 	// One generator reseeded per job: the stream is the one a fresh
 	// source per job would give, without building its 607-word state
 	// (4.9 KB) for every record.
@@ -23,16 +34,18 @@ func (s *Simulator) buildResult(jobs []*job, arrayBase map[int64]int64, opts Opt
 		rng.Seed(s.cfg.Seed ^ (j.seq+1)*0x9E3779B9)
 		rec, steps := s.materialize(j, arrayBase, rng, opts.EmitSteps)
 		res.Jobs = append(res.Jobs, rec)
-		nsteps := 0
-		if j.started {
-			nsteps = j.req.Steps + 2 // numbered + batch + extern
-		}
-		res.StepsPerJob = append(res.StepsPerJob, nsteps)
-		if opts.EmitSteps {
-			res.Steps = append(res.Steps, steps...)
-		}
+		res.Steps = append(res.Steps, steps...)
 	}
 	return res, nil
+}
+
+// plannedSteps is the number of step records a job produces: none if it
+// never started, else its numbered steps plus batch and extern.
+func plannedSteps(j *job) int {
+	if !j.started {
+		return 0
+	}
+	return j.req.Steps + 2
 }
 
 // exitFor maps a terminal state to a plausible exit:signal pair.

@@ -93,6 +93,12 @@ func ParseDuration(s string) (time.Duration, error) {
 // durations under a day, D-HH:MM:SS otherwise. Sub-second precision is
 // truncated, matching sacct's whole-second accounting.
 func FormatDuration(d time.Duration) string {
+	var buf [20]byte
+	return string(AppendDuration(buf[:0], d))
+}
+
+// AppendDuration appends d in FormatDuration's form.
+func AppendDuration(dst []byte, d time.Duration) []byte {
 	if d < 0 {
 		d = 0
 	}
@@ -100,18 +106,15 @@ func FormatDuration(d time.Duration) string {
 	days := total / 86400
 	total %= 86400
 	h, m, s := total/3600, (total%3600)/60, total%60
-	var buf [20]byte
-	b := buf[:0]
 	if days > 0 {
-		b = strconv.AppendInt(b, days, 10)
-		b = append(b, '-')
+		dst = strconv.AppendInt(dst, days, 10)
+		dst = append(dst, '-')
 	}
-	b = appendTwo(b, h)
-	b = append(b, ':')
-	b = appendTwo(b, m)
-	b = append(b, ':')
-	b = appendTwo(b, s)
-	return string(b)
+	dst = appendTwo(dst, h)
+	dst = append(dst, ':')
+	dst = appendTwo(dst, m)
+	dst = append(dst, ':')
+	return appendTwo(dst, s)
 }
 
 // appendTwo appends v as two decimal digits (v must be in [0, 99]).
@@ -140,8 +143,14 @@ func ParseTime(s string) (time.Time, error) {
 // FormatTime renders a timestamp in sacct form; the zero time renders as
 // "Unknown", matching sacct output for never-started jobs.
 func FormatTime(t time.Time) string {
+	var buf [len(timeLayout)]byte
+	return string(AppendTime(buf[:0], t))
+}
+
+// AppendTime appends t in FormatTime's form.
+func AppendTime(dst []byte, t time.Time) []byte {
 	if t.IsZero() {
-		return "Unknown"
+		return append(dst, "Unknown"...)
 	}
-	return t.Format(timeLayout)
+	return t.AppendFormat(dst, timeLayout)
 }

@@ -36,6 +36,11 @@ func Categories() []Category {
 
 // Field describes one accounting column: its Table 1 category and the
 // accessors that render and parse its text form in sacct output.
+// Append and Get render the same text: Append onto dst without
+// allocating (the emit plane's path), Get as a string. A catalogue
+// entry writes exactly one of the two — Get where the text already
+// exists as a string, Append where it has to be formatted — and
+// addField derives the other, so no column has two renderings.
 // SetBytes, when non-nil, is the zero-alloc decode fast path used by
 // ByteRecordReader; it must accept exactly the inputs Set accepts and
 // must not retain the byte slice. Fields without one (free-form string
@@ -45,12 +50,13 @@ type Field struct {
 	Category Category
 	Doc      string
 	Get      func(*Record) string
+	Append   func(dst []byte, r *Record) []byte
 	Set      func(*Record, string) error
 	SetBytes func(*Record, []byte) error
 }
 
-func intField(get func(*Record) int64, set func(*Record, int64)) (func(*Record) string, func(*Record, string) error, func(*Record, []byte) error) {
-	return func(r *Record) string { return strconv.FormatInt(get(r), 10) },
+func intField(get func(*Record) int64, set func(*Record, int64)) (func([]byte, *Record) []byte, func(*Record, string) error, func(*Record, []byte) error) {
+	return func(dst []byte, r *Record) []byte { return strconv.AppendInt(dst, get(r), 10) },
 		func(r *Record, s string) error {
 			n, err := ParseCount(s)
 			if err != nil {
@@ -76,10 +82,21 @@ func strField(get func(*Record) string, set func(*Record, string)) (func(*Record
 // catalogue is the ordered Table 1 selection. Built once at init.
 var catalogue []Field
 
-// fieldIndex maps lower-cased field names to catalogue entries.
+// fieldIndex maps field names to catalogue entries, under both the
+// canonical spelling and its lower-cased form.
 var fieldIndex map[string]*Field
 
+// addField appends f to the catalogue, deriving whichever of Get and
+// Append the entry left out from the one it wrote.
 func addField(f Field) {
+	switch {
+	case f.Append == nil:
+		get := f.Get
+		f.Append = func(dst []byte, r *Record) []byte { return append(dst, get(r)...) }
+	case f.Get == nil:
+		app := f.Append
+		f.Get = func(r *Record) string { return string(app(nil, r)) }
+	}
 	catalogue = append(catalogue, f)
 }
 
@@ -90,8 +107,9 @@ var flagsField *Field
 
 func init() {
 	defineFields()
-	fieldIndex = make(map[string]*Field, len(catalogue))
+	fieldIndex = make(map[string]*Field, 2*len(catalogue))
 	for i := range catalogue {
+		fieldIndex[catalogue[i].Name] = &catalogue[i]
 		fieldIndex[strings.ToLower(catalogue[i].Name)] = &catalogue[i]
 	}
 	flagsField = fieldIndex["flags"]
@@ -100,8 +118,8 @@ func init() {
 func defineFields() {
 	// --- Job Identification ---
 	addField(Field{Name: "JobID", Category: CatIdentification,
-		Doc: "job, array-task, or step identifier",
-		Get: func(r *Record) string { return r.ID.String() },
+		Doc:    "job, array-task, or step identifier",
+		Append: func(dst []byte, r *Record) []byte { return r.ID.Append(dst) },
 		Set: func(r *Record, s string) error {
 			id, err := ParseJobID(s)
 			if err != nil {
@@ -123,7 +141,7 @@ func defineFields() {
 	g, s = strField(func(r *Record) string { return r.User }, func(r *Record, v string) { r.User = v })
 	addField(Field{Name: "User", Category: CatIdentification, Doc: "submitting user", Get: g, Set: s})
 	gi, si, sbi := intField(func(r *Record) int64 { return r.UID }, func(r *Record, v int64) { r.UID = v })
-	addField(Field{Name: "UID", Category: CatIdentification, Doc: "submitting user id", Get: gi, Set: si, SetBytes: sbi})
+	addField(Field{Name: "UID", Category: CatIdentification, Doc: "submitting user id", Append: gi, Set: si, SetBytes: sbi})
 	g, s = strField(func(r *Record) string { return r.Group }, func(r *Record, v string) { r.Group = v })
 	addField(Field{Name: "Group", Category: CatIdentification, Doc: "submitting group", Get: g, Set: s})
 	g, s = strField(func(r *Record) string { return r.Account }, func(r *Record, v string) { r.Account = v })
@@ -135,7 +153,7 @@ func defineFields() {
 	g, s = strField(func(r *Record) string { return r.Reservation }, func(r *Record, v string) { r.Reservation = v })
 	addField(Field{Name: "Reservation", Category: CatIdentification, Doc: "advance reservation name", Get: g, Set: s})
 	gi, si, sbi = intField(func(r *Record) int64 { return r.ReservationID }, func(r *Record, v int64) { r.ReservationID = v })
-	addField(Field{Name: "ReservationID", Category: CatIdentification, Doc: "advance reservation id", Get: gi, Set: si, SetBytes: sbi})
+	addField(Field{Name: "ReservationID", Category: CatIdentification, Doc: "advance reservation id", Append: gi, Set: si, SetBytes: sbi})
 
 	// --- Timing Information ---
 	addTimestamp("Submit", CatTiming, "submission time",
@@ -151,17 +169,17 @@ func defineFields() {
 
 	// --- Resource Requests ---
 	gi, si, sbi = intField(func(r *Record) int64 { return r.NNodes }, func(r *Record, v int64) { r.NNodes = v })
-	addField(Field{Name: "NNodes", Category: CatRequests, Doc: "allocated node count", Get: gi, Set: si, SetBytes: sbi})
+	addField(Field{Name: "NNodes", Category: CatRequests, Doc: "allocated node count", Append: gi, Set: si, SetBytes: sbi})
 	gi, si, sbi = intField(func(r *Record) int64 { return r.NCPUs }, func(r *Record, v int64) { r.NCPUs = v })
-	addField(Field{Name: "NCPUS", Category: CatRequests, Doc: "allocated CPU count", Get: gi, Set: si, SetBytes: sbi})
+	addField(Field{Name: "NCPUS", Category: CatRequests, Doc: "allocated CPU count", Append: gi, Set: si, SetBytes: sbi})
 	gi, si, sbi = intField(func(r *Record) int64 { return r.NTasks }, func(r *Record, v int64) { r.NTasks = v })
-	addField(Field{Name: "NTasks", Category: CatRequests, Doc: "task count (steps)", Get: gi, Set: si, SetBytes: sbi})
+	addField(Field{Name: "NTasks", Category: CatRequests, Doc: "task count (steps)", Append: gi, Set: si, SetBytes: sbi})
 	gi, si, sbi = intField(func(r *Record) int64 { return r.ReqNodes }, func(r *Record, v int64) { r.ReqNodes = v })
-	addField(Field{Name: "ReqNodes", Category: CatRequests, Doc: "requested node count", Get: gi, Set: si, SetBytes: sbi})
+	addField(Field{Name: "ReqNodes", Category: CatRequests, Doc: "requested node count", Append: gi, Set: si, SetBytes: sbi})
 	gi, si, sbi = intField(func(r *Record) int64 { return r.ReqCPUs }, func(r *Record, v int64) { r.ReqCPUs = v })
-	addField(Field{Name: "ReqCPUS", Category: CatRequests, Doc: "requested CPU count", Get: gi, Set: si, SetBytes: sbi})
+	addField(Field{Name: "ReqCPUS", Category: CatRequests, Doc: "requested CPU count", Append: gi, Set: si, SetBytes: sbi})
 	addField(Field{Name: "ReqMem", Category: CatRequests, Doc: "requested memory",
-		Get: func(r *Record) string { return FormatMemory(r.ReqMem, r.ReqMemPerCPU) },
+		Append: func(dst []byte, r *Record) []byte { return AppendMemory(dst, r.ReqMem, r.ReqMemPerCPU) },
 		Set: func(r *Record, s string) error {
 			b, perCPU, err := ParseMemory(s)
 			if err != nil {
@@ -197,7 +215,7 @@ func defineFields() {
 	addBytes("AveRSS", CatUsage, "average resident set size",
 		func(r *Record) *int64 { return &r.AveRSS })
 	gi, si, sbi = intField(func(r *Record) int64 { return r.AvePages }, func(r *Record, v int64) { r.AvePages = v })
-	addField(Field{Name: "AvePages", Category: CatUsage, Doc: "average page faults per task", Get: gi, Set: si, SetBytes: sbi})
+	addField(Field{Name: "AvePages", Category: CatUsage, Doc: "average page faults per task", Append: gi, Set: si, SetBytes: sbi})
 	addDuration("TotalCPU", CatUsage, "total consumed CPU time",
 		func(r *Record) *durRef { return (*durRef)(&r.TotalCPU) })
 	addDuration("UserCPU", CatUsage, "user-mode CPU time",
@@ -207,7 +225,7 @@ func defineFields() {
 	g, s = strField(func(r *Record) string { return r.NodeList }, func(r *Record, v string) { r.NodeList = v })
 	addField(Field{Name: "NodeList", Category: CatUsage, Doc: "allocated node list", Get: g, Set: s})
 	gi, si, sbi = intField(func(r *Record) int64 { return r.ConsumedEnergy }, func(r *Record, v int64) { r.ConsumedEnergy = v })
-	addField(Field{Name: "ConsumedEnergy", Category: CatUsage, Doc: "energy consumed (J)", Get: gi, Set: si, SetBytes: sbi})
+	addField(Field{Name: "ConsumedEnergy", Category: CatUsage, Doc: "energy consumed (J)", Append: gi, Set: si, SetBytes: sbi})
 
 	// --- IO Related ---
 	g, s = strField(func(r *Record) string { return r.WorkDir }, func(r *Record, v string) { r.WorkDir = v })
@@ -237,7 +255,7 @@ func defineFields() {
 			return nil
 		}})
 	addField(Field{Name: "ExitCode", Category: CatState, Doc: "exit:signal pair",
-		Get: func(r *Record) string { return FormatExitCode(r.ExitCode, r.ExitSignal) },
+		Append: func(dst []byte, r *Record) []byte { return AppendExitCode(dst, r.ExitCode, r.ExitSignal) },
 		Set: func(r *Record, s string) error {
 			e, sig, err := ParseExitCode(s)
 			if err != nil {
@@ -261,13 +279,13 @@ func defineFields() {
 	addDuration("Suspended", CatState, "time spent suspended",
 		func(r *Record) *durRef { return (*durRef)(&r.Suspended) })
 	gi, si, sbi = intField(func(r *Record) int64 { return r.Restarts }, func(r *Record, v int64) { r.Restarts = v })
-	addField(Field{Name: "Restarts", Category: CatState, Doc: "requeue/restart count", Get: gi, Set: si, SetBytes: sbi})
+	addField(Field{Name: "Restarts", Category: CatState, Doc: "requeue/restart count", Append: gi, Set: si, SetBytes: sbi})
 	g, s = strField(func(r *Record) string { return r.Constraints }, func(r *Record, v string) { r.Constraints = v })
 	addField(Field{Name: "Constraints", Category: CatState, Doc: "node feature constraints", Get: g, Set: s})
 
 	// --- Scheduling Metadata ---
 	gi, si, sbi = intField(func(r *Record) int64 { return r.Priority }, func(r *Record, v int64) { r.Priority = v })
-	addField(Field{Name: "Priority", Category: CatScheduling, Doc: "multifactor priority at dispatch", Get: gi, Set: si, SetBytes: sbi})
+	addField(Field{Name: "Priority", Category: CatScheduling, Doc: "multifactor priority at dispatch", Append: gi, Set: si, SetBytes: sbi})
 	addTimestamp("Eligible", CatScheduling, "time the job became eligible to run",
 		func(r *Record) *timeRef { return (*timeRef)(&r.Eligible) })
 	g, s = strField(func(r *Record) string { return r.QOS }, func(r *Record, v string) { r.QOS = v })
@@ -275,10 +293,10 @@ func defineFields() {
 	g, s = strField(func(r *Record) string { return r.QOSReq }, func(r *Record, v string) { r.QOSReq = v })
 	addField(Field{Name: "QOSReq", Category: CatScheduling, Doc: "requested quality of service", Get: g, Set: s})
 	addField(Field{Name: "Flags", Category: CatScheduling, Doc: "scheduler flags (SchedBackfill, SchedMain)",
-		Get: func(r *Record) string { return r.flagString() },
-		Set: func(r *Record, s string) error { r.setFlags(s); return nil }})
+		Append: func(dst []byte, r *Record) []byte { return r.appendFlags(dst) },
+		Set:    func(r *Record, s string) error { r.setFlags(s); return nil }})
 	addField(Field{Name: "TRESUsageInAve", Category: CatScheduling, Doc: "average trackable-resource usage",
-		Get: func(r *Record) string { return r.TRESUsageInAve.String() },
+		Append: func(dst []byte, r *Record) []byte { return r.TRESUsageInAve.Append(dst) },
 		Set: func(r *Record, s string) error {
 			t, err := ParseTRES(s)
 			if err != nil {
@@ -300,7 +318,7 @@ func defineFields() {
 			return nil
 		}})
 	addField(Field{Name: "ReqTRES", Category: CatScheduling, Doc: "requested trackable resources",
-		Get: func(r *Record) string { return r.TRESReq.String() },
+		Append: func(dst []byte, r *Record) []byte { return r.TRESReq.Append(dst) },
 		Set: func(r *Record, s string) error {
 			t, err := ParseTRES(s)
 			if err != nil {
@@ -358,7 +376,7 @@ func defineFields() {
 	g, s = strField(func(r *Record) string { return r.Dependency }, func(r *Record, v string) { r.Dependency = v })
 	addField(Field{Name: "Dependency", Category: CatSpecial, Doc: "job dependency expression", Get: g, Set: s})
 	gi, si, sbi = intField(func(r *Record) int64 { return r.ArrayJobID }, func(r *Record, v int64) { r.ArrayJobID = v })
-	addField(Field{Name: "ArrayJobID", Category: CatSpecial, Doc: "parent array job id (0 when none)", Get: gi, Set: si, SetBytes: sbi})
+	addField(Field{Name: "ArrayJobID", Category: CatSpecial, Doc: "parent array job id (0 when none)", Append: gi, Set: si, SetBytes: sbi})
 
 	// --- Misc ---
 	g, s = strField(func(r *Record) string { return r.Comment }, func(r *Record, v string) { r.Comment = v })
@@ -378,7 +396,7 @@ type (
 
 func addTimestamp(name string, cat Category, doc string, ref func(*Record) *timeRef) {
 	addField(Field{Name: name, Category: cat, Doc: doc,
-		Get: func(r *Record) string { return FormatTime(time.Time(*ref(r))) },
+		Append: func(dst []byte, r *Record) []byte { return AppendTime(dst, time.Time(*ref(r))) },
 		Set: func(r *Record, s string) error {
 			t, err := ParseTime(s)
 			if err != nil {
@@ -399,7 +417,7 @@ func addTimestamp(name string, cat Category, doc string, ref func(*Record) *time
 
 func addDuration(name string, cat Category, doc string, ref func(*Record) *durRef) {
 	addField(Field{Name: name, Category: cat, Doc: doc,
-		Get: func(r *Record) string { return FormatDuration(time.Duration(*ref(r))) },
+		Append: func(dst []byte, r *Record) []byte { return AppendDuration(dst, time.Duration(*ref(r))) },
 		Set: func(r *Record, s string) error {
 			d, err := ParseDuration(s)
 			if err != nil {
@@ -420,7 +438,7 @@ func addDuration(name string, cat Category, doc string, ref func(*Record) *durRe
 
 func addBytes(name string, cat Category, doc string, ref func(*Record) *int64) {
 	addField(Field{Name: name, Category: cat, Doc: doc,
-		Get: func(r *Record) string { return strings.TrimSuffix(FormatMemory(*ref(r), false), "n") },
+		Append: func(dst []byte, r *Record) []byte { return appendSize(dst, *ref(r)) },
 		Set: func(r *Record, s string) error {
 			b, _, err := ParseMemory(s)
 			if err != nil {
@@ -449,11 +467,21 @@ func Catalogue() []Field {
 
 // FieldByName looks up a field case-insensitively.
 func FieldByName(name string) (Field, bool) {
-	f, ok := fieldIndex[strings.ToLower(strings.TrimSpace(name))]
-	if !ok {
+	f := lookupField(name)
+	if f == nil {
 		return Field{}, false
 	}
 	return *f, true
+}
+
+// lookupField resolves name to its catalogue entry, or nil. The exact
+// canonical spelling — what every internal caller passes — is tried
+// first, so only a foreign spelling pays for the lower-cased copy.
+func lookupField(name string) *Field {
+	if f, ok := fieldIndex[name]; ok {
+		return f
+	}
+	return fieldIndex[strings.ToLower(strings.TrimSpace(name))]
 }
 
 // SelectedNames returns the names of the curated field selection in order.

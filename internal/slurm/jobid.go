@@ -56,22 +56,27 @@ func (id JobID) Base() JobID {
 
 // String renders the ID in sacct form.
 func (id JobID) String() string {
-	var b strings.Builder
-	b.WriteString(strconv.FormatInt(id.Job, 10))
+	var buf [32]byte
+	return string(id.Append(buf[:0]))
+}
+
+// Append appends the ID in sacct form.
+func (id JobID) Append(dst []byte) []byte {
+	dst = strconv.AppendInt(dst, id.Job, 10)
 	if id.Array >= 0 {
-		b.WriteByte('_')
-		b.WriteString(strconv.FormatInt(id.Array, 10))
+		dst = append(dst, '_')
+		dst = strconv.AppendInt(dst, id.Array, 10)
 	}
 	switch id.Kind {
 	case StepBatch:
-		b.WriteString(".batch")
+		dst = append(dst, ".batch"...)
 	case StepExtern:
-		b.WriteString(".extern")
+		dst = append(dst, ".extern"...)
 	case StepNumbered:
-		b.WriteByte('.')
-		b.WriteString(strconv.FormatInt(id.Step, 10))
+		dst = append(dst, '.')
+		dst = strconv.AppendInt(dst, id.Step, 10)
 	}
-	return b.String()
+	return dst
 }
 
 // ParseJobID parses a sacct JobID column value.

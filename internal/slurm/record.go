@@ -125,8 +125,16 @@ func (r *Record) IsStep() bool { return r.ID.IsStep() }
 // Year returns the submission year, used for Figure 1 binning.
 func (r *Record) Year() int { return r.Submit.Year() }
 
-// flagString joins Flags the way sacct renders them.
-func (r *Record) flagString() string { return strings.Join(r.Flags, ",") }
+// appendFlags appends Flags comma-joined, the way sacct renders them.
+func (r *Record) appendFlags(dst []byte) []byte {
+	for i, f := range r.Flags {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, f...)
+	}
+	return dst
+}
 
 func (r *Record) setFlags(s string) {
 	s = strings.TrimSpace(s)

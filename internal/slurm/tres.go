@@ -2,7 +2,7 @@ package slurm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -50,24 +50,30 @@ func ParseTRES(s string) (TRES, error) {
 }
 
 // String renders the map with keys sorted, the canonical Slurm encoding.
-func (t TRES) String() string {
-	if len(t) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(t))
+func (t TRES) String() string { return string(t.Append(nil)) }
+
+// Append appends the map in String's form. The keys are ordered in a
+// stack array, so the usual map of up to eight entries allocates
+// nothing.
+func (t TRES) Append(dst []byte) []byte {
+	var stack [8]string
+	keys := stack[:0]
 	for k := range t {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
+	slices.Sort(keys)
+	for i, k := range keys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(append(dst, k...), '=')
 		if memLike(k) {
-			parts = append(parts, k+"="+strings.TrimSuffix(FormatMemory(t[k], false), "n"))
+			dst = appendSize(dst, t[k])
 		} else {
-			parts = append(parts, k+"="+strconv.FormatInt(t[k], 10))
+			dst = strconv.AppendInt(dst, t[k], 10)
 		}
 	}
-	return strings.Join(parts, ",")
+	return dst
 }
 
 // Get returns the value for key, or 0 when absent.
