@@ -56,8 +56,7 @@ func main() {
 		topUsers = flag.Int("top-users", 15, "users in the per-user states figure")
 		nodes    = flag.Int("nodes", 0, "system node count for the load-timeline capacity line")
 
-		warm          = flag.Bool("warm", false, "materialise every binary shard at startup")
-		decodeWorkers = flag.Int("decode-workers", 0, "concurrent shard decodes for warm and scans (0 = GOMAXPROCS)")
+		warm          = flag.Bool("warm", false, "verify and index every binary shard at startup")
 		watch         = flag.String("watch", "", "pipe-text period file to tail for appends")
 		watchInterval = flag.Duration("watch-interval", 2*time.Second, "tail poll period")
 		grace         = flag.Duration("grace", 10*time.Second, "shutdown drain budget for in-flight requests")
@@ -73,8 +72,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer st.Close()
-	st.SetDecodeWorkers(*decodeWorkers)
-	log.Printf("shard decode workers: %d", st.DecodeWorkers())
 	if *warm {
 		t0 := time.Now()
 		if err := st.Warm(); err != nil {
@@ -85,7 +82,6 @@ func main() {
 
 	metrics := obs.NewRegistry()
 	metrics.PublishExpvar("queryd")
-	metrics.Gauge("store_decode_workers").Set(int64(st.DecodeWorkers()))
 	slowThreshold := *slow
 	if slowThreshold == 0 {
 		slowThreshold = -1 // flag 0 means off; Config 0 means default
@@ -119,7 +115,7 @@ func main() {
 	if *watch != "" {
 		w := &serve.Watcher{
 			Path:     *watch,
-			Store:    st,
+			Server:   srv,
 			Interval: *watchInterval,
 			Metrics:  metrics,
 			Logf:     log.Printf,

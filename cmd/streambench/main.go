@@ -72,7 +72,7 @@ func main() {
 		path      = flag.String("path", "trace.txt", "trace file (with -sweep, the base name derived files hang off)")
 		out       = flag.String("out", "", "output path with -convert (default <path>.colstore)")
 		seed      = flag.Int64("seed", 41, "workload RNG seed for -gen")
-		workers   = flag.Int("workers", 1, "chunk/shard decoders with -mode parallel or colstore (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 1, "chunk decoders with -mode parallel (0 = GOMAXPROCS); the store-reload modes read with one cursor whatever it says")
 		jsonOut   = flag.String("json", "", "append the run's result to this JSON array file")
 
 		sweepWorkers = flag.String("sweep-workers", "1,2,4,8", "comma-separated worker counts for -sweep")
@@ -183,8 +183,7 @@ func convertTrace(path, out string) error {
 }
 
 // generate simulates a seed workload spanning `months` calendar months
-// (each month becomes one colstore shard, the unit of decode
-// parallelism), then tiles its encoded rows until the file holds n data
+// (each month becomes one colstore shard), then tiles its encoded rows until the file holds n data
 // rows. Tiled copies keep their field values; only row identity
 // repeats, which the figure collectors do not key on.
 func generate(path string, n, months int, seed int64) error {
@@ -274,7 +273,7 @@ type benchResult struct {
 
 	// Store-reload modes (textload, colstore) split the wall into the
 	// reload (time-to-usable-Store), a two-field projected query, and a
-	// full materialising scan. The colstore byte counters snapshot the
+	// full scan. The colstore byte counters snapshot the
 	// projection point, proving it touched only the selected columns.
 	ReloadMS    float64 `json:"reload_ms,omitempty"`
 	ProjMS      float64 `json:"proj_ms,omitempty"`
@@ -340,8 +339,7 @@ func measureCell(path, mode string, workers int) (benchResult, error) {
 		r.Mode, r.Workers, r.GoMaxProcs, r.NumCPU = res.Mode, res.Workers, res.GoMaxProcs, res.NumCPU
 		res = r
 		res.Rows = rows
-		// Decode is the full materialising scan (the phase the shard
-		// pool parallelises); the projected query stands in for
+		// Decode is the full scan; the projected query stands in for
 		// finalize; reload keeps its own field.
 		res.PhaseMS = phaseSplit{DecodeMS: r.ScanMS, FinalizeMS: r.ProjMS}
 	case "stream":
@@ -409,13 +407,13 @@ func measureCell(path, mode string, workers int) (benchResult, error) {
 }
 
 // measureReload times the store-reload path: time-to-usable-Store, a
-// two-field projected query, and a full materialising scan (decoding up
-// to `workers` shards concurrently for colstore). For colstore it also
-// snapshots the read counters right after the projection, before the
-// full scan inflates them — bytes_read at that point is the proof that
-// the projection touched only the User/Elapsed/JobID regions. The
-// digest hashes the projected text plus a scan fingerprint, so it is
-// identical across worker counts iff the outputs are.
+// two-field projected query, and a full scan of every column. workers
+// only labels the result: a store reads its sealed shards through one
+// cursor per scan. For colstore it also snapshots the read counters right
+// after the projection, before the full scan inflates them — bytes_read
+// at that point is the proof that the projection touched only the
+// User/Elapsed/JobID regions. The digest hashes the projected text plus a
+// scan fingerprint.
 func measureReload(path, mode string, workers int) (benchResult, error) {
 	var r benchResult
 	t0 := time.Now()
@@ -431,7 +429,6 @@ func measureReload(path, mode string, workers int) (benchResult, error) {
 		return r, err
 	}
 	defer st.Close()
-	st.SetDecodeWorkers(workers)
 	r.ReloadMS = ms(time.Since(t0))
 
 	h := fnv.New64a()

@@ -19,6 +19,21 @@ type Collector interface {
 	Observe(r *slurm.Record)
 }
 
+// observedFields is every slurm field some collector's Observe reads —
+// through the record's helpers too: IsStep reads JobID, Backfilled reads
+// Flags, Year and WaitTime read Submit and Start.
+var observedFields = []string{
+	"JobID", "User", "Submit", "Start", "End", "Elapsed", "Timelimit",
+	"NNodes", "State", "Flags", "Comment",
+}
+
+// ObservedFields names the record fields a Bundle reads of each record it
+// observes, so a producer that decodes records column by column can leave
+// the rest zero. The caller must not modify the slice. A collector that
+// starts reading another field adds it here;
+// TestCollectorColumnsCoverObserve fails until it does.
+func ObservedFields() []string { return observedFields }
+
 // Collect drains a record stream into a fresh Bundle — the
 // figure-on-demand path: one scan produces every figure's aggregation.
 // bucket sets the timeline resolution (≤ 0 defaults to one hour).

@@ -27,12 +27,12 @@ func corruptFirstColumn(t *testing.T, path string) {
 }
 
 // TestAddIntoCorruptLazyShardSurfacesError pins the Add data-loss fix:
-// appending into a month whose lazy shard fails to materialise must
+// appending into a month whose sealed shard fails verification must
 // return the error, leave the store's row count untouched (the on-disk
 // rows stay visible, the new record is not half-inserted), and leave
-// the generation alone. Before the fix Add swallowed the materialise
-// error and appended anyway, silently dropping every on-disk row in
-// that month.
+// the generation alone. Before the fix Add swallowed the decode error
+// and appended anyway, silently dropping every on-disk row in that
+// month.
 func TestAddIntoCorruptLazyShardSurfacesError(t *testing.T) {
 	st, _ := buildStore(t, 40)
 	path := dumpBinary(t, st)
@@ -178,8 +178,10 @@ func TestConcurrentAddScanRace(t *testing.T) {
 	}
 	defer bin.Close()
 	months := bin.Months()
-	// Materialise the first month so lazy and in-memory shards coexist.
-	if _, err := bin.Select(Query{End: months[0].Next().Start()}); err != nil {
+	// Add into the first month so sealed and in-memory rows coexist in it,
+	// unsorted until the appender's first Finalize.
+	late := slurm.Record{ID: slurm.NewJobID(4_999_999), User: "raceuser", Submit: months[0].Start().Add(36 * time.Hour), State: slurm.StateCompleted}
+	if err := bin.Add(late); err != nil {
 		t.Fatal(err)
 	}
 
@@ -246,5 +248,8 @@ func TestConcurrentAddScanRace(t *testing.T) {
 	}
 	if len(rows) != appends {
 		t.Fatalf("after the dust settles: %d appended rows visible, want %d", len(rows), appends)
+	}
+	if rows, err = bin.Select(Query{User: "raceuser"}); err != nil || len(rows) != appends+1 {
+		t.Fatalf("with the row added beside the sealed month: %d rows, %v, want %d", len(rows), err, appends+1)
 	}
 }

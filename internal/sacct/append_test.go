@@ -210,7 +210,7 @@ func TestAppendBatchLateKeepsOpenScan(t *testing.T) {
 		t.Fatalf("a scan open across a late append changed under its reader: got %d rows, want the %d it started over", len(got), len(want))
 	}
 
-	gen, seq, err := st.SnapshotCtx(context.Background())
+	gen, seq, err := st.SnapshotCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,5 +223,106 @@ func TestAppendBatchLateKeepsOpenScan(t *testing.T) {
 	}
 	if gen != 3 || n != 52 {
 		t.Fatalf("snapshot labelled generation %d yields %d rows, want generation 3 with its 52 rows", gen, n)
+	}
+}
+
+// TestSealedMonthsScanLikeATextStore pins the month a scan merges: a store
+// opened from a dump keeps those rows sealed and takes every later batch —
+// tail, late into a sealed month, across a month boundary, on top of a
+// stored key, shuffled, and Added without order until a Finalize — into
+// its in-memory part, yet reads row for row, duplicates in arrival order
+// included, like a text-loaded store given the same rows through Add and
+// Finalize: the full scan, and a draw of windows and filters after every
+// batch. AppendBatch's tail verdict is held to the same definition as on a
+// store with nothing sealed.
+func TestSealedMonthsScanLikeATextStore(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		stream := appendStream(seed, 70)
+		ref := NewStore()
+		for _, batch := range stream[:30] {
+			if err := ref.Add(batch...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref.Finalize()
+		got, err := OpenBinary(dumpBinary(t, ref))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer got.Close()
+		if len(got.sealed) < 2 || len(got.shards) != 0 {
+			t.Fatalf("seed %d: opened with %d sealed months and %d in memory, want several and none", seed, len(got.sealed), len(got.shards))
+		}
+
+		rng := rand.New(rand.NewSource(seed))
+		tails, merged := 0, false
+		for b, batch := range stream[30:] {
+			before := scanKeys(t, got)
+			mine := slices.Clone(batch)
+			tail, viaAdd := false, b%5 == 4
+			if viaAdd {
+				// The bulk pair: unsorted beside the sealed rows until Finalize.
+				if err := got.Add(mine...); err != nil {
+					t.Fatal(err)
+				}
+				if unsorted := scanKeys(t, got); len(unsorted) != len(before)+len(mine) {
+					t.Fatalf("seed %d batch %d: %d rows visible before Finalize, want %d", seed, b, len(unsorted), len(before)+len(mine))
+				}
+				got.Finalize()
+			} else if _, tail, err = got.AppendBatch(mine); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Add(batch...); err != nil {
+				t.Fatal(err)
+			}
+			ref.Finalize()
+
+			after := scanKeys(t, got)
+			if want := scanKeys(t, ref); !slices.Equal(after, want) {
+				t.Fatalf("seed %d batch %d: full scan differs from the text store's (%d rows against %d)", seed, b, len(after), len(want))
+			}
+			if !viaAdd {
+				var sorted []string
+				for i := range mine {
+					sorted = append(sorted, recKey(&mine[i]))
+				}
+				if isTail := slices.Equal(after, append(before, sorted...)); tail != isTail {
+					t.Fatalf("seed %d batch %d: tail = %v, but old scan + batch == new scan is %v", seed, b, tail, isTail)
+				}
+				if tail {
+					tails++
+				}
+			}
+			for m, sh := range got.sealed {
+				merged = merged || sh.Rows() > 0 && len(got.shards[m]) > 0
+			}
+			months := ref.Months()
+			origin := months[0].Start()
+			span := int64(months[len(months)-1].Next().Start().Sub(origin))
+			for i := 0; i < 6; i++ {
+				var q Query
+				if rng.Intn(4) != 0 {
+					q.Start = origin.Add(time.Duration(rng.Int63n(span)))
+				}
+				if rng.Intn(4) != 0 {
+					q.End = origin.Add(time.Duration(rng.Int63n(span)))
+					if !q.Start.IsZero() {
+						q.End = q.Start.Add(time.Duration(1 + rng.Int63n(span/3)))
+					}
+				}
+				if i%2 == 0 {
+					q.Fields = []string{"User", "State", "NNodes"}
+				}
+				if i == 5 {
+					q.User = mine[0].User
+				}
+				if queryText(t, got, q) != queryText(t, ref, q) {
+					t.Fatalf("seed %d batch %d: query %+v differs from the text store's answer", seed, b, q)
+				}
+			}
+		}
+		if tails == 0 || !merged {
+			t.Fatalf("seed %d: %d tail appends, a month with both parts: %v; the stream must reach both", seed, tails, merged)
+		}
 	}
 }

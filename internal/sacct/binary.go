@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 
 	"slurmsight/internal/obs"
@@ -13,13 +14,12 @@ import (
 )
 
 // This file wires the binary columnar shard store (colstore) into Store:
-// DumpBinary/OpenBinary persistence, format auto-detection, and the
-// lazy-shard plumbing that lets Scan/Query run unchanged over a store
-// whose months still live on disk as columns.
+// DumpBinary/OpenBinary persistence and format auto-detection. Reading
+// the sealed shards is the scan's business (query.go).
 
-// DumpBinary writes the full store in the binary columnar format.
-// Lazy shards from a backing binary file are materialised first (a
-// re-dump re-encodes them).
+// DumpBinary writes the full store in the binary columnar format. Months
+// with sealed rows are re-encoded from owned copies, merged with whatever
+// was added since.
 func (s *Store) DumpBinary(w io.Writer) error {
 	shards, err := s.shardInputs()
 	if err != nil {
@@ -38,22 +38,43 @@ func (s *Store) DumpBinaryFile(path string) error {
 	return colstore.WriteFile(path, shards)
 }
 
+// shardInputs is every month, in order, as the writer takes it: the
+// in-memory slice itself where that is all the month holds, else the
+// month's scan collected into a slice of its own.
 func (s *Store) shardInputs() ([]colstore.ShardInput, error) {
-	months, recs, _, err := s.snapshot(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	ins := make([]colstore.ShardInput, len(months))
-	for i, m := range months {
-		ins[i] = colstore.ShardInput{Year: m.Year, Mon: m.Mon, Records: recs[i]}
+	p := &scanPlan{q: &Query{IncludeSteps: true}, cols: colstore.AllColumns}
+	v := s.view(p.q)
+	ins := make([]colstore.ShardInput, len(v.months))
+	for i, mv := range v.months {
+		ins[i] = colstore.ShardInput{Year: mv.m.Year, Mon: mv.m.Mon, Records: mv.mem}
+		if mv.sealed == nil {
+			continue
+		}
+		var err error
+		month := storeView{months: v.months[i : i+1], merges: v.merges}
+		recs := make([]slurm.Record, 0, mv.sealed.Rows()+len(mv.mem))
+		month.run(context.Background(), p, func(r *slurm.Record, rerr error) bool {
+			if err = rerr; err == nil {
+				recs = append(recs, r.Clone())
+			}
+			return err == nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		ins[i].Records = recs
 	}
 	return ins, nil
 }
 
-// OpenBinary opens a binary columnar dump as a lazy store: the call
-// costs one footer parse, and each month shard decodes on first use.
-// A file without the columnar magic returns colstore.ErrNotColstore;
-// callers wanting text fallback should use OpenFile instead.
+// OpenBinary opens a binary columnar dump: the call costs one footer
+// parse, and each month's rows stay on disk as its sealed part, read
+// column by column as scans project them. The exception is a shard the
+// footer marks unsorted — only a store dumped before Finalize writes one —
+// which is read whole, here, sorted, and held as in-memory rows, so that
+// every sealed shard a scan meets is in order. A file without the
+// columnar magic returns colstore.ErrNotColstore; callers wanting text
+// fallback should use OpenFile instead.
 func OpenBinary(path string) (*Store, error) {
 	f, err := colstore.Open(path)
 	if err != nil {
@@ -63,13 +84,46 @@ func OpenBinary(path string) (*Store, error) {
 	st.bin = f
 	for _, sh := range f.Shards() {
 		m := Month{Year: sh.Year(), Mon: sh.Mon()}
-		if _, dup := st.lazy[m]; dup {
+		if _, dup := st.sealed[m]; dup {
 			f.Close()
 			return nil, fmt.Errorf("%w: duplicate shard %s", colstore.ErrCorrupt, m)
 		}
-		st.lazy[m] = sh
+		st.sealed[m] = sh
+		if min, max, ok := sh.SubmitRange(); ok {
+			st.ranges[m] = shardRange{min: min.UnixNano(), max: max.UnixNano()}
+		}
+	}
+	for m, sh := range st.sealed {
+		if sh.Sorted() {
+			continue
+		}
+		recs, err := readShard(sh)
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("sacct: loading unsorted shard %s: %w", m, err)
+		}
+		slices.SortStableFunc(recs, recordCmp)
+		st.shards[m], st.sorted[m] = recs, true
+		delete(st.sealed, m)
 	}
 	return st, nil
+}
+
+// readShard reads every row of a shard into a slice of owned copies.
+func readShard(sh *colstore.Shard) ([]slurm.Record, error) {
+	cur := colstore.NewCursor(nil, colstore.AllColumns)
+	defer cur.Close()
+	if err := cur.Open(context.Background(), sh); err != nil {
+		return nil, err
+	}
+	recs := make([]slurm.Record, 0, sh.Rows())
+	for {
+		r, err := cur.Next()
+		if r == nil {
+			return recs, err
+		}
+		recs = append(recs, r.Clone())
+	}
 }
 
 // OpenFile opens a store dump in either format: binary columnar files
@@ -106,9 +160,9 @@ func (s *Store) ColstoreStats() (colstore.Stats, bool) {
 	return s.bin.Stats(), true
 }
 
-// Close releases the backing columnar mapping, if any. Shards already
-// materialised stay queryable; shards still lazy become unreadable, so
-// close only after the store's consumers are done.
+// Close releases the backing columnar mapping, if any. In-memory rows
+// and records cloned out of a scan stay usable; sealed rows become
+// unreadable, so close only after the store's consumers are done.
 func (s *Store) Close() error {
 	if s.bin == nil {
 		return nil
@@ -116,72 +170,18 @@ func (s *Store) Close() error {
 	return s.bin.Close()
 }
 
-// hasLazy reports whether any month still lives on disk undecoded.
-func (s *Store) hasLazy() bool {
+// Warm reads every sealed shard once, start to end — checksums verified,
+// dictionaries loaded, seek indexes built — so that damage anywhere in
+// the file is an error at startup and no request pays a first touch. It
+// materialises nothing: the rows stay on disk, and a warm store holds a
+// few bytes a row.
+func (s *Store) Warm() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.lazy) > 0
-}
-
-// shardView resolves one month for a scan. Materialised shards return
-// as-is. A lazy shard with a projection (and stored in emission order,
-// so the scan's binary search stays valid) decodes just those columns,
-// transiently — the store keeps no copy. Otherwise the shard
-// materialises fully and is cached for every later scan. The context
-// carries the active request span, if any, so first-touch decode cost
-// lands on the request that paid it.
-func (s *Store) shardView(ctx context.Context, m Month, proj []string) ([]slurm.Record, bool, error) {
-	s.mu.RLock()
-	shard, ok := s.shards[m]
-	sorted := s.sorted[m]
-	lz := s.lazy[m]
-	s.mu.RUnlock()
-	if ok || lz == nil {
-		return shard, sorted, nil
+	for _, m := range slices.SortedFunc(maps.Keys(s.sealed), Month.Compare) {
+		if err := s.sealed[m].Load(context.Background(), colstore.AllColumns); err != nil {
+			return fmt.Errorf("sacct: shard %s: %w", m, err)
+		}
 	}
-	if proj != nil && lz.Sorted() {
-		recs, err := lz.DecodeColumnsCtx(ctx, proj)
-		return recs, true, err
-	}
-	s.mu.Lock()
-	err := s.materializeLocked(ctx, m)
-	shard, sorted = s.shards[m], s.sorted[m]
-	s.mu.Unlock()
-	return shard, sorted, err
-}
-
-// materializeLocked decodes a lazy shard into the in-memory maps. The
-// caller holds s.mu. Losing a materialisation race is fine: the winner
-// already deleted the lazy entry and this call is a no-op.
-func (s *Store) materializeLocked(ctx context.Context, m Month) error {
-	sh, ok := s.lazy[m]
-	if !ok {
-		return nil
-	}
-	recs, err := sh.DecodeAllCtx(ctx)
-	if err != nil {
-		return err
-	}
-	if !sh.Sorted() {
-		slices.SortStableFunc(recs, recordCmp)
-	}
-	s.shards[m] = recs
-	s.sorted[m] = true
-	if min, max, ok := sh.SubmitRange(); ok {
-		s.ranges[m] = shardRange{min: min.UnixNano(), max: max.UnixNano()}
-	}
-	delete(s.lazy, m)
 	return nil
 }
-
-// Warm materialises every lazy shard up front, trading startup time
-// for uniform in-memory scan latency — the right call for an always-on
-// query service, where the first client should not pay the decode.
-// Shards decode concurrently over the store's decode pool (see
-// SetDecodeWorkers); the warmed store is identical to a sequential
-// warm's at every worker count.
-func (s *Store) Warm() error { return s.warmMonths(context.Background(), nil) }
-
-// WarmCtx is Warm under a request context: when ctx carries an active
-// obs span, each shard decode reports itself under it.
-func (s *Store) WarmCtx(ctx context.Context) error { return s.warmMonths(ctx, nil) }

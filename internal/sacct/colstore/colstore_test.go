@@ -135,7 +135,7 @@ func TestRoundTripAllColumns(t *testing.T) {
 		if sh.Rows() != len(want) {
 			t.Fatalf("shard %d rows = %d, want %d", si, sh.Rows(), len(want))
 		}
-		got, err := sh.DecodeAll()
+		got, err := readRows(sh, AllColumns)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestEmptyShardAndEmptyFile(t *testing.T) {
 	if _, _, ok := sh.SubmitRange(); ok {
 		t.Error("empty shard claims a submit range")
 	}
-	recs, err := sh.DecodeAll()
+	recs, err := readRows(sh, AllColumns)
 	if err != nil || len(recs) != 0 {
 		t.Errorf("decode empty = %d recs, %v", len(recs), err)
 	}
@@ -247,7 +247,11 @@ func TestColumnProjectionReadsOnlySelectedBytes(t *testing.T) {
 	sh := f.Shards()[0]
 	before := f.Stats()
 
-	got, err := sh.DecodeColumns([]string{"User", "State"})
+	proj, err := ColumnsFor("User", "State")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := readRows(sh, proj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,23 +280,24 @@ func TestColumnProjectionReadsOnlySelectedBytes(t *testing.T) {
 }
 
 func TestColumnsFor(t *testing.T) {
-	cols, err := ColumnsFor([]string{"User", "jobid", " State "})
+	set, err := ColumnsFor("User", "jobid", " State ", "User")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cols) != 3 || cols[0] != "JobID" { // pinned order: JobID first
+	if cols := set.Names(); len(cols) != 3 || cols[0] != "JobID" { // pinned order: JobID first
 		t.Errorf("cols = %v", cols)
 	}
-	cols, err = ColumnsFor([]string{"Backfill"})
-	if err != nil || len(cols) != 1 || cols[0] != "Flags" {
+	set, err = ColumnsFor("Backfill")
+	if cols := set.Names(); err != nil || len(cols) != 1 || cols[0] != "Flags" {
 		t.Errorf("Backfill → %v, %v", cols, err)
 	}
-	if _, err := ColumnsFor([]string{"NoSuchField"}); err == nil {
+	if _, err := ColumnsFor("NoSuchField"); err == nil {
 		t.Error("unknown field: want error")
 	}
-	// Every curated field must be backed by a column.
-	if _, err := ColumnsFor(slurm.SelectedNames()); err != nil {
-		t.Errorf("full selection: %v", err)
+	// Every curated field must be backed by a column, and between them
+	// they reach every column.
+	if set, err := ColumnsFor(slurm.SelectedNames()...); err != nil || set != AllColumns {
+		t.Errorf("full selection: %d of %d columns, %v", set.Len(), AllColumns.Len(), err)
 	}
 }
 
@@ -388,19 +393,22 @@ func TestColumnChecksumCaughtOnDecode(t *testing.T) {
 	path := writeTemp(t, []ShardInput{{Year: 2024, Mon: time.October, Records: recs}})
 	// Flip a byte inside the first column region (starts right after the
 	// header): Open must succeed — regions are validated lazily — and the
-	// decode must fail with ErrCorrupt.
+	// cursor must fail with ErrCorrupt before it yields a row.
 	p := corruptCopy(t, path, func(b []byte) { b[headerLen] ^= 0xFF })
 	f, err := Open(p)
 	if err != nil {
 		t.Fatalf("Open should defer region validation, got %v", err)
 	}
 	defer f.Close()
-	if _, err := f.Shards()[0].DecodeAll(); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("decode of flipped column = %v, want ErrCorrupt", err)
+	for range 2 { // the verdict is kept: the second scan fails like the first
+		if recs, err := readRows(f.Shards()[0], AllColumns); !errors.Is(err, ErrCorrupt) || len(recs) != 0 {
+			t.Errorf("scan of flipped column = %d rows, %v, want none and ErrCorrupt", len(recs), err)
+		}
 	}
-	// A projection that avoids the damaged column still decodes.
-	if _, err := f.Shards()[0].DecodeColumns([]string{"User"}); err != nil {
-		t.Errorf("undamaged column refused: %v", err)
+	// A projection that avoids the damaged column still reads.
+	user, _ := ColumnsFor("User")
+	if got, err := readRows(f.Shards()[0], user); err != nil || len(got) != len(recs) {
+		t.Errorf("undamaged column: %d of %d rows, %v", len(got), len(recs), err)
 	}
 }
 
@@ -415,19 +423,17 @@ func TestConcurrentDecodes(t *testing.T) {
 	sh := f.Shards()[0]
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
-		proj := []string{"User", "Account"}
+		proj, _ := ColumnsFor("User", "Account")
 		if i%2 == 0 {
-			proj = nil
+			proj = AllColumns
 		}
-		go func(proj []string) {
-			var err error
-			if proj == nil {
-				_, err = sh.DecodeAll()
-			} else {
-				_, err = sh.DecodeColumns(proj)
+		go func() { // all eight race to load the shard's columns
+			got, err := readRows(sh, proj)
+			if err == nil && len(got) != len(recs) {
+				err = fmt.Errorf("cursor yielded %d of %d rows", len(got), len(recs))
 			}
 			done <- err
-		}(proj)
+		}()
 	}
 	for i := 0; i < 8; i++ {
 		if err := <-done; err != nil {

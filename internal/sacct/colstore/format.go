@@ -16,9 +16,10 @@
 //	           magic "LOCMRULS"
 //
 // Readers locate the footer from the fixed-size trailer, verify its
-// checksum, and then touch column regions lazily; each region's CRC is
-// verified on first read, so a projected query never pays for (or
-// validates) columns it does not decode.
+// checksum, and then touch column regions lazily, through a Cursor: a
+// region's CRC is verified the first time a cursor projects it — once
+// per column per open — so a projected query never pays for (or
+// validates) columns it does not read, and no query pays twice.
 package colstore
 
 import (
@@ -98,7 +99,13 @@ type byteReader struct {
 
 func (r *byteReader) len() int { return len(r.b) - r.pos }
 
+// uvarint reads one varint. Most are a single byte — a dictionary index,
+// a zero, a step's unchanged submit time — and skip the general loop.
 func (r *byteReader) uvarint() (uint64, error) {
+	if r.pos < len(r.b) && r.b[r.pos] < 0x80 {
+		r.pos++
+		return uint64(r.b[r.pos-1]), nil
+	}
 	u, n := binary.Uvarint(r.b[r.pos:])
 	if n <= 0 {
 		return 0, fmt.Errorf("%w: bad varint at offset %d", ErrCorrupt, r.pos)
@@ -115,6 +122,21 @@ func (r *byteReader) varint() (int64, error) {
 	return unzigzag(u), nil
 }
 
+// skipVarints steps over n varints without decoding them.
+func (r *byteReader) skipVarints(n int) error {
+	pos := r.pos
+	for ; n > 0; pos++ {
+		if pos >= len(r.b) {
+			return fmt.Errorf("%w: region ends %d varints short", ErrCorrupt, n)
+		}
+		if r.b[pos] < 0x80 {
+			n--
+		}
+	}
+	r.pos = pos
+	return nil
+}
+
 func (r *byteReader) bytes(n int) ([]byte, error) {
 	if n < 0 || r.len() < n {
 		return nil, fmt.Errorf("%w: %d bytes wanted, %d left", ErrCorrupt, n, r.len())
@@ -124,15 +146,20 @@ func (r *byteReader) bytes(n int) ([]byte, error) {
 	return out, nil
 }
 
-func (r *byteReader) str() (string, error) {
+// lenBytes reads one length-prefixed string's bytes, aliasing the region.
+func (r *byteReader) lenBytes() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > uint64(r.len()) {
-		return "", fmt.Errorf("%w: string length %d exceeds region", ErrCorrupt, n)
+		return nil, fmt.Errorf("%w: string length %d exceeds region", ErrCorrupt, n)
 	}
-	b, err := r.bytes(int(n))
+	return r.bytes(int(n))
+}
+
+func (r *byteReader) str() (string, error) {
+	b, err := r.lenBytes()
 	return string(b), err
 }
 

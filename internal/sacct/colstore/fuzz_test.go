@@ -30,20 +30,56 @@ func FuzzColumnDecode(f *testing.F) {
 	in := slurm.NewInterner()
 	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
 		def := &columns[int(sel)%len(columns)]
-		dec, err := newColDecoder(def.kind, data, in)
-		if err != nil {
+		corrupt := func(what string, err error) {
 			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("non-corrupt decoder error: %v", err)
+				t.Fatalf("non-corrupt %s error: %v", what, err)
+			}
+		}
+		cd := &colData{rows: data}
+		if def.kind.hasDict() {
+			if err := cd.readDict(def, in); err != nil {
+				corrupt("dictionary", err)
+				return
+			}
+		}
+		// Row by row, decoding and skipping must agree on where a row ends
+		// for as long as decoding succeeds.
+		dec := colDecoder{r: byteReader{b: cd.rows}, cd: cd}
+		skip := dec
+		var r slurm.Record
+		rows, clean := 0, true
+		for ; rows < 1<<16 && dec.r.len() > 0; rows++ {
+			if err := def.dec(&dec, &r); err != nil {
+				corrupt("row", err)
+				clean = false
+				break
+			}
+			if err := skip.skip(def.kind, 1); err != nil || skip.r.pos != dec.r.pos || skip.prev != dec.prev {
+				t.Fatalf("row %d: decoded to offset %d (chain %d), skipped to %d (chain %d), %v",
+					rows, dec.r.pos, dec.prev, skip.r.pos, skip.prev, err)
+			}
+		}
+		// A stream that decoded to its last byte indexes as that many rows,
+		// and every checkpoint resumes where a walk from the top stands.
+		if !clean || dec.r.len() != 0 {
+			if err := cd.index(def.kind, rows+1); err != nil {
+				corrupt("index", err)
 			}
 			return
 		}
-		var r slurm.Record
-		for rows := 0; rows < 1<<16 && dec.r.len() > 0; rows++ {
-			if err := def.dec(dec, &r); err != nil {
-				if !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("non-corrupt row error: %v", err)
-				}
-				return
+		if err := cd.index(def.kind, rows); err != nil {
+			t.Fatalf("%d rows decoded cleanly, index = %v", rows, err)
+		}
+		walk := colDecoder{r: byteReader{b: cd.rows}, cd: cd}
+		for row := 0; row < rows; row += seekStride {
+			at := colDecoder{cd: cd}
+			at.r.b = cd.rows
+			if got := at.seek(def.kind, row+seekStride/2); got != row || at.r.pos != walk.r.pos || at.prev != walk.prev {
+				t.Fatalf("checkpoint for row %d: row %d, offset %d (chain %d), a walk stands at %d (chain %d)",
+					row, got, at.r.pos, at.prev, walk.r.pos, walk.prev)
+			}
+			if err := walk.skip(def.kind, min(seekStride, rows-row)); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

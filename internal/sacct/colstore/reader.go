@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"os"
-	"strings"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,27 +17,27 @@ import (
 )
 
 // Stats is a point-in-time snapshot of a file's read-side counters: the
-// projection proof. BytesRead counts only the column regions actually
-// decoded (plus the footer), so a two-field query over a 59-column shard
+// projection proof. BytesRead counts only the column regions a cursor
+// projected (plus the footer), so a two-field query over a 59-column shard
 // shows two columns' bytes, not the shard's.
 type Stats struct {
-	ShardsOpened int64 // shards whose metadata was served
-	ColumnsRead  int64 // column regions decoded (re-decodes count)
-	BytesRead    int64 // bytes of column regions decoded + footer bytes
+	ShardsOpened int64 // shards a cursor was opened over
+	ColumnsRead  int64 // column regions projected (every open counts)
+	BytesRead    int64 // bytes of those regions + footer bytes
 	BytesMapped  int64 // bytes of file mapped (or read on the fallback path)
-	RowsDecoded  int64 // records materialised across all decodes
+	RowsDecoded  int64 // rows cursors stepped over
 }
 
 // File is an opened columnar store. Opening costs one trailer read, one
-// footer parse, and one mapping — no row data is touched until a shard
-// decode asks for it. A File is safe for concurrent shard decodes.
+// footer parse, and one mapping — no row data is touched until a cursor
+// asks for it. A File is safe for concurrent cursors.
 type File struct {
 	path   string
 	data   []byte
 	mapped bool // data is an mmap region, not heap
 	shards []*Shard
 
-	mu sync.Mutex // guards interner (dict decode) only
+	mu sync.Mutex // guards interner (dictionary load) only
 	in *slurm.Interner
 
 	shardsOpened atomic.Int64
@@ -48,13 +50,51 @@ type File struct {
 	gMapped                          *obs.Gauge
 }
 
-// Shard exposes one month's footer metadata and decodes its columns on
-// demand.
+// Shard exposes one month's footer metadata and reads its columns
+// through a Cursor. What a column needs beyond its mapped bytes — the
+// checksum verdict, the dictionary, the seek index — is built the first
+// time a cursor projects it and kept for the life of the file.
 type Shard struct {
 	f    *File
 	meta shardMeta
-	byLC map[string]*columnMeta // lower-cased column name → meta
+	cols [numColumns]colData // by place in the pinned column order
 }
+
+// colData is one column of one shard, resident: nothing until load, then
+// the verified row stream (still the mapped bytes) and the few heap
+// kilobytes that make it steppable from any row.
+type colData struct {
+	meta   *columnMeta // footer entry; nil when the shard lacks the column
+	once   sync.Once
+	loaded atomic.Bool // once has run; Load asks, to tell a first touch
+	err    error
+
+	rows  []byte     // the region past its dictionary header
+	dict  []string   // dictionary-bearing kinds
+	flags [][]string // the Flags column: dict entries split, clipped
+	seek  seekIndex
+}
+
+// seekStride is the distance in rows between a column's checkpoints. A
+// seek lands on the checkpoint at or before its row and steps over the
+// rest, so a window query pays for at most a stride of rows it does not
+// want at either end; at 256 the index of a 59-column, 36k-row shard is
+// 75 KB.
+const seekStride = 256
+
+// seekIndex is a column's sparse checkpoints: entry k is the decoder
+// state in front of row k*seekStride. Only time columns fill prev (the
+// delta chain) and last (the row before the checkpoint as unix ns, noTime
+// for the zero time or no row), which is what orders a window search
+// over Submit.
+type seekIndex struct {
+	off        []int
+	prev, last []int64
+}
+
+// noTime is the zero time's place in a time column's value order: before
+// every real timestamp, as time.Time orders it.
+const noTime = math.MinInt64
 
 // Open maps path and parses its footer. A file without the columnar
 // magic returns ErrNotColstore (fall back to the text loader); an
@@ -107,18 +147,19 @@ func (f *File) parse() error {
 	f.bytesRead.Add(int64(len(footer)))
 	f.shards = make([]*Shard, len(metas))
 	for i, m := range metas {
-		byLC := make(map[string]*columnMeta, len(m.cols))
-		sh := &Shard{f: f, meta: m, byLC: byLC}
+		sh := &Shard{f: f, meta: m}
 		for j := range sh.meta.cols {
-			byLC[strings.ToLower(sh.meta.cols[j].name)] = &sh.meta.cols[j]
+			if ci, ok := lookupColumn(sh.meta.cols[j].name); ok {
+				sh.cols[ci].meta = &sh.meta.cols[j]
+			}
 		}
 		f.shards[i] = sh
 	}
 	return nil
 }
 
-// Close releases the mapping. Decoded records survive Close; undecoded
-// shards do not.
+// Close releases the mapping. Records cloned out of a cursor survive
+// Close; the shards and any open cursor do not.
 func (f *File) Close() error {
 	data := f.data
 	f.data = nil
@@ -194,129 +235,194 @@ func (s *Shard) ColumnNames() []string {
 // ColumnBytes returns the stored size of one column region, 0 when the
 // column is unknown.
 func (s *Shard) ColumnBytes(name string) int64 {
-	if c, ok := s.byLC[strings.ToLower(name)]; ok {
-		return int64(c.length)
+	if ci, ok := lookupColumn(name); ok && s.cols[ci].meta != nil {
+		return int64(s.cols[ci].meta.length)
 	}
 	return 0
 }
 
-// DecodeAll materialises every column into records.
-func (s *Shard) DecodeAll() ([]slurm.Record, error) {
-	return s.decode(context.Background(), nil)
+// column returns column ci ready to step, loading it on first use: the
+// region's checksum is verified before a byte of it is decoded, the
+// dictionary is read (strings interned file-wide, so a user in twelve
+// shards is one string), and one walk over the row stream lays the seek
+// checkpoints and proves the stream holds exactly the shard's rows. The
+// outcome, error included, is kept: a corrupt column fails every scan
+// that projects it, a good one is never verified twice.
+func (s *Shard) column(ci int) (*colData, error) {
+	cd := &s.cols[ci]
+	cd.once.Do(func() {
+		cd.err = s.load(cd, &columns[ci])
+		cd.loaded.Store(true)
+	})
+	return cd, cd.err
 }
 
-// DecodeAllCtx is DecodeAll under a request context: when the context
-// carries an active obs span, the decode reports itself as a
-// "colstore-shard-open" child span with shard/row/column/byte attrs —
-// the serving plane's per-request decomposition of first-touch cost.
-func (s *Shard) DecodeAllCtx(ctx context.Context) ([]slurm.Record, error) {
-	return s.decode(ctx, nil)
+func (s *Shard) load(cd *colData, def *colDef) error {
+	if cd.meta == nil {
+		return fmt.Errorf("%w: shard %s has no column %s", ErrCorrupt, s, def.name)
+	}
+	if cd.meta.kind != def.kind {
+		return fmt.Errorf("%w: column %s stored as kind %d, schema wants %d",
+			ErrCorrupt, def.name, cd.meta.kind, def.kind)
+	}
+	data := s.f.data
+	if data == nil {
+		return fmt.Errorf("colstore: %s: file is closed", s.f.path)
+	}
+	region := data[cd.meta.offset : cd.meta.offset+cd.meta.length]
+	if checksum(region) != cd.meta.crc {
+		return fmt.Errorf("%w: column %s checksum mismatch", ErrCorrupt, def.name)
+	}
+	cd.rows = region
+	var err error
+	if def.kind.hasDict() {
+		s.f.mu.Lock() // the interner is the one thing concurrent loads share
+		err = cd.readDict(def, s.f.in)
+		s.f.mu.Unlock()
+	}
+	if err == nil {
+		err = cd.index(def.kind, s.meta.rows)
+	}
+	if err != nil {
+		return fmt.Errorf("column %s: %w", def.name, err)
+	}
+	return nil
 }
 
-// DecodeColumns materialises only the named columns (canonical slurm
-// field names, case-insensitive); every other record field is left
-// zero. Use ColumnsFor to map a query field selection to column names.
-func (s *Shard) DecodeColumns(cols []string) ([]slurm.Record, error) {
-	if cols == nil {
-		cols = ColumnNames()
+// readDict reads the dictionary off the front of cd.rows — strings
+// interned through in, so a user in twelve shards is one string — and
+// derives the column's per-entry state.
+func (cd *colData) readDict(def *colDef, in *slurm.Interner) error {
+	r := byteReader{b: cd.rows}
+	n, err := r.uvarint()
+	if err != nil {
+		return err
 	}
-	return s.decode(context.Background(), cols)
-}
-
-// DecodeColumnsCtx is DecodeColumns with per-request span reporting,
-// as DecodeAllCtx.
-func (s *Shard) DecodeColumnsCtx(ctx context.Context, cols []string) ([]slurm.Record, error) {
-	if cols == nil {
-		cols = ColumnNames()
+	if n > uint64(r.len()) {
+		return fmt.Errorf("%w: dictionary of %d entries exceeds region", ErrCorrupt, n)
 	}
-	return s.decode(ctx, cols)
-}
-
-func (s *Shard) decode(ctx context.Context, cols []string) (_ []slurm.Record, err error) {
-	s.f.shardsOpened.Add(1)
-	s.f.cShards.Inc()
-	if cols == nil {
-		cols = ColumnNames()
-	}
-	var colBytes int64 // bytes of column regions this decode touched
-	if sp := obs.SpanFromContext(ctx).Child("colstore-shard-open"); sp != nil {
-		sp.SetAttr("shard", fmt.Sprintf("%04d-%02d", s.meta.year, int(s.meta.mon)))
-		sp.SetAttrInt("rows", int64(s.meta.rows))
-		sp.SetAttrInt("columns", int64(len(cols)))
-		defer func() {
-			sp.SetAttrInt("bytes", colBytes)
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			}
-			sp.End()
-		}()
-	}
-	recs := make([]slurm.Record, s.meta.rows)
-	for _, name := range cols {
-		def, ok := columnIndex[strings.ToLower(strings.TrimSpace(name))]
-		if !ok {
-			return nil, fmt.Errorf("colstore: unknown column %q", name)
-		}
-		cm, ok := s.byLC[strings.ToLower(def.name)]
-		if !ok {
-			return nil, fmt.Errorf("%w: shard %04d-%02d has no column %s",
-				ErrCorrupt, s.meta.year, int(s.meta.mon), def.name)
-		}
-		if cm.kind != def.kind {
-			return nil, fmt.Errorf("%w: column %s stored as kind %d, schema wants %d",
-				ErrCorrupt, def.name, cm.kind, def.kind)
-		}
-		region, err := s.f.region(cm)
+	cd.dict = make([]string, n)
+	for i := range cd.dict {
+		b, err := r.lenBytes()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		colBytes += int64(len(region))
-		dec, err := s.newDecoder(cm.kind, region)
+		cd.dict[i] = in.Intern(b)
+	}
+	cd.rows = cd.rows[r.pos:]
+	if def.load != nil {
+		return def.load(cd)
+	}
+	return nil
+}
+
+// index walks cd.rows once, laying a checkpoint every seekStride rows and
+// proving the stream holds exactly rows rows.
+func (cd *colData) index(kind colKind, rows int) error {
+	if rows < 0 || rows > len(cd.rows) { // every kind spends a byte a row at least
+		return fmt.Errorf("%w: %d rows in %d bytes", ErrCorrupt, rows, len(cd.rows))
+	}
+	d := colDecoder{r: byteReader{b: cd.rows}, last: noTime, cd: cd}
+	n := (rows + seekStride - 1) / seekStride
+	cd.seek.off = make([]int, 0, n)
+	if kind == kindTime {
+		cd.seek.prev, cd.seek.last = make([]int64, 0, n), make([]int64, 0, n)
+	}
+	for row := 0; row < rows; row += seekStride {
+		cd.seek.off = append(cd.seek.off, d.r.pos)
+		if kind == kindTime {
+			cd.seek.prev, cd.seek.last = append(cd.seek.prev, d.prev), append(cd.seek.last, d.last)
+		}
+		if err := d.skip(kind, min(seekStride, rows-row)); err != nil {
+			return err
+		}
+	}
+	if d.r.len() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.r.len())
+	}
+	return nil
+}
+
+// Load makes the columns in cols ready to read, loading those no cursor
+// has projected before (see column): the first checksum failure or
+// malformed column, in pinned order, is the error, now and on every later
+// call. With AllColumns it verifies the whole shard, so that damage
+// anywhere in it is an error before rows are added beside it rather than
+// on the scan that first projects the damaged column. A call that has
+// something to load reports itself as a "colstore-shard-open" child of the
+// span ctx carries — the cost the request that first touches a shard pays
+// for every later one; a call that finds everything loaded costs a few
+// atomic reads.
+func (s *Shard) Load(ctx context.Context, cols ColSet) (err error) {
+	first := false
+	for set := cols; set != 0 && !first; set &= set - 1 {
+		first = !s.cols[bits.TrailingZeros64(uint64(set))].loaded.Load()
+	}
+	var bytes int64
+	if first {
+		if sp := obs.SpanFromContext(ctx).Child("colstore-shard-open"); sp != nil {
+			sp.SetAttr("shard", s.String())
+			sp.SetAttrInt("rows", int64(s.meta.rows))
+			sp.SetAttrInt("columns", int64(cols.Len()))
+			defer func() {
+				sp.SetAttrInt("bytes", bytes)
+				if err != nil {
+					sp.SetAttr("error", err.Error())
+				}
+				sp.End()
+			}()
+		}
+	}
+	for set := cols; set != 0; set &= set - 1 {
+		cd, err := s.column(bits.TrailingZeros64(uint64(set)))
 		if err != nil {
-			return nil, fmt.Errorf("column %s: %w", def.name, err)
+			return err
 		}
-		for i := range recs {
-			if err := def.dec(dec, &recs[i]); err != nil {
-				return nil, fmt.Errorf("column %s row %d: %w", def.name, i, err)
-			}
-		}
-		if dec.r.len() != 0 {
-			return nil, fmt.Errorf("%w: column %s has %d trailing bytes",
-				ErrCorrupt, def.name, dec.r.len())
-		}
+		bytes += int64(cd.meta.length)
 	}
-	s.f.rowsDecoded.Add(int64(len(recs)))
-	s.f.cRows.Add(int64(len(recs)))
-	return recs, nil
+	return nil
 }
 
-// newDecoder builds a column decoder, serialising interner access —
-// the only mutable state shared between concurrent decodes.
-func (s *Shard) newDecoder(kind colKind, region []byte) (*colDecoder, error) {
-	if !kind.hasDict() {
-		return newColDecoder(kind, region, nil)
+// SubmitWindow narrows a sorted shard to the rows that can hold a submit
+// time in [start, end), by binary search over the Submit column's
+// checkpoints: every row outside [lo, hi) is outside the window, and up
+// to a stride of rows inside it at either end may be too — the scan's own
+// window check drops those. A zero bound is open, and an unsorted shard
+// is never narrowed.
+func (s *Shard) SubmitWindow(start, end time.Time) (lo, hi int, err error) {
+	lo, hi = 0, s.meta.rows
+	if !s.meta.sorted || start.IsZero() && end.IsZero() {
+		return lo, hi, nil
 	}
-	s.f.mu.Lock()
-	defer s.f.mu.Unlock()
-	return newColDecoder(kind, region, s.f.in)
+	ci, _ := lookupColumn("Submit")
+	cd, err := s.column(ci)
+	if err != nil {
+		return 0, 0, err
+	}
+	// last[k] is row k*seekStride-1, so the rows in front of checkpoint k
+	// all submit at or before it. The comparison is made as times: a bound
+	// may lie outside what int64 nanoseconds hold.
+	last := cd.seek.last
+	firstAtOrAfter := func(t time.Time) int {
+		return sort.Search(len(last), func(k int) bool {
+			return last[k] != noTime && !time.Unix(0, last[k]).Before(t)
+		})
+	}
+	if !start.IsZero() {
+		if k := firstAtOrAfter(start); k > 0 {
+			lo = (k - 1) * seekStride
+		}
+	}
+	if !end.IsZero() {
+		if k := firstAtOrAfter(end); k < len(last) {
+			hi = k * seekStride
+		}
+	}
+	return lo, max(lo, hi), nil
 }
 
-// region slices one verified column out of the mapping, charging the
-// read counters.
-func (f *File) region(cm *columnMeta) ([]byte, error) {
-	if f.data == nil {
-		return nil, fmt.Errorf("colstore: %s: file is closed", f.path)
-	}
-	b := f.data[cm.offset : cm.offset+cm.length]
-	if checksum(b) != cm.crc {
-		return nil, fmt.Errorf("%w: column %s checksum mismatch", ErrCorrupt, cm.name)
-	}
-	f.columnsRead.Add(1)
-	f.bytesRead.Add(int64(len(b)))
-	f.cColumns.Inc()
-	f.cBytes.Add(int64(len(b)))
-	return b, nil
-}
+// String renders the shard's month, "2024-03".
+func (s *Shard) String() string { return fmt.Sprintf("%04d-%02d", s.meta.year, int(s.meta.mon)) }
 
 // SniffBytes reports whether b starts with the columnar magic — the
 // in-memory counterpart of Sniff, for request bodies that may carry

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"time"
@@ -22,6 +23,7 @@ type colDef struct {
 	kind colKind
 	enc  func(e *colEncoder, r *slurm.Record)
 	dec  func(d *colDecoder, r *slurm.Record) error
+	load func(cd *colData) error // optional: derive per-entry state once the dictionary is read
 }
 
 // colEncoder accumulates one column region: the row stream plus, for
@@ -100,42 +102,76 @@ func (e *colEncoder) region(kind colKind, dst []byte) []byte {
 	return append(dst, e.buf...)
 }
 
-// colDecoder walks one column region row by row. Dictionary strings are
-// interned through the file-level interner so a value repeated across
-// shards materialises once per file, and the Flags cache parses each
-// dictionary entry once per decode instead of once per row.
+// colDecoder walks one column's row stream. It is one projected column
+// of a Cursor: the stream position and delta chain are its own, the
+// dictionary and Flags splits belong to the shard (colData) and are
+// shared by every cursor over it.
 type colDecoder struct {
 	r    byteReader
-	prev int64
-	dict []string
+	prev int64 // delta chain for time columns
+	last int64 // time columns: the row skip last stepped over, noTime for the zero time — what index records
+	cd   *colData
 
-	flagsCache [][]string
-	flagsDone  []bool
+	tres slurm.TRES // reused for every row of a TRES column, see tresVal
 }
 
-// newColDecoder wraps a verified column region, materialising the
-// dictionary for dictionary-bearing kinds.
-func newColDecoder(kind colKind, data []byte, in *slurm.Interner) (*colDecoder, error) {
-	d := &colDecoder{r: byteReader{b: data}}
-	if !kind.hasDict() {
-		return d, nil
+// point aims the decoder at row 0 of a loaded column.
+func (d *colDecoder) point(cd *colData) {
+	d.r = byteReader{b: cd.rows}
+	d.prev, d.cd = 0, cd
+}
+
+// seek moves the decoder to the column's nearest checkpoint at or before
+// row, and returns the row that is.
+func (d *colDecoder) seek(kind colKind, row int) int {
+	k := row / seekStride
+	d.r.pos = d.cd.seek.off[k]
+	if kind == kindTime {
+		d.prev = d.cd.seek.prev[k]
 	}
-	n, err := d.r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(d.r.len()) {
-		return nil, fmt.Errorf("%w: dictionary of %d entries exceeds region", ErrCorrupt, n)
-	}
-	d.dict = make([]string, n)
-	for i := range d.dict {
-		s, err := d.r.str()
-		if err != nil {
-			return nil, err
+	return k * seekStride
+}
+
+// rowVarints is how many varints one row of a fixed-width kind holds;
+// time rows feed the delta chain and TRES rows carry their own count, so
+// skip walks those two value by value.
+var rowVarints = [...]int{kindDur: 1, kindInt: 1, kindDict: 1, kindState: 1, kindJobID: 4, kindExit: 2, kindMem: 2, kindTRES: 0}
+
+// skip steps over n rows without building their values: exactly the
+// bytes dec would consume, none of its dictionary lookups, time
+// conversions or map fills.
+func (d *colDecoder) skip(kind colKind, n int) error {
+	switch kind {
+	case kindTime:
+		for ; n > 0; n-- {
+			u, err := d.r.uvarint()
+			if err != nil {
+				return err
+			}
+			if d.last = noTime; u != 0 {
+				d.prev += unzigzag(u - 1)
+				d.last = d.prev
+			}
 		}
-		d.dict[i] = in.InternString(s)
+		return nil
+	case kindTRES:
+		for ; n > 0; n-- {
+			cnt, err := d.r.uvarint()
+			if err != nil {
+				return err
+			}
+			if cnt > uint64(d.r.len())+1 {
+				return fmt.Errorf("%w: TRES entry count %d exceeds region", ErrCorrupt, cnt-1)
+			}
+			if cnt > 1 {
+				if err := d.r.skipVarints(2 * int(cnt-1)); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	}
-	return d, nil
+	return d.r.skipVarints(n * rowVarints[kind])
 }
 
 func (d *colDecoder) timeVal() (time.Time, error) {
@@ -152,13 +188,16 @@ func (d *colDecoder) dictIdx() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if u >= uint64(len(d.dict)) {
-		return 0, fmt.Errorf("%w: dictionary index %d of %d", ErrCorrupt, u, len(d.dict))
+	if u >= uint64(len(d.cd.dict)) {
+		return 0, fmt.Errorf("%w: dictionary index %d of %d", ErrCorrupt, u, len(d.cd.dict))
 	}
 	return int(u), nil
 }
 
-// tresVal decodes one natively encoded TRES map.
+// tresVal decodes one natively encoded TRES map into the decoder's one
+// map, cleared and refilled row after row: a nil field stays nil and an
+// empty one comes back empty, but the map a row returns is only that
+// row's until the next call.
 func (d *colDecoder) tresVal() (slurm.TRES, error) {
 	n, err := d.r.uvarint()
 	if err != nil || n == 0 {
@@ -168,7 +207,10 @@ func (d *colDecoder) tresVal() (slurm.TRES, error) {
 	if n > uint64(d.r.len()) { // each entry needs ≥2 bytes
 		return nil, fmt.Errorf("%w: TRES entry count %d exceeds region", ErrCorrupt, n)
 	}
-	m := make(slurm.TRES, n)
+	if d.tres == nil {
+		d.tres = make(slurm.TRES, n)
+	}
+	clear(d.tres)
 	for i := uint64(0); i < n; i++ {
 		idx, err := d.dictIdx()
 		if err != nil {
@@ -178,9 +220,9 @@ func (d *colDecoder) tresVal() (slurm.TRES, error) {
 		if err != nil {
 			return nil, err
 		}
-		m[d.dict[idx]] = v
+		d.tres[d.cd.dict[idx]] = v
 	}
-	return m, nil
+	return d.tres, nil
 }
 
 // --- column constructors ---
@@ -232,7 +274,7 @@ func dictCol(name string, at func(*slurm.Record) *string) colDef {
 			if err != nil {
 				return err
 			}
-			*at(r) = d.dict[idx]
+			*at(r) = d.cd.dict[idx]
 			return nil
 		}}
 }
@@ -333,9 +375,10 @@ func memCol() colDef {
 		}}
 }
 
-// flagsCol dictionary-encodes the joined Flags rendering and splits
-// each dictionary entry once per decode. Cached slices are clipped so a
-// consumer append reallocates instead of scribbling on shared backing.
+// flagsCol dictionary-encodes the joined Flags rendering. Each
+// dictionary entry is split once, when the column loads; the slices are
+// clipped so a consumer append reallocates instead of scribbling on the
+// backing every row with that entry shares.
 func flagsCol() colDef {
 	fld, _ := slurm.FieldByName("Flags")
 	return colDef{name: "Flags", kind: kindDict,
@@ -345,22 +388,18 @@ func flagsCol() colDef {
 			if err != nil {
 				return err
 			}
-			if d.flagsCache == nil {
-				d.flagsCache = make([][]string, len(d.dict))
-				d.flagsDone = make([]bool, len(d.dict))
-			}
-			if !d.flagsDone[idx] {
+			r.Flags = d.cd.flags[idx]
+			return nil
+		},
+		load: func(cd *colData) error {
+			cd.flags = make([][]string, len(cd.dict))
+			for i, s := range cd.dict {
 				var tmp slurm.Record
-				if err := fld.Set(&tmp, d.dict[idx]); err != nil {
-					return fmt.Errorf("%w: flags %q: %v", ErrCorrupt, d.dict[idx], err)
+				if err := fld.Set(&tmp, s); err != nil {
+					return fmt.Errorf("%w: flags %q: %v", ErrCorrupt, s, err)
 				}
-				fl := tmp.Flags
-				if fl != nil {
-					fl = fl[:len(fl):len(fl)]
-				}
-				d.flagsCache[idx], d.flagsDone[idx] = fl, true
+				cd.flags[i] = slices.Clip(tmp.Flags)
 			}
-			r.Flags = d.flagsCache[idx]
 			return nil
 		}}
 }
@@ -385,14 +424,26 @@ func tresCol(name string, at func(*slurm.Record) *slurm.TRES) colDef {
 // minus the derived Backfill entry.
 var columns = buildColumns()
 
-// columnIndex maps lower-cased column names to their definition.
-var columnIndex = func() map[string]*colDef {
-	idx := make(map[string]*colDef, len(columns))
+// columnIndex maps a column name to its place in columns, under both its
+// canonical and its lower-cased spelling, so the usual exact lookup does
+// not build a lower-cased copy of the name.
+var columnIndex = func() map[string]int {
+	idx := make(map[string]int, 2*len(columns))
 	for i := range columns {
-		idx[strings.ToLower(columns[i].name)] = &columns[i]
+		idx[columns[i].name] = i
+		idx[strings.ToLower(columns[i].name)] = i
 	}
 	return idx
 }()
+
+// lookupColumn resolves a column name, case-insensitively.
+func lookupColumn(name string) (int, bool) {
+	if i, ok := columnIndex[name]; ok {
+		return i, true
+	}
+	i, ok := columnIndex[strings.ToLower(strings.TrimSpace(name))]
+	return i, ok
+}
 
 func buildColumns() []colDef {
 	return []colDef{
@@ -468,35 +519,51 @@ func buildColumns() []colDef {
 }
 
 // ColumnNames returns the canonical column names in pinned order.
-func ColumnNames() []string {
-	out := make([]string, len(columns))
-	for i := range columns {
-		out[i] = columns[i].name
+func ColumnNames() []string { return AllColumns.Names() }
+
+// ColSet is a set of columns, one bit per entry of the pinned order: what
+// a Cursor projects. The zero value is empty.
+type ColSet uint64
+
+// AllColumns is the full projection.
+const AllColumns = ColSet(1)<<numColumns - 1
+
+// numColumns is len(columns); init checks the two agree and that a
+// ColSet has a bit for each.
+const numColumns = 59
+
+func init() {
+	if len(columns) != numColumns || numColumns > 64 {
+		panic(fmt.Sprintf("colstore: %d columns in the schema, numColumns = %d", len(columns), numColumns))
+	}
+}
+
+// Len returns the number of columns in the set.
+func (c ColSet) Len() int { return bits.OnesCount64(uint64(c)) }
+
+// Names returns the set's column names in pinned order.
+func (c ColSet) Names() []string {
+	out := make([]string, 0, c.Len())
+	for ; c != 0; c &= c - 1 {
+		out = append(out, columns[bits.TrailingZeros64(uint64(c))].name)
 	}
 	return out
 }
 
 // ColumnsFor maps a slurm field selection to the columns that back it:
 // each field's own column, with the derived Backfill field reading
-// through Flags. Unknown fields are an error. The result is deduplicated
-// and in pinned column order.
-func ColumnsFor(fields []string) ([]string, error) {
-	want := make(map[string]bool, len(fields))
+// through Flags. Unknown fields are an error.
+func ColumnsFor(fields ...string) (ColSet, error) {
+	var set ColSet
 	for _, f := range fields {
-		name := strings.ToLower(strings.TrimSpace(f))
-		if name == "backfill" {
-			name = "flags"
+		i, ok := lookupColumn(f)
+		if !ok && strings.EqualFold(strings.TrimSpace(f), "backfill") {
+			i, ok = lookupColumn("Flags")
 		}
-		if _, ok := columnIndex[name]; !ok {
-			return nil, fmt.Errorf("colstore: no column backs field %q", f)
+		if !ok {
+			return 0, fmt.Errorf("colstore: no column backs field %q", f)
 		}
-		want[name] = true
+		set |= 1 << i
 	}
-	out := make([]string, 0, len(want))
-	for i := range columns {
-		if want[strings.ToLower(columns[i].name)] {
-			out = append(out, columns[i].name)
-		}
-	}
-	return out, nil
+	return set, nil
 }

@@ -1,6 +1,12 @@
 package sacct
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"slurmsight/internal/sched"
+	"slurmsight/internal/slurm"
+)
 
 // TestIngestGrowsEachShardOnce pins the bulk-load sizing: Ingest counts
 // what a result adds to each month and grows that shard once, so its
@@ -21,5 +27,60 @@ func TestIngestGrowsEachShardOnce(t *testing.T) {
 	// NewStore's five, the count map, one grow per month, map growth.
 	if limit := float64(12 + 2*len(st.Months())); allocs > limit {
 		t.Errorf("Ingest of %d rows into %d months allocates %v times, want <= %v", st.Len(), len(st.Months()), allocs, limit)
+	}
+}
+
+// TestIngestLandsEachJobBeforeItsSteps pins the order Ingest loads a
+// result in: each job followed by its own steps, which is scan order
+// already — the Finalize behind it sorts nothing, copies nothing and moves
+// no generation — and is row for row the store that adding all jobs, then
+// all steps, and sorting produces. A result whose step counts do not
+// describe its steps still loads whole and still ends up in order.
+func TestIngestLandsEachJobBeforeItsSteps(t *testing.T) {
+	_, res := buildStore(t, 40)
+	want := NewStore()
+	if err := want.Add(res.Jobs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Add(res.Steps...); err != nil {
+		t.Fatal(err)
+	}
+	want.Finalize()
+
+	got := NewStore()
+	if err := got.Ingest(res); err != nil {
+		t.Fatal(err)
+	}
+	gen := got.Generation()
+	firsts := map[Month]*slurm.Record{}
+	for m, shard := range got.shards {
+		if !slices.IsSortedFunc(shard, recordCmp) {
+			t.Fatalf("shard %s is out of scan order straight after Ingest", m)
+		}
+		firsts[m] = &shard[0]
+	}
+	got.Finalize()
+	if got.Generation() != gen {
+		t.Errorf("Finalize after Ingest moved the generation %d → %d: it reordered a shard", gen, got.Generation())
+	}
+	for m, shard := range got.shards {
+		if &shard[0] != firsts[m] {
+			t.Errorf("Finalize after Ingest copied shard %s", m)
+		}
+	}
+	if !slices.Equal(scanKeys(t, got), scanKeys(t, want)) {
+		t.Fatal("Ingest + Finalize scans differently from Add(jobs) + Add(steps) + Finalize")
+	}
+
+	// Counts that lie about the steps: too many for the first job, none for
+	// the rest, and more jobs than counts.
+	odd := &sched.Result{Jobs: res.Jobs, Steps: res.Steps, StepsPerJob: []int{len(res.Steps) + 5, -3}}
+	skewed := NewStore()
+	if err := skewed.Ingest(odd); err != nil {
+		t.Fatal(err)
+	}
+	skewed.Finalize()
+	if !slices.Equal(scanKeys(t, skewed), scanKeys(t, want)) {
+		t.Fatal("a result with wrong step counts did not load whole and in order")
 	}
 }

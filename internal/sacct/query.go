@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -60,89 +61,80 @@ func (q *Query) validate() ([]string, slurm.State, bool, error) {
 	return fields, st, filterState, nil
 }
 
-func (q *Query) matches(r *slurm.Record, st slurm.State, filterState bool) bool {
-	if !q.IncludeSteps && r.IsStep() {
-		return false
+// overlaps reports whether a month can hold a row of the query's window:
+// its calendar extent first, then the submit extent its rows actually
+// span (sealed rows answer from their footer), so a window that misses
+// every month's data opens no shard.
+func (q *Query) overlaps(m Month, rg shardRange) bool {
+	// Compared as times: a bound may lie outside what int64 nanoseconds hold.
+	if !q.Start.IsZero() && (!m.Next().Start().After(q.Start) || q.Start.After(time.Unix(0, rg.max))) {
+		return false // the month ends, or its last submit falls, before the window opens
 	}
-	if !q.Start.IsZero() && r.Submit.Before(q.Start) {
-		return false
-	}
-	if !q.End.IsZero() && !r.Submit.Before(q.End) {
-		return false
-	}
-	if q.User != "" && r.User != q.User {
-		return false
-	}
-	if q.Account != "" && r.Account != q.Account {
-		return false
-	}
-	if q.Partition != "" && r.Partition != q.Partition {
-		return false
-	}
-	if filterState && r.State != st {
-		return false
+	if !q.End.IsZero() && (!m.Start().Before(q.End) || !q.End.After(time.Unix(0, rg.min))) {
+		return false // the month begins, or its first submit falls, at or after the window's close
 	}
 	return true
 }
 
-// monthsIn returns the store shards overlapping the query window.
-func (s *Store) monthsIn(q *Query) []Month {
-	var out []Month
-	for _, m := range s.Months() {
-		if !q.Start.IsZero() && !m.Next().Start().After(q.Start) {
-			continue // shard ends at or before the window start
-		}
-		if !q.End.IsZero() && !m.Start().Before(q.End) {
-			continue // shard begins at or after the window end
-		}
-		out = append(out, m)
-	}
-	return out
+// monthView is one month as a scan reads it: the sealed shard and the
+// in-memory slice header the store held when the view was captured.
+type monthView struct {
+	m      Month
+	sealed *colstore.Shard // nil, or a shard with rows
+	mem    []slurm.Record
+	sorted bool // mem is in recordCmp order
 }
 
-// shardOverlaps reports whether a shard's actual submit extent — not
-// its calendar month — intersects the query window. Lazy shards answer
-// from their footer min/max without decoding a single column, so a
-// window that misses every shard's data costs O(months), never a
-// materialisation. An unknown extent errs toward scanning.
-func (s *Store) shardOverlaps(m Month, q *Query) bool {
-	if q.Start.IsZero() && q.End.IsZero() {
-		return true
-	}
+// storeView is what one scan reads: every month the query's window can
+// reach, in order, and the generation they belong to, captured under one
+// read lock — so nothing that lands while the scan runs shows up in it,
+// and the generation is a true label for the rows it yields. The slices
+// alias store storage; a scan does not write through them.
+type storeView struct {
+	gen    uint64
+	months []monthView
+	merges bool // some month has both sealed rows and sorted in-memory rows
+}
+
+func (s *Store) view(q *Query) storeView {
 	s.mu.RLock()
-	rg, ok := s.ranges[m]
-	if !ok {
-		if lz := s.lazy[m]; lz != nil {
-			min, max, hasRows := lz.SubmitRange()
-			if !hasRows {
-				s.mu.RUnlock()
-				return false // footer says the shard is empty
-			}
-			rg, ok = shardRange{min: min.UnixNano(), max: max.UnixNano()}, true
+	defer s.mu.RUnlock()
+	v := storeView{gen: s.gen.Load(), months: make([]monthView, 0, len(s.ranges))}
+	for m, rg := range s.ranges { // every populated month has a range
+		if !q.overlaps(m, rg) {
+			continue
 		}
+		mv := monthView{m: m, mem: s.shards[m], sorted: s.sorted[m]}
+		if sh := s.sealed[m]; sh != nil && sh.Rows() > 0 {
+			mv.sealed = sh
+			v.merges = v.merges || mv.sorted && len(mv.mem) > 0
+		}
+		v.months = append(v.months, mv)
 	}
-	s.mu.RUnlock()
-	if !ok {
-		return true
-	}
-	if !q.Start.IsZero() && q.Start.UnixNano() > rg.max {
-		return false // window opens after the last submit
-	}
-	if !q.End.IsZero() && q.End.UnixNano() <= rg.min {
-		return false // window closes at or before the first submit
-	}
-	return true
+	slices.SortFunc(v.months, func(a, b monthView) int { return a.m.Compare(b.m) })
+	return v
 }
 
-// window narrows a shard to the query's submit-time bounds. Sorted
-// shards (the steady state after Finalize) are binary-searched; a shard
-// still awaiting Finalize falls back to its full extent, since matches
-// re-checks the bounds per record either way.
-func (s *Store) window(shard []slurm.Record, sorted bool, q *Query) (lo, hi int) {
-	lo, hi = 0, len(shard)
-	if !sorted {
-		return lo, hi
+// rows counts the view's rows before any window or filter.
+func (v *storeView) rows() (n int) {
+	for i := range v.months {
+		n += len(v.months[i].mem)
+		if sh := v.months[i].sealed; sh != nil {
+			n += sh.Rows()
+		}
 	}
+	return n
+}
+
+// window narrows sorted in-memory rows to the query's submit-time bounds
+// by binary search; rows still awaiting Finalize keep their full extent,
+// since the plan's Submit filter re-checks the bounds per record either
+// way.
+func (q *Query) window(shard []slurm.Record, sorted bool) []slurm.Record {
+	if !sorted {
+		return shard
+	}
+	lo, hi := 0, len(shard)
 	if !q.Start.IsZero() {
 		lo = sort.Search(len(shard), func(i int) bool {
 			return !shard[i].Submit.Before(q.Start)
@@ -153,223 +145,231 @@ func (s *Store) window(shard []slurm.Record, sorted bool, q *Query) (lo, hi int)
 			return !shard[lo+i].Submit.Before(q.End)
 		})
 	}
-	return lo, hi
+	return shard[lo:hi]
+}
+
+// scanPlan is a validated query, ready to run: the window that narrows
+// each month, the row tests, and the columns the consumer reads of each
+// record.
+type scanPlan struct {
+	q       *Query
+	filters []colstore.Filter
+	cols    colstore.ColSet
+}
+
+// plan takes q's row test apart, one filter per field the query filters
+// or windows on, each on the column that backs the field — which is how a
+// cursor applies them. They go cheapest first: the equality filters read
+// one small varint a row and turn most rows away, and behind a refusal
+// JobID's four varints and Submit's delta chain are stepped over, not
+// decoded.
+func (q *Query) plan(st slurm.State, filterState bool, cols colstore.ColSet) *scanPlan {
+	p := &scanPlan{q: q, cols: cols}
+	for _, eq := range [...]struct{ field, want string }{{"User", q.User}, {"Account", q.Account}, {"Partition", q.Partition}} {
+		if eq.want != "" {
+			f, _ := colstore.Equal(eq.field, eq.want) // all three are dictionary columns
+			p.filters = append(p.filters, f)
+		}
+	}
+	if filterState {
+		p.filters = append(p.filters, colstore.StateIs(st))
+	}
+	if !q.IncludeSteps {
+		p.filters = append(p.filters, colstore.JobRows())
+	}
+	if !q.Start.IsZero() || !q.End.IsZero() {
+		submit, _ := colstore.ColumnsFor("Submit")
+		p.filters = append(p.filters, colstore.Filter{Col: submit, Keep: func(r *slurm.Record) bool {
+			return (q.Start.IsZero() || !r.Submit.Before(q.Start)) && (q.End.IsZero() || r.Submit.Before(q.End))
+		}})
+	}
+	return p
+}
+
+// keep applies the row tests to a record that has every field.
+func (p *scanPlan) keep(r *slurm.Record) bool {
+	for i := range p.filters {
+		if !p.filters[i].Keep(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeKey is what the merge of a month's two parts compares.
+var mergeKey, _ = colstore.ColumnsFor("Submit", "JobID")
+
+// run streams the view's matching records in emission order: month by
+// month, a month's sealed rows through one cursor re-pointed from shard to
+// shard, merged with its in-memory rows — sealed first on a tie — or
+// followed by them when they still await Finalize. It reports the months
+// visited and rows yielded, and stops at the first error, which it yields.
+func (v *storeView) run(ctx context.Context, p *scanPlan, yield func(*slurm.Record, error) bool) (shards, rows int64) {
+	var cur *colstore.Cursor
+	emit := func(r *slurm.Record) bool {
+		rows++
+		return yield(r, nil)
+	}
+	for i := range v.months {
+		mv := &v.months[i]
+		shards++
+		mem := p.q.window(mv.mem, mv.sorted)
+		if mv.sealed != nil {
+			if cur == nil {
+				cols := p.cols
+				if v.merges {
+					cols |= mergeKey
+				}
+				cur = colstore.NewCursor(p.filters, cols)
+				defer cur.Close()
+			}
+			err := cur.Open(ctx, mv.sealed)
+			if err == nil {
+				var lo, hi int
+				if lo, hi, err = mv.sealed.SubmitWindow(p.q.Start, p.q.End); err == nil && hi-lo < mv.sealed.Rows() {
+					cur.Seek(lo, hi)
+				}
+			}
+			for err == nil {
+				var r *slurm.Record
+				if r, err = cur.Next(); r == nil {
+					break
+				}
+				for mv.sorted && len(mem) > 0 && cmpRecords(&mem[0], r) < 0 {
+					if p.keep(&mem[0]) && !emit(&mem[0]) {
+						return shards, rows
+					}
+					mem = mem[1:]
+				}
+				if !emit(r) {
+					return shards, rows
+				}
+			}
+			if err != nil {
+				yield(nil, err)
+				return shards, rows
+			}
+		}
+		for j := range mem {
+			if p.keep(&mem[j]) && !emit(&mem[j]) {
+				return shards, rows
+			}
+		}
+	}
+	return shards, rows
 }
 
 // Scan streams matching records in emission order without copying them:
-// yielded pointers alias store-owned shard storage, so consumers that
-// retain a record must copy it and must not mutate through the pointer.
-// On a binary-backed store a full Scan materialises each touched shard
-// once and caches it. An invalid query yields a single terminal error
-// (including a decode error from a corrupt binary shard). A Scan
-// concurrent with Add/Finalize is safe and sees a consistent
-// per-shard view — each shard is either pre- or post-mutation; use
-// Generation to detect that the answer may already be stale.
-func (s *Store) Scan(q Query) slurm.RecordSeq {
-	return s.scan(context.Background(), q, nil)
-}
+// a yielded record is valid only until the next iteration — sealed rows
+// are decoded into one record the scan reuses (TRES maps included), and
+// in-memory rows alias store-owned storage — so a consumer that retains a
+// record clones it (slurm.Record.Clone) and none may mutate through the
+// pointer. An invalid query yields a single terminal error; so does a
+// corrupt sealed shard, before the first row of that shard. A Scan
+// concurrent with Add/AppendBatch/Finalize is safe and reads the store as
+// it stood when the iteration began; use Generation to detect that the
+// answer may already be stale.
+func (s *Store) Scan(q Query) slurm.RecordSeq { return s.ScanCtx(context.Background(), q) }
 
 // ScanCtx is Scan under a request context: when ctx carries an active
 // obs span, the pass reports itself as a "store-scan" child span with
-// shard/row attributes, and any lazy shard decode it triggers reports
-// under it — how a serving-plane request decomposes a slow scan.
+// shard/row attributes, and any first load of a sealed column it triggers
+// reports under it — how a serving-plane request decomposes a slow scan.
 func (s *Store) ScanCtx(ctx context.Context, q Query) slurm.RecordSeq {
-	return s.scan(ctx, q, nil)
-}
-
-// scan is Scan with an optional column projection: when proj is
-// non-nil, lazy binary shards decode only those columns (transiently,
-// uncached) instead of materialising. Projected records have every
-// unprojected field zero, so proj must cover the query's filter fields —
-// projection for a Write field selection is computed by Query.columns.
-//
-// When the store's decode pool allows more than one worker and several
-// lazy shards are in play, shard decodes run concurrently: a full scan
-// parallel-materialises the overlapping lazy months up front, and a
-// projected scan decodes shards up to a pool's width ahead of the
-// consumer. Both stream months in order, so the yielded sequence is
-// identical to the sequential path's at every worker count — including
-// where a corrupt shard's error surfaces.
-func (s *Store) scan(ctx context.Context, q Query, proj []string) slurm.RecordSeq {
 	return func(yield func(*slurm.Record, error) bool) {
-		sp := obs.SpanFromContext(ctx).Child("store-scan")
-		var shards, rows int64
-		if sp != nil {
-			ctx = obs.ContextWithSpan(ctx, sp)
-			defer func() {
-				sp.SetAttrInt("shards", shards)
-				sp.SetAttrInt("rows", rows)
-				sp.End()
-			}()
-		}
 		_, st, filterState, err := q.validate()
 		if err != nil {
 			yield(nil, err)
 			return
 		}
-		var months []Month
-		for _, m := range s.monthsIn(&q) {
-			if s.shardOverlaps(m, &q) {
-				months = append(months, m)
-			}
+		s.scan(ctx, q.plan(st, filterState, colstore.AllColumns), yield)
+	}
+}
+
+// scan captures a view and runs p over it under a "store-scan" span,
+// returning the generation the yielded rows belong to.
+func (s *Store) scan(ctx context.Context, p *scanPlan, yield func(*slurm.Record, error) bool) uint64 {
+	sp := obs.SpanFromContext(ctx).Child("store-scan")
+	if sp != nil {
+		ctx = obs.ContextWithSpan(ctx, sp)
+		yield = spanErrors(sp, yield)
+	}
+	v := s.view(p.q)
+	shards, rows := v.run(ctx, p, yield)
+	sp.SetAttrInt("shards", shards)
+	sp.SetAttrInt("rows", rows)
+	sp.End()
+	return v.gen
+}
+
+// spanErrors notes the error a scan ends on in its span.
+func spanErrors(sp *obs.Span, yield func(*slurm.Record, error) bool) func(*slurm.Record, error) bool {
+	return func(r *slurm.Record, err error) bool {
+		if err != nil {
+			sp.SetAttr("error", err.Error())
 		}
-		// stop distinguishes an early consumer stop from shard
-		// exhaustion across both emit paths.
-		stop := false
-		emit := func(shard []slurm.Record, sorted bool) bool {
-			shards++
-			lo, hi := s.window(shard, sorted, &q)
-			for i := lo; i < hi; i++ {
-				if !q.matches(&shard[i], st, filterState) {
-					continue
-				}
-				rows++
-				if !yield(&shard[i], nil) {
-					stop = true
-					return false
-				}
-			}
-			return true
-		}
-		if workers := s.DecodeWorkers(); workers > 1 && len(months) > 1 && s.hasLazy() {
-			if proj == nil {
-				// Parallel-materialise the lazy overlapping months up
-				// front. A decode error is deliberately dropped here:
-				// the failing shard stays lazy, and the in-order loop
-				// below re-surfaces the error at exactly the shard the
-				// sequential path would have.
-				_ = s.warmMonths(ctx, s.lazyAmong(months))
-			} else {
-				// Ordered prefetch: transient projected decodes run up
-				// to a pool's width ahead of the consumer.
-				s.prefetchViews(ctx, months, proj, workers, func(v shardViewResult) bool {
-					if v.err != nil {
-						sp.SetAttr("error", v.err.Error())
-						yield(nil, v.err)
-						stop = true
-						return false
-					}
-					return emit(v.recs, v.sorted)
-				})
-				return
-			}
-		}
-		for _, m := range months {
-			if stop {
-				return
-			}
-			shard, sorted, err := s.shardView(ctx, m, proj)
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-				yield(nil, err)
-				return
-			}
-			if !emit(shard, sorted) {
-				return
-			}
-		}
+		return yield(r, err)
 	}
 }
 
 // SnapshotCtx is a full scan (steps included) pinned to one generation:
-// it materialises any lazy shards, then captures every shard and the
-// generation under a single read lock, so the returned sequence yields
-// exactly the records of the returned generation, in Scan order, whatever
-// lands while the caller iterates. Like ScanCtx it reports a "store-scan"
-// span (the capture and any shard decode it triggers) and yields pointers
-// into store-owned storage.
-func (s *Store) SnapshotCtx(ctx context.Context) (uint64, slurm.RecordSeq, error) {
+// it captures every month and the generation under a single read lock, so
+// the returned sequence yields exactly the records of the returned
+// generation, in Scan order, whatever lands while the caller iterates.
+// fields names what the consumer reads of each record (nil for all);
+// sealed rows decode only the columns behind them. Like ScanCtx it
+// reports a "store-scan" span — the capture and the first load of any
+// sealed column in the projection, which is also where a corrupt shard
+// fails the call — and yields records valid until the next iteration.
+func (s *Store) SnapshotCtx(ctx context.Context, fields []string) (uint64, slurm.RecordSeq, error) {
+	cols := colstore.AllColumns
+	if fields != nil {
+		var err error
+		if cols, err = colstore.ColumnsFor(fields...); err != nil {
+			return 0, nil, fmt.Errorf("sacct: %w", err)
+		}
+	}
+	p := &scanPlan{q: &Query{IncludeSteps: true}, cols: cols}
 	sp := obs.SpanFromContext(ctx).Child("store-scan")
 	if sp != nil {
 		ctx = obs.ContextWithSpan(ctx, sp)
 		defer sp.End()
 	}
-	_, shards, gen, err := s.snapshot(ctx)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-		return 0, nil, err
+	v := s.view(p.q)
+	sp.SetAttrInt("shards", int64(len(v.months)))
+	sp.SetAttrInt("rows", int64(v.rows()))
+	if v.merges {
+		cols |= mergeKey
 	}
-	rows := 0
-	for _, shard := range shards {
-		rows += len(shard)
-	}
-	sp.SetAttrInt("shards", int64(len(shards)))
-	sp.SetAttrInt("rows", int64(rows))
-	return gen, func(yield func(*slurm.Record, error) bool) {
-		for _, shard := range shards {
-			for i := range shard {
-				if !yield(&shard[i], nil) {
-					return
-				}
+	for i := range v.months {
+		if sh := v.months[i].sealed; sh != nil {
+			if err := sh.Load(ctx, cols); err != nil {
+				sp.SetAttr("error", err.Error())
+				return 0, nil, err
 			}
 		}
+	}
+	return v.gen, func(yield func(*slurm.Record, error) bool) {
+		v.run(context.Background(), p, yield)
 	}, nil
 }
 
-// lazyAmong filters months down to those still lazy on disk.
-func (s *Store) lazyAmong(months []Month) []Month {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Month, 0, len(months))
-	for _, m := range months {
-		if _, ok := s.lazy[m]; ok {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// Select returns matching records (copies) in shard order. It is a
-// collect-wrapper over Scan for callers that need an owned slice.
+// Select returns matching records in scan order as owned copies. It is a
+// collect-wrapper over Scan for callers that need a slice.
 func (s *Store) Select(q Query) ([]slurm.Record, error) {
 	var out []slurm.Record
 	for r, err := range s.Scan(q) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, *r)
+		out = append(out, r.Clone())
 	}
 	return out, nil
 }
 
-// columns maps the resolved field selection plus every field the query
-// filters or windows on to the colstore columns a projected scan must
-// decode. A nil result means "no useful projection" (full selection).
-func (q *Query) columns(fields []string) []string {
-	if len(q.Fields) == 0 {
-		return nil // full curated selection — every column is needed
-	}
-	need := make([]string, 0, len(fields)+6)
-	need = append(need, fields...)
-	if !q.IncludeSteps {
-		need = append(need, "JobID") // step detection
-	}
-	if !q.Start.IsZero() || !q.End.IsZero() {
-		need = append(need, "Submit") // window checks + binary search
-	}
-	if q.User != "" {
-		need = append(need, "User")
-	}
-	if q.Account != "" {
-		need = append(need, "Account")
-	}
-	if q.Partition != "" {
-		need = append(need, "Partition")
-	}
-	if q.State != "" {
-		need = append(need, "State")
-	}
-	cols, err := colstore.ColumnsFor(need)
-	if err != nil {
-		return nil // unknown field: let validate report it on the scan
-	}
-	return cols
-}
-
 // Write emits matching rows as pipe-separated text with a header, the
-// format the workflow's "Obtain data" stage stores on disk. On a
-// binary-backed store with an explicit field selection, only the
-// selected (plus filtered) columns are decoded.
+// format the workflow's "Obtain data" stage stores on disk. Sealed rows
+// decode only the selected (plus filtered) columns.
 func (s *Store) Write(w io.Writer, q Query) (int, error) {
 	return s.WriteNCtx(context.Background(), w, q, 0)
 }
@@ -383,62 +383,76 @@ func (s *Store) WriteN(w io.Writer, q Query, limit int) (int, error) {
 }
 
 // WriteNCtx is WriteN under a request context, reporting the underlying
-// scan (and any shard decode it triggers) as spans per ScanCtx.
+// scan (and any first column load it triggers) as spans per ScanCtx.
 func (s *Store) WriteNCtx(ctx context.Context, w io.Writer, q Query, limit int) (int, error) {
-	fields, _, _, err := q.validate()
+	tw := textWriter{w: w}
+	n, _, err := s.writeText(ctx, &tw, &q, limit)
 	if err != nil {
-		return 0, err
-	}
-	var proj []string
-	if s.hasLazy() {
-		proj = q.columns(fields)
-	}
-	tw, err := newTextWriter(w, fields)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for r, err := range s.scan(ctx, q, proj) {
-		if err != nil {
-			return n, err
-		}
-		n++
-		if err := tw.record(r); err != nil {
-			return n, err
-		}
-		if limit > 0 && n >= limit {
-			break
-		}
+		return n, err
 	}
 	return n, tw.flush()
 }
 
-// textWriter is the store's text emit path, shared by Write and Dump:
-// one slurm.Encoder appending rows into one buffer that is handed to w
-// and reused each time it passes flushAt. The buffer starts empty and
-// grows by append, so a short answer costs what it holds (a /query miss
-// of a few rows must not pay for a bulk dump's buffer) and a long one
-// stops allocating once the buffer has grown past flushAt.
+// AppendQueryCtx is WriteNCtx into memory: it appends the header and the
+// matching rows to dst and returns the extended buffer, the row count,
+// and the generation those rows belong to — they come from one capture
+// of the store, so the label holds whatever lands during the scan.
+func (s *Store) AppendQueryCtx(ctx context.Context, dst []byte, q Query, limit int) ([]byte, int, uint64, error) {
+	tw := textWriter{buf: dst}
+	n, gen, err := s.writeText(ctx, &tw, &q, limit)
+	return tw.buf, n, gen, err
+}
+
+func (s *Store) writeText(ctx context.Context, tw *textWriter, q *Query, limit int) (n int, gen uint64, err error) {
+	fields, st, filterState, err := q.validate()
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := tw.header(fields); err != nil {
+		return 0, 0, err
+	}
+	cols, err := colstore.ColumnsFor(fields...)
+	if err != nil {
+		cols = colstore.AllColumns // a field no column backs: the encoder reads what it reads
+	}
+	gen = s.scan(ctx, q.plan(st, filterState, cols), func(r *slurm.Record, rerr error) bool {
+		if err = rerr; err == nil {
+			n++
+			err = tw.record(r)
+		}
+		return err == nil && (limit <= 0 || n < limit)
+	})
+	return n, gen, err
+}
+
+// textWriter is the store's text emit path, shared by Write, Dump and
+// AppendQueryCtx: one slurm.Encoder appending rows into one buffer. With a
+// sink, the buffer is handed to w and reused each time it passes flushAt;
+// without one it just grows and is the result. Either way it starts from
+// what the caller gave (nothing, for Write) and grows by append, so a
+// short answer costs what it holds (a /query miss of a few rows must not
+// pay for a bulk dump's buffer) and a long one stops allocating once the
+// buffer has grown past flushAt.
 type textWriter struct {
-	w   io.Writer
+	w   io.Writer // nil: keep everything in buf
 	enc *slurm.Encoder
 	buf []byte
 }
 
 const flushAt = 1 << 16
 
-// newTextWriter resolves fields and buffers the header line.
-func newTextWriter(w io.Writer, fields []string) (*textWriter, error) {
-	enc, err := slurm.NewEncoder(fields)
-	if err != nil {
-		return nil, err
+// header resolves fields and buffers the header line.
+func (t *textWriter) header(fields []string) (err error) {
+	if t.enc, err = slurm.NewEncoder(fields); err != nil {
+		return err
 	}
-	return &textWriter{w: w, enc: enc, buf: append(enc.AppendHeader(nil), '\n')}, nil
+	t.buf = append(t.enc.AppendHeader(t.buf), '\n')
+	return nil
 }
 
 func (t *textWriter) record(r *slurm.Record) error {
 	t.buf = append(t.enc.AppendRecord(t.buf, r), '\n')
-	if len(t.buf) > flushAt {
+	if t.w != nil && len(t.buf) > flushAt {
 		return t.flush()
 	}
 	return nil

@@ -73,32 +73,32 @@ func ParseMonth(s string) (Month, error) {
 	return MonthOf(t), nil
 }
 
-// Store is an in-memory accounting database sharded by submission month.
+// Store is an accounting database sharded by submission month. A month
+// is two parts, either of which may be empty: sealed rows, the month's
+// shard of the columnar file the store was opened from, which stay on
+// disk as mapped columns and are read through a colstore.Cursor; and an
+// in-memory []Record of what Add, AppendBatch and Ingest put there since.
+// A scan merges the two — sealed rows first where the keys tie, which is
+// where a stable sort of sealed-then-added rows puts them — so a store
+// opened from a dump and appended to reads exactly like a text-loaded
+// store of the same rows, while holding Records only for the appended
+// tail.
+//
 // Queries, Add, AppendBatch, and Finalize may run concurrently: mutators
 // never write through record storage a reader could be holding (Finalize
 // and a late AppendBatch build a fresh slice and swap the shard pointer;
-// Add and a tail AppendBatch append past every captured length), so a
-// scan started before a mutation sees a consistent pre-mutation view of
-// each shard it visits.
-//
-// A store opened with OpenBinary starts lazy: each month shard stays on
-// disk as columns until the first full scan touches it (at which point
-// it materialises once and is cached), and projected queries through
-// Write decode only the columns the field selection needs.
+// Add and a tail AppendBatch append past every captured length), sealed
+// rows never change, and a scan reads one capture of every month it
+// visits, taken under one lock together with the generation it belongs to.
 type Store struct {
 	mu     sync.RWMutex
-	shards map[Month][]slurm.Record
-	sorted map[Month]bool       // shard known to be in recordLess order
-	ranges map[Month]shardRange // actual submit extent of materialised shards
-
-	lazy map[Month]*colstore.Shard // binary shards not yet materialised
-	bin  *colstore.File            // backing columnar file; nil for text stores
+	shards map[Month][]slurm.Record  // the in-memory rows of each month
+	sorted map[Month]bool            // shards[m] known to be in recordCmp order
+	ranges map[Month]shardRange      // submit extent of every populated month, sealed rows included
+	sealed map[Month]*colstore.Shard // the sealed rows of each month, in recordCmp order
+	bin    *colstore.File            // backing columnar file; nil for text stores
 
 	gen atomic.Uint64 // bumped on every successful logical mutation
-
-	// decWorkers caps concurrent shard decodes (0 = GOMAXPROCS); see
-	// SetDecodeWorkers in parallel.go.
-	decWorkers atomic.Int32
 }
 
 // shardRange is a shard's actual submit extent in unix nanoseconds,
@@ -123,7 +123,7 @@ func NewStore() *Store {
 		shards: map[Month][]slurm.Record{},
 		sorted: map[Month]bool{},
 		ranges: map[Month]shardRange{},
-		lazy:   map[Month]*colstore.Shard{},
+		sealed: map[Month]*colstore.Shard{},
 	}
 }
 
@@ -139,7 +139,11 @@ func (s *Store) Generation() uint64 { return s.gen.Load() }
 // assigns job ids in submission order, this coincides with plain job-id
 // order for simulated traces while letting queries binary-search the
 // submit window.
-func recordCmp(a, b slurm.Record) int {
+func recordCmp(a, b slurm.Record) int { return cmpRecords(&a, &b) }
+
+// cmpRecords is recordCmp without the two 760-byte copies, for the walks
+// that compare every row.
+func cmpRecords(a, b *slurm.Record) int {
 	if !a.Submit.Equal(b.Submit) {
 		if a.Submit.Before(b.Submit) {
 			return -1
@@ -149,38 +153,39 @@ func recordCmp(a, b slurm.Record) int {
 	return slurm.CompareJobID(a.ID, b.ID)
 }
 
-// recordLess is recordCmp as a less-predicate, for binary searches.
-func recordLess(a, b *slurm.Record) bool { return recordCmp(*a, *b) < 0 }
-
-// Add inserts records, sharding by submission month. Adding into a
-// month still lazy on disk materialises that shard first so the new
-// records land behind the stored ones.
+// Add inserts records, sharding by submission month. Records for a month
+// with sealed rows land in its in-memory part, behind the sealed ones.
 //
-// A materialisation failure (a corrupt backing shard) aborts the insert
-// at the failing record and returns the decode error: records earlier
-// in the batch stay inserted, the failing record and everything after
-// it do not, and the corrupt month keeps its on-disk rows visible to
-// Months/Len and its error surfacing on every later scan — nothing is
-// silently dropped on either side.
-func (s *Store) Add(records ...slurm.Record) error { return s.add(records, nil) }
-
-// add is Add with an optional size hint: reserve[m] is how many records
-// the caller is about to add to month m across this and later calls, and
-// the month's shard is grown by that much, once, when its first record
-// lands (the entry is then dropped from reserve).
-func (s *Store) add(records []slurm.Record, reserve map[Month]int) error {
+// Before the first record joins a sealed month, every column of that
+// shard is verified. A corrupt shard aborts the insert at that record and
+// returns the error: records earlier in the batch stay inserted, the
+// failing record and everything after it do not, and the corrupt month
+// keeps its on-disk rows visible to Months/Len and its error surfacing on
+// every later scan — nothing is silently dropped on either side.
+func (s *Store) Add(records ...slurm.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	added := false
+	n, err := s.addLocked(records, nil)
+	if n > 0 {
+		s.gen.Add(1)
+	}
+	return err
+}
+
+// addLocked appends records to their months' in-memory rows, stopping at
+// the first that a corrupt sealed shard refuses, and reports how many
+// landed; the caller holds s.mu and moves the generation. reserve, if
+// non-nil, is a size hint: reserve[m] is how many records the caller is
+// about to add to month m across this and later calls, and the month's
+// slice is grown by that much, once, when its first record lands (the
+// entry is then dropped).
+func (s *Store) addLocked(records []slurm.Record, reserve map[Month]int) (int, error) {
 	for i := range records {
 		r := &records[i]
 		m := MonthOf(r.Submit)
-		if _, ok := s.lazy[m]; ok {
-			if err := s.materializeLocked(context.Background(), m); err != nil {
-				if added {
-					s.gen.Add(1)
-				}
-				return fmt.Errorf("sacct: add into shard %s: %w", m, err)
+		if sh := s.sealed[m]; sh != nil {
+			if err := sh.Load(context.Background(), colstore.AllColumns); err != nil {
+				return i, fmt.Errorf("sacct: add into shard %s: %w", m, err)
 			}
 		}
 		if rg, ok := s.ranges[m]; ok {
@@ -196,12 +201,8 @@ func (s *Store) add(records []slurm.Record, reserve map[Month]int) error {
 		}
 		s.shards[m] = append(shard, *r)
 		delete(s.sorted, m)
-		added = true
 	}
-	if added {
-		s.gen.Add(1)
-	}
-	return nil
+	return len(records), nil
 }
 
 // AppendBatch is the live-append path: it lands one batch atomically —
@@ -210,13 +211,15 @@ func (s *Store) add(records []slurm.Record, reserve map[Month]int) error {
 //
 // The batch is sorted in place by recordCmp (stably, so duplicate
 // (submit, id) keys keep arrival order), and on return records is in the
-// order a scan visits it. Every target month still lazy on disk is
-// materialised before any shard changes, so a corrupt backing shard
-// refuses the whole batch: nothing lands and the generation stays put.
-// A month's rows that sort at or after its shard's last record append in
-// place; otherwise shard and rows merge into one fresh slice, leaving
-// scans that hold the old slice on their pre-append view. The result is
-// the shard order Add followed by Finalize would produce.
+// order a scan visits it. Every sealed shard the batch reaches is
+// verified, all columns, before anything changes, so a corrupt backing
+// shard refuses the whole batch: nothing lands and the generation stays
+// put. The rows join their month's in-memory part — appended in place
+// when they sort at or after its last record, merged with it into one
+// fresh slice otherwise, leaving scans that hold the old slice on their
+// pre-append view — and the sealed part is never touched: a scan's merge
+// is what puts a late row between two sealed ones. The result is the scan
+// order Add followed by Finalize would produce.
 //
 // tail reports that the whole batch landed behind every record the store
 // held before the call — a full scan of the new store is the old scan
@@ -229,16 +232,24 @@ func (s *Store) AppendBatch(records []slurm.Record) (gen uint64, tail bool, err 
 	if len(records) == 0 {
 		return s.gen.Load(), true, nil
 	}
+	last, populated := s.lastMonthLocked()
+	// The batch can only be a tail if its rows for the last month sort
+	// behind that month's sealed rows; their last key is read here, with
+	// the verification, while refusing the batch is still free.
+	var sealedTail *slurm.Record
 	for i := range records {
 		m := MonthOf(records[i].Submit)
-		if _, ok := s.lazy[m]; !ok {
+		sh := s.sealed[m]
+		if sh == nil || i > 0 && MonthOf(records[i-1].Submit) == m {
 			continue
 		}
-		if err := s.materializeLocked(context.Background(), m); err != nil {
+		if err = sh.Load(context.Background(), colstore.AllColumns); err == nil && populated && m == last {
+			sealedTail, err = lastKey(sh)
+		}
+		if err != nil {
 			return s.gen.Load(), false, fmt.Errorf("sacct: append into shard %s: %w", m, err)
 		}
 	}
-	last, populated := s.lastMonthLocked()
 	tail = true
 	for lo := 0; lo < len(records); {
 		m := MonthOf(records[lo].Submit)
@@ -250,13 +261,14 @@ func (s *Store) AppendBatch(records []slurm.Record) (gen uint64, tail bool, err 
 		lo = hi
 		shard := s.shards[m]
 		switch {
-		case len(shard) == 0 || s.sorted[m] && recordCmp(shard[len(shard)-1], part[0]) <= 0:
+		case len(shard) == 0 || s.sorted[m] && cmpRecords(&shard[len(shard)-1], &part[0]) <= 0:
 			s.shards[m] = append(shard, part...)
-			tail = tail && !(populated && m.Before(last))
+			tail = tail && !(populated && m.Before(last)) &&
+				!(m == last && sealedTail != nil && cmpRecords(sealedTail, &part[0]) > 0)
 		case s.sorted[m]:
 			s.shards[m] = mergeBehind(shard, part)
 			tail = false
-		default: // Add left the shard awaiting Finalize: finalize it here
+		default: // Add left the rows awaiting Finalize: finalize them here
 			shard = append(slices.Clip(shard), part...)
 			slices.SortStableFunc(shard, recordCmp)
 			s.shards[m] = shard
@@ -273,7 +285,19 @@ func (s *Store) AppendBatch(records []slurm.Record) (gen uint64, tail bool, err 
 	return s.gen.Add(1), tail, nil
 }
 
-// lastMonthLocked returns the latest populated month, lazy shards
+// lastKey reads the (Submit, JobID) of a sealed shard's last row; nil for
+// an empty shard.
+func lastKey(sh *colstore.Shard) (*slurm.Record, error) {
+	cur := colstore.NewCursor(nil, mergeKey)
+	defer cur.Close()
+	if err := cur.Open(context.Background(), sh); err != nil {
+		return nil, err
+	}
+	cur.Seek(sh.Rows()-1, sh.Rows())
+	return cur.Next()
+}
+
+// lastMonthLocked returns the latest populated month, sealed rows
 // included. The caller holds s.mu.
 func (s *Store) lastMonthLocked() (last Month, ok bool) {
 	for m, shard := range s.shards {
@@ -281,7 +305,7 @@ func (s *Store) lastMonthLocked() (last Month, ok bool) {
 			last, ok = m, true
 		}
 	}
-	for m, sh := range s.lazy {
+	for m, sh := range s.sealed {
 		if sh.Rows() > 0 && (!ok || last.Before(m)) {
 			last, ok = m, true
 		}
@@ -297,7 +321,7 @@ func mergeBehind(shard, part []slurm.Record) []slurm.Record {
 	from := 0
 	for i := range part {
 		at := from + sort.Search(len(shard)-from, func(j int) bool {
-			return recordCmp(shard[from+j], part[i]) > 0
+			return cmpRecords(&shard[from+j], &part[i]) > 0
 		})
 		out = append(append(out, shard[from:at]...), part[i])
 		from = at
@@ -305,9 +329,13 @@ func mergeBehind(shard, part []slurm.Record) []slurm.Record {
 	return append(out, shard[from:]...)
 }
 
-// Ingest loads a complete simulation result (jobs and steps). The
-// result's size is known up front, so each month shard is grown once to
-// what the result adds to it, instead of by doubling under Add.
+// Ingest loads a complete simulation result, each job followed by its
+// own steps (Result.StepsPerJob says how many of Steps those are) — which
+// is recordCmp order, so the Finalize that follows finds every shard
+// sorted and copies nothing. The result's size is known up front, so each
+// month's slice is grown once to what the result adds to it, instead of
+// by doubling under Add. A result whose counts do not add up to its steps
+// still loads whole: Finalize sorts what this order did not.
 func (s *Store) Ingest(res *sched.Result) error {
 	reserve := map[Month]int{}
 	for _, recs := range [][]slurm.Record{res.Jobs, res.Steps} {
@@ -315,30 +343,56 @@ func (s *Store) Ingest(res *sched.Result) error {
 			reserve[MonthOf(recs[i].Submit)]++
 		}
 	}
-	if err := s.add(res.Jobs, reserve); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	added := 0
+	defer func() {
+		if added > 0 {
+			s.gen.Add(1)
+		}
+	}()
+	add := func(recs []slurm.Record) error {
+		n, err := s.addLocked(recs, reserve)
+		added += n
 		return err
 	}
-	return s.add(res.Steps, reserve)
+	steps := res.Steps
+	for i := range res.Jobs {
+		n := 0
+		if i < len(res.StepsPerJob) {
+			n = max(0, min(res.StepsPerJob[i], len(steps)))
+		}
+		if err := add(res.Jobs[i : i+1]); err != nil {
+			return err
+		}
+		if err := add(steps[:n]); err != nil {
+			return err
+		}
+		steps = steps[n:]
+	}
+	return add(steps) // more steps than the counts spoke for
 }
 
-// Finalize puts every materialised shard in emission order (recordCmp).
-// Call after ingestion or a batch of Adds. Shards whose records already
-// arrived in order — the common case when reloading a Dump — are
-// detected with a linear is-sorted check and skipped instead of
-// re-sorted. A shard that does need sorting is sorted into a fresh copy
-// and swapped in, so concurrent scans holding the old slice keep a
-// consistent view. Lazy binary shards are left on disk; they sort (if
-// needed) when materialised.
+// Finalize puts every month's in-memory rows in emission order
+// (recordCmp). Call after ingestion or a batch of Adds. Rows that already
+// arrived in order — the common case when reloading a Dump or ingesting a
+// simulation — are detected with a linear is-sorted check and skipped
+// instead of re-sorted. Rows that do need sorting are sorted into a fresh
+// copy and swapped in, so concurrent scans holding the old slice keep a
+// consistent view. Sealed rows are in order already.
 func (s *Store) Finalize() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	reordered := false
-	for m := range s.shards {
+	for m, shard := range s.shards {
 		if s.sorted[m] {
 			continue
 		}
-		shard := s.shards[m]
-		if !slices.IsSortedFunc(shard, recordCmp) {
+		inOrder := true
+		for i := 1; i < len(shard) && inOrder; i++ {
+			inOrder = cmpRecords(&shard[i-1], &shard[i]) <= 0
+		}
+		if !inOrder {
 			shard = slices.Clone(shard)
 			slices.SortStableFunc(shard, recordCmp)
 			s.shards[m] = shard
@@ -351,16 +405,16 @@ func (s *Store) Finalize() {
 	}
 }
 
-// Months returns the populated shards in chronological order, lazy
-// binary shards included.
+// Months returns the populated shards in chronological order, sealed
+// shards included.
 func (s *Store) Months() []Month {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Month, 0, len(s.shards)+len(s.lazy))
+	out := make([]Month, 0, len(s.shards)+len(s.sealed))
 	for m := range s.shards {
 		out = append(out, m)
 	}
-	for m := range s.lazy {
+	for m := range s.sealed {
 		if _, ok := s.shards[m]; !ok {
 			out = append(out, m)
 		}
@@ -369,8 +423,8 @@ func (s *Store) Months() []Month {
 	return out
 }
 
-// Len returns the total record count, counting lazy shards from their
-// footers without decoding them.
+// Len returns the total record count, counting sealed rows from their
+// footers without reading them.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -378,56 +432,17 @@ func (s *Store) Len() int {
 	for _, shard := range s.shards {
 		n += len(shard)
 	}
-	for m, sh := range s.lazy {
-		if _, ok := s.shards[m]; !ok {
-			n += sh.Rows()
-		}
+	for _, sh := range s.sealed {
+		n += sh.Rows()
 	}
 	return n
-}
-
-// snapshot materialises any lazy shards, then returns every populated
-// month with its record slice, and the generation they belong to, under
-// a single read lock — so a concurrent mutation cannot interleave
-// between shards mid-iteration or between the shards and their label.
-// The returned slices alias store storage; callers must not mutate them.
-func (s *Store) snapshot(ctx context.Context) ([]Month, [][]slurm.Record, uint64, error) {
-	if err := s.warmMonths(ctx, nil); err != nil {
-		return nil, nil, 0, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	months := make([]Month, 0, len(s.shards))
-	for m := range s.shards {
-		months = append(months, m)
-	}
-	slices.SortFunc(months, Month.Compare)
-	shards := make([][]slurm.Record, len(months))
-	for i, m := range months {
-		shards[i] = s.shards[m]
-	}
-	return months, shards, s.gen.Load(), nil
 }
 
 // Dump writes the full store as pipe-separated text with the complete
 // curated field selection, suitable for Load.
 func (s *Store) Dump(w io.Writer) error {
-	_, shards, _, err := s.snapshot(context.Background())
-	if err != nil {
-		return err
-	}
-	tw, err := newTextWriter(w, slurm.SelectedNames())
-	if err != nil {
-		return err
-	}
-	for _, shard := range shards {
-		for i := range shard {
-			if err := tw.record(&shard[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return tw.flush()
+	_, err := s.Write(w, Query{IncludeSteps: true})
+	return err
 }
 
 // DumpFile writes the store to a file.

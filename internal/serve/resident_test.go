@@ -2,22 +2,27 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"slurmsight/internal/analyze"
+	"slurmsight/internal/cluster"
 	"slurmsight/internal/core"
 	"slurmsight/internal/obs"
 	"slurmsight/internal/sacct"
+	"slurmsight/internal/sched"
 	"slurmsight/internal/slurm"
+	"slurmsight/internal/tracegen"
 )
 
 var liveFields = []string{"JobID", "User", "Account", "Partition", "Submit", "Start", "End", "Elapsed", "Timelimit", "State", "NNodes", "NCPUS", "Backfill", "Comment"}
@@ -114,9 +119,9 @@ func checkFigures(t *testing.T, h http.Handler, store *sacct.Store, gen uint64, 
 // TestResidentBundleMatchesColdCollect drives a seeded stream of batches
 // of every shape a live store meets — tail, late into an old month,
 // across a month boundary, duplicate (submit, id) keys, unsorted inside
-// the batch, and a period file tailed by a Watcher behind the server's
-// back — and after each one requires all seven figures, at the acked
-// generation, to be byte-identical to a cold collect of the same store.
+// the batch, and a period file tailed by a Watcher — and after each one
+// requires all seven figures, at the acked generation, to be
+// byte-identical to a cold collect of the same store.
 func TestResidentBundleMatchesColdCollect(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -131,7 +136,7 @@ func TestResidentBundleMatchesColdCollect(t *testing.T) {
 			return tailRec
 		}
 
-		// Three months on disk, still lazy when the first batch arrives.
+		// Three months on disk, untouched when the first batch arrives.
 		mem := sacct.NewStore()
 		var all []slurm.Record
 		for cursor.Before(start.AddDate(0, 2, 20)) {
@@ -167,7 +172,10 @@ func TestResidentBundleMatchesColdCollect(t *testing.T) {
 		if err := os.WriteFile(period, []byte(slurm.Header(liveFields)+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		watcher := &Watcher{Path: period, Store: store}
+		watcher := &Watcher{Path: period, Server: srv}
+		bundlePath := func(path string) int64 {
+			return reg.Counter(obs.Label("serve_figure_bundle_total", "path", path)).Value()
+		}
 
 		kinds := []string{"late", "tail", "tail", "span", "dup", "tail", "shuffled", "watcher", "tail", "late"}
 		for i := 0; i < 30; i++ {
@@ -199,6 +207,7 @@ func TestResidentBundleMatchesColdCollect(t *testing.T) {
 			when := "seed " + strconv.FormatInt(seed, 10) + " batch " + strconv.Itoa(i) + " (" + kind + ")"
 
 			gen0 := store.Generation()
+			incremental0, recollect0 := bundlePath("incremental"), bundlePath("recollect")
 			var gen uint64
 			if kind == "watcher" {
 				f, err := os.OpenFile(period, os.O_APPEND|os.O_WRONLY, 0)
@@ -229,6 +238,12 @@ func TestResidentBundleMatchesColdCollect(t *testing.T) {
 				t.Fatalf("%s: generation %d → %d, want one step per batch", when, gen0, gen)
 			}
 			checkFigures(t, h, store, gen, when)
+			// A tailed batch reaches the resident bundle like a POSTed one:
+			// the figures that follow it absorb it and nothing re-collects.
+			if kind == "watcher" && (bundlePath("incremental") == incremental0 || bundlePath("recollect") != recollect0) {
+				t.Fatalf("%s: bundle paths after a tailed tail batch: incremental %d → %d, recollect %d → %d, want the first to move and the second not",
+					when, incremental0, bundlePath("incremental"), recollect0, bundlePath("recollect"))
+			}
 		}
 		if got := store.Len(); got != len(all) {
 			t.Fatalf("seed %d: store holds %d rows, want %d", seed, got, len(all))
@@ -239,6 +254,89 @@ func TestResidentBundleMatchesColdCollect(t *testing.T) {
 				t.Fatalf("seed %d: no figure took the %s path", seed, path)
 			}
 		}
+	}
+}
+
+// TestCollectorColumnsCoverObserve is the authority on
+// analyze.ObservedFields: over a simulated trace that fills every record
+// field, on disk as sealed columns, a bundle collected from the snapshot
+// that decodes only the declared fields renders all seven figures byte for
+// byte as one collected from full records does. A collector that starts
+// reading a field the list does not name sees zeros in the first bundle,
+// and this fails until the list names it.
+func TestCollectorColumnsCoverObserve(t *testing.T) {
+	start := time.Date(2024, 1, 20, 0, 0, 0, 0, time.UTC)
+	p := tracegen.FrontierProfile()
+	p.JobsPerDay, p.Users = 40, 30
+	reqs, err := tracegen.Generate([]tracegen.Phase{{Profile: p, Start: start, End: start.AddDate(0, 0, 25)}}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := sched.New(sched.DefaultConfig(cluster.Frontier()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run(reqs, sched.Options{EmitSteps: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := sacct.NewStore()
+	if err := mem.Ingest(res); err != nil {
+		t.Fatal(err)
+	}
+	mem.Finalize()
+	path := filepath.Join(t.TempDir(), "sim.colstore")
+	if err := mem.DumpBinaryFile(path); err != nil {
+		t.Fatal(err)
+	}
+	store, err := sacct.OpenBinary(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+
+	want, err := coldFigures(store, "cluster") // public Scan: every column
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := analyze.Collect(store.Scan(sacct.Query{IncludeSteps: true}), core.TimelineBucket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, seq, err := store.SnapshotCtx(context.Background(), analyze.ObservedFields())
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow, err := analyze.Collect(seq, core.TimelineBucket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if narrow.Records != int64(store.Len()) || narrow.Jobs == 0 || narrow.Jobs == narrow.Records {
+		t.Fatalf("the narrow bundle observed %d records, %d of them jobs, of a store of %d with steps", narrow.Records, narrow.Jobs, store.Len())
+	}
+	for _, key := range figureKeys() {
+		chart, err := core.ChartFromBundle(key, "cluster", narrow, 15, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := chart.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[key]) {
+			t.Errorf("%s: collected over %v it differs from the figure collected over full records", key, analyze.ObservedFields())
+		}
+	}
+	// The bundle's two summaries no figure shows are held to it too.
+	if len(full.Classes.Result()) < 2 || !reflect.DeepEqual(narrow.Classes.Result(), full.Classes.Result()) {
+		t.Errorf("per-class summaries differ (or the trace has under two classes):\n got %+v\nwant %+v", narrow.Classes.Result(), full.Classes.Result())
+	}
+	if narrow.Reclaim.Result() != full.Reclaim.Result() || full.Reclaim.Result() == 0 {
+		t.Errorf("reclaimable node-hours %v, want %v", narrow.Reclaim.Result(), full.Reclaim.Result())
+	}
+	stats, _ := store.ColstoreStats()
+	if months := int64(len(store.Months())); stats.ColumnsRead != (2*59+int64(len(analyze.ObservedFields())))*months {
+		t.Errorf("the three collects read %d columns over %d months, want 59, 59 and %d a month", stats.ColumnsRead, months, len(analyze.ObservedFields()))
 	}
 }
 

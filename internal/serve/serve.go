@@ -224,8 +224,9 @@ func (s *Server) throttled(h http.HandlerFunc) http.HandlerFunc {
 // handleQuery answers GET /query: the sacct.Query surface as URL
 // parameters (fields, start, end, user, account, partition, state,
 // steps, limit), rendered as pipe-text. Responses carry
-// X-Store-Generation (the generation answered at), X-Cache
-// (hit/miss/coalesced), and X-Rows.
+// X-Store-Generation (the generation whose rows the body holds, which is
+// at least the one the request arrived at), X-Cache (hit/miss/coalesced),
+// and X-Rows.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q, limit, key, err := parseQuery(r.URL.Query())
 	if err != nil {
@@ -236,14 +237,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		limit = s.cfg.MaxRows
 		key += "|cap=" + strconv.Itoa(limit)
 	}
-	gen := s.store.Generation()
-	ent, outcome, err := s.cache.do(fmt.Sprintf("q|g=%d|%s", gen, key), func() (*entry, error) {
-		var buf bytes.Buffer
-		n, err := s.store.WriteNCtx(r.Context(), &buf, q, limit)
+	ent, outcome, err := s.cache.do(fmt.Sprintf("q|g=%d|%s", s.store.Generation(), key), func() (*entry, error) {
+		// The scan reads one capture of the store and says which
+		// generation it was: that, not the one in the key, labels the body
+		// when an append lands in between.
+		body, n, gen, err := s.store.AppendQueryCtx(r.Context(), nil, q, limit)
 		if err != nil {
 			return nil, err
 		}
-		body := buf.Bytes()
 		return &entry{
 			body:   body,
 			ctype:  "text/plain; charset=utf-8",
@@ -315,7 +316,7 @@ func (s *Server) chartAt(ctx context.Context, key string) (*plot.Chart, uint64, 
 	path := "cached"
 	switch {
 	case s.figBundle == nil || s.figGen != s.store.Generation():
-		gen, seq, err := s.store.SnapshotCtx(ctx)
+		gen, seq, err := s.store.SnapshotCtx(ctx, analyze.ObservedFields())
 		if err != nil {
 			return nil, 0, err
 		}
@@ -339,8 +340,8 @@ func (s *Server) chartAt(ctx context.Context, key string) (*plot.Chart, uint64, 
 	return chart, s.figGen, err
 }
 
-// appendBatch lands one decoded batch and returns the generation that
-// holds it. When the resident bundle shows the generation the append
+// appendBatch lands one decoded batch — a POST /ingest body or a
+// Watcher's poll — and returns the generation that holds it. When the resident bundle shows the generation the append
 // started from and the whole batch landed behind the store's previous
 // tail, the bundle observes the batch — the records a fresh scan would
 // visit next, in that order — and moves to the new generation. Otherwise

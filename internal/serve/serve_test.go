@@ -227,6 +227,77 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
+// midScanCtx runs land the first time the request's context is asked for
+// a value — which the store's scan does, for its span, after handleQuery
+// has read the generation for its cache key and before the scan looks at
+// a shard. It is how an append is made to land exactly in that gap.
+type midScanCtx struct {
+	context.Context
+	once *sync.Once
+	land func()
+}
+
+func (c midScanCtx) Value(key any) any {
+	c.once.Do(c.land)
+	return c.Context.Value(key)
+}
+
+// TestQueryLabelledWithTheGenerationItScanned forces an AppendBatch
+// between /query reading the store's generation and its scan: the body
+// then holds the appended row, so it must be labelled with the generation
+// that row belongs to — not the one read first, under which the response
+// cache would go on serving it as an answer about the older store.
+func TestQueryLabelledWithTheGenerationItScanned(t *testing.T) {
+	for _, binary := range []bool{false, true} {
+		store := testStore(t, 10)
+		if binary {
+			store = binaryStore(t, 10)
+		}
+		srv, err := New(Config{Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen0 := store.Generation()
+		late := testRecord(77, time.Date(2024, 1, 10, 5, 30, 0, 0, time.UTC)) // between two stored rows
+		ctx := midScanCtx{Context: context.Background(), once: new(sync.Once), land: func() {
+			if _, _, err := store.AppendBatch([]slurm.Record{late}); err != nil {
+				t.Error(err)
+			}
+		}}
+		const url = "/query?fields=JobID,User&start=2024-01-10&end=2024-01-11"
+		w := httptest.NewRecorder()
+		srv.handleQuery(w, httptest.NewRequest("GET", url, nil).WithContext(ctx))
+		if store.Generation() != gen0+1 {
+			t.Fatalf("binary %v: the append did not land mid-request: generation %d, want %d", binary, store.Generation(), gen0+1)
+		}
+
+		var want bytes.Buffer
+		rows, err := store.WriteN(&want, sacct.Query{Fields: []string{"JobID", "User"}, Start: time.Date(2024, 1, 10, 0, 0, 0, 0, time.UTC), End: time.Date(2024, 1, 11, 0, 0, 0, 0, time.UTC)}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := w.Header().Get("X-Store-Generation")
+		switch {
+		case w.Code != http.StatusOK:
+			t.Fatalf("binary %v: status %d: %s", binary, w.Code, w.Body)
+		case label == strconv.FormatUint(gen0+1, 10) && bytes.Equal(w.Body.Bytes(), want.Bytes()) && w.Header().Get("X-Rows") == strconv.Itoa(rows):
+			// the body is generation gen0+1's, and says so
+		case label == strconv.FormatUint(gen0, 10) && w.Header().Get("X-Rows") == strconv.Itoa(rows-1):
+			// the scan ran on a capture older than the append: also true
+		default:
+			t.Fatalf("binary %v: body of %s rows labelled generation %s; generation %d holds %d rows in the window and generation %d one more",
+				binary, w.Header().Get("X-Rows"), label, gen0, rows-1, gen0+1)
+		}
+
+		// The next request asks at the new generation and must not be served
+		// the mislabelled-by-key entry as an older store's answer.
+		w = serveDirect(srv.Handler(), "GET", url, nil)
+		if got := w.Header().Get("X-Store-Generation"); got != strconv.FormatUint(gen0+1, 10) || !bytes.Equal(w.Body.Bytes(), want.Bytes()) {
+			t.Fatalf("binary %v: follow-up labelled %s (X-Cache %s), want generation %d and its rows", binary, got, w.Header().Get("X-Cache"), gen0+1)
+		}
+	}
+}
+
 func TestQueryWindowAndFilters(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	resp, body := get(t, ts.URL+"/query?fields=JobID,User&user=u01&start=2024-01-01&end=2024-03-01")
@@ -408,7 +479,11 @@ func TestWatcherTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "slurm-2024-01.txt")
 	st := sacct.NewStore()
-	w := &Watcher{Path: path, Store: st}
+	srv, err := New(Config{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &Watcher{Path: path, Server: srv}
 
 	// Missing file: wait, no error.
 	if n, bad, err := w.poll(); n != 0 || bad != 0 || err != nil {

@@ -9,18 +9,19 @@ import (
 	"time"
 
 	"slurmsight/internal/obs"
-	"slurmsight/internal/sacct"
 )
 
 // Watcher tails a pipe-text period file the way an accounting host
 // appends one: it polls the file for growth and feeds every newly
-// completed row into the store, so a queryd pointed at a live
-// slurm-YYYY-MM.txt serves appends no client ever POSTs. The first line
-// ever read is the header; a shrink (rotation or truncation) resets the
-// tail to the top of the new file, header included.
+// completed row to the server as one batch, the way POST /ingest does —
+// so a queryd pointed at a live slurm-YYYY-MM.txt serves appends no
+// client ever POSTs, and the resident figure bundle absorbs them like any
+// other tail batch. The first line ever read is the header; a shrink
+// (rotation or truncation) resets the tail to the top of the new file,
+// header included.
 type Watcher struct {
 	Path     string
-	Store    *sacct.Store
+	Server   *Server
 	Interval time.Duration        // poll period; <= 0 means 2s
 	Metrics  *obs.Registry        // nil meters nothing
 	Logf     func(string, ...any) // nil discards
@@ -60,7 +61,7 @@ func (w *Watcher) Run(ctx context.Context) error {
 		malformed.Add(int64(bad))
 		if n > 0 || bad > 0 {
 			logf("watch %s: +%d rows (%d malformed), generation %d",
-				w.Path, n, bad, w.Store.Generation())
+				w.Path, n, bad, w.Server.store.Generation())
 		}
 		select {
 		case <-ctx.Done():
@@ -117,7 +118,7 @@ func (w *Watcher) poll() (added, malformed int, err error) {
 		return 0, 0, err
 	}
 	if len(batch) > 0 {
-		if _, _, err := w.Store.AppendBatch(batch); err != nil {
+		if _, err := w.Server.appendBatch(batch); err != nil {
 			return 0, malformed, err
 		}
 	}

@@ -1,6 +1,7 @@
 package slurm
 
 import (
+	"slices"
 	"strings"
 	"time"
 )
@@ -87,6 +88,20 @@ type Record struct {
 	Comment       string
 	SystemComment string
 	AdminComment  string
+}
+
+// Clone returns a copy of r that shares nothing a producer rewrites: the
+// TRES maps are copied (nil stays nil, empty stays empty). It is what a
+// consumer of a RecordSeq calls to keep a record past the iteration that
+// yielded it. Flags still points at the same strings — producers share
+// one immutable slice between every row with the same flags — clipped, so
+// that an append to the copy's cannot reach them.
+func (r *Record) Clone() Record {
+	c := *r
+	c.Flags = slices.Clip(r.Flags)
+	c.TRESUsageInAve = r.TRESUsageInAve.Clone()
+	c.TRESReq = r.TRESReq.Clone()
+	return c
 }
 
 // FlagBackfill is the Flags entry Slurm sets on jobs started by the

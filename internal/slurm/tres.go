@@ -2,6 +2,7 @@ package slurm
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -79,11 +80,5 @@ func (t TRES) Append(dst []byte) []byte {
 // Get returns the value for key, or 0 when absent.
 func (t TRES) Get(key string) int64 { return t[key] }
 
-// Clone returns a deep copy.
-func (t TRES) Clone() TRES {
-	out := make(TRES, len(t))
-	for k, v := range t {
-		out[k] = v
-	}
-	return out
-}
+// Clone returns a deep copy; a nil map's is nil.
+func (t TRES) Clone() TRES { return maps.Clone(t) }
