@@ -7,13 +7,11 @@
 package slurmsight_test
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -161,13 +159,18 @@ func BenchmarkTable1FieldSelection(b *testing.B) {
 	report("table1", fmt.Sprintf("selected %d of %d accounting fields across %d categories",
 		len(fields), len(slurm.AllFieldNames()), len(slurm.Categories())))
 	rec := &f.jobs[0]
+	header := slurm.Header(fields) + "\n"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		line, err := slurm.EncodeRecord(rec, fields)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := slurm.DecodeRecord(line, fields); err != nil {
+		br, err := slurm.NewByteRecordReader(strings.NewReader(header + line))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := br.Next(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -459,165 +462,6 @@ func BenchmarkWorkflowConcurrency(b *testing.B) {
 	}
 }
 
-// --- Streaming data plane: single-pass fan-out vs materialise-then-rescan ---
-
-// BenchmarkEndToEndAnalyze measures the full curate→analyze path over
-// fetched period files, the stage the streaming refactor targets. The
-// stream-bundle variant is what the workflow runs: one decoder pass per
-// file feeds every figure collector through an analyze.Bundle, merged in
-// period order. The slices-multipass variant is the pre-refactor shape:
-// decode every file into one record slice, sort it globally, then rescan
-// it once per figure. Both compute identical figure data (pinned by
-// TestWorkflowFiguresMatchDirectBuilders); the contrast is allocations
-// and peak footprint, tracked in EXPERIMENTS.md "Streaming data plane".
-func BenchmarkEndToEndAnalyze(b *testing.B) {
-	f := spread(b)
-	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
-	spec := sacct.FetchSpec{
-		Granularity: sacct.Monthly,
-		Start:       start,
-		End:         start.AddDate(0, 6, 0),
-	}
-	fetcher := &sacct.Fetcher{Store: f.store, CacheDir: b.TempDir(), Workers: 4}
-	files, err := fetcher.Fetch(context.Background(), spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var paths []string
-	for _, fl := range files {
-		paths = append(paths, fl.Path)
-	}
-	const bucket = 6 * time.Hour
-
-	// checkStream/checkSlices force every figure result both paths owe.
-	checkStream := func(bd *analyze.Bundle) {
-		if bd.Records == 0 ||
-			len(bd.Volume.Result()) == 0 ||
-			len(bd.Scale.Result()) == 0 ||
-			len(bd.Waits.Result()) == 0 ||
-			len(bd.Users.Result(50)) == 0 ||
-			len(bd.Backfill.Result()) == 0 ||
-			len(bd.Timeline.Result()) == 0 ||
-			len(bd.Classes.Result()) == 0 {
-			b.Fatal("empty analysis")
-		}
-		_ = bd.Reclaim.Result()
-	}
-	checkSlices := func(recs []slurm.Record) {
-		if len(recs) == 0 ||
-			len(analyze.JobStepVolume(recs)) == 0 ||
-			len(analyze.NodesVsElapsed(recs)) == 0 ||
-			len(analyze.WaitTimes(recs)) == 0 ||
-			len(analyze.StatesPerUser(recs, 50)) == 0 ||
-			len(analyze.RequestedVsActual(recs)) == 0 ||
-			len(analyze.Timeline(recs, bucket)) == 0 ||
-			len(analyze.PerClass(recs)) == 0 {
-			b.Fatal("empty analysis")
-		}
-		_ = analyze.ReclaimableNodeHours(recs)
-	}
-
-	b.Run("stream-bundle", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			merged := analyze.NewBundle(bucket)
-			for _, path := range paths {
-				part := analyze.NewBundle(bucket)
-				var rep curate.Report
-				for rec, err := range curate.StreamFile(path, "", curate.DefaultOptions(), &rep) {
-					if err != nil {
-						b.Fatal(err)
-					}
-					part.Observe(rec)
-				}
-				merged.Merge(part)
-			}
-			checkStream(merged)
-		}
-	})
-
-	// parallel-bundle runs the PR 5 ingest plane: chunked zero-alloc byte
-	// decode on opts.Workers decoders per file, per-chunk collector
-	// shards merged in chunk order. Figure data stays byte-identical to
-	// stream-bundle (pinned by TestWorkflowParallelIngestMatchesSequential);
-	// the contrast is decode cost per row and, on multi-core hosts,
-	// wall time.
-	for _, workers := range []int{2, 4} {
-		b.Run(fmt.Sprintf("parallel-bundle/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			opts := curate.DefaultOptions()
-			opts.Workers = workers
-			for i := 0; i < b.N; i++ {
-				merged := analyze.NewBundle(bucket)
-				for _, path := range paths {
-					shards := analyze.NewShardSet(bucket)
-					var rep curate.Report
-					if _, err := curate.StreamFileParallel(path, "", opts, &rep,
-						func(chunk int) func(*slurm.Record) bool {
-							sb := shards.Shard(chunk)
-							return func(rec *slurm.Record) bool {
-								sb.Observe(rec)
-								return true
-							}
-						}); err != nil {
-						b.Fatal(err)
-					}
-					part := analyze.NewBundle(bucket)
-					shards.MergeInto(part)
-					merged.Merge(part)
-				}
-				checkStream(merged)
-			}
-		})
-	}
-
-	// legacyLoad is the pre-refactor curate loader: a scanner plus one
-	// slurm.DecodeRecord (fresh Record and field split) per row,
-	// materialising every period into one slice.
-	legacyLoad := func(path string, out []slurm.Record) []slurm.Record {
-		fh, err := os.Open(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer fh.Close()
-		sc := bufio.NewScanner(fh)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		if !sc.Scan() {
-			b.Fatal("no header")
-		}
-		fields := strings.Split(strings.TrimSpace(sc.Text()), slurm.Separator)
-		for sc.Scan() {
-			line := sc.Text()
-			if strings.TrimSpace(line) == "" {
-				continue
-			}
-			rec, err := slurm.DecodeRecord(line, fields)
-			if err != nil {
-				continue
-			}
-			out = append(out, *rec)
-		}
-		if err := sc.Err(); err != nil {
-			b.Fatal(err)
-		}
-		return out
-	}
-
-	b.Run("slices-multipass", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var recs []slurm.Record
-			for _, path := range paths {
-				recs = legacyLoad(path, recs)
-			}
-			sort.SliceStable(recs, func(i, j int) bool {
-				return slurm.CompareJobID(recs[i].ID, recs[j].ID) < 0
-			})
-			checkSlices(recs)
-		}
-	})
-}
-
 // --- Scheduler core scaling ---
 
 // BenchmarkSchedulerScaling sweeps trace sizes on the Frontier profile and
@@ -722,11 +566,11 @@ func BenchmarkObsOverhead(b *testing.B) {
 				var rep curate.Report
 				opts := curate.DefaultOptions()
 				opts.Metrics = reg
-				for rec, err := range curate.StreamFile(fl.Path, "", opts, &rep) {
-					if err != nil {
-						b.Fatal(err)
-					}
-					part.Observe(rec)
+				if _, err := curate.StreamFileParallel(fl.Path, "", opts, &rep,
+					func(int) func(*slurm.Record) bool {
+						return func(rec *slurm.Record) bool { part.Observe(rec); return true }
+					}); err != nil {
+					b.Fatal(err)
 				}
 				merged.Merge(part)
 			}
@@ -753,9 +597,9 @@ func BenchmarkAblationBackfillPolicy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(backfill bool) sched.RunStats {
+	run := func(backfill string) sched.RunStats {
 		cfg := sched.DefaultConfig(cluster.Frontier())
-		cfg.EnableBackfill = backfill
+		cfg.Backfill = backfill
 		sim, err := sched.New(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -766,7 +610,7 @@ func BenchmarkAblationBackfillPolicy(b *testing.B) {
 		}
 		return res.Stats
 	}
-	on, off := run(true), run(false)
+	on, off := run("easy"), run("none")
 	report("ablation-backfill", fmt.Sprintf(
 		"  EASY backfill: mean wait %s, util %.1f%%, %d backfilled\n"+
 			"  FIFO only:     mean wait %s, util %.1f%% — backfill wins by %.1fx on wait",
@@ -775,8 +619,8 @@ func BenchmarkAblationBackfillPolicy(b *testing.B) {
 		float64(off.MeanWait())/float64(on.MeanWait()+1)))
 	for _, mode := range []struct {
 		name     string
-		backfill bool
-	}{{"easy-backfill", true}, {"fifo-only", false}} {
+		backfill string
+	}{{"easy-backfill", "easy"}, {"fifo-only", "none"}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = run(mode.backfill)

@@ -6,6 +6,11 @@
 //
 //	sacctsim -trace frontier.trace -S 2024-01-01 -E 2024-02-01 \
 //	  -o JobID,User,State,Elapsed,NNodes -s FAILED
+//
+// -convert rewrites the trace as a binary columnar shard file, the text
+// → colstore migration:
+//
+//	sacctsim -trace frontier.trace -convert frontier.colstore
 package main
 
 import (
@@ -64,6 +69,7 @@ func main() {
 		state     = flag.String("s", "", "filter by final state")
 		listOnly  = flag.Bool("months", false, "list populated months and exit")
 		jobID     = flag.String("j", "", "show one job and its steps, then exit")
+		convert   = flag.String("convert", "", "write the trace to this path as a binary columnar store, then exit")
 		format    = flag.String("store-format", "auto",
 			"trace format: auto (sniff the magic), text, or binary (columnar)")
 	)
@@ -77,6 +83,13 @@ func main() {
 	if malformed > 0 {
 		fmt.Fprintf(os.Stderr, "warning: %d malformed rows dropped on load\n", malformed)
 	}
+	if *convert != "" {
+		if err := store.DumpBinaryFile(*convert); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "%d rows -> %s\n", store.Len(), *convert)
+		return
+	}
 	if *listOnly {
 		for _, m := range store.Months() {
 			fmt.Println(m)
@@ -85,7 +98,7 @@ func main() {
 	}
 
 	if *jobID != "" {
-		id, err := slurm.ParseJobID(*jobID)
+		id, err := slurm.ParseJobIDBytes([]byte(*jobID))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -42,8 +42,8 @@ func main() {
 
 	var (
 		workers = flag.Int("n", 4, "workflow concurrency (swift-t -n)")
-		ingestW = flag.Int("ingest-workers", 1,
-			"chunk decoders per period file (>1 selects the parallel byte ingest plane, 0 = GOMAXPROCS)")
+		ingestW = flag.Int("ingest-workers", 0,
+			"chunk decoders per period file (0 = GOMAXPROCS); outputs are byte-identical at every width")
 		trace       = flag.String("trace", "trace.txt", "accounting dump to analyze")
 		storeFormat = flag.String("store-format", "auto",
 			"trace format: auto (sniff the magic), text, or binary (columnar)")

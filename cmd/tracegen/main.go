@@ -41,8 +41,7 @@ func main() {
 		format     = flag.String("format", "text", "dump format: text (pipe-separated) or binary (columnar)")
 		profile    = flag.String("profile", "", "JSON workload profile (overrides -system/-scenario)")
 		noSteps    = flag.Bool("no-steps", false, "skip step records (job-level trace only)")
-		noBackfill = flag.Bool("no-backfill", false, "disable EASY backfill in the simulator")
-		backfill   = flag.String("backfill", "", "backfill strategy: easy, conservative, or none (overrides -no-backfill)")
+		backfill   = flag.String("backfill", "", "backfill strategy: easy (the default), conservative, or none")
 		nodeSel    = flag.String("node-select", "", "node selection policy: pool, firstfit, or bestfit")
 		resort     = flag.Duration("resort-every", 0, "incremental re-prioritisation cadence (0 = exact per-pass recompute)")
 	)
@@ -105,7 +104,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "generated %d submissions\n", len(reqs))
 
 	cfg := sched.DefaultConfig(sys)
-	cfg.EnableBackfill = !*noBackfill
 	cfg.Backfill = *backfill
 	cfg.NodeSelect = *nodeSel
 	cfg.ResortEvery = *resort

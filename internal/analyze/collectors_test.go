@@ -143,7 +143,7 @@ func TestBundleMergeMatchesSinglePass(t *testing.T) {
 }
 
 // TestFanOutFromScratchStream drives collectors from a stream that
-// reuses one scratch record, the aliasing regime of RecordReader: the
+// reuses one scratch record, the aliasing regime of slurm.ByteRecordReader: the
 // collectors must copy what they retain.
 func TestFanOutFromScratchStream(t *testing.T) {
 	jobs := fixedJobs()

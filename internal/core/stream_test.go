@@ -43,9 +43,11 @@ func TestWorkflowSinglePassCounting(t *testing.T) {
 
 // TestWorkflowFiguresMatchDirectBuilders is the workflow-level golden
 // test: the figure spec JSON written by the streaming per-period
-// bundle-and-merge path must be byte-identical to charts built the
-// pre-refactor way — every period file curated into one slice, globally
-// sorted by job ID, and handed to the multi-pass builders.
+// bundle-and-merge path must be byte-identical to charts built by an
+// independent multi-pass reference — every period file loaded into a
+// store (sacct.LoadFile, never the curate stage or a bundle), its
+// records selected into one slice, globally sorted by job ID, and
+// handed to the slice builders.
 func TestWorkflowFiguresMatchDirectBuilders(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.ExtendedFigures = true
@@ -56,13 +58,20 @@ func TestWorkflowFiguresMatchDirectBuilders(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var paths []string
+	var recs []slurm.Record
 	for _, f := range art.Fetched {
-		paths = append(paths, filepath.Join(cfg.CacheDir, sacct.PeriodFileName(f.Period)))
+		st, _, err := sacct.LoadFile(filepath.Join(cfg.CacheDir, sacct.PeriodFileName(f.Period)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		period, err := st.Select(sacct.Query{IncludeSteps: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, period...)
 	}
-	recs, _, err := curate.LoadRecordsFiles(paths)
-	if err != nil {
-		t.Fatal(err)
+	if len(recs) != art.Curation.Kept {
+		t.Fatalf("reference holds %d records, the run kept %d", len(recs), art.Curation.Kept)
 	}
 	sort.SliceStable(recs, func(i, j int) bool {
 		return slurm.CompareJobID(recs[i].ID, recs[j].ID) < 0

@@ -44,10 +44,9 @@ type Config struct {
 
 	// IngestWorkers sets how many chunks each period file is split into
 	// and decoded concurrently during the curate stage. 0 (the default)
-	// resolves to runtime.GOMAXPROCS(0); 1 keeps the sequential
-	// streaming path; higher values use the parallel chunked byte
-	// decoder, whose sidecars and figure data are byte-identical to the
-	// sequential ones at every worker count. Concurrent period tasks
+	// resolves to runtime.GOMAXPROCS(0); 1 decodes each file as one
+	// chunk. Sidecars and figure data are byte-identical at every
+	// worker count. Concurrent period tasks
 	// share one pool of GOMAXPROCS borrowable decode slots (each task
 	// keeps one guaranteed slot), so many periods in flight narrow each
 	// other instead of oversubscribing the host.
@@ -344,46 +343,32 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 				var rep curate.Report
 				opts := curate.DefaultOptions()
 				opts.Metrics = cfg.Metrics
-				if cfg.IngestWorkers > 1 {
-					// Parallel chunked ingest: each chunk observes into
-					// its own collector shard, merged back in chunk
-					// order so the figure data is bit-exact with the
-					// sequential path.
-					opts.Workers = cfg.IngestWorkers
-					opts.Pool = ingestPool
-					shards := analyze.NewShardSet(timelineBucket)
-					chunks, err := curate.StreamFileParallel(periodPath(p), csv, opts, &rep,
-						func(chunk int) func(*slurm.Record) bool {
-							sb := shards.Shard(chunk)
-							return func(rec *slurm.Record) bool {
-								sb.Observe(rec)
-								return true
-							}
-						})
-					if err != nil {
-						return err
-					}
-					shards.MergeIntoN(b, cfg.IngestWorkers)
-					// The shard bundles are uninstrumented (lock-free
-					// observe path); account their records here so the
-					// counter matches the sequential path's exactly.
-					cfg.Metrics.Counter("analyze_records_observed_total").Add(b.Records)
-					annotate(ctx, "curate", "period", p,
-						"rows_kept", fmt.Sprint(rep.Kept),
-						"rows_malformed", fmt.Sprint(rep.Malformed),
-						"ingest_chunks", fmt.Sprint(chunks),
-						"ingest_workers", fmt.Sprint(cfg.IngestWorkers))
-				} else {
-					for rec, err := range curate.StreamFile(periodPath(p), csv, opts, &rep) {
-						if err != nil {
-							return err
+				opts.Workers = cfg.IngestWorkers
+				opts.Pool = ingestPool
+				// Each chunk observes into its own collector shard, merged
+				// back in chunk order so the figure data is bit-exact at
+				// every width.
+				shards := analyze.NewShardSet(timelineBucket)
+				chunks, err := curate.StreamFileParallel(periodPath(p), csv, opts, &rep,
+					func(chunk int) func(*slurm.Record) bool {
+						sb := shards.Shard(chunk)
+						return func(rec *slurm.Record) bool {
+							sb.Observe(rec)
+							return true
 						}
-						b.Observe(rec)
-					}
-					annotate(ctx, "curate", "period", p,
-						"rows_kept", fmt.Sprint(rep.Kept),
-						"rows_malformed", fmt.Sprint(rep.Malformed))
+					})
+				if err != nil {
+					return err
 				}
+				shards.MergeIntoN(b, cfg.IngestWorkers)
+				// The shard bundles are uninstrumented (lock-free observe
+				// path); account their records here.
+				cfg.Metrics.Counter("analyze_records_observed_total").Add(b.Records)
+				annotate(ctx, "curate", "period", p,
+					"rows_kept", fmt.Sprint(rep.Kept),
+					"rows_malformed", fmt.Sprint(rep.Malformed),
+					"ingest_chunks", fmt.Sprint(chunks),
+					"ingest_workers", fmt.Sprint(cfg.IngestWorkers))
 				st.mu.Lock()
 				st.perPeriod[i] = b
 				st.perReport[i] = rep

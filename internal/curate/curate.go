@@ -7,14 +7,8 @@
 package curate
 
 import (
-	"fmt"
-	"io"
-	"strconv"
-	"time"
-
 	"slurmsight/internal/obs"
 	"slurmsight/internal/pool"
-	"slurmsight/internal/slurm"
 )
 
 // Options tune the normalisation pass.
@@ -28,14 +22,12 @@ type Options struct {
 	ExpandCounts bool
 	// Metrics, when non-nil, counts the stream's work under
 	// curate_rows_read_total / curate_rows_kept_total /
-	// curate_rows_dropped_total; the parallel path additionally
-	// publishes ingest_chunks_total / ingest_chunk_rows /
-	// ingest_chunk_seconds.
+	// curate_rows_dropped_total and ingest_chunks_total /
+	// ingest_chunk_rows / ingest_chunk_seconds.
 	Metrics *obs.Registry
 	// Workers sets how many chunks StreamFileParallel splits a period
 	// file into and decodes concurrently. Values below 2 select a
-	// single chunk (the whole data region) on the same zero-alloc byte
-	// decode path. Ignored by the sequential Stream/StreamFile.
+	// single chunk (the whole data region).
 	Workers int
 	// Pool, when non-nil, is the shared ingest-worker budget that
 	// concurrent period tasks borrow extra decoders from: each
@@ -89,86 +81,4 @@ var durationFields = map[string]bool{
 var countFields = map[string]bool{
 	"NNodes": true, "NCPUS": true, "NTasks": true, "ReqNodes": true,
 	"ReqCPUS": true, "Restarts": true, "ConsumedEnergy": true,
-}
-
-// LoadRecords reads raw pipe-separated text (with its header line),
-// dropping malformed rows, and returns the clean records. This is the
-// in-memory half of the stage: the analytics layer consumes its output.
-// It is a collect-wrapper over Stream; callers that can consume records
-// one at a time should range over Stream instead.
-func LoadRecords(r io.Reader) ([]slurm.Record, Report, error) {
-	var out []slurm.Record
-	var rep Report
-	for rec, err := range Stream(r, nil, Options{}, &rep) {
-		if err != nil {
-			return nil, rep, err
-		}
-		out = append(out, *rec)
-	}
-	return out, rep, nil
-}
-
-// LoadRecordsFile reads and curates one Obtain-data output file. Errors
-// are attributed to the file's path.
-func LoadRecordsFile(path string) ([]slurm.Record, Report, error) {
-	var out []slurm.Record
-	var rep Report
-	for rec, err := range StreamFile(path, "", Options{}, &rep) {
-		if err != nil {
-			return nil, rep, err
-		}
-		out = append(out, *rec)
-	}
-	return out, rep, nil
-}
-
-// LoadRecordsFiles curates several files (one per fetched period) into a
-// single record set, accumulating the report. A failure carries the
-// offending file's path.
-func LoadRecordsFiles(paths []string) ([]slurm.Record, Report, error) {
-	var all []slurm.Record
-	var rep Report
-	for _, p := range paths {
-		recs, r, err := LoadRecordsFile(p)
-		rep.Add(r)
-		if err != nil {
-			return nil, rep, err
-		}
-		all = append(all, recs...)
-	}
-	return all, rep, nil
-}
-
-// ToCSV converts raw pipe-separated text to CSV, dropping malformed rows
-// and applying the normalisations — the on-disk half of the stage. It
-// drains Stream with the record consumer discarded.
-func ToCSV(r io.Reader, w io.Writer, opts Options) (Report, error) {
-	var rep Report
-	for _, err := range Stream(r, w, opts, &rep) {
-		if err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
-}
-
-// ToCSVFile curates inPath (pipe text) into outPath (CSV).
-func ToCSVFile(inPath, outPath string, opts Options) (Report, error) {
-	var rep Report
-	for _, err := range StreamFile(inPath, outPath, opts, &rep) {
-		if err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
-}
-
-// MinutesOf is a helper for tests and analytics reading curated CSVs: it
-// parses a decimal-minutes cell back to a duration.
-func MinutesOf(cell string) (time.Duration, error) {
-	f, err := strconv.ParseFloat(cell, 64)
-	if err != nil {
-		return 0, fmt.Errorf("curate: bad minutes cell %q", cell)
-	}
-	return time.Duration(f * float64(time.Minute)), nil
 }

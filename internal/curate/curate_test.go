@@ -5,9 +5,10 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
+
+	"slurmsight/internal/slurm"
 )
 
 const sample = `JobID|User|State|Elapsed|Timelimit|NNodes
@@ -21,106 +22,156 @@ const sampleWithJunk = sample +
 	"100005|eve|COMPLETED|xx:yy:zz|01:00:00|4\n" + // bad duration
 	"100006|frank|COMPLETED|00:05:00|00:30:00|2\n"
 
-func TestLoadRecordsClean(t *testing.T) {
-	recs, rep, err := LoadRecords(strings.NewReader(sample))
+// widths are the chunk counts every behaviour test runs at: the whole
+// file as one chunk, and more chunks than some inputs have rows.
+var widths = []int{1, 3}
+
+// writePeriod materialises a period file's text and returns its path.
+func writePeriod(t *testing.T, text string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "period.txt")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// keepRecords returns a ShardFunc that retains every record it is
+// handed, and a function that yields them in file order afterwards.
+func keepRecords(workers int) (ShardFunc, func() []slurm.Record) {
+	perChunk := make([][]slurm.Record, workers) // chunk indices are unique and < workers
+	shard := func(chunk int) func(*slurm.Record) bool {
+		return func(rec *slurm.Record) bool {
+			perChunk[chunk] = append(perChunk[chunk], rec.Clone())
+			return true
+		}
+	}
+	return shard, func() []slurm.Record {
+		var all []slurm.Record
+		for _, recs := range perChunk {
+			all = append(all, recs...)
+		}
+		return all
+	}
+}
+
+// curateText runs the stage over text at one width: the kept records in
+// file order, the sidecar's rows, and the report.
+func curateText(t *testing.T, text string, opts Options, workers int) ([]slurm.Record, [][]string, Report, error) {
+	t.Helper()
+	in := writePeriod(t, text)
+	csvPath := filepath.Join(t.TempDir(), "period.csv")
+	opts.Workers = workers
+	shard, kept := keepRecords(workers)
+	var rep Report
+	if _, err := StreamFileParallel(in, csvPath, opts, &rep, shard); err != nil {
+		return nil, nil, rep, err
+	}
+	data, err := os.ReadFile(csvPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Total != 3 || rep.Kept != 3 || rep.Malformed != 0 {
-		t.Errorf("report = %+v", rep)
+	rows, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("records = %d", len(recs))
-	}
-	if recs[0].User != "alice" || recs[0].Elapsed != 90*time.Minute {
-		t.Errorf("first record wrong: %+v", recs[0])
-	}
-	if recs[1].NNodes != 9400 {
-		t.Errorf("K-count not parsed: %d", recs[1].NNodes)
+	return kept(), rows, rep, nil
+}
+
+func TestLoadRecordsClean(t *testing.T) {
+	for _, w := range widths {
+		recs, _, rep, err := curateText(t, sample, Options{}, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Total != 3 || rep.Kept != 3 || rep.Malformed != 0 {
+			t.Errorf("workers=%d: report = %+v", w, rep)
+		}
+		if len(recs) != 3 {
+			t.Fatalf("workers=%d: records = %d", w, len(recs))
+		}
+		if recs[0].User != "alice" || recs[0].Elapsed != 90*time.Minute {
+			t.Errorf("workers=%d: first record wrong: %+v", w, recs[0])
+		}
+		if recs[1].NNodes != 9400 {
+			t.Errorf("workers=%d: K-count not parsed: %d", w, recs[1].NNodes)
+		}
 	}
 }
 
 func TestLoadRecordsDropsMalformed(t *testing.T) {
-	recs, rep, err := LoadRecords(strings.NewReader(sampleWithJunk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Total != 6 || rep.Kept != 4 || rep.Malformed != 2 {
-		// 100004 is truncated mid-record; 100005 has a bad duration.
-		t.Errorf("report = %+v", rep)
-	}
-	if rep.Malformed != rep.Total-rep.Kept {
-		t.Errorf("inconsistent report: %+v", rep)
-	}
-	if len(recs) != rep.Kept {
-		t.Errorf("records %d != kept %d", len(recs), rep.Kept)
-	}
-	frac := rep.MalformedFraction()
-	if frac <= 0 || frac >= 1 {
-		t.Errorf("MalformedFraction = %v", frac)
+	for _, w := range widths {
+		recs, _, rep, err := curateText(t, sampleWithJunk, Options{}, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Total != 6 || rep.Kept != 4 || rep.Malformed != 2 {
+			// 100004 is truncated mid-record; 100005 has a bad duration.
+			t.Errorf("workers=%d: report = %+v", w, rep)
+		}
+		if len(recs) != rep.Kept {
+			t.Errorf("workers=%d: records %d != kept %d", w, len(recs), rep.Kept)
+		}
+		frac := rep.MalformedFraction()
+		if frac <= 0 || frac >= 1 {
+			t.Errorf("workers=%d: MalformedFraction = %v", w, frac)
+		}
 	}
 }
 
 func TestLoadRecordsErrors(t *testing.T) {
-	if _, _, err := LoadRecords(strings.NewReader("")); err == nil {
-		t.Error("empty input: want error")
-	}
-	if _, _, err := LoadRecords(strings.NewReader("JobID|Mystery\n")); err == nil {
-		t.Error("unknown header: want error")
+	for _, w := range widths {
+		if _, _, _, err := curateText(t, "", Options{}, w); err == nil {
+			t.Errorf("workers=%d: empty input: want error", w)
+		}
+		if _, _, _, err := curateText(t, "JobID|Mystery\n", Options{}, w); err == nil {
+			t.Errorf("workers=%d: unknown header: want error", w)
+		}
 	}
 }
 
 func TestToCSVNormalisation(t *testing.T) {
-	var out bytes.Buffer
-	rep, err := ToCSV(strings.NewReader(sampleWithJunk), &out, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Kept != 4 || rep.Malformed != 2 {
-		t.Errorf("report = %+v", rep)
-	}
-	rows, err := csv.NewReader(&out).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != rep.Kept+1 {
-		t.Fatalf("csv rows = %d", len(rows))
-	}
-	header := rows[0]
-	if header[3] != "ElapsedMinutes" || header[4] != "TimelimitMinutes" {
-		t.Errorf("header not renamed: %v", header)
-	}
-	// alice: 01:30:00 → 90.00 minutes.
-	if rows[1][3] != "90.00" {
-		t.Errorf("Elapsed minutes = %q", rows[1][3])
-	}
-	// bob's 9.4K nodes → 9400.
-	if rows[2][5] != "9400" {
-		t.Errorf("expanded count = %q", rows[2][5])
-	}
-	d, err := MinutesOf(rows[1][3])
-	if err != nil || d != 90*time.Minute {
-		t.Errorf("MinutesOf = %v, %v", d, err)
-	}
-	if _, err := MinutesOf("abc"); err == nil {
-		t.Error("MinutesOf(abc): want error")
+	for _, w := range widths {
+		_, rows, rep, err := curateText(t, sampleWithJunk, DefaultOptions(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Kept != 4 || rep.Malformed != 2 {
+			t.Errorf("workers=%d: report = %+v", w, rep)
+		}
+		if len(rows) != rep.Kept+1 {
+			t.Fatalf("workers=%d: csv rows = %d", w, len(rows))
+		}
+		header := rows[0]
+		if header[3] != "ElapsedMinutes" || header[4] != "TimelimitMinutes" {
+			t.Errorf("workers=%d: header not renamed: %v", w, header)
+		}
+		// alice: 01:30:00 → 90.00 minutes.
+		if rows[1][3] != "90.00" {
+			t.Errorf("workers=%d: Elapsed minutes = %q", w, rows[1][3])
+		}
+		// bob's 9.4K nodes → 9400.
+		if rows[2][5] != "9400" {
+			t.Errorf("workers=%d: expanded count = %q", w, rows[2][5])
+		}
 	}
 }
 
 func TestToCSVWithoutNormalisation(t *testing.T) {
-	var out bytes.Buffer
-	if _, err := ToCSV(strings.NewReader(sample), &out, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&out).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0][3] != "Elapsed" {
-		t.Errorf("header renamed despite opts: %v", rows[0])
-	}
-	if rows[1][3] != "01:30:00" {
-		t.Errorf("duration converted despite opts: %q", rows[1][3])
+	for _, w := range widths {
+		_, rows, _, err := curateText(t, sample, Options{}, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows[0][3] != "Elapsed" {
+			t.Errorf("workers=%d: header renamed despite opts: %v", w, rows[0])
+		}
+		if rows[1][3] != "01:30:00" {
+			t.Errorf("workers=%d: duration converted despite opts: %q", w, rows[1][3])
+		}
+		if rows[2][5] != "9.4K" {
+			t.Errorf("workers=%d: count expanded despite opts: %q", w, rows[2][5])
+		}
 	}
 }
 
@@ -134,26 +185,31 @@ func TestToCSVFileAndLoadFiles(t *testing.T) {
 	if err := os.WriteFile(in2, []byte(sampleWithJunk), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	outCSV := filepath.Join(dir, "jan.csv")
-	rep, err := ToCSVFile(in1, outCSV, DefaultOptions())
-	if err != nil || rep.Kept != 3 {
-		t.Fatalf("ToCSVFile: %+v, %v", rep, err)
-	}
-	if _, err := os.Stat(outCSV); err != nil {
-		t.Fatal(err)
-	}
-	recs, rep2, err := LoadRecordsFiles([]string{in1, in2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Total != 9 || len(recs) != rep2.Kept {
-		t.Errorf("combined report = %+v with %d records", rep2, len(recs))
-	}
-	if _, _, err := LoadRecordsFiles([]string{filepath.Join(dir, "nope.txt")}); err == nil {
-		t.Error("missing file: want error")
-	}
-	if _, err := ToCSVFile(filepath.Join(dir, "nope.txt"), outCSV, Options{}); err == nil {
-		t.Error("missing input: want error")
+	for _, w := range widths {
+		opts := DefaultOptions()
+		opts.Workers = w
+		// One report accumulates across the periods of a run.
+		var rep Report
+		shard, kept := keepRecords(w)
+		outCSV := filepath.Join(dir, "jan.csv")
+		if _, err := StreamFileParallel(in1, outCSV, opts, &rep, shard); err != nil || rep.Kept != 3 {
+			t.Fatalf("workers=%d: jan: %+v, %v", w, rep, err)
+		}
+		if _, err := os.Stat(outCSV); err != nil {
+			t.Fatal(err)
+		}
+		recs := kept()
+		shard, kept = keepRecords(w)
+		if _, err := StreamFileParallel(in2, "", opts, &rep, shard); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, kept()...)
+		if rep.Total != 9 || len(recs) != rep.Kept {
+			t.Errorf("workers=%d: combined report = %+v with %d records", w, rep, len(recs))
+		}
+		if _, err := StreamFileParallel(filepath.Join(dir, "nope.txt"), outCSV, opts, &rep, nil); err == nil {
+			t.Errorf("workers=%d: missing input: want error", w)
+		}
 	}
 }
 

@@ -13,6 +13,22 @@ import (
 	"slurmsight/internal/slurm"
 )
 
+// PassStats counts the curate stage's work since process start. Tests
+// pin the data plane's single-pass properties against it: a workflow
+// run over P period files with R rows must open exactly P files and
+// decode each input row exactly once.
+type PassStats struct {
+	FilesOpened int64 // period files opened by StreamFileParallel
+	RowsDecoded int64 // data rows decoded (kept + malformed)
+}
+
+var passFiles, passRows atomic.Int64
+
+// Stats returns the cumulative pass counters.
+func Stats() PassStats {
+	return PassStats{FilesOpened: passFiles.Load(), RowsDecoded: passRows.Load()}
+}
+
 // ShardFunc hands StreamFileParallel the record consumer for one chunk.
 // It is called at most once per chunk, possibly from several goroutines
 // concurrently (guard shared state); the consumer it returns is then
@@ -22,16 +38,18 @@ import (
 // nil returned consumer) decodes for the sidecar and Report only.
 type ShardFunc func(chunk int) func(*slurm.Record) bool
 
-// StreamFileParallel curates one period file on opts.Workers concurrent
-// chunk decoders: the file is split into newline-aligned byte ranges
-// (slurm.ChunkScanner), each chunk tokenises and validates its rows on
-// the zero-alloc byte decode path and normalises and spills its sidecar
-// rows through the shared rowWriter (also allocation-free per row; until
-// that writer existed this step built a string per cell), and a single
-// ordered writer goroutine appends the spills to csvPath in chunk order,
-// so the sidecar is byte-identical to the sequential StreamFile one.
-// Consumers observe records in-shard via shard; combine per-chunk
-// results in chunk index order to reproduce sequential order.
+// StreamFileParallel is the curate stage: it cleans one period file on
+// opts.Workers concurrent chunk decoders. Malformed rows are dropped and
+// counted into rep; when csvPath is non-empty the normalised CSV
+// rendition of every kept row is written in the same pass. The file is
+// split into newline-aligned byte ranges (slurm.ChunkScanner), each
+// chunk tokenises and validates its rows on the zero-alloc byte decode
+// path and normalises and spills its sidecar rows through a rowWriter
+// (also allocation-free per row), and a single ordered writer goroutine
+// appends the spills to csvPath in chunk order, so the sidecar is
+// byte-identical at every width. Consumers observe records in-shard via
+// shard; combine per-chunk results in chunk index order to reproduce
+// file order.
 //
 // Counters in rep are exact on success (every row decoded exactly
 // once); after a terminal error or an early consumer stop they reflect
@@ -47,7 +65,7 @@ func StreamFileParallel(inPath, csvPath string, opts Options, rep *Report, shard
 	if err != nil {
 		return 0, fmt.Errorf("curate: %s: %w", inPath, err)
 	}
-	passFiles.Add(1) // one logical open per period file, as in StreamFile
+	passFiles.Add(1) // one logical open per period file
 	chunks = cs.NumChunks()
 
 	m := chunkMetrics{
@@ -119,8 +137,8 @@ func StreamFileParallel(inPath, csvPath string, opts Options, rep *Report, shard
 
 	// The single ordered sidecar writer: as each chunk completes, in
 	// chunk order, append its spill to the final file. After the first
-	// failed chunk the remaining spills are only cleaned up — the
-	// sequential path never writes rows past a terminal error either.
+	// failed chunk the remaining spills are only cleaned up: no row is
+	// written past a terminal error.
 	writerDone := make(chan error, 1)
 	go func() {
 		var werr error
@@ -217,14 +235,14 @@ func runChunk(cs *slurm.ChunkScanner, i int, spillPath string, opts Options, loc
 		consumer = shard(i)
 	}
 	var sf *os.File
-	var sw *rowWriter[[]byte]
+	var sw *rowWriter
 	if spillPath != "" {
 		sf, err = os.Create(spillPath)
 		if err != nil {
 			stopped.Store(true)
 			return fmt.Errorf("create sidecar shard: %w", err)
 		}
-		sw = newByteRowWriter(sf, cs.Fields(), opts)
+		sw = newRowWriter(sf, cs.Fields(), opts)
 	}
 
 	var terminal error

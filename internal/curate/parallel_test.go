@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"slurmsight/internal/obs"
@@ -37,34 +38,19 @@ func buildPeriod(t *testing.T, rng *rand.Rand, n int) string {
 	return path
 }
 
-// TestStreamFileParallelMatchesSequential is the ISSUE's parity
-// property: for every worker count the parallel path must produce the
-// same records in the same order, an equal Report, and a byte-identical
-// CSV sidecar to the sequential StreamFile pass.
+// TestStreamFileParallelMatchesSequential is the width-parity property:
+// at every worker count the stage must produce the same records in the
+// same order, an equal Report, and a byte-identical CSV sidecar to the
+// one-chunk pass.
 func TestStreamFileParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	in := buildPeriod(t, rng, 400)
 	dir := t.TempDir()
+	fields := slurm.SelectedNames()
 
-	seqCSV := filepath.Join(dir, "seq.csv")
 	var seqRep Report
 	var seqRecs []string
-	fields := slurm.SelectedNames()
-	for rec, err := range StreamFile(in, seqCSV, DefaultOptions(), &seqRep) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, eerr := slurm.EncodeRecord(rec, fields)
-		if eerr != nil {
-			t.Fatal(eerr)
-		}
-		seqRecs = append(seqRecs, enc)
-	}
-	seqBytes, err := os.ReadFile(seqCSV)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	var seqBytes []byte
 	for _, workers := range []int{1, 2, 4, 8} {
 		parCSV := filepath.Join(dir, fmt.Sprintf("par%d.csv", workers))
 		opts := DefaultOptions()
@@ -97,32 +83,39 @@ func TestStreamFileParallelMatchesSequential(t *testing.T) {
 		if got := reg.Histogram("ingest_chunk_rows", obs.SizeBuckets).Count(); got != int64(chunks) {
 			t.Errorf("workers=%d: ingest_chunk_rows count=%d, want %d", workers, got, chunks)
 		}
-		if rep != seqRep {
-			t.Errorf("workers=%d: report %+v, sequential %+v", workers, rep, seqRep)
-		}
 		var parRecs []string
 		for i := 0; i < chunks; i++ {
 			parRecs = append(parRecs, perChunk[i]...)
-		}
-		if len(parRecs) != len(seqRecs) {
-			t.Fatalf("workers=%d: %d records, sequential %d", workers, len(parRecs), len(seqRecs))
-		}
-		for i := range seqRecs {
-			if parRecs[i] != seqRecs[i] {
-				t.Fatalf("workers=%d record %d differs:\nseq: %s\npar: %s", workers, i, seqRecs[i], parRecs[i])
-			}
 		}
 		parBytes, err := os.ReadFile(parCSV)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(parBytes) != string(seqBytes) {
-			t.Errorf("workers=%d: sidecar differs from sequential (%d vs %d bytes)",
-				workers, len(parBytes), len(seqBytes))
-		}
 		// No spill files may survive.
 		if leftovers, _ := filepath.Glob(parCSV + ".part*"); len(leftovers) != 0 {
 			t.Errorf("workers=%d: spill files left behind: %v", workers, leftovers)
+		}
+		if workers == 1 {
+			seqRep, seqRecs, seqBytes = rep, parRecs, parBytes
+			if rep.Kept == 0 || rep.Malformed == 0 || len(parRecs) != rep.Kept {
+				t.Fatalf("degenerate reference: %+v with %d records", rep, len(parRecs))
+			}
+			continue
+		}
+		if rep != seqRep {
+			t.Errorf("workers=%d: report %+v, one chunk %+v", workers, rep, seqRep)
+		}
+		if len(parRecs) != len(seqRecs) {
+			t.Fatalf("workers=%d: %d records, one chunk %d", workers, len(parRecs), len(seqRecs))
+		}
+		for i := range seqRecs {
+			if parRecs[i] != seqRecs[i] {
+				t.Fatalf("workers=%d record %d differs:\none: %s\npar: %s", workers, i, seqRecs[i], parRecs[i])
+			}
+		}
+		if string(parBytes) != string(seqBytes) {
+			t.Errorf("workers=%d: sidecar differs from one chunk (%d vs %d bytes)",
+				workers, len(parBytes), len(seqBytes))
 		}
 	}
 }
@@ -167,39 +160,30 @@ func TestStreamFileParallelCreateErrorCarriesPath(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "out.csv") {
 		t.Errorf("create error lacks sidecar path: %v", err)
 	}
-	// The sequential wrapper shares the contract (satellite: wrap
-	// sidecar create/close errors with the file path).
-	for _, serr := range StreamFile(in, badCSV, DefaultOptions(), &rep) {
-		if serr == nil {
-			t.Fatal("StreamFile: want create error")
-		}
-		if !strings.Contains(serr.Error(), "out.csv") {
-			t.Errorf("StreamFile create error lacks path: %v", serr)
-		}
-		break
-	}
 }
 
 func TestStreamFileParallelTerminalError(t *testing.T) {
-	// A >1MB line is a terminal decode error for the byte reader; the
-	// parallel path must surface it wrapped with the input path and
-	// still clean up its spills.
+	// A row past the reader's cap is a terminal decode error; the stage
+	// must surface it naming the input path and the line, and still
+	// clean up its spills.
 	dir := t.TempDir()
 	in := filepath.Join(dir, "huge.txt")
-	body := "JobID|User\n1|alice\n2|" + strings.Repeat("x", 1<<20+5) + "\n3|bob\n"
+	body := "JobID|User\n1|alice\n2|" + strings.Repeat("x", slurm.MaxLineLen+5) + "\n3|bob\n"
 	if err := os.WriteFile(in, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	csvPath := filepath.Join(dir, "huge.csv")
-	opts := DefaultOptions()
-	opts.Workers = 3
-	var rep Report
-	_, err := StreamFileParallel(in, csvPath, opts, &rep, nil)
-	if err == nil || !strings.Contains(err.Error(), "huge.txt") {
-		t.Errorf("terminal error lacks input path: %v", err)
-	}
-	if leftovers, _ := filepath.Glob(csvPath + ".part*"); len(leftovers) != 0 {
-		t.Errorf("spill files left behind after terminal error: %v", leftovers)
+	for _, w := range widths {
+		opts := DefaultOptions()
+		opts.Workers = w
+		var rep Report
+		_, err := StreamFileParallel(in, csvPath, opts, &rep, nil)
+		if err == nil || !strings.HasSuffix(err.Error(), "huge.txt: slurm: line 3: row exceeds 8388608 bytes") {
+			t.Errorf("workers=%d: terminal error = %v, want the input path and line 3", w, err)
+		}
+		if leftovers, _ := filepath.Glob(csvPath + ".part*"); len(leftovers) != 0 {
+			t.Errorf("workers=%d: spill files left behind after terminal error: %v", w, leftovers)
+		}
 	}
 }
 
@@ -217,14 +201,25 @@ func (w *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestStreamEarlyStopCountsSidecarErrors(t *testing.T) {
-	// Satellite: when the consumer has already stopped, a sidecar flush
-	// failure cannot be yielded — it must be counted, not dropped.
-	var rep Report
-	w := &failWriter{n: 0} // every underlying write fails
-	for range Stream(strings.NewReader(sample), w, DefaultOptions(), &rep) {
-		break // consumer abandons immediately
+	// When the consumer has already stopped, a sidecar flush failure
+	// cannot be returned as the stream's error — it must be counted, not
+	// dropped. /dev/full accepts the open and refuses every write.
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail writes on")
 	}
-	if rep.SidecarErrors == 0 {
-		t.Errorf("flush failure after early stop not counted: %+v", rep)
+	cs, err := slurm.NewChunkScanner(writePeriod(t, sample), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	var stopped atomic.Bool
+	abandon := func(int) func(*slurm.Record) bool {
+		return func(*slurm.Record) bool { return false }
+	}
+	if err := runChunk(cs, 0, "/dev/full", DefaultOptions(), &rep, abandon, &stopped, chunkMetrics{}); err != nil {
+		t.Fatalf("a failure after the stop surfaced as an error: %v", err)
+	}
+	if !stopped.Load() || rep.Kept != 1 || rep.SidecarErrors == 0 {
+		t.Errorf("flush failure after early stop not counted: stopped=%v %+v", stopped.Load(), rep)
 	}
 }

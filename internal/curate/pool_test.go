@@ -12,7 +12,7 @@ import (
 
 // TestStreamFileParallelPoolParity pins the shared-pool contract: a
 // period task that can only borrow a few (or zero) extra decoder slots
-// still produces a byte-identical sidecar and an equal Report — the
+// still produces the one-chunk pass's sidecar and Report exactly — the
 // pool throttles width, never output — and every borrowed slot is back
 // in the pool when the call returns.
 func TestStreamFileParallelPoolParity(t *testing.T) {
@@ -22,10 +22,8 @@ func TestStreamFileParallelPoolParity(t *testing.T) {
 
 	seqCSV := filepath.Join(dir, "seq.csv")
 	var seqRep Report
-	for _, err := range StreamFile(in, seqCSV, DefaultOptions(), &seqRep) {
-		if err != nil {
-			t.Fatal(err)
-		}
+	if _, err := StreamFileParallel(in, seqCSV, DefaultOptions(), &seqRep, nil); err != nil {
+		t.Fatal(err)
 	}
 	seqBytes, err := os.ReadFile(seqCSV)
 	if err != nil {
@@ -43,14 +41,14 @@ func TestStreamFileParallelPoolParity(t *testing.T) {
 			t.Fatalf("budget=%d: %v", budget, err)
 		}
 		if rep != seqRep {
-			t.Errorf("budget=%d: report %+v, sequential %+v", budget, rep, seqRep)
+			t.Errorf("budget=%d: report %+v, one chunk %+v", budget, rep, seqRep)
 		}
 		got, err := os.ReadFile(csv)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != string(seqBytes) {
-			t.Errorf("budget=%d: sidecar differs from sequential", budget)
+			t.Errorf("budget=%d: sidecar differs from one chunk", budget)
 		}
 		if p.Free() != budget {
 			t.Errorf("budget=%d: %d slots free after the call, want all returned", budget, p.Free())
@@ -60,7 +58,7 @@ func TestStreamFileParallelPoolParity(t *testing.T) {
 
 // TestStreamFileParallelPoolSharedAcrossPeriods runs several period
 // tasks concurrently against one small pool — the core.Run shape — and
-// checks each still matches its own sequential pass.
+// checks each still matches its own one-chunk pass.
 func TestStreamFileParallelPoolSharedAcrossPeriods(t *testing.T) {
 	const periods = 4
 	p := pool.New(2)
@@ -77,10 +75,8 @@ func TestStreamFileParallelPoolSharedAcrossPeriods(t *testing.T) {
 			seqCSV: filepath.Join(dir, "seq"+string(rune('a'+i))+".csv"),
 			parCSV: filepath.Join(dir, "par"+string(rune('a'+i))+".csv"),
 		}
-		for _, err := range StreamFile(pd.in, pd.seqCSV, DefaultOptions(), &pd.seqRep) {
-			if err != nil {
-				t.Fatal(err)
-			}
+		if _, err := StreamFileParallel(pd.in, pd.seqCSV, DefaultOptions(), &pd.seqRep, nil); err != nil {
+			t.Fatal(err)
 		}
 		ps = append(ps, pd)
 	}
@@ -105,7 +101,7 @@ func TestStreamFileParallelPoolSharedAcrossPeriods(t *testing.T) {
 			t.Fatalf("period %d: %v", i, errs[i])
 		}
 		if reps[i] != pd.seqRep {
-			t.Errorf("period %d: report diverges from sequential", i)
+			t.Errorf("period %d: report diverges from one chunk", i)
 		}
 		want, err := os.ReadFile(pd.seqCSV)
 		if err != nil {
@@ -116,7 +112,7 @@ func TestStreamFileParallelPoolSharedAcrossPeriods(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(got) != string(want) {
-			t.Errorf("period %d: sidecar diverges from sequential", i)
+			t.Errorf("period %d: sidecar diverges from one chunk", i)
 		}
 	}
 	if p.Free() != 2 {

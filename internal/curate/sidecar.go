@@ -4,16 +4,11 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 	"unicode"
 	"unicode/utf8"
 
 	"slurmsight/internal/slurm"
 )
-
-// cell is one input cell as a decoder hands it over: a string from
-// slurm.RecordReader, a byte slice from slurm.ByteRecordReader.
-type cell interface{ ~string | ~[]byte }
 
 // colKind is what the sidecar does to a column's cells.
 type colKind uint8
@@ -45,7 +40,7 @@ func appendSidecarHeader(dst []byte, fields []string, kinds []colKind) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendField(dst, f)
+		dst = appendField(dst, []byte(f))
 		if kinds[i] == colMinutes {
 			dst = append(dst, "Minutes"...)
 		}
@@ -53,44 +48,30 @@ func appendSidecarHeader(dst []byte, fields []string, kinds []colKind) []byte {
 	return append(dst, '\n')
 }
 
-// rowWriter renders kept rows as the CSV sidecar. Stream (string cells)
-// and runChunk (byte cells) share it, which is what keeps the sequential
-// and parallel sidecars byte-identical: each cell is normalised straight
-// into one reused buffer — no string per cell — and the buffer goes to w
-// each time it passes flushAt. The output is what encoding/csv.Writer
-// (Comma ',', UseCRLF false) writes for the same cells, byte for byte;
-// FuzzSidecarRowMatchesEncodingCSV holds it to that.
-type rowWriter[T cell] struct {
-	w        io.Writer
-	fields   []string
-	kinds    []colKind
-	duration func(T) (time.Duration, error)
-	count    func(T) (int64, error)
-	buf      []byte
-	err      error // first write error; sticky, like csv.Writer's
+// rowWriter renders one chunk's kept rows as CSV sidecar rows: each cell
+// is normalised straight into one reused buffer — no string per cell —
+// and the buffer goes to w each time it passes flushAt. The output is
+// what encoding/csv.Writer (Comma ',', UseCRLF false) writes for the same
+// cells, byte for byte; FuzzSidecarRowMatchesEncodingCSV holds it to
+// that.
+type rowWriter struct {
+	w      io.Writer
+	fields []string
+	kinds  []colKind
+	buf    []byte
+	err    error // first write error; sticky, like csv.Writer's
 }
 
 const flushAt = 1 << 16
 
-func newStringRowWriter(w io.Writer, fields []string, opts Options) *rowWriter[string] {
-	return &rowWriter[string]{w: w, fields: fields, kinds: columnKinds(fields, opts),
-		duration: slurm.ParseDuration, count: slurm.ParseCount}
-}
-
-func newByteRowWriter(w io.Writer, fields []string, opts Options) *rowWriter[[]byte] {
-	return &rowWriter[[]byte]{w: w, fields: fields, kinds: columnKinds(fields, opts),
-		duration: slurm.ParseDurationBytes, count: slurm.ParseCountBytes}
-}
-
-// header buffers the header row.
-func (rw *rowWriter[T]) header() {
-	rw.buf = appendSidecarHeader(rw.buf, rw.fields, rw.kinds)
+func newRowWriter(w io.Writer, fields []string, opts Options) *rowWriter {
+	return &rowWriter{w: w, fields: fields, kinds: columnKinds(fields, opts)}
 }
 
 // row buffers one row, writing the buffer out when it is full. A cell
 // that fails to normalise leaves no partial row behind; a write error is
 // also kept in rw.err.
-func (rw *rowWriter[T]) row(cells []T) error {
+func (rw *rowWriter) row(cells [][]byte) error {
 	buf := rw.buf
 	for i, c := range cells {
 		if i > 0 {
@@ -99,13 +80,13 @@ func (rw *rowWriter[T]) row(cells []T) error {
 		// A formatted number never needs quoting: digits, '.', '-'.
 		switch rw.kinds[i] {
 		case colMinutes:
-			d, err := rw.duration(c)
+			d, err := slurm.ParseDurationBytes(c)
 			if err != nil {
 				return fmt.Errorf("curate: normalising %s: %w", rw.fields[i], err)
 			}
 			buf = strconv.AppendFloat(buf, d.Minutes(), 'f', 2, 64)
 		case colCount:
-			n, err := rw.count(c)
+			n, err := slurm.ParseCountBytes(c)
 			if err != nil {
 				return fmt.Errorf("curate: normalising %s: %w", rw.fields[i], err)
 			}
@@ -122,7 +103,7 @@ func (rw *rowWriter[T]) row(cells []T) error {
 }
 
 // flush writes out what is buffered and returns the first write error.
-func (rw *rowWriter[T]) flush() error {
+func (rw *rowWriter) flush() error {
 	if rw.err == nil && len(rw.buf) > 0 {
 		_, rw.err = rw.w.Write(rw.buf)
 	}
@@ -135,7 +116,7 @@ func (rw *rowWriter[T]) flush() error {
 // a space (unicode.IsSpace of its first rune), or is exactly `\.`; inside
 // quotes a quote is doubled and every other byte is verbatim. The empty
 // field is not quoted.
-func appendField[T cell](dst []byte, f T) []byte {
+func appendField(dst, f []byte) []byte {
 	if !fieldNeedsQuotes(f) {
 		return append(dst, f...)
 	}
@@ -149,7 +130,7 @@ func appendField[T cell](dst []byte, f T) []byte {
 	return append(dst, '"')
 }
 
-func fieldNeedsQuotes[T cell](f T) bool {
+func fieldNeedsQuotes(f []byte) bool {
 	if len(f) == 0 {
 		return false
 	}
@@ -165,6 +146,6 @@ func fieldNeedsQuotes[T cell](f T) bool {
 	if f[0] < utf8.RuneSelf {
 		return unicode.IsSpace(rune(f[0]))
 	}
-	r, _ := utf8.DecodeRuneInString(string(f[:min(len(f), utf8.UTFMax)]))
+	r, _ := utf8.DecodeRune(f)
 	return unicode.IsSpace(r)
 }

@@ -33,8 +33,8 @@ func csvReference(t testing.TB, a, b, c string, elapsed time.Duration, nodes int
 
 // FuzzSidecarRowMatchesEncodingCSV holds the row writer to its quoting
 // contract: for arbitrary cells — commas, quotes, CR/LF, leading spaces
-// of every Unicode kind, `\.`, empty, invalid UTF-8 — the string cell
-// path and the byte cell path both write exactly what encoding/csv does.
+// of every Unicode kind, `\.`, empty, invalid UTF-8 — the header and the
+// row are exactly what encoding/csv writes.
 func FuzzSidecarRowMatchesEncodingCSV(f *testing.F) {
 	for _, seed := range [][3]string{
 		{"plain", "", "/lustre/orion/prj/scratch"},
@@ -52,58 +52,42 @@ func FuzzSidecarRowMatchesEncodingCSV(f *testing.F) {
 		durCell, countCell := slurm.FormatDuration(elapsed), strconv.FormatUint(uint64(nodes), 10)
 		want := csvReference(t, a, b, c, elapsed, int64(nodes))
 
-		var viaString bytes.Buffer
-		sw := newStringRowWriter(&viaString, sidecarFuzzFields, DefaultOptions())
-		sw.header()
-		if err := sw.row([]string{a, durCell, b, countCell, c}); err != nil {
+		var out bytes.Buffer
+		rw := newRowWriter(&out, sidecarFuzzFields, DefaultOptions())
+		rw.buf = appendSidecarHeader(rw.buf, rw.fields, rw.kinds)
+		if err := rw.row(cells(a, durCell, b, countCell, c)); err != nil {
 			t.Fatal(err)
 		}
-		if err := sw.flush(); err != nil {
+		if err := rw.flush(); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(viaString.Bytes(), want) {
-			t.Errorf("string cells:\n got %q\nwant %q", viaString.Bytes(), want)
-		}
-
-		var viaBytes bytes.Buffer
-		bw := newByteRowWriter(&viaBytes, sidecarFuzzFields, DefaultOptions())
-		bw.header()
-		if err := bw.row([][]byte{[]byte(a), []byte(durCell), []byte(b), []byte(countCell), []byte(c)}); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.flush(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(viaBytes.Bytes(), want) {
-			t.Errorf("byte cells:\n got %q\nwant %q", viaBytes.Bytes(), want)
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf(" got %q\nwant %q", out.Bytes(), want)
 		}
 	})
 }
 
-// TestSidecarRowZeroAllocs: once the buffer has grown, a row costs no
-// allocation — quoted cells and a space-led cell included. The byte path
-// (the one StreamFileParallel runs) is pinned with every normalisation
-// on; the string path with none, because slurm.ParseDuration itself
-// splits its input into a fresh slice.
-func TestSidecarRowZeroAllocs(t *testing.T) {
-	cells := []string{"a,\"b\"", "1-02:03:04", " x", "9.4K", "/lustre/orion/prj"}
-	byteCells := make([][]byte, len(cells))
-	for i, c := range cells {
-		byteCells[i] = []byte(c)
+// cells converts a row of strings to the byte cells the reader hands over.
+func cells(row ...string) [][]byte {
+	out := make([][]byte, len(row))
+	for i, c := range row {
+		out[i] = []byte(c)
 	}
-	sw := newStringRowWriter(&bytes.Buffer{}, sidecarFuzzFields, Options{})
-	bw := newByteRowWriter(&bytes.Buffer{}, sidecarFuzzFields, DefaultOptions())
-	for name, row := range map[string]func() error{
-		"string": func() error { return sw.row(cells) },
-		"bytes":  func() error { return bw.row(byteCells) },
-	} {
-		if allocs := testing.AllocsPerRun(100, func() {
-			if err := row(); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Errorf("%s cells: %v allocs/row, want 0", name, allocs)
+	return out
+}
+
+// TestSidecarRowZeroAllocs: once the buffer has grown, a row costs no
+// allocation — quoted cells, a space-led cell and both normalisations
+// included.
+func TestSidecarRowZeroAllocs(t *testing.T) {
+	row := cells("a,\"b\"", "1-02:03:04", " x", "9.4K", "/lustre/orion/prj")
+	rw := newRowWriter(&bytes.Buffer{}, sidecarFuzzFields, DefaultOptions())
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := rw.row(row); err != nil {
+			t.Fatal(err)
 		}
+	}); allocs != 0 {
+		t.Errorf("%v allocs/row, want 0", allocs)
 	}
 }
 
@@ -111,20 +95,20 @@ func TestSidecarRowZeroAllocs(t *testing.T) {
 // and leaves no partial row; a failed write sticks.
 func TestSidecarRowErrors(t *testing.T) {
 	var out bytes.Buffer
-	sw := newStringRowWriter(&out, sidecarFuzzFields, DefaultOptions())
-	if err := sw.row([]string{"ok", "xx:yy", "b", "4", "c"}); err == nil || sw.err != nil ||
+	rw := newRowWriter(&out, sidecarFuzzFields, DefaultOptions())
+	if err := rw.row(cells("ok", "xx:yy", "b", "4", "c")); err == nil || rw.err != nil ||
 		err.Error() != `curate: normalising Elapsed: slurm: malformed duration "xx:yy"` {
-		t.Errorf("bad duration: err = %v, sticky = %v", err, sw.err)
+		t.Errorf("bad duration: err = %v, sticky = %v", err, rw.err)
 	}
-	if err := sw.row([]string{"ok", "00:01:30", "b", "4", "c"}); err != nil {
+	if err := rw.row(cells("ok", "00:01:30", "b", "4", "c")); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.flush(); err != nil || out.String() != "ok,1.50,b,4,c\n" {
+	if err := rw.flush(); err != nil || out.String() != "ok,1.50,b,4,c\n" {
 		t.Errorf("after a refused row: %q, %v", out.String(), err)
 	}
 
-	fw := newStringRowWriter(&failWriter{}, sidecarFuzzFields, DefaultOptions())
-	fw.header()
+	fw := newRowWriter(&failWriter{}, sidecarFuzzFields, DefaultOptions())
+	fw.buf = appendSidecarHeader(fw.buf, fw.fields, fw.kinds)
 	if err := fw.flush(); err == nil || fw.flush() != err {
 		t.Errorf("write error not sticky: %v then %v", err, fw.flush())
 	}

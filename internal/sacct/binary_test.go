@@ -10,6 +10,7 @@ import (
 
 	"slurmsight/internal/obs"
 	"slurmsight/internal/sacct/colstore"
+	"slurmsight/internal/slurm"
 )
 
 // dumpBinary writes st to a temp columnar file.
@@ -303,6 +304,9 @@ func TestAddIntoLazyShardMaterialises(t *testing.T) {
 		t.Error("record added into lazy shard not found")
 	}
 }
+
+// maxLoadLine is the row cap Load enforces: the one reader's.
+const maxLoadLine = slurm.MaxLineLen
 
 func TestLoadOversizedRowError(t *testing.T) {
 	var b bytes.Buffer

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"slurmsight/internal/slurm"
 )
 
 // Granularity selects how the Obtain-data stage shards its retrievals,
@@ -218,7 +220,7 @@ func (f *Fetcher) fetchOne(file *FetchedFile, q Query, spec FetchSpec) error {
 func writeCorrupted(w io.Writer, buf *bytes.Buffer, rate float64, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	sc := bufio.NewScanner(buf)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 1<<20), slurm.MaxLineLen)
 	bw := bufio.NewWriter(w)
 	first := true
 	for sc.Scan() {

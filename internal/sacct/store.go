@@ -13,8 +13,8 @@
 package sacct
 
 import (
-	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -458,93 +458,30 @@ func (s *Store) DumpFile(path string) error {
 	return f.Close()
 }
 
-// maxLoadLine bounds one dump row. A row past it fails the load with a
-// line-numbered error rather than an opaque scanner failure.
-const maxLoadLine = 8 << 20
-
-// loadLineReader reads dump lines through a bufio.Reader with a
-// growable spill, so rows longer than the read buffer still decode and
-// rows past maxLoadLine fail with their line number.
-type loadLineReader struct {
-	r    *bufio.Reader
-	long []byte
-	line int // 1-based number of the line most recently returned
-}
-
-// next returns the next line with its "\n" (and any "\r" before it)
-// stripped. io.EOF marks clean end of input.
-func (lr *loadLineReader) next() ([]byte, error) {
-	line, err := lr.r.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		lr.long = append(lr.long[:0], line...)
-		for err == bufio.ErrBufferFull {
-			if len(lr.long) > maxLoadLine {
-				return nil, fmt.Errorf("sacct: line %d: row exceeds %d bytes", lr.line+1, maxLoadLine)
-			}
-			line, err = lr.r.ReadSlice('\n')
-			lr.long = append(lr.long, line...)
-		}
-		line = lr.long
-	}
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	if len(line) == 0 {
-		return nil, io.EOF
-	}
-	lr.line++
-	if n := len(line); line[n-1] == '\n' {
-		line = line[:n-1]
-	}
-	if len(line) > maxLoadLine {
-		return nil, fmt.Errorf("sacct: line %d: row exceeds %d bytes", lr.line, maxLoadLine)
-	}
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	return line, nil
-}
-
-// Load reads a text Dump back into a store. Malformed lines are returned
-// in count; the paper's curation stage discards them downstream, so the
-// store keeps only clean rows.
+// Load reads a text Dump back into a store through the one row decoder
+// (slurm.ByteRecordReader: a row past slurm.MaxLineLen fails the load
+// with its line number). Malformed lines are returned in count; the
+// paper's curation stage discards them downstream, so the store keeps
+// only clean rows.
 func Load(r io.Reader) (*Store, int, error) {
-	lr := &loadLineReader{r: bufio.NewReaderSize(r, 1<<16)}
-	header, err := lr.next()
-	if err == io.EOF {
-		return nil, 0, fmt.Errorf("sacct: empty dump")
-	}
+	br, err := slurm.NewByteRecordReader(r)
 	if err != nil {
-		return nil, 0, err
-	}
-	fields := strings.Split(strings.TrimSpace(string(header)), slurm.Separator)
-	for _, f := range fields {
-		if _, ok := slurm.FieldByName(f); !ok {
-			return nil, 0, fmt.Errorf("sacct: dump header has unknown field %q", f)
-		}
+		return nil, 0, fmt.Errorf("sacct: dump header: %w", err)
 	}
 	st := NewStore()
 	malformed := 0
-	for {
-		raw, err := lr.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, malformed, err
-		}
-		line := string(raw)
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		rec, err := slurm.DecodeRecord(line, fields)
-		if err != nil {
+	for rec, err := range br.All() {
+		var rowErr *slurm.RowError
+		switch {
+		case err == nil:
+			if err := st.Add(rec.Clone()); err != nil {
+				// Unreachable for a fresh text store (no lazy shards), but
+				// the error is not ours to swallow if that ever changes.
+				return nil, malformed, err
+			}
+		case errors.As(err, &rowErr):
 			malformed++
-			continue
-		}
-		if err := st.Add(*rec); err != nil {
-			// Unreachable for a fresh text store (no lazy shards), but
-			// the error is not ours to swallow if that ever changes.
+		default:
 			return nil, malformed, err
 		}
 	}

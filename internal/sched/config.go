@@ -35,18 +35,13 @@ type Config struct {
 	SizeWeight      int64
 	FairShareWeight int64
 
-	// EnableBackfill toggles the EASY backfill pass; disabling it is the
-	// ablation baseline (pure priority-order FIFO with a blocking head).
-	// The Backfill name, when set, overrides this legacy toggle.
-	EnableBackfill bool
-
 	// Priority names the priority policy: "multifactor" (empty defaults
 	// here) or "fifo". See PriorityByName.
 	Priority string
 
-	// Backfill names the backfill strategy: "easy", "conservative", or
-	// "none". Empty defers to EnableBackfill — easy when true, none when
-	// false. See BackfillByName.
+	// Backfill names the backfill strategy: "easy" (empty defaults
+	// here), "conservative", or "none" — the ablation baseline, pure
+	// priority-order FIFO with a blocking head. See BackfillByName.
 	Backfill string
 
 	// NodeSelect names the node-selection policy: "pool" (the default
@@ -116,7 +111,6 @@ func DefaultConfig(sys *cluster.System) Config {
 		AgeMax:            14 * 24 * time.Hour,
 		SizeWeight:        400_000,
 		FairShareWeight:   200_000,
-		EnableBackfill:    true,
 		BackfillDepth:     500,
 		FairShareHalfLife: 7 * 24 * time.Hour,
 		Seed:              1,
@@ -140,18 +134,6 @@ var (
 	ErrUnknownPolicy = errors.New("sched: unknown policy")
 )
 
-// backfillName resolves the effective backfill strategy from the explicit
-// name and the legacy EnableBackfill toggle.
-func (c *Config) backfillName() string {
-	if c.Backfill != "" {
-		return c.Backfill
-	}
-	if c.EnableBackfill {
-		return "easy"
-	}
-	return "none"
-}
-
 // Fingerprint renders every setting that decides a run's outcome: two
 // configs with equal fingerprints simulate the same requests on the same
 // System to the same Result. Policy names are resolved first, so an empty
@@ -164,8 +146,9 @@ func (c *Config) backfillName() string {
 func (c *Config) Fingerprint() string {
 	k := *c
 	k.System, k.Metrics = nil, nil
-	k.Backfill = c.backfillName()
-	k.EnableBackfill = k.Backfill != "none"
+	if k.Backfill == "" {
+		k.Backfill = "easy"
+	}
 	if k.Priority == "" {
 		k.Priority = "multifactor"
 	}
@@ -199,7 +182,7 @@ func (c *Config) Validate() error {
 	if _, err := PriorityByName(c.Priority, c); err != nil {
 		return fmt.Errorf("%w: priority %q", ErrUnknownPolicy, c.Priority)
 	}
-	if _, err := BackfillByName(c.backfillName()); err != nil {
+	if _, err := BackfillByName(c.Backfill); err != nil {
 		return fmt.Errorf("%w: backfill %q", ErrUnknownPolicy, c.Backfill)
 	}
 	if _, err := SelectorByName(c.NodeSelect); err != nil {

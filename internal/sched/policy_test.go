@@ -73,7 +73,7 @@ func TestFIFOPriorityOrdersBySubmission(t *testing.T) {
 	start := func(priority string) [3]time.Time {
 		cfg := DefaultConfig(tinySystem())
 		cfg.Priority = priority
-		cfg.EnableBackfill = false
+		cfg.Backfill = "none"
 		sim, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -119,22 +119,20 @@ func TestBackfillByName(t *testing.T) {
 	}
 }
 
+// TestBackfillNameResolution: Config.Backfill alone decides the policy a
+// simulator runs, and empty means easy.
 func TestBackfillNameResolution(t *testing.T) {
-	cases := []struct {
-		backfill string
-		enable   bool
-		want     string
-	}{
-		{"", true, "easy"},
-		{"", false, "none"},
-		{"conservative", false, "conservative"}, // explicit name wins
-		{"none", true, "none"},
-	}
-	for _, tc := range cases {
-		c := Config{Backfill: tc.backfill, EnableBackfill: tc.enable}
-		if got := c.backfillName(); got != tc.want {
-			t.Errorf("backfillName(%q, enable=%v) = %q, want %q",
-				tc.backfill, tc.enable, got, tc.want)
+	for backfill, want := range map[string]string{
+		"": "easy", "easy": "easy", "conservative": "conservative", "none": "none",
+	} {
+		cfg := DefaultConfig(tinySystem())
+		cfg.Backfill = backfill
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sim.bf.Name(); got != want {
+			t.Errorf("Backfill %q runs %q, want %q", backfill, got, want)
 		}
 	}
 }
@@ -356,7 +354,6 @@ func TestConfigFingerprint(t *testing.T) {
 		"named defaults":        func(c *Config) { c.Priority, c.Backfill, c.NodeSelect = "multifactor", "easy", "pool" },
 		"metrics attached":      func(c *Config) { c.Metrics = obs.NewRegistry() },
 		"another system handle": func(c *Config) { c.System = tinySystem() },
-		"none beats the toggle": func(c *Config) { c.Backfill = "easy"; c.EnableBackfill = false },
 	}
 	for name, mutate := range same {
 		c := base
@@ -379,7 +376,7 @@ func TestConfigFingerprint(t *testing.T) {
 		"sharing":     func(c *Config) { c.EnableNodeSharing = true },
 		"priority":    func(c *Config) { c.Priority = "fifo" },
 		"backfill":    func(c *Config) { c.Backfill = "conservative" },
-		"toggle off":  func(c *Config) { c.EnableBackfill = false },
+		"no backfill": func(c *Config) { c.Backfill = "none" },
 		"selector":    func(c *Config) { c.NodeSelect = "firstfit" },
 		"reservation": func(c *Config) {
 			c.Reservations = []Reservation{{Name: "r", Nodes: 1, Start: t0, End: t0.Add(time.Hour)}}

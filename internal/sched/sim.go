@@ -194,7 +194,7 @@ func New(cfg Config) (*Simulator, error) {
 	if s.prio, err = PriorityByName(cfg.Priority, &cfg); err != nil {
 		return nil, err
 	}
-	if s.bf, err = BackfillByName(cfg.backfillName()); err != nil {
+	if s.bf, err = BackfillByName(cfg.Backfill); err != nil {
 		return nil, err
 	}
 	if s.sel, err = SelectorByName(cfg.NodeSelect); err != nil {

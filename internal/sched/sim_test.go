@@ -166,7 +166,7 @@ func TestBackfillDisabledAblation(t *testing.T) {
 		req("b", t0.Add(time.Second), 10, time.Hour, 30*time.Minute),
 		req("c", t0.Add(2*time.Second), 1, 10*time.Minute, 5*time.Minute),
 	}
-	res := run(t, tinySystem(), reqs, func(c *Config) { c.EnableBackfill = false })
+	res := run(t, tinySystem(), reqs, func(c *Config) { c.Backfill = "none" })
 	c := findJob(res, "c")
 	if c.Start.Before(t0.Add(time.Hour)) {
 		t.Errorf("with backfill off, c must wait for the head; started %v", c.Start)

@@ -559,3 +559,71 @@ func TestDrainShutdown(t *testing.T) {
 		t.Fatal("drain did not return after cancel")
 	}
 }
+
+// TestTextRowsDumpTheSameThroughLoadAndIngest: there is one text decoder,
+// so the same rows reach the store as the same records whichever door
+// they came in by — an empty ReqTRES cell is a nil map through sacct.Load
+// exactly as through /ingest, and the two stores dump to byte-identical
+// colstore files.
+func TestTextRowsDumpTheSameThroughLoadAndIngest(t *testing.T) {
+	text := "JobID|User|Submit|Start|End|Elapsed|State|NNodes|ReqTRES|TRESUsageInAve\n" +
+		"9000001|a|2031-01-01T00:00:00|2031-01-01T00:10:00|2031-01-01T01:10:00|01:00:00|COMPLETED|4||\n" +
+		"9000002|b|2031-01-01T00:05:00|2031-01-01T00:15:00|2031-01-01T01:15:00|01:00:00|FAILED|2|cpu=8,mem=4G,node=2|cpu=7\n"
+	dir := t.TempDir()
+
+	loaded, malformed, err := sacct.Load(strings.NewReader(text))
+	if err != nil || malformed != 0 {
+		t.Fatalf("load: %d malformed, %v", malformed, err)
+	}
+	viaLoad := filepath.Join(dir, "load.colstore")
+	if err := loaded.DumpBinaryFile(viaLoad); err != nil {
+		t.Fatal(err)
+	}
+
+	header, rows := splitHeader([]byte(text))
+	recs, malformed, err := decodeRows(header, rows)
+	if err != nil || malformed != 0 || len(recs) != 2 {
+		t.Fatalf("decodeRows: %d rows, %d malformed, %v", len(recs), malformed, err)
+	}
+	ingested := sacct.NewStore()
+	if _, _, err := ingested.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	viaIngest := filepath.Join(dir, "ingest.colstore")
+	if err := ingested.DumpBinaryFile(viaIngest); err != nil {
+		t.Fatal(err)
+	}
+
+	a, err := os.ReadFile(viaLoad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(viaIngest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("the same two text rows dump to different colstore bytes: %d via Load, %d via ingest", len(a), len(b))
+	}
+}
+
+// TestIngestOversizedRowNamesTheLine: a row past the one reader's cap is
+// refused by /ingest with the message Load and the curate stage give.
+func TestIngestOversizedRowNamesTheLine(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	gen := s.store.Generation()
+	body := "JobID|User\n1|alice\n2|" + strings.Repeat("x", slurm.MaxLineLen+5) + "\n3|bob\n"
+	resp, err := http.Post(ts.URL+"/ingest", "text/plain", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest ||
+		strings.TrimSpace(string(msg)) != "slurm: line 3: row exceeds 8388608 bytes" {
+		t.Errorf("status %d, body %q", resp.StatusCode, msg)
+	}
+	if s.store.Generation() != gen {
+		t.Error("a refused batch moved the generation")
+	}
+}

@@ -7,23 +7,25 @@ import (
 	"io"
 )
 
-// maxLineLen mirrors RecordReader's scanner buffer cap: lines longer
-// than this fail with bufio.ErrTooLong on both decode paths.
-const maxLineLen = 1 << 20
+// MaxLineLen bounds one input line. A longer one ends the stream with
+// an error naming its line, so a row the store loads is a row curate
+// and /ingest accept.
+const MaxLineLen = 8 << 20
 
 // internCap bounds the per-reader string and flag caches. Past it the
 // reader keeps decoding correctly but allocates fresh strings; real
 // sacct columns (users, accounts, partitions, states) stay far below.
 const internCap = 1 << 15
 
-// ByteRecordReader is the zero-alloc counterpart of RecordReader: the
-// same header contract and row semantics, but lines are pulled straight
-// from the read buffer as []byte, columns are tokenized without string
-// conversion, and typed fields decode through the Field.SetBytes parsers
-// (ParseTimeBytes, ParseDurationBytes, ...) instead of time.Parse and
-// strings.Split. Free-form string columns are interned — one allocation
-// per distinct value per reader, not per row — so steady-state decode of
-// a repetitive trace allocates nothing per row. The returned record and
+// ByteRecordReader is the streaming decoder for pipe-separated sacct
+// text, the only one: it resolves the header's field accessors once and
+// decodes one row per Next call into a reusable scratch record. Lines
+// are pulled straight from the read buffer as []byte, columns are
+// tokenized without string conversion, and typed fields decode through
+// the Field.SetBytes parsers (ParseTimeBytes, ParseDurationBytes, ...).
+// Free-form string columns are interned — one allocation per distinct
+// value per reader, not per row — so steady-state decode of a
+// repetitive trace allocates nothing per row. The returned record and
 // the Row backing storage are valid only until the following Next call.
 type ByteRecordReader struct {
 	r      *bufio.Reader
@@ -38,8 +40,8 @@ type ByteRecordReader struct {
 	flagsCache map[string][]string // raw Flags cell → pre-split, capacity-clipped slice
 }
 
-// NewByteRecordReader reads and validates the header line of r. It
-// accepts exactly the headers NewRecordReader accepts.
+// NewByteRecordReader reads and validates the header line of r. An
+// empty input or a header naming an unknown field is an error.
 func NewByteRecordReader(r io.Reader) (*ByteRecordReader, error) {
 	br := newByteRecordReader(bufio.NewReaderSize(r, 1<<16), nil, nil, 0)
 	header, err := br.readLine()
@@ -49,7 +51,6 @@ func NewByteRecordReader(r io.Reader) (*ByteRecordReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	br.line = 1 // the header line
 	br.fields, br.names, err = resolveHeader(string(header))
 	if err != nil {
 		return nil, err
@@ -61,8 +62,8 @@ func NewByteRecordReader(r io.Reader) (*ByteRecordReader, error) {
 // newByteRecordReader wraps an already-positioned reader whose header
 // was resolved elsewhere (the ChunkScanner path). lineBase seeds the
 // line counter: 1 for a chunk that starts right after the header (so
-// RowError lines match the sequential reader), 0 for interior chunks,
-// whose line numbers are then chunk-relative.
+// its line numbers are the input's), 0 for interior chunks, whose line
+// numbers are then chunk-relative.
 func newByteRecordReader(r *bufio.Reader, fields []*Field, names []string, lineBase int) *ByteRecordReader {
 	return &ByteRecordReader{
 		r:          r,
@@ -90,17 +91,17 @@ func (br *ByteRecordReader) Line() int { return br.line }
 func (br *ByteRecordReader) Row() [][]byte { return br.cols }
 
 // readLine returns the next input line with its trailing "\n" (and one
-// "\r" before it) stripped, mirroring bufio.ScanLines including the
-// final unterminated line. The slice aliases the read buffer (or the
-// long-line spill) and is valid until the next call.
+// "\r" before it) stripped, the final unterminated line included, and
+// counts it. The slice aliases the read buffer (or the long-line spill,
+// which grows only when a line outgrows the buffer) and is valid until
+// the next call.
 func (br *ByteRecordReader) readLine() ([]byte, error) {
 	line, err := br.r.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
-		// Rare long line: accumulate into owned spill storage.
 		br.long = append(br.long[:0], line...)
 		for err == bufio.ErrBufferFull {
-			if len(br.long) > maxLineLen {
-				return nil, bufio.ErrTooLong
+			if len(br.long) > MaxLineLen {
+				return nil, br.tooLong(br.line + 1)
 			}
 			line, err = br.r.ReadSlice('\n')
 			br.long = append(br.long, line...)
@@ -113,11 +114,12 @@ func (br *ByteRecordReader) readLine() ([]byte, error) {
 	if len(line) == 0 {
 		return nil, io.EOF
 	}
+	br.line++
 	if n := len(line); line[n-1] == '\n' {
 		line = line[:n-1]
 	}
-	if len(line) >= maxLineLen { // the scanner cap counts the line before CR-stripping
-		return nil, bufio.ErrTooLong
+	if len(line) > MaxLineLen {
+		return nil, br.tooLong(br.line)
 	}
 	if n := len(line); n > 0 && line[n-1] == '\r' {
 		line = line[:n-1]
@@ -125,20 +127,19 @@ func (br *ByteRecordReader) readLine() ([]byte, error) {
 	return line, nil
 }
 
+func (br *ByteRecordReader) tooLong(line int) error {
+	return fmt.Errorf("slurm: line %d: row exceeds %d bytes", line, MaxLineLen)
+}
+
 // Next decodes the next data row. Blank lines are skipped. It returns
 // io.EOF at the end of input, a *RowError for a malformed row (callers
-// may keep reading past it), and any other error terminally — the same
-// contract, accepted inputs, and error text as RecordReader.Next.
+// may keep reading past it), and any other error terminally.
 func (br *ByteRecordReader) Next() (*Record, error) {
 	for {
 		line, err := br.readLine()
-		if err == io.EOF {
-			return nil, io.EOF
-		}
 		if err != nil {
 			return nil, err
 		}
-		br.line++
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
@@ -198,10 +199,9 @@ func (br *ByteRecordReader) flagsFor(b []byte) []string {
 	return fl
 }
 
-// All returns the reader's remaining rows as a RecordSeq with the same
-// semantics as RecordReader.All: malformed rows yield (nil, *RowError)
-// and iteration continues; a terminal error is yielded last. Records
-// alias the reader's scratch storage.
+// All returns the reader's remaining rows as a RecordSeq: malformed rows
+// are yielded as (nil, *RowError) and iteration continues; a terminal
+// error is yielded last. Records alias the reader's scratch storage.
 func (br *ByteRecordReader) All() RecordSeq {
 	return func(yield func(*Record, error) bool) {
 		for {

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
-	"sync/atomic"
 )
 
 // Chunk is one newline-aligned byte range of a period file's data
@@ -37,7 +35,7 @@ const chunkAlignBuf = 64 << 10
 
 // NewChunkScanner resolves path's header and plans up to n newline-
 // aligned chunks over its data region. An empty input or a header
-// naming an unknown field is an error, exactly as in NewRecordReader.
+// naming an unknown field is an error, exactly as in NewByteRecordReader.
 func NewChunkScanner(path string, n int) (*ChunkScanner, error) {
 	if n < 1 {
 		n = 1
@@ -151,9 +149,9 @@ func (cs *ChunkScanner) Chunks() []Chunk {
 }
 
 // Open returns a decoder over chunk i, plus the file handle to close
-// when done. Chunk 0 starts right after the header, so its RowError
-// line numbers match the sequential reader's; interior chunks report
-// chunk-relative line numbers.
+// when done. Chunk 0 starts right after the header, so the line numbers
+// in its errors are the file's; interior chunks report chunk-relative
+// line numbers.
 func (cs *ChunkScanner) Open(i int) (*ByteRecordReader, io.Closer, error) {
 	f, err := os.Open(cs.path)
 	if err != nil {
@@ -166,129 +164,4 @@ func (cs *ChunkScanner) Open(i int) (*ByteRecordReader, io.Closer, error) {
 	}
 	sec := io.NewSectionReader(f, c.Off, c.Len)
 	return newByteRecordReader(bufio.NewReaderSize(sec, 1<<16), cs.fields, cs.names, base), f, nil
-}
-
-// batchRows sizes the record batches the parallel merge hands between
-// goroutines: big enough to amortise channel traffic, small enough to
-// keep per-chunk buffering bounded.
-const batchRows = 1024
-
-// chunkItem is one merged-stream event: a decoded record or an error
-// (a *RowError to skip past, anything else terminal).
-type chunkItem struct {
-	rec Record
-	err error
-}
-
-// All decodes every chunk on a pool of `workers` goroutines and merges
-// the results into one RecordSeq in file order: chunk i's rows are
-// yielded, in order, before chunk i+1's. Records are copied out of the
-// per-chunk decoder scratch into batches, so each yielded record is
-// valid until the following iteration, same as the sequential contract.
-// Stopping the iteration early cancels the outstanding decoders.
-func (cs *ChunkScanner) All(workers int) RecordSeq {
-	return func(yield func(*Record, error) bool) {
-		n := len(cs.chunks)
-		if n == 0 {
-			return
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		if workers > n {
-			workers = n
-		}
-		chans := make([]chan []chunkItem, n)
-		for i := range chans {
-			chans[i] = make(chan []chunkItem, 2)
-		}
-		done := make(chan struct{})
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					cs.decodeChunk(i, chans[i], done)
-				}
-			}()
-		}
-		defer wg.Wait()
-		defer close(done)
-		for i := 0; i < n; i++ {
-			for batch := range chans[i] {
-				for j := range batch {
-					it := &batch[j]
-					if it.err != nil {
-						if _, ok := it.err.(*RowError); ok {
-							if !yield(nil, it.err) {
-								return
-							}
-							continue
-						}
-						yield(nil, it.err)
-						return
-					}
-					if !yield(&it.rec, nil) {
-						return
-					}
-				}
-			}
-		}
-	}
-}
-
-// decodeChunk runs one chunk's decoder to completion, sending copied
-// record batches on out (closed when the chunk is done) and stopping
-// promptly when done is closed. A terminal error ends the batch stream.
-func (cs *ChunkScanner) decodeChunk(i int, out chan<- []chunkItem, done <-chan struct{}) {
-	defer close(out)
-	rr, closer, err := cs.Open(i)
-	if err != nil {
-		select {
-		case out <- []chunkItem{{err: err}}:
-		case <-done:
-		}
-		return
-	}
-	defer closer.Close()
-	batch := make([]chunkItem, 0, batchRows)
-	flush := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		select {
-		case out <- batch:
-			batch = make([]chunkItem, 0, batchRows)
-			return true
-		case <-done:
-			return false
-		}
-	}
-	for {
-		rec, err := rr.Next()
-		switch {
-		case err == io.EOF:
-			flush()
-			return
-		case err != nil:
-			batch = append(batch, chunkItem{err: err})
-			if _, ok := err.(*RowError); !ok {
-				flush()
-				return
-			}
-		default:
-			batch = append(batch, chunkItem{rec: *rec})
-		}
-		if len(batch) == batchRows {
-			if !flush() {
-				return
-			}
-		}
-	}
 }

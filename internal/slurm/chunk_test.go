@@ -81,13 +81,6 @@ func TestChunkScannerHeaderOnly(t *testing.T) {
 	if cs.NumChunks() != 0 {
 		t.Errorf("header-only file: %d chunks, want 0", cs.NumChunks())
 	}
-	n := 0
-	for range cs.All(4) {
-		n++
-	}
-	if n != 0 {
-		t.Errorf("header-only file yielded %d events", n)
-	}
 	if _, err := NewChunkScanner(writeTrace(t, ""), 2); err == nil {
 		t.Error("empty file: want header error")
 	}
@@ -96,91 +89,23 @@ func TestChunkScannerHeaderOnly(t *testing.T) {
 	}
 }
 
-// TestChunkScannerAllMatchesSequential is the ordering property test:
-// for randomized row counts, malformed-row placements, chunk counts,
-// and worker counts, the parallel merged stream must yield the same
-// events in the same order as the sequential string reader.
-func TestChunkScannerAllMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 25; trial++ {
-		rows := 1 + rng.Intn(120)
-		malformed := map[int]bool{}
-		for i := 0; i < rows/10; i++ {
-			malformed[rng.Intn(rows)] = true
-		}
-		body := buildTrace(rng, rows, malformed)
-		path := writeTrace(t, body)
-		nchunks := 1 + rng.Intn(7)
-		workers := 1 + rng.Intn(4)
-
-		sr, err := NewRecordReader(strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := renderSeq(t, sr.All(), sr.Fields())
-
-		cs, err := NewChunkScanner(path, nchunks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		for rec, err := range cs.All(workers) {
-			if err != nil {
-				if _, ok := err.(*RowError); !ok {
-					t.Fatalf("terminal error: %v", err)
-				}
-				got = append(got, "err")
-				continue
-			}
-			enc, eerr := EncodeRecord(rec, cs.Fields())
-			if eerr != nil {
-				t.Fatal(eerr)
-			}
-			got = append(got, enc)
-		}
-		// Row-error line numbers are chunk-relative past chunk 0, so
-		// compare event kinds and record bytes, not error text.
-		if len(want) != len(got) {
-			t.Fatalf("trial %d (rows=%d chunks=%d workers=%d): %d events vs %d",
-				trial, rows, nchunks, workers, len(want), len(got))
-		}
-		for i := range want {
-			w := want[i]
-			if strings.HasPrefix(w, "err: ") {
-				w = "err"
-			}
-			if w != got[i] {
-				t.Fatalf("trial %d event %d differs:\nseq:      %s\nparallel: %s", trial, i, w, got[i])
-			}
+// eventKinds renders a reader's events comparably across chunk plans:
+// row-error line numbers are chunk-relative past chunk 0, so a
+// malformed row renders as "err".
+func eventKinds(t *testing.T, br *ByteRecordReader) []string {
+	t.Helper()
+	out := renderSeq(t, br.All(), br.Fields())
+	for i, ev := range out {
+		if strings.HasPrefix(ev, "err: ") {
+			out[i] = "err"
 		}
 	}
+	return out
 }
 
-func TestChunkScannerAllEarlyStop(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	path := writeTrace(t, buildTrace(rng, 5000, nil))
-	cs, err := NewChunkScanner(path, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, e := range cs.All(4) {
-		if e != nil {
-			t.Fatal(e)
-		}
-		n++
-		if n == 10 {
-			break // must cancel the outstanding chunk decoders cleanly
-		}
-	}
-	if n != 10 {
-		t.Errorf("broke after %d records", n)
-	}
-}
-
-// FuzzChunkBoundaries feeds arbitrary trace bodies through the
-// sequential reader and the chunked merge at several chunk counts: the
-// surviving records must match byte for byte no matter where the chunk
+// FuzzChunkBoundaries feeds arbitrary trace bodies through one reader
+// over the whole input and through the chunk plan at several chunk
+// counts: the events must match byte for byte no matter where the chunk
 // boundaries land (including mid-row candidates that the planner must
 // push to the next newline).
 func FuzzChunkBoundaries(f *testing.F) {
@@ -194,55 +119,34 @@ func FuzzChunkBoundaries(f *testing.F) {
 		if len(body) > 1<<16 || nchunks < 1 || nchunks > 32 {
 			return
 		}
-		sr, err := NewRecordReader(strings.NewReader(body))
-		if err != nil {
-			return // both paths reject the header identically (mirror tests pin it)
-		}
-		var want []string
-		for rec, e := range sr.All() {
-			if e != nil {
-				if _, ok := e.(*RowError); !ok {
-					return // terminal decode error: ordering comparison n/a
-				}
-				want = append(want, "err")
-				continue
-			}
-			enc, eerr := EncodeRecord(rec, sr.Fields())
-			if eerr != nil {
-				t.Fatal(eerr)
-			}
-			want = append(want, enc)
-		}
-
 		path := filepath.Join(t.TempDir(), "fuzz.txt")
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cs, err := NewChunkScanner(path, nchunks)
-		if err != nil {
-			t.Fatalf("sequential accepted header but chunk scanner failed: %v", err)
+		whole, err := NewByteRecordReader(strings.NewReader(body))
+		cs, cerr := NewChunkScanner(path, nchunks)
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("header: reader says %v, chunk scanner says %v", err, cerr)
 		}
+		if err != nil {
+			return
+		}
+		want := eventKinds(t, whole)
 		var got []string
-		for rec, e := range cs.All(3) {
-			if e != nil {
-				if _, ok := e.(*RowError); !ok {
-					t.Fatalf("chunked path hit terminal error the sequential path did not: %v", e)
-				}
-				got = append(got, "err")
-				continue
+		for i := 0; i < cs.NumChunks(); i++ {
+			br, closer, err := cs.Open(i)
+			if err != nil {
+				t.Fatal(err)
 			}
-			enc, eerr := EncodeRecord(rec, cs.Fields())
-			if eerr != nil {
-				t.Fatal(eerr)
-			}
-			got = append(got, enc)
+			got = append(got, eventKinds(t, br)...)
+			closer.Close()
 		}
 		if len(want) != len(got) {
 			t.Fatalf("chunks=%d: %d events vs %d\nbody=%q", nchunks, len(want), len(got), body)
 		}
 		for i := range want {
 			if want[i] != got[i] {
-				t.Fatalf("chunks=%d event %d:\nseq:      %s\nparallel: %s\nbody=%q",
+				t.Fatalf("chunks=%d event %d:\nwhole:   %s\nchunked: %s\nbody=%q",
 					nchunks, i, want[i], got[i], body)
 			}
 		}

@@ -2,92 +2,10 @@ package slurm
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"time"
 )
-
-// ParseDuration parses a Slurm elapsed/timelimit string. Accepted layouts,
-// as produced by sacct and accepted by sbatch:
-//
-//	MM:SS
-//	HH:MM:SS
-//	D-HH
-//	D-HH:MM
-//	D-HH:MM:SS
-//	MM (bare minutes, sbatch --time shorthand)
-//	UNLIMITED / INVALID / empty → error
-func ParseDuration(s string) (time.Duration, error) {
-	t := strings.TrimSpace(s)
-	if t == "" || strings.EqualFold(t, "UNLIMITED") || strings.EqualFold(t, "INVALID") {
-		return 0, fmt.Errorf("slurm: unparseable duration %q", s)
-	}
-	var days int64
-	if i := strings.IndexByte(t, '-'); i >= 0 {
-		d, err := strconv.ParseInt(t[:i], 10, 64)
-		if err != nil || d < 0 {
-			return 0, fmt.Errorf("slurm: bad day count in duration %q", s)
-		}
-		days, t = d, t[i+1:]
-	}
-	parts := strings.Split(t, ":")
-	for _, p := range parts {
-		if p == "" {
-			return 0, fmt.Errorf("slurm: empty component in duration %q", s)
-		}
-	}
-	var h, m, sec int64
-	var err error
-	switch len(parts) {
-	case 1:
-		// D-HH when a day prefix was present, bare minutes otherwise.
-		if days > 0 || strings.Contains(s, "-") {
-			h, err = strconv.ParseInt(parts[0], 10, 64)
-		} else {
-			m, err = strconv.ParseInt(parts[0], 10, 64)
-		}
-	case 2:
-		if strings.Contains(s, "-") {
-			// D-HH:MM
-			h, err = strconv.ParseInt(parts[0], 10, 64)
-			if err == nil {
-				m, err = strconv.ParseInt(parts[1], 10, 64)
-			}
-		} else {
-			// MM:SS
-			m, err = strconv.ParseInt(parts[0], 10, 64)
-			if err == nil {
-				sec, err = strconv.ParseInt(parts[1], 10, 64)
-			}
-		}
-	case 3:
-		h, err = strconv.ParseInt(parts[0], 10, 64)
-		if err == nil {
-			m, err = strconv.ParseInt(parts[1], 10, 64)
-		}
-		if err == nil {
-			sec, err = strconv.ParseInt(parts[2], 10, 64)
-		}
-	default:
-		return 0, fmt.Errorf("slurm: malformed duration %q", s)
-	}
-	if err != nil || h < 0 || m < 0 || sec < 0 {
-		return 0, fmt.Errorf("slurm: malformed duration %q", s)
-	}
-	// Guard against int64-nanosecond overflow (time.Duration tops out
-	// near 292 years); component caps keep the seconds arithmetic itself
-	// overflow-free.
-	const maxComponent = int64(1) << 33
-	if days > maxComponent || h > maxComponent || m > maxComponent {
-		return 0, fmt.Errorf("slurm: duration %q out of range", s)
-	}
-	totalSec := days*86400 + h*3600 + m*60 + sec
-	if totalSec > int64(math.MaxInt64)/int64(time.Second) {
-		return 0, fmt.Errorf("slurm: duration %q out of range", s)
-	}
-	return time.Duration(totalSec) * time.Second, nil
-}
 
 // FormatDuration renders a duration in canonical sacct form: HH:MM:SS for
 // durations under a day, D-HH:MM:SS otherwise. Sub-second precision is

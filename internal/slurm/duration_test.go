@@ -23,21 +23,21 @@ func TestParseDuration(t *testing.T) {
 		{" 01:00:00 ", time.Hour},
 	}
 	for _, c := range cases {
-		got, err := ParseDuration(c.in)
+		got, err := ParseDurationBytes([]byte(c.in))
 		if err != nil {
-			t.Errorf("ParseDuration(%q): unexpected error %v", c.in, err)
+			t.Errorf("ParseDurationBytes(%q): unexpected error %v", c.in, err)
 			continue
 		}
 		if got != c.want {
-			t.Errorf("ParseDuration(%q) = %v, want %v", c.in, got, c.want)
+			t.Errorf("ParseDurationBytes(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }
 
 func TestParseDurationErrors(t *testing.T) {
 	for _, in := range []string{"", "UNLIMITED", "INVALID", "x:y:z", "1-", "-5", "1:2:3:4", "::", "1:-2"} {
-		if _, err := ParseDuration(in); err == nil {
-			t.Errorf("ParseDuration(%q): want error, got nil", in)
+		if _, err := ParseDurationBytes([]byte(in)); err == nil {
+			t.Errorf("ParseDurationBytes(%q): want error, got nil", in)
 		}
 	}
 }
@@ -65,7 +65,7 @@ func TestFormatDuration(t *testing.T) {
 func TestDurationRoundTripProperty(t *testing.T) {
 	f := func(secs uint32) bool {
 		d := time.Duration(secs) * time.Second
-		got, err := ParseDuration(FormatDuration(d))
+		got, err := ParseDurationBytes([]byte(FormatDuration(d)))
 		return err == nil && got == d
 	}
 	if err := quick.Check(f, nil); err != nil {

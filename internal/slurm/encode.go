@@ -1,9 +1,6 @@
 package slurm
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Separator is the column separator sacct uses with --parsable2.
 const Separator = "|"
@@ -69,26 +66,4 @@ func EncodeRecord(r *Record, fields []string) (string, error) {
 		return "", err
 	}
 	return string(e.AppendRecord(nil, r)), nil
-}
-
-// DecodeRecord parses one pipe-separated line into a Record, using the
-// field selection that produced it. A column-count mismatch or any
-// per-field parse failure is an error; callers treat such rows as the
-// malformed records the curation stage discards.
-func DecodeRecord(line string, fields []string) (*Record, error) {
-	parts := strings.Split(line, Separator)
-	if len(parts) != len(fields) {
-		return nil, fmt.Errorf("slurm: %d columns, want %d", len(parts), len(fields))
-	}
-	r := &Record{TRESReq: TRES{}, TRESUsageInAve: TRES{}}
-	for i, name := range fields {
-		f, ok := FieldByName(name)
-		if !ok {
-			return nil, fmt.Errorf("slurm: unknown field %q", name)
-		}
-		if err := f.Set(r, parts[i]); err != nil {
-			return nil, fmt.Errorf("slurm: field %s: %w", name, err)
-		}
-	}
-	return r, nil
 }

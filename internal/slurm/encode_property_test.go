@@ -70,7 +70,7 @@ func TestPropertyEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: encode: %v", seed, err)
 		}
-		got, err := DecodeRecord(line, fields)
+		got, err := decodeLine(line, fields)
 		if err != nil {
 			t.Fatalf("seed %d: decode: %v\nline: %s", seed, err, line)
 		}

@@ -41,10 +41,11 @@ func Categories() []Category {
 // entry writes exactly one of the two — Get where the text already
 // exists as a string, Append where it has to be formatted — and
 // addField derives the other, so no column has two renderings.
-// SetBytes, when non-nil, is the zero-alloc decode fast path used by
-// ByteRecordReader; it must accept exactly the inputs Set accepts and
-// must not retain the byte slice. Fields without one (free-form string
-// columns) are decoded through Set on an interned copy of the cell.
+// Decoding has one setter per column too: SetBytes on the typed columns,
+// which parses the cell in place and must not retain the byte slice,
+// and Set on the free-form string columns and Flags, which stores the
+// string it is given (ByteRecordReader hands it an interned copy of the
+// cell). Exactly one of the two is non-nil.
 type Field struct {
 	Name     string
 	Category Category
@@ -55,16 +56,8 @@ type Field struct {
 	SetBytes func(*Record, []byte) error
 }
 
-func intField(get func(*Record) int64, set func(*Record, int64)) (func([]byte, *Record) []byte, func(*Record, string) error, func(*Record, []byte) error) {
+func intField(get func(*Record) int64, set func(*Record, int64)) (func([]byte, *Record) []byte, func(*Record, []byte) error) {
 	return func(dst []byte, r *Record) []byte { return strconv.AppendInt(dst, get(r), 10) },
-		func(r *Record, s string) error {
-			n, err := ParseCount(s)
-			if err != nil {
-				return err
-			}
-			set(r, n)
-			return nil
-		},
 		func(r *Record, b []byte) error {
 			n, err := ParseCountBytes(b)
 			if err != nil {
@@ -120,14 +113,6 @@ func defineFields() {
 	addField(Field{Name: "JobID", Category: CatIdentification,
 		Doc:    "job, array-task, or step identifier",
 		Append: func(dst []byte, r *Record) []byte { return r.ID.Append(dst) },
-		Set: func(r *Record, s string) error {
-			id, err := ParseJobID(s)
-			if err != nil {
-				return err
-			}
-			r.ID = id
-			return nil
-		},
 		SetBytes: func(r *Record, b []byte) error {
 			id, err := ParseJobIDBytes(b)
 			if err != nil {
@@ -140,8 +125,8 @@ func defineFields() {
 	addField(Field{Name: "JobName", Category: CatIdentification, Doc: "user-supplied job name", Get: g, Set: s})
 	g, s = strField(func(r *Record) string { return r.User }, func(r *Record, v string) { r.User = v })
 	addField(Field{Name: "User", Category: CatIdentification, Doc: "submitting user", Get: g, Set: s})
-	gi, si, sbi := intField(func(r *Record) int64 { return r.UID }, func(r *Record, v int64) { r.UID = v })
-	addField(Field{Name: "UID", Category: CatIdentification, Doc: "submitting user id", Append: gi, Set: si, SetBytes: sbi})
+	gi, sbi := intField(func(r *Record) int64 { return r.UID }, func(r *Record, v int64) { r.UID = v })
+	addField(Field{Name: "UID", Category: CatIdentification, Doc: "submitting user id", Append: gi, SetBytes: sbi})
 	g, s = strField(func(r *Record) string { return r.Group }, func(r *Record, v string) { r.Group = v })
 	addField(Field{Name: "Group", Category: CatIdentification, Doc: "submitting group", Get: g, Set: s})
 	g, s = strField(func(r *Record) string { return r.Account }, func(r *Record, v string) { r.Account = v })
@@ -152,8 +137,8 @@ func defineFields() {
 	addField(Field{Name: "Partition", Category: CatIdentification, Doc: "partition the job ran in", Get: g, Set: s})
 	g, s = strField(func(r *Record) string { return r.Reservation }, func(r *Record, v string) { r.Reservation = v })
 	addField(Field{Name: "Reservation", Category: CatIdentification, Doc: "advance reservation name", Get: g, Set: s})
-	gi, si, sbi = intField(func(r *Record) int64 { return r.ReservationID }, func(r *Record, v int64) { r.ReservationID = v })
-	addField(Field{Name: "ReservationID", Category: CatIdentification, Doc: "advance reservation id", Append: gi, Set: si, SetBytes: sbi})
+	gi, sbi = intField(func(r *Record) int64 { return r.ReservationID }, func(r *Record, v int64) { r.ReservationID = v })
+	addField(Field{Name: "ReservationID", Category: CatIdentification, Doc: "advance reservation id", Append: gi, SetBytes: sbi})
 
 	// --- Timing Information ---
 	addTimestamp("Submit", CatTiming, "submission time",
@@ -168,26 +153,18 @@ func defineFields() {
 		func(r *Record) *durRef { return (*durRef)(&r.Timelimit) })
 
 	// --- Resource Requests ---
-	gi, si, sbi = intField(func(r *Record) int64 { return r.NNodes }, func(r *Record, v int64) { r.NNodes = v })
-	addField(Field{Name: "NNodes", Category: CatRequests, Doc: "allocated node count", Append: gi, Set: si, SetBytes: sbi})
-	gi, si, sbi = intField(func(r *Record) int64 { return r.NCPUs }, func(r *Record, v int64) { r.NCPUs = v })
-	addField(Field{Name: "NCPUS", Category: CatRequests, Doc: "allocated CPU count", Append: gi, Set: si, SetBytes: sbi})
-	gi, si, sbi = intField(func(r *Record) int64 { return r.NTasks }, func(r *Record, v int64) { r.NTasks = v })
-	addField(Field{Name: "NTasks", Category: CatRequests, Doc: "task count (steps)", Append: gi, Set: si, SetBytes: sbi})
-	gi, si, sbi = intField(func(r *Record) int64 { return r.ReqNodes }, func(r *Record, v int64) { r.ReqNodes = v })
-	addField(Field{Name: "ReqNodes", Category: CatRequests, Doc: "requested node count", Append: gi, Set: si, SetBytes: sbi})
-	gi, si, sbi = intField(func(r *Record) int64 { return r.ReqCPUs }, func(r *Record, v int64) { r.ReqCPUs = v })
-	addField(Field{Name: "ReqCPUS", Category: CatRequests, Doc: "requested CPU count", Append: gi, Set: si, SetBytes: sbi})
+	gi, sbi = intField(func(r *Record) int64 { return r.NNodes }, func(r *Record, v int64) { r.NNodes = v })
+	addField(Field{Name: "NNodes", Category: CatRequests, Doc: "allocated node count", Append: gi, SetBytes: sbi})
+	gi, sbi = intField(func(r *Record) int64 { return r.NCPUs }, func(r *Record, v int64) { r.NCPUs = v })
+	addField(Field{Name: "NCPUS", Category: CatRequests, Doc: "allocated CPU count", Append: gi, SetBytes: sbi})
+	gi, sbi = intField(func(r *Record) int64 { return r.NTasks }, func(r *Record, v int64) { r.NTasks = v })
+	addField(Field{Name: "NTasks", Category: CatRequests, Doc: "task count (steps)", Append: gi, SetBytes: sbi})
+	gi, sbi = intField(func(r *Record) int64 { return r.ReqNodes }, func(r *Record, v int64) { r.ReqNodes = v })
+	addField(Field{Name: "ReqNodes", Category: CatRequests, Doc: "requested node count", Append: gi, SetBytes: sbi})
+	gi, sbi = intField(func(r *Record) int64 { return r.ReqCPUs }, func(r *Record, v int64) { r.ReqCPUs = v })
+	addField(Field{Name: "ReqCPUS", Category: CatRequests, Doc: "requested CPU count", Append: gi, SetBytes: sbi})
 	addField(Field{Name: "ReqMem", Category: CatRequests, Doc: "requested memory",
 		Append: func(dst []byte, r *Record) []byte { return AppendMemory(dst, r.ReqMem, r.ReqMemPerCPU) },
-		Set: func(r *Record, s string) error {
-			b, perCPU, err := ParseMemory(s)
-			if err != nil {
-				return err
-			}
-			r.ReqMem, r.ReqMemPerCPU = b, perCPU
-			return nil
-		},
 		SetBytes: func(r *Record, b []byte) error {
 			v, perCPU, err := ParseMemoryBytes(b)
 			if err != nil {
@@ -214,8 +191,8 @@ func defineFields() {
 		func(r *Record) *int64 { return &r.MaxRSS })
 	addBytes("AveRSS", CatUsage, "average resident set size",
 		func(r *Record) *int64 { return &r.AveRSS })
-	gi, si, sbi = intField(func(r *Record) int64 { return r.AvePages }, func(r *Record, v int64) { r.AvePages = v })
-	addField(Field{Name: "AvePages", Category: CatUsage, Doc: "average page faults per task", Append: gi, Set: si, SetBytes: sbi})
+	gi, sbi = intField(func(r *Record) int64 { return r.AvePages }, func(r *Record, v int64) { r.AvePages = v })
+	addField(Field{Name: "AvePages", Category: CatUsage, Doc: "average page faults per task", Append: gi, SetBytes: sbi})
 	addDuration("TotalCPU", CatUsage, "total consumed CPU time",
 		func(r *Record) *durRef { return (*durRef)(&r.TotalCPU) })
 	addDuration("UserCPU", CatUsage, "user-mode CPU time",
@@ -224,8 +201,8 @@ func defineFields() {
 		func(r *Record) *durRef { return (*durRef)(&r.SystemCPU) })
 	g, s = strField(func(r *Record) string { return r.NodeList }, func(r *Record, v string) { r.NodeList = v })
 	addField(Field{Name: "NodeList", Category: CatUsage, Doc: "allocated node list", Get: g, Set: s})
-	gi, si, sbi = intField(func(r *Record) int64 { return r.ConsumedEnergy }, func(r *Record, v int64) { r.ConsumedEnergy = v })
-	addField(Field{Name: "ConsumedEnergy", Category: CatUsage, Doc: "energy consumed (J)", Append: gi, Set: si, SetBytes: sbi})
+	gi, sbi = intField(func(r *Record) int64 { return r.ConsumedEnergy }, func(r *Record, v int64) { r.ConsumedEnergy = v })
+	addField(Field{Name: "ConsumedEnergy", Category: CatUsage, Doc: "energy consumed (J)", Append: gi, SetBytes: sbi})
 
 	// --- IO Related ---
 	g, s = strField(func(r *Record) string { return r.WorkDir }, func(r *Record, v string) { r.WorkDir = v })
@@ -238,14 +215,6 @@ func defineFields() {
 	// --- Job State ---
 	addField(Field{Name: "State", Category: CatState, Doc: "terminal job state",
 		Get: func(r *Record) string { return r.State.String() },
-		Set: func(r *Record, s string) error {
-			st, err := ParseState(s)
-			if err != nil {
-				return err
-			}
-			r.State = st
-			return nil
-		},
 		SetBytes: func(r *Record, b []byte) error {
 			st, err := ParseStateBytes(b)
 			if err != nil {
@@ -256,14 +225,6 @@ func defineFields() {
 		}})
 	addField(Field{Name: "ExitCode", Category: CatState, Doc: "exit:signal pair",
 		Append: func(dst []byte, r *Record) []byte { return AppendExitCode(dst, r.ExitCode, r.ExitSignal) },
-		Set: func(r *Record, s string) error {
-			e, sig, err := ParseExitCode(s)
-			if err != nil {
-				return err
-			}
-			r.ExitCode, r.ExitSignal = e, sig
-			return nil
-		},
 		SetBytes: func(r *Record, b []byte) error {
 			e, sig, err := ParseExitCodeBytes(b)
 			if err != nil {
@@ -278,14 +239,14 @@ func defineFields() {
 	addField(Field{Name: "Reason", Category: CatState, Doc: "pending/termination reason", Get: g, Set: s})
 	addDuration("Suspended", CatState, "time spent suspended",
 		func(r *Record) *durRef { return (*durRef)(&r.Suspended) })
-	gi, si, sbi = intField(func(r *Record) int64 { return r.Restarts }, func(r *Record, v int64) { r.Restarts = v })
-	addField(Field{Name: "Restarts", Category: CatState, Doc: "requeue/restart count", Append: gi, Set: si, SetBytes: sbi})
+	gi, sbi = intField(func(r *Record) int64 { return r.Restarts }, func(r *Record, v int64) { r.Restarts = v })
+	addField(Field{Name: "Restarts", Category: CatState, Doc: "requeue/restart count", Append: gi, SetBytes: sbi})
 	g, s = strField(func(r *Record) string { return r.Constraints }, func(r *Record, v string) { r.Constraints = v })
 	addField(Field{Name: "Constraints", Category: CatState, Doc: "node feature constraints", Get: g, Set: s})
 
 	// --- Scheduling Metadata ---
-	gi, si, sbi = intField(func(r *Record) int64 { return r.Priority }, func(r *Record, v int64) { r.Priority = v })
-	addField(Field{Name: "Priority", Category: CatScheduling, Doc: "multifactor priority at dispatch", Append: gi, Set: si, SetBytes: sbi})
+	gi, sbi = intField(func(r *Record) int64 { return r.Priority }, func(r *Record, v int64) { r.Priority = v })
+	addField(Field{Name: "Priority", Category: CatScheduling, Doc: "multifactor priority at dispatch", Append: gi, SetBytes: sbi})
 	addTimestamp("Eligible", CatScheduling, "time the job became eligible to run",
 		func(r *Record) *timeRef { return (*timeRef)(&r.Eligible) })
 	g, s = strField(func(r *Record) string { return r.QOS }, func(r *Record, v string) { r.QOS = v })
@@ -297,14 +258,6 @@ func defineFields() {
 		Set:    func(r *Record, s string) error { r.setFlags(s); return nil }})
 	addField(Field{Name: "TRESUsageInAve", Category: CatScheduling, Doc: "average trackable-resource usage",
 		Append: func(dst []byte, r *Record) []byte { return r.TRESUsageInAve.Append(dst) },
-		Set: func(r *Record, s string) error {
-			t, err := ParseTRES(s)
-			if err != nil {
-				return err
-			}
-			r.TRESUsageInAve = t
-			return nil
-		},
 		SetBytes: func(r *Record, b []byte) error {
 			if len(bytes.TrimSpace(b)) == 0 {
 				r.TRESUsageInAve = nil // renders identically to an empty map
@@ -319,14 +272,6 @@ func defineFields() {
 		}})
 	addField(Field{Name: "ReqTRES", Category: CatScheduling, Doc: "requested trackable resources",
 		Append: func(dst []byte, r *Record) []byte { return r.TRESReq.Append(dst) },
-		Set: func(r *Record, s string) error {
-			t, err := ParseTRES(s)
-			if err != nil {
-				return err
-			}
-			r.TRESReq = t
-			return nil
-		},
 		SetBytes: func(r *Record, b []byte) error {
 			if len(bytes.TrimSpace(b)) == 0 {
 				r.TRESReq = nil // renders identically to an empty map
@@ -349,18 +294,6 @@ func defineFields() {
 			}
 			return "0"
 		},
-		Set: func(r *Record, s string) error {
-			switch strings.TrimSpace(s) {
-			case "1", "true":
-				if !r.Backfilled() {
-					r.Flags = append(r.Flags, FlagBackfill)
-				}
-			case "0", "false", "":
-			default:
-				return fmt.Errorf("slurm: bad Backfill value %q", s)
-			}
-			return nil
-		},
 		SetBytes: func(r *Record, b []byte) error {
 			switch string(bytes.TrimSpace(b)) { // no alloc: switch on []byte conversion
 			case "1", "true":
@@ -375,8 +308,8 @@ func defineFields() {
 		}})
 	g, s = strField(func(r *Record) string { return r.Dependency }, func(r *Record, v string) { r.Dependency = v })
 	addField(Field{Name: "Dependency", Category: CatSpecial, Doc: "job dependency expression", Get: g, Set: s})
-	gi, si, sbi = intField(func(r *Record) int64 { return r.ArrayJobID }, func(r *Record, v int64) { r.ArrayJobID = v })
-	addField(Field{Name: "ArrayJobID", Category: CatSpecial, Doc: "parent array job id (0 when none)", Append: gi, Set: si, SetBytes: sbi})
+	gi, sbi = intField(func(r *Record) int64 { return r.ArrayJobID }, func(r *Record, v int64) { r.ArrayJobID = v })
+	addField(Field{Name: "ArrayJobID", Category: CatSpecial, Doc: "parent array job id (0 when none)", Append: gi, SetBytes: sbi})
 
 	// --- Misc ---
 	g, s = strField(func(r *Record) string { return r.Comment }, func(r *Record, v string) { r.Comment = v })
@@ -397,14 +330,6 @@ type (
 func addTimestamp(name string, cat Category, doc string, ref func(*Record) *timeRef) {
 	addField(Field{Name: name, Category: cat, Doc: doc,
 		Append: func(dst []byte, r *Record) []byte { return AppendTime(dst, time.Time(*ref(r))) },
-		Set: func(r *Record, s string) error {
-			t, err := ParseTime(s)
-			if err != nil {
-				return err
-			}
-			*ref(r) = timeRef(t)
-			return nil
-		},
 		SetBytes: func(r *Record, b []byte) error {
 			t, err := ParseTimeBytes(b)
 			if err != nil {
@@ -418,14 +343,6 @@ func addTimestamp(name string, cat Category, doc string, ref func(*Record) *time
 func addDuration(name string, cat Category, doc string, ref func(*Record) *durRef) {
 	addField(Field{Name: name, Category: cat, Doc: doc,
 		Append: func(dst []byte, r *Record) []byte { return AppendDuration(dst, time.Duration(*ref(r))) },
-		Set: func(r *Record, s string) error {
-			d, err := ParseDuration(s)
-			if err != nil {
-				return err
-			}
-			*ref(r) = durRef(d)
-			return nil
-		},
 		SetBytes: func(r *Record, b []byte) error {
 			d, err := ParseDurationBytes(b)
 			if err != nil {
@@ -439,14 +356,6 @@ func addDuration(name string, cat Category, doc string, ref func(*Record) *durRe
 func addBytes(name string, cat Category, doc string, ref func(*Record) *int64) {
 	addField(Field{Name: name, Category: cat, Doc: doc,
 		Append: func(dst []byte, r *Record) []byte { return appendSize(dst, *ref(r)) },
-		Set: func(r *Record, s string) error {
-			b, _, err := ParseMemory(s)
-			if err != nil {
-				return err
-			}
-			*ref(r) = b
-			return nil
-		},
 		SetBytes: func(r *Record, b []byte) error {
 			v, _, err := ParseMemoryBytes(b)
 			if err != nil {

@@ -99,6 +99,16 @@ func sampleRecord() *Record {
 	}
 }
 
+// decodeLine decodes one data row under a field selection through the
+// reader: the header it implies, then the row. A blank row is io.EOF.
+func decodeLine(line string, fields []string) (*Record, error) {
+	br, err := NewByteRecordReader(strings.NewReader(Header(fields) + "\n" + line + "\n"))
+	if err != nil {
+		return nil, err
+	}
+	return br.Next()
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	r := sampleRecord()
 	fields := SelectedNames()
@@ -109,9 +119,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if strings.Count(line, Separator) != len(fields)-1 {
 		t.Fatalf("separator count = %d, want %d", strings.Count(line, Separator), len(fields)-1)
 	}
-	got, err := DecodeRecord(line, fields)
+	got, err := decodeLine(line, fields)
 	if err != nil {
-		t.Fatalf("DecodeRecord: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	if got.ID != r.ID || got.User != r.User || got.State != r.State ||
 		got.NNodes != r.NNodes || !got.Submit.Equal(r.Submit) ||
@@ -126,13 +136,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestDecodeRecordErrors(t *testing.T) {
 	fields := []string{"JobID", "State"}
-	if _, err := DecodeRecord("123", fields); err == nil {
+	if _, err := decodeLine("123", fields); err == nil {
 		t.Error("column mismatch: want error")
 	}
-	if _, err := DecodeRecord("123|NOT_A_STATE", fields); err == nil {
+	if _, err := decodeLine("123|NOT_A_STATE", fields); err == nil {
 		t.Error("bad state: want error")
 	}
-	if _, err := DecodeRecord("abc|COMPLETED", fields); err == nil {
+	if _, err := decodeLine("abc|COMPLETED", fields); err == nil {
 		t.Error("bad job id: want error")
 	}
 	if _, err := EncodeRecord(&Record{ID: NewJobID(1)}, []string{"Nope"}); err == nil {
@@ -146,14 +156,14 @@ func TestBackfillDerivedField(t *testing.T) {
 	if got := f.Get(r); got != "0" {
 		t.Errorf("Backfill on SchedMain job = %q", got)
 	}
-	if err := f.Set(r, "1"); err != nil {
-		t.Fatalf("Set: %v", err)
+	if err := f.SetBytes(r, []byte("1")); err != nil {
+		t.Fatalf("SetBytes: %v", err)
 	}
 	if !r.Backfilled() {
-		t.Error("Set(1) did not add SchedBackfill flag")
+		t.Error("SetBytes(1) did not add SchedBackfill flag")
 	}
-	if err := f.Set(r, "purple"); err == nil {
-		t.Error("Set(purple): want error")
+	if err := f.SetBytes(r, []byte("purple")); err == nil {
+		t.Error("SetBytes(purple): want error")
 	}
 }
 

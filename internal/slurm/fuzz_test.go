@@ -15,14 +15,14 @@ func FuzzParseDuration(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		d, err := ParseDuration(s)
+		d, err := ParseDurationBytes([]byte(s))
 		if err != nil {
 			return
 		}
 		if d < 0 {
-			t.Fatalf("ParseDuration(%q) accepted a negative duration %v", s, d)
+			t.Fatalf("ParseDurationBytes(%q) accepted a negative duration %v", s, d)
 		}
-		got, err := ParseDuration(FormatDuration(d))
+		got, err := ParseDurationBytes([]byte(FormatDuration(d)))
 		if err != nil {
 			t.Fatalf("formatted duration %q does not re-parse: %v", FormatDuration(d), err)
 		}
@@ -42,11 +42,11 @@ func FuzzParseJobID(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		id, err := ParseJobID(s)
+		id, err := ParseJobIDBytes([]byte(s))
 		if err != nil {
 			return
 		}
-		back, err := ParseJobID(id.String())
+		back, err := ParseJobIDBytes([]byte(id.String()))
 		if err != nil {
 			t.Fatalf("canonical form %q does not re-parse: %v", id.String(), err)
 		}
@@ -63,19 +63,20 @@ func FuzzParseMemory(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		b, _, err := ParseMemory(s)
+		b, _, err := ParseMemoryBytes([]byte(s))
 		if err != nil {
 			return
 		}
 		if b < 0 {
-			t.Fatalf("ParseMemory(%q) = %d", s, b)
+			t.Fatalf("ParseMemoryBytes(%q) = %d", s, b)
 		}
 	})
 }
 
-// FuzzDecodeRecord feeds arbitrary pipe rows through the full decoder: it
-// must reject or accept without panicking, and whatever it accepts must
-// re-encode to the identical row.
+// FuzzDecodeRecord feeds arbitrary pipe rows through the full decoder
+// (the reader, one row under a fixed header): it must reject or accept
+// without panicking, and whatever it accepts must re-encode to a row
+// that decodes to the same record.
 func FuzzDecodeRecord(f *testing.F) {
 	fields := []string{"JobID", "User", "State", "Elapsed", "NNodes", "Submit", "Flags"}
 	f.Add("100001|alice|COMPLETED|01:30:00|128|2024-03-01T08:00:00|SchedBackfill")
@@ -83,7 +84,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add("|||||")
 	f.Add("100003|x|NOT_A_STATE|x|x|x|x")
 	f.Fuzz(func(t *testing.T, line string) {
-		rec, err := DecodeRecord(line, fields)
+		rec, err := decodeLine(line, fields)
 		if err != nil {
 			return
 		}
@@ -92,7 +93,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("accepted row does not re-encode: %v", err)
 		}
 		// Re-decoding the canonical encoding must succeed and agree.
-		rec2, err := DecodeRecord(out, fields)
+		rec2, err := decodeLine(out, fields)
 		if err != nil {
 			t.Fatalf("canonical row %q rejected: %v", out, err)
 		}

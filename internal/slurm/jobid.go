@@ -1,10 +1,6 @@
 package slurm
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // StepKind distinguishes the pseudo-steps Slurm creates for every job from
 // the numbered steps launched by srun.
@@ -77,46 +73,6 @@ func (id JobID) Append(dst []byte) []byte {
 		dst = strconv.AppendInt(dst, id.Step, 10)
 	}
 	return dst
-}
-
-// ParseJobID parses a sacct JobID column value.
-func ParseJobID(s string) (JobID, error) {
-	t := strings.TrimSpace(s)
-	id := JobID{Array: -1}
-	if t == "" {
-		return id, fmt.Errorf("slurm: empty job id")
-	}
-	stepPart := ""
-	if i := strings.IndexByte(t, '.'); i >= 0 {
-		t, stepPart = t[:i], t[i+1:]
-	}
-	if i := strings.IndexByte(t, '_'); i >= 0 {
-		a, err := strconv.ParseInt(t[i+1:], 10, 64)
-		if err != nil || a < 0 {
-			return id, fmt.Errorf("slurm: bad array index in job id %q", s)
-		}
-		id.Array, t = a, t[:i]
-	}
-	j, err := strconv.ParseInt(t, 10, 64)
-	if err != nil || j <= 0 {
-		return id, fmt.Errorf("slurm: bad job id %q", s)
-	}
-	id.Job = j
-	switch stepPart {
-	case "":
-		id.Kind = StepJob
-	case "batch":
-		id.Kind = StepBatch
-	case "extern":
-		id.Kind = StepExtern
-	default:
-		n, err := strconv.ParseInt(stepPart, 10, 64)
-		if err != nil || n < 0 {
-			return id, fmt.Errorf("slurm: bad step in job id %q", s)
-		}
-		id.Kind, id.Step = StepNumbered, n
-	}
-	return id, nil
 }
 
 // CompareJobID orders IDs by job, then array index, then step kind, then

@@ -27,9 +27,9 @@ func TestJobIDString(t *testing.T) {
 
 func TestParseJobID(t *testing.T) {
 	for _, in := range []string{"12345", "12345.batch", "12345.extern", "12345.0", "12345.17", "7_3", "7_3.2"} {
-		id, err := ParseJobID(in)
+		id, err := ParseJobIDBytes([]byte(in))
 		if err != nil {
-			t.Errorf("ParseJobID(%q): %v", in, err)
+			t.Errorf("ParseJobIDBytes(%q): %v", in, err)
 			continue
 		}
 		if got := id.String(); got != in {
@@ -37,8 +37,8 @@ func TestParseJobID(t *testing.T) {
 		}
 	}
 	for _, in := range []string{"", "abc", "0", "-3", "12.x9", "1_-2", "1_a"} {
-		if _, err := ParseJobID(in); err == nil {
-			t.Errorf("ParseJobID(%q): want error", in)
+		if _, err := ParseJobIDBytes([]byte(in)); err == nil {
+			t.Errorf("ParseJobIDBytes(%q): want error", in)
 		}
 	}
 }
@@ -86,7 +86,7 @@ func TestJobIDRoundTripProperty(t *testing.T) {
 		if hasStep {
 			id = id.WithStep(int64(step))
 		}
-		parsed, err := ParseJobID(id.String())
+		parsed, err := ParseJobIDBytes([]byte(id.String()))
 		return err == nil && parsed == id
 	}
 	if err := quick.Check(f, nil); err != nil {

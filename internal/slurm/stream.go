@@ -1,9 +1,7 @@
 package slurm
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"iter"
 	"strings"
 )
@@ -15,7 +13,7 @@ import (
 // it, so consumers that curate may count and skip it — while any other
 // error is terminal and ends the sequence. Yielded records may point
 // into producer-owned scratch storage that is reused on the next step;
-// consumers that retain a record past one iteration must copy it.
+// consumers that retain a record past one iteration must Clone it.
 type RecordSeq = iter.Seq2[*Record, error]
 
 // RowError reports one malformed data row in a record stream. It is the
@@ -33,135 +31,9 @@ func (e *RowError) Error() string {
 // Unwrap exposes the underlying decode failure.
 func (e *RowError) Unwrap() error { return e.Err }
 
-// RecordReader is a streaming decoder for pipe-separated sacct text: it
-// resolves the header's field accessors once and decodes one row per
-// Next call into a reusable scratch record, splitting columns into a
-// reusable buffer — no per-row field-slice or record allocations. The
-// returned record and the Row backing storage are valid only until the
-// following Next call.
-type RecordReader struct {
-	sc     *bufio.Scanner
-	fields []*Field // pre-resolved header columns, in header order
-	names  []string // header spellings, for error attribution
-	cols   []string // per-row column scratch
-	rec    Record   // per-row record scratch
-	line   int      // lines consumed so far (header included)
-}
-
-// NewRecordReader reads and validates the header line of r. An empty
-// input or a header naming an unknown field is an error.
-func NewRecordReader(r io.Reader) (*RecordReader, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("slurm: input has no header")
-	}
-	fields, names, err := resolveHeader(sc.Text())
-	if err != nil {
-		return nil, err
-	}
-	return &RecordReader{
-		sc:     sc,
-		fields: fields,
-		names:  names,
-		cols:   make([]string, 0, len(names)),
-		line:   1, // the header line
-	}, nil
-}
-
-// Fields returns the header's field names in column order. The slice is
-// owned by the reader; callers must not modify it.
-func (rr *RecordReader) Fields() []string { return rr.names }
-
-// Line returns the 1-based line number of the most recently consumed
-// input line.
-func (rr *RecordReader) Line() int { return rr.line }
-
-// Row returns the raw columns of the row Next most recently decoded.
-// The backing storage is reused by the following Next call.
-func (rr *RecordReader) Row() []string { return rr.cols }
-
-// Next decodes the next data row. Blank lines are skipped. It returns
-// io.EOF at the end of input, a *RowError for a malformed row (callers
-// may keep reading past it), and any other error terminally.
-func (rr *RecordReader) Next() (*Record, error) {
-	for rr.sc.Scan() {
-		rr.line++
-		line := rr.sc.Text()
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		rr.cols = splitInto(rr.cols[:0], line)
-		if len(rr.cols) != len(rr.fields) {
-			return nil, &RowError{Line: rr.line,
-				Err: fmt.Errorf("slurm: %d columns, want %d", len(rr.cols), len(rr.fields))}
-		}
-		rr.rec = Record{TRESReq: TRES{}, TRESUsageInAve: TRES{}}
-		for i, f := range rr.fields {
-			if err := f.Set(&rr.rec, rr.cols[i]); err != nil {
-				return nil, &RowError{Line: rr.line,
-					Err: fmt.Errorf("slurm: field %s: %w", rr.names[i], err)}
-			}
-		}
-		return &rr.rec, nil
-	}
-	if err := rr.sc.Err(); err != nil {
-		return nil, err
-	}
-	return nil, io.EOF
-}
-
-// All returns the reader's remaining rows as a RecordSeq: malformed rows
-// are yielded as (nil, *RowError) and iteration continues; a terminal
-// error is yielded last. Records alias the reader's scratch storage.
-func (rr *RecordReader) All() RecordSeq {
-	return func(yield func(*Record, error) bool) {
-		for {
-			rec, err := rr.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				if _, ok := err.(*RowError); ok {
-					if !yield(nil, err) {
-						return
-					}
-					continue
-				}
-				yield(nil, err)
-				return
-			}
-			if !yield(rec, nil) {
-				return
-			}
-		}
-	}
-}
-
-// CollectRecords drains a RecordSeq into a slice, copying each record
-// out of producer scratch. Malformed rows are counted and skipped; the
-// first terminal error stops collection and is returned alongside what
-// was gathered so far.
-func CollectRecords(seq RecordSeq) (recs []Record, malformed int, err error) {
-	for r, e := range seq {
-		if e != nil {
-			if _, ok := e.(*RowError); ok {
-				malformed++
-				continue
-			}
-			return recs, malformed, e
-		}
-		recs = append(recs, *r)
-	}
-	return recs, malformed, nil
-}
-
 // resolveHeader maps one raw header line to its field accessors in
-// column order. Shared by the string and byte decoders so both accept
-// exactly the same headers.
+// column order. Shared by ByteRecordReader and ChunkScanner so both
+// accept exactly the same headers.
 func resolveHeader(line string) ([]*Field, []string, error) {
 	names := strings.Split(strings.TrimSpace(line), Separator)
 	fields := make([]*Field, len(names))
@@ -173,17 +45,4 @@ func resolveHeader(line string) ([]*Field, []string, error) {
 		fields[i] = f
 	}
 	return fields, names, nil
-}
-
-// splitInto splits line on the sacct column separator into buf, growing
-// it only when the input has more columns than any prior row.
-func splitInto(buf []string, line string) []string {
-	for {
-		i := strings.IndexByte(line, Separator[0])
-		if i < 0 {
-			return append(buf, line)
-		}
-		buf = append(buf, line[:i])
-		line = line[i+1:]
-	}
 }

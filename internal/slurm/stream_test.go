@@ -21,7 +21,7 @@ const streamSampleJunk = streamSample +
 	"100006|frank|COMPLETED|00:05:00|2\n"
 
 func TestRecordReaderClean(t *testing.T) {
-	rr, err := NewRecordReader(strings.NewReader(streamSample))
+	rr, err := NewByteRecordReader(strings.NewReader(streamSample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestRecordReaderClean(t *testing.T) {
 }
 
 func TestRecordReaderScratchReuse(t *testing.T) {
-	rr, err := NewRecordReader(strings.NewReader(streamSample))
+	rr, err := NewByteRecordReader(strings.NewReader(streamSample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +62,8 @@ func TestRecordReaderScratchReuse(t *testing.T) {
 		t.Fatalf("first = %+v", first)
 	}
 	row := rr.Row()
-	if len(row) != 5 || row[1] != "alice" {
-		t.Fatalf("Row = %v", row)
+	if len(row) != 5 || string(row[1]) != "alice" {
+		t.Fatalf("Row = %q", row)
 	}
 	second, err := rr.Next()
 	if err != nil {
@@ -75,13 +75,13 @@ func TestRecordReaderScratchReuse(t *testing.T) {
 	if first.User != "bob" {
 		t.Errorf("scratch not overwritten: %q", first.User)
 	}
-	if rr.Row()[1] != "bob" {
-		t.Errorf("Row scratch not overwritten: %v", rr.Row())
+	if string(rr.Row()[1]) != "bob" {
+		t.Errorf("Row scratch not overwritten: %q", rr.Row())
 	}
 }
 
 func TestRecordReaderRowErrors(t *testing.T) {
-	rr, err := NewRecordReader(strings.NewReader(streamSampleJunk))
+	rr, err := NewByteRecordReader(strings.NewReader(streamSampleJunk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,22 +118,31 @@ func TestRecordReaderRowErrors(t *testing.T) {
 }
 
 func TestRecordReaderHeaderErrors(t *testing.T) {
-	if _, err := NewRecordReader(strings.NewReader("")); err == nil {
+	if _, err := NewByteRecordReader(strings.NewReader("")); err == nil {
 		t.Error("empty input: want error")
 	}
-	if _, err := NewRecordReader(strings.NewReader("JobID|Mystery\n")); err == nil {
+	if _, err := NewByteRecordReader(strings.NewReader("JobID|Mystery\n")); err == nil {
 		t.Error("unknown header field: want error")
 	}
 }
 
 func TestRecordSeqAllAndCollect(t *testing.T) {
-	rr, err := NewRecordReader(strings.NewReader(streamSampleJunk))
+	rr, err := NewByteRecordReader(strings.NewReader(streamSampleJunk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, malformed, err := CollectRecords(rr.All())
-	if err != nil {
-		t.Fatal(err)
+	var recs []Record
+	malformed := 0
+	for rec, err := range rr.All() {
+		var rowErr *RowError
+		switch {
+		case err == nil:
+			recs = append(recs, rec.Clone())
+		case errors.As(err, &rowErr):
+			malformed++
+		default:
+			t.Fatal(err)
+		}
 	}
 	if len(recs) != 4 || malformed != 2 {
 		t.Fatalf("collect: %d records, %d malformed", len(recs), malformed)
@@ -148,7 +157,7 @@ func TestRecordSeqAllAndCollect(t *testing.T) {
 }
 
 func TestRecordSeqEarlyBreak(t *testing.T) {
-	rr, err := NewRecordReader(strings.NewReader(streamSample))
+	rr, err := NewByteRecordReader(strings.NewReader(streamSample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,65 +176,42 @@ func TestRecordSeqEarlyBreak(t *testing.T) {
 	}
 }
 
-func TestSplitInto(t *testing.T) {
-	buf := make([]string, 0, 4)
-	got := splitInto(buf, "a|b||c")
-	if len(got) != 4 || got[0] != "a" || got[2] != "" || got[3] != "c" {
-		t.Errorf("splitInto = %v", got)
-	}
-	if got = splitInto(got[:0], "solo"); len(got) != 1 || got[0] != "solo" {
-		t.Errorf("splitInto single = %v", got)
-	}
-}
-
-func BenchmarkRecordReaderDecode(b *testing.B) {
-	// One synthetic row over the full curated selection, decoded with the
-	// streaming reader versus the allocating DecodeRecord.
-	fields := SelectedNames()
-	rec := Record{
-		ID: NewJobID(123456), JobName: "bench", User: "alice", Account: "csc000",
-		Cluster: "frontier", Partition: "batch",
-		Submit:  time.Date(2024, 3, 1, 10, 0, 0, 0, time.UTC),
-		Start:   time.Date(2024, 3, 1, 11, 0, 0, 0, time.UTC),
-		End:     time.Date(2024, 3, 1, 13, 0, 0, 0, time.UTC),
-		Elapsed: 2 * time.Hour, Timelimit: 4 * time.Hour,
-		NNodes: 128, NCPUs: 8192, State: StateCompleted,
-		Flags: []string{FlagBackfill}, QOS: "normal",
-		TRESReq: TRES{}, TRESUsageInAve: TRES{},
-	}
-	line, err := EncodeRecord(&rec, fields)
+// TestRecordReaderLongRows pins the one row cap: a row longer than the
+// read buffer decodes, a row past MaxLineLen ends the stream with an
+// error naming its line — 1-based in the input when the reader saw the
+// header, chunk-relative for an interior chunk.
+func TestRecordReaderLongRows(t *testing.T) {
+	legal := strings.Repeat("c", 2<<20)
+	input := "JobID|Comment\n1|" + legal + "\n2|" + strings.Repeat("x", MaxLineLen) + "\n3|late\n"
+	rr, err := NewByteRecordReader(strings.NewReader(input))
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	input := Header(fields) + "\n"
-	const rows = 64
-	for i := 0; i < rows; i++ {
-		input += line + "\n"
+	rec, err := rr.Next()
+	if err != nil || rec.Comment != legal {
+		t.Fatalf("2 MiB row: %d comment bytes, err %v", len(rec.Comment), err)
 	}
-	b.Run("stream", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rr, err := NewRecordReader(strings.NewReader(input))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for {
-				if _, err := rr.Next(); err == io.EOF {
-					break
-				} else if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("decode-record", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < rows; j++ {
-				if _, err := DecodeRecord(line, fields); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
+	_, err = rr.Next()
+	var rowErr *RowError
+	if err == nil || errors.As(err, &rowErr) ||
+		err.Error() != "slurm: line 3: row exceeds 8388608 bytes" {
+		t.Errorf("row past the cap: err = %v, want a terminal error naming line 3", err)
+	}
+
+	path := writeTrace(t, input)
+	cs, err := NewChunkScanner(path, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.NumChunks() != 3 {
+		t.Fatalf("%d chunks, want one per row", cs.NumChunks())
+	}
+	br, closer, err := cs.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	if _, err := br.Next(); err == nil || err.Error() != "slurm: line 1: row exceeds 8388608 bytes" {
+		t.Errorf("interior chunk: err = %v, want the chunk-relative line 1", err)
+	}
 }

@@ -10,13 +10,13 @@ import (
 )
 
 // This file is the zero-alloc byte plane of the decoder: a field
-// tokenizer plus sacct-text parsers that work on []byte without
+// tokenizer plus the sacct-text parsers, which work on []byte without
 // round-tripping through strings or the generic time.Parse machinery.
-// Each ParseXxxBytes mirrors its string counterpart exactly — same
-// accepted inputs, same values, same rejections — which the tokenizer
-// property tests pin by cross-checking against the string parsers on
-// both valid and adversarial inputs. ByteRecordReader composes them
-// into a 0-alloc-per-row decode hot path.
+// Each grammar has one body, here. ParseTimeBytes and ParseStateBytes
+// decode the canonical spellings themselves and hand everything else
+// to ParseTime and ParseState, which the mirror test holds them equal
+// to. ByteRecordReader composes them into a 0-alloc-per-row decode hot
+// path.
 
 // SplitFieldsBytes splits line on the sacct column separator into buf,
 // growing the backing array only when a row has more columns than any
@@ -42,7 +42,7 @@ func bstr(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// parseInt64Bytes mirrors strconv.ParseInt(s, 10, 64): optional sign,
+// parseInt64Bytes is strconv.ParseInt(s, 10, 64) on bytes: optional sign,
 // decimal digits only, overflow rejected. ok is false on any deviation.
 func parseInt64Bytes(b []byte) (int64, bool) {
 	if len(b) == 0 {
@@ -123,9 +123,16 @@ var (
 	invalidBytes   = []byte("INVALID")
 )
 
-// ParseDurationBytes is ParseDuration for byte slices: same accepted
-// layouts (MM, MM:SS, HH:MM:SS, D-HH[:MM[:SS]]), same rejections, no
-// strings.Split on the hot path.
+// ParseDurationBytes parses a Slurm elapsed/timelimit cell. Accepted
+// layouts, as produced by sacct and accepted by sbatch:
+//
+//	MM:SS
+//	HH:MM:SS
+//	D-HH
+//	D-HH:MM
+//	D-HH:MM:SS
+//	MM (bare minutes, sbatch --time shorthand)
+//	UNLIMITED / INVALID / empty → error
 func ParseDurationBytes(b []byte) (time.Duration, error) {
 	t := bytes.TrimSpace(b)
 	if len(t) == 0 || bytes.EqualFold(t, unlimitedBytes) || bytes.EqualFold(t, invalidBytes) {
@@ -198,6 +205,9 @@ func ParseDurationBytes(b []byte) (time.Duration, error) {
 	if !ok || h < 0 || m < 0 || sec < 0 {
 		return 0, fmt.Errorf("slurm: malformed duration %q", b)
 	}
+	// Guard against int64-nanosecond overflow (time.Duration tops out
+	// near 292 years); component caps keep the seconds arithmetic itself
+	// overflow-free.
 	const maxComponent = int64(1) << 33
 	if days > maxComponent || h > maxComponent || m > maxComponent {
 		return 0, fmt.Errorf("slurm: duration %q out of range", b)
@@ -211,9 +221,11 @@ func ParseDurationBytes(b []byte) (time.Duration, error) {
 
 const maxDurationSeconds = int64(^uint64(0)>>1) / int64(time.Second)
 
-// ParseCountBytes is ParseCount for byte slices: plain decimal counts
-// decode without strconv; K/M/G-suffixed values reuse strconv.ParseFloat
-// through a zero-copy view so rounding matches the string parser.
+// ParseCountBytes parses a Slurm count cell (NNodes, NCPUs, NTasks).
+// sacct abbreviates large counts with decimal magnitude suffixes
+// (K = 1000, M = 1e6, G = 1e9), optionally with a fraction, e.g. "9.4K"
+// nodes. Plain decimal counts decode without strconv; suffixed values
+// go to strconv.ParseFloat through a zero-copy view.
 func ParseCountBytes(b []byte) (int64, error) {
 	t := bytes.TrimSpace(b)
 	if len(t) == 0 {
@@ -242,9 +254,11 @@ func ParseCountBytes(b []byte) (int64, error) {
 	return int64(f*float64(mult) + 0.5), nil
 }
 
-// ParseMemoryBytes is ParseMemory for byte slices; the n/c qualifier and
-// binary unit suffix are stripped positionally and the mantissa reuses
-// strconv.ParseFloat through a zero-copy view.
+// ParseMemoryBytes parses a Slurm memory cell (ReqMem, MaxRSS, AveRSS,
+// VMSize) into bytes. Slurm memory sizes are binary: 1K = 1024. ReqMem
+// carries a per-node ("n") or per-CPU ("c") qualifier which is returned
+// separately. The mantissa goes to strconv.ParseFloat through a
+// zero-copy view.
 func ParseMemoryBytes(b []byte) (bytesOut int64, perCPU bool, err error) {
 	t := bytes.TrimSpace(b)
 	if len(t) == 0 || (len(t) == 1 && t[0] == '0') {
@@ -271,7 +285,9 @@ func ParseMemoryBytes(b []byte) (bytesOut int64, perCPU bool, err error) {
 	}
 	f, ferr := strconv.ParseFloat(bstr(t), 64)
 	if ferr != nil || math.IsNaN(f) || math.IsInf(f, 0) || f < 0 || f*float64(mult) > float64(1<<62) {
-		return 0, false, fmt.Errorf("slurm: bad memory size %q", b)
+		// string(b), not b: boxing b would make it escape, and
+		// ParseTRES's []byte(val) would then allocate per mem-like value.
+		return 0, false, fmt.Errorf("slurm: bad memory size %q", string(b))
 	}
 	return int64(f * float64(mult)), perCPU, nil
 }
@@ -281,7 +297,7 @@ var (
 	externBytes = []byte("extern")
 )
 
-// ParseJobIDBytes is ParseJobID for byte slices.
+// ParseJobIDBytes parses a sacct JobID cell.
 func ParseJobIDBytes(b []byte) (JobID, error) {
 	t := bytes.TrimSpace(b)
 	id := JobID{Array: -1}
@@ -347,7 +363,7 @@ func ParseStateBytes(b []byte) (State, error) {
 	return ParseState(string(b))
 }
 
-// ParseExitCodeBytes is ParseExitCode for byte slices.
+// ParseExitCodeBytes parses sacct's "exit:signal" ExitCode cell.
 func ParseExitCodeBytes(b []byte) (exit, signal int, err error) {
 	t := bytes.TrimSpace(b)
 	if len(t) == 0 {

@@ -33,7 +33,7 @@ func ParseTRES(s string) (TRES, error) {
 		key, val := strings.TrimSpace(kv[:i]), strings.TrimSpace(kv[i+1:])
 		var n int64
 		if memLike(key) {
-			b, _, err := ParseMemory(val)
+			b, _, err := ParseMemoryBytes([]byte(val))
 			if err != nil {
 				return nil, fmt.Errorf("slurm: bad TRES memory %q: %v", kv, err)
 			}

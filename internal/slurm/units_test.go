@@ -19,14 +19,14 @@ func TestParseCount(t *testing.T) {
 		{" 42 ", 42},
 	}
 	for _, c := range cases {
-		got, err := ParseCount(c.in)
+		got, err := ParseCountBytes([]byte(c.in))
 		if err != nil || got != c.want {
-			t.Errorf("ParseCount(%q) = %d, %v; want %d", c.in, got, err, c.want)
+			t.Errorf("ParseCountBytes(%q) = %d, %v; want %d", c.in, got, err, c.want)
 		}
 	}
 	for _, in := range []string{"", "-1", "abc", "1.2.3K", "K"} {
-		if _, err := ParseCount(in); err == nil {
-			t.Errorf("ParseCount(%q): want error", in)
+		if _, err := ParseCountBytes([]byte(in)); err == nil {
+			t.Errorf("ParseCountBytes(%q): want error", in)
 		}
 	}
 }
@@ -55,7 +55,7 @@ func TestFormatCount(t *testing.T) {
 func TestCountRoundTripProperty(t *testing.T) {
 	f := func(n uint16) bool {
 		v := int64(n)
-		got, err := ParseCount(FormatCount(v))
+		got, err := ParseCountBytes([]byte(FormatCount(v)))
 		if err != nil {
 			return false
 		}
@@ -88,14 +88,14 @@ func TestParseMemory(t *testing.T) {
 		{"", 0, false},
 	}
 	for _, c := range cases {
-		got, perCPU, err := ParseMemory(c.in)
+		got, perCPU, err := ParseMemoryBytes([]byte(c.in))
 		if err != nil || got != c.want || perCPU != c.perCPU {
-			t.Errorf("ParseMemory(%q) = %d, %v, %v; want %d, %v", c.in, got, perCPU, err, c.want, c.perCPU)
+			t.Errorf("ParseMemoryBytes(%q) = %d, %v, %v; want %d, %v", c.in, got, perCPU, err, c.want, c.perCPU)
 		}
 	}
 	for _, in := range []string{"abcM", "-3G", "12Q"} {
-		if _, _, err := ParseMemory(in); err == nil {
-			t.Errorf("ParseMemory(%q): want error", in)
+		if _, _, err := ParseMemoryBytes([]byte(in)); err == nil {
+			t.Errorf("ParseMemoryBytes(%q): want error", in)
 		}
 	}
 }
@@ -122,7 +122,7 @@ func TestFormatMemory(t *testing.T) {
 func TestMemoryRoundTripProperty(t *testing.T) {
 	f := func(kb uint32, perCPU bool) bool {
 		v := int64(kb) << 10
-		got, gotPer, err := ParseMemory(FormatMemory(v, perCPU))
+		got, gotPer, err := ParseMemoryBytes([]byte(FormatMemory(v, perCPU)))
 		if err != nil || gotPer != perCPU {
 			return false
 		}
@@ -139,18 +139,32 @@ func TestMemoryRoundTripProperty(t *testing.T) {
 }
 
 func TestExitCode(t *testing.T) {
-	e, sig, err := ParseExitCode("1:9")
+	e, sig, err := ParseExitCodeBytes([]byte("1:9"))
 	if err != nil || e != 1 || sig != 9 {
-		t.Errorf("ParseExitCode(1:9) = %d,%d,%v", e, sig, err)
+		t.Errorf("ParseExitCodeBytes(1:9) = %d,%d,%v", e, sig, err)
 	}
 	if got := FormatExitCode(0, 0); got != "0:0" {
 		t.Errorf("FormatExitCode = %q", got)
 	}
-	if _, _, err := ParseExitCode("a:b"); err == nil {
-		t.Error("ParseExitCode(a:b): want error")
+	if _, _, err := ParseExitCodeBytes([]byte("a:b")); err == nil {
+		t.Error("ParseExitCodeBytes(a:b): want error")
 	}
-	e, sig, err = ParseExitCode("")
+	e, sig, err = ParseExitCodeBytes(nil)
 	if err != nil || e != 0 || sig != 0 {
-		t.Errorf("ParseExitCode(empty) = %d,%d,%v", e, sig, err)
+		t.Errorf("ParseExitCodeBytes(empty) = %d,%d,%v", e, sig, err)
+	}
+}
+
+// TestParseMemoryOfStringDoesNotAllocate: ParseTRES hands each mem-like
+// value over as []byte(val); that conversion stays free only while
+// ParseMemoryBytes lets its argument neither escape nor be written.
+func TestParseMemoryOfStringDoesNotAllocate(t *testing.T) {
+	val := "512G"
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := ParseMemoryBytes([]byte(val)); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ParseMemoryBytes([]byte(%q)) allocates %v times, want 0", val, allocs)
 	}
 }
