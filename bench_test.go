@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -85,10 +86,8 @@ func simulateFixture(profile tracegen.Profile, sys *cluster.System,
 		panic(err)
 	}
 	st.Finalize()
-	f := &fixture{jobs: res.Jobs, store: st, stats: res.Stats}
-	f.records = append(f.records, res.Jobs...)
-	f.records = append(f.records, res.Steps...)
-	return f
+	jobs, stepRows := res.Collect()
+	return &fixture{jobs: jobs, records: append(slices.Clone(jobs), stepRows...), store: st, stats: res.Stats}
 }
 
 func frontier(b *testing.B) *fixture {
@@ -137,7 +136,12 @@ func fullScenario(b *testing.B) []analyze.VolumeByYear {
 		if err != nil {
 			panic(err)
 		}
-		fullVols = analyze.JobStepVolumeCounted(res.Jobs, res.StepsPerJob)
+		jobs, _ := res.Collect()
+		var planned []int
+		for o := range res.Outcomes {
+			planned = append(planned, o.Steps)
+		}
+		fullVols = analyze.JobStepVolumeCounted(jobs, planned)
 	})
 	return fullVols
 }
@@ -739,13 +743,9 @@ func BenchmarkAblationPreemption(b *testing.B) {
 		}
 		var total time.Duration
 		n := 0
-		for i := range res.Jobs {
-			j := &res.Jobs[i]
-			if j.QOS != "urgent" || j.Start.IsZero() {
-				continue
-			}
-			if w, ok := j.WaitTime(); ok {
-				total += w
+		for o := range res.Outcomes {
+			if o.Req.QOS == "urgent" && o.Started {
+				total += o.Start.Sub(o.Req.Submit)
 				n++
 			}
 		}

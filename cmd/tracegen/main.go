@@ -118,7 +118,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr,
 		"simulated: %d jobs, %d steps, %.1f%% utilization, %d backfilled, mean wait %s\n",
-		len(res.Jobs), len(res.Steps), 100*res.Stats.Utilization(),
+		res.Len(), res.StepRows(), 100*res.Stats.Utilization(),
 		res.Stats.Backfilled, res.Stats.MeanWait().Round(time.Second))
 
 	store := sacct.NewStore()

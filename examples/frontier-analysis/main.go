@@ -49,7 +49,7 @@ func main() {
 	}
 	fmt.Printf("simulated %d jobs / %d steps over %d days: %.1f%% utilization, "+
 		"%d backfilled, mean wait %s, max wait %s\n\n",
-		len(res.Jobs), len(res.Steps), 60, 100*res.Stats.Utilization(),
+		res.Len(), res.StepRows(), 60, 100*res.Stats.Utilization(),
 		res.Stats.Backfilled, res.Stats.MeanWait().Round(time.Second),
 		res.Stats.MaxWait.Round(time.Minute))
 

@@ -30,7 +30,8 @@ import (
 	"slurmsight/internal/tracegen"
 )
 
-func simulate(reqs []tracegen.Request) *sched.Result {
+// simulate runs the requests and returns the run's statistics and job records.
+func simulate(reqs []tracegen.Request) (sched.RunStats, []slurm.Record) {
 	sim, err := sched.New(sched.DefaultConfig(cluster.Frontier()))
 	if err != nil {
 		log.Fatal(err)
@@ -39,7 +40,8 @@ func simulate(reqs []tracegen.Request) *sched.Result {
 	if err != nil {
 		log.Fatal(err)
 	}
-	return res
+	jobs, _ := res.Collect()
+	return res.Stats, jobs
 }
 
 func main() {
@@ -56,14 +58,14 @@ func main() {
 	}
 
 	// --- Baseline: the users' own requests ---
-	baseline := simulate(reqs)
+	baseline, baseJobs := simulate(reqs)
 	fmt.Printf("baseline:   %.1f%% utilization, mean wait %9s, %4d backfilled, %4d timeouts\n",
-		100*baseline.Stats.Utilization(), baseline.Stats.MeanWait().Round(time.Second),
-		baseline.Stats.Backfilled, baseline.Stats.JobsTimeout)
+		100*baseline.Utilization(), baseline.MeanWait().Round(time.Second),
+		baseline.Backfilled, baseline.JobsTimeout)
 
 	// --- Offline evaluation of the predictor on the baseline trace ---
 	p := predict.NewPredictor()
-	ev, err := predict.Evaluate(baseline.Jobs, p)
+	ev, err := predict.Evaluate(baseJobs, p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,22 +86,22 @@ func main() {
 		func(i int, limit time.Duration) { whatIf[i].Timelimit = limit })
 	fmt.Printf("\nwhat-if resubmission: %d of %d requests tightened\n", tightened, len(whatIf))
 
-	predicted := simulate(whatIf)
+	predicted, predJobs := simulate(whatIf)
 	fmt.Printf("predicted:  %.1f%% utilization, mean wait %9s, %4d backfilled, %4d timeouts\n",
-		100*predicted.Stats.Utilization(), predicted.Stats.MeanWait().Round(time.Second),
-		predicted.Stats.Backfilled, predicted.Stats.JobsTimeout)
+		100*predicted.Utilization(), predicted.MeanWait().Round(time.Second),
+		predicted.Backfilled, predicted.JobsTimeout)
 
-	meanBase := baseline.Stats.MeanWait()
-	meanPred := predicted.Stats.MeanWait()
+	meanBase := baseline.MeanWait()
+	meanPred := predicted.MeanWait()
 	if meanBase > 0 {
 		fmt.Printf("\nqueue wait change: %s → %s (%+.1f%%)\n",
 			meanBase.Round(time.Second), meanPred.Round(time.Second),
 			100*(float64(meanPred)-float64(meanBase))/float64(meanBase))
 	}
 	fmt.Printf("timeout change: %d → %d (the price of prediction risk)\n",
-		baseline.Stats.JobsTimeout, predicted.Stats.JobsTimeout)
-	bfBase := analyze.SummarizeBackfill(analyze.RequestedVsActual(baseline.Jobs))
-	bfPred := analyze.SummarizeBackfill(analyze.RequestedVsActual(predicted.Jobs))
+		baseline.JobsTimeout, predicted.JobsTimeout)
+	bfBase := analyze.SummarizeBackfill(analyze.RequestedVsActual(baseJobs))
+	bfPred := analyze.SummarizeBackfill(analyze.RequestedVsActual(predJobs))
 	fmt.Printf("median walltime-use ratio: %.0f%% → %.0f%%\n",
 		100*bfBase.MedianUseRatio, 100*bfPred.MedianUseRatio)
 
@@ -108,8 +110,8 @@ func main() {
 	defer analyst.Close()
 	client := llm.NewClient(analyst.URL, "sk-advisor")
 
-	chartA := core.WaitChart("baseline requests", jobsOf(baseline))
-	chartB := core.WaitChart("predicted requests", jobsOf(predicted))
+	chartA := core.WaitChart("baseline requests", baseJobs)
+	chartB := core.WaitChart("predicted requests", predJobs)
 	pngA, err := raster.PNG(chartA, 960, 540)
 	if err != nil {
 		log.Fatal(err)
@@ -137,5 +139,3 @@ func main() {
 	}
 	fmt.Println(text)
 }
-
-func jobsOf(res *sched.Result) []slurm.Record { return res.Jobs }

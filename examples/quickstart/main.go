@@ -46,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("schedule: %d jobs, %d steps, %.1f%% utilization, mean wait %s\n",
-		len(res.Jobs), len(res.Steps), 100*res.Stats.Utilization(),
+		res.Len(), res.StepRows(), 100*res.Stats.Utilization(),
 		res.Stats.MeanWait().Round(time.Second))
 
 	// 3. Ingest into the accounting store.

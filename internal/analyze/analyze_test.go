@@ -231,7 +231,8 @@ func TestFrontierAndesComparisonShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Jobs
+		jobs, _ := res.Collect()
+		return jobs
 	}
 	frontier := gen(tracegen.FrontierProfile(), cluster.Frontier(), 31)
 	andes := gen(tracegen.AndesProfile(), cluster.Andes(), 32)

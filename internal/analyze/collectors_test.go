@@ -32,7 +32,8 @@ func goldenTrace(t *testing.T) []slurm.Record {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(append([]slurm.Record{}, res.Jobs...), res.Steps...)
+	jobs, steps := res.Collect()
+	return append(jobs, steps...)
 }
 
 // mustJSON pins byte-level equality between figure payloads.

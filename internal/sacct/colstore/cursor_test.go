@@ -99,7 +99,8 @@ func goldenFrontier(t testing.TB) []slurm.Record {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := append(res.Jobs, res.Steps...)
+	jobs, steps := res.Collect()
+	recs := append(jobs, steps...)
 	if len(recs) != 35009 {
 		t.Fatalf("golden Frontier run has %d rows, want 35009", len(recs))
 	}

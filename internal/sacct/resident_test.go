@@ -40,7 +40,7 @@ func goldenFrontierResult(t *testing.T) *sched.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(res.Jobs) + len(res.Steps); n != 35009 {
+	if n := res.Len() + res.StepRows(); n != 35009 {
 		t.Fatalf("golden Frontier run has %d rows, want 35009", n)
 	}
 	return res

@@ -81,8 +81,8 @@ func TestMonthArithmetic(t *testing.T) {
 
 func TestStoreShardsAndCounts(t *testing.T) {
 	st, res := buildStore(t, 40) // spans Jan and Feb
-	if st.Len() != len(res.Jobs)+len(res.Steps) {
-		t.Errorf("Len = %d, want %d", st.Len(), len(res.Jobs)+len(res.Steps))
+	if st.Len() != res.Len()+res.StepRows() {
+		t.Errorf("Len = %d, want %d", st.Len(), res.Len()+res.StepRows())
 	}
 	months := st.Months()
 	if len(months) < 2 {
@@ -101,8 +101,8 @@ func TestQueryJobsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != len(res.Jobs) {
-		t.Errorf("job-only select = %d, want %d", len(recs), len(res.Jobs))
+	if len(recs) != res.Len() {
+		t.Errorf("job-only select = %d, want %d", len(recs), res.Len())
 	}
 	for i := range recs {
 		if recs[i].IsStep() {

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"os"
 	"slices"
 	"sort"
@@ -163,29 +164,34 @@ func cmpRecords(a, b *slurm.Record) int {
 // keeps its on-disk rows visible to Months/Len and its error surfacing on
 // every later scan — nothing is silently dropped on either side.
 func (s *Store) Add(records ...slurm.Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, err := s.addLocked(records, nil)
-	if n > 0 {
-		s.gen.Add(1)
-	}
-	return err
+	return s.addAll(func(yield func(*slurm.Record) bool) {
+		for i := range records {
+			if !yield(&records[i]) {
+				return
+			}
+		}
+	}, nil)
 }
 
-// addLocked appends records to their months' in-memory rows, stopping at
-// the first that a corrupt sealed shard refuses, and reports how many
-// landed; the caller holds s.mu and moves the generation. reserve, if
-// non-nil, is a size hint: reserve[m] is how many records the caller is
-// about to add to month m across this and later calls, and the month's
-// slice is grown by that much, once, when its first record lands (the
-// entry is then dropped).
-func (s *Store) addLocked(records []slurm.Record, reserve map[Month]int) (int, error) {
-	for i := range records {
-		r := &records[i]
+// addAll appends a copy of every yielded record to its month's in-memory
+// rows, under one lock and one generation, stopping at the first that a
+// corrupt sealed shard refuses. reserve, if non-nil, is a size hint:
+// reserve[m] is how many records are coming for month m, and the month's
+// slice is grown by that much, once, when its first record lands.
+func (s *Store) addAll(recs iter.Seq[*slurm.Record], reserve map[Month]int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	added := false
+	defer func() {
+		if added {
+			s.gen.Add(1)
+		}
+	}()
+	for r := range recs {
 		m := MonthOf(r.Submit)
 		if sh := s.sealed[m]; sh != nil {
 			if err := sh.Load(context.Background(), colstore.AllColumns); err != nil {
-				return i, fmt.Errorf("sacct: add into shard %s: %w", m, err)
+				return fmt.Errorf("sacct: add into shard %s: %w", m, err)
 			}
 		}
 		if rg, ok := s.ranges[m]; ok {
@@ -201,8 +207,9 @@ func (s *Store) addLocked(records []slurm.Record, reserve map[Month]int) (int, e
 		}
 		s.shards[m] = append(shard, *r)
 		delete(s.sorted, m)
+		added = true
 	}
-	return len(records), nil
+	return nil
 }
 
 // AppendBatch is the live-append path: it lands one batch atomically —
@@ -329,48 +336,24 @@ func mergeBehind(shard, part []slurm.Record) []slurm.Record {
 	return append(out, shard[from:]...)
 }
 
-// Ingest loads a complete simulation result, each job followed by its
-// own steps (Result.StepsPerJob says how many of Steps those are) — which
-// is recordCmp order, so the Finalize that follows finds every shard
-// sorted and copies nothing. The result's size is known up front, so each
-// month's slice is grown once to what the result adds to it, instead of
-// by doubling under Add. A result whose counts do not add up to its steps
-// still loads whole: Finalize sorts what this order did not.
+// Ingest loads a complete simulation result from its record stream: each
+// job followed by its own steps — which is recordCmp order, so the
+// Finalize that follows finds every shard sorted and copies nothing. The
+// result's outcomes say up front what it adds to each month, so each
+// month's slice is grown once to that size, instead of by doubling under
+// Add, and each row is built once, in the stream's scratch, and copied
+// once, into its shard. The store is locked while the stream runs.
 func (s *Store) Ingest(res *sched.Result) error {
+	steps := res.StepRows() > 0
 	reserve := map[Month]int{}
-	for _, recs := range [][]slurm.Record{res.Jobs, res.Steps} {
-		for i := range recs {
-			reserve[MonthOf(recs[i].Submit)]++
+	for o := range res.Outcomes {
+		n := 1
+		if steps {
+			n += o.Steps
 		}
+		reserve[MonthOf(o.Req.Submit)] += n
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	added := 0
-	defer func() {
-		if added > 0 {
-			s.gen.Add(1)
-		}
-	}()
-	add := func(recs []slurm.Record) error {
-		n, err := s.addLocked(recs, reserve)
-		added += n
-		return err
-	}
-	steps := res.Steps
-	for i := range res.Jobs {
-		n := 0
-		if i < len(res.StepsPerJob) {
-			n = max(0, min(res.StepsPerJob[i], len(steps)))
-		}
-		if err := add(res.Jobs[i : i+1]); err != nil {
-			return err
-		}
-		if err := add(steps[:n]); err != nil {
-			return err
-		}
-		steps = steps[n:]
-	}
-	return add(steps) // more steps than the counts spoke for
+	return s.addAll(res.Records, reserve)
 }
 
 // Finalize puts every month's in-memory rows in emission order

@@ -3,28 +3,22 @@ package sched
 import (
 	"runtime"
 	"testing"
-
-	"slurmsight/internal/cluster"
 )
 
 // TestRunAllocationCeiling pins what one simulated request costs the
-// allocator on the golden Frontier trace, records only (the tournament's
-// shape). Measured 2,342 B and 15.0 mallocs per request; a math/rand source
-// built per job, which buildResult once did, adds 4.9 KB and two mallocs to
-// each and lands far outside both ceilings.
+// allocator on the golden Frontier trace when nobody reads records (the
+// tournament's shape): the job arena, the event queue and the pass buffers.
+// Measured 651 B and 3.1 mallocs per request (the mallocs are the
+// reservation pass's sort.Slice); the ceilings are that plus a quarter. A
+// Record built per job, which Run once ended in, adds 1.7 KB and twelve
+// mallocs to each and lands far outside both.
 func TestRunAllocationCeiling(t *testing.T) {
 	const (
-		maxBytesPerJob  = 3200
-		maxAllocsPerJob = 16.0
+		maxBytesPerJob  = 815
+		maxAllocsPerJob = 3.9
 	)
 	reqs := goldenFrontierTrace(t)
-	cfg := DefaultConfig(cluster.Frontier())
-	cfg.Seed = 7
-	cfg.Reservations = goldenReservations()
-	sim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := goldenFrontierSim(t)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 	"testing"
 
-	"slurmsight/internal/cluster"
 	"slurmsight/internal/slurm"
 )
 
@@ -15,18 +14,12 @@ import (
 // memory sizes, TRES maps, flag lists).
 func goldenFrontierRecords(t *testing.T) []slurm.Record {
 	t.Helper()
-	cfg := DefaultConfig(cluster.Frontier())
-	cfg.Seed = 7
-	cfg.Reservations = goldenReservations()
-	sim, err := New(cfg)
+	res, err := goldenFrontierSim(t).Run(goldenFrontierTrace(t), Options{EmitSteps: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(goldenFrontierTrace(t), Options{EmitSteps: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(res.Jobs, res.Steps...)
+	jobs, steps := res.Collect()
+	return append(jobs, steps...)
 }
 
 // TestEncodeGoldenDigest pins the bytes of the text emit plane: the

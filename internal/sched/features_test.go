@@ -321,10 +321,11 @@ func TestMixedFeatureWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(reqs, Options{})
+	raw, err := sim.Run(reqs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := collect(raw)
 	chains := 0
 	for i := range res.Jobs {
 		j := &res.Jobs[i]

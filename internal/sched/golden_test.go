@@ -32,25 +32,29 @@ import (
 // Go's math.Exp2 is portable code, so other 64-bit platforms are expected
 // to agree.
 
-// goldenDigest hashes every encoded record, the per-job planned step
-// counts, and the full stats block.
+// goldenDigest hashes the record stream — every encoded job row with its
+// outcome's planned step count behind it, and every step row — and the
+// full stats block.
 func goldenDigest(t *testing.T, res *Result) (jobs, steps, stats uint64) {
 	t.Helper()
 	fields := slurm.SelectedNames()
-	hash := func(recs []slurm.Record, perJob []int) uint64 {
-		h := fnv.New64a()
-		for i := range recs {
-			line, err := slurm.EncodeRecord(&recs[i], fields)
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.WriteString(h, line)
-			io.WriteString(h, "\n")
-			if perJob != nil {
-				fmt.Fprintf(h, "steps=%d\n", perJob[i])
-			}
+	var planned []int
+	for o := range res.Outcomes {
+		planned = append(planned, o.Steps)
+	}
+	jh, sh := fnv.New64a(), fnv.New64a()
+	n := 0
+	for rec := range res.Records {
+		line, err := slurm.EncodeRecord(rec, fields)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return h.Sum64()
+		if rec.IsStep() {
+			io.WriteString(sh, line+"\n")
+			continue
+		}
+		fmt.Fprintf(jh, "%s\nsteps=%d\n", line, planned[n])
+		n++
 	}
 	// Every RunStats field, listed explicitly so a new field breaks the
 	// build here and forces a golden refresh; floats are hashed by bit
@@ -64,7 +68,7 @@ func goldenDigest(t *testing.T, res *Result) (jobs, steps, stats uint64) {
 		math.Float64bits(st.NodeSecondsBusy), math.Float64bits(st.NodeSecondsCap),
 		st.Preemptions, int64(st.PreemptedLost), st.DependencyCancelled,
 		st.ReservationStarts)
-	return hash(res.Jobs, res.StepsPerJob), hash(res.Steps, nil), h.Sum64()
+	return jh.Sum64(), sh.Sum64(), h.Sum64()
 }
 
 type goldenWant struct {
@@ -122,11 +126,9 @@ func goldenReservations() []Reservation {
 	}}
 }
 
-// TestGoldenFrontierMixed replays a contended Frontier workload that
-// exercises chains, arrays, urgent preemption, and an advance reservation
-// window, with step records materialized.
-func TestGoldenFrontierMixed(t *testing.T) {
-	reqs := goldenFrontierTrace(t)
+// goldenFrontierSim is a fresh simulator configured for goldenFrontierTrace.
+func goldenFrontierSim(t *testing.T) *Simulator {
+	t.Helper()
 	cfg := DefaultConfig(cluster.Frontier())
 	cfg.Seed = 7
 	cfg.Reservations = goldenReservations()
@@ -134,7 +136,14 @@ func TestGoldenFrontierMixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(reqs, Options{EmitSteps: true})
+	return sim
+}
+
+// TestGoldenFrontierMixed replays a contended Frontier workload that
+// exercises chains, arrays, urgent preemption, and an advance reservation
+// window, with step records materialized.
+func TestGoldenFrontierMixed(t *testing.T) {
+	res, err := goldenFrontierSim(t).Run(goldenFrontierTrace(t), Options{EmitSteps: true})
 	if err != nil {
 		t.Fatal(err)
 	}

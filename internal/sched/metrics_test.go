@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -91,7 +92,17 @@ func TestPhasesAccountForTheRun(t *testing.T) {
 			if diff := wall - sum; diff < 0 || diff > wall/10 {
 				t.Errorf("phases sum to %d ns of a %d ns run: %v", sum, wall, phases)
 			}
-			for _, name := range []string{"events", "reprioritize", "main_pass", "backfill", "build_result"} {
+			// Nothing is published beyond the five phases Run passes through.
+			published := 0
+			for name := range reg.Snapshot() {
+				if strings.HasPrefix(name, "sched_phase_ns_total{") {
+					published++
+				}
+			}
+			if published != 5 || len(phases) != 5 {
+				t.Errorf("published %d phase counters for %d phases, want 5 and 5", published, len(phases))
+			}
+			for _, name := range []string{"events", "reprioritize", "main_pass", "backfill"} {
 				if phases[name] <= 0 {
 					t.Errorf("phase %s shows no time: %v", name, phases)
 				}

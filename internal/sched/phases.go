@@ -28,13 +28,11 @@ const (
 	// whichever pass called it. The pool selector does no work and is not
 	// timed, so this reads zero for it.
 	phaseNodeSelect
-	// phaseBuildResult is buildResult: records from finished jobs.
-	phaseBuildResult
 	numPhases
 )
 
 var phaseNames = [numPhases]string{
-	"events", "reprioritize", "main_pass", "backfill", "node_select", "build_result",
+	"events", "reprioritize", "main_pass", "backfill", "node_select",
 }
 
 // phaseClock attributes wall time to phases. It exists only on a metered

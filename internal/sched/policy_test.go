@@ -78,10 +78,11 @@ func TestFIFOPriorityOrdersBySubmission(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run([]tracegen.Request{blocker, a, b, c}, Options{})
+		raw, err := sim.Run([]tracegen.Request{blocker, a, b, c}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := collect(raw)
 		var out [3]time.Time
 		for i := range res.Jobs {
 			switch res.Jobs[i].User {

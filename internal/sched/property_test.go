@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -48,8 +49,35 @@ func tinyProfile(rng *rand.Rand, sys *cluster.System) tracegen.Profile {
 	}
 }
 
-// runRandomWorkload simulates one random workload and returns its result.
-func runRandomWorkload(t *testing.T, seed int64, reservations bool) (*Result, *cluster.System) {
+// composition is one policy composition the invariants must hold under.
+type composition struct {
+	name, preset, backfill, nodeSelect string
+}
+
+// compositions lists the seven arms tournament.DefaultSpecs() names,
+// spelled as configs (this package cannot import tournament), then every
+// registered backfill × node-select pair.
+func compositions() []composition {
+	cs := []composition{
+		{name: "default"},
+		{name: "capability", preset: "capability"},
+		{name: "aging", preset: "aging"},
+		{name: "fairshare", preset: "fairshare"},
+		{name: "fifo", preset: "fifo"},
+		{name: "conservative", backfill: "conservative"},
+		{name: "no-backfill", backfill: "none"},
+	}
+	for _, bf := range BackfillNames() {
+		for _, sel := range SelectorNames() {
+			cs = append(cs, composition{name: bf + "+" + sel, backfill: bf, nodeSelect: sel})
+		}
+	}
+	return cs
+}
+
+// randomWorkload builds one random tiny workload and the simulator the
+// composition runs it on; reqs is empty when the profile drew no jobs.
+func randomWorkload(t *testing.T, c composition, seed int64, reservations bool) (*Simulator, []tracegen.Request, *cluster.System) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	sys := preemptSystem()
@@ -65,10 +93,13 @@ func runRandomWorkload(t *testing.T, seed int64, reservations bool) (*Result, *c
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reqs) == 0 {
-		return nil, sys
-	}
 	cfg := DefaultConfig(sys)
+	if c.preset != "" {
+		if err := ApplyPreset(&cfg, c.preset); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg.Backfill, cfg.NodeSelect = c.backfill, c.nodeSelect
 	cfg.Seed = seed
 	cfg.EnableNodeSharing = seed%2 == 0
 	if reservations {
@@ -83,40 +114,64 @@ func runRandomWorkload(t *testing.T, seed int64, reservations bool) (*Result, *c
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sim, reqs, sys
+}
+
+// runRandomWorkload simulates one random workload under a composition and
+// returns its outcomes; nil when the profile drew no jobs.
+func runRandomWorkload(t *testing.T, c composition, seed int64, reservations bool) ([]Outcome, *Result, *cluster.System) {
+	t.Helper()
+	sim, reqs, sys := randomWorkload(t, c, seed, reservations)
+	if len(reqs) == 0 {
+		return nil, nil, sys
+	}
 	res, err := sim.Run(reqs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, sys
+	return slices.Collect(res.Outcomes), res, sys
 }
 
-// checkNoOverallocation replays allocation edges in cores (NCPUs, which
-// carries the true allocation for both whole-node and shared jobs) and
-// asserts the busy count never exceeds capacity at any instant.
-func checkNoOverallocation(t *testing.T, jobs []slurm.Record, capacityCores int) {
+// checkEach runs the property over random seeds under every composition.
+func checkEach(t *testing.T, count, short int, property func(t *testing.T, c composition, seed uint16) bool) {
+	cfg := &quick.Config{MaxCount: count}
+	if testing.Short() {
+		cfg.MaxCount = short
+	}
+	for _, c := range compositions() {
+		t.Run(c.name, func(t *testing.T) {
+			if err := quick.Check(func(seed uint16) bool { return property(t, c, seed) }, cfg); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// checkNoOverallocation replays allocation edges in cores (the true
+// allocation for both whole-node and shared jobs) and asserts the busy
+// count never exceeds capacity at any instant.
+func checkNoOverallocation(t *testing.T, jobs []Outcome, capacityCores int) {
 	t.Helper()
 	type edge struct {
 		at    time.Time
-		nodes int64
+		cores int
 	}
 	var edges []edge
-	for i := range jobs {
-		j := &jobs[i]
-		if j.Start.IsZero() {
-			continue
+	for _, o := range jobs {
+		if o.Started {
+			edges = append(edges, edge{o.Start, +o.Cores}, edge{o.End, -o.Cores})
 		}
-		edges = append(edges, edge{j.Start, +j.NCPUs}, edge{j.End, -j.NCPUs})
 	}
 	sort.SliceStable(edges, func(a, b int) bool {
 		if !edges[a].at.Equal(edges[b].at) {
 			return edges[a].at.Before(edges[b].at)
 		}
-		return edges[a].nodes < edges[b].nodes // releases before grabs at ties
+		return edges[a].cores < edges[b].cores // releases before grabs at ties
 	})
-	var busy int64
+	busy := 0
 	for _, e := range edges {
-		busy += e.nodes
-		if busy > int64(capacityCores) {
+		busy += e.cores
+		if busy > capacityCores {
 			t.Fatalf("over-allocation: %d cores busy of %d", busy, capacityCores)
 		}
 	}
@@ -125,91 +180,158 @@ func checkNoOverallocation(t *testing.T, jobs []slurm.Record, capacityCores int)
 	}
 }
 
-// TestPropertySchedulerInvariants runs randomized workloads through the
-// simulator and checks the invariants every Slurm trace satisfies.
+// TestPropertySchedulerInvariants runs randomized workloads through every
+// composition and checks the invariants every Slurm trace satisfies, read
+// through the outcomes the scorecard is computed from — and that the
+// record stream says the same thing job for job.
 func TestPropertySchedulerInvariants(t *testing.T) {
-	f := func(seed uint16) bool {
-		res, sys := runRandomWorkload(t, int64(seed)+1, seed%3 == 0)
-		if res == nil {
+	checkEach(t, 25, 5, func(t *testing.T, c composition, seed uint16) bool {
+		jobs, res, sys := runRandomWorkload(t, c, int64(seed)+1, seed%3 == 0)
+		if jobs == nil {
 			return true
 		}
-		checkNoOverallocation(t, res.Jobs, int(sys.TotalCores()))
-		for i := range res.Jobs {
-			j := &res.Jobs[i]
-			if !j.State.Terminal() {
-				t.Fatalf("seed %d: job %v non-terminal %v", seed, j.ID, j.State)
+		checkNoOverallocation(t, jobs, int(sys.TotalCores()))
+		for i, o := range jobs {
+			r := o.Req
+			if !o.State.Terminal() {
+				t.Fatalf("seed %d: job %d non-terminal %v", seed, i, o.State)
 			}
-			if j.Start.IsZero() {
-				if j.State != slurm.StateCancelled {
-					t.Fatalf("seed %d: never-started job %v in %v", seed, j.ID, j.State)
+			if !o.Started {
+				if o.State != slurm.StateCancelled || !o.Start.IsZero() || o.Backfilled || o.Steps != 0 {
+					t.Fatalf("seed %d: never-started job %d reads %+v", seed, i, o)
 				}
 				continue
 			}
-			if j.Start.Before(j.Submit) {
-				t.Fatalf("seed %d: job %v started before submit", seed, j.ID)
+			if o.Eligible.Before(r.Submit) || o.Start.Before(o.Eligible) {
+				t.Fatalf("seed %d: job %d submit/eligible/start out of order", seed, i)
 			}
-			if j.Eligible.Before(j.Submit) || j.Start.Before(j.Eligible) {
-				t.Fatalf("seed %d: job %v eligibility out of order", seed, j.ID)
+			elapsed := o.End.Sub(o.Start)
+			if elapsed < 0 || elapsed > r.Timelimit {
+				t.Fatalf("seed %d: job %d ran %v of a %v limit", seed, i, elapsed, r.Timelimit)
 			}
-			if j.Elapsed > j.Timelimit {
-				t.Fatalf("seed %d: job %v ran past its limit", seed, j.ID)
+			if o.State == slurm.StateTimeout && elapsed != r.Timelimit {
+				t.Fatalf("seed %d: timeout %d at %v of %v", seed, i, elapsed, r.Timelimit)
 			}
-			if j.End.Sub(j.Start) != j.Elapsed {
-				t.Fatalf("seed %d: job %v elapsed inconsistent", seed, j.ID)
-			}
-			if j.State == slurm.StateTimeout && j.Elapsed != j.Timelimit {
-				t.Fatalf("seed %d: timeout %v at %v of %v", seed, j.ID, j.Elapsed, j.Timelimit)
+			if o.Steps != r.Steps+2 {
+				t.Fatalf("seed %d: job %d plans %d steps for %d numbered", seed, i, o.Steps, r.Steps)
 			}
 		}
+		i := 0
+		for rec := range res.Records {
+			o := jobs[i]
+			if rec.IsStep() || rec.Comment != o.Req.Class || !rec.Submit.Equal(o.Req.Submit) ||
+				!rec.Eligible.Equal(o.Eligible) || !rec.Start.Equal(o.Start) || !rec.End.Equal(o.End) ||
+				rec.State != o.State || rec.Backfilled() != o.Backfilled || rec.NCPUs != int64(o.Cores) ||
+				o.Started && rec.Elapsed != o.End.Sub(o.Start) {
+				t.Fatalf("seed %d: record %v disagrees with outcome %d: %+v", seed, rec.ID, i, o)
+			}
+			i++
+		}
+		if i != len(jobs) || res.Len() != i {
+			t.Fatalf("seed %d: %d job rows for %d outcomes", seed, i, len(jobs))
+		}
 		return true
-	}
-	cfg := &quick.Config{MaxCount: 25}
-	if testing.Short() {
-		cfg.MaxCount = 5
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	})
 }
 
 // TestPropertyChainOrdering asserts that every dependent job starts only
 // after its predecessor completed, across random workloads.
 func TestPropertyChainOrdering(t *testing.T) {
-	f := func(seed uint16) bool {
-		res, _ := runRandomWorkload(t, int64(seed)+1000, false)
-		if res == nil {
-			return true
+	checkEach(t, 15, 4, func(t *testing.T, c composition, seed uint16) bool {
+		jobs, _, _ := runRandomWorkload(t, c, int64(seed)+1000, false)
+		byPos := map[chainKey]Outcome{}
+		for _, o := range jobs {
+			if o.Req.Chain != 0 {
+				byPos[chainKey{o.Req.Chain, o.Req.ChainPos}] = o
+			}
 		}
-		byID := map[string]*slurm.Record{}
-		for i := range res.Jobs {
-			byID[res.Jobs[i].ID.String()] = &res.Jobs[i]
-		}
-		for i := range res.Jobs {
-			j := &res.Jobs[i]
-			if j.Dependency == "" || j.Start.IsZero() {
+		for key, o := range byPos {
+			if key.pos == 0 || !o.Started {
 				continue
 			}
-			predID := j.Dependency[len("afterok:"):]
-			pred, ok := byID[predID]
+			pred, ok := byPos[chainKey{key.chain, key.pos - 1}]
 			if !ok {
-				t.Fatalf("seed %d: dependency %q dangles", seed, j.Dependency)
+				t.Fatalf("seed %d: chain %d position %d has no predecessor", seed, key.chain, key.pos)
 			}
 			if pred.State != slurm.StateCompleted {
-				t.Fatalf("seed %d: job %v ran after non-completed predecessor (%v)",
-					seed, j.ID, pred.State)
+				t.Fatalf("seed %d: chain %d position %d ran after a non-completed predecessor (%v)",
+					seed, key.chain, key.pos, pred.State)
 			}
-			if j.Start.Before(pred.End) {
-				t.Fatalf("seed %d: job %v started before predecessor end", seed, j.ID)
+			if o.Start.Before(pred.End) {
+				t.Fatalf("seed %d: chain %d position %d started before its predecessor ended", seed, key.chain, key.pos)
 			}
 		}
 		return true
+	})
+}
+
+// orderWitness is a NodeSelector that watches every placement for a job
+// started past one that outranks it. The pending jobs of a pass are the
+// heap, the examined-and-kept jobs and the tail of requeued victims; a
+// reservation-tagged job waits for its window without blocking, and a
+// victim evicted in this pass queues behind everything in eviction order,
+// so neither counts — and a start inside an active reservation is placed
+// in its carved pool and never reaches a selector at all.
+type orderWitness struct {
+	NodeSelector
+	s          *Simulator
+	outOfOrder int
+}
+
+func (w *orderWitness) Place(j *job) {
+	s := w.s
+	outranks := func(k *job) bool {
+		if k.res != nil {
+			return false
+		}
+		p := s.priorityAt(k, s.now)
+		return p > j.priority || p == j.priority && k.seq < j.seq
 	}
-	cfg := &quick.Config{MaxCount: 15}
-	if testing.Short() {
-		cfg.MaxCount = 4
+	for i := range s.pending {
+		if outranks(s.pending[i].j) {
+			w.outOfOrder++
+		}
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
+	for _, k := range s.keep {
+		if outranks(k) {
+			w.outOfOrder++
+		}
+	}
+	w.NodeSelector.Place(j)
+}
+
+// TestPropertyNoBackfillKeepsPriorityOrder is the one policy contract
+// that needs no reference scheduler: under Backfill "none", whatever the
+// priority policy and the node selector, the main pass never starts a job
+// while one that outranks it waits. The same witness under EASY must see
+// such starts, or it could not see them here.
+func TestPropertyNoBackfillKeepsPriorityOrder(t *testing.T) {
+	witnessed := func(c composition, seed int64) int {
+		sim, reqs, _ := randomWorkload(t, c, seed, seed%3 == 0)
+		if len(reqs) == 0 {
+			return 0
+		}
+		w := &orderWitness{NodeSelector: sim.sel, s: sim}
+		sim.sel = w
+		if _, err := sim.Run(reqs, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		return w.outOfOrder
+	}
+	easy := 0
+	for seed := int64(3000); seed < 3020; seed++ {
+		for _, preset := range []string{"", "capability", "aging", "fairshare", "fifo"} {
+			for _, sel := range SelectorNames() {
+				c := composition{preset: preset, backfill: "none", nodeSelect: sel}
+				if n := witnessed(c, seed); n != 0 {
+					t.Fatalf("seed %d, preset %q, %s: %d starts past a higher-priority pending job", seed, preset, sel, n)
+				}
+			}
+		}
+		easy += witnessed(composition{backfill: "easy"}, seed)
+	}
+	if easy == 0 {
+		t.Error("the witness saw no out-of-order start under EASY backfill: it is blind")
 	}
 }
 
@@ -237,8 +359,8 @@ func TestPropertyAccountingBalance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Jobs) != len(reqs) {
-			t.Fatalf("seed %d: %d records for %d requests", seed, len(res.Jobs), len(reqs))
+		if res.Len() != len(reqs) {
+			t.Fatalf("seed %d: %d jobs for %d requests", seed, res.Len(), len(reqs))
 		}
 		st := res.Stats
 		terminal := st.JobsCompleted + st.JobsFailed + st.JobsCancelled +

@@ -6,37 +6,93 @@ import (
 	"time"
 
 	"slurmsight/internal/slurm"
+	"slurmsight/internal/tracegen"
 )
 
-// buildResult converts finished simulator jobs into accounting records.
-func (s *Simulator) buildResult(jobs []*job, arrayBase map[int64]int64, opts Options) (*Result, error) {
-	res := &Result{
-		Jobs:        make([]slurm.Record, 0, len(jobs)),
-		StepsPerJob: make([]int, 0, len(jobs)),
-		Stats:       s.stats,
+// Outcome is the scheduler's verdict on one job, read straight off the
+// finished run: what a scorecard or a property check needs of it, without
+// the accounting record around it.
+type Outcome struct {
+	Req        *tracegen.Request // the submission, in the slice Run was given
+	Cores      int               // allocated cores, the scheduling unit
+	Eligible   time.Time
+	Start, End time.Time // Start is zero unless Started
+	State      slurm.State
+	Started    bool
+	Backfilled bool
+	Steps      int // planned step rows: numbered + batch + extern, 0 if never started
+}
+
+// Len is the number of jobs: one per request.
+func (r *Result) Len() int { return len(r.jobs) }
+
+// StepRows is the number of step rows Records yields: every job's planned
+// steps under Options.EmitSteps, else none.
+func (r *Result) StepRows() (n int) {
+	if !r.emitSteps {
+		return 0
 	}
-	steps := 0
-	for _, j := range jobs {
-		n := plannedSteps(j)
-		res.StepsPerJob = append(res.StepsPerJob, n)
-		steps += n
+	for i := range r.jobs {
+		n += plannedSteps(&r.jobs[i])
 	}
-	if opts.EmitSteps {
-		// Sized once from the planned counts: grown by append, the step
-		// records (745 B each) were re-copied through every growth step.
-		res.Steps = make([]slurm.Record, 0, steps)
+	return n
+}
+
+// Outcomes yields every job's outcome in submission order.
+func (r *Result) Outcomes(yield func(Outcome) bool) {
+	for i := range r.jobs {
+		j := &r.jobs[i]
+		o := Outcome{Req: j.req, Cores: j.cores, Eligible: j.eligible, End: j.end,
+			State: j.state, Started: j.started, Steps: plannedSteps(j)}
+		if j.started {
+			o.Start, o.Backfilled = j.start, j.backfill
+		}
+		if !yield(o) {
+			return
+		}
 	}
-	// One generator reseeded per job: the stream is the one a fresh
-	// source per job would give, without building its 607-word state
-	// (4.9 KB) for every record.
+}
+
+// Records streams the accounting rows in submission order, the same bytes
+// on every call: each job's row, then its step rows under
+// Options.EmitSteps. The *Record is scratch the next yield overwrites —
+// copy the struct to keep a row; its TRES maps and Flags are the row's own.
+func (r *Result) Records(yield func(*slurm.Record) bool) {
+	// One generator, reseeded (9 µs) for each job that draws — one that
+	// never started and did not fail reads nothing: the stream a fresh
+	// source per job would give, without building its 4.9 KB state each time.
 	rng := rand.New(rand.NewSource(0))
-	for _, j := range jobs {
-		rng.Seed(s.cfg.Seed ^ (j.seq+1)*0x9E3779B9)
-		rec, steps := s.materialize(j, arrayBase, rng, opts.EmitSteps)
-		res.Jobs = append(res.Jobs, rec)
-		res.Steps = append(res.Steps, steps...)
+	var rec slurm.Record
+	var steps []slurm.Record
+	for i := range r.jobs {
+		j := &r.jobs[i]
+		if j.started || j.state == slurm.StateFailed {
+			rng.Seed(r.seed ^ (j.seq+1)*0x9E3779B9)
+		}
+		steps = r.materialize(j, &rec, steps[:0], rng)
+		if !yield(&rec) {
+			return
+		}
+		for k := range steps {
+			if !yield(&steps[k]) {
+				return
+			}
+		}
 	}
-	return res, nil
+}
+
+// Collect gathers the record stream into job rows and step rows.
+func (r *Result) Collect() (jobs, steps []slurm.Record) {
+	jobs = make([]slurm.Record, 0, r.Len())
+	steps = make([]slurm.Record, 0, r.StepRows())
+	for rec := range r.Records {
+		if rec.IsStep() {
+			steps = append(steps, *rec)
+		} else {
+			jobs = append(jobs, *rec)
+		}
+	}
+	return jobs, steps
 }
 
 // plannedSteps is the number of step records a job produces: none if it
@@ -74,11 +130,11 @@ func nodeListFor(cluster string, nodes int) string {
 	return fmt.Sprintf("%s[%06d-%06d]", cluster, 0, nodes-1)
 }
 
-// materialize builds the job record and, when emitSteps is set, its step
-// records.
-func (s *Simulator) materialize(j *job, arrayBase map[int64]int64, rng *rand.Rand, emitSteps bool) (slurm.Record, []slurm.Record) {
-	sys := s.cfg.System
-	r := &j.req
+// materialize builds the job's record in *rec and, when the run emits
+// steps, appends its step records to steps.
+func (res *Result) materialize(j *job, rec *slurm.Record, steps []slurm.Record, rng *rand.Rand) []slurm.Record {
+	sys := res.sys
+	r := j.req
 	nodes := int64(r.Nodes)
 	cores := int64(sys.CoresPerNode)
 	allocCPUs := int64(j.cores)
@@ -88,7 +144,7 @@ func (s *Simulator) materialize(j *job, arrayBase map[int64]int64, rng *rand.Ran
 		reqMem = sys.MemPerNode * int64(r.Cores) / cores
 	}
 
-	rec := slurm.Record{
+	*rec = slurm.Record{
 		ID:        j.id,
 		JobName:   r.JobName,
 		User:      r.User,
@@ -111,7 +167,7 @@ func (s *Simulator) materialize(j *job, arrayBase map[int64]int64, rng *rand.Ran
 		QOSReq:    r.QOS,
 		Priority:  j.priority,
 		Comment:   r.Class,
-		WorkDir:   fmt.Sprintf("/lustre/orion/%s/scratch/%s", r.Account, r.User),
+		WorkDir:   "/lustre/orion/" + r.Account + "/scratch/" + r.User,
 		TRESReq: slurm.TRES{
 			"cpu":  allocCPUs,
 			"mem":  nodes * reqMem,
@@ -123,18 +179,16 @@ func (s *Simulator) materialize(j *job, arrayBase map[int64]int64, rng *rand.Ran
 		rec.TRESReq["gres/gpu"] = nodes * int64(sys.GPUsPerNode)
 	}
 	if r.ArrayID != 0 {
-		rec.ArrayJobID = arrayBase[r.ArrayID]
+		rec.ArrayJobID = res.arrayBase[r.ArrayID]
 	}
 	if j.depPred != nil {
 		rec.Dependency = "afterok:" + j.depPred.id.String()
 	}
 	if r.Reservation != "" {
 		rec.Reservation = r.Reservation
-		if rp, ok := s.resByName[r.Reservation]; ok {
-			for i, p := range s.resPools {
-				if p == rp {
-					rec.ReservationID = int64(i + 1)
-				}
+		for i := range res.reservations {
+			if res.reservations[i].Name == r.Reservation {
+				rec.ReservationID = int64(i + 1)
 			}
 		}
 	}
@@ -148,7 +202,7 @@ func (s *Simulator) materialize(j *job, arrayBase map[int64]int64, rng *rand.Ran
 		if j.reason != "" {
 			rec.Reason = j.reason
 		}
-		return rec, nil
+		return steps
 	}
 
 	elapsed := j.end.Sub(j.start)
@@ -207,22 +261,22 @@ func (s *Simulator) materialize(j *job, arrayBase map[int64]int64, rng *rand.Ran
 	}
 	rec.NTasks = nodes * tasksPerNode
 
-	var steps []slurm.Record
-	if emitSteps {
-		steps = s.synthesizeSteps(j, &rec, tasksPerNode, rng)
+	if res.emitSteps {
+		steps = res.synthesizeSteps(j, rec, tasksPerNode, rng, steps)
 	}
-	return rec, steps
+	return steps
 }
 
-// synthesizeSteps builds the batch/extern pseudo-steps and the numbered
+// synthesizeSteps appends the batch/extern pseudo-steps and the numbered
 // srun steps, sequential in time, with the failure (if any) landing on the
 // final step.
-func (s *Simulator) synthesizeSteps(j *job, jobRec *slurm.Record, tasksPerNode int64, rng *rand.Rand) []slurm.Record {
+func (res *Result) synthesizeSteps(j *job, jobRec *slurm.Record, tasksPerNode int64, rng *rand.Rand, steps []slurm.Record) []slurm.Record {
 	elapsed := jobRec.Elapsed
 	n := j.req.Steps
-	steps := make([]slurm.Record, 0, n+2)
 
-	mkStep := func(id slurm.JobID, start, end time.Time, nnodes, ntasks int64, st slurm.State, layout string) slurm.Record {
+	// Every step but batch spans the allocation and shares the job row's
+	// node list; batch runs on the lead node alone.
+	mkStep := func(id slurm.JobID, start, end time.Time, nnodes, ntasks int64, st slurm.State, layout, nodeList string) slurm.Record {
 		rec := slurm.Record{
 			ID:             id,
 			JobName:        jobRec.JobName,
@@ -237,12 +291,12 @@ func (s *Simulator) synthesizeSteps(j *job, jobRec *slurm.Record, tasksPerNode i
 			Elapsed:        end.Sub(start),
 			Timelimit:      jobRec.Timelimit,
 			NNodes:         nnodes,
-			NCPUs:          nnodes * int64(s.cfg.System.CoresPerNode),
+			NCPUs:          nnodes * int64(res.sys.CoresPerNode),
 			NTasks:         ntasks,
 			State:          st,
 			QOS:            jobRec.QOS,
 			Layout:         layout,
-			NodeList:       nodeListFor(s.cfg.System.Name, int(nnodes)),
+			NodeList:       nodeList,
 			WorkDir:        jobRec.WorkDir,
 			Comment:        jobRec.Comment,
 			TRESReq:        slurm.TRES{},
@@ -261,11 +315,11 @@ func (s *Simulator) synthesizeSteps(j *job, jobRec *slurm.Record, tasksPerNode i
 	}
 
 	// Batch script wraps the whole job on the lead node.
-	steps = append(steps, mkStep(j.id.WithBatch(), jobRec.Start, jobRec.End, 1, 1, j.state, ""))
+	steps = append(steps, mkStep(j.id.WithBatch(), jobRec.Start, jobRec.End, 1, 1, j.state, "", res.leadNode))
 	// Extern step spans the allocation.
 	externID := j.id
 	externID.Kind = slurm.StepExtern
-	steps = append(steps, mkStep(externID, jobRec.Start, jobRec.End, jobRec.NNodes, jobRec.NNodes, slurm.StateCompleted, "cyclic"))
+	steps = append(steps, mkStep(externID, jobRec.Start, jobRec.End, jobRec.NNodes, jobRec.NNodes, slurm.StateCompleted, "cyclic", jobRec.NodeList))
 
 	// Numbered srun steps run back-to-back over ~90% of the walltime.
 	weights := make([]float64, n)
@@ -296,7 +350,7 @@ func (s *Simulator) synthesizeSteps(j *job, jobRec *slurm.Record, tasksPerNode i
 			}
 		}
 		steps = append(steps, mkStep(j.id.WithStep(int64(i)), cursor, end,
-			jobRec.NNodes, jobRec.NNodes*tasksPerNode, st, "block"))
+			jobRec.NNodes, jobRec.NNodes*tasksPerNode, st, "block", jobRec.NodeList))
 		cursor = end
 	}
 	return steps

@@ -78,7 +78,7 @@ func TestNodeSharingThroughput(t *testing.T) {
 	}
 	shared := run(t, tinySystem(), reqs, func(c *Config) { c.EnableNodeSharing = true })
 	exclusive := run(t, tinySystem(), reqs, nil)
-	lastEnd := func(res *Result) time.Time {
+	lastEnd := func(res *rows) time.Time {
 		var last time.Time
 		for i := range res.Jobs {
 			if res.Jobs[i].End.After(last) {

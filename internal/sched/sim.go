@@ -12,11 +12,11 @@ import (
 	"slurmsight/internal/tracegen"
 )
 
-// job is the simulator's view of one submission.
+// job is the simulator's view of one submission; req is the caller's.
 type job struct {
 	seq      int64 // submission order, tie-breaker and id basis
 	id       slurm.JobID
-	req      tracegen.Request
+	req      *tracegen.Request
 	cores    int // allocation size in cores (the scheduling unit)
 	priority int64
 	cancelAt time.Time // zero when no planned cancel
@@ -141,6 +141,7 @@ type Simulator struct {
 	// job's priority (see the evCancel handler).
 	lastPassT  time.Time
 	lastReprio time.Time // last full recompute (ResortEvery cadence)
+	ran        bool      // Run is single-shot: stats, usage and seq are the run's
 
 	// Reusable pass-time buffers.
 	appended  []*job // preemption victims requeued mid-pass, FIFO
@@ -227,21 +228,27 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// Result is the outcome of a simulation run: job-level accounting records,
-// optional step-level records, per-job planned step counts, and aggregate
-// statistics.
+// Result is what a run leaves behind: the statistics, and the finished
+// jobs with what record emission reads of the configuration. It holds no
+// records: Outcomes reads the jobs and Records builds rows as it yields
+// them (records.go), both through the request slice Run was given.
 type Result struct {
-	Jobs        []slurm.Record
-	Steps       []slurm.Record
-	StepsPerJob []int // aligned with Jobs; planned srun steps per job
-	Stats       RunStats
+	Stats RunStats
+
+	jobs         []job // submission order
+	emitSteps    bool
+	seed         int64
+	sys          *cluster.System
+	reservations []Reservation
+	arrayBase    map[int64]int64 // tracegen array group → base job id
+	leadNode     string          // the one-node list every batch step carries
 }
 
-// Options tune what a run materializes.
+// Options tune what a result emits.
 type Options struct {
-	// EmitSteps materializes step records (batch, extern, and numbered
-	// srun steps). Disable for very large runs where only job-level
-	// analytics are needed; StepsPerJob is always populated.
+	// EmitSteps makes Result.Records yield step rows (batch, extern, and
+	// numbered srun steps) behind each job row. Disable for very large runs
+	// that need job-level analytics only; Outcome.Steps counts them anyway.
 	EmitSteps bool
 }
 
@@ -251,16 +258,21 @@ type chainKey struct {
 	pos   int
 }
 
-// Run executes the submissions and returns the accounting trace. The
-// requests may arrive in any order; they are processed by submit time.
+// Run executes the submissions and returns the finished run. The requests
+// may arrive in any order; they are processed by submit time, never written,
+// and must not change while the Result is in use. A Simulator runs once: its
+// statistics, usage and queues are the run's, so a second Run is an error.
 func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) {
+	if s.ran {
+		return nil, fmt.Errorf("sched: simulator already ran; build a new one")
+	}
+	s.ran = true
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("sched: no requests")
 	}
 	s.clk.start()
 	arena := make([]job, len(reqs)) // one allocation for every job
-	jobs := make([]*job, len(reqs))
-	arrayBase := map[int64]int64{} // tracegen array group → base job id
+	arrayBase := map[int64]int64{}  // tracegen array group → base job id
 	order := make([]int, len(reqs))
 	for i := range order {
 		order[i] = i
@@ -272,7 +284,7 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 	const firstID = 100000
 	byChain := map[chainKey]*job{}
 	for n, idx := range order {
-		r := reqs[idx]
+		r := &reqs[idx]
 		if r.Nodes <= 0 || r.Nodes > s.cfg.System.Nodes {
 			return nil, fmt.Errorf("sched: request %d wants %d nodes of %d", idx, r.Nodes, s.cfg.System.Nodes)
 		}
@@ -334,7 +346,6 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 		if r.Chain != 0 {
 			byChain[chainKey{r.Chain, r.ChainPos}] = j
 		}
-		jobs[n] = j
 		s.pushEvent(event{t: r.Submit, kind: evSubmit, j: j, seq: s.nextSeq()})
 		if !j.cancelAt.IsZero() {
 			s.pushEvent(event{t: j.cancelAt, kind: evCancel, j: j, seq: s.nextSeq()})
@@ -357,7 +368,7 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 		s.pushEvent(event{t: rp.def.End, kind: evResEnd, res: rp, seq: s.nextSeq()})
 	}
 
-	first := jobs[0].req.Submit
+	first := arena[0].req.Submit
 	for len(s.events) > 0 {
 		e := s.popEvent()
 		t := e.t
@@ -395,8 +406,8 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 	s.pending = nil
 	s.npending = 0
 	// Held jobs whose predecessors never resolved are likewise cancelled.
-	for _, j := range jobs {
-		if !j.finished && j.held {
+	for i := range arena {
+		if j := &arena[i]; !j.finished && j.held {
 			j.finished = true
 			j.state = slurm.StateCancelled
 			j.end = s.now
@@ -409,17 +420,19 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 	// The trace span runs from first submission to the last job activity;
 	// no-op cancel events beyond it do not count.
 	last = first
-	for _, j := range jobs {
-		if j.end.After(last) {
-			last = j.end
+	for i := range arena {
+		if arena[i].end.After(last) {
+			last = arena[i].end
 		}
 	}
 	s.stats.NodeSecondsCap = float64(s.cfg.System.Nodes) * last.Sub(first).Seconds()
 
-	s.clk.enter(phaseBuildResult)
-	res, err := s.buildResult(jobs, arrayBase, opts)
 	s.clk.publish(s.cfg.Metrics)
-	return res, err
+	return &Result{
+		Stats: s.stats, jobs: arena, emitSteps: opts.EmitSteps,
+		seed: s.cfg.Seed, sys: s.cfg.System, reservations: s.cfg.Reservations,
+		arrayBase: arrayBase, leadNode: nodeListFor(s.cfg.System.Name, 1),
+	}, nil
 }
 
 func (s *Simulator) nextSeq() int64 { s.seq++; return s.seq }
@@ -983,7 +996,7 @@ func (s *Simulator) startJob(j *job, t time.Time, backfill bool) {
 
 // terminalOutcome resolves when and how a started job ends.
 func (s *Simulator) terminalOutcome(j *job, start time.Time) (time.Time, slurm.State) {
-	r := &j.req
+	r := j.req
 	run := r.TrueRuntime
 	state := r.Outcome
 	switch r.Outcome {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -42,7 +43,19 @@ func req(user string, submit time.Time, nodes int, limit, runtime time.Duration)
 	}
 }
 
-func run(t *testing.T, sys *cluster.System, reqs []tracegen.Request, mutate func(*Config)) *Result {
+// rows is a run with its record stream collected, for the tests that index
+// job and step rows.
+type rows struct {
+	*Result
+	Jobs, Steps []slurm.Record
+}
+
+func collect(res *Result) *rows {
+	jobs, steps := res.Collect()
+	return &rows{res, jobs, steps}
+}
+
+func run(t *testing.T, sys *cluster.System, reqs []tracegen.Request, mutate func(*Config)) *rows {
 	t.Helper()
 	cfg := DefaultConfig(sys)
 	if mutate != nil {
@@ -56,10 +69,10 @@ func run(t *testing.T, sys *cluster.System, reqs []tracegen.Request, mutate func
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return collect(res)
 }
 
-func findJob(res *Result, user string) *slurm.Record {
+func findJob(res *rows, user string) *slurm.Record {
 	for i := range res.Jobs {
 		if res.Jobs[i].User == user {
 			return &res.Jobs[i]
@@ -280,10 +293,13 @@ func TestFairShareDecaysPriority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy := &job{req: req("heavy", t0, 2, time.Hour, time.Hour), cores: 2 * 8}
-	light := &job{req: req("light", t0, 2, time.Hour, time.Hour), cores: 2 * 8}
+	mk := func(user string, nodes int) *job {
+		r := req(user, t0, nodes, time.Hour, time.Hour)
+		return &job{req: &r, cores: nodes * 8}
+	}
+	heavy, light := mk("heavy", 2), mk("light", 2)
 	// Accrue a large usage history for heavy.
-	hj := &job{req: req("heavy", t0, 10, time.Hour, time.Hour), cores: 10 * 8}
+	hj := mk("heavy", 10)
 	hj.start = t0.Add(-2 * time.Hour)
 	hj.end = t0
 	// Several machine-hours of history.
@@ -313,8 +329,8 @@ func TestStepsStructure(t *testing.T) {
 	if len(res.Steps) != 7 { // batch + extern + 5 numbered
 		t.Fatalf("steps = %d, want 7", len(res.Steps))
 	}
-	if res.StepsPerJob[0] != 7 {
-		t.Errorf("StepsPerJob = %d", res.StepsPerJob[0])
+	if o := slices.Collect(res.Outcomes)[0]; o.Steps != 7 || res.StepRows() != 7 {
+		t.Errorf("outcome plans %d steps, StepRows = %d", o.Steps, res.StepRows())
 	}
 	job := &res.Jobs[0]
 	var batch, extern int
@@ -372,11 +388,11 @@ func TestNoStepsWhenDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Steps) != 0 {
+	if _, steps := res.Collect(); len(steps) != 0 || res.StepRows() != 0 {
 		t.Errorf("steps materialized despite EmitSteps=false")
 	}
-	if res.StepsPerJob[0] != 4 { // 2 numbered + batch + extern
-		t.Errorf("StepsPerJob = %d, want 4", res.StepsPerJob[0])
+	if o := slices.Collect(res.Outcomes)[0]; o.Steps != 4 { // 2 numbered + batch + extern
+		t.Errorf("outcome plans %d steps, want 4", o.Steps)
 	}
 }
 
@@ -412,14 +428,14 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runOnce := func() *Result {
+	runOnce := func() *rows {
 		cfg := DefaultConfig(cluster.Frontier())
 		sim, _ := New(cfg)
 		res, err := sim.Run(reqs, Options{EmitSteps: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return collect(res)
 	}
 	a, b := runOnce(), runOnce()
 	if len(a.Jobs) != len(b.Jobs) || len(a.Steps) != len(b.Steps) {
@@ -455,10 +471,11 @@ func TestFrontierWorkloadInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(reqs, Options{EmitSteps: true})
+	raw, err := sim.Run(reqs, Options{EmitSteps: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := collect(raw)
 	if len(res.Jobs) != len(reqs) {
 		t.Fatalf("jobs %d != requests %d", len(res.Jobs), len(reqs))
 	}

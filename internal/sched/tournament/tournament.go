@@ -169,7 +169,7 @@ type PolicyScore struct {
 	MeanSlowdown float64 `json:"mean_slowdown"`
 
 	// Classes breaks the same metrics out per tracegen job class
-	// (Record.Comment), sorted by class name.
+	// (Request.Class), sorted by class name.
 	Classes []ClassScore `json:"classes"`
 
 	// ElapsedMS is this policy's simulation wall-clock (excluded from
@@ -232,7 +232,8 @@ type Field struct {
 }
 
 // NewField binds a field to its trace. The requests are shared read-only
-// with every simulation the field runs and must not change while it lives.
+// with every simulation the field runs — each run's jobs point into the
+// slice — and must not change while the field lives.
 // metrics and tracer may be nil; see Input.
 func NewField(reqs []tracegen.Request, system *cluster.System, seed int64, metrics *obs.Registry, tracer *obs.Tracer) *Field {
 	return &Field{
@@ -360,7 +361,7 @@ func (f *Field) simulate(cfg sched.Config, policy string, parent *obs.Span) (*Po
 		return nil, err
 	}
 	elapsed := time.Since(t0)
-	span.SetAttrInt("jobs", int64(len(res.Jobs)))
+	span.SetAttrInt("jobs", int64(res.Len()))
 	span.SetAttrInt("completed", int64(res.Stats.JobsCompleted))
 
 	if f.metrics != nil {
@@ -393,8 +394,8 @@ func republish(dst, src *obs.Registry, policy string) {
 }
 
 // score reduces a simulation result to the scorecard row, Name and Spec
-// left for the arm to fill. All float math is a deterministic function of
-// the records.
+// left for the arm to fill. It folds the job outcomes — no record is built —
+// and all float math is a deterministic function of them.
 func score(res *sched.Result) PolicyScore {
 	st := res.Stats
 	ps := PolicyScore{
@@ -415,9 +416,8 @@ func score(res *sched.Result) PolicyScore {
 	}
 	classes := map[string]*agg{}
 	var total agg
-	for i := range res.Jobs {
-		r := &res.Jobs[i]
-		class := r.Comment
+	for o := range res.Outcomes {
+		class := o.Req.Class
 		if class == "" {
 			class = "unclassified"
 		}
@@ -428,20 +428,20 @@ func score(res *sched.Result) PolicyScore {
 		}
 		a.jobs++
 		total.jobs++
-		wait, ok := r.WaitTime()
-		if !ok {
-			continue // never started
+		if !o.Started {
+			continue
 		}
+		wait := o.Start.Sub(o.Req.Submit)
 		a.started++
 		total.started++
-		if r.Backfilled() {
+		if o.Backfilled {
 			a.backfilled++
 			total.backfilled++
 		}
 		w := wait.Seconds()
 		a.waits = append(a.waits, w)
 		total.waits = append(total.waits, w)
-		sd := boundedSlowdown(wait, r.Elapsed)
+		sd := boundedSlowdown(wait, o.End.Sub(o.Start))
 		a.slowSum += sd
 		total.slowSum += sd
 	}

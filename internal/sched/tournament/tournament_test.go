@@ -185,7 +185,7 @@ func TestRunPolicyLabelledMetricsAndSpans(t *testing.T) {
 		`sched_events_processed_total{policy="fifo"}`,
 		`sched_backfill_starts_total{policy="default"}`,
 		`sched_phase_ns_total{phase="backfill",policy="default"}`,
-		`sched_phase_ns_total{phase="build_result",policy="fifo"}`,
+		`sched_phase_ns_total{phase="main_pass",policy="fifo"}`,
 		"# TYPE sched_pending_depth_sum{policy=\"fifo\"} counter",
 		`schedbench_arms_total{source="simulated"} 2`,
 		"schedbench_tournaments_total",
