@@ -12,7 +12,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -36,10 +35,8 @@ import (
 // --- shared fixtures, built once ---
 
 type fixture struct {
-	jobs    []slurm.Record
-	records []slurm.Record // jobs + steps
-	store   *sacct.Store
-	stats   sched.RunStats
+	store  *sacct.Store
+	bundle *analyze.Bundle // every figure's aggregation, collected once from store
 }
 
 var (
@@ -86,8 +83,37 @@ func simulateFixture(profile tracegen.Profile, sys *cluster.System,
 		panic(err)
 	}
 	st.Finalize()
-	jobs, stepRows := res.Collect()
-	return &fixture{jobs: jobs, records: append(slices.Clone(jobs), stepRows...), store: st, stats: res.Stats}
+	bundle, err := analyze.Collect(st.Scan(sacct.Query{IncludeSteps: true}), core.TimelineBucket)
+	if err != nil {
+		panic(err)
+	}
+	return &fixture{store: st, bundle: bundle}
+}
+
+// nthJob returns a copy of the store's n-th job row in scan order.
+func nthJob(b *testing.B, st *sacct.Store, n int64) slurm.Record {
+	b.Helper()
+	for r, err := range st.Scan(sacct.Query{}) {
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n == 0 {
+			return r.Clone()
+		}
+		n--
+	}
+	b.Fatal("store holds too few jobs")
+	return slurm.Record{}
+}
+
+// figure builds one figure from a collected bundle.
+func figure(b *testing.B, key, system string, bundle *analyze.Bundle) *plot.Chart {
+	b.Helper()
+	c, err := core.ChartFromBundle(key, system, bundle, 50, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
 }
 
 func frontier(b *testing.B) *fixture {
@@ -112,8 +138,9 @@ func andes(b *testing.B) *fixture {
 	return andesFix
 }
 
-// fullScenario covers both Frontier eras for the Figure 1 year series,
-// without materialized steps (counts suffice for volume bars).
+// fullScenario covers both Frontier eras for the Figure 1 year series;
+// its job and step rows stream into a volume collector and are never
+// held.
 func fullScenario(b *testing.B) []analyze.VolumeByYear {
 	b.Helper()
 	fullOnce.Do(func() {
@@ -132,16 +159,15 @@ func fullScenario(b *testing.B) []analyze.VolumeByYear {
 		if err != nil {
 			panic(err)
 		}
-		res, err := sim.Run(reqs, sched.Options{})
+		res, err := sim.Run(reqs, sched.Options{EmitSteps: true})
 		if err != nil {
 			panic(err)
 		}
-		jobs, _ := res.Collect()
-		var planned []int
-		for o := range res.Outcomes {
-			planned = append(planned, o.Steps)
+		vc := analyze.NewVolumeCollector()
+		for r := range res.Records {
+			vc.Observe(r)
 		}
-		fullVols = analyze.JobStepVolumeCounted(jobs, planned)
+		fullVols = vc.Result()
 	})
 	return fullVols
 }
@@ -162,11 +188,11 @@ func BenchmarkTable1FieldSelection(b *testing.B) {
 	fields := slurm.SelectedNames()
 	report("table1", fmt.Sprintf("selected %d of %d accounting fields across %d categories",
 		len(fields), len(slurm.AllFieldNames()), len(slurm.Categories())))
-	rec := &f.jobs[0]
+	rec := nthJob(b, f.store, 0)
 	header := slurm.Header(fields) + "\n"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		line, err := slurm.EncodeRecord(rec, fields)
+		line, err := slurm.EncodeRecord(&rec, fields)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,12 +236,7 @@ func BenchmarkFigure1JobStepVolume(b *testing.B) {
 	report("figure1", text)
 	f := frontier(b)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := analyze.JobStepVolume(f.records)
-		if len(v) == 0 {
-			b.Fatal("no volume")
-		}
-	}
+	renderFigure(b, core.FigVolume, "frontier", f.bundle)
 }
 
 // --- Figure 2: inferred dataflow graph ---
@@ -274,12 +295,12 @@ func widest(rows [][]string) int {
 	return w
 }
 
-// renderFigure measures the full per-figure path: analysis → chart → SVG.
-func renderFigure(b *testing.B, build func() *plot.Chart) {
+// renderFigure measures the per-figure path from a collected bundle:
+// chart → SVG.
+func renderFigure(b *testing.B, key, system string, bundle *analyze.Bundle) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		c := build()
-		if _, err := plot.SVG(c, 960, 540); err != nil {
+		if _, err := plot.SVG(figure(b, key, system, bundle), 960, 540); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -289,93 +310,93 @@ func renderFigure(b *testing.B, build func() *plot.Chart) {
 
 func BenchmarkFigure3NodesVsElapsed(b *testing.B) {
 	f := frontier(b)
-	s := analyze.SummarizeScale(analyze.NodesVsElapsed(f.jobs))
+	s := analyze.SummarizeScale(f.bundle.Scale.Result())
 	report("figure3", fmt.Sprintf(
 		"  frontier: median %.0f nodes / %.0f min elapsed; small-short %.0f%%, large-long %.2f%%",
 		s.MedianNodes, s.MedianElapsedSec/60, 100*s.SmallShortShare, 100*s.LargeLongShare))
 	b.ResetTimer()
-	renderFigure(b, func() *plot.Chart { return core.NodesElapsedChart("frontier", f.jobs) })
+	renderFigure(b, core.FigNodesElapsed, "frontier", f.bundle)
 }
 
 // --- Figure 4: wait times by final state (Frontier) ---
 
 func BenchmarkFigure4WaitTimes(b *testing.B) {
 	f := frontier(b)
-	s := analyze.SummarizeWaits(analyze.WaitTimes(f.jobs))
+	s := analyze.SummarizeWaits(f.bundle.Waits.Result())
 	report("figure4", fmt.Sprintf(
 		"  frontier: p50 %.0fs, p90 %.0fs, p99 %.0fs; long-tail(>100ks) %.2f%%; states stratified: %d",
 		s.P50, s.P90, s.P99, 100*s.LongWaits, len(s.PerState)))
 	b.ResetTimer()
-	renderFigure(b, func() *plot.Chart { return core.WaitChart("frontier", f.jobs) })
+	renderFigure(b, core.FigWaitTimes, "frontier", f.bundle)
 }
 
 // --- Figure 5: end states per user (Frontier) ---
 
 func BenchmarkFigure5StatesPerUser(b *testing.B) {
 	f := frontier(b)
-	s := analyze.SummarizeUsers(analyze.StatesPerUser(f.jobs, 0))
+	s := analyze.SummarizeUsers(f.bundle.Users.Result(0))
 	report("figure5", fmt.Sprintf(
 		"  frontier: %d users; mean failed share %.1f%% (std %.2f); top decile owns %.0f%% of failures",
 		s.Users, 100*s.MeanFailedShare, s.StdFailedShare, 100*s.TopDecileFailures))
 	b.ResetTimer()
-	renderFigure(b, func() *plot.Chart { return core.StatesChart("frontier", f.jobs, 50) })
+	renderFigure(b, core.FigStates, "frontier", f.bundle)
 }
 
 // --- Figure 6: requested vs actual walltime + backfill (Frontier) ---
 
 func BenchmarkFigure6Backfill(b *testing.B) {
 	f := frontier(b)
-	s := analyze.SummarizeBackfill(analyze.RequestedVsActual(f.jobs))
+	s := analyze.SummarizeBackfill(f.bundle.Backfill.Result())
 	report("figure6", fmt.Sprintf(
 		"  frontier: %.0f%% of jobs use <75%% of request; median use %.0f%%; %.0f%% backfilled;\n"+
 			"  backfilled median %.0fs vs regular %.0fs; reclaimable %.0f node-hours",
 		100*s.OverestimateShare, 100*s.MedianUseRatio, 100*s.BackfilledShare,
 		s.MedianActualBackfilled, s.MedianActualRegular,
-		analyze.ReclaimableNodeHours(f.jobs)))
+		f.bundle.Reclaim.Result()))
 	b.ResetTimer()
-	renderFigure(b, func() *plot.Chart { return core.BackfillChart("frontier", f.jobs) })
+	renderFigure(b, core.FigBackfill, "frontier", f.bundle)
 }
 
 // --- Figures 7–9: the Andes portability panel ---
 
 func BenchmarkFigure7AndesNodesVsElapsed(b *testing.B) {
 	a, f := andes(b), frontier(b)
-	sa := analyze.SummarizeScale(analyze.NodesVsElapsed(a.jobs))
-	sf := analyze.SummarizeScale(analyze.NodesVsElapsed(f.jobs))
+	sa := analyze.SummarizeScale(a.bundle.Scale.Result())
+	sf := analyze.SummarizeScale(f.bundle.Scale.Result())
 	report("figure7", fmt.Sprintf(
 		"  andes: median %.0f nodes, small-short %.0f%% (frontier: %.0f nodes, %.0f%%) — denser small/short work",
 		sa.MedianNodes, 100*sa.SmallShortShare, sf.MedianNodes, 100*sf.SmallShortShare))
 	b.ResetTimer()
-	renderFigure(b, func() *plot.Chart { return core.NodesElapsedChart("andes", a.jobs) })
+	renderFigure(b, core.FigNodesElapsed, "andes", a.bundle)
 }
 
 func BenchmarkFigure8AndesStatesPerUser(b *testing.B) {
 	a, f := andes(b), frontier(b)
-	sa := analyze.SummarizeUsers(analyze.StatesPerUser(a.jobs, 0))
-	sf := analyze.SummarizeUsers(analyze.StatesPerUser(f.jobs, 0))
+	sa := analyze.SummarizeUsers(a.bundle.Users.Result(0))
+	sf := analyze.SummarizeUsers(f.bundle.Users.Result(0))
 	report("figure8", fmt.Sprintf(
 		"  andes: mean failed share %.1f%% std %.2f (frontier: %.1f%% std %.2f) — lower, more uniform",
 		100*sa.MeanFailedShare, sa.StdFailedShare, 100*sf.MeanFailedShare, sf.StdFailedShare))
 	b.ResetTimer()
-	renderFigure(b, func() *plot.Chart { return core.StatesChart("andes", a.jobs, 50) })
+	renderFigure(b, core.FigStates, "andes", a.bundle)
 }
 
 func BenchmarkFigure9AndesBackfill(b *testing.B) {
 	a, f := andes(b), frontier(b)
-	sa := analyze.SummarizeBackfill(analyze.RequestedVsActual(a.jobs))
-	sf := analyze.SummarizeBackfill(analyze.RequestedVsActual(f.jobs))
+	sa := analyze.SummarizeBackfill(a.bundle.Backfill.Result())
+	sf := analyze.SummarizeBackfill(f.bundle.Backfill.Result())
 	report("figure9", fmt.Sprintf(
 		"  andes: median use ratio %.0f%% (frontier %.0f%%) — over-estimation persists, tighter on Andes",
 		100*sa.MedianUseRatio, 100*sf.MedianUseRatio))
 	b.ResetTimer()
-	renderFigure(b, func() *plot.Chart { return core.BackfillChart("andes", a.jobs) })
+	renderFigure(b, core.FigBackfill, "andes", a.bundle)
 }
 
 // --- §4.2: LLM insight and comparison stages ---
 
 func BenchmarkLLMInsight(b *testing.B) {
 	f := frontier(b)
-	chart := core.BackfillChart("frontier", f.jobs)
+	chart := figure(b, core.FigBackfill, "frontier", f.bundle)
 	png, err := raster.PNG(chart, 960, 540)
 	if err != nil {
 		b.Fatal(err)
@@ -406,17 +427,17 @@ func BenchmarkLLMInsight(b *testing.B) {
 
 func BenchmarkLLMCompare(b *testing.B) {
 	f := frontier(b)
-	mid := f.jobs[len(f.jobs)/2].Submit
-	var early, late []slurm.Record
-	for _, j := range f.jobs {
-		if j.Submit.Before(mid) {
-			early = append(early, j)
-		} else {
-			late = append(late, j)
+	// Split the window at its median job's submission: two store windows.
+	mid := nthJob(b, f.store, f.bundle.Jobs/2).Submit
+	half := func(label string, q sacct.Query) *plot.Chart {
+		hb, err := analyze.Collect(f.store.Scan(q), core.TimelineBucket)
+		if err != nil {
+			b.Fatal(err)
 		}
+		return figure(b, core.FigWaitTimes, label, hb)
 	}
-	ca := core.WaitChart("first half", early)
-	cb := core.WaitChart("second half", late)
+	ca := half("first half", sacct.Query{End: mid})
+	cb := half("second half", sacct.Query{Start: mid})
 	a, err := llm.CompareCharts(ca, cb)
 	if err != nil {
 		b.Fatal(err)

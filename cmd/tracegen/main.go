@@ -43,7 +43,6 @@ func main() {
 		noSteps    = flag.Bool("no-steps", false, "skip step records (job-level trace only)")
 		backfill   = flag.String("backfill", "", "backfill strategy: easy (the default), conservative, or none")
 		nodeSel    = flag.String("node-select", "", "node selection policy: pool, firstfit, or bestfit")
-		resort     = flag.Duration("resort-every", 0, "incremental re-prioritisation cadence (0 = exact per-pass recompute)")
 	)
 	flag.Parse()
 
@@ -106,7 +105,6 @@ func main() {
 	cfg := sched.DefaultConfig(sys)
 	cfg.Backfill = *backfill
 	cfg.NodeSelect = *nodeSel
-	cfg.ResortEvery = *resort
 	cfg.Seed = *seed
 	sim, err := sched.New(cfg)
 	if err != nil {

@@ -21,14 +21,13 @@ import (
 	"slurmsight/internal/core"
 	"slurmsight/internal/sacct"
 	"slurmsight/internal/sched"
-	"slurmsight/internal/slurm"
 	"slurmsight/internal/tracegen"
 )
 
-// runSystem executes one system's trace and workflow, returning its job
-// records and summaries.
+// runSystem executes one system's trace and workflow, returning the
+// bundle its job records collect into.
 func runSystem(name string, sys *cluster.System, profile tracegen.Profile,
-	start, end time.Time, seed int64, outRoot string) []slurm.Record {
+	start, end time.Time, seed int64, outRoot string) *analyze.Bundle {
 
 	reqs, err := tracegen.Generate([]tracegen.Phase{{Profile: profile, Start: start, End: end}}, seed)
 	if err != nil {
@@ -66,11 +65,11 @@ func runSystem(name string, sys *cluster.System, profile tracegen.Profile,
 	fmt.Printf("%s: %d jobs / %d records analysed, dashboard at %s\n",
 		name, art.Jobs, art.Records, art.DashboardPath)
 
-	recs, err := store.Select(sacct.Query{})
+	b, err := analyze.Collect(store.Scan(sacct.Query{}), core.TimelineBucket)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return recs
+	return b
 }
 
 func main() {
@@ -84,13 +83,13 @@ func main() {
 
 	fp := tracegen.FrontierProfile()
 	fp.JobsPerDay, fp.Users = 250, 180
-	frontierJobs := runSystem("frontier", cluster.Frontier(), fp, start, end, 11, outRoot)
+	frontier := runSystem("frontier", cluster.Frontier(), fp, start, end, 11, outRoot)
 
 	ap := tracegen.AndesProfile()
 	ap.JobsPerDay, ap.Users = 250, 180
-	andesJobs := runSystem("andes", cluster.Andes(), ap, start, end, 12, outRoot)
+	andes := runSystem("andes", cluster.Andes(), ap, start, end, 12, outRoot)
 
-	cmp := analyze.CompareSystems("frontier", frontierJobs, "andes", andesJobs)
+	cmp := analyze.CompareSystems("frontier", frontier, "andes", andes)
 
 	fmt.Println("\n== Portability contrasts (paper §4.3) ==")
 	fmt.Printf("%-38s %12s %12s\n", "", "frontier", "andes")

@@ -23,15 +23,16 @@ import (
 	"slurmsight/internal/cluster"
 	"slurmsight/internal/core"
 	"slurmsight/internal/llm"
+	"slurmsight/internal/plot"
 	"slurmsight/internal/predict"
 	"slurmsight/internal/raster"
 	"slurmsight/internal/sched"
-	"slurmsight/internal/slurm"
 	"slurmsight/internal/tracegen"
 )
 
-// simulate runs the requests and returns the run's statistics and job records.
-func simulate(reqs []tracegen.Request) (sched.RunStats, []slurm.Record) {
+// simulate runs the requests and returns the run and the bundle its
+// records stream into.
+func simulate(reqs []tracegen.Request) (*sched.Result, *analyze.Bundle) {
 	sim, err := sched.New(sched.DefaultConfig(cluster.Frontier()))
 	if err != nil {
 		log.Fatal(err)
@@ -40,8 +41,20 @@ func simulate(reqs []tracegen.Request) (sched.RunStats, []slurm.Record) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	jobs, _ := res.Collect()
-	return res.Stats, jobs
+	b := analyze.NewBundle(core.TimelineBucket)
+	for r := range res.Records {
+		b.Observe(r)
+	}
+	return res, b
+}
+
+// waitChart renders one schedule's Figure 4 wait scatter.
+func waitChart(label string, b *analyze.Bundle) *plot.Chart {
+	c, err := core.ChartFromBundle(core.FigWaitTimes, label, b, 0, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return c
 }
 
 func main() {
@@ -58,13 +71,15 @@ func main() {
 	}
 
 	// --- Baseline: the users' own requests ---
-	baseline, baseJobs := simulate(reqs)
+	baseRes, baseBundle := simulate(reqs)
+	baseline := baseRes.Stats
 	fmt.Printf("baseline:   %.1f%% utilization, mean wait %9s, %4d backfilled, %4d timeouts\n",
 		100*baseline.Utilization(), baseline.MeanWait().Round(time.Second),
 		baseline.Backfilled, baseline.JobsTimeout)
 
 	// --- Offline evaluation of the predictor on the baseline trace ---
 	p := predict.NewPredictor()
+	baseJobs, _ := baseRes.Collect()
 	ev, err := predict.Evaluate(baseJobs, p)
 	if err != nil {
 		log.Fatal(err)
@@ -86,7 +101,8 @@ func main() {
 		func(i int, limit time.Duration) { whatIf[i].Timelimit = limit })
 	fmt.Printf("\nwhat-if resubmission: %d of %d requests tightened\n", tightened, len(whatIf))
 
-	predicted, predJobs := simulate(whatIf)
+	predRes, predBundle := simulate(whatIf)
+	predicted := predRes.Stats
 	fmt.Printf("predicted:  %.1f%% utilization, mean wait %9s, %4d backfilled, %4d timeouts\n",
 		100*predicted.Utilization(), predicted.MeanWait().Round(time.Second),
 		predicted.Backfilled, predicted.JobsTimeout)
@@ -100,8 +116,8 @@ func main() {
 	}
 	fmt.Printf("timeout change: %d → %d (the price of prediction risk)\n",
 		baseline.JobsTimeout, predicted.JobsTimeout)
-	bfBase := analyze.SummarizeBackfill(analyze.RequestedVsActual(baseJobs))
-	bfPred := analyze.SummarizeBackfill(analyze.RequestedVsActual(predJobs))
+	bfBase := analyze.SummarizeBackfill(baseBundle.Backfill.Result())
+	bfPred := analyze.SummarizeBackfill(predBundle.Backfill.Result())
 	fmt.Printf("median walltime-use ratio: %.0f%% → %.0f%%\n",
 		100*bfBase.MedianUseRatio, 100*bfPred.MedianUseRatio)
 
@@ -110,8 +126,8 @@ func main() {
 	defer analyst.Close()
 	client := llm.NewClient(analyst.URL, "sk-advisor")
 
-	chartA := core.WaitChart("baseline requests", baseJobs)
-	chartB := core.WaitChart("predicted requests", predJobs)
+	chartA := waitChart("baseline requests", baseBundle)
+	chartB := waitChart("predicted requests", predBundle)
 	pngA, err := raster.PNG(chartA, 960, 540)
 	if err != nil {
 		log.Fatal(err)

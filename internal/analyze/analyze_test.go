@@ -31,6 +31,15 @@ func mkJob(id int64, user string, submit time.Time, waited time.Duration,
 	return r
 }
 
+// observeAll feeds every record to c and returns it: the one-shot form
+// the unit tests drive a collector through.
+func observeAll[C Collector](c C, recs []slurm.Record) C {
+	for i := range recs {
+		c.Observe(&recs[i])
+	}
+	return c
+}
+
 func fixedJobs() []slurm.Record {
 	return []slurm.Record{
 		mkJob(1, "alice", t0, time.Hour, 128, 4*time.Hour, 2*time.Hour, slurm.StateCompleted, false),
@@ -51,7 +60,7 @@ func TestJobStepVolume(t *testing.T) {
 	)
 	// And one job in 2023.
 	recs = append(recs, mkJob(6, "dave", t0.AddDate(-1, 0, 0), time.Minute, 1, time.Hour, time.Minute, slurm.StateCompleted, false))
-	vols := JobStepVolume(recs)
+	vols := observeAll(NewVolumeCollector(), recs).Result()
 	if len(vols) != 2 {
 		t.Fatalf("years = %d, want 2", len(vols))
 	}
@@ -69,10 +78,17 @@ func TestJobStepVolume(t *testing.T) {
 	}
 }
 
+// TestJobStepVolumeCounted: a job's step rows count under its year, as
+// many as the job streams.
 func TestJobStepVolumeCounted(t *testing.T) {
-	jobs := fixedJobs()
-	steps := []int{3, 4, 5, 6, 7}
-	vols := JobStepVolumeCounted(jobs, steps)
+	var recs []slurm.Record
+	for i, j := range fixedJobs() {
+		recs = append(recs, j)
+		for k := 0; k < 3+i; k++ {
+			recs = append(recs, slurm.Record{ID: j.ID.WithStep(int64(k)), Submit: j.Submit})
+		}
+	}
+	vols := observeAll(NewVolumeCollector(), recs).Result()
 	if len(vols) != 1 || vols[0].Jobs != 5 || vols[0].Steps != 25 {
 		t.Errorf("vols = %+v", vols)
 	}
@@ -85,7 +101,7 @@ func TestNodesVsElapsed(t *testing.T) {
 		mkJob(9, "eve", t0, -1, 4, time.Hour, 0, slurm.StatePending, false),
 		slurm.Record{ID: slurm.NewJobID(1).WithStep(0), Submit: t0, Elapsed: time.Hour},
 	)
-	pts := NodesVsElapsed(jobs)
+	pts := observeAll(NewScaleCollector(), jobs).Result()
 	if len(pts) != 5 {
 		t.Fatalf("points = %d, want 5", len(pts))
 	}
@@ -101,7 +117,7 @@ func TestWaitTimes(t *testing.T) {
 	never := mkJob(7, "eve", t0, -1, 1, time.Hour, 0, slurm.StateCancelled, false)
 	never.Start = time.Time{}
 	jobs = append(jobs, never)
-	pts := WaitTimes(jobs)
+	pts := observeAll(NewWaitCollector(), jobs).Result()
 	if len(pts) != 5 {
 		t.Fatalf("points = %d, want 5 (never-started skipped)", len(pts))
 	}
@@ -119,7 +135,7 @@ func TestWaitTimes(t *testing.T) {
 }
 
 func TestStatesPerUser(t *testing.T) {
-	us := StatesPerUser(fixedJobs(), 0)
+	us := observeAll(NewUserStatesCollector(), fixedJobs()).Result(0)
 	if len(us) != 3 {
 		t.Fatalf("users = %d", len(us))
 	}
@@ -138,7 +154,7 @@ func TestStatesPerUser(t *testing.T) {
 	if got := bob.FailedShare(); got != 0.5 {
 		t.Errorf("bob FailedShare = %v", got)
 	}
-	top := StatesPerUser(fixedJobs(), 2)
+	top := observeAll(NewUserStatesCollector(), fixedJobs()).Result(2)
 	if len(top) != 2 {
 		t.Errorf("topN not applied: %d", len(top))
 	}
@@ -148,7 +164,7 @@ func TestStatesPerUser(t *testing.T) {
 }
 
 func TestRequestedVsActualAndSummary(t *testing.T) {
-	pts := RequestedVsActual(fixedJobs())
+	pts := observeAll(NewBackfillCollector(), fixedJobs()).Result()
 	if len(pts) != 5 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -173,17 +189,17 @@ func TestRequestedVsActualAndSummary(t *testing.T) {
 }
 
 func TestReclaimableNodeHours(t *testing.T) {
-	got := ReclaimableNodeHours(fixedJobs())
+	got := observeAll(NewReclaimableCollector(), fixedJobs()).Result()
 	// job1: 128×2h = 256; job2: 4×50min; job3: 1000×1h = 1000;
 	// job4: 2×55min; job5: slack 0.
 	want := 128*2.0 + 4*(50.0/60) + 1000*1.0 + 2*(55.0/60)
 	if diff := got - want; diff > 0.01 || diff < -0.01 {
-		t.Errorf("ReclaimableNodeHours = %v, want %v", got, want)
+		t.Errorf("reclaimable node-hours = %v, want %v", got, want)
 	}
 }
 
 func TestSummarizeUsers(t *testing.T) {
-	us := StatesPerUser(fixedJobs(), 0)
+	us := observeAll(NewUserStatesCollector(), fixedJobs()).Result(0)
 	sum := SummarizeUsers(us)
 	if sum.Users != 3 {
 		t.Errorf("Users = %d", sum.Users)
@@ -197,7 +213,7 @@ func TestSummarizeUsers(t *testing.T) {
 }
 
 func TestSummarizeScale(t *testing.T) {
-	sum := SummarizeScale(NodesVsElapsed(fixedJobs()))
+	sum := SummarizeScale(observeAll(NewScaleCollector(), fixedJobs()).Result())
 	if sum.Jobs != 5 {
 		t.Errorf("Jobs = %d", sum.Jobs)
 	}
@@ -215,7 +231,7 @@ func TestSummarizeScale(t *testing.T) {
 // TestFrontierAndesComparisonShape runs both simulated systems end to end
 // and asserts the portability contrasts the paper reports in §4.3.
 func TestFrontierAndesComparisonShape(t *testing.T) {
-	gen := func(p tracegen.Profile, sys *cluster.System, seed int64) []slurm.Record {
+	gen := func(p tracegen.Profile, sys *cluster.System, seed int64) *Bundle {
 		p.JobsPerDay, p.Users = 120, 60
 		reqs, err := tracegen.Generate([]tracegen.Phase{{
 			Profile: p, Start: t0, End: t0.AddDate(0, 0, 21),
@@ -231,8 +247,11 @@ func TestFrontierAndesComparisonShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs, _ := res.Collect()
-		return jobs
+		b := NewBundle(0)
+		for r := range res.Records {
+			b.Observe(r)
+		}
+		return b
 	}
 	frontier := gen(tracegen.FrontierProfile(), cluster.Frontier(), 31)
 	andes := gen(tracegen.AndesProfile(), cluster.Andes(), 32)

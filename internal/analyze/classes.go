@@ -1,9 +1,6 @@
 package analyze
 
-import (
-	"slurmsight/internal/slurm"
-	"slurmsight/internal/stats"
-)
+import "slurmsight/internal/stats"
 
 // ClassSummary aggregates one workload class (the simulator records the
 // class in the Comment field; real sites commonly tag jobs the same way).
@@ -35,16 +32,4 @@ func (a *classAcc) summary(class string) ClassSummary {
 		s.BackfillShare = float64(a.backfill) / float64(a.started)
 	}
 	return s
-}
-
-// PerClass breaks the trace down by workload class, sorted by consumed
-// node-hours descending — the "who actually uses the machine, and how
-// well" table behind the figures. It is a one-shot wrapper over
-// ClassCollector.
-func PerClass(jobs []slurm.Record) []ClassSummary {
-	c := NewClassCollector()
-	for i := range jobs {
-		c.Observe(&jobs[i])
-	}
-	return c.Result()
 }

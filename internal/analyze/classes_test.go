@@ -27,7 +27,7 @@ func TestPerClass(t *testing.T) {
 	step := slurm.Record{ID: slurm.NewJobID(1).WithStep(0), Submit: t0, Comment: "hero"}
 	jobs = append(jobs, plain, step)
 
-	classes := PerClass(jobs)
+	classes := observeAll(NewClassCollector(), jobs).Result()
 	if len(classes) != 3 {
 		t.Fatalf("classes = %d, want 3 (hero, debug, untagged)", len(classes))
 	}
@@ -68,7 +68,7 @@ func TestPerClass(t *testing.T) {
 	if !found {
 		t.Error("untagged bucket missing")
 	}
-	if len(PerClass(nil)) != 0 {
+	if len(NewClassCollector().Result()) != 0 {
 		t.Error("empty input should yield no classes")
 	}
 }
@@ -76,7 +76,7 @@ func TestPerClass(t *testing.T) {
 func TestPerClassNeverStarted(t *testing.T) {
 	j := classedJob(1, "nrt", 2, -1, time.Hour, 0, slurm.StateCancelled, false)
 	j.Start = time.Time{}
-	classes := PerClass([]slurm.Record{j})
+	classes := observeAll(NewClassCollector(), []slurm.Record{j}).Result()
 	if len(classes) != 1 {
 		t.Fatalf("classes = %d", len(classes))
 	}

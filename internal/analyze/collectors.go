@@ -291,7 +291,9 @@ func (c *BackfillCollector) Merge(o *BackfillCollector) {
 // Result returns the scatter points in observation order.
 func (c *BackfillCollector) Result() []BackfillPoint { return c.points }
 
-// ReclaimableCollector folds the reclaimable node-hours sum.
+// ReclaimableCollector sums nodes·(requested − actual) over started jobs —
+// the capacity a perfect walltime predictor would hand back to the
+// scheduler, grounding the paper's time-reclamation recommendation.
 type ReclaimableCollector struct {
 	total float64
 }
@@ -315,7 +317,8 @@ func (c *ReclaimableCollector) Merge(o *ReclaimableCollector) { c.total += o.tot
 // Result returns nodes·(requested − actual) summed over started jobs.
 func (c *ReclaimableCollector) Result() float64 { return c.total }
 
-// ClassCollector folds the per-workload-class breakdown.
+// ClassCollector folds the per-workload-class breakdown — the "who
+// actually uses the machine, and how well" table behind the figures.
 type ClassCollector struct {
 	byClass map[string]*classAcc
 }

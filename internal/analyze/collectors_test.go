@@ -48,38 +48,35 @@ func mustJSON(t *testing.T, v any) string {
 
 // TestBundleMatchesMultiPassBuilders is the golden equivalence test: one
 // Bundle pass over a fixed-seed trace must produce byte-identical figure
-// data to the per-figure multi-pass builders.
+// data to each collector fed the trace in a pass of its own.
 func TestBundleMatchesMultiPassBuilders(t *testing.T) {
 	recs := goldenTrace(t)
 	bucket := 6 * time.Hour
 
-	b := NewBundle(bucket)
-	for i := range recs {
-		b.Observe(&recs[i])
-	}
+	b := observeAll(NewBundle(bucket), recs)
 
-	if got, want := mustJSON(t, b.Volume.Result()), mustJSON(t, JobStepVolume(recs)); got != want {
+	if got, want := mustJSON(t, b.Volume.Result()), mustJSON(t, observeAll(NewVolumeCollector(), recs).Result()); got != want {
 		t.Errorf("Volume diverges:\n got %s\nwant %s", got, want)
 	}
-	if got, want := mustJSON(t, b.Scale.Result()), mustJSON(t, NodesVsElapsed(recs)); got != want {
-		t.Errorf("Scale diverges (%d vs %d points)", len(b.Scale.Result()), len(NodesVsElapsed(recs)))
+	if got, want := mustJSON(t, b.Scale.Result()), mustJSON(t, observeAll(NewScaleCollector(), recs).Result()); got != want {
+		t.Error("Scale diverges")
 	}
-	if got, want := mustJSON(t, b.Waits.Result()), mustJSON(t, WaitTimes(recs)); got != want {
-		t.Errorf("Waits diverges (%d vs %d points)", len(b.Waits.Result()), len(WaitTimes(recs)))
+	if got, want := mustJSON(t, b.Waits.Result()), mustJSON(t, observeAll(NewWaitCollector(), recs).Result()); got != want {
+		t.Error("Waits diverges")
 	}
-	if got, want := mustJSON(t, b.Users.Result(10)), mustJSON(t, StatesPerUser(recs, 10)); got != want {
+	if got, want := mustJSON(t, b.Users.Result(10)), mustJSON(t, observeAll(NewUserStatesCollector(), recs).Result(10)); got != want {
 		t.Errorf("Users diverges:\n got %s\nwant %s", got, want)
 	}
-	if got, want := mustJSON(t, b.Backfill.Result()), mustJSON(t, RequestedVsActual(recs)); got != want {
-		t.Errorf("Backfill diverges (%d vs %d points)", len(b.Backfill.Result()), len(RequestedVsActual(recs)))
+	if got, want := mustJSON(t, b.Backfill.Result()), mustJSON(t, observeAll(NewBackfillCollector(), recs).Result()); got != want {
+		t.Error("Backfill diverges")
 	}
-	if got, want := b.Reclaim.Result(), ReclaimableNodeHours(recs); got != want {
+	if got, want := b.Reclaim.Result(), observeAll(NewReclaimableCollector(), recs).Result(); got != want {
 		t.Errorf("Reclaimable %v != %v", got, want)
 	}
-	if got, want := mustJSON(t, b.Timeline.Result()), mustJSON(t, Timeline(recs, bucket)); got != want {
-		t.Errorf("Timeline diverges (%d vs %d buckets)", len(b.Timeline.Result()), len(Timeline(recs, bucket)))
+	if got, want := mustJSON(t, b.Timeline.Result()), mustJSON(t, observeAll(NewTimelineCollector(bucket), recs).Result()); got != want {
+		t.Error("Timeline diverges")
 	}
-	if got, want := mustJSON(t, b.Classes.Result()), mustJSON(t, PerClass(recs)); got != want {
+	if got, want := mustJSON(t, b.Classes.Result()), mustJSON(t, observeAll(NewClassCollector(), recs).Result()); got != want {
 		t.Errorf("Classes diverges:\n got %s\nwant %s", got, want)
 	}
 	if int(b.Records) != len(recs) {
@@ -162,10 +159,10 @@ func TestFanOutFromScratchStream(t *testing.T) {
 	if err := FanOut(seq, users, scale); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := mustJSON(t, users.Result(0)), mustJSON(t, StatesPerUser(jobs, 0)); got != want {
+	if got, want := mustJSON(t, users.Result(0)), mustJSON(t, observeAll(NewUserStatesCollector(), jobs).Result(0)); got != want {
 		t.Errorf("fan-out users diverge:\n got %s\nwant %s", got, want)
 	}
-	if got, want := mustJSON(t, scale.Result()), mustJSON(t, NodesVsElapsed(jobs)); got != want {
+	if got, want := mustJSON(t, scale.Result()), mustJSON(t, observeAll(NewScaleCollector(), jobs).Result()); got != want {
 		t.Errorf("fan-out scale diverges:\n got %s\nwant %s", got, want)
 	}
 }

@@ -3,11 +3,11 @@
 // elapsed time (Figs. 3 and 7), queue wait times by final state (Fig. 4),
 // job end states per user (Figs. 5 and 8), and requested-versus-actual
 // walltimes split by backfill (Figs. 6 and 9) — plus the cross-system
-// comparison used by the portability study (§4.3).
+// comparison used by the portability study (§4.3). Every aggregation is
+// a Collector folded one record at a time; a Bundle holds one of each.
 package analyze
 
 import (
-	"sort"
 	"time"
 
 	"slurmsight/internal/slurm"
@@ -18,41 +18,6 @@ type VolumeByYear struct {
 	Year  int
 	Jobs  int64
 	Steps int64
-}
-
-// JobStepVolume bins records into per-year job and step counts. Pass the
-// full record set (jobs and steps mixed); steps are recognised by their
-// IDs. It is a one-shot wrapper over VolumeCollector.
-func JobStepVolume(records []slurm.Record) []VolumeByYear {
-	c := NewVolumeCollector()
-	for i := range records {
-		c.Observe(&records[i])
-	}
-	return c.Result()
-}
-
-// JobStepVolumeCounted bins job records by year using pre-counted step
-// totals (for runs where step records were not materialized).
-func JobStepVolumeCounted(jobs []slurm.Record, stepsPerJob []int) []VolumeByYear {
-	byYear := map[int]*VolumeByYear{}
-	for i := range jobs {
-		y := jobs[i].Year()
-		v, ok := byYear[y]
-		if !ok {
-			v = &VolumeByYear{Year: y}
-			byYear[y] = v
-		}
-		v.Jobs++
-		if i < len(stepsPerJob) {
-			v.Steps += int64(stepsPerJob[i])
-		}
-	}
-	out := make([]VolumeByYear, 0, len(byYear))
-	for _, v := range byYear {
-		out = append(out, *v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Year < out[j].Year })
-	return out
 }
 
 // StepJobRatio returns total steps over total jobs across years.
@@ -75,34 +40,12 @@ type NodesElapsedPoint struct {
 	State      slurm.State
 }
 
-// NodesVsElapsed extracts the allocation-versus-runtime scatter from job
-// records. Jobs that never started are skipped (no elapsed time). It is
-// a one-shot wrapper over ScaleCollector.
-func NodesVsElapsed(jobs []slurm.Record) []NodesElapsedPoint {
-	c := ScaleCollector{points: make([]NodesElapsedPoint, 0, len(jobs))}
-	for i := range jobs {
-		c.Observe(&jobs[i])
-	}
-	return c.Result()
-}
-
 // WaitPoint is one Figure 4 scatter point: submission time on x, queue
 // wait on y, coloured by final state.
 type WaitPoint struct {
 	Submit  time.Time
 	WaitSec float64
 	State   slurm.State
-}
-
-// WaitTimes extracts queue waits from job records; never-started jobs are
-// skipped (they have no wait). It is a one-shot wrapper over
-// WaitCollector.
-func WaitTimes(jobs []slurm.Record) []WaitPoint {
-	c := WaitCollector{points: make([]WaitPoint, 0, len(jobs))}
-	for i := range jobs {
-		c.Observe(&jobs[i])
-	}
-	return c.Result()
 }
 
 // UserStates is one Figure 5/8 stacked bar: a user's terminal-state mix.
@@ -122,32 +65,10 @@ func (u *UserStates) FailedShare() float64 {
 	return float64(bad) / float64(u.Total)
 }
 
-// StatesPerUser aggregates terminal states per user, sorted by job count
-// descending. topN ≤ 0 keeps every user. It is a one-shot wrapper over
-// UserStatesCollector.
-func StatesPerUser(jobs []slurm.Record, topN int) []UserStates {
-	c := NewUserStatesCollector()
-	for i := range jobs {
-		c.Observe(&jobs[i])
-	}
-	return c.Result(topN)
-}
-
 // BackfillPoint is one Figure 6/9 scatter point.
 type BackfillPoint struct {
 	RequestedSec float64
 	ActualSec    float64
 	Backfilled   bool
 	State        slurm.State
-}
-
-// RequestedVsActual extracts the walltime-estimation scatter from job
-// records; never-started jobs are skipped. It is a one-shot wrapper over
-// BackfillCollector.
-func RequestedVsActual(jobs []slurm.Record) []BackfillPoint {
-	c := BackfillCollector{points: make([]BackfillPoint, 0, len(jobs))}
-	for i := range jobs {
-		c.Observe(&jobs[i])
-	}
-	return c.Result()
 }

@@ -58,18 +58,6 @@ type BackfillSummary struct {
 	MedianActualRegular    float64
 }
 
-// ReclaimableNodeHours sums nodes·(requested − actual) over started jobs —
-// the capacity a perfect walltime predictor would hand back to the
-// scheduler, grounding the paper's time-reclamation recommendation. It is
-// a one-shot wrapper over ReclaimableCollector.
-func ReclaimableNodeHours(jobs []slurm.Record) float64 {
-	c := NewReclaimableCollector()
-	for i := range jobs {
-		c.Observe(&jobs[i])
-	}
-	return c.Result()
-}
-
 // SummarizeBackfill computes the Figure 6/9 summary.
 func SummarizeBackfill(points []BackfillPoint) BackfillSummary {
 	out := BackfillSummary{Jobs: len(points)}
@@ -200,16 +188,16 @@ type SystemComparison struct {
 }
 
 // CompareSystems computes the full cross-system contrast from two systems'
-// job records.
-func CompareSystems(nameA string, jobsA []slurm.Record, nameB string, jobsB []slurm.Record) SystemComparison {
+// collected bundles.
+func CompareSystems(nameA string, a *Bundle, nameB string, b *Bundle) SystemComparison {
 	return SystemComparison{
 		NameA:     nameA,
 		NameB:     nameB,
-		ScaleA:    SummarizeScale(NodesVsElapsed(jobsA)),
-		ScaleB:    SummarizeScale(NodesVsElapsed(jobsB)),
-		UsersA:    SummarizeUsers(StatesPerUser(jobsA, 0)),
-		UsersB:    SummarizeUsers(StatesPerUser(jobsB, 0)),
-		BackfillA: SummarizeBackfill(RequestedVsActual(jobsA)),
-		BackfillB: SummarizeBackfill(RequestedVsActual(jobsB)),
+		ScaleA:    SummarizeScale(a.Scale.Result()),
+		ScaleB:    SummarizeScale(b.Scale.Result()),
+		UsersA:    SummarizeUsers(a.Users.Result(0)),
+		UsersB:    SummarizeUsers(b.Users.Result(0)),
+		BackfillA: SummarizeBackfill(a.Backfill.Result()),
+		BackfillB: SummarizeBackfill(b.Backfill.Result()),
 	}
 }

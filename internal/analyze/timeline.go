@@ -25,7 +25,10 @@ type tlEdge struct {
 	sub   bool
 }
 
-// TimelineCollector folds job records into load-timeline edges. Unlike
+// TimelineCollector reconstructs system load from job records: for each
+// bucket it reports average allocated nodes, average queue depth
+// (submitted-but-not-started jobs), and dispatch/submission counts — the
+// utilization view sysadmins read next to the paper's figures. Unlike
 // the scatter collectors its state is O(jobs) edges rather than bounded
 // figure state: the sweep needs every lifecycle event, so this is the
 // one place the streaming pipeline still collects (see DESIGN.md §5).
@@ -165,19 +168,6 @@ func (c *TimelineCollector) sweep() []TimelinePoint {
 	return points
 }
 
-// Timeline reconstructs system load from job records: for each bucket of
-// the given width it reports average allocated nodes, average queue depth
-// (submitted-but-not-started jobs), and dispatch/submission counts. It is
-// the utilization view sysadmins read next to the paper's figures, and a
-// one-shot wrapper over TimelineCollector.
-func Timeline(jobs []slurm.Record, bucket time.Duration) []TimelinePoint {
-	c := NewTimelineCollector(bucket)
-	for i := range jobs {
-		c.Observe(&jobs[i])
-	}
-	return c.Result()
-}
-
 // UtilizationSummary condenses a timeline against a system capacity.
 type UtilizationSummary struct {
 	Buckets         int
@@ -208,19 +198,5 @@ func SummarizeTimeline(points []TimelinePoint, capacityNodes int) UtilizationSum
 	out.MeanBusyNodes = busySum / float64(len(points))
 	out.MeanQueueDepth = queueSum / float64(len(points))
 	out.MeanUtilization = out.MeanBusyNodes / float64(capacityNodes)
-	return out
-}
-
-// ThroughputByDay counts completed jobs per calendar day — the
-// high-turnover view relevant to Andes-style systems.
-func ThroughputByDay(jobs []slurm.Record) map[string]int {
-	out := map[string]int{}
-	for i := range jobs {
-		r := &jobs[i]
-		if r.IsStep() || r.End.IsZero() || !r.State.Success() {
-			continue
-		}
-		out[r.End.UTC().Format("2006-01-02")]++
-	}
 	return out
 }

@@ -15,7 +15,7 @@ func TestTimelineBasic(t *testing.T) {
 	jobs := []slurm.Record{
 		mkJob(1, "a", t0, time.Hour, 4, 3*time.Hour, 2*time.Hour, slurm.StateCompleted, false),
 	}
-	points := Timeline(jobs, time.Hour)
+	points := observeAll(NewTimelineCollector(time.Hour), jobs).Result()
 	if len(points) != 4 { // hours 0..3 (end exclusive boundary in hour 3)
 		t.Fatalf("buckets = %d, want 4 (%+v)", len(points), points)
 	}
@@ -42,7 +42,7 @@ func TestTimelinePartialBuckets(t *testing.T) {
 	jobs := []slurm.Record{
 		mkJob(1, "a", t0, 0, 8, time.Hour, 30*time.Minute, slurm.StateCompleted, false),
 	}
-	points := Timeline(jobs, time.Hour)
+	points := observeAll(NewTimelineCollector(time.Hour), jobs).Result()
 	if len(points) == 0 {
 		t.Fatal("no buckets")
 	}
@@ -56,7 +56,7 @@ func TestTimelineNeverStartedJob(t *testing.T) {
 	j := mkJob(1, "a", t0, -1, 4, time.Hour, 0, slurm.StateCancelled, false)
 	j.Start = time.Time{}
 	j.End = t0.Add(2 * time.Hour)
-	points := Timeline([]slurm.Record{j}, time.Hour)
+	points := observeAll(NewTimelineCollector(time.Hour), []slurm.Record{j}).Result()
 	if len(points) < 2 {
 		t.Fatalf("buckets = %d", len(points))
 	}
@@ -75,7 +75,7 @@ func TestTimelineOverlappingJobs(t *testing.T) {
 		mkJob(1, "a", t0, 0, 2, 4*time.Hour, 4*time.Hour, slurm.StateCompleted, false),
 		mkJob(2, "b", t0, 0, 3, 2*time.Hour, 2*time.Hour, slurm.StateCompleted, false),
 	}
-	points := Timeline(jobs, time.Hour)
+	points := observeAll(NewTimelineCollector(time.Hour), jobs).Result()
 	if !almostEq(points[0].BusyNodes, 5, 1e-9) {
 		t.Errorf("hour 0 busy = %v, want 5", points[0].BusyNodes)
 	}
@@ -85,18 +85,18 @@ func TestTimelineOverlappingJobs(t *testing.T) {
 }
 
 func TestTimelineEmptyAndSteps(t *testing.T) {
-	if Timeline(nil, time.Hour) != nil {
+	if observeAll(NewTimelineCollector(time.Hour), nil).Result() != nil {
 		t.Error("empty input should give nil")
 	}
 	step := slurm.Record{ID: slurm.NewJobID(1).WithStep(0), Submit: t0}
-	if Timeline([]slurm.Record{step}, time.Hour) != nil {
+	if observeAll(NewTimelineCollector(time.Hour), []slurm.Record{step}).Result() != nil {
 		t.Error("steps alone should give nil")
 	}
 	// A zero bucket defaults rather than dividing by zero.
 	jobs := []slurm.Record{
 		mkJob(1, "a", t0, 0, 1, time.Hour, time.Hour, slurm.StateCompleted, false),
 	}
-	if pts := Timeline(jobs, 0); len(pts) == 0 {
+	if pts := observeAll(NewTimelineCollector(0), jobs).Result(); len(pts) == 0 {
 		t.Error("zero bucket width should default to an hour")
 	}
 }
@@ -106,7 +106,7 @@ func TestSummarizeTimeline(t *testing.T) {
 		mkJob(1, "a", t0, 0, 10, 2*time.Hour, 2*time.Hour, slurm.StateCompleted, false),
 		mkJob(2, "b", t0.Add(time.Hour), time.Hour, 6, 2*time.Hour, time.Hour, slurm.StateCompleted, false),
 	}
-	points := Timeline(jobs, time.Hour)
+	points := observeAll(NewTimelineCollector(time.Hour), jobs).Result()
 	sum := SummarizeTimeline(points, 20)
 	if sum.Buckets != len(points) {
 		t.Errorf("Buckets = %d", sum.Buckets)
@@ -126,24 +126,6 @@ func TestSummarizeTimeline(t *testing.T) {
 	}
 }
 
-func TestThroughputByDay(t *testing.T) {
-	jobs := []slurm.Record{
-		mkJob(1, "a", t0, 0, 1, time.Hour, time.Hour, slurm.StateCompleted, false),
-		mkJob(2, "a", t0.Add(2*time.Hour), 0, 1, time.Hour, time.Hour, slurm.StateCompleted, false),
-		mkJob(3, "a", t0.AddDate(0, 0, 1), 0, 1, time.Hour, time.Hour, slurm.StateCompleted, false),
-		mkJob(4, "a", t0, 0, 1, time.Hour, time.Hour, slurm.StateFailed, false),
-	}
-	tp := ThroughputByDay(jobs)
-	d0 := t0.Format("2006-01-02")
-	d1 := t0.AddDate(0, 0, 1).Format("2006-01-02")
-	if tp[d0] != 2 {
-		t.Errorf("day 0 throughput = %d, want 2 (failed excluded)", tp[d0])
-	}
-	if tp[d1] != 1 {
-		t.Errorf("day 1 throughput = %d", tp[d1])
-	}
-}
-
 // TestTimelineConservation checks the integral property: summed busy
 // node-hours across buckets equals the jobs' node-hours.
 func TestTimelineConservation(t *testing.T) {
@@ -151,7 +133,7 @@ func TestTimelineConservation(t *testing.T) {
 		mkJob(1, "a", t0, 30*time.Minute, 7, 5*time.Hour, 3*time.Hour+17*time.Minute, slurm.StateCompleted, false),
 		mkJob(2, "b", t0.Add(45*time.Minute), 2*time.Hour, 3, 6*time.Hour, 90*time.Minute, slurm.StateFailed, false),
 	}
-	points := Timeline(jobs, 10*time.Minute)
+	points := observeAll(NewTimelineCollector(10*time.Minute), jobs).Result()
 	var got float64
 	for _, p := range points {
 		got += p.BusyNodes * (10.0 / 60.0) // node-hours per bucket

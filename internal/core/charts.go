@@ -48,25 +48,49 @@ func ExtendedFigureKeys() []string { return []string{ExtLoad, ExtQueueDepth} }
 // maxChartPoints bounds scatter sizes in HTML/PNG artifacts.
 const maxChartPoints = 20000
 
-// VolumeChart builds the Figure 1 grouped bars from the full record set
-// (jobs and steps).
-func VolumeChart(system string, records []slurm.Record) *plot.Chart {
-	vols := analyze.JobStepVolume(records)
-	return volumeChartOf(system, vols)
+// TimelineBucket is the resolution of the operator timelines: every
+// bundle the workflow, the serving layer and the federation collect
+// aggregates at it.
+const TimelineBucket = 6 * time.Hour
+
+// ChartFromBundle builds the named figure (a FigureKeys or
+// ExtendedFigureKeys key) from a collected bundle — the one way a chart
+// is built. topUsers bounds the Figure 5 user list; capacityNodes draws
+// the load-timeline reference line when positive. Unknown keys error.
+func ChartFromBundle(key, system string, b *analyze.Bundle, topUsers, capacityNodes int) (*plot.Chart, error) {
+	return ChartFromBundleCtx(context.Background(), key, system, b, topUsers, capacityNodes)
 }
 
-// VolumeChartCounted is VolumeChart for runs without materialized steps.
-func VolumeChartCounted(system string, jobs []slurm.Record, stepsPerJob []int) *plot.Chart {
-	return volumeChartOf(system, analyze.JobStepVolumeCounted(jobs, stepsPerJob))
+// ChartFromBundleCtx is ChartFromBundle under a request context: when
+// ctx carries an active obs span, the render reports itself as a
+// "figure-render" child span tagged with the figure key, completing the
+// serving plane's per-request stage decomposition.
+func ChartFromBundleCtx(ctx context.Context, key, system string, b *analyze.Bundle, topUsers, capacityNodes int) (*plot.Chart, error) {
+	if sp := obs.SpanFromContext(ctx).Child("figure-render"); sp != nil {
+		sp.SetAttr("figure", key)
+		defer sp.End()
+	}
+	switch key {
+	case FigVolume:
+		return volumeChart(system, b.Volume.Result()), nil
+	case FigNodesElapsed:
+		return nodesElapsedChart(system, b.Scale.Result()), nil
+	case FigWaitTimes:
+		return waitChart(system, b.Waits.Result()), nil
+	case FigStates:
+		return statesChart(system, b.Users.Result(topUsers)), nil
+	case FigBackfill:
+		return backfillChart(system, b.Backfill.Result()), nil
+	case ExtLoad:
+		return loadTimelineChart(system, b.Timeline.Result(), capacityNodes), nil
+	case ExtQueueDepth:
+		return queueDepthChart(system, b.Timeline.Result()), nil
+	}
+	return nil, fmt.Errorf("core: unknown figure %q", key)
 }
 
-// VolumeChartPoints builds Figure 1 from pre-collected per-year volumes
-// (the streaming pipeline's VolumeCollector output).
-func VolumeChartPoints(system string, vols []analyze.VolumeByYear) *plot.Chart {
-	return volumeChartOf(system, vols)
-}
-
-func volumeChartOf(system string, vols []analyze.VolumeByYear) *plot.Chart {
+// volumeChart builds the Figure 1 grouped bars from per-year volumes.
+func volumeChart(system string, vols []analyze.VolumeByYear) *plot.Chart {
 	cats := make([]string, len(vols))
 	jobs := make([]float64, len(vols))
 	steps := make([]float64, len(vols))
@@ -87,14 +111,8 @@ func volumeChartOf(system string, vols []analyze.VolumeByYear) *plot.Chart {
 	}
 }
 
-// NodesElapsedChart builds the Figure 3/7 log-log scatter.
-func NodesElapsedChart(system string, jobs []slurm.Record) *plot.Chart {
-	return NodesElapsedChartPoints(system, analyze.NodesVsElapsed(jobs))
-}
-
-// NodesElapsedChartPoints builds Figure 3/7 from pre-collected points
-// (the streaming pipeline's ScaleCollector output).
-func NodesElapsedChartPoints(system string, points []analyze.NodesElapsedPoint) *plot.Chart {
+// nodesElapsedChart builds the Figure 3/7 log-log scatter.
+func nodesElapsedChart(system string, points []analyze.NodesElapsedPoint) *plot.Chart {
 	perState := map[slurm.State]*plot.Series{}
 	for _, p := range points {
 		s, ok := perState[p.State]
@@ -114,15 +132,9 @@ func NodesElapsedChartPoints(system string, points []analyze.NodesElapsedPoint) 
 	return c.Downsample(maxChartPoints)
 }
 
-// WaitChart builds the Figure 4 wait-time scatter, colour-coded by final
+// waitChart builds the Figure 4 wait-time scatter, colour-coded by final
 // state.
-func WaitChart(system string, jobs []slurm.Record) *plot.Chart {
-	return WaitChartPoints(system, analyze.WaitTimes(jobs))
-}
-
-// WaitChartPoints builds Figure 4 from pre-collected points (the
-// streaming pipeline's WaitCollector output).
-func WaitChartPoints(system string, points []analyze.WaitPoint) *plot.Chart {
+func waitChart(system string, points []analyze.WaitPoint) *plot.Chart {
 	perState := map[slurm.State]*plot.Series{}
 	for _, p := range points {
 		s, ok := perState[p.State]
@@ -147,15 +159,8 @@ func WaitChartPoints(system string, points []analyze.WaitPoint) *plot.Chart {
 	return c.Downsample(maxChartPoints)
 }
 
-// StatesChart builds the Figure 5/8 stacked bars for the busiest topN
-// users.
-func StatesChart(system string, jobs []slurm.Record, topN int) *plot.Chart {
-	return StatesChartUsers(system, analyze.StatesPerUser(jobs, topN))
-}
-
-// StatesChartUsers builds Figure 5/8 from a pre-aggregated user list
-// (the streaming pipeline's UserStatesCollector output).
-func StatesChartUsers(system string, users []analyze.UserStates) *plot.Chart {
+// statesChart builds the Figure 5/8 stacked bars from a ranked user list.
+func statesChart(system string, users []analyze.UserStates) *plot.Chart {
 	cats := make([]string, len(users))
 	series := []plot.Series{}
 	for _, st := range slurm.TerminalStates() {
@@ -181,15 +186,9 @@ func StatesChartUsers(system string, users []analyze.UserStates) *plot.Chart {
 	}
 }
 
-// BackfillChart builds the Figure 6/9 requested-versus-actual scatter with
-// backfilled jobs marked by plus symbols.
-func BackfillChart(system string, jobs []slurm.Record) *plot.Chart {
-	return BackfillChartPoints(system, analyze.RequestedVsActual(jobs))
-}
-
-// BackfillChartPoints builds Figure 6/9 from pre-collected points (the
-// streaming pipeline's BackfillCollector output).
-func BackfillChartPoints(system string, points []analyze.BackfillPoint) *plot.Chart {
+// backfillChart builds the Figure 6/9 requested-versus-actual scatter
+// with backfilled jobs marked by plus symbols.
+func backfillChart(system string, points []analyze.BackfillPoint) *plot.Chart {
 	regular := plot.Series{Name: "regular", Marker: plot.Dot, Color: "#1f77b4"}
 	backfilled := plot.Series{Name: "backfilled", Marker: plot.Plus, Color: "#d62728"}
 	for _, p := range points {
@@ -220,59 +219,9 @@ func BackfillChartPoints(system string, points []analyze.BackfillPoint) *plot.Ch
 	return c.Downsample(maxChartPoints)
 }
 
-// timelineBucket is the resolution of the operator timelines.
-const timelineBucket = 6 * time.Hour
-
-// TimelineBucket is the exported timeline resolution, so callers that
-// collect their own analyze.Bundle (the serving layer) aggregate at the
-// same granularity the workflow uses.
-const TimelineBucket = timelineBucket
-
-// ChartFromBundle builds the named figure (a FigureKeys or
-// ExtendedFigureKeys key) from a collected bundle. topUsers bounds the
-// Figure 5 user list; capacityNodes draws the load-timeline reference
-// line when positive. Unknown keys error.
-func ChartFromBundle(key, system string, b *analyze.Bundle, topUsers, capacityNodes int) (*plot.Chart, error) {
-	return ChartFromBundleCtx(context.Background(), key, system, b, topUsers, capacityNodes)
-}
-
-// ChartFromBundleCtx is ChartFromBundle under a request context: when
-// ctx carries an active obs span, the render reports itself as a
-// "figure-render" child span tagged with the figure key, completing the
-// serving plane's per-request stage decomposition.
-func ChartFromBundleCtx(ctx context.Context, key, system string, b *analyze.Bundle, topUsers, capacityNodes int) (*plot.Chart, error) {
-	if sp := obs.SpanFromContext(ctx).Child("figure-render"); sp != nil {
-		sp.SetAttr("figure", key)
-		defer sp.End()
-	}
-	switch key {
-	case FigVolume:
-		return VolumeChartPoints(system, b.Volume.Result()), nil
-	case FigNodesElapsed:
-		return NodesElapsedChartPoints(system, b.Scale.Result()), nil
-	case FigWaitTimes:
-		return WaitChartPoints(system, b.Waits.Result()), nil
-	case FigStates:
-		return StatesChartUsers(system, b.Users.Result(topUsers)), nil
-	case FigBackfill:
-		return BackfillChartPoints(system, b.Backfill.Result()), nil
-	case ExtLoad:
-		return LoadTimelineChartPoints(system, b.Timeline.Result(), capacityNodes), nil
-	case ExtQueueDepth:
-		return QueueDepthChartPoints(system, b.Timeline.Result()), nil
-	}
-	return nil, fmt.Errorf("core: unknown figure %q", key)
-}
-
-// LoadTimelineChart builds the extended system-load view: mean busy nodes
-// per bucket with the capacity as a reference series.
-func LoadTimelineChart(system string, jobs []slurm.Record, capacityNodes int) *plot.Chart {
-	return LoadTimelineChartPoints(system, analyze.Timeline(jobs, timelineBucket), capacityNodes)
-}
-
-// LoadTimelineChartPoints builds the load view from a pre-swept timeline
-// (the streaming pipeline's TimelineCollector output).
-func LoadTimelineChartPoints(system string, points []analyze.TimelinePoint, capacityNodes int) *plot.Chart {
+// loadTimelineChart builds the extended system-load view: mean busy
+// nodes per bucket with the capacity as a reference series.
+func loadTimelineChart(system string, points []analyze.TimelinePoint, capacityNodes int) *plot.Chart {
 	busy := plot.Series{Name: "busy nodes", Color: "#1f77b4"}
 	for _, p := range points {
 		busy.X = append(busy.X, float64(p.At.Unix()))
@@ -295,13 +244,8 @@ func LoadTimelineChartPoints(system string, points []analyze.TimelinePoint, capa
 	}
 }
 
-// QueueDepthChart builds the extended queue-pressure view.
-func QueueDepthChart(system string, jobs []slurm.Record) *plot.Chart {
-	return QueueDepthChartPoints(system, analyze.Timeline(jobs, timelineBucket))
-}
-
-// QueueDepthChartPoints builds the queue view from a pre-swept timeline.
-func QueueDepthChartPoints(system string, points []analyze.TimelinePoint) *plot.Chart {
+// queueDepthChart builds the extended queue-pressure view.
+func queueDepthChart(system string, points []analyze.TimelinePoint) *plot.Chart {
 	depth := plot.Series{Name: "pending jobs", Color: "#ff7f0e"}
 	for _, p := range points {
 		depth.X = append(depth.X, float64(p.At.Unix()))

@@ -10,12 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"slurmsight/internal/analyze"
 	"slurmsight/internal/cluster"
 	"slurmsight/internal/llm"
 	"slurmsight/internal/plot"
 	"slurmsight/internal/sacct"
 	"slurmsight/internal/sched"
-	"slurmsight/internal/slurm"
 	"slurmsight/internal/tracegen"
 )
 
@@ -271,47 +271,59 @@ func TestWorkflowCancellation(t *testing.T) {
 }
 
 func TestChartBuilders(t *testing.T) {
-	st := testStore(t)
-	recs, err := st.Select(sacct.Query{IncludeSteps: true})
+	b, err := analyze.Collect(testStore(t).Scan(sacct.Query{IncludeSteps: true}), TimelineBucket)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jobs []slurm.Record
-	for _, r := range recs {
-		if !r.IsStep() {
-			jobs = append(jobs, r)
+	charts := map[string]*plot.Chart{}
+	for _, key := range append(FigureKeys(), ExtendedFigureKeys()...) {
+		c, err := ChartFromBundle(key, "frontier", b, 25, 9408)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
 		}
-	}
-	charts := map[string]*plot.Chart{
-		"volume":   VolumeChart("frontier", recs),
-		"nodes":    NodesElapsedChart("frontier", jobs),
-		"waits":    WaitChart("frontier", jobs),
-		"states":   StatesChart("frontier", jobs, 25),
-		"backfill": BackfillChart("frontier", jobs),
-	}
-	for name, c := range charts {
 		if err := c.Validate(); err != nil {
-			t.Errorf("%s chart invalid: %v", name, err)
+			t.Errorf("%s chart invalid: %v", key, err)
 		}
+		charts[key] = c
 	}
-	if got := len(charts["states"].Categories); got > 25 {
+	if got := len(charts[FigStates].Categories); got > 25 {
 		t.Errorf("states chart has %d users, want ≤ 25", got)
 	}
-	if charts["nodes"].Points() > 20000 {
-		t.Errorf("nodes chart not downsampled: %d points", charts["nodes"].Points())
+	if charts[FigNodesElapsed].Points() > 20000 {
+		t.Errorf("nodes chart not downsampled: %d points", charts[FigNodesElapsed].Points())
 	}
 	// The backfill chart must distinguish the two scheduling paths.
 	names := map[string]bool{}
-	for _, s := range charts["backfill"].Series {
+	for _, s := range charts[FigBackfill].Series {
 		names[s.Name] = true
 	}
 	if !names["regular"] || !names["backfilled"] {
 		t.Errorf("backfill series = %v", names)
 	}
-	// Counted variant agrees with the record variant on job totals.
-	counted := VolumeChartCounted("frontier", jobs, make([]int, len(jobs)))
-	if counted.Series[0].Y[0] <= 0 {
-		t.Error("counted volume chart empty")
+	// The volume bars count both jobs and their steps.
+	if vol := charts[FigVolume]; vol.Series[0].Y[0] <= 0 || vol.Series[1].Y[0] <= vol.Series[0].Y[0] {
+		t.Errorf("volume chart series = %+v", vol.Series)
+	}
+	if _, err := ChartFromBundle("fig99-unknown", "frontier", b, 25, 0); err == nil {
+		t.Error("unknown figure key: want error")
+	}
+}
+
+// TestWorkflowFactsReportConcurrent runs export-facts and report — two
+// tasks gated only on records.ready — side by side many times, so that
+// `go test -race` sees any artifact field one writes while the other
+// reads.
+func TestWorkflowFactsReportConcurrent(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		cfg := baseConfig(t)
+		cfg.Workers = 8
+		art, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if art.Summaries.StepJobRatio == 0 {
+			t.Fatalf("run %d: empty summaries", i)
+		}
 	}
 }
 

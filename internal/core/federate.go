@@ -12,7 +12,6 @@ import (
 	"slurmsight/internal/plot"
 	"slurmsight/internal/raster"
 	"slurmsight/internal/sacct"
-	"slurmsight/internal/slurm"
 )
 
 // Member is one system in a federated analysis.
@@ -52,7 +51,7 @@ func RunFederated(ctx context.Context, outDir string, members []Member) (*Federa
 	}
 	fed := &FederatedArtifacts{Members: map[string]*Artifacts{}}
 	names := make([]string, 0, len(members))
-	jobsByName := map[string][]slurm.Record{}
+	bundles := map[string]*analyze.Bundle{}
 	var aiClient *llm.Client
 	for i := range members {
 		cfg := members[i].Config
@@ -71,18 +70,18 @@ func RunFederated(ctx context.Context, outDir string, members []Member) (*Federa
 		}
 		fed.Members[cfg.SystemName] = art
 		names = append(names, cfg.SystemName)
-		jobs, err := cfg.Store.Select(sacct.Query{Start: cfg.Start, End: cfg.End})
+		b, err := analyze.Collect(cfg.Store.Scan(sacct.Query{Start: cfg.Start, End: cfg.End}), TimelineBucket)
 		if err != nil {
 			return nil, err
 		}
-		jobsByName[cfg.SystemName] = jobs
+		bundles[cfg.SystemName] = b
 		if cfg.EnableAI && aiClient == nil {
 			aiClient = cfg.LLM
 		}
 	}
 
 	a, b := names[0], names[1]
-	cmp := analyze.CompareSystems(a, jobsByName[a], b, jobsByName[b])
+	cmp := analyze.CompareSystems(a, bundles[a], b, bundles[b])
 	fed.Comparison = &cmp
 
 	chart := ComparisonChart(&cmp)
@@ -103,8 +102,14 @@ func RunFederated(ctx context.Context, outDir string, members []Member) (*Federa
 	// Cross-facility LLM comparison: the two systems' backfill figures
 	// side by side (the §4.3 narrative, machine-generated).
 	if aiClient != nil {
-		chartA := BackfillChart(a, jobsByName[a])
-		chartB := BackfillChart(b, jobsByName[b])
+		chartA, err := ChartFromBundle(FigBackfill, a, bundles[a], 0, 0)
+		if err != nil {
+			return nil, err
+		}
+		chartB, err := ChartFromBundle(FigBackfill, b, bundles[b], 0, 0)
+		if err != nil {
+			return nil, err
+		}
 		pngA, err := raster.PNG(chartA, 960, 540)
 		if err != nil {
 			return nil, err

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"encoding/json"
+	"hash/fnv"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -49,7 +51,10 @@ func testAndesStore(t *testing.T) *sacct.Store {
 	return st
 }
 
-func TestRunFederated(t *testing.T) {
+// runTestFederation runs the Frontier (AI on, canned analyst) + Andes
+// federation the federated tests share.
+func runTestFederation(t *testing.T) *FederatedArtifacts {
+	t.Helper()
 	analyst := httptest.NewServer(llm.NewServer("sk-fed").Handler())
 	defer analyst.Close()
 	client := llm.NewClient(analyst.URL, "sk-fed")
@@ -71,6 +76,40 @@ func TestRunFederated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fed
+}
+
+// TestRunFederatedGoldenDigest pins the bytes of the cross-facility
+// layer: the Comparison as JSON, federated-comparison.html, the canned
+// analyst's federated-compare.md and every member's facts.json. The
+// constant was recorded at 349efae, where RunFederated compared two
+// Select'ed record slices; the bundle path must reproduce it.
+func TestRunFederatedGoldenDigest(t *testing.T) {
+	fed := runTestFederation(t)
+	h := fnv.New64a()
+	cmp, err := json.Marshal(fed.Comparison)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Write(cmp)
+	for _, path := range []string{
+		fed.ComparisonChartPath, fed.ComparePath,
+		fed.Members["frontier"].FactsPath, fed.Members["andes"].FactsPath,
+	} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(data)
+	}
+	const want = 0xd0bfb5ca62ad02ec
+	if got := h.Sum64(); got != want {
+		t.Errorf("comparison + chart + compare + facts digest to %#x, want %#x", got, uint64(want))
+	}
+}
+
+func TestRunFederated(t *testing.T) {
+	fed := runTestFederation(t)
 	if len(fed.Members) != 2 {
 		t.Fatalf("members = %d", len(fed.Members))
 	}
@@ -79,7 +118,7 @@ func TestRunFederated(t *testing.T) {
 		if art == nil || art.Jobs == 0 {
 			t.Fatalf("member %s missing or empty", name)
 		}
-		if _, err := os.Stat(filepath.Join(outDir, name, "dashboard.html")); err != nil {
+		if _, err := os.Stat(filepath.Join(filepath.Dir(fed.IndexPath), name, "dashboard.html")); err != nil {
 			t.Errorf("member %s dashboard missing: %v", name, err)
 		}
 	}

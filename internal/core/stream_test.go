@@ -7,8 +7,8 @@ import (
 	"sort"
 	"testing"
 
+	"slurmsight/internal/analyze"
 	"slurmsight/internal/curate"
-	"slurmsight/internal/plot"
 	"slurmsight/internal/sacct"
 	"slurmsight/internal/slurm"
 )
@@ -44,10 +44,10 @@ func TestWorkflowSinglePassCounting(t *testing.T) {
 // TestWorkflowFiguresMatchDirectBuilders is the workflow-level golden
 // test: the figure spec JSON written by the streaming per-period
 // bundle-and-merge path must be byte-identical to charts built by an
-// independent multi-pass reference — every period file loaded into a
-// store (sacct.LoadFile, never the curate stage or a bundle), its
-// records selected into one slice, globally sorted by job ID, and
-// handed to the slice builders.
+// independent reference — every period file loaded into a store
+// (sacct.LoadFile, never the curate stage), its records selected into
+// one slice, globally sorted by job ID, and observed by one bundle in a
+// single pass with no merge.
 func TestWorkflowFiguresMatchDirectBuilders(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.ExtendedFigures = true
@@ -77,17 +77,16 @@ func TestWorkflowFiguresMatchDirectBuilders(t *testing.T) {
 		return slurm.CompareJobID(recs[i].ID, recs[j].ID) < 0
 	})
 
-	defaults := cfg.withDefaults()
-	want := map[string]*plot.Chart{
-		FigVolume:       VolumeChart(cfg.SystemName, recs),
-		FigNodesElapsed: NodesElapsedChart(cfg.SystemName, recs),
-		FigWaitTimes:    WaitChart(cfg.SystemName, recs),
-		FigStates:       StatesChart(cfg.SystemName, recs, defaults.TopUsers),
-		FigBackfill:     BackfillChart(cfg.SystemName, recs),
-		ExtLoad:         LoadTimelineChart(cfg.SystemName, recs, cfg.SystemNodes),
-		ExtQueueDepth:   QueueDepthChart(cfg.SystemName, recs),
+	ref := analyze.NewBundle(TimelineBucket)
+	for i := range recs {
+		ref.Observe(&recs[i])
 	}
-	for key, chart := range want {
+	defaults := cfg.withDefaults()
+	for _, key := range append(FigureKeys(), ExtendedFigureKeys()...) {
+		chart, err := ChartFromBundle(key, cfg.SystemName, ref, defaults.TopUsers, cfg.SystemNodes)
+		if err != nil {
+			t.Fatal(err)
+		}
 		fig := art.Figures[key]
 		if fig == nil {
 			t.Fatalf("figure %s missing from run", key)

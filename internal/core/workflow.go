@@ -163,8 +163,9 @@ type Summaries struct {
 
 // Facts flattens the summaries into the grounding the conversational
 // agent answers from.
-func (a *Artifacts) Facts(system string) llm.Facts {
-	s := &a.Summaries
+func (a *Artifacts) Facts(system string) llm.Facts { return a.Summaries.facts(system) }
+
+func (s *Summaries) facts(system string) llm.Facts {
 	var jobs, steps int64
 	for _, v := range s.Volume {
 		jobs += v.Jobs
@@ -338,7 +339,7 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 				// sidecar and the figure collectors. The bundle and report
 				// stay attempt-local and commit only on success, so a
 				// retried attempt never half-counts a period.
-				b := analyze.NewBundle(timelineBucket)
+				b := analyze.NewBundle(TimelineBucket)
 				b.Instrument(cfg.Metrics)
 				var rep curate.Report
 				opts := curate.DefaultOptions()
@@ -348,7 +349,7 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 				// Each chunk observes into its own collector shard, merged
 				// back in chunk order so the figure data is bit-exact at
 				// every width.
-				shards := analyze.NewShardSet(timelineBucket)
+				shards := analyze.NewShardSet(TimelineBucket)
 				chunks, err := curate.StreamFileParallel(periodPath(p), csv, opts, &rep,
 					func(chunk int) func(*slurm.Record) bool {
 						sb := shards.Shard(chunk)
@@ -387,7 +388,7 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 		Run: func(ctx context.Context) error {
 			annotate(ctx, "analyze", "periods", fmt.Sprint(len(periods)))
 			st.mu.Lock()
-			merged := analyze.NewBundle(timelineBucket)
+			merged := analyze.NewBundle(TimelineBucket)
 			merged.Instrument(cfg.Metrics)
 			var rep curate.Report
 			var bundles []*analyze.Bundle
@@ -401,7 +402,7 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 			// Pairwise parallel fold in period order: bit-exact with the
 			// linear fold (merge is associative over ordered runs) and
 			// the inputs stay unmutated, so a retried attempt is safe.
-			merged.Merge(analyze.TreeMerge(timelineBucket, bundles, cfg.IngestWorkers))
+			merged.Merge(analyze.TreeMerge(TimelineBucket, bundles, cfg.IngestWorkers))
 			// Warm the timeline cache while combine holds the barrier:
 			// downstream plot tasks run concurrently and may only read.
 			merged.Timeline.Result()
@@ -414,23 +415,8 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 		return nil, err
 	}
 
-	// Chart builders read the merged bundle; the combine task is their
-	// dataflow barrier, after which the bundle is read-only.
-	builders := map[string]func() *plot.Chart{
-		FigVolume:       func() *plot.Chart { return volumeChartOf(cfg.SystemName, st.bundle.Volume.Result()) },
-		FigNodesElapsed: func() *plot.Chart { return NodesElapsedChartPoints(cfg.SystemName, st.bundle.Scale.Result()) },
-		FigWaitTimes:    func() *plot.Chart { return WaitChartPoints(cfg.SystemName, st.bundle.Waits.Result()) },
-		FigStates:       func() *plot.Chart { return StatesChartUsers(cfg.SystemName, st.bundle.Users.Result(cfg.TopUsers)) },
-		FigBackfill:     func() *plot.Chart { return BackfillChartPoints(cfg.SystemName, st.bundle.Backfill.Result()) },
-	}
 	figureKeys := FigureKeys()
 	if cfg.ExtendedFigures {
-		builders[ExtLoad] = func() *plot.Chart {
-			return LoadTimelineChartPoints(cfg.SystemName, st.bundle.Timeline.Result(), cfg.SystemNodes)
-		}
-		builders[ExtQueueDepth] = func() *plot.Chart {
-			return QueueDepthChartPoints(cfg.SystemName, st.bundle.Timeline.Result())
-		}
 		figureKeys = append(figureKeys, ExtendedFigureKeys()...)
 	}
 	var htmlPaths []string
@@ -449,7 +435,12 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 			Writes: []string{fig.HTMLPath, fig.SpecPath},
 			Run: func(ctx context.Context) error {
 				annotate(ctx, "render", "figure", key)
-				chart := builders[key]()
+				// The combine task is this task's dataflow barrier, after
+				// which the bundle is read-only.
+				chart, err := ChartFromBundle(key, cfg.SystemName, st.bundle, cfg.TopUsers, cfg.SystemNodes)
+				if err != nil {
+					return err
+				}
 				st.mu.Lock()
 				st.charts[key] = chart
 				st.mu.Unlock()
@@ -541,12 +532,10 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 		Writes: []string{art.FactsPath},
 		Run: func(ctx context.Context) error {
 			annotate(ctx, "emit")
-			st.summariesOnce(cfg.SystemNodes)
-			st.mu.Lock()
-			art.Summaries = st.summaries
-			facts := art.Facts(cfg.SystemName)
-			st.mu.Unlock()
-			data, err := json.MarshalIndent(facts, "", " ")
+			// report owns art while the two run side by side: the facts
+			// come from the shared summaries, not from art.
+			s := st.summariesOnce(cfg.SystemNodes)
+			data, err := json.MarshalIndent(s.facts(cfg.SystemName), "", " ")
 			if err != nil {
 				return err
 			}
@@ -649,7 +638,7 @@ func summarize(st *runState, capacityNodes int) Summaries {
 	if b == nil {
 		// combine never ran (ContinueOnError with a failed ingest path);
 		// summarise the empty bundle so artifact assembly still works.
-		b = analyze.NewBundle(timelineBucket)
+		b = analyze.NewBundle(TimelineBucket)
 	}
 	vols := b.Volume.Result()
 	return Summaries{
@@ -709,8 +698,8 @@ func runCompare(ctx context.Context, cfg Config, st *runState, outPath string) e
 			late = append(late, p)
 		}
 	}
-	a := WaitChartPoints(cfg.SystemName+" (first half)", early)
-	b := WaitChartPoints(cfg.SystemName+" (second half)", late)
+	a := waitChart(cfg.SystemName+" (first half)", early)
+	b := waitChart(cfg.SystemName+" (second half)", late)
 	pngA, err := raster.PNG(a, cfg.ChartWidth, cfg.ChartHeight)
 	if err != nil {
 		return err

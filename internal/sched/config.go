@@ -63,16 +63,6 @@ type Config struct {
 	// FairShareHalfLife is the decay time constant of per-user usage.
 	FairShareHalfLife time.Duration
 
-	// ResortEvery sets the incremental re-prioritisation cadence. Zero
-	// (the default) recomputes every pending job's priority on every
-	// scheduling pass, matching legacy behaviour exactly. A positive
-	// cadence recomputes only jobs whose priority inputs changed (newly
-	// pending, user usage accrued, age term newly saturated) between
-	// full refreshes at this interval — an approximation that bounds
-	// priority staleness by the cadence and cuts per-pass cost on very
-	// deep queues.
-	ResortEvery time.Duration
-
 	// Seed drives the synthesis of per-step usage numbers.
 	Seed int64
 
@@ -127,8 +117,7 @@ var (
 	ErrNegativeWeight = errors.New("sched: negative priority weight")
 	// ErrBadDepth rejects a negative BackfillDepth.
 	ErrBadDepth = errors.New("sched: negative backfill depth")
-	// ErrBadTimeConstant rejects non-positive AgeMax/FairShareHalfLife
-	// and a negative ResortEvery cadence.
+	// ErrBadTimeConstant rejects non-positive AgeMax/FairShareHalfLife.
 	ErrBadTimeConstant = errors.New("sched: bad time constant")
 	// ErrUnknownPolicy rejects unresolvable policy names.
 	ErrUnknownPolicy = errors.New("sched: unknown policy")
@@ -175,9 +164,6 @@ func (c *Config) Validate() error {
 	}
 	if c.BackfillDepth < 0 {
 		return fmt.Errorf("%w: %d", ErrBadDepth, c.BackfillDepth)
-	}
-	if c.ResortEvery < 0 {
-		return fmt.Errorf("%w: negative re-sort cadence", ErrBadTimeConstant)
 	}
 	if _, err := PriorityByName(c.Priority, c); err != nil {
 		return fmt.Errorf("%w: priority %q", ErrUnknownPolicy, c.Priority)

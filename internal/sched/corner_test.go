@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -116,45 +115,5 @@ func TestPreemptedWaitExcludesRunTime(t *testing.T) {
 	}
 	if res.Stats.MaxWait != time.Hour {
 		t.Errorf("MaxWait = %v, want 1h", res.Stats.MaxWait)
-	}
-}
-
-// --- incremental re-sort cadence ---
-
-// TestResortCadenceCompletes smoke-tests the approximate scheduling mode:
-// with a positive re-sort cadence every job must still reach a terminal
-// state and the machine must do real work.
-func TestResortCadenceCompletes(t *testing.T) {
-	sys := preemptSystem()
-	rng := rand.New(rand.NewSource(5))
-	p := tinyProfile(rng, sys)
-	reqs, err := tracegen.Generate([]tracegen.Phase{{
-		Profile: p, Start: t0, End: t0.AddDate(0, 0, 3),
-	}}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := run(t, sys, reqs, func(c *Config) {
-		c.ResortEvery = 30 * time.Minute
-	})
-	if len(res.Jobs) != len(reqs) {
-		t.Fatalf("jobs = %d, want %d", len(res.Jobs), len(reqs))
-	}
-	st := res.Stats
-	terminal := st.JobsCompleted + st.JobsFailed + st.JobsCancelled +
-		st.JobsTimeout + st.JobsNodeFail + st.JobsOOM
-	if terminal != len(reqs) {
-		t.Errorf("terminal jobs = %d, want %d: %+v", terminal, len(reqs), st)
-	}
-	if st.NodeSecondsBusy <= 0 || st.Utilization() <= 0 {
-		t.Errorf("no work done: %+v", st)
-	}
-}
-
-func TestResortCadenceValidation(t *testing.T) {
-	cfg := DefaultConfig(tinySystem())
-	cfg.ResortEvery = -time.Second
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative ResortEvery passed validation")
 	}
 }

@@ -26,7 +26,6 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"negative backfill depth", func(c *Config) { c.BackfillDepth = -3 }, ErrBadDepth},
 		{"zero age max", func(c *Config) { c.AgeMax = 0 }, ErrBadTimeConstant},
 		{"zero half life", func(c *Config) { c.FairShareHalfLife = 0 }, ErrBadTimeConstant},
-		{"negative resort cadence", func(c *Config) { c.ResortEvery = -time.Second }, ErrBadTimeConstant},
 		{"unknown priority", func(c *Config) { c.Priority = "lottery" }, ErrUnknownPolicy},
 		{"unknown backfill", func(c *Config) { c.Backfill = "psychic" }, ErrUnknownPolicy},
 		{"unknown selector", func(c *Config) { c.NodeSelect = "quantum" }, ErrUnknownPolicy},
@@ -372,7 +371,6 @@ func TestConfigFingerprint(t *testing.T) {
 		"fair share":  func(c *Config) { c.FairShareWeight++ },
 		"age max":     func(c *Config) { c.AgeMax++ },
 		"half life":   func(c *Config) { c.FairShareHalfLife++ },
-		"resort":      func(c *Config) { c.ResortEvery = time.Minute },
 		"depth":       func(c *Config) { c.BackfillDepth++ },
 		"sharing":     func(c *Config) { c.EnableNodeSharing = true },
 		"priority":    func(c *Config) { c.Priority = "fifo" },

@@ -33,13 +33,6 @@ type job struct {
 	pendIdx int // position in s.pending, -1 when absent
 	runIdx  int // position in s.running, -1 when absent
 
-	// Incremental-reprioritisation bookkeeping (Config.ResortEvery > 0):
-	// prioAtNs is when priority was last computed (0 = never), userEpoch
-	// the usage epoch it saw, prioSat whether the age term had saturated.
-	prioAtNs  int64
-	userEpoch int64
-	prioSat   bool
-
 	started    bool
 	finished   bool
 	held       bool // waiting on a dependency
@@ -139,9 +132,8 @@ type Simulator struct {
 	// lastPassT is the latest drained timestamp with pending work: the
 	// moment the legacy pass would last have rewritten every pending
 	// job's priority (see the evCancel handler).
-	lastPassT  time.Time
-	lastReprio time.Time // last full recompute (ResortEvery cadence)
-	ran        bool      // Run is single-shot: stats, usage and seq are the run's
+	lastPassT time.Time
+	ran       bool // Run is single-shot: stats, usage and seq are the run's
 
 	// Reusable pass-time buffers.
 	appended  []*job // preemption victims requeued mid-pass, FIFO
@@ -682,44 +674,18 @@ func (s *Simulator) fairTerm(u *userUsage, tNs int64) int64 {
 	return u.term
 }
 
-// reprioritize refreshes pending priorities at time t. With ResortEvery
-// unset (the default) every job is recomputed, reproducing the legacy
-// per-pass recompute exactly. With a cadence set, only jobs whose inputs
-// changed — newly pending or evicted (prioAtNs zero), user usage accrued
-// (epoch moved), or age term newly saturated — are recomputed between
-// full refreshes, trading bounded priority staleness for O(changed) work.
-func (s *Simulator) reprioritize(t time.Time, force bool) {
+// reprioritize recomputes every pending job's priority at time t. A
+// pass consumes the refreshed keys through its heap alone, so the hot
+// loop streams over the contiguous entry array; writeBack (the drain-time
+// call) also stores each key on its job, where the record reads it.
+func (s *Simulator) reprioritize(t time.Time, writeBack bool) {
 	tNs := t.UnixNano()
-	full := force || s.cfg.ResortEvery == 0 || s.lastReprio.IsZero() ||
-		t.Sub(s.lastReprio) >= s.cfg.ResortEvery
-	if full {
-		s.lastReprio = t
-	}
-	if full && !force && s.cfg.ResortEvery == 0 {
-		// Exact-mode hot loop: the refreshed keys are consumed only by
-		// this pass's heap, so skip the per-job bookkeeping writes and
-		// stream over the contiguous entry array alone.
-		for i := range s.pending {
-			e := &s.pending[i]
-			e.prio = e.static + s.prio.Age(tNs-e.eligNs) + s.fairTerm(e.usage, tNs)
-		}
-		return
-	}
-	ageMax := int64(s.cfg.AgeMax)
 	for i := range s.pending {
 		e := &s.pending[i]
-		j := e.j
-		if !full && j.prioAtNs != 0 && j.userEpoch == e.usage.epoch {
-			if j.prioSat || tNs-e.eligNs < ageMax {
-				continue
-			}
+		e.prio = e.static + s.prio.Age(tNs-e.eligNs) + s.fairTerm(e.usage, tNs)
+		if writeBack {
+			e.j.priority = e.prio
 		}
-		age := tNs - e.eligNs
-		e.prio = e.static + s.prio.Age(age) + s.fairTerm(e.usage, tNs)
-		j.priority = e.prio
-		j.prioAtNs = tNs
-		j.userEpoch = e.usage.epoch
-		j.prioSat = age >= ageMax
 	}
 }
 
@@ -912,8 +878,6 @@ func (s *Simulator) evict(v *job, t time.Time) {
 	v.eligible = t
 	v.eligNs = t.UnixNano()
 	v.reason = "Preempted"
-	v.prioAtNs = 0
-	v.prioSat = false
 	s.appended = append(s.appended, v)
 	s.npending++
 	s.schedDirty = true
