@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
@@ -348,11 +349,7 @@ func (c *ClassCollector) Observe(r *slurm.Record) {
 	if class == "" {
 		class = "(untagged)"
 	}
-	a, ok := c.byClass[class]
-	if !ok {
-		a = &classAcc{}
-		c.byClass[class] = a
-	}
+	a := c.acc(class)
 	a.jobs++
 	a.nodes = append(a.nodes, float64(r.NNodes))
 	switch r.State {
@@ -379,11 +376,7 @@ func (c *ClassCollector) Observe(r *slurm.Record) {
 // sample slices in the other's observation order.
 func (c *ClassCollector) Merge(o *ClassCollector) {
 	for class, oa := range o.byClass {
-		a, ok := c.byClass[class]
-		if !ok {
-			a = &classAcc{}
-			c.byClass[class] = a
-		}
+		a := c.acc(class)
 		a.jobs += oa.jobs
 		a.nodeHours += oa.nodeHours
 		a.waits = append(a.waits, oa.waits...)
@@ -393,6 +386,16 @@ func (c *ClassCollector) Merge(o *ClassCollector) {
 		a.backfill += oa.backfill
 		a.started += oa.started
 	}
+}
+
+// acc returns class's accumulator, creating it on first use.
+func (c *ClassCollector) acc(class string) *classAcc {
+	a, ok := c.byClass[class]
+	if !ok {
+		a = &classAcc{}
+		c.byClass[class] = a
+	}
+	return a
 }
 
 // Result returns class summaries sorted by consumed node-hours
@@ -501,18 +504,60 @@ func (b *Bundle) Observe(r *slurm.Record) {
 }
 
 // Merge folds another bundle into this one.
-func (b *Bundle) Merge(o *Bundle) {
+func (b *Bundle) Merge(o *Bundle) { b.mergeAll(o) }
+
+// mergeAll folds bs into b in order, after growing every sample slice
+// once to the length the fold ends at.
+func (b *Bundle) mergeAll(bs ...*Bundle) {
 	if b.mergeHist != nil {
 		defer b.mergeHist.ObserveSince(time.Now())
 	}
-	b.Records += o.Records
-	b.Jobs += o.Jobs
-	b.Volume.Merge(o.Volume)
-	b.Scale.Merge(o.Scale)
-	b.Waits.Merge(o.Waits)
-	b.Users.Merge(o.Users)
-	b.Backfill.Merge(o.Backfill)
-	b.Reclaim.Merge(o.Reclaim)
-	b.Timeline.Merge(o.Timeline)
-	b.Classes.Merge(o.Classes)
+	b.reserve(bs)
+	for _, o := range bs {
+		b.Records += o.Records
+		b.Jobs += o.Jobs
+		b.Volume.Merge(o.Volume)
+		b.Scale.Merge(o.Scale)
+		b.Waits.Merge(o.Waits)
+		b.Users.Merge(o.Users)
+		b.Backfill.Merge(o.Backfill)
+		b.Reclaim.Merge(o.Reclaim)
+		b.Timeline.Merge(o.Timeline)
+		b.Classes.Merge(o.Classes)
+	}
+}
+
+// reserve gives every sample slice of b room for what bs hold: the
+// point collectors, the timeline edges and each class's waits, nodes and
+// ratios. An empty slice is sized to about its final length; a full one
+// regrows as append would, so repeated Merges stay amortized.
+func (b *Bundle) reserve(bs []*Bundle) {
+	var scale, waits, backfill, edges int
+	classes := map[string]*[3]int{}
+	for _, o := range bs {
+		scale += len(o.Scale.points)
+		waits += len(o.Waits.points)
+		backfill += len(o.Backfill.points)
+		edges += len(o.Timeline.edges)
+		for class, oa := range o.Classes.byClass {
+			n := classes[class]
+			if n == nil {
+				n = new([3]int)
+				classes[class] = n
+			}
+			n[0] += len(oa.waits)
+			n[1] += len(oa.nodes)
+			n[2] += len(oa.ratios)
+		}
+	}
+	b.Scale.points = slices.Grow(b.Scale.points, scale)
+	b.Waits.points = slices.Grow(b.Waits.points, waits)
+	b.Backfill.points = slices.Grow(b.Backfill.points, backfill)
+	b.Timeline.edges = slices.Grow(b.Timeline.edges, edges)
+	for class, n := range classes {
+		a := b.Classes.acc(class)
+		a.waits = slices.Grow(a.waits, n[0])
+		a.nodes = slices.Grow(a.nodes, n[1])
+		a.ratios = slices.Grow(a.ratios, n[2])
+	}
 }

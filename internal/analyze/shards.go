@@ -7,7 +7,7 @@ import (
 
 // ShardSet holds one collector bundle per ingest chunk so parallel
 // chunk decoders can observe records lock-free: each worker writes only
-// its own shard, and MergeInto folds the shards in ascending chunk
+// its own shard, and MergeIntoN folds the shards in ascending chunk
 // index — which is file order — so order-sensitive collectors (the
 // point collectors append in observation order) reproduce the
 // sequential result exactly. Shard acquisition is the only synchronised
@@ -45,26 +45,13 @@ func (s *ShardSet) Len() int {
 	return len(s.shards)
 }
 
-// MergeInto folds every shard into dst in ascending chunk index. Call
-// it after the parallel decode has finished; the result is bit-exact
-// with observing the whole file sequentially into dst.
-func (s *ShardSet) MergeInto(dst *Bundle) { s.MergeIntoN(dst, 1) }
-
-// MergeIntoN is MergeInto over up to `workers` concurrent pairwise
-// merges (tree-reduce, see TreeMerge). The result is bit-exact with
-// MergeInto at every worker count; workers ≤ 1 is the linear fold.
+// MergeIntoN folds every shard into dst in ascending chunk index, after
+// growing dst's sample slices once to their final length. Call it after
+// the parallel decode has finished; figure data is bit-exact with
+// observing the whole file sequentially into dst. workers is accepted
+// and unused, as in TreeMerge.
 func (s *ShardSet) MergeIntoN(dst *Bundle, workers int) {
-	ordered := s.ordered()
-	if len(ordered) == 0 {
-		return
-	}
-	if workers <= 1 || len(ordered) == 1 {
-		for _, b := range ordered {
-			dst.Merge(b)
-		}
-		return
-	}
-	dst.Merge(TreeMerge(s.bucket, ordered, workers))
+	dst.mergeAll(s.ordered()...)
 }
 
 // ordered snapshots the shard bundles in ascending chunk index.

@@ -46,7 +46,7 @@ func TestShardSetMergeMatchesSequential(t *testing.T) {
 	wg.Wait()
 
 	merged := NewBundle(bucket)
-	s.MergeInto(merged)
+	s.MergeIntoN(merged, 1)
 
 	if s.Len() == 0 || s.Len() > chunks {
 		t.Fatalf("shards = %d", s.Len())
@@ -77,7 +77,7 @@ func TestShardSetMergeMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardSetSparseIndices checks that MergeInto tolerates chunk
+// TestShardSetSparseIndices checks that MergeIntoN tolerates chunk
 // indices that were never materialised (e.g. a consumer that only
 // sharded some chunks) and still folds the rest in ascending order.
 func TestShardSetSparseIndices(t *testing.T) {
@@ -89,7 +89,7 @@ func TestShardSetSparseIndices(t *testing.T) {
 		sb.Observe(&recs[i])
 	}
 	dst := NewBundle(0)
-	s.MergeInto(dst)
+	s.MergeIntoN(dst, 1)
 	if int(dst.Records) != len(recs)-half {
 		t.Errorf("Records = %d, want %d", dst.Records, len(recs)-half)
 	}

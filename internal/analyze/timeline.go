@@ -1,7 +1,8 @@
 package analyze
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"slurmsight/internal/slurm"
@@ -16,13 +17,53 @@ type TimelinePoint struct {
 	Submitted  int     // jobs submitted in the bucket
 }
 
-// tlEdge is one state-change event in the load reconstruction.
+// tlEdge is one state-change event in the load reconstruction: 24 bytes,
+// because the collector keeps two or three of them per job. The instant
+// is kept as Unix seconds plus nanoseconds, which is exact for every
+// time.Time (the zero time included) where Unix nanoseconds would wrap
+// outside 1678–2262, and orders as time.Time does.
 type tlEdge struct {
-	at    time.Time
+	sec   int64 // Unix seconds
 	nodes int64 // ± allocation
-	queue int   // ± queue depth
-	start bool
-	sub   bool
+	nsec  int32 // nanoseconds within sec
+	kind  edgeKind
+}
+
+func newEdge(t time.Time, nodes int64, kind edgeKind) tlEdge {
+	return tlEdge{sec: t.Unix(), nodes: nodes, nsec: int32(t.Nanosecond()), kind: kind}
+}
+
+// at returns the edge's instant.
+func (e tlEdge) at() time.Time { return time.Unix(e.sec, int64(e.nsec)) }
+
+// compareEdges orders edges by instant.
+func compareEdges(a, b tlEdge) int {
+	if c := cmp.Compare(a.sec, b.sec); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.nsec, b.nsec)
+}
+
+// edgeKind says what an edge does to the queue and which bucket counter
+// it bumps.
+type edgeKind uint8
+
+const (
+	edgeSubmit edgeKind = iota // joins the queue; counts as submitted
+	edgeStart                  // leaves the queue; counts as started
+	edgeCancel                 // leaves the queue without starting
+	edgeEnd                    // releases its nodes; the queue is untouched
+)
+
+// queue is the edge's queue-depth delta.
+func (k edgeKind) queue() int {
+	switch k {
+	case edgeSubmit:
+		return +1
+	case edgeStart, edgeCancel:
+		return -1
+	}
+	return 0
 }
 
 // TimelineCollector reconstructs system load from job records: for each
@@ -71,14 +112,16 @@ func (c *TimelineCollector) Observe(r *slurm.Record) {
 	if endOfLife.After(c.hi) {
 		c.hi = endOfLife
 	}
-	c.edges = append(c.edges, tlEdge{at: r.Submit, queue: +1, sub: true})
+	c.edges = append(c.edges, newEdge(r.Submit, 0, edgeSubmit))
 	if r.Start.IsZero() {
 		// Never ran: leaves the queue at its end (cancellation).
-		c.edges = append(c.edges, tlEdge{at: endOfLife, queue: -1})
+		c.edges = append(c.edges, newEdge(endOfLife, 0, edgeCancel))
 		return
 	}
-	c.edges = append(c.edges, tlEdge{at: r.Start, queue: -1, nodes: +r.NNodes, start: true})
-	c.edges = append(c.edges, tlEdge{at: r.End, nodes: -r.NNodes})
+	// A zero End is the zero time: the edge sorts before every real one,
+	// releases its nodes before the sweep starts and lands in no bucket.
+	c.edges = append(c.edges, newEdge(r.Start, +r.NNodes, edgeStart))
+	c.edges = append(c.edges, newEdge(r.End, -r.NNodes, edgeEnd))
 }
 
 // Merge appends another collector's edges (in their observation order)
@@ -115,29 +158,33 @@ func (c *TimelineCollector) sweep() []TimelinePoint {
 	if len(edges) == 0 || !lo.Before(hi) {
 		return nil
 	}
-	sort.SliceStable(edges, func(a, b int) bool { return edges[a].at.Before(edges[b].at) })
+	slices.SortStableFunc(edges, compareEdges)
 
+	// hi.Sub saturates, so a span longer than time.Duration's ~292 years
+	// ends in the bucket holding lo plus that much; end is that bucket's
+	// far side. Bucket bounds are taken from bucket starts, never as
+	// lo+(b+1)·bucket, which would overflow there.
 	nBuckets := int(hi.Sub(lo)/bucket) + 1
 	points := make([]TimelinePoint, nBuckets)
 	for i := range points {
 		points[i].At = lo.Add(time.Duration(i) * bucket)
 	}
+	end := points[nBuckets-1].At.Add(bucket)
 	// Sweep: integrate busy nodes and queue depth across bucket
-	// boundaries.
+	// boundaries, up to end.
 	var busy int64
 	var queue int
 	cursor := lo
-	idx := 0
 	accumulate := func(until time.Time) {
+		if until.After(end) {
+			until = end
+		}
 		for cursor.Before(until) {
-			b := int(cursor.Sub(lo) / bucket)
-			if b >= nBuckets {
-				return
-			}
-			bucketEnd := lo.Add(time.Duration(b+1) * bucket)
-			segEnd := until
-			if bucketEnd.Before(segEnd) {
-				segEnd = bucketEnd
+			// cursor.Sub(lo) saturates only inside the last bucket.
+			b := min(int(cursor.Sub(lo)/bucket), nBuckets-1)
+			segEnd := points[b].At.Add(bucket)
+			if until.Before(segEnd) {
+				segEnd = until
 			}
 			frac := float64(segEnd.Sub(cursor)) / float64(bucket)
 			points[b].BusyNodes += float64(busy) * frac
@@ -145,23 +192,28 @@ func (c *TimelineCollector) sweep() []TimelinePoint {
 			cursor = segEnd
 		}
 	}
-	for idx < len(edges) {
-		accumulate(edges[idx].at)
-		at := edges[idx].at
-		for idx < len(edges) && edges[idx].at.Equal(at) {
-			e := edges[idx]
+	for i := 0; i < len(edges); {
+		first := edges[i]
+		at := first.at()
+		accumulate(at)
+		// An edge less than a bucket before lo truncates into bucket 0;
+		// one at or past end is in no bucket, though at.Sub(lo) may
+		// saturate into the last.
+		b := int(at.Sub(lo) / bucket)
+		counted := b >= 0 && b < nBuckets && at.Before(end)
+		for ; i < len(edges) && compareEdges(edges[i], first) == 0; i++ {
+			e := edges[i]
 			busy += e.nodes
-			queue += e.queue
-			b := int(at.Sub(lo) / bucket)
-			if b >= 0 && b < nBuckets {
-				if e.start {
-					points[b].Started++
-				}
-				if e.sub {
-					points[b].Submitted++
-				}
+			queue += e.kind.queue()
+			if !counted {
+				continue
 			}
-			idx++
+			switch e.kind {
+			case edgeStart:
+				points[b].Started++
+			case edgeSubmit:
+				points[b].Submitted++
+			}
 		}
 	}
 	accumulate(hi)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 
 	"slurmsight/internal/slurm"
 )
@@ -66,6 +67,121 @@ func TestTimelineNeverStartedJob(t *testing.T) {
 		}
 		if points[h].BusyNodes != 0 {
 			t.Errorf("hour %d busy = %v", h, points[h].BusyNodes)
+		}
+	}
+}
+
+// TestTimelineZeroEndEdge pins the sweep over the two odd lifecycles: a
+// job that started but has no End, and one that never started. The
+// started job's end edge sits at the zero time, so it sorts before every
+// real edge, releases its nodes before the sweep begins and lands in no
+// bucket; the never-started job leaves the queue at its End. The points
+// were recorded from the sweep over time.Time edges.
+func TestTimelineZeroEndEdge(t *testing.T) {
+	running := mkJob(1, "a", t0, time.Hour, 4, 3*time.Hour, 2*time.Hour, slurm.StateCompleted, false)
+	running.End = time.Time{}
+	cancelled := mkJob(2, "b", t0.Add(2*time.Hour), -1, 2, time.Hour, 0, slurm.StateCancelled, false)
+	cancelled.End = t0.Add(5 * time.Hour)
+	normal := mkJob(3, "c", t0.Add(30*time.Minute), 30*time.Minute, 3, 2*time.Hour, 90*time.Minute, slurm.StateCompleted, false)
+
+	type pt struct {
+		at                 time.Duration
+		busy, queue        float64
+		started, submitted int
+	}
+	want := []pt{
+		{0, -4, 1.5, 0, 2},
+		{time.Hour, 3, 0, 2, 0},
+		{2 * time.Hour, 1.5, 1, 0, 1},
+		{3 * time.Hour, 0, 1, 0, 0},
+		{4 * time.Hour, 0, 1, 0, 0},
+		{5 * time.Hour, 0, 0, 0, 0},
+	}
+	c := observeAll(NewTimelineCollector(time.Hour), []slurm.Record{running, cancelled, normal})
+	var got []pt
+	for _, p := range c.Result() {
+		got = append(got, pt{p.At.Sub(t0), p.BusyNodes, p.QueueDepth, p.Started, p.Submitted})
+	}
+	if len(got) != len(want) {
+		t.Fatalf("buckets = %#v, want %#v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("bucket %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if c.Result()[0].At != t0 {
+		t.Errorf("first bucket at %v, want %v", c.Result()[0].At, t0)
+	}
+}
+
+// TestTimelineFarTimestamps sweeps instants the parser accepts but Unix
+// nanoseconds cannot hold (years 0000–9999 parse; int64 nanoseconds span
+// 1678–2262). A span within time.Duration's ~292 years keeps every
+// instant exact: the year-2290 End holds its nodes until 2290, and those
+// points were recorded from the time.Time sweep at fe019f1. A wider span
+// ends in the bucket holding lo+292y. That sweep overflowed there (index
+// out of range), so those points are derived: a job running past the end
+// is busy in every bucket, and a year-1 submission is queued in every
+// bucket while all the 2024 edges fall past the end.
+func TestTimelineFarTimestamps(t *testing.T) {
+	if size := unsafe.Sizeof(tlEdge{}); size > 24 {
+		t.Errorf("a timeline edge is %d bytes, want ≤ 24", size)
+	}
+	const year = 365 * 24 * time.Hour
+	normal := mkJob(3, "c", t0.Add(30*time.Minute), 30*time.Minute, 3, 2*time.Hour, 90*time.Minute, slurm.StateCompleted, false)
+	endingAt := func(end time.Time) slurm.Record {
+		r := mkJob(1, "a", t0, time.Hour, 4, 3*time.Hour, 2*time.Hour, slurm.StateCompleted, false)
+		r.End = end
+		return r
+	}
+	early := time.Date(1, 1, 1, 0, 0, 1, 0, time.UTC)
+	submitYear1 := mkJob(2, "b", early, 0, 2, time.Hour, time.Hour, slurm.StateCompleted, false)
+	submitYear1.Start, submitYear1.End = t0, t0.Add(time.Hour)
+	end9999 := endingAt(time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC))
+
+	type pt struct {
+		busy, queue        float64
+		started, submitted int
+	}
+	// Bucket 0 of the 2024 jobs: 4 nodes from hour 1, 3 more for 1.5 h,
+	// 1.5 queued job-hours.
+	first2024 := pt{4.000057077625571, 0.00017123287671232877, 2, 2}
+	for _, tc := range []struct {
+		name             string
+		recs             []slurm.Record
+		lo               time.Time
+		n                int
+		first, mid, last pt // points 0, 1..n-2 and n-1
+	}{
+		{"end 2290", []slurm.Record{endingAt(time.Date(2290, 6, 1, 0, 0, 0, 0, time.UTC)), normal},
+			t0, 267, first2024, pt{4, 0, 0, 0}, pt{2.0273972602739727, 0, 0, 0}},
+		{"end 9999", []slurm.Record{end9999, normal},
+			t0, 293, first2024, pt{4, 0, 0, 0}, pt{4, 0, 0, 0}},
+		{"submit 0001", []slurm.Record{submitYear1, normal},
+			early, 293, pt{0, 1, 0, 1}, pt{0, 1, 0, 0}, pt{0, 1, 0, 0}},
+		{"both", []slurm.Record{end9999, submitYear1, normal},
+			early, 293, pt{0, 1, 0, 1}, pt{0, 1, 0, 0}, pt{0, 1, 0, 0}},
+	} {
+		points := observeAll(NewTimelineCollector(year), tc.recs).Result()
+		if len(points) != tc.n {
+			t.Errorf("%s: %d buckets, want %d", tc.name, len(points), tc.n)
+			continue
+		}
+		for i, p := range points {
+			want := tc.mid
+			switch i {
+			case 0:
+				want = tc.first
+			case tc.n - 1:
+				want = tc.last
+			}
+			if got := (pt{p.BusyNodes, p.QueueDepth, p.Started, p.Submitted}); got != want {
+				t.Errorf("%s: bucket %d = %+v, want %+v", tc.name, i, got, want)
+			}
+			if at := tc.lo.Add(time.Duration(i) * year); !p.At.Equal(at) {
+				t.Errorf("%s: bucket %d at %v, want %v", tc.name, i, p.At, at)
+			}
 		}
 	}
 }

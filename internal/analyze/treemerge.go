@@ -1,73 +1,23 @@
 package analyze
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
-// TreeMerge folds the bundles into one by pairwise parallel merges in
-// index order, and returns the result as a fresh bundle. Every figure
-// surface is bit-exact with the linear fold
+// TreeMerge folds the bundles, in input order, into one fresh bundle. The
+// result is the linear fold
 //
 //	dst := NewBundle(bucket); for _, b := range bs { dst.Merge(b) }
 //
-// because those collectors' Merges are associative over ordered runs:
-// integer counters add, and the order-sensitive collectors concatenate —
-// pairing adjacent runs preserves the concatenation order, only the
-// grouping changes. The two float accumulators (reclaimable node-hours,
-// per-class node-hours) regroup their partial sums and may move in the
-// last ulp — the same caveat the chunked ingest merge already carries.
-// The inputs are never mutated (the first level merges into fresh
-// bundles), so a caller that retries a failed combine can reuse them.
-// Entries must be non-nil. workers ≤ 1 selects the plain linear fold.
+// bit for bit — every figure surface and both float accumulators
+// (reclaimable and per-class node-hours), whose partial sums are added in
+// the same order — except that each sample slice is sized once, from the
+// summed lengths of the inputs, where the appends would regrow it. The
+// inputs are never mutated, so a caller that retries a failed combine can
+// reuse them. Entries must be non-nil.
+//
+// workers is accepted and unused: a parallel fold would have to regroup
+// the float sums, and one presized copy leaves it nothing to save.
 func TreeMerge(bucket time.Duration, bs []*Bundle, workers int) *Bundle {
-	if workers <= 1 || len(bs) <= 1 {
-		out := NewBundle(bucket)
-		for _, b := range bs {
-			out.Merge(b)
-		}
-		return out
-	}
-	cur := bs
-	first := true
-	for len(cur) > 1 {
-		nxt := make([]*Bundle, (len(cur)+1)/2)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < min(workers, len(nxt)); w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(nxt) {
-						return
-					}
-					lo := 2 * i
-					if first {
-						// Fresh target: the caller's bundles stay
-						// unmutated.
-						m := NewBundle(bucket)
-						m.Merge(cur[lo])
-						if lo+1 < len(cur) {
-							m.Merge(cur[lo+1])
-						}
-						nxt[i] = m
-					} else {
-						// Later levels own their bundles; merge in
-						// place.
-						if lo+1 < len(cur) {
-							cur[lo].Merge(cur[lo+1])
-						}
-						nxt[i] = cur[lo]
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		first = false
-		cur = nxt
-	}
-	return cur[0]
+	out := NewBundle(bucket)
+	out.mergeAll(bs...)
+	return out
 }

@@ -1,16 +1,22 @@
 package analyze
 
 import (
-	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
+
+	"slurmsight/internal/slurm"
 )
 
 // chunkBundles partitions the golden trace into n contiguous bundles,
 // the shape of per-chunk (or per-period) partial results.
 func chunkBundles(t *testing.T, bucket time.Duration, n int) []*Bundle {
 	t.Helper()
-	recs := goldenTrace(t)
+	return partition(goldenTrace(t), bucket, n)
+}
+
+// partition observes recs into n contiguous bundles.
+func partition(recs []slurm.Record, bucket time.Duration, n int) []*Bundle {
 	per := (len(recs) + n - 1) / n
 	var out []*Bundle
 	for lo := 0; lo < len(recs); lo += per {
@@ -37,10 +43,9 @@ func figureSurfaces(t *testing.T, b *Bundle) map[string]string {
 	}
 }
 
-// TestTreeMergeMatchesLinearFold pins the tree-reduce parity contract:
-// at every worker count and input count, TreeMerge must reproduce the
-// linear fold's figure surfaces byte-exactly, and its float summary
-// accumulators within rounding distance (their partial sums regroup).
+// TestTreeMergeMatchesLinearFold pins the merge parity contract: at every
+// worker count and input count, TreeMerge must reproduce the linear
+// fold's figure surfaces byte-exactly.
 func TestTreeMergeMatchesLinearFold(t *testing.T) {
 	bucket := 6 * time.Hour
 	for _, chunks := range []int{1, 2, 3, 7, 16} {
@@ -61,11 +66,61 @@ func TestTreeMergeMatchesLinearFold(t *testing.T) {
 					t.Errorf("chunks=%d workers=%d: %s diverges from the linear fold", chunks, workers, name)
 				}
 			}
-			if rel := relDiff(got.Reclaim.Result(), linear.Reclaim.Result()); rel > 1e-12 {
-				t.Errorf("chunks=%d workers=%d: Reclaim off by %g relative", chunks, workers, rel)
+		}
+	}
+}
+
+// TestTreeMergeFloatsMatchLinearFold pins the two float accumulators to
+// the linear fold exactly, not within rounding distance: reclaimable
+// node-hours and every class's node-hours must be == at every worker and
+// chunk count, because TreeMerge adds the partial sums in input order.
+func TestTreeMergeFloatsMatchLinearFold(t *testing.T) {
+	bucket := 6 * time.Hour
+	for _, chunks := range []int{1, 2, 3, 7, 16} {
+		bs := partition(awkwardJobs(3000), bucket, chunks)
+		linear := NewBundle(bucket)
+		for _, b := range bs {
+			linear.Merge(b)
+		}
+		wantClasses := map[string]float64{}
+		for _, cs := range linear.Classes.Result() {
+			wantClasses[cs.Class] = cs.NodeHours
+		}
+		for _, workers := range []int{1, 2, 4, 8} {
+			got := TreeMerge(bucket, bs, workers)
+			if g, w := got.Reclaim.Result(), linear.Reclaim.Result(); g != w {
+				t.Errorf("chunks=%d workers=%d: Reclaim %v != linear %v", chunks, workers, g, w)
+			}
+			classes := got.Classes.Result()
+			if len(classes) != len(wantClasses) {
+				t.Fatalf("chunks=%d workers=%d: %d classes, linear has %d", chunks, workers, len(classes), len(wantClasses))
+			}
+			for _, cs := range classes {
+				if w := wantClasses[cs.Class]; cs.NodeHours != w {
+					t.Errorf("chunks=%d workers=%d: class %s NodeHours %v != linear %v",
+						chunks, workers, cs.Class, cs.NodeHours, w)
+				}
 			}
 		}
 	}
+}
+
+// awkwardJobs returns n started jobs whose node-hours use the whole
+// mantissa, so any regrouping of their partial sums shows in the last ulp
+// (the golden trace's whole-second elapsed times often hide it).
+func awkwardJobs(n int) []slurm.Record {
+	rng := rand.New(rand.NewPCG(26, 1))
+	classes := []string{"", "ai", "sim", "viz"}
+	out := make([]slurm.Record, n)
+	for i := range out {
+		elapsed := time.Duration(rng.Int64N(int64(48 * time.Hour)))
+		limit := elapsed + time.Duration(rng.Int64N(int64(24*time.Hour)))
+		out[i] = mkJob(int64(i+1), "u", t0.Add(time.Duration(i)*time.Minute),
+			time.Duration(rng.Int64N(int64(time.Hour))), 1+rng.Int64N(9000), limit, elapsed,
+			slurm.StateCompleted, false)
+		out[i].Comment = classes[i%len(classes)]
+	}
+	return out
 }
 
 // TestTreeMergeLeavesInputsUnmutated pins the retry-safety contract: a
@@ -96,8 +151,8 @@ func TestTreeMergeLeavesInputsUnmutated(t *testing.T) {
 	}
 }
 
-// TestShardSetMergeIntoNMatchesMergeInto pins that the parallel shard
-// fold is indistinguishable from the sequential one at every width.
+// TestShardSetMergeIntoNMatchesMergeInto pins that the shard fold is the
+// same at every workers value as at one.
 func TestShardSetMergeIntoNMatchesMergeInto(t *testing.T) {
 	bucket := 6 * time.Hour
 	recs := goldenTrace(t)
@@ -114,7 +169,7 @@ func TestShardSetMergeIntoNMatchesMergeInto(t *testing.T) {
 		return s
 	}
 	seq := NewBundle(bucket)
-	build().MergeInto(seq)
+	build().MergeIntoN(seq, 1)
 	want := figureSurfaces(t, seq)
 	for _, workers := range []int{2, 4, 8} {
 		got := NewBundle(bucket)
@@ -124,19 +179,8 @@ func TestShardSetMergeIntoNMatchesMergeInto(t *testing.T) {
 		}
 		for name, surface := range figureSurfaces(t, got) {
 			if surface != want[name] {
-				t.Errorf("workers=%d: %s diverges from MergeInto", workers, name)
+				t.Errorf("workers=%d: %s diverges from MergeIntoN(dst, 1)", workers, name)
 			}
 		}
 	}
-}
-
-func relDiff(a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	den := math.Max(math.Abs(a), math.Abs(b))
-	if den == 0 {
-		return 0
-	}
-	return math.Abs(a-b) / den
 }

@@ -363,3 +363,24 @@ func TestWorkflowFactsAndReportArtifacts(t *testing.T) {
 		}
 	}
 }
+
+// TestDashboardEscapesSystemName: the system name comes straight from
+// schedflow -system, so markup in it must reach dashboard.html as text.
+func TestDashboardEscapesSystemName(t *testing.T) {
+	cfg := baseConfig(t)
+	cfg.SystemName = `a<b & "c"`
+	art, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := os.ReadFile(art.DashboardPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(page), "<h1>Scheduling analytics: a&lt;b &amp; &#34;c&#34;</h1>\n") {
+		t.Errorf("dashboard heading not escaped:\n%s", page)
+	}
+	if strings.Contains(string(page), cfg.SystemName) {
+		t.Error("dashboard carries the raw system name")
+	}
+}

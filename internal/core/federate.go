@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"html"
 	"os"
 	"path/filepath"
 	"strings"
@@ -86,11 +87,7 @@ func RunFederated(ctx context.Context, outDir string, members []Member) (*Federa
 
 	chart := ComparisonChart(&cmp)
 	fed.ComparisonChartPath = filepath.Join(outDir, "federated-comparison.html")
-	page, err := plot.HTML(chart, 960, 540)
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(fed.ComparisonChartPath, page, 0o644); err != nil {
+	if _, err := writePage(fed.ComparisonChartPath, chart, 960, 540); err != nil {
 		return nil, err
 	}
 
@@ -171,8 +168,8 @@ func federatedIndex(names []string, fed *FederatedArtifacts) []byte {
 	fmt.Fprintf(&b, "<iframe src=%q></iframe>\n", filepath.Base(fed.ComparisonChartPath))
 	for _, name := range names {
 		art := fed.Members[name]
-		fmt.Fprintf(&b, "<h2>%s</h2>\n<p><a href=%q>dashboard</a> — %d jobs, %d records</p>\n",
-			name, name+"/dashboard.html", art.Jobs, art.Records)
+		fmt.Fprintf(&b, "<h2>%s</h2>\n<p><a href=\"%s\">dashboard</a> — %d jobs, %d records</p>\n",
+			html.EscapeString(name), html.EscapeString(name+"/dashboard.html"), art.Jobs, art.Records)
 	}
 	if fed.ComparePath != "" {
 		fmt.Fprintf(&b, "<p><a href=%q>LLM cross-facility comparison</a></p>\n", filepath.Base(fed.ComparePath))

@@ -165,6 +165,26 @@ func TestRunFederated(t *testing.T) {
 	}
 }
 
+// TestFederatedIndexEscapesMemberName: a member's name is its system
+// name, so markup in it must reach the federated index as text, in the
+// heading and in the link to its dashboard.
+func TestFederatedIndexEscapesMemberName(t *testing.T) {
+	name := `a<b & "c"`
+	fed := &FederatedArtifacts{
+		ComparisonChartPath: filepath.Join("out", "federated-comparison.html"),
+		Members:             map[string]*Artifacts{name: {Jobs: 3, Records: 5}},
+	}
+	index := string(federatedIndex([]string{name}, fed))
+	want := "<h2>a&lt;b &amp; &#34;c&#34;</h2>\n" +
+		`<p><a href="a&lt;b &amp; &#34;c&#34;/dashboard.html">dashboard</a> — 3 jobs, 5 records</p>` + "\n"
+	if !strings.Contains(index, want) {
+		t.Errorf("member entry not escaped:\n%s", index)
+	}
+	if strings.Contains(index, name) {
+		t.Error("federated index carries the raw member name")
+	}
+}
+
 func TestRunFederatedErrors(t *testing.T) {
 	cfg := baseConfig(t)
 	if _, err := RunFederated(context.Background(), t.TempDir(), []Member{{Config: cfg}}); err == nil {

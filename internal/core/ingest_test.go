@@ -115,6 +115,41 @@ func TestWorkflowGoldenDigest(t *testing.T) {
 	}
 }
 
+// TestWorkflowPagesGoldenDigest pins what TestWorkflowGoldenDigest leaves
+// out: the bytes of the seven figure pages and dashboard.html of the same
+// run. The constant was recorded before the render plane streamed pages
+// through one append emitter, from the fmt-based renderer.
+func TestWorkflowPagesGoldenDigest(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		cfg := baseConfig(t)
+		cfg.IngestWorkers = workers
+		cfg.ExtendedFigures = true
+		cfg.SystemNodes = 9408
+		cfg.CorruptionRate, cfg.CorruptionSeed = 0.01, 5
+		art, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		hashFile := func(path string) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%s %d\n", filepath.Base(path), len(data))
+			h.Write(data)
+		}
+		for _, key := range append(FigureKeys(), ExtendedFigureKeys()...) {
+			hashFile(art.Figures[key].HTMLPath)
+		}
+		hashFile(art.DashboardPath)
+		const want = 0xa940785d1b865b49
+		if got := h.Sum64(); got != want {
+			t.Errorf("workers=%d: figure pages + dashboard digest to %#x, want %#x", workers, got, uint64(want))
+		}
+	}
+}
+
 // TestWorkflowLongRowEndToEnd: a row the store loads is a row the
 // workflow curates. A text trace with a 2 MiB Comment goes through
 // sacct.Load and a whole run at one chunk and at four, and comes out in

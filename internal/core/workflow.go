@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"html"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -361,7 +362,7 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 				if err != nil {
 					return err
 				}
-				shards.MergeIntoN(b, cfg.IngestWorkers)
+				shards.MergeIntoN(b, 1) // the fold is one copy at any width
 				// The shard bundles are uninstrumented (lock-free observe
 				// path); account their records here.
 				cfg.Metrics.Counter("analyze_records_observed_total").Add(b.Records)
@@ -388,8 +389,6 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 		Run: func(ctx context.Context) error {
 			annotate(ctx, "analyze", "periods", fmt.Sprint(len(periods)))
 			st.mu.Lock()
-			merged := analyze.NewBundle(TimelineBucket)
-			merged.Instrument(cfg.Metrics)
 			var rep curate.Report
 			var bundles []*analyze.Bundle
 			for i, b := range st.perPeriod {
@@ -399,10 +398,12 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 				bundles = append(bundles, b)
 				rep.Add(st.perReport[i])
 			}
-			// Pairwise parallel fold in period order: bit-exact with the
-			// linear fold (merge is associative over ordered runs) and
-			// the inputs stay unmutated, so a retried attempt is safe.
-			merged.Merge(analyze.TreeMerge(TimelineBucket, bundles, cfg.IngestWorkers))
+			// One presized copy in period order into a fresh bundle: the
+			// inputs stay unmutated, so a retried attempt is safe.
+			start := time.Now()
+			merged := analyze.TreeMerge(TimelineBucket, bundles, 1)
+			cfg.Metrics.Histogram("analyze_merge_seconds", obs.LatencyBuckets).ObserveSince(start)
+			merged.Instrument(cfg.Metrics)
 			// Warm the timeline cache while combine holds the barrier:
 			// downstream plot tasks run concurrently and may only read.
 			merged.Timeline.Result()
@@ -444,16 +445,9 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 				st.mu.Lock()
 				st.charts[key] = chart
 				st.mu.Unlock()
-				page, err := plot.HTML(chart, cfg.ChartWidth, cfg.ChartHeight)
+				spec, err := writePage(fig.HTMLPath, chart, cfg.ChartWidth, cfg.ChartHeight)
 				if err != nil {
 					return fmt.Errorf("rendering %s: %w", key, err)
-				}
-				if err := os.WriteFile(fig.HTMLPath, page, 0o644); err != nil {
-					return err
-				}
-				spec, err := chart.JSON()
-				if err != nil {
-					return err
 				}
 				return os.WriteFile(fig.SpecPath, spec, 0o644)
 			},
@@ -737,6 +731,24 @@ func insightMarkdown(key string, resp *llm.Response) []byte {
 	return []byte(b.String())
 }
 
+// writePage streams chart's interactive page into path and returns the
+// spec it embeds. A page that fails part-way is removed, not left torn.
+func writePage(path string, chart *plot.Chart, width, height int) ([]byte, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := plot.WriteHTML(f, chart, width, height)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+		return nil, err
+	}
+	return spec, nil
+}
+
 // dashboardIndex renders the consolidated dashboard page linking every
 // artifact (the Plotly-Dash substitute is served by internal/dashboard).
 func dashboardIndex(system string, art *Artifacts) []byte {
@@ -745,7 +757,7 @@ func dashboardIndex(system string, art *Artifacts) []byte {
 	b.WriteString("body{font-family:sans-serif;margin:2em;} iframe{border:1px solid #ccc;width:100%;height:600px;}\n")
 	b.WriteString("h2{margin-top:2em;} .insight{background:#f7f7f7;padding:1em;border-left:4px solid #1f77b4;}\n")
 	b.WriteString("</style></head><body>\n")
-	fmt.Fprintf(&b, "<h1>Scheduling analytics: %s</h1>\n", system)
+	fmt.Fprintf(&b, "<h1>Scheduling analytics: %s</h1>\n", html.EscapeString(system))
 	for _, key := range append(FigureKeys(), ExtendedFigureKeys()...) {
 		fig, ok := art.Figures[key]
 		if !ok {

@@ -1,41 +1,60 @@
 package plot
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 )
 
-// HTML wraps the SVG rendering in a self-contained interactive page:
-// wheel zoom, drag pan, double-click reset — the lightweight stand-in for
-// Plotly's interactive HTML output. The chart spec is embedded as JSON in
-// a <script> block so downstream tooling (the LLM stage, tests) can
-// recover the exact data from the artifact.
+// WriteHTML streams the chart as a self-contained interactive page to
+// w: wheel zoom, drag pan, double-click reset — the lightweight stand-in
+// for Plotly's interactive HTML output. The chart spec is embedded as
+// JSON in a <script> block so downstream tooling (the LLM stage, tests)
+// can recover the exact data from the artifact. Every check runs before
+// the first byte is written, the spec is marshalled once, and WriteHTML
+// returns it — the same bytes Chart.JSON gives — for the caller's .json
+// artifact. The page itself is never whole in memory.
+func WriteHTML(w io.Writer, c *Chart, width, height int) (spec []byte, err error) {
+	if err = checkCanvas(c, width, height); err != nil {
+		return nil, err
+	}
+	if spec, err = json.MarshalIndent(c, "", " "); err != nil {
+		return nil, err
+	}
+	e := emitter{w: w}
+	e.s(pageHead).x(c.Title).s(pageStyle)
+	e.svg(c, width, height)
+	e.s(pageSpecOpen)
+	e.embed(spec)
+	e.s(pageTail)
+	return spec, e.flush()
+}
+
+// HTML returns the page WriteHTML streams.
 func HTML(c *Chart, width, height int) ([]byte, error) {
-	svg, err := SVG(c, width, height)
-	if err != nil {
+	var page bytes.Buffer
+	if _, err := WriteHTML(&page, c, width, height); err != nil {
 		return nil, err
 	}
-	spec, err := c.JSON()
-	if err != nil {
-		return nil, err
-	}
-	var b strings.Builder
-	b.WriteString("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>")
-	b.WriteString(esc(c.Title))
-	b.WriteString(`</title><style>
+	return page.Bytes(), nil
+}
+
+// The fixed text of a page, around its title, SVG and spec.
+const (
+	pageHead  = "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>"
+	pageStyle = `</title><style>
 body { font-family: sans-serif; margin: 1em; }
 #chart { border: 1px solid #ddd; cursor: grab; }
 #hint { color: #777; font-size: 12px; }
 </style></head><body>
-<div id="chart">`)
-	b.Write(svg)
-	b.WriteString(`</div>
+<div id="chart">`
+	pageSpecOpen = `</div>
 <p id="hint">wheel: zoom &middot; drag: pan &middot; double-click: reset &middot; hover points for values</p>
 <script type="application/json" id="chart-spec">
-`)
-	// </script> cannot appear inside the JSON block.
-	b.WriteString(strings.ReplaceAll(string(spec), "</", "<\\/"))
-	b.WriteString(`
+`
+	pageTail = `
 </script>
 <script>
 (function () {
@@ -69,9 +88,8 @@ body { font-family: sans-serif; margin: 1em; }
 })();
 </script>
 </body></html>
-`)
-	return []byte(b.String()), nil
-}
+`
+)
 
 // SpecFromHTML recovers the chart spec embedded in an HTML artifact.
 func SpecFromHTML(page []byte) (*Chart, error) {

@@ -242,16 +242,17 @@ func TestTicks(t *testing.T) {
 	if len(lt) < 4 || lt[0] > 5 || lt[len(lt)-1] < 50000 {
 		t.Errorf("logTicks = %v", lt)
 	}
-	if got := formatTick(1500, false); got != "1.5k" {
-		t.Errorf("formatTick(1500) = %q", got)
+	tick := func(v float64, timeAxis bool) string { return string(appendTick(nil, v, timeAxis)) }
+	if got := tick(1500, false); got != "1.5k" {
+		t.Errorf("appendTick(1500) = %q", got)
 	}
-	if got := formatTick(2e6, false); got != "2M" {
-		t.Errorf("formatTick(2e6) = %q", got)
+	if got := tick(2e6, false); got != "2M" {
+		t.Errorf("appendTick(2e6) = %q", got)
 	}
-	if got := formatTick(0, false); got != "0" {
-		t.Errorf("formatTick(0) = %q", got)
+	if got := tick(0, false); got != "0" {
+		t.Errorf("appendTick(0) = %q", got)
 	}
-	day := formatTick(1710000000, true)
+	day := tick(1710000000, true)
 	if !strings.HasPrefix(day, "2024-") {
 		t.Errorf("time tick = %q", day)
 	}

@@ -1,9 +1,9 @@
 package plot
 
 import (
+	"bytes"
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Geometry of the rendered figure.
@@ -77,45 +77,63 @@ func pad(lo, hi float64, scale Scale) (float64, float64) {
 	return lo - 0.04*span, hi + 0.04*span
 }
 
-// SVG renders the chart to a standalone SVG document.
-func SVG(c *Chart, width, height int) ([]byte, error) {
+// checkCanvas is every error a rendering can return, checked before
+// any byte is written.
+func checkCanvas(c *Chart, width, height int) error {
 	if err := c.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if width < 200 || height < 150 {
-		return nil, fmt.Errorf("plot: canvas %dx%d too small", width, height)
+		return fmt.Errorf("plot: canvas %dx%d too small", width, height)
 	}
+	return nil
+}
+
+// SVG renders the chart to a standalone SVG document.
+func SVG(c *Chart, width, height int) ([]byte, error) {
+	if err := checkCanvas(c, width, height); err != nil {
+		return nil, err
+	}
+	var doc bytes.Buffer
+	e := emitter{w: &doc}
+	e.svg(c, width, height)
+	if err := e.flush(); err != nil {
+		return nil, err
+	}
+	return doc.Bytes(), nil
+}
+
+// svg emits the SVG document of a chart checkCanvas accepted.
+func (e *emitter) svg(c *Chart, width, height int) {
 	w, h := float64(width), float64(height)
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d" font-family="sans-serif">`,
-		width, height, width, height)
-	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="white"/>`, width, height)
-	fmt.Fprintf(&b, `<text x="%g" y="24" font-size="16" text-anchor="middle">%s</text>`,
-		w/2, esc(c.Title))
+	e.s(`<svg xmlns="http://www.w3.org/2000/svg" width="`).d(width).s(`" height="`).d(height).
+		s(`" viewBox="0 0 `).d(width).s(" ").d(height).s(`" font-family="sans-serif">`)
+	e.s(`<rect width="`).d(width).s(`" height="`).d(height).s(`" fill="white"/>`)
+	e.s(`<text x="`).g(w / 2).s(`" y="24" font-size="16" text-anchor="middle">`).x(c.Title).s(`</text>`)
 
 	plotL, plotR := marginLeft, w-marginRight
 	plotT, plotB := marginTop, h-marginBottom
 
 	switch c.Kind {
 	case StackedBar, GroupedBar:
-		renderBars(&b, c, plotL, plotR, plotT, plotB)
+		e.bars(c, plotL, plotR, plotT, plotB)
 	default:
-		renderXY(&b, c, plotL, plotR, plotT, plotB)
+		e.xy(c, plotL, plotR, plotT, plotB)
 	}
-	renderLegend(&b, c, plotR+12, plotT)
+	e.legend(c, plotR+12, plotT)
 
 	// Axis titles.
-	fmt.Fprintf(&b, `<text x="%g" y="%g" font-size="12" text-anchor="middle">%s</text>`,
-		(plotL+plotR)/2, h-12, esc(c.XLabel))
-	fmt.Fprintf(&b, `<text x="16" y="%g" font-size="12" text-anchor="middle" transform="rotate(-90 16 %g)">%s</text>`,
-		(plotT+plotB)/2, (plotT+plotB)/2, esc(c.YLabel))
+	e.s(`<text x="`).g((plotL + plotR) / 2).s(`" y="`).g(h - 12).s(`" font-size="12" text-anchor="middle">`).
+		x(c.XLabel).s(`</text>`)
+	e.s(`<text x="16" y="`).g((plotT + plotB) / 2).s(`" font-size="12" text-anchor="middle" transform="rotate(-90 16 `).
+		g((plotT + plotB) / 2).s(`)">`).x(c.YLabel).s(`</text>`)
 
-	b.WriteString("</svg>")
-	return []byte(b.String()), nil
+	e.s("</svg>")
+	e.mark()
 }
 
-// renderXY draws scatter and line charts with full axes.
-func renderXY(b *strings.Builder, c *Chart, plotL, plotR, plotT, plotB float64) {
+// xy draws scatter and line charts with full axes.
+func (e *emitter) xy(c *Chart, plotL, plotR, plotT, plotB float64) {
 	xlo, xhi := dataRange(c, true)
 	ylo, yhi := dataRange(c, false)
 	xlo, xhi = pad(xlo, xhi, c.XScale)
@@ -129,47 +147,59 @@ func renderXY(b *strings.Builder, c *Chart, plotL, plotR, plotT, plotB float64) 
 	xa := &axis{lo: xlo, hi: xhi, pxLo: plotL, pxHi: plotR, scale: c.XScale}
 	ya := &axis{lo: ylo, hi: yhi, pxLo: plotB, pxHi: plotT, scale: c.YScale}
 
-	drawFrame(b, plotL, plotR, plotT, plotB)
-	drawXTicks(b, c, xa, plotB)
-	drawYTicks(b, c, ya, plotL, plotR)
+	e.frame(plotL, plotR, plotT, plotB)
+	e.xTicks(c, xa, plotB)
+	e.yTicks(c, ya, plotL, plotR)
 
 	tooltips := c.Points() <= tooltipLimit
 	for i := range c.Series {
 		s := &c.Series[i]
 		color := seriesColor(c, i)
 		if c.Kind == Line {
-			var pts []string
+			e.s(`<polyline fill="none" stroke="`).s(color).s(`" stroke-width="1.5" points="`)
 			for j := range s.X {
-				pts = append(pts, fmt.Sprintf("%.1f,%.1f", xa.pos(s.X[j]), ya.pos(s.Y[j])))
+				if j > 0 {
+					e.s(" ")
+				}
+				e.f(xa.pos(s.X[j])).s(",").f(ya.pos(s.Y[j]))
+				e.mark()
 			}
-			fmt.Fprintf(b, `<polyline fill="none" stroke="%s" stroke-width="1.5" points="%s"/>`,
-				color, strings.Join(pts, " "))
+			e.s(`"/>`)
 			continue
 		}
 		for j := range s.X {
 			px, py := xa.pos(s.X[j]), ya.pos(s.Y[j])
-			title := ""
-			if tooltips {
-				title = fmt.Sprintf("<title>%s: (%s, %s)</title>",
-					esc(s.Name), formatTick(s.X[j], c.XTime), formatTick(s.Y[j], false))
-			}
 			switch s.Marker {
 			case Plus:
-				fmt.Fprintf(b, `<g stroke="%s" stroke-width="1.2">%s<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f"/><line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f"/></g>`,
-					color, title, px-3, py, px+3, py, px, py-3, px, py+3)
+				e.s(`<g stroke="`).s(color).s(`" stroke-width="1.2">`)
+				e.tooltip(tooltips, c, s, j)
+				e.s(`<line x1="`).f(px - 3).s(`" y1="`).f(py).s(`" x2="`).f(px + 3).s(`" y2="`).f(py).
+					s(`"/><line x1="`).f(px).s(`" y1="`).f(py - 3).s(`" x2="`).f(px).s(`" y2="`).f(py + 3).s(`"/></g>`)
 			case Square:
-				fmt.Fprintf(b, `<rect x="%.1f" y="%.1f" width="5" height="5" fill="%s" fill-opacity="0.6">%s</rect>`,
-					px-2.5, py-2.5, color, title)
+				e.s(`<rect x="`).f(px - 2.5).s(`" y="`).f(py - 2.5).s(`" width="5" height="5" fill="`).s(color).
+					s(`" fill-opacity="0.6">`)
+				e.tooltip(tooltips, c, s, j)
+				e.s(`</rect>`)
 			default:
-				fmt.Fprintf(b, `<circle cx="%.1f" cy="%.1f" r="2.2" fill="%s" fill-opacity="0.6">%s</circle>`,
-					px, py, color, title)
+				e.s(`<circle cx="`).f(px).s(`" cy="`).f(py).s(`" r="2.2" fill="`).s(color).s(`" fill-opacity="0.6">`)
+				e.tooltip(tooltips, c, s, j)
+				e.s(`</circle>`)
 			}
+			e.mark()
 		}
 	}
 }
 
-// renderBars draws stacked or grouped bar charts over categories.
-func renderBars(b *strings.Builder, c *Chart, plotL, plotR, plotT, plotB float64) {
+// tooltip emits point j's hover title when the chart is small enough to
+// carry them.
+func (e *emitter) tooltip(on bool, c *Chart, s *Series, j int) {
+	if on {
+		e.s("<title>").x(s.Name).s(": (").tick(s.X[j], c.XTime).s(", ").tick(s.Y[j], false).s(")</title>")
+	}
+}
+
+// bars draws stacked or grouped bar charts over categories.
+func (e *emitter) bars(c *Chart, plotL, plotR, plotT, plotB float64) {
 	ncat := len(c.Categories)
 	// Y range: tallest stack (stacked) or tallest bar (grouped).
 	maxY := 0.0
@@ -194,8 +224,8 @@ func renderBars(b *strings.Builder, c *Chart, plotL, plotR, plotT, plotB float64
 	if c.YScale == Log10 {
 		ya.lo = 0.5
 	}
-	drawFrame(b, plotL, plotR, plotT, plotB)
-	drawYTicks(b, c, ya, plotL, plotR)
+	e.frame(plotL, plotR, plotT, plotB)
+	e.yTicks(c, ya, plotL, plotR)
 
 	slot := (plotR - plotL) / float64(ncat)
 	barW := slot * 0.7
@@ -204,8 +234,9 @@ func renderBars(b *strings.Builder, c *Chart, plotL, plotR, plotT, plotB float64
 	for j := 0; j < ncat; j++ {
 		x0 := plotL + float64(j)*slot + slot*0.15
 		if j%labelStride == 0 {
-			fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-size="9" text-anchor="end" transform="rotate(-45 %.1f %.1f)">%s</text>`,
-				x0+barW/2, plotB+12, x0+barW/2, plotB+12, esc(c.Categories[j]))
+			e.s(`<text x="`).f(x0 + barW/2).s(`" y="`).f(plotB + 12).
+				s(`" font-size="9" text-anchor="end" transform="rotate(-45 `).f(x0 + barW/2).s(" ").f(plotB + 12).
+				s(`)">`).x(c.Categories[j]).s(`</text>`)
 		}
 		if c.Kind == StackedBar {
 			base := 0.0
@@ -217,11 +248,10 @@ func renderBars(b *strings.Builder, c *Chart, plotL, plotR, plotT, plotB float64
 				}
 				yTop := ya.pos(base + v)
 				yBot := ya.pos(base)
-				fmt.Fprintf(b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s"><title>%s / %s: %s</title></rect>`,
-					x0, yTop, barW, yBot-yTop, seriesColor(c, i),
-					esc(c.Categories[j]), esc(c.Series[i].Name), trimF(v))
+				e.bar(c, i, j, v, x0, yTop, barW, yBot-yTop)
 				base += v
 			}
+			e.mark()
 			continue
 		}
 		gw := barW / float64(len(c.Series))
@@ -231,19 +261,25 @@ func renderBars(b *strings.Builder, c *Chart, plotL, plotR, plotT, plotB float64
 				continue
 			}
 			yTop := ya.pos(v)
-			fmt.Fprintf(b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s"><title>%s / %s: %s</title></rect>`,
-				x0+float64(i)*gw, yTop, gw*0.9, ya.pos(ya.lo)-yTop, seriesColor(c, i),
-				esc(c.Categories[j]), esc(c.Series[i].Name), trimF(v))
+			e.bar(c, i, j, v, x0+float64(i)*gw, yTop, gw*0.9, ya.pos(ya.lo)-yTop)
 		}
+		e.mark()
 	}
 }
 
-func drawFrame(b *strings.Builder, l, r, t, bot float64) {
-	fmt.Fprintf(b, `<rect x="%g" y="%g" width="%g" height="%g" fill="none" stroke="#888"/>`,
-		l, t, r-l, bot-t)
+// bar emits series i's bar over category j, with its hover title.
+func (e *emitter) bar(c *Chart, i, j int, v, x, y, w, h float64) {
+	e.s(`<rect x="`).f(x).s(`" y="`).f(y).s(`" width="`).f(w).s(`" height="`).f(h).
+		s(`" fill="`).s(seriesColor(c, i)).s(`"><title>`).x(c.Categories[j]).s(" / ").x(c.Series[i].Name).
+		s(": ").trim(v).s("</title></rect>")
 }
 
-func drawXTicks(b *strings.Builder, c *Chart, xa *axis, plotB float64) {
+func (e *emitter) frame(l, r, t, bot float64) {
+	e.s(`<rect x="`).g(l).s(`" y="`).g(t).s(`" width="`).g(r - l).s(`" height="`).g(bot - t).
+		s(`" fill="none" stroke="#888"/>`)
+}
+
+func (e *emitter) xTicks(c *Chart, xa *axis, plotB float64) {
 	var ticks []float64
 	if c.XScale == Log10 {
 		ticks = logTicks(xa.lo, xa.hi)
@@ -255,13 +291,13 @@ func drawXTicks(b *strings.Builder, c *Chart, xa *axis, plotB float64) {
 			continue
 		}
 		px := xa.pos(v)
-		fmt.Fprintf(b, `<line x1="%.1f" y1="%g" x2="%.1f" y2="%g" stroke="#888"/>`, px, plotB, px, plotB+4)
-		fmt.Fprintf(b, `<text x="%.1f" y="%g" font-size="10" text-anchor="middle">%s</text>`,
-			px, plotB+16, formatTick(v, c.XTime))
+		e.s(`<line x1="`).f(px).s(`" y1="`).g(plotB).s(`" x2="`).f(px).s(`" y2="`).g(plotB + 4).s(`" stroke="#888"/>`)
+		e.s(`<text x="`).f(px).s(`" y="`).g(plotB+16).s(`" font-size="10" text-anchor="middle">`).
+			tick(v, c.XTime).s(`</text>`)
 	}
 }
 
-func drawYTicks(b *strings.Builder, c *Chart, ya *axis, plotL, plotR float64) {
+func (e *emitter) yTicks(c *Chart, ya *axis, plotL, plotR float64) {
 	var ticks []float64
 	if c.YScale == Log10 {
 		ticks = logTicks(ya.lo, ya.hi)
@@ -273,22 +309,16 @@ func drawYTicks(b *strings.Builder, c *Chart, ya *axis, plotL, plotR float64) {
 			continue
 		}
 		py := ya.pos(v)
-		fmt.Fprintf(b, `<line x1="%g" y1="%.1f" x2="%g" y2="%.1f" stroke="#eee"/>`, plotL, py, plotR, py)
-		fmt.Fprintf(b, `<text x="%g" y="%.1f" font-size="10" text-anchor="end">%s</text>`,
-			plotL-6, py+3, formatTick(v, false))
+		e.s(`<line x1="`).g(plotL).s(`" y1="`).f(py).s(`" x2="`).g(plotR).s(`" y2="`).f(py).s(`" stroke="#eee"/>`)
+		e.s(`<text x="`).g(plotL-6).s(`" y="`).f(py+3).s(`" font-size="10" text-anchor="end">`).
+			tick(v, false).s(`</text>`)
 	}
 }
 
-func renderLegend(b *strings.Builder, c *Chart, x, y float64) {
+func (e *emitter) legend(c *Chart, x, y float64) {
 	for i := range c.Series {
 		py := y + float64(i)*18
-		fmt.Fprintf(b, `<rect x="%g" y="%g" width="10" height="10" fill="%s"/>`, x, py, seriesColor(c, i))
-		fmt.Fprintf(b, `<text x="%g" y="%g" font-size="11">%s</text>`, x+14, py+9, esc(c.Series[i].Name))
+		e.s(`<rect x="`).g(x).s(`" y="`).g(py).s(`" width="10" height="10" fill="`).s(seriesColor(c, i)).s(`"/>`)
+		e.s(`<text x="`).g(x + 14).s(`" y="`).g(py + 9).s(`" font-size="11">`).x(c.Series[i].Name).s(`</text>`)
 	}
-}
-
-// esc escapes XML-special characters in labels.
-func esc(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
 }

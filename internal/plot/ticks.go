@@ -1,10 +1,6 @@
 package plot
 
-import (
-	"math"
-	"strconv"
-	"time"
-)
+import "math"
 
 // niceTicks returns ~n pleasant tick positions covering [lo, hi].
 func niceTicks(lo, hi float64, n int) []float64 {
@@ -39,37 +35,4 @@ func logTicks(lo, hi float64) []float64 {
 		out = append(out, math.Pow(10, e))
 	}
 	return out
-}
-
-// formatTick renders an axis label compactly.
-func formatTick(v float64, timeAxis bool) string {
-	if timeAxis {
-		return time.Unix(int64(v), 0).UTC().Format("2006-01-02")
-	}
-	av := math.Abs(v)
-	switch {
-	case v == 0:
-		return "0"
-	case av >= 1e9:
-		return trimF(v/1e9) + "G"
-	case av >= 1e6:
-		return trimF(v/1e6) + "M"
-	case av >= 1e3:
-		return trimF(v/1e3) + "k"
-	case av < 0.01:
-		return strconv.FormatFloat(v, 'e', 1, 64)
-	default:
-		return trimF(v)
-	}
-}
-
-func trimF(v float64) string {
-	s := strconv.FormatFloat(v, 'f', 2, 64)
-	for len(s) > 0 && s[len(s)-1] == '0' {
-		s = s[:len(s)-1]
-	}
-	if len(s) > 0 && s[len(s)-1] == '.' {
-		s = s[:len(s)-1]
-	}
-	return s
 }

@@ -32,20 +32,5 @@ func (in *Interner) Intern(b []byte) string {
 	return s
 }
 
-// InternString deduplicates an already-materialised string, so decoded
-// values that arrive as strings share storage with byte-path values.
-func (in *Interner) InternString(s string) string {
-	if s == "" {
-		return ""
-	}
-	if v, ok := in.m[s]; ok {
-		return v
-	}
-	if len(in.m) < internCap {
-		in.m[s] = s
-	}
-	return s
-}
-
 // Len returns the number of cached distinct values.
 func (in *Interner) Len() int { return len(in.m) }
