@@ -297,21 +297,3 @@ func ensureWeights(sp *tournament.Spec) {
 		sp.Weights = &tournament.Weights{}
 	}
 }
-
-// StripElapsed zeroes the wall-clock fields in every scorecard of the
-// result, for deterministic serialisation in tests and CI.
-func (r *EvolveResult) StripElapsed() {
-	strip := func(sc *tournament.Scorecard) {
-		if sc == nil {
-			return
-		}
-		sc.ElapsedMS = 0
-		for i := range sc.Policies {
-			sc.Policies[i].ElapsedMS = 0
-		}
-	}
-	for i := range r.Rounds {
-		strip(r.Rounds[i].Scorecard)
-	}
-	strip(r.Final)
-}

@@ -124,7 +124,7 @@ func TestEvolveEndToEnd(t *testing.T) {
 		t.Fatal("missing final re-score")
 	}
 	// The audit trajectory serialises cleanly once elapsed is stripped.
-	res.StripElapsed()
+	stripElapsed(res)
 	if _, err := json.Marshal(res); err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestEvolveMemoisedMatchesFreshFields(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.StripElapsed()
+		stripElapsed(res)
 		b, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -477,4 +477,22 @@ func TestEvolveSimulatesOnlyWhatChanged(t *testing.T) {
 			}
 		})
 	}
+}
+
+// stripElapsed zeroes the wall-clock fields in every scorecard of the
+// result, for deterministic serialisation.
+func stripElapsed(r *EvolveResult) {
+	strip := func(sc *tournament.Scorecard) {
+		if sc == nil {
+			return
+		}
+		sc.ElapsedMS = 0
+		for i := range sc.Policies {
+			sc.Policies[i].ElapsedMS = 0
+		}
+	}
+	for i := range r.Rounds {
+		strip(r.Rounds[i].Scorecard)
+	}
+	strip(r.Final)
 }

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"slurmsight/internal/analyze"
@@ -213,31 +212,23 @@ type Artifacts struct {
 	ReportPath    string // markdown analysis report
 }
 
-// runState is the shared in-memory side of the dataflow run. The curate
-// stage no longer materialises records: each period task folds its
-// stream into an analyze.Bundle (figure state only), and combine merges
-// the per-period bundles in period order — which, because the streaming
-// store emits records in (submit, job-id) order, reproduces the figure
-// data of the old global-sort-then-rescan path exactly.
-type runState struct {
-	mu        sync.Mutex
-	perPeriod []*analyze.Bundle // one slot per period, filled by curate tasks
-	perReport []curate.Report
+// analysis is the figure state and curation report of some records: one
+// period's, handed from curate-<p> to combine, or the whole run's, with
+// its summaries, handed from combine to every task downstream. combine
+// merges the period bundles in period order, which — because the
+// streaming store emits records in (submit, job-id) order — reproduces
+// the figure data of one bundle fed every record.
+type analysis struct {
+	bundle    *analyze.Bundle
 	report    curate.Report
-	charts    map[string]*plot.Chart
-	bundle    *analyze.Bundle // merged fan-out state, set by combine
-
-	sumOnce   sync.Once
 	summaries Summaries
 }
 
-// summariesOnce computes the figure summaries exactly once; tasks and the
-// post-run assembly share the result.
-func (st *runState) summariesOnce(capacityNodes int) Summaries {
-	st.sumOnce.Do(func() {
-		st.summaries = summarize(st, capacityNodes)
-	})
-	return st.summaries
+// adopt fills the artifact fields an analysis determines.
+func (a *Artifacts) adopt(an analysis) {
+	a.Curation = an.report
+	a.Records, a.Jobs = int(an.bundle.Records), int(an.bundle.Jobs)
+	a.Summaries = an.summaries
 }
 
 // annotate tags the current task's span (put on the context by the
@@ -282,11 +273,15 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 		return nil, err
 	}
 
-	st := &runState{
-		charts:    map[string]*plot.Chart{},
-		perPeriod: make([]*analyze.Bundle, len(periods)),
-		perReport: make([]curate.Report, len(periods)),
-	}
+	// Every in-memory hand-off between tasks is a dataflow value, named in
+	// the writer's Writes and the readers' Reads like a file. A run that
+	// skips combine (a curate task failed under ContinueOnError) reports
+	// the analysis of an empty bundle.
+	fetched := dataflow.NewValue[[]sacct.FetchedFile]("fetched")
+	analyzed := dataflow.NewValue[analysis]("analysis")
+	empty := analyze.NewBundle(TimelineBucket)
+	analyzed.Set(ctx, analysis{bundle: empty, summaries: summarize(empty, cfg.SystemNodes)})
+
 	// One shared budget of borrowable decode slots for every concurrent
 	// period task: each task keeps a guaranteed decoder and borrows up
 	// to IngestWorkers-1 more, so Workers × IngestWorkers in-flight
@@ -298,47 +293,46 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 	fetcher := &sacct.Fetcher{Store: cfg.Store, CacheDir: cfg.CacheDir, Workers: cfg.Workers}
 
 	g := dataflow.NewGraph()
-	add := func(t dataflow.Task) error { return g.Add(t) }
 
 	// --- Static data-analysis subworkflow (the blue stages) ---
 
 	periodPath := func(p string) string { return filepath.Join(cfg.CacheDir, sacct.PeriodFileName(p)) }
-	var periodPaths []string
+	obtainWrites := []string{fetched.Name()}
 	for _, p := range periods {
-		periodPaths = append(periodPaths, periodPath(p))
+		obtainWrites = append(obtainWrites, periodPath(p))
 	}
-	if err := add(dataflow.Task{
+	if err := g.Add(dataflow.Task{
 		Name:   "obtain-data",
-		Writes: periodPaths,
+		Writes: obtainWrites,
 		Run: func(ctx context.Context) error {
 			files, err := fetcher.Fetch(ctx, spec)
 			if err != nil {
 				return err
 			}
 			annotate(ctx, "obtain", "periods", fmt.Sprint(len(files)))
-			st.mu.Lock()
-			art.Fetched = files
-			st.mu.Unlock()
+			fetched.Set(ctx, files)
 			return nil
 		},
 	}); err != nil {
 		return nil, err
 	}
 
-	recordsReady := filepath.Join(cfg.OutputDir, "records.ready")
 	var csvPaths []string
+	perPeriod := make([]*dataflow.Value[analysis], len(periods))
+	combineReads := make([]string, len(periods))
 	for i, p := range periods {
-		i, p := i, p
 		csv := filepath.Join(cfg.OutputDir, "slurm-"+p+".csv")
 		csvPaths = append(csvPaths, csv)
-		if err := add(dataflow.Task{
+		out := dataflow.NewValue[analysis]("curated-" + p)
+		perPeriod[i], combineReads[i] = out, out.Name()
+		if err := g.Add(dataflow.Task{
 			Name:   "curate-" + p,
 			Reads:  []string{periodPath(p)},
-			Writes: []string{csv},
+			Writes: []string{csv, out.Name()},
 			Run: func(ctx context.Context) error {
 				// Single pass: one read of the period file feeds the CSV
 				// sidecar and the figure collectors. The bundle and report
-				// stay attempt-local and commit only on success, so a
+				// stay attempt-local and are Set only on success, so a
 				// retried attempt never half-counts a period.
 				b := analyze.NewBundle(TimelineBucket)
 				b.Instrument(cfg.Metrics)
@@ -371,10 +365,7 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 					"rows_malformed", fmt.Sprint(rep.Malformed),
 					"ingest_chunks", fmt.Sprint(chunks),
 					"ingest_workers", fmt.Sprint(cfg.IngestWorkers))
-				st.mu.Lock()
-				st.perPeriod[i] = b
-				st.perReport[i] = rep
-				st.mu.Unlock()
+				out.Set(ctx, analysis{bundle: b, report: rep})
 				return nil
 			},
 		}); err != nil {
@@ -382,35 +373,32 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 		}
 	}
 
-	if err := add(dataflow.Task{
+	// combine runs only once every period is curated (a failed curate
+	// task skips it), so every value it reads is set.
+	if err := g.Add(dataflow.Task{
 		Name:   "combine",
-		Reads:  csvPaths,
-		Writes: []string{recordsReady},
+		Reads:  combineReads,
+		Writes: []string{analyzed.Name()},
 		Run: func(ctx context.Context) error {
 			annotate(ctx, "analyze", "periods", fmt.Sprint(len(periods)))
-			st.mu.Lock()
-			var rep curate.Report
-			var bundles []*analyze.Bundle
-			for i, b := range st.perPeriod {
-				if b == nil {
-					continue // period failed under ContinueOnError
-				}
-				bundles = append(bundles, b)
-				rep.Add(st.perReport[i])
+			var an analysis
+			bundles := make([]*analyze.Bundle, len(perPeriod))
+			for i, v := range perPeriod {
+				period := v.Get(ctx)
+				bundles[i] = period.bundle
+				an.report.Add(period.report)
 			}
 			// One presized copy in period order into a fresh bundle: the
 			// inputs stay unmutated, so a retried attempt is safe.
 			start := time.Now()
-			merged := analyze.TreeMerge(TimelineBucket, bundles, 1)
+			an.bundle = analyze.TreeMerge(TimelineBucket, bundles, 1)
 			cfg.Metrics.Histogram("analyze_merge_seconds", obs.LatencyBuckets).ObserveSince(start)
-			merged.Instrument(cfg.Metrics)
-			// Warm the timeline cache while combine holds the barrier:
-			// downstream plot tasks run concurrently and may only read.
-			merged.Timeline.Result()
-			st.bundle = merged
-			st.report = rep
-			st.mu.Unlock()
-			return os.WriteFile(recordsReady, []byte("ok\n"), 0o644)
+			an.bundle.Instrument(cfg.Metrics)
+			// Summarising also warms the timeline cache before the plot
+			// tasks, which run concurrently and may only read the bundle.
+			an.summaries = summarize(an.bundle, cfg.SystemNodes)
+			analyzed.Set(ctx, an)
+			return nil
 		},
 	}); err != nil {
 		return nil, err
@@ -421,8 +409,8 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 		figureKeys = append(figureKeys, ExtendedFigureKeys()...)
 	}
 	var htmlPaths []string
+	charts := map[string]*dataflow.Value[*plot.Chart]{}
 	for _, key := range figureKeys {
-		key := key
 		fig := &FigureResult{
 			Key:      key,
 			HTMLPath: filepath.Join(cfg.OutputDir, key+".html"),
@@ -430,21 +418,19 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 		}
 		art.Figures[key] = fig
 		htmlPaths = append(htmlPaths, fig.HTMLPath)
-		if err := add(dataflow.Task{
+		chartOut := dataflow.NewValue[*plot.Chart]("chart-" + key)
+		charts[key] = chartOut
+		if err := g.Add(dataflow.Task{
 			Name:   "plot-" + key,
-			Reads:  []string{recordsReady},
-			Writes: []string{fig.HTMLPath, fig.SpecPath},
+			Reads:  []string{analyzed.Name()},
+			Writes: []string{fig.HTMLPath, fig.SpecPath, chartOut.Name()},
 			Run: func(ctx context.Context) error {
 				annotate(ctx, "render", "figure", key)
-				// The combine task is this task's dataflow barrier, after
-				// which the bundle is read-only.
-				chart, err := ChartFromBundle(key, cfg.SystemName, st.bundle, cfg.TopUsers, cfg.SystemNodes)
+				chart, err := ChartFromBundle(key, cfg.SystemName, analyzed.Get(ctx).bundle, cfg.TopUsers, cfg.SystemNodes)
 				if err != nil {
 					return err
 				}
-				st.mu.Lock()
-				st.charts[key] = chart
-				st.mu.Unlock()
+				chartOut.Set(ctx, chart)
 				spec, err := writePage(fig.HTMLPath, chart, cfg.ChartWidth, cfg.ChartHeight)
 				if err != nil {
 					return fmt.Errorf("rendering %s: %w", key, err)
@@ -457,7 +443,7 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 	}
 
 	dashPath := filepath.Join(cfg.OutputDir, "dashboard.html")
-	if err := add(dataflow.Task{
+	if err := g.Add(dataflow.Task{
 		Name:   "dashboard",
 		Reads:  htmlPaths,
 		Writes: []string{dashPath},
@@ -473,14 +459,13 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 
 	if cfg.EnableAI {
 		for _, key := range figureKeys {
-			key := key
 			if key == FigVolume {
 				continue // the volume bars carry little for the analyst
 			}
 			fig := art.Figures[key]
 			fig.PNGPath = filepath.Join(cfg.OutputDir, key+".png")
 			fig.InsightPath = filepath.Join(cfg.OutputDir, key+".insight.md")
-			if err := add(dataflow.Task{
+			if err := g.Add(dataflow.Task{
 				Name:   "html2png-" + key,
 				Reads:  []string{fig.HTMLPath},
 				Writes: []string{fig.PNGPath},
@@ -491,26 +476,26 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 			}); err != nil {
 				return nil, err
 			}
-			if err := add(dataflow.Task{
+			if err := g.Add(dataflow.Task{
 				Name:   "llm-insight-" + key,
-				Reads:  []string{fig.PNGPath, fig.SpecPath},
+				Reads:  []string{fig.PNGPath, fig.SpecPath, charts[key].Name()},
 				Writes: []string{fig.InsightPath},
 				Run: func(ctx context.Context) error {
 					annotate(ctx, "llm", "figure", key)
-					return runInsight(ctx, cfg, st, key, fig)
+					return runInsight(ctx, cfg, charts[key].Get(ctx), fig)
 				},
 			}); err != nil {
 				return nil, err
 			}
 		}
 		art.ComparePath = filepath.Join(cfg.OutputDir, "wait-times-compare.md")
-		if err := add(dataflow.Task{
+		if err := g.Add(dataflow.Task{
 			Name:   "llm-compare-waits",
-			Reads:  []string{recordsReady},
+			Reads:  []string{analyzed.Name()},
 			Writes: []string{art.ComparePath},
 			Run: func(ctx context.Context) error {
 				annotate(ctx, "llm")
-				return runCompare(ctx, cfg, st, art.ComparePath)
+				return runCompare(ctx, cfg, analyzed.Get(ctx).bundle.Waits.Result(), art.ComparePath)
 			},
 		}); err != nil {
 			return nil, err
@@ -520,15 +505,13 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 	// Post-figure artifacts: the grounded fact sheet for the agent and
 	// the markdown report (which inlines insights when the AI stage ran).
 	art.FactsPath = filepath.Join(cfg.OutputDir, "facts.json")
-	if err := add(dataflow.Task{
+	if err := g.Add(dataflow.Task{
 		Name:   "export-facts",
-		Reads:  []string{recordsReady},
+		Reads:  []string{analyzed.Name()},
 		Writes: []string{art.FactsPath},
 		Run: func(ctx context.Context) error {
 			annotate(ctx, "emit")
-			// report owns art while the two run side by side: the facts
-			// come from the shared summaries, not from art.
-			s := st.summariesOnce(cfg.SystemNodes)
+			s := analyzed.Get(ctx).summaries
 			data, err := json.MarshalIndent(s.facts(cfg.SystemName), "", " ")
 			if err != nil {
 				return err
@@ -539,25 +522,22 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 		return nil, err
 	}
 	art.ReportPath = filepath.Join(cfg.OutputDir, "report.md")
-	reportReads := []string{recordsReady}
+	reportReads := []string{analyzed.Name()}
 	for _, key := range figureKeys {
 		if fig := art.Figures[key]; fig.InsightPath != "" {
 			reportReads = append(reportReads, fig.InsightPath)
 		}
 	}
-	if err := add(dataflow.Task{
+	if err := g.Add(dataflow.Task{
 		Name:   "report",
 		Reads:  reportReads,
 		Writes: []string{art.ReportPath},
 		Run: func(ctx context.Context) error {
 			annotate(ctx, "emit")
-			st.summariesOnce(cfg.SystemNodes)
-			st.mu.Lock()
-			art.Summaries = st.summaries
-			art.Records, art.Jobs = st.counts()
-			art.Curation = st.report
-			st.mu.Unlock()
-			return WriteReport(art, cfg.SystemName, art.ReportPath)
+			// A copy: art's own analysis fields are filled after the run.
+			view := *art
+			view.adopt(analyzed.Get(ctx))
+			return WriteReport(&view, cfg.SystemName, art.ReportPath)
 		},
 	}); err != nil {
 		return nil, err
@@ -565,7 +545,7 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 
 	// The Figure 2 artifact: the engine's own view of this run.
 	art.DOTPath = filepath.Join(cfg.OutputDir, "workflow.dot")
-	if err := add(dataflow.Task{
+	if err := g.Add(dataflow.Task{
 		Name:   "export-dataflow",
 		Writes: []string{art.DOTPath},
 		Run: func(ctx context.Context) error {
@@ -582,7 +562,6 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 			Attempts:        cfg.TaskAttempts,
 			Timeout:         cfg.TaskTimeout,
 			Backoff:         cfg.TaskBackoff,
-			Jitter:          0.2,
 			ContinueOnError: cfg.ContinueOnError,
 		},
 		Tracer:  cfg.Tracer,
@@ -597,12 +576,11 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 	// On a ContinueOnError partial failure the run still assembles every
 	// artifact the surviving branches produced, and the caller gets the
 	// full failure list alongside them.
+	art.adopt(analyzed.Get(ctx))
+	art.Fetched = fetched.Get(ctx)
 	art.Trace = trace
 	art.CSVPaths = csvPaths
 	art.DashboardPath = dashPath
-	art.Curation = st.report
-	art.Records, art.Jobs = st.counts()
-	art.Summaries = st.summariesOnce(cfg.SystemNodes)
 	art.StatusDOTPath = filepath.Join(cfg.OutputDir, "workflow-status.dot")
 	if werr := os.WriteFile(art.StatusDOTPath, []byte(g.DOTTrace(trace)), 0o644); werr != nil && err == nil {
 		err = werr
@@ -618,22 +596,7 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 	return art, err
 }
 
-// counts returns the observed record/job totals; the caller holds st.mu
-// or runs after the dataflow has finished.
-func (st *runState) counts() (records, jobs int) {
-	if st.bundle == nil {
-		return 0, 0
-	}
-	return int(st.bundle.Records), int(st.bundle.Jobs)
-}
-
-func summarize(st *runState, capacityNodes int) Summaries {
-	b := st.bundle
-	if b == nil {
-		// combine never ran (ContinueOnError with a failed ingest path);
-		// summarise the empty bundle so artifact assembly still works.
-		b = analyze.NewBundle(TimelineBucket)
-	}
+func summarize(b *analyze.Bundle, capacityNodes int) Summaries {
 	vols := b.Volume.Result()
 	return Summaries{
 		Volume:       vols,
@@ -649,35 +612,26 @@ func summarize(st *runState, capacityNodes int) Summaries {
 }
 
 // runInsight executes one LLM-Insight stage: PNG + spec → analyst prose.
-func runInsight(ctx context.Context, cfg Config, st *runState, key string, fig *FigureResult) error {
+func runInsight(ctx context.Context, cfg Config, chart *plot.Chart, fig *FigureResult) error {
 	png, err := os.ReadFile(fig.PNGPath)
 	if err != nil {
 		return err
 	}
-	st.mu.Lock()
-	chart := st.charts[key]
-	st.mu.Unlock()
-	img, err := llm.EncodeImage(key, png, chart)
+	img, err := llm.EncodeImage(fig.Key, png, chart)
 	if err != nil {
 		return err
 	}
 	resp, err := cfg.LLM.Analyze(ctx, llm.InsightPrompt, img)
 	if err != nil {
-		return fmt.Errorf("llm insight for %s: %w", key, err)
+		return fmt.Errorf("llm insight for %s: %w", fig.Key, err)
 	}
-	return os.WriteFile(fig.InsightPath, insightMarkdown(key, resp), 0o644)
+	return os.WriteFile(fig.InsightPath, insightMarkdown(fig.Key, resp), 0o644)
 }
 
 // runCompare reproduces the paper's month-over-month wait comparison: the
 // window is split in half, a wait chart is built for each, and the pair
 // goes to the LLM with the compare prompt.
-func runCompare(ctx context.Context, cfg Config, st *runState, outPath string) error {
-	st.mu.Lock()
-	var points []analyze.WaitPoint
-	if st.bundle != nil {
-		points = st.bundle.Waits.Result()
-	}
-	st.mu.Unlock()
+func runCompare(ctx context.Context, cfg Config, points []analyze.WaitPoint, outPath string) error {
 	if len(points) < 4 {
 		return fmt.Errorf("llm compare: too few jobs (%d)", len(points))
 	}

@@ -1,9 +1,10 @@
 // Package dataflow is the workflow-composition engine standing in for
 // Swift/T. Tasks are written as an apparently linear list, each declaring
-// the files it reads and writes; the engine infers the dependency DAG from
-// those file references, executes independent tasks concurrently on N
-// workers (the paper's "parallel pipelines" model), and exports the graph
-// as DOT — which is how this reproduction regenerates Figure 2.
+// the files and in-memory Values it reads and writes; the engine infers
+// the dependency DAG from those names, executes independent tasks
+// concurrently on N workers (the paper's "parallel pipelines" model), and
+// exports the graph as DOT — which is how this reproduction regenerates
+// Figure 2.
 package dataflow
 
 import (
@@ -28,21 +29,19 @@ func fmtSpanDur(d time.Duration) string {
 	}
 }
 
-// Task is one workflow stage with declared data dependencies.
+// Task is one workflow stage with declared data dependencies: the file
+// paths and Value names it reads and writes.
 type Task struct {
 	Name   string
 	Reads  []string
 	Writes []string
 	Run    func(ctx context.Context) error
-	// Policy overrides the executor's DefaultPolicy for this task; nil
-	// inherits the default.
-	Policy *Policy
 }
 
 // Graph is a set of tasks with inferred dependencies.
 type Graph struct {
 	tasks   []*Task
-	writers map[string]int // file → producing task index
+	writers map[string]int // file or value name → producing task index
 	names   map[string]int // task name → index (duplicate detection)
 }
 
@@ -51,8 +50,8 @@ func NewGraph() *Graph {
 	return &Graph{writers: map[string]int{}, names: map[string]int{}}
 }
 
-// Add appends a task. Every file may have at most one writer; a task must
-// have a name and a body.
+// Add appends a task. Every file or value may have at most one writer; a
+// task must have a name and a body.
 func (g *Graph) Add(t Task) error {
 	if t.Name == "" {
 		return errors.New("dataflow: task needs a name")
@@ -65,7 +64,7 @@ func (g *Graph) Add(t Task) error {
 	}
 	for _, w := range t.Writes {
 		if prev, ok := g.writers[w]; ok {
-			return fmt.Errorf("dataflow: file %q written by both %q and %q",
+			return fmt.Errorf("dataflow: %q written by both %q and %q",
 				w, g.tasks[prev].Name, t.Name)
 		}
 	}
@@ -184,12 +183,7 @@ func (g *Graph) DOT() string {
 	for _, t := range g.tasks {
 		fmt.Fprintf(&b, "  %q;\n", t.Name)
 	}
-	deps := g.deps()
-	for i, ds := range deps {
-		for _, u := range ds {
-			fmt.Fprintf(&b, "  %q -> %q;\n", g.tasks[u].Name, g.tasks[i].Name)
-		}
-	}
+	g.writeEdges(&b)
 	if levels, err := g.levels(); err == nil {
 		for _, row := range levels {
 			if len(row) < 2 {
@@ -237,12 +231,16 @@ func (g *Graph) DOTTrace(tr *Trace) string {
 				t.Name, t.Name, fmtSpanDur(tt.End.Sub(tt.Start)))
 		}
 	}
-	deps := g.deps()
-	for i, ds := range deps {
-		for _, u := range ds {
-			fmt.Fprintf(&b, "  %q -> %q;\n", g.tasks[u].Name, g.tasks[i].Name)
-		}
-	}
+	g.writeEdges(&b)
 	b.WriteString("}\n")
 	return b.String()
+}
+
+// writeEdges draws one DOT edge per inferred dependency.
+func (g *Graph) writeEdges(b *strings.Builder) {
+	for i, ds := range g.deps() {
+		for _, u := range ds {
+			fmt.Fprintf(b, "  %q -> %q;\n", g.tasks[u].Name, g.tasks[i].Name)
+		}
+	}
 }

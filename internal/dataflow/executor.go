@@ -12,17 +12,18 @@ import (
 	"slurmsight/internal/obs"
 )
 
+// backoffJitter stretches each retry delay by up to this fraction, drawn
+// from an RNG seeded with 1 per run, so every run draws the same schedule.
+const backoffJitter = 0.2
+
 // Executor runs a graph with bounded physical concurrency — the N in the
-// paper's "swift-t -n N workflow.swift" invocation — applying a retry
+// paper's "swift-t -n N workflow.swift" invocation — applying one retry
 // policy around every task body.
 type Executor struct {
 	Workers int
-	// DefaultPolicy applies to tasks that carry no Policy of their own.
-	// The zero value is the classic fail-fast single attempt.
+	// DefaultPolicy applies to every task. The zero value is the classic
+	// fail-fast single attempt.
 	DefaultPolicy Policy
-	// Seed makes backoff jitter reproducible; 0 picks a fixed seed, so
-	// two runs of the same graph draw the same jitter schedule.
-	Seed int64
 	// Tracer, when non-nil, records a root span for the run plus one
 	// span per executed task and per attempt; task bodies can annotate
 	// their task's span via obs.SpanFromContext on the context they
@@ -44,11 +45,11 @@ type execMetrics struct {
 	taskSeconds *obs.Histogram
 }
 
-// Run executes every task respecting dependencies, retrying each per its
+// Run executes every task respecting dependencies, retrying each per the
 // policy. Under the zero policy the first terminal task error cancels
 // the remaining work and is returned (wrapped); tasks already running
-// are allowed to finish. Tasks whose policy sets ContinueOnError only
-// take down their own downstream subgraph — independent branches keep
+// are allowed to finish. Under ContinueOnError a failed task only takes
+// down its own downstream subgraph — independent branches keep
 // running, and the combined *RunError reports every failure. The trace
 // accounts for every task in the graph exactly once: executed tasks
 // carry their attempts, tasks that never ran are marked Skipped.
@@ -89,11 +90,6 @@ func (e *Executor) Run(ctx context.Context, g *Graph) (*Trace, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	seed := e.Seed
-	if seed == 0 {
-		seed = 1
-	}
-
 	var (
 		mu       sync.Mutex
 		trace    = &Trace{Tasks: make([]TaskTrace, 0, n)}
@@ -102,7 +98,7 @@ func (e *Executor) Run(ctx context.Context, g *Graph) (*Trace, error) {
 		settled  = make([]bool, n) // ran to completion, failed, or skipped
 		nSettled int
 		taskErrs = make([]error, n) // terminal error per task index
-		rng      = rand.New(rand.NewSource(seed))
+		rng      = rand.New(rand.NewSource(1))
 	)
 	ready := make(chan int, n)
 	for i := 0; i < n; i++ {
@@ -111,16 +107,16 @@ func (e *Executor) Run(ctx context.Context, g *Graph) (*Trace, error) {
 		}
 	}
 
-	// jitterLocked perturbs a backoff delay by up to pol.Jitter of
-	// itself; the caller holds mu (rand.Rand is not goroutine-safe).
-	jitter := func(d time.Duration, frac float64) time.Duration {
-		if frac <= 0 || d <= 0 {
+	// jitter perturbs a backoff delay by up to backoffJitter of itself
+	// (rand.Rand is not goroutine-safe, hence mu).
+	jitter := func(d time.Duration) time.Duration {
+		if d <= 0 {
 			return d
 		}
 		mu.Lock()
 		u := rng.Float64()
 		mu.Unlock()
-		return d + time.Duration(frac*u*float64(d))
+		return d + time.Duration(backoffJitter*u*float64(d))
 	}
 
 	// skipDownstream marks every transitive dependent of task i as
@@ -148,16 +144,6 @@ func (e *Executor) Run(ctx context.Context, g *Graph) (*Trace, error) {
 		}
 	}
 
-	finishIfDone := func(doneCh chan struct{}) {
-		if nSettled == n || firstErr != nil {
-			select {
-			case <-doneCh:
-			default:
-				close(doneCh)
-			}
-		}
-	}
-
 	// A fixed worker pool drains ready until every task settled, one
 	// failed fail-fast, or the caller cancelled.
 	var workerWG sync.WaitGroup
@@ -174,12 +160,6 @@ func (e *Executor) Run(ctx context.Context, g *Graph) (*Trace, error) {
 					return
 				case i := <-ready:
 					t := g.tasks[i]
-					pol := e.DefaultPolicy
-					if t.Policy != nil {
-						pol = *t.Policy
-					}
-					pol = pol.normalized()
-
 					mu.Lock()
 					running++
 					if running > trace.MaxConcurrency {
@@ -196,7 +176,7 @@ func (e *Executor) Run(ctx context.Context, g *Graph) (*Trace, error) {
 
 					em.running.Add(1)
 					tt := TaskTrace{Name: t.Name, Start: time.Now(), Workers: startedWith}
-					err := runAttempts(taskCtx, t, pol, &tt, jitter, sp, em)
+					err := runAttempts(taskCtx, t, e.DefaultPolicy, &tt, jitter, sp, em)
 					tt.End = time.Now()
 					tt.Err = err
 					em.running.Add(-1)
@@ -222,7 +202,7 @@ func (e *Executor) Run(ctx context.Context, g *Graph) (*Trace, error) {
 								ready <- d
 							}
 						}
-					case pol.ContinueOnError && runCtx.Err() == nil:
+					case e.DefaultPolicy.ContinueOnError && runCtx.Err() == nil:
 						taskErrs[i] = fmt.Errorf("dataflow: task %q: %w", t.Name, err)
 						skipDownstream(i)
 					default:
@@ -231,7 +211,11 @@ func (e *Executor) Run(ctx context.Context, g *Graph) (*Trace, error) {
 							cancel()
 						}
 					}
-					finishIfDone(doneCh)
+					// The last task settled. A fail-fast abort stops the
+					// workers through runCtx instead.
+					if nSettled == n {
+						close(doneCh)
+					}
 					mu.Unlock()
 				}
 			}
@@ -293,21 +277,21 @@ func (e *Executor) Run(ctx context.Context, g *Graph) (*Trace, error) {
 	return trace, nil
 }
 
-// runAttempts drives one task through its policy: per-attempt timeout,
+// runAttempts drives one task through the policy: per-attempt timeout,
 // exponential backoff with jitter between attempts, and a backoff sleep
 // that aborts the moment the run context is cancelled. sp is the task's
 // span (nil when tracing is off); em carries the run's instruments.
 func runAttempts(runCtx context.Context, t *Task, pol Policy,
-	tt *TaskTrace, jitter func(time.Duration, float64) time.Duration,
+	tt *TaskTrace, jitter func(time.Duration) time.Duration,
 	sp *obs.Span, em *execMetrics) error {
 	backoff := pol.Backoff
 	var err error
-	for attempt := 0; attempt < pol.Attempts; attempt++ {
-		if attempt > 0 {
-			delay := jitter(backoff, pol.Jitter)
+	for try := 0; try < max(pol.Attempts, 1); try++ {
+		if try > 0 {
+			delay := jitter(backoff)
 			em.retries.Add(1)
 			if sp != nil {
-				sp.Event(fmt.Sprintf("retry %d after %s: %v", attempt, delay.Round(time.Millisecond), err))
+				sp.Event(fmt.Sprintf("retry %d after %s: %v", try, delay.Round(time.Millisecond), err))
 			}
 			if serr := sleepCtx(runCtx, delay); serr != nil {
 				return err // keep the attempt error; the run is aborting
@@ -322,10 +306,14 @@ func runAttempts(runCtx context.Context, t *Task, pol Policy,
 		em.attempts.Add(1)
 		var asp *obs.Span
 		if sp != nil {
-			asp = sp.Child("attempt " + strconv.Itoa(attempt+1))
+			asp = sp.Child("attempt " + strconv.Itoa(try+1))
 		}
 		at := Attempt{Start: time.Now()}
-		err = t.Run(attemptCtx)
+		current := &attempt{task: t}
+		err = t.Run(context.WithValue(attemptCtx, attemptKey{}, current))
+		if undeclared := current.undeclared.Load(); undeclared != nil {
+			err = *undeclared // fails the attempt even if the body returned nil
+		}
 		cancelAttempt()
 		at.End = time.Now()
 		at.Err = err

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Policy controls how the executor runs one task: how many times it is
+// Policy controls how the executor runs every task: how many times it is
 // attempted, how long each attempt may take, how retries are spaced, and
 // whether a terminal failure aborts the run or only the task's own
 // downstream subgraph. The zero value is the classic fail-fast,
@@ -19,31 +19,13 @@ type Policy struct {
 	// Timeout bounds each attempt; 0 means no per-attempt deadline. The
 	// task body must honour its context for the deadline to take effect.
 	Timeout time.Duration
-	// Backoff is the delay before the first retry, doubled per retry;
-	// 0 retries immediately.
+	// Backoff is the delay before the first retry, doubled per retry and
+	// stretched by up to a fifth by seeded jitter; 0 retries immediately.
 	Backoff time.Duration
-	// Jitter randomises each backoff delay by up to this fraction of the
-	// delay (0 disables, 1 allows up to a full extra delay). Jitter is
-	// drawn from the executor's seeded RNG, so runs are reproducible.
-	Jitter float64
-	// ContinueOnError keeps independent branches running after this task
+	// ContinueOnError keeps independent branches running after a task
 	// fails terminally: only the task's transitive dependents are
 	// skipped, and Run reports every failure, not just the first.
 	ContinueOnError bool
-}
-
-// normalized clamps the policy to executable values.
-func (p Policy) normalized() Policy {
-	if p.Attempts <= 0 {
-		p.Attempts = 1
-	}
-	if p.Backoff < 0 {
-		p.Backoff = 0
-	}
-	if p.Jitter < 0 {
-		p.Jitter = 0
-	}
-	return p
 }
 
 // ErrSkipped marks trace entries for tasks that never ran — their

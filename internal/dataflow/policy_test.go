@@ -15,11 +15,6 @@ func TestRetryUntilSuccess(t *testing.T) {
 	var calls atomic.Int32
 	g.Add(Task{
 		Name: "flaky",
-		Policy: &Policy{
-			Attempts: 4,
-			Backoff:  time.Millisecond,
-			Jitter:   0.5,
-		},
 		Run: func(context.Context) error {
 			if calls.Add(1) < 3 {
 				return errors.New("transient")
@@ -27,7 +22,8 @@ func TestRetryUntilSuccess(t *testing.T) {
 			return nil
 		},
 	})
-	trace, err := (&Executor{Workers: 2}).Run(context.Background(), g)
+	ex := &Executor{Workers: 2, DefaultPolicy: Policy{Attempts: 4, Backoff: time.Millisecond}}
+	trace, err := ex.Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +44,14 @@ func TestRetriesExhausted(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int32
 	g.Add(Task{
-		Name:   "doomed",
-		Policy: &Policy{Attempts: 3, Backoff: time.Millisecond},
+		Name: "doomed",
 		Run: func(context.Context) error {
 			calls.Add(1)
 			return boom
 		},
 	})
-	trace, err := (&Executor{Workers: 1}).Run(context.Background(), g)
+	ex := &Executor{Workers: 1, DefaultPolicy: Policy{Attempts: 3, Backoff: time.Millisecond}}
+	trace, err := ex.Run(context.Background(), g)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -71,8 +67,7 @@ func TestPerAttemptTimeoutUnwedgesStall(t *testing.T) {
 	g := NewGraph()
 	var calls atomic.Int32
 	g.Add(Task{
-		Name:   "stalls-once",
-		Policy: &Policy{Attempts: 2, Timeout: 20 * time.Millisecond},
+		Name: "stalls-once",
 		Run: func(ctx context.Context) error {
 			if calls.Add(1) == 1 {
 				<-ctx.Done() // hang until the per-attempt deadline fires
@@ -82,7 +77,8 @@ func TestPerAttemptTimeoutUnwedgesStall(t *testing.T) {
 		},
 	})
 	start := time.Now()
-	trace, err := (&Executor{Workers: 1}).Run(context.Background(), g)
+	ex := &Executor{Workers: 1, DefaultPolicy: Policy{Attempts: 2, Timeout: 20 * time.Millisecond}}
+	trace, err := ex.Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +98,6 @@ func TestPerAttemptTimeoutUnwedgesStall(t *testing.T) {
 // other task completes, and the run error reports all K failures.
 func TestContinueOnErrorRunsIndependentBranches(t *testing.T) {
 	g := NewGraph()
-	pol := &Policy{ContinueOnError: true}
 	var ran atomic.Int32
 	ok := func(context.Context) error { ran.Add(1); return nil }
 	boom := errors.New("boom")
@@ -115,17 +110,18 @@ func TestContinueOnErrorRunsIndependentBranches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(g.Add(Task{Name: "badA", Policy: pol, Writes: []string{"a"},
+	must(g.Add(Task{Name: "badA", Writes: []string{"a"},
 		Run: func(context.Context) error { return fmt.Errorf("A: %w", boom) }}))
-	must(g.Add(Task{Name: "downA1", Policy: pol, Reads: []string{"a"}, Writes: []string{"a1"}, Run: ok}))
-	must(g.Add(Task{Name: "downA2", Policy: pol, Reads: []string{"a1"}, Run: ok}))
-	must(g.Add(Task{Name: "badB", Policy: pol, Writes: []string{"b"},
+	must(g.Add(Task{Name: "downA1", Reads: []string{"a"}, Writes: []string{"a1"}, Run: ok}))
+	must(g.Add(Task{Name: "downA2", Reads: []string{"a1"}, Run: ok}))
+	must(g.Add(Task{Name: "badB", Writes: []string{"b"},
 		Run: func(context.Context) error { return fmt.Errorf("B: %w", boom) }}))
-	must(g.Add(Task{Name: "downB", Policy: pol, Reads: []string{"b"}, Run: ok}))
-	must(g.Add(Task{Name: "good1", Policy: pol, Writes: []string{"g"}, Run: ok}))
-	must(g.Add(Task{Name: "good2", Policy: pol, Reads: []string{"g"}, Run: ok}))
+	must(g.Add(Task{Name: "downB", Reads: []string{"b"}, Run: ok}))
+	must(g.Add(Task{Name: "good1", Writes: []string{"g"}, Run: ok}))
+	must(g.Add(Task{Name: "good2", Reads: []string{"g"}, Run: ok}))
 
-	trace, err := (&Executor{Workers: 3}).Run(context.Background(), g)
+	ex := &Executor{Workers: 3, DefaultPolicy: Policy{ContinueOnError: true}}
+	trace, err := ex.Run(context.Background(), g)
 	var runErr *RunError
 	if !errors.As(err, &runErr) {
 		t.Fatalf("err = %v, want *RunError", err)
@@ -159,9 +155,8 @@ func TestContinueOnErrorRunsIndependentBranches(t *testing.T) {
 func TestBackoffAbortsOnCancel(t *testing.T) {
 	g := NewGraph()
 	g.Add(Task{
-		Name:   "always-fails",
-		Policy: &Policy{Attempts: 10, Backoff: 10 * time.Second},
-		Run:    func(context.Context) error { return errors.New("nope") },
+		Name: "always-fails",
+		Run:  func(context.Context) error { return errors.New("nope") },
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -169,31 +164,13 @@ func TestBackoffAbortsOnCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := (&Executor{Workers: 1}).Run(ctx, g)
+	ex := &Executor{Workers: 1, DefaultPolicy: Policy{Attempts: 10, Backoff: 10 * time.Second}}
+	_, err := ex.Run(ctx, g)
 	if err == nil {
 		t.Fatal("cancelled run should report an error")
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Errorf("cancellation took %v to interrupt a 10s backoff", d)
-	}
-}
-
-func TestContinueOnErrorMixedWithFailFast(t *testing.T) {
-	// A fail-fast task failing aborts the run even when other tasks are
-	// tolerant.
-	g := NewGraph()
-	tolerant := &Policy{ContinueOnError: true}
-	g.Add(Task{Name: "tolerant-fail", Policy: tolerant,
-		Run: func(context.Context) error { return errors.New("soft") }})
-	g.Add(Task{Name: "strict-fail", Reads: []string{"nothing"},
-		Run: func(context.Context) error { return errors.New("hard") }})
-	_, err := (&Executor{Workers: 1}).Run(context.Background(), g)
-	if err == nil {
-		t.Fatal("want error")
-	}
-	var runErr *RunError
-	if errors.As(err, &runErr) {
-		t.Fatalf("fail-fast failure must take priority over RunError, got %v", err)
 	}
 }
 
@@ -240,12 +217,12 @@ func TestDeepChainIterativeDFS(t *testing.T) {
 
 func TestDOTTraceAnnotatesOutcomes(t *testing.T) {
 	g := NewGraph()
-	pol := &Policy{ContinueOnError: true}
-	g.Add(Task{Name: "good", Policy: pol, Writes: []string{"g"}, Run: noop})
-	g.Add(Task{Name: "bad", Policy: pol, Writes: []string{"b"},
+	g.Add(Task{Name: "good", Writes: []string{"g"}, Run: noop})
+	g.Add(Task{Name: "bad", Writes: []string{"b"},
 		Run: func(context.Context) error { return errors.New("x") }})
-	g.Add(Task{Name: "child", Policy: pol, Reads: []string{"b"}, Run: noop})
-	trace, err := (&Executor{Workers: 1}).Run(context.Background(), g)
+	g.Add(Task{Name: "child", Reads: []string{"b"}, Run: noop})
+	ex := &Executor{Workers: 1, DefaultPolicy: Policy{ContinueOnError: true}}
+	trace, err := ex.Run(context.Background(), g)
 	var runErr *RunError
 	if !errors.As(err, &runErr) {
 		t.Fatalf("err = %v", err)

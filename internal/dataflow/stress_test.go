@@ -8,14 +8,12 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"slurmsight/internal/dataflow/faultinject"
 )
 
 // buildFaultyDAG layers a random graph whose bodies run through a
 // seeded injector: some calls fail, some sleep, some hang until a
 // timeout or cancellation clears them.
-func buildFaultyDAG(t *testing.T, rng *rand.Rand, in *faultinject.Injector) *Graph {
+func buildFaultyDAG(t *testing.T, rng *rand.Rand, in *injector) *Graph {
 	t.Helper()
 	g := NewGraph()
 	layers := 2 + rng.Intn(4)
@@ -37,7 +35,7 @@ func buildFaultyDAG(t *testing.T, rng *rand.Rand, in *faultinject.Injector) *Gra
 				Name:   name,
 				Reads:  reads,
 				Writes: []string{out},
-				Run:    in.Wrap(name, func(context.Context) error { return nil }),
+				Run:    in.wrap(name, func(context.Context) error { return nil }),
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -62,21 +60,19 @@ func TestStressFaultyDAGsAccountForEveryTask(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(seed)))
-			in := faultinject.New(int64(seed), faultinject.Options{
-				ErrorRate: 0.25,
-				DelayRate: 0.15,
-				StallRate: 0.10,
-				Delay:     2 * time.Millisecond,
+			in := newInjector(int64(seed), faultOptions{
+				errorRate: 0.25,
+				delayRate: 0.15,
+				stallRate: 0.10,
+				delay:     2 * time.Millisecond,
 			})
 			g := buildFaultyDAG(t, rng, in)
 			ex := &Executor{
 				Workers: 1 + rng.Intn(6),
-				Seed:    int64(seed) + 1,
 				DefaultPolicy: Policy{
 					Attempts:        1 + rng.Intn(3),
 					Timeout:         15 * time.Millisecond, // unwedges stalls
 					Backoff:         time.Millisecond,
-					Jitter:          0.5,
 					ContinueOnError: true,
 				},
 			}
@@ -127,7 +123,7 @@ func TestStressFaultyDAGsAccountForEveryTask(t *testing.T) {
 						// Every terminal failure traces back to the
 						// harness: an injected error or a stalled
 						// attempt cut down by its timeout.
-						if !errors.Is(e, faultinject.ErrInjected) &&
+						if !errors.Is(e, errInjected) &&
 							!errors.Is(e, context.DeadlineExceeded) {
 							t.Fatalf("unexplained failure: %v", e)
 						}
@@ -143,11 +139,11 @@ func TestStressFaultyDAGsAccountForEveryTask(t *testing.T) {
 // stalled bodies' natural 10s timeout: cancellation must cut through
 // running attempts and pending backoff sleeps alike.
 func TestStressMidRunCancellationReturnsPromptly(t *testing.T) {
-	in := faultinject.New(7, faultinject.Options{StallRate: 1})
+	in := newInjector(7, faultOptions{stallRate: 1})
 	g := NewGraph()
 	for i := 0; i < 8; i++ {
 		name := fmt.Sprintf("hang%d", i)
-		if err := g.Add(Task{Name: name, Run: in.Wrap(name, func(context.Context) error { return nil })}); err != nil {
+		if err := g.Add(Task{Name: name, Run: in.wrap(name, func(context.Context) error { return nil })}); err != nil {
 			t.Fatal(err)
 		}
 	}

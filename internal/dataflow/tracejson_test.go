@@ -11,18 +11,19 @@ import (
 )
 
 // traceFixture runs a small graph with one retried success, one terminal
-// failure, and one skipped dependent.
+// failure, and one skipped dependent, under two attempts per task and
+// ContinueOnError.
 func traceFixture(t *testing.T, ex *Executor) *Trace {
 	t.Helper()
 	g := NewGraph()
-	pol := &Policy{Attempts: 2, ContinueOnError: true}
+	ex.DefaultPolicy = Policy{Attempts: 2, ContinueOnError: true}
 	tries := 0
 	must := func(err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	must(g.Add(Task{Name: "flaky", Policy: pol, Writes: []string{"f"},
+	must(g.Add(Task{Name: "flaky", Writes: []string{"f"},
 		Run: func(context.Context) error {
 			tries++
 			if tries == 1 {
@@ -30,9 +31,9 @@ func traceFixture(t *testing.T, ex *Executor) *Trace {
 			}
 			return nil
 		}}))
-	must(g.Add(Task{Name: "doomed", Policy: pol, Writes: []string{"d"},
+	must(g.Add(Task{Name: "doomed", Writes: []string{"d"},
 		Run: func(context.Context) error { return errors.New("terminal") }}))
-	must(g.Add(Task{Name: "orphan", Policy: pol, Reads: []string{"d"},
+	must(g.Add(Task{Name: "orphan", Reads: []string{"d"},
 		Run: func(context.Context) error { return nil }}))
 
 	trace, err := ex.Run(context.Background(), g)

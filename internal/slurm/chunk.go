@@ -141,13 +141,6 @@ func (cs *ChunkScanner) Fields() []string { return cs.names }
 // NumChunks returns how many chunks the plan produced.
 func (cs *ChunkScanner) NumChunks() int { return len(cs.chunks) }
 
-// Chunks returns a copy of the planned byte ranges, in file order.
-func (cs *ChunkScanner) Chunks() []Chunk {
-	out := make([]Chunk, len(cs.chunks))
-	copy(out, cs.chunks)
-	return out
-}
-
 // Open returns a decoder over chunk i, plus the file handle to close
 // when done. Chunk 0 starts right after the header, so the line numbers
 // in its errors are the file's; interior chunks report chunk-relative

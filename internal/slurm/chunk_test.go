@@ -48,7 +48,7 @@ func TestChunkScannerPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chunks := cs.Chunks()
+		chunks := cs.chunks
 		if len(chunks) == 0 || len(chunks) > n {
 			t.Fatalf("n=%d: got %d chunks", n, len(chunks))
 		}
