@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
+	"runtime/debug"
 	"slices"
 
 	"slurmsight/internal/obs"
@@ -42,23 +42,14 @@ func (s *Store) DumpBinaryFile(path string) error {
 // in-memory slice itself where that is all the month holds, else the
 // month's scan collected into a slice of its own.
 func (s *Store) shardInputs() ([]colstore.ShardInput, error) {
-	p := &scanPlan{q: &Query{IncludeSteps: true}, cols: colstore.AllColumns}
-	v := s.view(p.q)
+	v := s.view(&Query{IncludeSteps: true})
 	ins := make([]colstore.ShardInput, len(v.months))
 	for i, mv := range v.months {
 		ins[i] = colstore.ShardInput{Year: mv.m.Year, Mon: mv.m.Mon, Records: mv.mem}
-		if mv.sealed == nil {
+		if mv.sealed == nil && len(mv.segs) == 0 {
 			continue
 		}
-		var err error
-		month := storeView{months: v.months[i : i+1], merges: v.merges}
-		recs := make([]slurm.Record, 0, mv.sealed.Rows()+len(mv.mem))
-		month.run(context.Background(), p, func(r *slurm.Record, rerr error) bool {
-			if err = rerr; err == nil {
-				recs = append(recs, r.Clone())
-			}
-			return err == nil
-		})
+		recs, err := collectMonth(mv)
 		if err != nil {
 			return nil, err
 		}
@@ -80,6 +71,21 @@ func OpenBinary(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	return openFile(f)
+}
+
+// OpenBinaryBytes is OpenBinary over a columnar file held in memory — a
+// columnar /ingest body — which the store aliases and the caller must not
+// change while the store is in use.
+func OpenBinaryBytes(data []byte) (*Store, error) {
+	f, err := colstore.OpenBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	return openFile(f)
+}
+
+func openFile(f *colstore.File) (*Store, error) {
 	st := NewStore()
 	st.bin = f
 	for _, sh := range f.Shards() {
@@ -110,7 +116,9 @@ func OpenBinary(path string) (*Store, error) {
 }
 
 // readShard reads every row of a shard into a slice of owned copies.
-func readShard(sh *colstore.Shard) ([]slurm.Record, error) {
+func readShard(sh *colstore.Shard) (_ []slurm.Record, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer catchFault(&err)
 	cur := colstore.NewCursor(nil, colstore.AllColumns)
 	defer cur.Close()
 	if err := cur.Open(context.Background(), sh); err != nil {
@@ -143,9 +151,12 @@ func OpenFile(path string) (*Store, int, error) {
 // Binary reports whether the store is backed by a columnar file.
 func (s *Store) Binary() bool { return s.bin != nil }
 
-// Instrument mirrors the backing columnar file's read counters into reg
-// (colstore_* metrics). No-op for text-backed stores or nil registries.
+// Instrument publishes the store into reg: the live tail's sacct_*
+// metrics (see instrumentTail) and, for a store opened from a columnar
+// file, that file's read counters (colstore_* metrics). No-op for a nil
+// registry.
 func (s *Store) Instrument(reg *obs.Registry) {
+	s.instrumentTail(reg)
 	if s.bin != nil {
 		s.bin.Instrument(reg)
 	}
@@ -170,17 +181,20 @@ func (s *Store) Close() error {
 	return s.bin.Close()
 }
 
-// Warm reads every sealed shard once, start to end — checksums verified,
-// dictionaries loaded, seek indexes built — so that damage anywhere in
-// the file is an error at startup and no request pays a first touch. It
-// materialises nothing: the rows stay on disk, and a warm store holds a
-// few bytes a row.
+// Warm reads every sealed shard and segment once, start to end —
+// checksums verified, dictionaries loaded, seek indexes built — so that
+// damage anywhere in the file is an error at startup and no request pays
+// a first touch. It materialises nothing: the rows stay on disk or in
+// their segments, and a warm store holds a few bytes a row.
 func (s *Store) Warm() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, m := range slices.SortedFunc(maps.Keys(s.sealed), Month.Compare) {
-		if err := s.sealed[m].Load(context.Background(), colstore.AllColumns); err != nil {
-			return fmt.Errorf("sacct: shard %s: %w", m, err)
+	for _, m := range s.monthsLocked() {
+		mv := monthView{sealed: s.sealed[m], segs: s.segs[m]}
+		for sh := range mv.frozen {
+			if err := sh.Load(context.Background(), colstore.AllColumns); err != nil {
+				return fmt.Errorf("sacct: shard %s: %w", m, err)
+			}
 		}
 	}
 	return nil

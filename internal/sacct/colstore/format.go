@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"time"
 )
 
@@ -56,6 +57,20 @@ var (
 	// ErrCorrupt marks a structurally invalid or checksum-failing file.
 	ErrCorrupt = errors.New("colstore: corrupt file")
 )
+
+// AsFault returns the ErrCorrupt that a recovered panic value stands for
+// when it is a memory fault — what reading a mapped page the file no
+// longer backs raises under debug.SetPanicOnFault, the file having been
+// truncated under its reader — and nil for any other value, which the
+// caller re-panics.
+func AsFault(r any) error {
+	if re, ok := r.(runtime.Error); ok {
+		if _, ok := re.(interface{ Addr() uintptr }); ok {
+			return fmt.Errorf("%w: memory fault reading a mapped column, the file changed under its reader (%v)", ErrCorrupt, re)
+		}
+	}
+	return nil
+}
 
 // colKind tags a column's encoding in the footer so readers can refuse
 // a kind mismatch (schema drift) without decoding anything.

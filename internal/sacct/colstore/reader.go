@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -113,6 +114,17 @@ func Open(path string) (*File, error) {
 	return f, nil
 }
 
+// OpenBytes is Open over a columnar file held in memory — a request body,
+// or the bytes Seal encoded. The file aliases data, which the caller must
+// not change while the file is in use.
+func OpenBytes(data []byte) (*File, error) {
+	f := &File{path: "(memory)", data: data, in: slurm.NewInterner()}
+	if err := f.parse(); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 func (f *File) parse() error {
 	data := f.data
 	if len(data) < len(headerMagic) || string(data[:len(headerMagic)]) != headerMagic {
@@ -214,6 +226,10 @@ func (s *Shard) Mon() time.Month { return s.meta.mon }
 func (s *Shard) Rows() int       { return s.meta.rows }
 func (s *Shard) Sorted() bool    { return s.meta.sorted }
 
+// FileSize is the size in bytes of the file the shard is in: for a shard
+// Seal built, the heap its one-shard file occupies.
+func (s *Shard) FileSize() int64 { return s.f.Size() }
+
 // SubmitRange returns the shard's min and max submit times; ok is false
 // for an empty shard.
 func (s *Shard) SubmitRange() (min, max time.Time, ok bool) {
@@ -257,7 +273,18 @@ func (s *Shard) column(ci int) (*colData, error) {
 	return cd, cd.err
 }
 
-func (s *Shard) load(cd *colData, def *colDef) error {
+// load reads under a fault window: a region the file no longer backs
+// (truncated under the store) is the column's ErrCorrupt, not a SIGBUS.
+func (s *Shard) load(cd *colData, def *colDef) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			if err = AsFault(r); err == nil {
+				panic(r)
+			}
+			err = fmt.Errorf("column %s: %w", def.name, err)
+		}
+	}()
 	if cd.meta == nil {
 		return fmt.Errorf("%w: shard %s has no column %s", ErrCorrupt, s, def.name)
 	}
@@ -274,11 +301,12 @@ func (s *Shard) load(cd *colData, def *colDef) error {
 		return fmt.Errorf("%w: column %s checksum mismatch", ErrCorrupt, def.name)
 	}
 	cd.rows = region
-	var err error
 	if def.kind.hasDict() {
-		s.f.mu.Lock() // the interner is the one thing concurrent loads share
-		err = cd.readDict(def, s.f.in)
-		s.f.mu.Unlock()
+		err = func() error {
+			s.f.mu.Lock() // the interner is the one thing concurrent loads share
+			defer s.f.mu.Unlock()
+			return cd.readDict(def, s.f.in)
+		}()
 	}
 	if err == nil {
 		err = cd.index(def.kind, s.meta.rows)

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -25,12 +26,56 @@ type ShardInput struct {
 // in the order given; sacct passes them chronologically.
 func Write(w io.Writer, shards []ShardInput) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
+	if err := encode(bw.Write, shards); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
 
+// Seal encodes one month of sorted records as a one-shard columnar file
+// in memory and returns the shard over it, every column loaded. The
+// bytes are exactly what Write produces for that one shard — header,
+// column regions with their checksums, footer, trailer — held in a heap
+// slice of their own size, and the shard reads through the same Load,
+// SubmitWindow and Cursor as a mapped one. Nothing of recs is retained.
+// A row with a time the format cannot hold — outside what int64 unix
+// nanoseconds span, 1678 to 2262 — is an error, not a silently wrong row.
+func Seal(year int, mon time.Month, recs []slurm.Record) (*Shard, error) {
+	for i := range recs {
+		r := &recs[i]
+		for _, t := range [...]time.Time{r.Submit, r.Eligible, r.Start, r.End} {
+			if !t.IsZero() && !time.Unix(0, t.UnixNano()).Equal(t) {
+				return nil, fmt.Errorf("colstore: row %d: time %s is outside what the format holds", i, t)
+			}
+		}
+	}
+	// Encoded into a scratch slice sized for the usual row, so that it
+	// seldom grows, then copied once into a slice of its own size.
+	data := make([]byte, 0, 16<<10+256*len(recs))
+	if err := encode(func(b []byte) (int, error) {
+		data = append(data, b...)
+		return len(b), nil
+	}, []ShardInput{{Year: year, Mon: mon, Records: recs}}); err != nil {
+		return nil, err
+	}
+	f, err := OpenBytes(append(make([]byte, 0, len(data)), data...))
+	if err != nil {
+		return nil, err
+	}
+	sh := f.shards[0]
+	if err := sh.Load(context.Background(), AllColumns); err != nil {
+		return nil, err
+	}
+	return sh, nil
+}
+
+// encode emits the file, piece by piece, to write.
+func encode(write func([]byte) (int, error), shards []ShardInput) error {
 	header := make([]byte, 0, headerLen)
 	header = append(header, headerMagic...)
 	header = binary.LittleEndian.AppendUint16(header, Version)
 	header = binary.LittleEndian.AppendUint16(header, 0) // reserved
-	if _, err := bw.Write(header); err != nil {
+	if _, err := write(header); err != nil {
 		return err
 	}
 	offset := uint64(headerLen)
@@ -60,7 +105,7 @@ func Write(w io.Writer, shards []ShardInput) error {
 				length: uint64(len(region)),
 				crc:    checksum(region),
 			})
-			if _, err := bw.Write(region); err != nil {
+			if _, err := write(region); err != nil {
 				return err
 			}
 			offset += uint64(len(region))
@@ -69,17 +114,15 @@ func Write(w io.Writer, shards []ShardInput) error {
 	}
 
 	footer := appendFooter(nil, metas)
-	if _, err := bw.Write(footer); err != nil {
+	if _, err := write(footer); err != nil {
 		return err
 	}
 	trailer := make([]byte, 0, trailerLen)
 	trailer = binary.LittleEndian.AppendUint64(trailer, offset)
 	trailer = binary.LittleEndian.AppendUint32(trailer, checksum(footer))
 	trailer = append(trailer, trailerMagic...)
-	if _, err := bw.Write(trailer); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := write(trailer)
+	return err
 }
 
 // WriteFile serialises shards to path via a temp-file rename, so a

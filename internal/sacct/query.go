@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"time"
@@ -76,13 +77,41 @@ func (q *Query) overlaps(m Month, rg shardRange) bool {
 	return true
 }
 
-// monthView is one month as a scan reads it: the sealed shard and the
-// in-memory slice header the store held when the view was captured.
+// monthView is one month as a scan reads it: the sealed shard, the
+// segment list and the in-memory slice header the store held when the
+// view was captured.
 type monthView struct {
 	m      Month
-	sealed *colstore.Shard // nil, or a shard with rows
+	sealed *colstore.Shard   // nil, or a shard with rows
+	segs   []*colstore.Shard // oldest first
 	mem    []slurm.Record
 	sorted bool // mem is in recordCmp order
+}
+
+// frozen yields the month's frozen parts in tie order: its sealed rows,
+// then its segments oldest first.
+func (mv *monthView) frozen(yield func(*colstore.Shard) bool) {
+	if mv.sealed != nil && !yield(mv.sealed) {
+		return
+	}
+	for _, sh := range mv.segs {
+		if !yield(sh) {
+			return
+		}
+	}
+}
+
+// merges reports that a scan of the month interleaves rows of more than
+// one part: two frozen parts, or one and sorted in-memory rows.
+func (mv *monthView) merges() bool {
+	n := len(mv.segs)
+	if mv.sealed != nil {
+		n++
+	}
+	if mv.sorted && len(mv.mem) > 0 {
+		n++
+	}
+	return n > 1
 }
 
 // storeView is what one scan reads: every month the query's window can
@@ -93,7 +122,7 @@ type monthView struct {
 type storeView struct {
 	gen    uint64
 	months []monthView
-	merges bool // some month has both sealed rows and sorted in-memory rows
+	merges bool // some month merges parts
 }
 
 func (s *Store) view(q *Query) storeView {
@@ -104,11 +133,11 @@ func (s *Store) view(q *Query) storeView {
 		if !q.overlaps(m, rg) {
 			continue
 		}
-		mv := monthView{m: m, mem: s.shards[m], sorted: s.sorted[m]}
+		mv := monthView{m: m, segs: s.segs[m], mem: s.shards[m], sorted: s.sorted[m]}
 		if sh := s.sealed[m]; sh != nil && sh.Rows() > 0 {
 			mv.sealed = sh
-			v.merges = v.merges || mv.sorted && len(mv.mem) > 0
 		}
+		v.merges = v.merges || mv.merges()
 		v.months = append(v.months, mv)
 	}
 	slices.SortFunc(v.months, func(a, b monthView) int { return a.m.Compare(b.m) })
@@ -118,10 +147,20 @@ func (s *Store) view(q *Query) storeView {
 // rows counts the view's rows before any window or filter.
 func (v *storeView) rows() (n int) {
 	for i := range v.months {
-		n += len(v.months[i].mem)
-		if sh := v.months[i].sealed; sh != nil {
-			n += sh.Rows()
-		}
+		n += v.rowsOf(i)
+	}
+	return n
+}
+
+// rowsOf counts month i's rows, every part.
+func (v *storeView) rowsOf(i int) int {
+	mv := &v.months[i]
+	n := len(mv.mem)
+	if mv.sealed != nil {
+		n += mv.sealed.Rows()
+	}
+	for _, sh := range mv.segs {
+		n += sh.Rows()
 	}
 	return n
 }
@@ -196,61 +235,144 @@ func (p *scanPlan) keep(r *slurm.Record) bool {
 	return true
 }
 
-// mergeKey is what the merge of a month's two parts compares.
+// mergeKey is what the merge of a month's parts compares.
 var mergeKey, _ = colstore.ColumnsFor("Submit", "JobID")
 
+// frozenParts is a scan's cursors over the frozen parts of the month it
+// is in — its sealed rows, then its segments oldest first — each standing
+// on its next row. Cursors are built as a month first needs them and
+// re-pointed month to month.
+type frozenParts struct {
+	p     *scanPlan
+	cols  colstore.ColSet
+	curs  []*colstore.Cursor
+	heads []*slurm.Record // nil: that part is done
+}
+
+// open points the cursors at mv's frozen parts, each narrowed to the
+// plan's submit window, and reads each one's first row.
+func (fp *frozenParts) open(ctx context.Context, mv *monthView) error {
+	fp.heads = fp.heads[:0]
+	for sh := range mv.frozen {
+		if err := fp.add(ctx, sh); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (fp *frozenParts) add(ctx context.Context, sh *colstore.Shard) error {
+	i := len(fp.heads)
+	if i == len(fp.curs) {
+		fp.curs = append(fp.curs, colstore.NewCursor(fp.p.filters, fp.cols))
+	}
+	cur := fp.curs[i]
+	if err := cur.Open(ctx, sh); err != nil {
+		return err
+	}
+	lo, hi, err := sh.SubmitWindow(fp.p.q.Start, fp.p.q.End)
+	if err != nil {
+		return err
+	}
+	if hi-lo < sh.Rows() {
+		cur.Seek(lo, hi)
+	}
+	r, err := cur.Next()
+	fp.heads = append(fp.heads, r)
+	return err
+}
+
+// first returns the part whose row sorts first — the earliest part on a
+// tie — or -1 when every part is done.
+func (fp *frozenParts) first() int {
+	best := -1
+	for i, r := range fp.heads {
+		if r != nil && (best < 0 || cmpRecords(r, fp.heads[best]) < 0) {
+			best = i
+		}
+	}
+	return best
+}
+
+// next steps part i to its following row.
+func (fp *frozenParts) next(i int) (err error) {
+	fp.heads[i], err = fp.curs[i].Next()
+	return err
+}
+
+func (fp *frozenParts) close() {
+	for _, c := range fp.curs {
+		c.Close()
+	}
+}
+
 // run streams the view's matching records in emission order: month by
-// month, a month's sealed rows through one cursor re-pointed from shard to
-// shard, merged with its in-memory rows — sealed first on a tie — or
-// followed by them when they still await Finalize. It reports the months
-// visited and rows yielded, and stops at the first error, which it yields.
+// month, a k-way merge of the month's frozen parts and its in-memory rows
+// — on a tie the earlier part first, in-memory rows last — or the frozen
+// parts followed by the in-memory rows when those still await Finalize.
+// It reports the months visited and rows yielded, and stops at the first
+// error, which it yields.
+//
+// The whole scan is one fault window: a mapped page that its file no
+// longer backs, truncated under the store, ends the scan with
+// colstore.ErrCorrupt rather than the process with SIGBUS. A panic in the
+// consumer is the consumer's, and goes on up.
 func (v *storeView) run(ctx context.Context, p *scanPlan, yield func(*slurm.Record, error) bool) (shards, rows int64) {
-	var cur *colstore.Cursor
+	fp := frozenParts{p: p, cols: p.cols}
+	if v.merges {
+		fp.cols |= mergeKey
+	}
+	inYield := false
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		fp.close()
+		if r := recover(); r != nil {
+			err := colstore.AsFault(r)
+			if err == nil || inYield {
+				panic(r)
+			}
+			yield(nil, err)
+		}
+	}()
 	emit := func(r *slurm.Record) bool {
 		rows++
-		return yield(r, nil)
+		inYield = true
+		ok := yield(r, nil)
+		inYield = false
+		return ok
 	}
 	for i := range v.months {
 		mv := &v.months[i]
 		shards++
 		mem := p.q.window(mv.mem, mv.sorted)
-		if mv.sealed != nil {
-			if cur == nil {
-				cols := p.cols
-				if v.merges {
-					cols |= mergeKey
-				}
-				cur = colstore.NewCursor(p.filters, cols)
-				defer cur.Close()
+		if err := fp.open(ctx, mv); err != nil {
+			yield(nil, err)
+			return shards, rows
+		}
+		for {
+			part := fp.first()
+			for mv.sorted && len(mem) > 0 && !p.keep(&mem[0]) {
+				mem = mem[1:]
 			}
-			err := cur.Open(ctx, mv.sealed)
-			if err == nil {
-				var lo, hi int
-				if lo, hi, err = mv.sealed.SubmitWindow(p.q.Start, p.q.End); err == nil && hi-lo < mv.sealed.Rows() {
-					cur.Seek(lo, hi)
-				}
-			}
-			for err == nil {
-				var r *slurm.Record
-				if r, err = cur.Next(); r == nil {
-					break
-				}
-				for mv.sorted && len(mem) > 0 && cmpRecords(&mem[0], r) < 0 {
-					if p.keep(&mem[0]) && !emit(&mem[0]) {
-						return shards, rows
-					}
-					mem = mem[1:]
-				}
-				if !emit(r) {
+			if mv.sorted && len(mem) > 0 && (part < 0 || cmpRecords(&mem[0], fp.heads[part]) < 0) {
+				if !emit(&mem[0]) {
 					return shards, rows
 				}
+				mem = mem[1:]
+				continue
 			}
-			if err != nil {
+			if part < 0 {
+				break
+			}
+			if !emit(fp.heads[part]) {
+				return shards, rows
+			}
+			if err := fp.next(part); err != nil {
 				yield(nil, err)
 				return shards, rows
 			}
 		}
-		for j := range mem {
+		for j := range mem { // rows still awaiting Finalize
 			if p.keep(&mem[j]) && !emit(&mem[j]) {
 				return shards, rows
 			}
@@ -342,7 +464,7 @@ func (s *Store) SnapshotCtx(ctx context.Context, fields []string) (uint64, slurm
 		cols |= mergeKey
 	}
 	for i := range v.months {
-		if sh := v.months[i].sealed; sh != nil {
+		for sh := range v.months[i].frozen {
 			if err := sh.Load(ctx, cols); err != nil {
 				sp.SetAttr("error", err.Error())
 				return 0, nil, err

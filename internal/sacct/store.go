@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"maps"
 	"os"
 	"slices"
 	"sort"
@@ -26,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"slurmsight/internal/obs"
 	"slurmsight/internal/sacct/colstore"
 	"slurmsight/internal/sched"
 	"slurmsight/internal/slurm"
@@ -75,29 +77,37 @@ func ParseMonth(s string) (Month, error) {
 }
 
 // Store is an accounting database sharded by submission month. A month
-// is two parts, either of which may be empty: sealed rows, the month's
+// is three parts, any of which may be empty: sealed rows, the month's
 // shard of the columnar file the store was opened from, which stay on
-// disk as mapped columns and are read through a colstore.Cursor; and an
-// in-memory []Record of what Add, AppendBatch and Ingest put there since.
-// A scan merges the two — sealed rows first where the keys tie, which is
-// where a stable sort of sealed-then-added rows puts them — so a store
-// opened from a dump and appended to reads exactly like a text-loaded
-// store of the same rows, while holding Records only for the appended
-// tail.
+// disk as mapped columns; segments, in-memory one-shard columnar files
+// that AppendBatch seals its rows into (oldest first); and an in-memory
+// []Record of what Add, AppendBatch and Ingest put there since. Sealed
+// rows and segments are read through colstore.Cursors. A scan merges the
+// parts — on a key tie sealed rows first, then segments oldest first,
+// then the in-memory rows, which is where a stable sort of the rows in
+// arrival order puts them — so a store opened from a dump and appended
+// to reads exactly like a text-loaded store of the same rows, while
+// holding Records only for the part of the tail not yet sealed.
 //
 // Queries, Add, AppendBatch, and Finalize may run concurrently: mutators
-// never write through record storage a reader could be holding (Finalize
-// and a late AppendBatch build a fresh slice and swap the shard pointer;
-// Add and a tail AppendBatch append past every captured length), sealed
-// rows never change, and a scan reads one capture of every month it
-// visits, taken under one lock together with the generation it belongs to.
+// never write through storage a reader could be holding (Finalize and a
+// late AppendBatch build a fresh slice and swap the shard pointer; Add
+// and a tail AppendBatch append past every captured length; a seal
+// starts the month's rows afresh, and a fold swaps in a fresh segment
+// list), sealed rows and segments never change, and a scan reads one
+// capture of every month it visits, taken under one lock together with
+// the generation it belongs to.
 type Store struct {
 	mu     sync.RWMutex
-	shards map[Month][]slurm.Record  // the in-memory rows of each month
-	sorted map[Month]bool            // shards[m] known to be in recordCmp order
-	ranges map[Month]shardRange      // submit extent of every populated month, sealed rows included
-	sealed map[Month]*colstore.Shard // the sealed rows of each month, in recordCmp order
-	bin    *colstore.File            // backing columnar file; nil for text stores
+	shards map[Month][]slurm.Record    // the in-memory rows of each month
+	sorted map[Month]bool              // shards[m] known to be in recordCmp order
+	ranges map[Month]shardRange        // submit extent of every populated month, every part included
+	sealed map[Month]*colstore.Shard   // the sealed rows of each month, in recordCmp order
+	segs   map[Month][]*colstore.Shard // the segments of each month, oldest first, each in recordCmp order
+	bin    *colstore.File              // backing columnar file; nil for text stores
+
+	limits       sealLimits
+	seals, folds *obs.Counter // nil until Instrument
 
 	gen atomic.Uint64 // bumped on every successful logical mutation
 }
@@ -125,6 +135,8 @@ func NewStore() *Store {
 		sorted: map[Month]bool{},
 		ranges: map[Month]shardRange{},
 		sealed: map[Month]*colstore.Shard{},
+		segs:   map[Month][]*colstore.Shard{},
+		limits: sealLimits{rows: sealRows, segments: maxSegments},
 	}
 }
 
@@ -224,9 +236,13 @@ func (s *Store) addAll(recs iter.Seq[*slurm.Record], reserve map[Month]int) erro
 // put. The rows join their month's in-memory part — appended in place
 // when they sort at or after its last record, merged with it into one
 // fresh slice otherwise, leaving scans that hold the old slice on their
-// pre-append view — and the sealed part is never touched: a scan's merge
-// is what puts a late row between two sealed ones. The result is the scan
-// order Add followed by Finalize would produce.
+// pre-append view — and the sealed rows and segments are never touched:
+// a scan's merge is what puts a late row between two frozen ones. The
+// result is the scan order Add followed by Finalize would produce.
+//
+// Once the batch has landed, the seal rule (sealTouched) may turn a
+// month's in-memory rows into a segment, which moves no row and no
+// generation.
 //
 // tail reports that the whole batch landed behind every record the store
 // held before the call — a full scan of the new store is the old scan
@@ -241,17 +257,21 @@ func (s *Store) AppendBatch(records []slurm.Record) (gen uint64, tail bool, err 
 	}
 	last, populated := s.lastMonthLocked()
 	// The batch can only be a tail if its rows for the last month sort
-	// behind that month's sealed rows; their last key is read here, with
-	// the verification, while refusing the batch is still free.
-	var sealedTail *slurm.Record
+	// behind that month's sealed rows and segments; their last key is read
+	// here, with the verification, while refusing the batch is still free.
+	var frozenTail *slurm.Record
+	var touched []Month
 	for i := range records {
 		m := MonthOf(records[i].Submit)
-		sh := s.sealed[m]
-		if sh == nil || i > 0 && MonthOf(records[i-1].Submit) == m {
+		if i > 0 && MonthOf(records[i-1].Submit) == m {
 			continue
 		}
-		if err = sh.Load(context.Background(), colstore.AllColumns); err == nil && populated && m == last {
-			sealedTail, err = lastKey(sh)
+		touched = append(touched, m)
+		if sh := s.sealed[m]; sh != nil {
+			err = sh.Load(context.Background(), colstore.AllColumns)
+		}
+		if err == nil && populated && m == last {
+			frozenTail, err = s.frozenTailLocked(m)
 		}
 		if err != nil {
 			return s.gen.Load(), false, fmt.Errorf("sacct: append into shard %s: %w", m, err)
@@ -271,7 +291,7 @@ func (s *Store) AppendBatch(records []slurm.Record) (gen uint64, tail bool, err 
 		case len(shard) == 0 || s.sorted[m] && cmpRecords(&shard[len(shard)-1], &part[0]) <= 0:
 			s.shards[m] = append(shard, part...)
 			tail = tail && !(populated && m.Before(last)) &&
-				!(m == last && sealedTail != nil && cmpRecords(sealedTail, &part[0]) > 0)
+				!(m == last && frozenTail != nil && cmpRecords(frozenTail, &part[0]) > 0)
 		case s.sorted[m]:
 			s.shards[m] = mergeBehind(shard, part)
 			tail = false
@@ -289,22 +309,11 @@ func (s *Store) AppendBatch(records []slurm.Record) (gen uint64, tail bool, err 
 		}
 		s.ranges[m] = rg.extend(part[0].Submit).extend(part[len(part)-1].Submit)
 	}
+	s.sealTouched(touched, last, populated)
 	return s.gen.Add(1), tail, nil
 }
 
-// lastKey reads the (Submit, JobID) of a sealed shard's last row; nil for
-// an empty shard.
-func lastKey(sh *colstore.Shard) (*slurm.Record, error) {
-	cur := colstore.NewCursor(nil, mergeKey)
-	defer cur.Close()
-	if err := cur.Open(context.Background(), sh); err != nil {
-		return nil, err
-	}
-	cur.Seek(sh.Rows()-1, sh.Rows())
-	return cur.Next()
-}
-
-// lastMonthLocked returns the latest populated month, sealed rows
+// lastMonthLocked returns the latest populated month, every part
 // included. The caller holds s.mu.
 func (s *Store) lastMonthLocked() (last Month, ok bool) {
 	for m, shard := range s.shards {
@@ -314,6 +323,11 @@ func (s *Store) lastMonthLocked() (last Month, ok bool) {
 	}
 	for m, sh := range s.sealed {
 		if sh.Rows() > 0 && (!ok || last.Before(m)) {
+			last, ok = m, true
+		}
+	}
+	for m, segs := range s.segs {
+		if len(segs) > 0 && (!ok || last.Before(m)) {
 			last, ok = m, true
 		}
 	}
@@ -388,26 +402,25 @@ func (s *Store) Finalize() {
 	}
 }
 
-// Months returns the populated shards in chronological order, sealed
-// shards included.
+// Months returns the populated shards in chronological order, every part
+// included.
 func (s *Store) Months() []Month {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Month, 0, len(s.shards)+len(s.sealed))
-	for m := range s.shards {
-		out = append(out, m)
-	}
-	for m := range s.sealed {
-		if _, ok := s.shards[m]; !ok {
-			out = append(out, m)
-		}
-	}
-	slices.SortFunc(out, Month.Compare)
-	return out
+	return s.monthsLocked()
 }
 
-// Len returns the total record count, counting sealed rows from their
-// footers without reading them.
+// monthsLocked is Months for a caller that holds s.mu.
+func (s *Store) monthsLocked() []Month {
+	out := slices.Collect(maps.Keys(s.shards))
+	out = slices.AppendSeq(out, maps.Keys(s.sealed))
+	out = slices.AppendSeq(out, maps.Keys(s.segs))
+	slices.SortFunc(out, Month.Compare)
+	return slices.Compact(out)
+}
+
+// Len returns the total record count, counting sealed rows and segments
+// from their footers without reading them.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -417,6 +430,11 @@ func (s *Store) Len() int {
 	}
 	for _, sh := range s.sealed {
 		n += sh.Rows()
+	}
+	for _, segs := range s.segs {
+		for _, sh := range segs {
+			n += sh.Rows()
+		}
 	}
 	return n
 }
@@ -457,7 +475,8 @@ func Load(r io.Reader) (*Store, int, error) {
 		var rowErr *slurm.RowError
 		switch {
 		case err == nil:
-			if err := st.Add(rec.Clone()); err != nil {
+			// A shallow copy is the row's own: see slurm.ByteRecordReader.
+			if err := st.Add(*rec); err != nil {
 				// Unreachable for a fresh text store (no lazy shards), but
 				// the error is not ours to swallow if that ever changes.
 				return nil, malformed, err

@@ -12,17 +12,20 @@ import (
 // store generation), bounded by an LRU, with single-flight deduplication
 // of identical in-flight computations. Because the store generation is
 // part of every key, an append invalidates the whole cached view at
-// once — the first request per (key, new generation) recomputes, every
-// concurrent duplicate waits for that one computation, and stale
-// generations simply age out of the LRU.
+// once — the first request per (key, new generation) recomputes, and
+// every concurrent duplicate waits for that one computation. And because
+// the generation only goes up, no entry for an older one can be asked
+// for again once a request arrives at a newer one: the cache drops them
+// all then, instead of letting them age out of the LRU.
 type respCache struct {
 	mu       sync.Mutex
 	max      int
+	gen      uint64     // the newest generation a request has arrived at
 	lru      *list.List // *entry, most recent at front
 	byKey    map[string]*list.Element
 	inflight map[string]*flight
 
-	hits, misses, coalesced, evictions *obs.Counter
+	hits, misses, coalesced, evictions, stale *obs.Counter
 }
 
 // entry is one cached rendered response.
@@ -65,16 +68,26 @@ func newRespCache(max int, m *obs.Registry) *respCache {
 		misses:    m.Counter("serve_cache_misses_total"),
 		coalesced: m.Counter("serve_cache_coalesced_total"),
 		evictions: m.Counter("serve_cache_evictions_total"),
+		stale:     m.Counter("serve_cache_stale_total"),
 	}
 }
 
-// do returns the cached entry for key, computing it at most once no
-// matter how many identical requests arrive concurrently: the first
-// caller runs compute, later callers block until it finishes and share
-// its result (errors included — a failed computation is not cached, so
-// the next request retries).
-func (c *respCache) do(key string, compute func() (*entry, error)) (*entry, cacheOutcome, error) {
+// do returns the cached entry for key, a request that arrived at store
+// generation gen, computing it at most once no matter how many identical
+// requests arrive concurrently: the first caller runs compute, later
+// callers block until it finishes and share its result (errors included —
+// a failed computation is not cached, so the next request retries). The
+// first request at a newer generation empties the cache, and a
+// computation that finishes for an older generation than the newest is
+// shared with its waiters but not kept; both count as stale.
+func (c *respCache) do(gen uint64, key string, compute func() (*entry, error)) (*entry, cacheOutcome, error) {
 	c.mu.Lock()
+	if gen > c.gen {
+		c.gen = gen
+		c.stale.Add(int64(c.lru.Len()))
+		c.lru.Init()
+		clear(c.byKey)
+	}
 	if el, ok := c.byKey[key]; ok {
 		c.lru.MoveToFront(el)
 		e := el.Value.(*entry)
@@ -97,7 +110,9 @@ func (c *respCache) do(key string, compute func() (*entry, error)) (*entry, cach
 
 	c.mu.Lock()
 	delete(c.inflight, key)
-	if f.err == nil && !f.ent.bypass {
+	if f.err == nil && gen < c.gen {
+		c.stale.Inc()
+	} else if f.err == nil && !f.ent.bypass {
 		f.ent.key = key
 		c.byKey[key] = c.lru.PushFront(f.ent)
 		for c.lru.Len() > c.max {

@@ -16,7 +16,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -237,7 +236,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		limit = s.cfg.MaxRows
 		key += "|cap=" + strconv.Itoa(limit)
 	}
-	ent, outcome, err := s.cache.do(fmt.Sprintf("q|g=%d|%s", s.store.Generation(), key), func() (*entry, error) {
+	gen := s.store.Generation()
+	ent, outcome, err := s.cache.do(gen, fmt.Sprintf("q|g=%d|%s", gen, key), func() (*entry, error) {
 		// The scan reads one capture of the store and says which
 		// generation it was: that, not the one in the key, labels the body
 		// when an append lands in between.
@@ -271,7 +271,8 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown figure %q", name), http.StatusNotFound)
 		return
 	}
-	ent, outcome, err := s.cache.do(fmt.Sprintf("fig|g=%d|%s", s.store.Generation(), key), func() (*entry, error) {
+	gen := s.store.Generation()
+	ent, outcome, err := s.cache.do(gen, fmt.Sprintf("fig|g=%d|%s", gen, key), func() (*entry, error) {
 		chart, gen, err := s.chartAt(r.Context(), key)
 		if err != nil {
 			return nil, err
@@ -447,26 +448,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(ingestResponse{Rows: len(recs), Malformed: malformed, Generation: gen})
 }
 
-// decodeBinaryBatch opens a columnar blob (via a temp file — the reader
-// is mmap-based) and materialises every record, steps included.
+// decodeBinaryBatch opens a columnar blob where it lies, in the request
+// body, and materialises every record, steps included: the rows
+// sacct.OpenBinary reads from the same bytes on disk.
 func decodeBinaryBatch(body []byte) ([]slurm.Record, error) {
-	tmp, err := os.CreateTemp("", "queryd-ingest-*.colstore")
-	if err != nil {
-		return nil, err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(body); err != nil {
-		tmp.Close()
-		return nil, err
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, err
-	}
-	st, err := sacct.OpenBinary(tmp.Name())
+	st, err := sacct.OpenBinaryBytes(body)
 	if err != nil {
 		return nil, fmt.Errorf("serve: columnar batch: %w", err)
 	}
-	defer st.Close()
 	recs, err := st.Select(sacct.Query{IncludeSteps: true})
 	if err != nil {
 		return nil, fmt.Errorf("serve: columnar batch: %w", err)
@@ -515,7 +504,7 @@ func decodeRows(header, rows []byte) (recs []slurm.Record, malformed int, err er
 		var rowErr *slurm.RowError
 		switch {
 		case err == nil:
-			recs = append(recs, *rec) // the reader reuses rec
+			recs = append(recs, *rec) // a shallow copy is the row's own: see slurm.ByteRecordReader
 		case errors.As(err, &rowErr):
 			malformed++
 		default:
@@ -534,6 +523,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"rows":          s.store.Len(),
 		"months":        len(s.store.Months()),
 		"generation":    s.store.Generation(),
+		"mem_rows":      s.store.Tail().MemRows,
 		"cache_entries": s.cache.len(),
 	})
 }

@@ -390,7 +390,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ent, out, err := c.do("k", func() (*entry, error) {
+			ent, out, err := c.do(0, "k", func() (*entry, error) {
 				mu.Lock()
 				computes++
 				mu.Unlock()
@@ -427,7 +427,7 @@ func TestCacheEvictionAndBypass(t *testing.T) {
 	c := newRespCache(2, obs.NewRegistry())
 	mk := func(key string, bypass bool) {
 		t.Helper()
-		if _, _, err := c.do(key, func() (*entry, error) {
+		if _, _, err := c.do(0, key, func() (*entry, error) {
 			return &entry{body: []byte(key), bypass: bypass}, nil
 		}); err != nil {
 			t.Fatal(err)
@@ -439,18 +439,18 @@ func TestCacheEvictionAndBypass(t *testing.T) {
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
-	_, out, _ := c.do("a", func() (*entry, error) { return &entry{body: []byte("a2")}, nil })
+	_, out, _ := c.do(0, "a", func() (*entry, error) { return &entry{body: []byte("a2")}, nil })
 	if out != cacheMiss {
 		t.Fatalf("evicted key came back as %v", out)
 	}
 	mk("big", true) // bypass: computed but never cached
-	_, out, _ = c.do("big", func() (*entry, error) { return &entry{body: []byte("big2"), bypass: true}, nil })
+	_, out, _ = c.do(0, "big", func() (*entry, error) { return &entry{body: []byte("big2"), bypass: true}, nil })
 	if out != cacheMiss {
 		t.Fatalf("bypass entry was cached (outcome %v)", out)
 	}
 	// A failed computation is not cached either.
-	c.do("err", func() (*entry, error) { return nil, fmt.Errorf("boom") })
-	_, out, err := c.do("err", func() (*entry, error) { return &entry{body: []byte("ok")}, nil })
+	c.do(0, "err", func() (*entry, error) { return nil, fmt.Errorf("boom") })
+	_, out, err := c.do(0, "err", func() (*entry, error) { return &entry{body: []byte("ok")}, nil })
 	if err != nil || out != cacheMiss {
 		t.Fatalf("error entry was cached (outcome %v err %v)", out, err)
 	}

@@ -26,7 +26,10 @@ const internCap = 1 << 15
 // Free-form string columns are interned — one allocation per distinct
 // value per reader, not per row — so steady-state decode of a
 // repetitive trace allocates nothing per row. The returned record and
-// the Row backing storage are valid only until the following Next call.
+// the Row backing storage are valid only until the following Next call,
+// but a shallow copy of the record is the row's own for good: every row
+// gets TRES maps of its own, and the strings and flag lists it shares
+// with other rows are never written through.
 type ByteRecordReader struct {
 	r      *bufio.Reader
 	fields []*Field // pre-resolved header columns, in header order

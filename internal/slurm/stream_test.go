@@ -3,6 +3,7 @@ package slurm
 import (
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -77,6 +78,50 @@ func TestRecordReaderScratchReuse(t *testing.T) {
 	}
 	if string(rr.Row()[1]) != "bob" {
 		t.Errorf("Row scratch not overwritten: %q", rr.Row())
+	}
+}
+
+// TestRecordReaderShallowCopiesOwnTheirRow pins the contract that lets
+// sacct.Load and /ingest keep reader rows by shallow copy: every row gets
+// TRES maps of its own, however alike the cells, and the flag lists the
+// reader shares between rows with the same Flags cell are never written
+// through — the Backfill column merging its flag in reallocates.
+func TestRecordReaderShallowCopiesOwnTheirRow(t *testing.T) {
+	const text = "JobID|User|Flags|Backfill|ReqTRES|TRESUsageInAve\n" +
+		"1|alice|SchedMain|1|cpu=8,mem=4G|cpu=7\n" +
+		"2|bob|SchedMain|0|cpu=8,mem=4G|\n" +
+		"3|carol|SchedMain|1|cpu=8,mem=4G|cpu=7\n"
+	rr, err := NewByteRecordReader(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []Record
+	for rec, err := range rr.All() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, *rec)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("read %d rows, want 3", len(rows))
+	}
+	rows[0].TRESReq["cpu"], rows[0].TRESUsageInAve["cpu"] = 99, 99
+	for i := 1; i < 3; i++ {
+		if rows[i].TRESReq["cpu"] != 8 {
+			t.Errorf("row %d shares its ReqTRES map with row 0", i+1)
+		}
+	}
+	if rows[2].TRESUsageInAve["cpu"] != 7 || rows[1].TRESUsageInAve != nil {
+		t.Errorf("TRESUsageInAve: row 3 %v (want its own cpu=7), row 2 %v (want nil for an empty cell)", rows[2].TRESUsageInAve, rows[1].TRESUsageInAve)
+	}
+	wantFlags := [][]string{{FlagMain, FlagBackfill}, {FlagMain}, {FlagMain, FlagBackfill}}
+	for i, want := range wantFlags {
+		if !slices.Equal(rows[i].Flags, want) {
+			t.Errorf("row %d flags %v, want %v", i+1, rows[i].Flags, want)
+		}
+	}
+	if rows[0].User != "alice" || rows[1].User != "bob" || rows[2].User != "carol" {
+		t.Errorf("users %q %q %q after the reader moved on", rows[0].User, rows[1].User, rows[2].User)
 	}
 }
 
