@@ -93,7 +93,6 @@ func main() {
 	if err := double.Ingest(res); err != nil {
 		log.Fatal(err)
 	}
-	double.Finalize()
 	if err := double.DumpFile(*regen); err != nil {
 		log.Fatal(err)
 	}

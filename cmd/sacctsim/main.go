@@ -102,21 +102,20 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		recs, err := store.Select(sacct.Query{IncludeSteps: true})
-		if err != nil {
-			log.Fatal(err)
-		}
 		shown := 0
 		enc, err := slurm.NewEncoder([]string{"JobID", "User", "State", "Start", "Elapsed", "Timelimit", "NNodes", "NCPUS", "Backfill", "Reason"})
 		if err != nil {
 			log.Fatal(err)
 		}
 		out := append(enc.AppendHeader(nil), '\n')
-		for i := range recs {
-			if recs[i].ID.Job != id.Job {
+		for r, err := range store.Scan(sacct.Query{IncludeSteps: true}) {
+			if err != nil {
+				log.Fatal(err)
+			}
+			if r.ID.Job != id.Job {
 				continue
 			}
-			out = append(enc.AppendRecord(out, &recs[i]), '\n')
+			out = append(enc.AppendRecord(out, r), '\n')
 			shown++
 		}
 		os.Stdout.Write(out)

@@ -123,7 +123,6 @@ func main() {
 	if err := store.Ingest(res); err != nil {
 		log.Fatal(err)
 	}
-	store.Finalize()
 	switch *format {
 	case "text":
 		err = store.DumpFile(*out)

@@ -45,7 +45,6 @@ func runSystem(name string, sys *cluster.System, profile tracegen.Profile,
 	if err := store.Ingest(res); err != nil {
 		log.Fatal(err)
 	}
-	store.Finalize()
 
 	// The identical workflow configuration runs on both systems — the
 	// paper's portability claim ("applied the same workflow without

@@ -43,7 +43,6 @@ func buildStore(profile tracegen.Profile, sys *cluster.System,
 	if err := store.Ingest(res); err != nil {
 		log.Fatal(err)
 	}
-	store.Finalize()
 	return store
 }
 

@@ -57,7 +57,6 @@ func main() {
 	if err := store.Ingest(res); err != nil {
 		log.Fatal(err)
 	}
-	store.Finalize()
 
 	// The AI subworkflow talks to an in-process analyst endpoint.
 	analyst := httptest.NewServer(llm.NewServer("sk-example").Handler())

@@ -54,7 +54,6 @@ func main() {
 	if err := store.Ingest(res); err != nil {
 		log.Fatal(err)
 	}
-	store.Finalize()
 
 	// 4. Run the analysis workflow.
 	outDir, err := os.MkdirTemp("", "slurmsight-quickstart-")

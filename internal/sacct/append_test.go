@@ -250,8 +250,17 @@ func TestSealedMonthsScanLikeATextStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer got.Close()
-		if len(got.sealed) < 2 || len(got.shards) != 0 {
-			t.Fatalf("seed %d: opened with %d sealed months and %d in memory, want several and none", seed, len(got.sealed), len(got.shards))
+		sealed, inMem := 0, 0
+		for _, mo := range got.months {
+			if mo.base != nil {
+				sealed++
+			}
+			if len(mo.mem) > 0 {
+				inMem++
+			}
+		}
+		if sealed < 2 || inMem != 0 {
+			t.Fatalf("seed %d: opened with %d sealed months and %d in memory, want several and none", seed, sealed, inMem)
 		}
 
 		rng := rand.New(rand.NewSource(seed))
@@ -293,8 +302,8 @@ func TestSealedMonthsScanLikeATextStore(t *testing.T) {
 					tails++
 				}
 			}
-			for m, sh := range got.sealed {
-				merged = merged || sh.Rows() > 0 && len(got.shards[m]) > 0
+			for _, mo := range got.months {
+				merged = merged || mo.base != nil && mo.base.Rows() > 0 && len(mo.mem) > 0
 			}
 			months := ref.Months()
 			origin := months[0].Start()

@@ -18,8 +18,8 @@ import (
 // the sealed shards is the scan's business (query.go).
 
 // DumpBinary writes the full store in the binary columnar format. Months
-// with sealed rows are re-encoded from owned copies, merged with whatever
-// was added since.
+// with a base shard or segments are re-encoded from owned copies, merged
+// with whatever was added since.
 func (s *Store) DumpBinary(w io.Writer) error {
 	shards, err := s.shardInputs()
 	if err != nil {
@@ -46,7 +46,7 @@ func (s *Store) shardInputs() ([]colstore.ShardInput, error) {
 	ins := make([]colstore.ShardInput, len(v.months))
 	for i, mv := range v.months {
 		ins[i] = colstore.ShardInput{Year: mv.m.Year, Mon: mv.m.Mon, Records: mv.mem}
-		if mv.sealed == nil && len(mv.segs) == 0 {
+		if mv.base == nil && len(mv.segs) == 0 {
 			continue
 		}
 		recs, err := collectMonth(mv)
@@ -59,13 +59,13 @@ func (s *Store) shardInputs() ([]colstore.ShardInput, error) {
 }
 
 // OpenBinary opens a binary columnar dump: the call costs one footer
-// parse, and each month's rows stay on disk as its sealed part, read
+// parse, and each month's rows stay on disk as its base shard, read
 // column by column as scans project them. The exception is a shard the
-// footer marks unsorted — only a store dumped before Finalize writes one —
-// which is read whole, here, sorted, and held as in-memory rows, so that
-// every sealed shard a scan meets is in order. A file without the
-// columnar magic returns colstore.ErrNotColstore; callers wanting text
-// fallback should use OpenFile instead.
+// footer marks unsorted — a file the store did not write, since the store
+// dumps every month in scan order — which is read whole, here, sorted, and
+// held as in-memory rows, so that every shard a scan meets is in order. A
+// file without the columnar magic returns colstore.ErrNotColstore; callers
+// wanting text fallback should use OpenFile instead.
 func OpenBinary(path string) (*Store, error) {
 	f, err := colstore.Open(path)
 	if err != nil {
@@ -90,17 +90,16 @@ func openFile(f *colstore.File) (*Store, error) {
 	st.bin = f
 	for _, sh := range f.Shards() {
 		m := Month{Year: sh.Year(), Mon: sh.Mon()}
-		if _, dup := st.sealed[m]; dup {
+		if _, dup := st.months[m]; dup {
 			f.Close()
 			return nil, fmt.Errorf("%w: duplicate shard %s", colstore.ErrCorrupt, m)
 		}
-		st.sealed[m] = sh
-		if min, max, ok := sh.SubmitRange(); ok {
-			st.ranges[m] = shardRange{min: min.UnixNano(), max: max.UnixNano()}
+		mo := st.monthLocked(m)
+		if lo, hi, ok := sh.SubmitRange(); ok {
+			mo.rng = shardRange{min: lo.UnixNano(), max: hi.UnixNano()}
 		}
-	}
-	for m, sh := range st.sealed {
 		if sh.Sorted() {
+			mo.base = sh
 			continue
 		}
 		recs, err := readShard(sh)
@@ -109,8 +108,7 @@ func openFile(f *colstore.File) (*Store, error) {
 			return nil, fmt.Errorf("sacct: loading unsorted shard %s: %w", m, err)
 		}
 		slices.SortStableFunc(recs, recordCmp)
-		st.shards[m], st.sorted[m] = recs, true
-		delete(st.sealed, m)
+		mo.mem = recs
 	}
 	return st, nil
 }
@@ -181,7 +179,7 @@ func (s *Store) Close() error {
 	return s.bin.Close()
 }
 
-// Warm reads every sealed shard and segment once, start to end —
+// Warm reads every base shard and segment once, start to end —
 // checksums verified, dictionaries loaded, seek indexes built — so that
 // damage anywhere in the file is an error at startup and no request pays
 // a first touch. It materialises nothing: the rows stay on disk or in
@@ -190,8 +188,7 @@ func (s *Store) Warm() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, m := range s.monthsLocked() {
-		mv := monthView{sealed: s.sealed[m], segs: s.segs[m]}
-		for sh := range mv.frozen {
+		for sh := range s.months[m].frozen {
 			if err := sh.Load(context.Background(), colstore.AllColumns); err != nil {
 				return fmt.Errorf("sacct: shard %s: %w", m, err)
 			}

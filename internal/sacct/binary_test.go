@@ -193,9 +193,9 @@ func TestProjectedWriteReadsOnlySelectedColumns(t *testing.T) {
 	if n, want := full.ColumnsRead-after.ColumnsRead, int64(len(colstore.ColumnNames()))*months; n != want {
 		t.Errorf("full scan read %d columns, want %d", n, want)
 	}
-	for m, shard := range bin.shards {
-		if len(shard) != 0 {
-			t.Errorf("full scan left %d records of %s in memory", len(shard), m)
+	for m, mo := range bin.months {
+		if len(mo.mem) != 0 {
+			t.Errorf("full scan left %d records of %s in memory", len(mo.mem), m)
 		}
 	}
 }

@@ -62,18 +62,18 @@ func TestIngestLandsEachJobBeforeItsSteps(t *testing.T) {
 	}
 	gen := got.Generation()
 	firsts := map[Month]*slurm.Record{}
-	for m, shard := range got.shards {
-		if !slices.IsSortedFunc(shard, recordCmp) {
+	for m, mo := range got.months {
+		if !slices.IsSortedFunc(mo.mem, recordCmp) {
 			t.Fatalf("shard %s is out of scan order straight after Ingest", m)
 		}
-		firsts[m] = &shard[0]
+		firsts[m] = &mo.mem[0]
 	}
 	got.Finalize()
 	if got.Generation() != gen {
 		t.Errorf("Finalize after Ingest moved the generation %d → %d: it reordered a shard", gen, got.Generation())
 	}
-	for m, shard := range got.shards {
-		if &shard[0] != firsts[m] {
+	for m, mo := range got.months {
+		if &mo.mem[0] != firsts[m] {
 			t.Errorf("Finalize after Ingest copied shard %s", m)
 		}
 	}

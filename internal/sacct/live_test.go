@@ -65,8 +65,8 @@ func TestSealRuleScansLikeAddFinalize(t *testing.T) {
 			}
 			months := got.Months()
 			newest := months[len(months)-1]
-			for m, shard := range got.shards {
-				if len(shard) > 0 && m != newest || len(shard) >= limit {
+			for m, mo := range got.months {
+				if shard := mo.mem; len(shard) > 0 && m != newest || len(shard) >= limit {
 					t.Fatalf("seed %d batch %d: %d Records held in %s (newest %s)", seed, b, len(shard), m, newest)
 				}
 			}
@@ -155,12 +155,12 @@ func TestLiveTailHoldsFewRecords(t *testing.T) {
 	if st.Len() != batches*rows {
 		t.Fatalf("store holds %d rows, want %d", st.Len(), batches*rows)
 	}
-	for m, shard := range st.shards {
-		if len(shard) > 0 && m != newest {
+	for m, mo := range st.months {
+		if shard := mo.mem; len(shard) > 0 && m != newest {
 			t.Errorf("%d Records held in %s, which is not the newest month", len(shard), m)
 		}
 	}
-	if n := len(st.shards[newest]); n >= sealRows {
+	if n := len(st.months[newest].mem); n >= sealRows {
 		t.Errorf("%d Records held in the newest month, want fewer than %d", n, sealRows)
 	}
 	if held > perRow*batches*rows {
@@ -276,8 +276,8 @@ func TestTailInstruments(t *testing.T) {
 	snap := reg.Snapshot()
 	tail := st.Tail()
 	segRows := 0
-	for _, segs := range st.segs {
-		for _, sh := range segs {
+	for _, mo := range st.months {
+		for _, sh := range mo.segs {
 			segRows += sh.Rows()
 		}
 	}

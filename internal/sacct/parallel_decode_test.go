@@ -103,9 +103,9 @@ func TestParallelWarmParity(t *testing.T) {
 				t.Errorf("width %d scanner %d: %v", width, g, err)
 			}
 		})
-		for m, shard := range bin.shards {
-			if len(shard) != 0 {
-				t.Fatalf("width %d: Warm left %d records of %s in memory", width, len(shard), m)
+		for m, mo := range bin.months {
+			if len(mo.mem) != 0 {
+				t.Fatalf("width %d: Warm left %d records of %s in memory", width, len(mo.mem), m)
 			}
 		}
 		for i, q := range queries {

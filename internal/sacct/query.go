@@ -77,102 +77,47 @@ func (q *Query) overlaps(m Month, rg shardRange) bool {
 	return true
 }
 
-// monthView is one month as a scan reads it: the sealed shard, the
-// segment list and the in-memory slice header the store held when the
-// view was captured.
-type monthView struct {
-	m      Month
-	sealed *colstore.Shard   // nil, or a shard with rows
-	segs   []*colstore.Shard // oldest first
-	mem    []slurm.Record
-	sorted bool // mem is in recordCmp order
-}
-
-// frozen yields the month's frozen parts in tie order: its sealed rows,
-// then its segments oldest first.
-func (mv *monthView) frozen(yield func(*colstore.Shard) bool) {
-	if mv.sealed != nil && !yield(mv.sealed) {
-		return
-	}
-	for _, sh := range mv.segs {
-		if !yield(sh) {
-			return
-		}
-	}
-}
-
-// merges reports that a scan of the month interleaves rows of more than
-// one part: two frozen parts, or one and sorted in-memory rows.
-func (mv *monthView) merges() bool {
-	n := len(mv.segs)
-	if mv.sealed != nil {
-		n++
-	}
-	if mv.sorted && len(mv.mem) > 0 {
-		n++
-	}
-	return n > 1
-}
-
-// storeView is what one scan reads: every month the query's window can
-// reach, in order, and the generation they belong to, captured under one
-// read lock — so nothing that lands while the scan runs shows up in it,
-// and the generation is a true label for the rows it yields. The slices
-// alias store storage; a scan does not write through them.
+// storeView is what one scan reads: a copy of every month the query's
+// window can reach, in order, and the generation they belong to, captured
+// under one read lock — so nothing that lands while the scan runs shows up
+// in it, and the generation is a true label for the rows it yields. The
+// copies alias store storage; a scan does not write through them.
 type storeView struct {
 	gen    uint64
-	months []monthView
+	months []month
 	merges bool // some month merges parts
 }
 
 func (s *Store) view(q *Query) storeView {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v := storeView{gen: s.gen.Load(), months: make([]monthView, 0, len(s.ranges))}
-	for m, rg := range s.ranges { // every populated month has a range
-		if !q.overlaps(m, rg) {
+	v := storeView{gen: s.gen.Load(), months: make([]month, 0, len(s.months))}
+	for _, mo := range s.months {
+		if mo.rows() == 0 || !q.overlaps(mo.m, mo.rng) {
 			continue
 		}
-		mv := monthView{m: m, segs: s.segs[m], mem: s.shards[m], sorted: s.sorted[m]}
-		if sh := s.sealed[m]; sh != nil && sh.Rows() > 0 {
-			mv.sealed = sh
+		mv := *mo
+		if mv.base != nil && mv.base.Rows() == 0 {
+			mv.base = nil
 		}
 		v.merges = v.merges || mv.merges()
 		v.months = append(v.months, mv)
 	}
-	slices.SortFunc(v.months, func(a, b monthView) int { return a.m.Compare(b.m) })
+	slices.SortFunc(v.months, func(a, b month) int { return a.m.Compare(b.m) })
 	return v
 }
 
 // rows counts the view's rows before any window or filter.
 func (v *storeView) rows() (n int) {
 	for i := range v.months {
-		n += v.rowsOf(i)
+		n += v.months[i].rows()
 	}
 	return n
 }
 
-// rowsOf counts month i's rows, every part.
-func (v *storeView) rowsOf(i int) int {
-	mv := &v.months[i]
-	n := len(mv.mem)
-	if mv.sealed != nil {
-		n += mv.sealed.Rows()
-	}
-	for _, sh := range mv.segs {
-		n += sh.Rows()
-	}
-	return n
-}
-
-// window narrows sorted in-memory rows to the query's submit-time bounds
-// by binary search; rows still awaiting Finalize keep their full extent,
-// since the plan's Submit filter re-checks the bounds per record either
-// way.
-func (q *Query) window(shard []slurm.Record, sorted bool) []slurm.Record {
-	if !sorted {
-		return shard
-	}
+// window narrows in-memory rows to the query's submit-time bounds by
+// binary search.
+func (q *Query) window(shard []slurm.Record) []slurm.Record {
 	lo, hi := 0, len(shard)
 	if !q.Start.IsZero() {
 		lo = sort.Search(len(shard), func(i int) bool {
@@ -239,7 +184,7 @@ func (p *scanPlan) keep(r *slurm.Record) bool {
 var mergeKey, _ = colstore.ColumnsFor("Submit", "JobID")
 
 // frozenParts is a scan's cursors over the frozen parts of the month it
-// is in — its sealed rows, then its segments oldest first — each standing
+// is in — its base shard, then its segments oldest first — each standing
 // on its next row. Cursors are built as a month first needs them and
 // re-pointed month to month.
 type frozenParts struct {
@@ -251,7 +196,7 @@ type frozenParts struct {
 
 // open points the cursors at mv's frozen parts, each narrowed to the
 // plan's submit window, and reads each one's first row.
-func (fp *frozenParts) open(ctx context.Context, mv *monthView) error {
+func (fp *frozenParts) open(ctx context.Context, mv *month) error {
 	fp.heads = fp.heads[:0]
 	for sh := range mv.frozen {
 		if err := fp.add(ctx, sh); err != nil {
@@ -308,10 +253,9 @@ func (fp *frozenParts) close() {
 
 // run streams the view's matching records in emission order: month by
 // month, a k-way merge of the month's frozen parts and its in-memory rows
-// — on a tie the earlier part first, in-memory rows last — or the frozen
-// parts followed by the in-memory rows when those still await Finalize.
-// It reports the months visited and rows yielded, and stops at the first
-// error, which it yields.
+// — on a tie the earlier part first, in-memory rows last. It reports the
+// months visited and rows yielded, and stops at the first error, which it
+// yields.
 //
 // The whole scan is one fault window: a mapped page that its file no
 // longer backs, truncated under the store, ends the scan with
@@ -344,17 +288,17 @@ func (v *storeView) run(ctx context.Context, p *scanPlan, yield func(*slurm.Reco
 	for i := range v.months {
 		mv := &v.months[i]
 		shards++
-		mem := p.q.window(mv.mem, mv.sorted)
+		mem := p.q.window(mv.mem)
 		if err := fp.open(ctx, mv); err != nil {
 			yield(nil, err)
 			return shards, rows
 		}
 		for {
 			part := fp.first()
-			for mv.sorted && len(mem) > 0 && !p.keep(&mem[0]) {
+			for len(mem) > 0 && !p.keep(&mem[0]) {
 				mem = mem[1:]
 			}
-			if mv.sorted && len(mem) > 0 && (part < 0 || cmpRecords(&mem[0], fp.heads[part]) < 0) {
+			if len(mem) > 0 && (part < 0 || cmpRecords(&mem[0], fp.heads[part]) < 0) {
 				if !emit(&mem[0]) {
 					return shards, rows
 				}
@@ -372,25 +316,20 @@ func (v *storeView) run(ctx context.Context, p *scanPlan, yield func(*slurm.Reco
 				return shards, rows
 			}
 		}
-		for j := range mem { // rows still awaiting Finalize
-			if p.keep(&mem[j]) && !emit(&mem[j]) {
-				return shards, rows
-			}
-		}
 	}
 	return shards, rows
 }
 
 // Scan streams matching records in emission order without copying them:
-// a yielded record is valid only until the next iteration — sealed rows
-// are decoded into one record the scan reuses (TRES maps included), and
-// in-memory rows alias store-owned storage — so a consumer that retains a
-// record clones it (slurm.Record.Clone) and none may mutate through the
-// pointer. An invalid query yields a single terminal error; so does a
-// corrupt sealed shard, before the first row of that shard. A Scan
-// concurrent with Add/AppendBatch/Finalize is safe and reads the store as
-// it stood when the iteration began; use Generation to detect that the
-// answer may already be stale.
+// a yielded record is valid only until the next iteration — base-shard and
+// segment rows are decoded into one record the scan reuses (TRES maps
+// included), and in-memory rows alias store-owned storage — so a consumer
+// that retains a record clones it (slurm.Record.Clone) and none may mutate
+// through the pointer. An invalid query yields a single terminal error; so
+// does a corrupt shard, before the first row of that shard. A Scan
+// concurrent with Add/AppendBatch/Ingest is safe and reads the store as it
+// stood when the iteration began; use Generation to detect that the answer
+// may already be stale.
 func (s *Store) Scan(q Query) slurm.RecordSeq { return s.ScanCtx(context.Background(), q) }
 
 // ScanCtx is Scan under a request context: when ctx carries an active

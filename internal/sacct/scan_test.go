@@ -2,6 +2,7 @@ package sacct
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -99,7 +100,7 @@ func bruteSelect(t *testing.T, s *Store, q Query) []slurm.Record {
 	t.Helper()
 	var out []slurm.Record
 	for _, m := range s.Months() {
-		shard := s.shards[m]
+		shard := s.months[m].mem
 		for i := range shard {
 			if bruteMatches(t, &q, &shard[i]) {
 				out = append(out, shard[i])
@@ -183,36 +184,47 @@ func TestScanEarlyBreak(t *testing.T) {
 	}
 }
 
+// TestFinalizeSkipsSortedShards: Add lands shuffled rows in scan order,
+// so Finalize has nothing left to do — it moves no row, copies no slice
+// and leaves the generation where it was — and a late Add keeps the order
+// without it.
 func TestFinalizeSkipsSortedShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s := randomStore(rng, 300)
-	s.Finalize()
-	// Round-trip through a dump: records arrive back in sorted order, so
-	// the reloaded store's Finalize must detect every shard as sorted.
+	firsts := map[Month]*slurm.Record{}
 	for _, m := range s.Months() {
-		shard := s.shards[m]
-		if !s.sorted[m] {
-			t.Errorf("shard %v not marked sorted after Finalize", m)
+		shard := s.months[m].mem
+		if !slices.IsSortedFunc(shard, recordCmp) {
+			t.Fatalf("shard %v out of scan order straight after Add", m)
 		}
-		for i := 1; i < len(shard); i++ {
-			if cmpRecords(&shard[i], &shard[i-1]) < 0 {
-				t.Fatalf("shard %v out of order at %d", m, i)
-			}
+		firsts[m] = &shard[0]
+	}
+	gen, before := s.Generation(), scanKeys(t, s)
+	s.Finalize()
+	if s.Generation() != gen {
+		t.Errorf("Finalize moved the generation %d → %d", gen, s.Generation())
+	}
+	for m, first := range firsts {
+		if &s.months[m].mem[0] != first {
+			t.Errorf("Finalize copied shard %v", m)
 		}
 	}
-	// Adding invalidates the flag.
+	if !slices.Equal(scanKeys(t, s), before) {
+		t.Error("Finalize changed the scan")
+	}
 	if err := s.Add(slurm.Record{ID: slurm.NewJobID(1), Submit: time.Date(2024, 2, 2, 0, 0, 0, 0, time.UTC)}); err != nil {
 		t.Fatal(err)
 	}
-	if s.sorted[Month{2024, time.February}] {
-		t.Error("Add did not invalidate the sorted flag")
+	if feb := s.months[Month{2024, time.February}].mem; !slices.IsSortedFunc(feb, recordCmp) {
+		t.Error("a late Add left the month out of scan order")
 	}
 }
 
-// BenchmarkFinalize measures the already-sorted fast path (the common
-// reload-from-dump case) against a shuffled ingest that needs the sort.
-func BenchmarkFinalize(b *testing.B) {
-	build := func(n int, shuffle bool) *Store {
+// BenchmarkAdd measures Add of 50,000 rows into one month, already in
+// scan order (the reload-from-dump case: every row appends in place) and
+// shuffled (nearly every row is late: one sort and one merge).
+func BenchmarkAdd(b *testing.B) {
+	build := func(n int, shuffle bool) []slurm.Record {
 		rng := rand.New(rand.NewSource(3))
 		recs := make([]slurm.Record, n)
 		origin := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -225,22 +237,18 @@ func BenchmarkFinalize(b *testing.B) {
 		if shuffle {
 			rng.Shuffle(n, func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
 		}
-		s := NewStore()
-		if err := s.Add(recs...); err != nil {
-			b.Fatal(err)
-		}
-		return s
+		return recs
 	}
 	for _, bench := range []struct {
 		name    string
 		shuffle bool
 	}{{"presorted", false}, {"shuffled", true}} {
 		b.Run(bench.name, func(b *testing.B) {
+			recs := build(50000, bench.shuffle)
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s := build(50000, bench.shuffle)
-				b.StartTimer()
-				s.Finalize()
+				if err := NewStore().Add(recs...); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

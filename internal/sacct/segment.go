@@ -20,8 +20,8 @@ import (
 //     over;
 //   - (c) the month holds sealRows in-memory rows.
 //
-// A month with more than maxSegments segments folds them into one. Add,
-// Ingest and Finalize, the bulk-load pair, never seal.
+// A month with more than maxSegments segments folds them into one. Add
+// and Ingest, the bulk loads, never seal.
 const (
 	sealRows    = 4096
 	maxSegments = 8
@@ -40,7 +40,7 @@ func (s *Store) sealTouched(touched []Month, last Month, populated bool) {
 		newest = last
 	}
 	for _, m := range touched {
-		if m != newest || len(s.shards[m]) >= s.limits.rows {
+		if m != newest || len(s.months[m].mem) >= s.limits.rows {
 			s.sealLocked(m)
 		}
 	}
@@ -49,51 +49,50 @@ func (s *Store) sealTouched(touched []Month, last Month, populated bool) {
 	}
 }
 
-// sealLocked turns month m's in-memory rows, when sorted, into its newest
-// segment, and folds the month's segments once there are more than the
-// limit. The rows and their order do not change, so neither does the
-// generation. The month's next row starts a fresh slice — a running scan
-// may still hold this one — and a segment that cannot be built (a row
-// the format cannot hold) leaves the rows in memory, served as before.
+// sealLocked turns month m's in-memory rows into its newest segment, and
+// folds the month's segments once there are more than the limit. The rows
+// and their order do not change, so neither does the generation. The
+// month's next row starts a fresh slice — a running scan may still hold
+// this one — and a segment that cannot be built (a row the format cannot
+// hold) leaves the rows in memory, served as before.
 func (s *Store) sealLocked(m Month) {
-	mem := s.shards[m]
-	if len(mem) == 0 || !s.sorted[m] {
+	mo := s.months[m]
+	if mo == nil || len(mo.mem) == 0 {
 		return
 	}
-	sh, err := colstore.Seal(m.Year, m.Mon, mem)
+	sh, err := colstore.Seal(m.Year, m.Mon, mo.mem)
 	if err != nil {
 		return
 	}
-	s.segs[m] = append(s.segs[m], sh)
-	delete(s.shards, m)
+	mo.segs, mo.mem = append(mo.segs, sh), nil
 	s.seals.Inc()
-	if len(s.segs[m]) > s.limits.segments {
-		s.foldLocked(m)
+	if len(mo.segs) > s.limits.segments {
+		s.foldLocked(mo)
 	}
 }
 
-// foldLocked merges month m's segments into one, swapped in as a fresh
+// foldLocked merges a month's segments into one, swapped in as a fresh
 // list so that a scan holding the old one keeps reading it.
-func (s *Store) foldLocked(m Month) {
-	recs, err := collectMonth(monthView{m: m, segs: s.segs[m]})
+func (s *Store) foldLocked(mo *month) {
+	recs, err := collectMonth(month{m: mo.m, segs: mo.segs})
 	if err != nil {
 		return
 	}
-	sh, err := colstore.Seal(m.Year, m.Mon, recs)
+	sh, err := colstore.Seal(mo.m.Year, mo.m.Mon, recs)
 	if err != nil {
 		return
 	}
-	s.segs[m] = []*colstore.Shard{sh}
+	mo.segs = []*colstore.Shard{sh}
 	s.folds.Inc()
 }
 
 // collectMonth reads one month in scan order into owned copies.
-func collectMonth(mv monthView) ([]slurm.Record, error) {
+func collectMonth(mv month) ([]slurm.Record, error) {
 	p := &scanPlan{q: &Query{IncludeSteps: true}, cols: colstore.AllColumns}
-	month := storeView{months: []monthView{mv}, merges: mv.merges()}
-	recs := make([]slurm.Record, 0, month.rowsOf(0))
+	v := storeView{months: []month{mv}, merges: mv.merges()}
+	recs := make([]slurm.Record, 0, mv.rows())
 	var err error
-	month.run(context.Background(), p, func(r *slurm.Record, rerr error) bool {
+	v.run(context.Background(), p, func(r *slurm.Record, rerr error) bool {
 		if err = rerr; err == nil {
 			recs = append(recs, r.Clone())
 		}
@@ -102,12 +101,11 @@ func collectMonth(mv monthView) ([]slurm.Record, error) {
 	return recs, err
 }
 
-// frozenTailLocked returns the greatest key among month m's sealed rows
-// and segments, nil when it has neither. The caller holds s.mu.
-func (s *Store) frozenTailLocked(m Month) (*slurm.Record, error) {
+// frozenTail returns the greatest key among the month's base shard and
+// segments, nil when it has neither.
+func (mo *month) frozenTail() (*slurm.Record, error) {
 	var last *slurm.Record
-	mv := monthView{sealed: s.sealed[m], segs: s.segs[m]}
-	for sh := range mv.frozen {
+	for sh := range mo.frozen {
 		k, err := lastKey(sh)
 		if err != nil {
 			return nil, err
@@ -157,12 +155,10 @@ func (s *Store) Tail() TailStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var t TailStats
-	for _, shard := range s.shards {
-		t.MemRows += len(shard)
-	}
-	for _, segs := range s.segs {
-		t.Segments += len(segs)
-		for _, sh := range segs {
+	for _, mo := range s.months {
+		t.MemRows += len(mo.mem)
+		t.Segments += len(mo.segs)
+		for _, sh := range mo.segs {
 			t.SegmentBytes += sh.FileSize()
 		}
 	}

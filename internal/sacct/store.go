@@ -19,6 +19,7 @@ import (
 	"io"
 	"iter"
 	"maps"
+	"math"
 	"os"
 	"slices"
 	"sort"
@@ -77,34 +78,30 @@ func ParseMonth(s string) (Month, error) {
 }
 
 // Store is an accounting database sharded by submission month. A month
-// is three parts, any of which may be empty: sealed rows, the month's
-// shard of the columnar file the store was opened from, which stay on
-// disk as mapped columns; segments, in-memory one-shard columnar files
-// that AppendBatch seals its rows into (oldest first); and an in-memory
-// []Record of what Add, AppendBatch and Ingest put there since. Sealed
-// rows and segments are read through colstore.Cursors. A scan merges the
-// parts — on a key tie sealed rows first, then segments oldest first,
-// then the in-memory rows, which is where a stable sort of the rows in
-// arrival order puts them — so a store opened from a dump and appended
-// to reads exactly like a text-loaded store of the same rows, while
-// holding Records only for the part of the tail not yet sealed.
+// (see month) is three parts, any of which may be empty: its base shard,
+// the month's shard of the columnar file the store was opened from, which
+// stays on disk as mapped columns; segments, in-memory one-shard columnar
+// files that AppendBatch seals its rows into (oldest first); and an
+// in-memory []Record of what Add, AppendBatch and Ingest put there since,
+// always in scan order. The base shard and segments are read through
+// colstore.Cursors. A scan merges the parts — on a key tie the base shard
+// first, then segments oldest first, then the in-memory rows, which is
+// where a stable sort of the rows in arrival order puts them — so a store
+// opened from a dump and appended to reads exactly like a text-loaded
+// store of the same rows, while holding Records only for the part of the
+// tail not yet sealed.
 //
-// Queries, Add, AppendBatch, and Finalize may run concurrently: mutators
-// never write through storage a reader could be holding (Finalize and a
-// late AppendBatch build a fresh slice and swap the shard pointer; Add
-// and a tail AppendBatch append past every captured length; a seal
-// starts the month's rows afresh, and a fold swaps in a fresh segment
-// list), sealed rows and segments never change, and a scan reads one
-// capture of every month it visits, taken under one lock together with
-// the generation it belongs to.
+// Queries, Add, AppendBatch and Ingest may run concurrently: mutators never
+// write through storage a reader could be holding (rows that sort before a
+// month's last row are merged with it into a fresh slice, rows that do not
+// are appended past every captured length, a seal starts the month's rows
+// afresh, and a fold swaps in a fresh segment list), base shards and
+// segments never change, and a scan reads one copy of every month it
+// visits, taken under one lock together with the generation it belongs to.
 type Store struct {
 	mu     sync.RWMutex
-	shards map[Month][]slurm.Record    // the in-memory rows of each month
-	sorted map[Month]bool              // shards[m] known to be in recordCmp order
-	ranges map[Month]shardRange        // submit extent of every populated month, every part included
-	sealed map[Month]*colstore.Shard   // the sealed rows of each month, in recordCmp order
-	segs   map[Month][]*colstore.Shard // the segments of each month, oldest first, each in recordCmp order
-	bin    *colstore.File              // backing columnar file; nil for text stores
+	months map[Month]*month
+	bin    *colstore.File // backing columnar file; nil for text stores
 
 	limits       sealLimits
 	seals, folds *obs.Counter // nil until Instrument
@@ -112,39 +109,103 @@ type Store struct {
 	gen atomic.Uint64 // bumped on every successful logical mutation
 }
 
-// shardRange is a shard's actual submit extent in unix nanoseconds,
-// inclusive on both ends.
+// month is one month of a store, every part of it. A scan reads a copy
+// taken under the store's read lock; the store changes a month's fields
+// only under its write lock, and never the storage a copy points at.
+type month struct {
+	m    Month
+	base *colstore.Shard   // the month's shard of the backing file, or nil
+	segs []*colstore.Shard // oldest first
+	mem  []slurm.Record    // in recordCmp order
+	rng  shardRange        // submit extent, every part included
+}
+
+// frozen yields the month's frozen parts in tie order: its base shard,
+// then its segments oldest first.
+func (mo *month) frozen(yield func(*colstore.Shard) bool) {
+	if mo.base != nil && !yield(mo.base) {
+		return
+	}
+	for _, sh := range mo.segs {
+		if !yield(sh) {
+			return
+		}
+	}
+}
+
+// rows counts the month's rows, every part, reading no shard.
+func (mo *month) rows() int {
+	n := len(mo.mem)
+	for sh := range mo.frozen {
+		n += sh.Rows()
+	}
+	return n
+}
+
+// merges reports that a scan of the month interleaves rows of more than
+// one part.
+func (mo *month) merges() bool {
+	n := len(mo.segs)
+	if mo.base != nil {
+		n++
+	}
+	if len(mo.mem) > 0 {
+		n++
+	}
+	return n > 1
+}
+
+// land puts sorted rows into the month's in-memory rows: appended in
+// place when they sort at or after its last row, which a scan holding the
+// old slice never sees, else merged with them into a fresh slice. It
+// reports whether they were appended.
+func (mo *month) land(rows []slurm.Record) bool {
+	mo.rng = mo.rng.extend(rows[0].Submit).extend(rows[len(rows)-1].Submit)
+	if n := len(mo.mem); n == 0 || cmpRecords(&mo.mem[n-1], &rows[0]) <= 0 {
+		mo.mem = append(mo.mem, rows...)
+		return true
+	}
+	mo.mem = mergeBehind(mo.mem, rows)
+	return false
+}
+
+// shardRange is a month's actual submit extent in unix nanoseconds,
+// inclusive on both ends; noRows is the extent of a month with none.
 type shardRange struct{ min, max int64 }
+
+var noRows = shardRange{min: math.MaxInt64, max: math.MinInt64}
 
 // extend widens the range to admit t.
 func (r shardRange) extend(t time.Time) shardRange {
 	ns := t.UnixNano()
-	if ns < r.min {
-		r.min = ns
-	}
-	if ns > r.max {
-		r.max = ns
-	}
+	r.min, r.max = min(r.min, ns), max(r.max, ns)
 	return r
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
-		shards: map[Month][]slurm.Record{},
-		sorted: map[Month]bool{},
-		ranges: map[Month]shardRange{},
-		sealed: map[Month]*colstore.Shard{},
-		segs:   map[Month][]*colstore.Shard{},
+		months: map[Month]*month{},
 		limits: sealLimits{rows: sealRows, segments: maxSegments},
 	}
 }
 
+// monthLocked returns month m, adding it empty if the store has none. The
+// caller holds s.mu for writing.
+func (s *Store) monthLocked(m Month) *month {
+	mo := s.months[m]
+	if mo == nil {
+		mo = &month{m: m, rng: noRows}
+		s.months[m] = mo
+	}
+	return mo
+}
+
 // Generation returns the store's mutation counter: it advances once per
-// AppendBatch that lands, after every Add/Ingest that lands records and
-// every Finalize that reorders a shard, and never otherwise. Two reads
-// returning the same value bracket a window in which every query answer
-// was stable, which is what makes it usable as a response-cache key.
+// AppendBatch that lands, once per Add/Ingest that lands records, and
+// never otherwise. Two reads returning the same value bracket a window in
+// which every query answer was stable, which is what makes it usable as a
+// response-cache key.
 func (s *Store) Generation() uint64 { return s.gen.Load() }
 
 // recordCmp is the shard emission order: submission time, ties broken
@@ -166,12 +227,13 @@ func cmpRecords(a, b *slurm.Record) int {
 	return slurm.CompareJobID(a.ID, b.ID)
 }
 
-// Add inserts records, sharding by submission month. Records for a month
-// with sealed rows land in its in-memory part, behind the sealed ones.
+// Add inserts records, sharding by submission month, into each month's
+// in-memory rows in scan order: a scan sees them where a stable sort of
+// every row the month was given, in arrival order, puts them.
 //
-// Before the first record joins a sealed month, every column of that
-// shard is verified. A corrupt shard aborts the insert at that record and
-// returns the error: records earlier in the batch stay inserted, the
+// Before the first record joins a month with a base shard, every column of
+// that shard is verified. A corrupt shard aborts the insert at that record
+// and returns the error: records earlier in the batch stay inserted, the
 // failing record and everything after it do not, and the corrupt month
 // keeps its on-disk rows visible to Months/Len and its error surfacing on
 // every later scan — nothing is silently dropped on either side.
@@ -185,60 +247,70 @@ func (s *Store) Add(records ...slurm.Record) error {
 	}, nil)
 }
 
-// addAll appends a copy of every yielded record to its month's in-memory
+// addAll lands a copy of every yielded record in its month's in-memory
 // rows, under one lock and one generation, stopping at the first that a
-// corrupt sealed shard refuses. reserve, if non-nil, is a size hint:
-// reserve[m] is how many records are coming for month m, and the month's
-// slice is grown by that much, once, when its first record lands.
+// corrupt base shard refuses. A record that sorts at or after its month's
+// last row is appended in place; any other is held back as late, and when
+// the call ends each month's late rows get one stable sort and one merge
+// (land). In-order rows only ever increase, so no later one ties a late
+// row, and that is where a stable sort of all of them in arrival order
+// puts each. reserve, if non-nil, is a size hint: reserve[m] is how many
+// records are coming for month m, and the month's slice is grown by that
+// much, once, when its first record lands.
 func (s *Store) addAll(recs iter.Seq[*slurm.Record], reserve map[Month]int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	added := false
+	var late map[*month][]slurm.Record
 	defer func() {
+		for mo, rows := range late {
+			slices.SortStableFunc(rows, recordCmp)
+			mo.land(rows)
+		}
 		if added {
 			s.gen.Add(1)
 		}
 	}()
+	var mo *month
 	for r := range recs {
-		m := MonthOf(r.Submit)
-		if sh := s.sealed[m]; sh != nil {
-			if err := sh.Load(context.Background(), colstore.AllColumns); err != nil {
-				return fmt.Errorf("sacct: add into shard %s: %w", m, err)
+		if m := MonthOf(r.Submit); mo == nil || mo.m != m {
+			if mo = s.months[m]; mo != nil && mo.base != nil {
+				if err := mo.base.Load(context.Background(), colstore.AllColumns); err != nil {
+					return fmt.Errorf("sacct: add into shard %s: %w", m, err)
+				}
+			}
+			mo = s.monthLocked(m)
+			if n := reserve[m]; n > 0 {
+				mo.mem = slices.Grow(mo.mem, n)
+				delete(reserve, m)
 			}
 		}
-		if rg, ok := s.ranges[m]; ok {
-			s.ranges[m] = rg.extend(r.Submit)
+		if n := len(mo.mem); n > 0 && cmpRecords(&mo.mem[n-1], r) > 0 {
+			if late == nil {
+				late = map[*month][]slurm.Record{}
+			}
+			late[mo] = append(late[mo], *r)
 		} else {
-			ns := r.Submit.UnixNano()
-			s.ranges[m] = shardRange{min: ns, max: ns}
+			mo.mem = append(mo.mem, *r)
+			mo.rng = mo.rng.extend(r.Submit)
 		}
-		shard := s.shards[m]
-		if n := reserve[m]; n > 0 {
-			shard = slices.Grow(shard, n)
-			delete(reserve, m)
-		}
-		s.shards[m] = append(shard, *r)
-		delete(s.sorted, m)
 		added = true
 	}
 	return nil
 }
 
 // AppendBatch is the live-append path: it lands one batch atomically —
-// every record or none — in scan order, for exactly one generation. Add
-// and Finalize remain the bulk-load pair.
+// every record or none — in scan order, for exactly one generation.
 //
 // The batch is sorted in place by recordCmp (stably, so duplicate
 // (submit, id) keys keep arrival order), and on return records is in the
-// order a scan visits it. Every sealed shard the batch reaches is
-// verified, all columns, before anything changes, so a corrupt backing
-// shard refuses the whole batch: nothing lands and the generation stays
-// put. The rows join their month's in-memory part — appended in place
-// when they sort at or after its last record, merged with it into one
-// fresh slice otherwise, leaving scans that hold the old slice on their
-// pre-append view — and the sealed rows and segments are never touched:
-// a scan's merge is what puts a late row between two frozen ones. The
-// result is the scan order Add followed by Finalize would produce.
+// order a scan visits it. Every base shard the batch reaches is verified,
+// all columns, before anything changes, so a corrupt backing shard
+// refuses the whole batch: nothing lands and the generation stays put.
+// The rows join their month's in-memory rows the way Add's do (land), and
+// the base shard and segments are never touched: a scan's merge is what
+// puts a late row between two frozen ones. The result is the scan order
+// Add would produce.
 //
 // Once the batch has landed, the seal rule (sealTouched) may turn a
 // month's in-memory rows into a segment, which moves no row and no
@@ -257,7 +329,7 @@ func (s *Store) AppendBatch(records []slurm.Record) (gen uint64, tail bool, err 
 	}
 	last, populated := s.lastMonthLocked()
 	// The batch can only be a tail if its rows for the last month sort
-	// behind that month's sealed rows and segments; their last key is read
+	// behind that month's base shard and segments; their last key is read
 	// here, with the verification, while refusing the batch is still free.
 	var frozenTail *slurm.Record
 	var touched []Month
@@ -267,11 +339,11 @@ func (s *Store) AppendBatch(records []slurm.Record) (gen uint64, tail bool, err 
 			continue
 		}
 		touched = append(touched, m)
-		if sh := s.sealed[m]; sh != nil {
-			err = sh.Load(context.Background(), colstore.AllColumns)
+		if mo := s.months[m]; mo != nil && mo.base != nil {
+			err = mo.base.Load(context.Background(), colstore.AllColumns)
 		}
 		if err == nil && populated && m == last {
-			frozenTail, err = s.frozenTailLocked(m)
+			frozenTail, err = s.months[m].frozenTail()
 		}
 		if err != nil {
 			return s.gen.Load(), false, fmt.Errorf("sacct: append into shard %s: %w", m, err)
@@ -284,30 +356,10 @@ func (s *Store) AppendBatch(records []slurm.Record) (gen uint64, tail bool, err 
 		for hi < len(records) && MonthOf(records[hi].Submit) == m {
 			hi++
 		}
-		part := records[lo:hi]
+		appended := s.monthLocked(m).land(records[lo:hi])
+		tail = tail && appended && !(populated && m.Before(last)) &&
+			!(m == last && frozenTail != nil && cmpRecords(frozenTail, &records[lo]) > 0)
 		lo = hi
-		shard := s.shards[m]
-		switch {
-		case len(shard) == 0 || s.sorted[m] && cmpRecords(&shard[len(shard)-1], &part[0]) <= 0:
-			s.shards[m] = append(shard, part...)
-			tail = tail && !(populated && m.Before(last)) &&
-				!(m == last && frozenTail != nil && cmpRecords(frozenTail, &part[0]) > 0)
-		case s.sorted[m]:
-			s.shards[m] = mergeBehind(shard, part)
-			tail = false
-		default: // Add left the rows awaiting Finalize: finalize them here
-			shard = append(slices.Clip(shard), part...)
-			slices.SortStableFunc(shard, recordCmp)
-			s.shards[m] = shard
-			tail = false
-		}
-		s.sorted[m] = true
-		rg, ok := s.ranges[m]
-		if !ok {
-			ns := part[0].Submit.UnixNano()
-			rg = shardRange{min: ns, max: ns}
-		}
-		s.ranges[m] = rg.extend(part[0].Submit).extend(part[len(part)-1].Submit)
 	}
 	s.sealTouched(touched, last, populated)
 	return s.gen.Add(1), tail, nil
@@ -316,47 +368,37 @@ func (s *Store) AppendBatch(records []slurm.Record) (gen uint64, tail bool, err 
 // lastMonthLocked returns the latest populated month, every part
 // included. The caller holds s.mu.
 func (s *Store) lastMonthLocked() (last Month, ok bool) {
-	for m, shard := range s.shards {
-		if len(shard) > 0 && (!ok || last.Before(m)) {
-			last, ok = m, true
-		}
-	}
-	for m, sh := range s.sealed {
-		if sh.Rows() > 0 && (!ok || last.Before(m)) {
-			last, ok = m, true
-		}
-	}
-	for m, segs := range s.segs {
-		if len(segs) > 0 && (!ok || last.Before(m)) {
+	for m, mo := range s.months {
+		if mo.rows() > 0 && (!ok || last.Before(m)) {
 			last, ok = m, true
 		}
 	}
 	return last, ok
 }
 
-// mergeBehind merges a sorted batch into a sorted shard as one fresh
-// slice: each batch record lands behind every shard record that does not
-// sort after it, which is where a stable sort of shard+batch puts it.
-func mergeBehind(shard, part []slurm.Record) []slurm.Record {
-	out := make([]slurm.Record, 0, len(shard)+len(part))
+// mergeBehind merges sorted rows into a sorted shard as one fresh slice:
+// each row lands behind every shard record that does not sort after it,
+// which is where a stable sort of shard+rows puts it.
+func mergeBehind(shard, rows []slurm.Record) []slurm.Record {
+	out := make([]slurm.Record, 0, len(shard)+len(rows))
 	from := 0
-	for i := range part {
+	for i := range rows {
 		at := from + sort.Search(len(shard)-from, func(j int) bool {
-			return cmpRecords(&shard[from+j], &part[i]) > 0
+			return cmpRecords(&shard[from+j], &rows[i]) > 0
 		})
-		out = append(append(out, shard[from:at]...), part[i])
+		out = append(append(out, shard[from:at]...), rows[i])
 		from = at
 	}
 	return append(out, shard[from:]...)
 }
 
 // Ingest loads a complete simulation result from its record stream: each
-// job followed by its own steps — which is recordCmp order, so the
-// Finalize that follows finds every shard sorted and copies nothing. The
-// result's outcomes say up front what it adds to each month, so each
-// month's slice is grown once to that size, instead of by doubling under
-// Add, and each row is built once, in the stream's scratch, and copied
-// once, into its shard. The store is locked while the stream runs.
+// job followed by its own steps, which is recordCmp order, so every row is
+// appended in place. The result's outcomes say up front what it adds to
+// each month, so each month's slice is grown once to that size, instead
+// of by doubling under Add, and each row is built once, in the stream's
+// scratch, and copied once, into its month. The store is locked while the
+// stream runs.
 func (s *Store) Ingest(res *sched.Result) error {
 	steps := res.StepRows() > 0
 	reserve := map[Month]int{}
@@ -370,37 +412,9 @@ func (s *Store) Ingest(res *sched.Result) error {
 	return s.addAll(res.Records, reserve)
 }
 
-// Finalize puts every month's in-memory rows in emission order
-// (recordCmp). Call after ingestion or a batch of Adds. Rows that already
-// arrived in order — the common case when reloading a Dump or ingesting a
-// simulation — are detected with a linear is-sorted check and skipped
-// instead of re-sorted. Rows that do need sorting are sorted into a fresh
-// copy and swapped in, so concurrent scans holding the old slice keep a
-// consistent view. Sealed rows are in order already.
-func (s *Store) Finalize() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	reordered := false
-	for m, shard := range s.shards {
-		if s.sorted[m] {
-			continue
-		}
-		inOrder := true
-		for i := 1; i < len(shard) && inOrder; i++ {
-			inOrder = cmpRecords(&shard[i-1], &shard[i]) <= 0
-		}
-		if !inOrder {
-			shard = slices.Clone(shard)
-			slices.SortStableFunc(shard, recordCmp)
-			s.shards[m] = shard
-			reordered = true
-		}
-		s.sorted[m] = true
-	}
-	if reordered {
-		s.gen.Add(1)
-	}
-}
+// Finalize does nothing: a month's in-memory rows are in scan order from
+// the moment they land. It is kept for the callers that still make it.
+func (s *Store) Finalize() {}
 
 // Months returns the populated shards in chronological order, every part
 // included.
@@ -412,29 +426,17 @@ func (s *Store) Months() []Month {
 
 // monthsLocked is Months for a caller that holds s.mu.
 func (s *Store) monthsLocked() []Month {
-	out := slices.Collect(maps.Keys(s.shards))
-	out = slices.AppendSeq(out, maps.Keys(s.sealed))
-	out = slices.AppendSeq(out, maps.Keys(s.segs))
-	slices.SortFunc(out, Month.Compare)
-	return slices.Compact(out)
+	return slices.SortedFunc(maps.Keys(s.months), Month.Compare)
 }
 
-// Len returns the total record count, counting sealed rows and segments
+// Len returns the total record count, counting base shards and segments
 // from their footers without reading them.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	for _, shard := range s.shards {
-		n += len(shard)
-	}
-	for _, sh := range s.sealed {
-		n += sh.Rows()
-	}
-	for _, segs := range s.segs {
-		for _, sh := range segs {
-			n += sh.Rows()
-		}
+	for _, mo := range s.months {
+		n += mo.rows()
 	}
 	return n
 }
@@ -471,23 +473,30 @@ func Load(r io.Reader) (*Store, int, error) {
 	}
 	st := NewStore()
 	malformed := 0
-	for rec, err := range br.All() {
-		var rowErr *slurm.RowError
-		switch {
-		case err == nil:
-			// A shallow copy is the row's own: see slurm.ByteRecordReader.
-			if err := st.Add(*rec); err != nil {
-				// Unreachable for a fresh text store (no lazy shards), but
-				// the error is not ours to swallow if that ever changes.
-				return nil, malformed, err
+	var readErr error
+	err = st.addAll(func(yield func(*slurm.Record) bool) {
+		for rec, err := range br.All() {
+			var rowErr *slurm.RowError
+			switch {
+			case err == nil:
+				// A shallow copy is the row's own: see slurm.ByteRecordReader.
+				if !yield(rec) {
+					return
+				}
+			case errors.As(err, &rowErr):
+				malformed++
+			default:
+				readErr = err
+				return
 			}
-		case errors.As(err, &rowErr):
-			malformed++
-		default:
-			return nil, malformed, err
 		}
+	}, nil)
+	if err == nil {
+		err = readErr
 	}
-	st.Finalize()
+	if err != nil {
+		return nil, malformed, err
+	}
 	return st, malformed, nil
 }
 
