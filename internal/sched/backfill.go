@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"sort"
-	"time"
 )
 
 // BackfillPolicy decides which lower-priority pending jobs may start while
@@ -13,9 +12,9 @@ import (
 // it via s.keep.
 type BackfillPolicy interface {
 	Name() string
-	// Pass runs the backfill phase at time t; head is the blocked
+	// Pass runs the backfill phase at tNs (Unix ns); head is the blocked
 	// highest-priority job (still pending, re-queued after the pass).
-	Pass(s *Simulator, head *job, t time.Time)
+	Pass(s *Simulator, head *job, tNs int64)
 }
 
 // BackfillByName resolves a backfill policy: "easy" (the default),
@@ -39,8 +38,8 @@ func BackfillNames() []string { return []string{"easy", "conservative", "none"} 
 // (pure priority-order FIFO behind the head).
 type noBackfill struct{}
 
-func (noBackfill) Name() string                     { return "none" }
-func (noBackfill) Pass(*Simulator, *job, time.Time) {}
+func (noBackfill) Name() string                 { return "none" }
+func (noBackfill) Pass(*Simulator, *job, int64) {}
 
 // easyBackfill implements EASY backfill: find the shadow time at which the
 // head can start, assuming running jobs end at their walltime limits, then
@@ -50,8 +49,7 @@ type easyBackfill struct{}
 
 func (easyBackfill) Name() string { return "easy" }
 
-func (easyBackfill) Pass(s *Simulator, head *job, t time.Time) {
-	tNs := t.UnixNano()
+func (easyBackfill) Pass(s *Simulator, head *job, tNs int64) {
 	shadowNs, extra := s.shadowTime(head, tNs)
 	free := s.freeCores
 	depth := s.cfg.BackfillDepth
@@ -69,17 +67,18 @@ func (easyBackfill) Pass(s *Simulator, head *job, t time.Time) {
 			continue
 		}
 		considered++
-		if j.cores > free || !s.sel.Fits(j) {
+		cores := int(j.cores)
+		if cores > free || !s.sel.Fits(j) {
 			s.keep = append(s.keep, j)
 			continue
 		}
 		endsByNs := tNs + int64(j.req.Timelimit)
-		fitsExtra := j.cores <= extra
+		fitsExtra := cores <= extra
 		if endsByNs <= shadowNs || fitsExtra {
-			s.startJob(j, t, true)
-			free -= j.cores
+			s.startJob(j, tNs, true)
+			free -= cores
 			if endsByNs > shadowNs && fitsExtra {
-				extra -= j.cores
+				extra -= cores
 			}
 			continue
 		}
@@ -100,8 +99,7 @@ type conservativeBackfill struct {
 
 func (*conservativeBackfill) Name() string { return "conservative" }
 
-func (c *conservativeBackfill) Pass(s *Simulator, head *job, t time.Time) {
-	tNs := t.UnixNano()
+func (c *conservativeBackfill) Pass(s *Simulator, head *job, tNs int64) {
 	c.prof.reset(tNs, s.freeCores)
 	// Future releases from running jobs at their walltime limits.
 	// Reservation-pool jobs are excluded: their cores return to the
@@ -110,15 +108,15 @@ func (c *conservativeBackfill) Pass(s *Simulator, head *job, t time.Time) {
 		if j.res != nil {
 			continue
 		}
-		at := j.limitEndNs
+		at := j.limitEnd
 		if at < tNs {
 			at = tNs
 		}
-		c.prof.release(at, j.cores)
+		c.prof.release(at, int(j.cores))
 	}
 	// The head holds the earliest slot it fits.
-	c.prof.reserve(c.prof.earliestFit(head.cores, int64(head.req.Timelimit)),
-		head.cores, int64(head.req.Timelimit))
+	c.prof.reserve(c.prof.earliestFit(int(head.cores), int64(head.req.Timelimit)),
+		int(head.cores), int64(head.req.Timelimit))
 
 	depth := s.cfg.BackfillDepth
 	if depth == 0 {
@@ -135,17 +133,18 @@ func (c *conservativeBackfill) Pass(s *Simulator, head *job, t time.Time) {
 			continue
 		}
 		considered++
+		cores := int(j.cores)
 		durNs := int64(j.req.Timelimit)
-		at := c.prof.earliestFit(j.cores, durNs)
-		if at == tNs && j.cores <= s.freeCores && s.sel.Fits(j) {
-			c.prof.reserve(at, j.cores, durNs)
-			s.startJob(j, t, true)
+		at := c.prof.earliestFit(cores, durNs)
+		if at == tNs && cores <= s.freeCores && s.sel.Fits(j) {
+			c.prof.reserve(at, cores, durNs)
+			s.startJob(j, tNs, true)
 			continue
 		}
 		// Not startable now: hold its future slot so nothing examined
 		// later can delay it.
 		if at >= 0 {
-			c.prof.reserve(at, j.cores, durNs)
+			c.prof.reserve(at, cores, durNs)
 		}
 		s.keep = append(s.keep, j)
 	}

@@ -189,6 +189,9 @@ func (c *Config) Validate() error {
 		if !r.Start.Before(r.End) {
 			return errors.New("sched: reservation " + r.Name + " window is empty")
 		}
+		if !inRange(r.Start) || !inRange(r.End) {
+			return errors.New("sched: reservation " + r.Name + " window is outside what Unix nanoseconds hold (1678 to 2262)")
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -44,6 +45,62 @@ func TestReservationFallbackAfterWindowClose(t *testing.T) {
 	}
 	if res.Stats.ReservationStarts != 1 {
 		t.Errorf("ReservationStarts = %d, want 1 (holder only)", res.Stats.ReservationStarts)
+	}
+}
+
+// --- instants outside int64 Unix nanoseconds ---
+
+// TestRunRefusesInstantsItCannotHold pins the range check: the simulator
+// keeps every instant as int64 Unix nanoseconds, which hold 1678 to 2262,
+// so a request whose submit, walltime-limit end or planned cancel falls
+// outside is an error naming the request, not a run on wrapped times; so
+// is a reservation window outside it, in New.
+func TestRunRefusesInstantsItCannotHold(t *testing.T) {
+	edge := time.Date(2262, 4, 11, 0, 0, 0, 0, time.UTC) // ~12 h inside the range
+	cases := []struct {
+		name, want string
+		mutate     func(r *tracegen.Request)
+	}{
+		{"year 2300 submit", "submit 2300-01-01", func(r *tracegen.Request) {
+			r.Submit = time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)
+		}},
+		{"year 1600 submit", "submit 1600-01-01", func(r *tracegen.Request) {
+			r.Submit = time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC)
+		}},
+		{"limit past 2262", "submit+timelimit", func(r *tracegen.Request) {
+			r.Submit, r.Timelimit = edge, 24*time.Hour
+		}},
+		{"cancel past 2262", "cancel", func(r *tracegen.Request) {
+			r.Submit, r.Timelimit, r.CancelAfter = edge, time.Hour, 24*time.Hour
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			reqs := []tracegen.Request{
+				req("ok", t0, 1, time.Hour, time.Hour),
+				req("far", t0, 1, time.Hour, time.Hour),
+			}
+			c.mutate(&reqs[1])
+			sim, err := New(DefaultConfig(tinySystem()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = sim.Run(reqs, Options{})
+			if err == nil || !strings.Contains(err.Error(), "request 1: "+c.want) {
+				t.Fatalf("Run = %v, want an error naming request 1's %s", err, c.want)
+			}
+		})
+	}
+	cfg := DefaultConfig(tinySystem())
+	cfg.Reservations = []Reservation{{Name: "far", Nodes: 1, Start: t0, End: time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)}}
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "reservation far window is outside") {
+		t.Errorf("New = %v, want the year-2300 reservation window refused", err)
+	}
+	// The last instants the range holds still run.
+	r := req("edge", edge, 1, time.Hour, time.Hour)
+	r.CancelAfter = 2 * time.Hour
+	if res := run(t, tinySystem(), []tracegen.Request{r}, nil); !res.Jobs[0].End.Equal(edge.Add(time.Hour)) {
+		t.Errorf("edge job ends %v, want %v", res.Jobs[0].End, edge.Add(time.Hour))
 	}
 }
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"slurmsight/internal/cluster"
 )
@@ -64,12 +65,15 @@ func (poolSelector) Reset(*cluster.System) {}
 // single node with enough free cores — firstfit takes the lowest-index
 // node with room, bestfit the fullest node that still fits (minimising
 // fragmentation). Free whole nodes are counted incrementally so Fits is
-// O(1) for whole-node jobs and O(nodes) only for sub-node placement.
+// O(1) for whole-node jobs and O(nodes) only for sub-node placement. The
+// nodes each job holds live here, not on the job, so the pool selector's
+// runs pay nothing for them.
 type trackingSelector struct {
 	bestfit      bool
 	coresPerNode int
-	used         []int32 // cores in use per node
-	freeNodes    int     // nodes with used == 0
+	used         []int32   // cores in use per node
+	freeNodes    int       // nodes with used == 0
+	held         [][]int32 // held[seq]: the nodes job seq was placed on
 }
 
 func (t *trackingSelector) Name() string {
@@ -83,16 +87,25 @@ func (t *trackingSelector) Reset(sys *cluster.System) {
 	t.coresPerNode = sys.CoresPerNode
 	t.used = make([]int32, sys.Nodes)
 	t.freeNodes = sys.Nodes
+	t.held = nil
 }
 
 // subNode reports whether j is a sub-node (shared) allocation.
-func (t *trackingSelector) subNode(j *job) bool { return j.cores < t.coresPerNode }
+func (t *trackingSelector) subNode(j *job) bool { return int(j.cores) < t.coresPerNode }
+
+// nodesOf returns the nodes j holds, empty when it holds none.
+func (t *trackingSelector) nodesOf(j *job) []int32 {
+	if j.seq < int64(len(t.held)) {
+		return t.held[j.seq]
+	}
+	return nil
+}
 
 func (t *trackingSelector) Fits(j *job) bool {
 	if !t.subNode(j) {
-		return j.cores/t.coresPerNode <= t.freeNodes
+		return int(j.cores)/t.coresPerNode <= t.freeNodes
 	}
-	return t.pick(j.cores) >= 0
+	return t.pick(int(j.cores)) >= 0
 }
 
 // pick chooses the node for a sub-node allocation of c cores, or -1.
@@ -116,20 +129,23 @@ func (t *trackingSelector) pick(c int) int {
 }
 
 func (t *trackingSelector) Place(j *job) {
+	if n := int(j.seq) + 1; n > len(t.held) {
+		t.held = slices.Grow(t.held, n-len(t.held))[:n]
+	}
+	nodes := t.held[j.seq][:0]
 	if t.subNode(j) {
-		n := t.pick(j.cores)
+		n := t.pick(int(j.cores))
 		if n < 0 {
 			return // Fits contract violated; degrade to pool semantics
 		}
 		if t.used[n] == 0 {
 			t.freeNodes--
 		}
-		t.used[n] += int32(j.cores)
-		j.nodeIDs = append(j.nodeIDs[:0], int32(n))
+		t.used[n] += j.cores
+		t.held[j.seq] = append(nodes, int32(n))
 		return
 	}
-	need := j.cores / t.coresPerNode
-	j.nodeIDs = j.nodeIDs[:0]
+	need := int(j.cores) / t.coresPerNode
 	for i := range t.used {
 		if need == 0 {
 			break
@@ -137,27 +153,29 @@ func (t *trackingSelector) Place(j *job) {
 		if t.used[i] == 0 {
 			t.used[i] = int32(t.coresPerNode)
 			t.freeNodes--
-			j.nodeIDs = append(j.nodeIDs, int32(i))
+			nodes = append(nodes, int32(i))
 			need--
 		}
 	}
+	t.held[j.seq] = nodes
 }
 
 func (t *trackingSelector) Release(j *job) {
-	if len(j.nodeIDs) == 0 {
+	nodes := t.nodesOf(j)
+	if len(nodes) == 0 {
 		return
 	}
 	if t.subNode(j) {
-		n := j.nodeIDs[0]
-		t.used[n] -= int32(j.cores)
+		n := nodes[0]
+		t.used[n] -= j.cores
 		if t.used[n] == 0 {
 			t.freeNodes++
 		}
 	} else {
-		for _, n := range j.nodeIDs {
+		for _, n := range nodes {
 			t.used[n] = 0
 			t.freeNodes++
 		}
 	}
-	j.nodeIDs = j.nodeIDs[:0]
+	t.held[j.seq] = nodes[:0]
 }

@@ -207,8 +207,10 @@ func selSystem(nodes, cores int) *cluster.System {
 func TestTrackingSelectorFirstfit(t *testing.T) {
 	sel, _ := SelectorByName("firstfit")
 	sel.Reset(selSystem(2, 4))
+	ts := sel.(*trackingSelector)
 
-	j := func(cores int) *job { return &job{cores: cores} }
+	var seq int64
+	j := func(cores int32) *job { seq++; return &job{seq: seq, cores: cores} }
 
 	// 3-core job lands on node 0; a second 2-core job can't share it
 	// (3+2 > 4) and takes node 1.
@@ -218,8 +220,8 @@ func TestTrackingSelectorFirstfit(t *testing.T) {
 	}
 	sel.Place(a)
 	sel.Place(b)
-	if a.nodeIDs[0] != 0 || b.nodeIDs[0] != 1 {
-		t.Fatalf("placements a=%v b=%v, want node0/node1", a.nodeIDs, b.nodeIDs)
+	if ts.nodesOf(a)[0] != 0 || ts.nodesOf(b)[0] != 1 {
+		t.Fatalf("placements a=%v b=%v, want node0/node1", ts.nodesOf(a), ts.nodesOf(b))
 	}
 
 	// Free cores total 1+2=3, but no node has 3 contiguous: fragmentation
@@ -239,8 +241,8 @@ func TestTrackingSelectorFirstfit(t *testing.T) {
 		t.Fatal("freed node rejected whole-node job")
 	}
 	sel.Place(w)
-	if w.nodeIDs[0] != 0 {
-		t.Fatalf("whole-node placement %v, want node0", w.nodeIDs)
+	if ts.nodesOf(w)[0] != 0 {
+		t.Fatalf("whole-node placement %v, want node0", ts.nodesOf(w))
 	}
 	sel.Release(w)
 	sel.Release(b)
@@ -252,8 +254,10 @@ func TestTrackingSelectorFirstfit(t *testing.T) {
 func TestTrackingSelectorBestfit(t *testing.T) {
 	sel, _ := SelectorByName("bestfit")
 	sel.Reset(selSystem(3, 8))
+	ts := sel.(*trackingSelector)
 
-	j := func(cores int) *job { return &job{cores: cores} }
+	var seq int64
+	j := func(cores int32) *job { seq++; return &job{seq: seq, cores: cores} }
 
 	// Load node 0 with 5 cores and node 1 with 2; best-fit puts a 3-core
 	// job on node 0 (fullest that fits), where first-fit also would — so
@@ -265,13 +269,13 @@ func TestTrackingSelectorBestfit(t *testing.T) {
 	// node0=7, node1=0, node2=0.
 	four := j(4)
 	sel.Place(four)
-	if four.nodeIDs[0] != 1 {
-		t.Fatalf("4-core best-fit landed on node %d, want 1 (node0 full at 7/8)", four.nodeIDs[0])
+	if ts.nodesOf(four)[0] != 1 {
+		t.Fatalf("4-core best-fit landed on node %d, want 1 (node0 full at 7/8)", ts.nodesOf(four)[0])
 	}
 	one := j(1)
 	sel.Place(one)
-	if one.nodeIDs[0] != 0 {
-		t.Fatalf("1-core best-fit landed on node %d, want 0 (fullest with room)", one.nodeIDs[0])
+	if ts.nodesOf(one)[0] != 0 {
+		t.Fatalf("1-core best-fit landed on node %d, want 0 (fullest with room)", ts.nodesOf(one)[0])
 	}
 }
 
@@ -284,9 +288,6 @@ func TestPoolSelectorAlwaysFits(t *testing.T) {
 	}
 	sel.Place(j)
 	sel.Release(j)
-	if len(j.nodeIDs) != 0 {
-		t.Error("pool selector recorded node placements")
-	}
 }
 
 // --- weight presets ---

@@ -54,9 +54,9 @@ func pendBefore(a, b *pendEntry) bool {
 // The carried priority only matters in cadence mode, where a skipped job
 // must keep the value from its last recompute.
 func (s *Simulator) pendAdd(j *job) {
-	j.pendIdx = len(s.pending)
+	j.pendIdx = int32(len(s.pending))
 	s.pending = append(s.pending, pendEntry{
-		prio: j.priority, seq: j.seq, eligNs: j.eligNs, static: j.static,
+		prio: j.priority, seq: j.seq, eligNs: j.eligible, static: j.static,
 		usage: j.usage, j: j,
 	})
 }
@@ -64,7 +64,7 @@ func (s *Simulator) pendAdd(j *job) {
 // pendRemove swap-removes a pending job by its tracked index in O(1).
 func (s *Simulator) pendRemove(j *job) {
 	i := j.pendIdx
-	last := len(s.pending) - 1
+	last := int32(len(s.pending) - 1)
 	s.pending[i] = s.pending[last]
 	s.pending[i].j.pendIdx = i
 	s.pending[last] = pendEntry{}
@@ -95,7 +95,7 @@ func (s *Simulator) pendSiftDown(i int) {
 			return
 		}
 		h[i], h[best] = h[best], h[i]
-		h[i].j.pendIdx, h[best].j.pendIdx = i, best
+		h[i].j.pendIdx, h[best].j.pendIdx = int32(i), int32(best)
 		i = best
 	}
 }
@@ -120,8 +120,8 @@ func (s *Simulator) pendPop() *job {
 // runBefore orders the running min-heap: walltime-limit end ascending,
 // sequence ascending as the deterministic tie-break.
 func runBefore(a, b *job) bool {
-	if a.limitEndNs != b.limitEndNs {
-		return a.limitEndNs < b.limitEndNs
+	if a.limitEnd != b.limitEnd {
+		return a.limitEnd < b.limitEnd
 	}
 	return a.seq < b.seq
 }
@@ -129,7 +129,7 @@ func runBefore(a, b *job) bool {
 func (s *Simulator) runAdd(j *job) {
 	h := s.running
 	i := len(h)
-	j.runIdx = i
+	j.runIdx = int32(i)
 	h = append(h, j)
 	s.running = h
 	for i > 0 {
@@ -138,7 +138,7 @@ func (s *Simulator) runAdd(j *job) {
 			break
 		}
 		h[i], h[p] = h[p], h[i]
-		h[i].runIdx, h[p].runIdx = i, p
+		h[i].runIdx, h[p].runIdx = int32(i), int32(p)
 		i = p
 	}
 }
@@ -146,10 +146,10 @@ func (s *Simulator) runAdd(j *job) {
 // runRemove deletes a job from the running heap via its tracked index.
 func (s *Simulator) runRemove(j *job) {
 	h := s.running
-	i := j.runIdx
+	i := int(j.runIdx)
 	last := len(h) - 1
 	h[i] = h[last]
-	h[i].runIdx = i
+	h[i].runIdx = int32(i)
 	h[last] = nil
 	s.running = h[:last]
 	if i < last {
@@ -167,7 +167,7 @@ func (s *Simulator) runSiftUp(i int) {
 			return
 		}
 		h[i], h[p] = h[p], h[i]
-		h[i].runIdx, h[p].runIdx = i, p
+		h[i].runIdx, h[p].runIdx = int32(i), int32(p)
 		i = p
 	}
 }
@@ -188,7 +188,7 @@ func (s *Simulator) runSiftDown(i int) {
 			return
 		}
 		h[i], h[best] = h[best], h[i]
-		h[i].runIdx, h[best].runIdx = i, best
+		h[i].runIdx, h[best].runIdx = int32(i), int32(best)
 		i = best
 	}
 }
@@ -225,8 +225,8 @@ func shadowPop(h []*job) (*job, []*job) {
 // pending jobs beat node releases beat submissions beat reservation
 // transitions), then insertion sequence.
 func eventBefore(a, b *event) bool {
-	if !a.t.Equal(b.t) {
-		return a.t.Before(b.t)
+	if a.t != b.t {
+		return a.t < b.t
 	}
 	if a.kind != b.kind {
 		return a.kind < b.kind

@@ -42,10 +42,10 @@ func (r *Result) StepRows() (n int) {
 func (r *Result) Outcomes(yield func(Outcome) bool) {
 	for i := range r.jobs {
 		j := &r.jobs[i]
-		o := Outcome{Req: j.req, Cores: j.cores, Eligible: j.eligible, End: j.end,
-			State: j.state, Started: j.started, Steps: plannedSteps(j)}
+		o := Outcome{Req: j.req, Cores: int(j.cores), Eligible: j.at(j.eligible), End: j.at(j.end),
+			State: j.State(), Started: j.started, Steps: plannedSteps(j)}
 		if j.started {
-			o.Start, o.Backfilled = j.start, j.backfill
+			o.Start, o.Backfilled = j.at(j.start), j.backfill
 		}
 		if !yield(o) {
 			return
@@ -66,7 +66,7 @@ func (r *Result) Records(yield func(*slurm.Record) bool) {
 	var steps []slurm.Record
 	for i := range r.jobs {
 		j := &r.jobs[i]
-		if j.started || j.state == slurm.StateFailed {
+		if j.started || j.State() == slurm.StateFailed {
 			rng.Seed(r.seed ^ (j.seq+1)*0x9E3779B9)
 		}
 		steps = r.materialize(j, &rec, steps[:0], rng)
@@ -145,7 +145,7 @@ func (res *Result) materialize(j *job, rec *slurm.Record, steps []slurm.Record, 
 	}
 
 	*rec = slurm.Record{
-		ID:        j.id,
+		ID:        j.id(),
 		JobName:   r.JobName,
 		User:      r.User,
 		UID:       10000 + hash32(r.User)%50000,
@@ -154,15 +154,15 @@ func (res *Result) materialize(j *job, rec *slurm.Record, steps []slurm.Record, 
 		Cluster:   sys.Name,
 		Partition: r.Partition,
 		Submit:    r.Submit,
-		Eligible:  j.eligible,
+		Eligible:  j.at(j.eligible),
 		Timelimit: r.Timelimit,
-		Restarts:  j.restarts,
+		Restarts:  int64(j.restarts),
 		NNodes:    nodes,
 		NCPUs:     allocCPUs,
 		ReqNodes:  nodes,
 		ReqCPUs:   allocCPUs,
 		ReqMem:    reqMem,
-		State:     j.state,
+		State:     j.State(),
 		QOS:       r.QOS,
 		QOSReq:    r.QOS,
 		Priority:  j.priority,
@@ -182,7 +182,7 @@ func (res *Result) materialize(j *job, rec *slurm.Record, steps []slurm.Record, 
 		rec.ArrayJobID = res.arrayBase[r.ArrayID]
 	}
 	if j.depPred != nil {
-		rec.Dependency = "afterok:" + j.depPred.id.String()
+		rec.Dependency = "afterok:" + j.depPred.id().String()
 	}
 	if r.Reservation != "" {
 		rec.Reservation = r.Reservation
@@ -192,22 +192,22 @@ func (res *Result) materialize(j *job, rec *slurm.Record, steps []slurm.Record, 
 			}
 		}
 	}
-	rec.ExitCode, rec.ExitSignal = exitFor(j.state, rng)
+	rec.ExitCode, rec.ExitSignal = exitFor(j.State(), rng)
 	rec.DerivedExitCode = slurm.FormatExitCode(rec.ExitCode, rec.ExitSignal)
 
 	if !j.started {
 		// Cancelled while pending or held: no start, no usage.
-		rec.End = j.end
+		rec.End = j.at(j.end)
 		rec.Reason = "Priority"
-		if j.reason != "" {
-			rec.Reason = j.reason
+		if j.reason != reasonNone {
+			rec.Reason = reasonNames[j.reason]
 		}
 		return steps
 	}
 
-	elapsed := j.end.Sub(j.start)
-	rec.Start = j.start
-	rec.End = j.end
+	elapsed := time.Duration(j.end - j.start)
+	rec.Start = j.at(j.start)
+	rec.End = j.at(j.end)
 	rec.Elapsed = elapsed
 	rec.NodeList = nodeListFor(sys.Name, r.Nodes)
 	if j.backfill {
@@ -216,8 +216,8 @@ func (res *Result) materialize(j *job, rec *slurm.Record, steps []slurm.Record, 
 		rec.Flags = []string{slurm.FlagMain}
 	}
 	switch {
-	case j.reason != "":
-		rec.Reason = j.reason
+	case j.reason != reasonNone:
+		rec.Reason = reasonNames[j.reason]
 	default:
 		if wait, ok := rec.WaitTime(); ok && wait > time.Minute {
 			rec.Reason = "Priority"
@@ -315,9 +315,9 @@ func (res *Result) synthesizeSteps(j *job, jobRec *slurm.Record, tasksPerNode in
 	}
 
 	// Batch script wraps the whole job on the lead node.
-	steps = append(steps, mkStep(j.id.WithBatch(), jobRec.Start, jobRec.End, 1, 1, j.state, "", res.leadNode))
+	steps = append(steps, mkStep(jobRec.ID.WithBatch(), jobRec.Start, jobRec.End, 1, 1, j.State(), "", res.leadNode))
 	// Extern step spans the allocation.
-	externID := j.id
+	externID := jobRec.ID
 	externID.Kind = slurm.StepExtern
 	steps = append(steps, mkStep(externID, jobRec.Start, jobRec.End, jobRec.NNodes, jobRec.NNodes, slurm.StateCompleted, "cyclic", jobRec.NodeList))
 
@@ -342,14 +342,14 @@ func (res *Result) synthesizeSteps(j *job, jobRec *slurm.Record, tasksPerNode in
 		st := slurm.StateCompleted
 		if i == n-1 {
 			// The job's fate shows on its final step.
-			switch j.state {
+			switch j.State() {
 			case slurm.StateFailed, slurm.StateOutOfMemory, slurm.StateNodeFail:
-				st = j.state
+				st = j.State()
 			case slurm.StateTimeout, slurm.StateCancelled:
 				st = slurm.StateCancelled
 			}
 		}
-		steps = append(steps, mkStep(j.id.WithStep(int64(i)), cursor, end,
+		steps = append(steps, mkStep(jobRec.ID.WithStep(int64(i)), cursor, end,
 			jobRec.NNodes, jobRec.NNodes*tasksPerNode, st, "block", jobRec.NodeList))
 		cursor = end
 	}

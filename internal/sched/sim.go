@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -13,48 +15,116 @@ import (
 )
 
 // job is the simulator's view of one submission; req is the caller's.
+// There is one per request, in one arena, so its size is the run's memory:
+// every instant is int64 Unix nanoseconds (converted back to time.Time, in
+// the location of the request's Submit, only when an outcome or record is
+// read), the job ID is derived from seq at emission, and the small fields
+// are fixed-width ints. TestJobAndEventLayout pins it at 160 bytes or less.
 type job struct {
-	seq      int64 // submission order, tie-breaker and id basis
-	id       slurm.JobID
-	req      *tracegen.Request
-	cores    int // allocation size in cores (the scheduling unit)
-	priority int64
-	cancelAt time.Time // zero when no planned cancel
-	gen      int64     // bumped on preemption to invalidate stale end events
+	req     *tracegen.Request
+	usage   *userUsage // this job's user's fair-share accumulator
+	res     *resPool
+	depPred *job // afterok predecessor
+	depNext *job // the job held on this one: its chain's next position
 
+	seq      int64 // submission order, tie-breaker and id basis
+	priority int64
 	// Scheduling-invariant priority inputs, cached at submission so the
 	// per-pass recompute only touches the time-varying age and fair-share
 	// terms: static = Base + size term + QoS weight.
-	static      int64
+	static int64
+
+	// Instants, Unix ns.
+	eligible int64 // the age input: submit, or the latest release or eviction
+	start    int64
+	end      int64
+	limitEnd int64 // start + walltime limit, the running-heap key
+	cancelAt int64 // noCancel when no cancel is planned
+
+	lost   time.Duration // runtime discarded by preemptions
+	waited time.Duration // eligible-but-pending time across scheduling segments
+
+	cores    int32  // allocation size in cores (the scheduling unit)
+	pendIdx  int32  // position in s.pending, -1 when absent
+	runIdx   int32  // position in s.running, -1 when absent
+	gen      uint32 // bumped on preemption to invalidate stale end events
+	restarts int32
+	state    uint8 // a slurm.State; see State
+	reason   reason
+
 	canPreempt  bool
 	preemptible bool
-	usage       *userUsage // this job's user's fair-share accumulator
+	started     bool
+	finished    bool
+	held        bool // waiting on a dependency
+	backfill    bool
+}
 
-	pendIdx int // position in s.pending, -1 when absent
-	runIdx  int // position in s.running, -1 when absent
+// noCancel is the cancelAt of a job with no planned cancel: no end comes
+// after it, so terminalOutcome's cancel check never fires.
+const noCancel = math.MaxInt64
 
-	started    bool
-	finished   bool
-	held       bool // waiting on a dependency
-	start      time.Time
-	end        time.Time
-	eligible   time.Time
-	eligNs     int64 // eligible as Unix ns, the hot-path age input
-	limitEndNs int64 // start + walltime limit (Unix ns), the running-heap key
-	state      slurm.State
-	backfill   bool
-	restarts   int64
-	lost       time.Duration // runtime discarded by preemptions
-	waited     time.Duration // eligible-but-pending time across scheduling segments
-	reason     string
+// State is the job's state as the slurm type.
+func (j *job) State() slurm.State { return slurm.State(j.state) }
 
-	depPred    *job   // afterok predecessor
-	dependents []*job // jobs held on this one
-	res        *resPool
+func (j *job) setState(st slurm.State) { j.state = uint8(st) }
 
-	// nodeIDs records the nodes a tracking NodeSelector placed this job
-	// on; empty under the default pool selector.
-	nodeIDs []int32
+// at converts a simulated instant back to a time.Time in the location of
+// the job's submission.
+func (j *job) at(ns int64) time.Time { return time.Unix(0, ns).In(j.req.Submit.Location()) }
+
+// firstID is the job ID of the first submission; the rest follow in
+// submission order.
+const firstID = 100000
+
+// id is the job's sacct ID: firstID + seq, with the array index of an
+// array task.
+func (j *job) id() slurm.JobID {
+	id := slurm.NewJobID(firstID + j.seq)
+	if j.req.ArrayID != 0 {
+		id.Array = int64(j.req.ArrayIndex)
+	}
+	return id
+}
+
+// reason is a one-byte code for the Reason a job's record carries when the
+// scheduler, not the queue, decided it.
+type reason uint8
+
+const (
+	reasonNone reason = iota
+	reasonDependency
+	reasonPreempted
+)
+
+var reasonNames = [...]string{
+	reasonNone:       "",
+	reasonDependency: "DependencyNeverSatisfied",
+	reasonPreempted:  "Preempted",
+}
+
+// inRange reports whether int64 Unix nanoseconds hold t: 1678 to 2262.
+func inRange(t time.Time) bool { return time.Unix(0, t.UnixNano()).Equal(t) }
+
+// checkInstants refuses a request with an instant the simulator cannot
+// hold: its submit, the end of its walltime limit, or its planned cancel.
+func checkInstants(idx int, r *tracegen.Request) error {
+	check := func(what string, t time.Time) error {
+		if inRange(t) {
+			return nil
+		}
+		return fmt.Errorf("sched: request %d: %s %s is outside what Unix nanoseconds hold (1678 to 2262)", idx, what, t)
+	}
+	if err := check("submit", r.Submit); err != nil {
+		return err
+	}
+	if err := check("submit+timelimit", r.Submit.Add(r.Timelimit)); err != nil {
+		return err
+	}
+	if r.CancelAfter > 0 {
+		return check("cancel", r.Submit.Add(r.CancelAfter))
+	}
+	return nil
 }
 
 // nodeEquivalents converts a job's core allocation into fractional nodes
@@ -65,10 +135,12 @@ func (s *Simulator) nodeEquivalents(j *job) float64 {
 
 // resPool tracks one advance reservation's carved capacity.
 type resPool struct {
-	def    Reservation
-	active bool
-	free   int // currently free carved cores
-	carved int // cores carved out of the general pool so far
+	def     Reservation
+	startNs int64 // def.Start, Unix ns
+	endNs   int64 // def.End, Unix ns
+	active  bool
+	free    int // currently free carved cores
+	carved  int // cores carved out of the general pool so far
 }
 
 // Event kinds. At equal timestamps, cancellations of pending jobs beat
@@ -77,20 +149,24 @@ type resPool struct {
 // freed at that instant. The scheduling pass runs after the whole
 // timestamp drains.
 const (
-	evCancel = iota
+	evCancel eventKind = iota
 	evEnd
 	evSubmit
 	evResEnd
 	evResStart
 )
 
+type eventKind uint8
+
+// event is one entry of the event queue, which holds about two per job:
+// 40 bytes, pinned by TestJobAndEventLayout.
 type event struct {
-	t    time.Time
-	kind int
+	t    int64 // Unix ns
 	j    *job
 	res  *resPool
-	gen  int64
 	seq  int64
+	gen  uint32
+	kind eventKind
 }
 
 // userUsage tracks exponentially decayed node-seconds per user for the
@@ -119,7 +195,7 @@ type Simulator struct {
 	qosDefs   map[string]cluster.QOS
 	events    []event
 	seq       int64
-	now       time.Time
+	now       int64 // Unix ns
 	stats     RunStats
 	resPools  []*resPool
 	resByName map[string]*resPool
@@ -129,10 +205,10 @@ type Simulator struct {
 	// no-op events (stale ends, cancels of started jobs, held submits)
 	// leave it unset and the pass is skipped.
 	schedDirty bool
-	// lastPassT is the latest drained timestamp with pending work: the
-	// moment the legacy pass would last have rewritten every pending
-	// job's priority (see the evCancel handler).
-	lastPassT time.Time
+	// lastPassT is the latest drained timestamp with pending work (Unix
+	// ns): the moment the legacy pass would last have rewritten every
+	// pending job's priority (see the evCancel handler).
+	lastPassT int64
 	ran       bool // Run is single-shot: stats, usage and seq are the run's
 
 	// Reusable pass-time buffers.
@@ -213,7 +289,7 @@ func New(cfg Config) (*Simulator, error) {
 		s.qosDefs[q.Name] = q
 	}
 	for _, def := range cfg.Reservations {
-		rp := &resPool{def: def}
+		rp := &resPool{def: def, startNs: def.Start.UnixNano(), endNs: def.End.UnixNano()}
 		s.resPools = append(s.resPools, rp)
 		s.resByName[def.Name] = rp
 	}
@@ -244,7 +320,8 @@ type Options struct {
 	EmitSteps bool
 }
 
-// chainKey identifies a dependency chain position.
+// chainKey identifies a dependency chain position. Each position holds
+// one job, so a job has at most one dependent: the next position.
 type chainKey struct {
 	chain int64
 	pos   int
@@ -252,7 +329,9 @@ type chainKey struct {
 
 // Run executes the submissions and returns the finished run. The requests
 // may arrive in any order; they are processed by submit time, never written,
-// and must not change while the Result is in use. A Simulator runs once: its
+// and must not change while the Result is in use. A request whose submit,
+// walltime-limit end or planned cancel falls outside 1678–2262, where Unix
+// nanoseconds are defined, is an error. A Simulator runs once: its
 // statistics, usage and queues are the run's, so a second Run is an error.
 func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) {
 	if s.ran {
@@ -273,7 +352,6 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 		return reqs[order[a]].Submit.Before(reqs[order[b]].Submit)
 	})
 	s.events = make([]event, 0, 2*len(reqs)+2*len(s.resPools))
-	const firstID = 100000
 	byChain := map[chainKey]*job{}
 	for n, idx := range order {
 		r := &reqs[idx]
@@ -282,6 +360,9 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 		}
 		if r.Timelimit <= 0 {
 			return nil, fmt.Errorf("sched: request %d has no timelimit", idx)
+		}
+		if err := checkInstants(idx, r); err != nil {
+			return nil, err
 		}
 		cores := r.Nodes * s.cfg.System.CoresPerNode
 		if r.Cores > 0 {
@@ -297,9 +378,10 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 			// Without node sharing, a sub-node request occupies the
 			// whole node (cores already equals one node's worth).
 		}
+		submit := r.Submit.UnixNano()
 		j := &arena[n]
-		*j = job{seq: int64(n), req: r, cores: cores, state: slurm.StatePending,
-			eligible: r.Submit, eligNs: r.Submit.UnixNano(), pendIdx: -1, runIdx: -1}
+		*j = job{seq: int64(n), req: r, cores: int32(cores), state: uint8(slurm.StatePending),
+			eligible: submit, cancelAt: noCancel, pendIdx: -1, runIdx: -1}
 		sizef := float64(j.cores) / float64(s.cfg.System.TotalCores())
 		var qosW int64
 		if q, ok := s.qosDefs[r.QOS]; ok {
@@ -310,20 +392,17 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 		j.static = s.prio.Static(sizef, qosW)
 		u, ok := s.usage[r.User]
 		if !ok {
-			u = &userUsage{asOfNs: r.Submit.UnixNano()}
+			u = &userUsage{asOfNs: submit}
 			s.usage[r.User] = u
 		}
 		j.usage = u
-		jobID := int64(firstID + n)
-		j.id = slurm.NewJobID(jobID)
 		if r.ArrayID != 0 {
 			if _, ok := arrayBase[r.ArrayID]; !ok {
-				arrayBase[r.ArrayID] = jobID
+				arrayBase[r.ArrayID] = firstID + j.seq
 			}
-			j.id.Array = int64(r.ArrayIndex)
 		}
 		if r.CancelAfter > 0 {
-			j.cancelAt = r.Submit.Add(r.CancelAfter)
+			j.cancelAt = submit + int64(r.CancelAfter)
 		}
 		if r.Reservation != "" {
 			rp, ok := s.resByName[r.Reservation]
@@ -338,8 +417,8 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 		if r.Chain != 0 {
 			byChain[chainKey{r.Chain, r.ChainPos}] = j
 		}
-		s.pushEvent(event{t: r.Submit, kind: evSubmit, j: j, seq: s.nextSeq()})
-		if !j.cancelAt.IsZero() {
+		s.pushEvent(event{t: submit, kind: evSubmit, j: j, seq: s.nextSeq()})
+		if j.cancelAt != noCancel {
 			s.pushEvent(event{t: j.cancelAt, kind: evCancel, j: j, seq: s.nextSeq()})
 		}
 	}
@@ -353,21 +432,21 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 			return nil, fmt.Errorf("sched: chain %d missing position %d", key.chain, key.pos-1)
 		}
 		j.depPred = pred
-		pred.dependents = append(pred.dependents, j)
+		pred.depNext = j
 	}
 	for _, rp := range s.resPools {
-		s.pushEvent(event{t: rp.def.Start, kind: evResStart, res: rp, seq: s.nextSeq()})
-		s.pushEvent(event{t: rp.def.End, kind: evResEnd, res: rp, seq: s.nextSeq()})
+		s.pushEvent(event{t: rp.startNs, kind: evResStart, res: rp, seq: s.nextSeq()})
+		s.pushEvent(event{t: rp.endNs, kind: evResEnd, res: rp, seq: s.nextSeq()})
 	}
 
-	first := arena[0].req.Submit
+	first := arena[0].eligible // the first submission
 	for len(s.events) > 0 {
 		e := s.popEvent()
 		t := e.t
 		s.now = t
 		s.handle(e)
 		// Drain every event at this instant before scheduling.
-		for len(s.events) > 0 && s.events[0].t.Equal(t) {
+		for len(s.events) > 0 && s.events[0].t == t {
 			s.handle(s.popEvent())
 		}
 		s.schedule(t)
@@ -386,11 +465,10 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 
 	// Anything still pending at drain time never had resources; that
 	// cannot happen with a consistent request stream, but guard anyway.
-	var last time.Time
 	for i := range s.pending {
 		j := s.pending[i].j
 		j.finished = true
-		j.state = slurm.StateCancelled
+		j.setState(slurm.StateCancelled)
 		j.end = s.now
 		s.stats.JobsCancelled++
 		s.stats.NeverStarted++
@@ -401,9 +479,9 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 	for i := range arena {
 		if j := &arena[i]; !j.finished && j.held {
 			j.finished = true
-			j.state = slurm.StateCancelled
+			j.setState(slurm.StateCancelled)
 			j.end = s.now
-			j.reason = "DependencyNeverSatisfied"
+			j.reason = reasonDependency
 			s.stats.JobsCancelled++
 			s.stats.NeverStarted++
 		}
@@ -411,13 +489,11 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 
 	// The trace span runs from first submission to the last job activity;
 	// no-op cancel events beyond it do not count.
-	last = first
+	last := first
 	for i := range arena {
-		if arena[i].end.After(last) {
-			last = arena[i].end
-		}
+		last = max(last, arena[i].end)
 	}
-	s.stats.NodeSecondsCap = float64(s.cfg.System.Nodes) * last.Sub(first).Seconds()
+	s.stats.NodeSecondsCap = float64(s.cfg.System.Nodes) * time.Duration(last-first).Seconds()
 
 	s.clk.publish(s.cfg.Metrics)
 	return &Result{
@@ -441,7 +517,7 @@ func (s *Simulator) handle(e event) {
 			j.held = true
 			return
 		}
-		if j.depPred != nil && j.depPred.state != slurm.StateCompleted {
+		if j.depPred != nil && j.depPred.State() != slurm.StateCompleted {
 			s.cancelForDependency(j, e.t)
 			return
 		}
@@ -454,7 +530,7 @@ func (s *Simulator) handle(e event) {
 			return // started jobs carry the cancel in their end event
 		}
 		j.finished = true
-		j.state = slurm.StateCancelled
+		j.setState(slurm.StateCancelled)
 		j.end = e.t
 		s.stats.JobsCancelled++
 		s.stats.NeverStarted++
@@ -463,18 +539,16 @@ func (s *Simulator) handle(e event) {
 			// drained timestamp; with skipped passes the record must
 			// still carry the value from the last pass before the
 			// cancel (cancellations sort first, so that pass is at an
-			// earlier timestamp and usage has not decayed past it).
-			if !s.lastPassT.IsZero() {
-				j.priority = s.priorityAt(j, s.lastPassT)
-			}
+			// earlier timestamp and usage has not decayed past it). A
+			// job pending now was pending when an earlier instant
+			// drained, so lastPassT is set.
+			j.priority = s.priorityAt(j, s.lastPassT)
 			s.pendRemove(j)
 			s.npending--
 			s.schedDirty = true
 		}
-		// Dependents of a cancelled job never run.
-		for _, d := range j.dependents {
-			s.cancelForDependency(d, e.t)
-		}
+		// The dependent of a cancelled job never runs.
+		s.cancelForDependency(j.depNext, e.t)
 	case evEnd:
 		j := e.j
 		if j.finished || e.gen != j.gen || !j.started {
@@ -485,7 +559,7 @@ func (s *Simulator) handle(e event) {
 		s.runRemove(j)
 		s.accrueUsage(j)
 		s.countOutcome(j)
-		s.resolveDependents(j, e.t)
+		s.resolveDependent(j, e.t)
 		s.schedDirty = true
 	case evResStart:
 		rp := e.res
@@ -511,10 +585,10 @@ func (s *Simulator) handle(e event) {
 // releaseNodes returns a finished job's nodes to its pool.
 func (s *Simulator) releaseNodes(j *job) {
 	if j.res != nil && j.res.active {
-		j.res.free += j.cores
+		j.res.free += int(j.cores)
 		return
 	}
-	s.freeCores += j.cores
+	s.freeCores += int(j.cores)
 	s.sel.Release(j)
 	s.refillReservations()
 }
@@ -540,49 +614,43 @@ func (s *Simulator) refillReservations() {
 	}
 }
 
-// resolveDependents releases or cancels the jobs held on j.
-func (s *Simulator) resolveDependents(j *job, t time.Time) {
-	for _, d := range j.dependents {
-		if d.finished {
-			continue
-		}
-		if j.state == slurm.StateCompleted {
-			if d.held {
-				d.held = false
-				d.eligible = t
-				d.eligNs = t.UnixNano()
-				s.pendAdd(d)
-				s.npending++
-				s.schedDirty = true
-			}
-			continue
-		}
-		s.cancelForDependency(d, t)
+// resolveDependent releases or cancels the job held on j.
+func (s *Simulator) resolveDependent(j *job, tNs int64) {
+	d := j.depNext
+	if d == nil || d.finished {
+		return
+	}
+	if j.State() != slurm.StateCompleted {
+		s.cancelForDependency(d, tNs)
+		return
+	}
+	if d.held {
+		d.held = false
+		d.eligible = tNs
+		s.pendAdd(d)
+		s.npending++
+		s.schedDirty = true
 	}
 }
 
 // cancelForDependency terminally cancels a job whose upstream failed, and
-// cascades to its own dependents. Such jobs are held or not yet
-// submitted, never in the pending set.
-func (s *Simulator) cancelForDependency(j *job, t time.Time) {
-	if j.finished {
-		return
-	}
-	j.finished = true
-	j.held = false
-	j.state = slurm.StateCancelled
-	j.reason = "DependencyNeverSatisfied"
-	j.end = t
-	s.stats.JobsCancelled++
-	s.stats.NeverStarted++
-	s.stats.DependencyCancelled++
-	for _, d := range j.dependents {
-		s.cancelForDependency(d, t)
+// the rest of its chain behind it; nil is a no-op. Such jobs are held or
+// not yet submitted, never in the pending set.
+func (s *Simulator) cancelForDependency(j *job, tNs int64) {
+	for ; j != nil && !j.finished; j = j.depNext {
+		j.finished = true
+		j.held = false
+		j.setState(slurm.StateCancelled)
+		j.reason = reasonDependency
+		j.end = tNs
+		s.stats.JobsCancelled++
+		s.stats.NeverStarted++
+		s.stats.DependencyCancelled++
 	}
 }
 
 func (s *Simulator) countOutcome(j *job) {
-	elapsed := j.end.Sub(j.start)
+	elapsed := time.Duration(j.end - j.start)
 	s.stats.NodeSecondsBusy += s.nodeEquivalents(j) * elapsed.Seconds()
 	// j.waited accumulates start−eligible per scheduling segment, so a
 	// preempted job's earlier run time is never mistaken for queue wait
@@ -592,7 +660,7 @@ func (s *Simulator) countOutcome(j *job) {
 	if wait > s.stats.MaxWait {
 		s.stats.MaxWait = wait
 	}
-	switch j.state {
+	switch j.State() {
 	case slurm.StateCompleted:
 		s.stats.JobsCompleted++
 	case slurm.StateFailed:
@@ -624,23 +692,23 @@ func (s *Simulator) decayUser(u *userUsage, tNs int64) float64 {
 	return u.value
 }
 
-// decayedUsage returns the user's usage decayed to time t.
-func (s *Simulator) decayedUsage(user string, t time.Time) float64 {
+// decayedUsage returns the user's usage decayed to tNs.
+func (s *Simulator) decayedUsage(user string, tNs int64) float64 {
 	u, ok := s.usage[user]
 	if !ok {
 		return 0
 	}
-	return s.decayUser(u, t.UnixNano())
+	return s.decayUser(u, tNs)
 }
 
 func (s *Simulator) accrueUsage(j *job) {
 	u, ok := s.usage[j.req.User]
 	if !ok {
-		u = &userUsage{asOfNs: j.end.UnixNano()}
+		u = &userUsage{asOfNs: j.end}
 		s.usage[j.req.User] = u
 	}
-	s.decayUser(u, j.end.UnixNano())
-	u.value += s.nodeEquivalents(j) * j.end.Sub(j.start).Seconds()
+	s.decayUser(u, j.end)
+	u.value += s.nodeEquivalents(j) * time.Duration(j.end-j.start).Seconds()
 	u.epoch++
 }
 
@@ -650,15 +718,15 @@ func (s *Simulator) accrueUsage(j *job) {
 // (job.static + Age + memoised Fair); this reference form and the fast
 // path agree exactly: each term is truncated to int64 by the policy
 // separately, and int64 addition is associative.
-func (s *Simulator) priorityAt(j *job, t time.Time) int64 {
+func (s *Simulator) priorityAt(j *job, tNs int64) int64 {
 	sizef := float64(j.cores) / float64(s.cfg.System.TotalCores())
 	var qosW int64
 	if q, ok := s.qosDefs[j.req.QOS]; ok {
 		qosW = q.PriorityWeight
 	}
 	return s.prio.Static(sizef, qosW) +
-		s.prio.Age(int64(t.Sub(j.eligible))) +
-		s.prio.Fair(s.decayedUsage(j.req.User, t))
+		s.prio.Age(tNs-j.eligible) +
+		s.prio.Fair(s.decayedUsage(j.req.User, tNs))
 }
 
 // fairTerm computes the fair-share contribution for a user at tNs,
@@ -674,12 +742,11 @@ func (s *Simulator) fairTerm(u *userUsage, tNs int64) int64 {
 	return u.term
 }
 
-// reprioritize recomputes every pending job's priority at time t. A
-// pass consumes the refreshed keys through its heap alone, so the hot
-// loop streams over the contiguous entry array; writeBack (the drain-time
-// call) also stores each key on its job, where the record reads it.
-func (s *Simulator) reprioritize(t time.Time, writeBack bool) {
-	tNs := t.UnixNano()
+// reprioritize recomputes every pending job's priority at tNs. A pass
+// consumes the refreshed keys through its heap alone, so the hot loop
+// streams over the contiguous entry array; writeBack (the drain-time call)
+// also stores each key on its job, where the record reads it.
+func (s *Simulator) reprioritize(tNs int64, writeBack bool) {
 	for i := range s.pending {
 		e := &s.pending[i]
 		e.prio = e.static + s.prio.Age(tNs-e.eligNs) + s.fairTerm(e.usage, tNs)
@@ -690,8 +757,8 @@ func (s *Simulator) reprioritize(t time.Time, writeBack bool) {
 }
 
 // schedule runs the reservation pass, the main priority loop (with urgent
-// preemption), and the configured backfill policy's pass at time t.
-func (s *Simulator) schedule(t time.Time) {
+// preemption), and the configured backfill policy's pass at tNs.
+func (s *Simulator) schedule(tNs int64) {
 	if s.npending == 0 {
 		return
 	}
@@ -700,7 +767,6 @@ func (s *Simulator) schedule(t time.Time) {
 		// pass would start nothing. The legacy pass still stepped each
 		// pending user's fair-share decay here; keep that float
 		// stepping identical so later terms match bit for bit.
-		tNs := t.UnixNano()
 		for i := range s.pending {
 			s.decayUser(s.pending[i].usage, tNs)
 		}
@@ -710,16 +776,16 @@ func (s *Simulator) schedule(t time.Time) {
 	s.mPasses.Inc()
 	s.mDepthSum.Add(int64(s.npending))
 	s.clk.enter(phaseReprioritize)
-	s.reprioritize(t, false)
+	s.reprioritize(tNs, false)
 	s.clk.enter(phaseMainPass)
 	if len(s.resPools) > 0 {
-		s.reservationPass(t)
+		s.reservationPass(tNs)
 	}
 	s.heapifyPending()
-	head := s.mainPass(t)
+	head := s.mainPass(tNs)
 	if head != nil && s.npending > 1 {
 		s.clk.enter(phaseBackfill)
-		s.bf.Pass(s, head, t)
+		s.bf.Pass(s, head, tNs)
 		s.clk.enter(phaseMainPass)
 	}
 	s.finishPass(head)
@@ -731,7 +797,7 @@ func (s *Simulator) schedule(t time.Time) {
 // reservationPass starts reservation-tagged jobs that fit their window, in
 // priority order over the tagged subset (their relative order in the old
 // full sort).
-func (s *Simulator) reservationPass(t time.Time) {
+func (s *Simulator) reservationPass(tNs int64) {
 	s.resBuf = s.resBuf[:0]
 	for i := range s.pending {
 		if s.pending[i].j.res != nil {
@@ -741,12 +807,17 @@ func (s *Simulator) reservationPass(t time.Time) {
 	if len(s.resBuf) == 0 {
 		return
 	}
-	sort.Slice(s.resBuf, func(a, b int) bool { return pendBefore(&s.resBuf[a], &s.resBuf[b]) })
+	slices.SortFunc(s.resBuf, func(a, b pendEntry) int {
+		if a.prio != b.prio {
+			return cmp.Compare(b.prio, a.prio)
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
 	for i := range s.resBuf {
 		j := s.resBuf[i].j
-		if s.canStartInReservation(j, t) {
+		if s.canStartInReservation(j, tNs) {
 			s.pendRemove(j)
-			s.startJob(j, t, false)
+			s.startJob(j, tNs, false)
 		}
 	}
 }
@@ -769,7 +840,7 @@ func (s *Simulator) nextPending() *job {
 // mainPass starts jobs in priority order until the head does not fit,
 // and returns that blocking head (nil when everything started).
 // Reservation-tagged jobs wait for their window without blocking.
-func (s *Simulator) mainPass(t time.Time) *job {
+func (s *Simulator) mainPass(tNs int64) *job {
 	for {
 		j := s.nextPending()
 		if j == nil {
@@ -779,13 +850,13 @@ func (s *Simulator) mainPass(t time.Time) *job {
 			s.keep = append(s.keep, j)
 			continue
 		}
-		if j.cores <= s.freeCores && s.sel.Fits(j) {
-			s.startJob(j, t, false)
+		if int(j.cores) <= s.freeCores && s.sel.Fits(j) {
+			s.startJob(j, tNs, false)
 			continue
 		}
 		// Urgent QoS may evict preemptible work instead of queueing.
-		if j.canPreempt && s.tryPreempt(j, t) && s.sel.Fits(j) {
-			s.startJob(j, t, false)
+		if j.canPreempt && s.tryPreempt(j, tNs) && s.sel.Fits(j) {
+			s.startJob(j, tNs, false)
 			continue
 		}
 		return j
@@ -810,21 +881,21 @@ func (s *Simulator) finishPass(head *job) {
 }
 
 // canStartInReservation reports whether a tagged job fits its window now.
-func (s *Simulator) canStartInReservation(j *job, t time.Time) bool {
+func (s *Simulator) canStartInReservation(j *job, tNs int64) bool {
 	rp := j.res
-	if !rp.active || j.cores > rp.free {
+	if !rp.active || int(j.cores) > rp.free {
 		return false
 	}
-	return !t.Add(j.req.Timelimit).After(rp.def.End)
+	return tNs+int64(j.req.Timelimit) <= rp.endNs
 }
 
 // tryPreempt evicts preemptible running jobs until the urgent job fits.
 // Victims are requeued from scratch (youngest first, minimising lost
 // work). Returns false — and evicts nothing — when even evicting every
 // candidate would not free enough nodes.
-func (s *Simulator) tryPreempt(urgent *job, t time.Time) bool {
+func (s *Simulator) tryPreempt(urgent *job, tNs int64) bool {
 	s.mPreemptAtt.Inc()
-	needed := urgent.cores - s.freeCores
+	needed := int(urgent.cores) - s.freeCores
 	if needed <= 0 {
 		return true
 	}
@@ -834,12 +905,11 @@ func (s *Simulator) tryPreempt(urgent *job, t time.Time) bool {
 			victims = append(victims, j)
 		}
 	}
-	sort.Slice(victims, func(a, b int) bool {
-		va, vb := victims[a], victims[b]
-		if !va.start.Equal(vb.start) {
-			return va.start.After(vb.start)
+	slices.SortFunc(victims, func(a, b *job) int {
+		if a.start != b.start {
+			return cmp.Compare(b.start, a.start)
 		}
-		return va.seq < vb.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	s.victimBuf = victims
 	freed := 0
@@ -848,14 +918,14 @@ func (s *Simulator) tryPreempt(urgent *job, t time.Time) bool {
 		if freed >= needed {
 			break
 		}
-		freed += v.cores
+		freed += int(v.cores)
 		cut++
 	}
 	if freed < needed {
 		return false
 	}
 	for _, v := range victims[:cut] {
-		s.evict(v, t)
+		s.evict(v, tNs)
 	}
 	return true
 }
@@ -863,21 +933,20 @@ func (s *Simulator) tryPreempt(urgent *job, t time.Time) bool {
 // evict requeues a running preemptible job. The victim joins the FIFO
 // tail of this pass (it re-enters consideration after every job already
 // queued) and the pending array at pass end.
-func (s *Simulator) evict(v *job, t time.Time) {
+func (s *Simulator) evict(v *job, tNs int64) {
 	s.mPreemptEvict.Inc()
 	v.gen++ // invalidate the scheduled end event
-	s.freeCores += v.cores
+	s.freeCores += int(v.cores)
 	s.sel.Release(v)
 	s.runRemove(v)
-	ran := t.Sub(v.start)
+	ran := time.Duration(tNs - v.start)
 	v.lost += ran
 	v.restarts++
 	v.started = false
 	v.backfill = false
-	v.state = slurm.StatePending
-	v.eligible = t
-	v.eligNs = t.UnixNano()
-	v.reason = "Preempted"
+	v.setState(slurm.StatePending)
+	v.eligible = tNs
+	v.reason = reasonPreempted
 	s.appended = append(s.appended, v)
 	s.npending++
 	s.schedDirty = true
@@ -906,13 +975,13 @@ func (s *Simulator) shadowTime(head *job, tNs int64) (int64, int) {
 		if j.res != nil {
 			continue
 		}
-		at := j.limitEndNs
+		at := j.limitEnd
 		if at < tNs {
 			at = tNs // defensive; a running job's limit cannot precede now
 		}
-		free += j.cores
-		if free >= head.cores {
-			return at, free - head.cores
+		free += int(j.cores)
+		if free >= int(head.cores) {
+			return at, free - int(head.cores)
 		}
 	}
 	// Head can never start under current limits (should not happen when
@@ -931,35 +1000,36 @@ func satAddDuration(a, b time.Duration) time.Duration {
 	return c
 }
 
-// startJob dispatches a job at time t and schedules its end event.
-func (s *Simulator) startJob(j *job, t time.Time, backfill bool) {
+// startJob dispatches a job at tNs and schedules its end event.
+func (s *Simulator) startJob(j *job, tNs int64, backfill bool) {
 	j.started = true
 	j.backfill = backfill
 	if backfill {
 		s.mBackfillStarts.Inc()
 	}
-	j.start = t
-	j.waited += t.Sub(j.eligible)
-	j.priority = s.priorityAt(j, t)
-	j.limitEndNs = t.UnixNano() + int64(j.req.Timelimit)
+	j.start = tNs
+	j.waited += time.Duration(tNs - j.eligible)
+	j.priority = s.priorityAt(j, tNs)
+	j.limitEnd = tNs + int64(j.req.Timelimit)
 	s.npending--
 	if j.res != nil && j.res.active {
-		j.res.free -= j.cores
+		j.res.free -= int(j.cores)
 		s.stats.ReservationStarts++
 	} else {
 		j.res = nil // window closed between sort and start
-		s.freeCores -= j.cores
+		s.freeCores -= int(j.cores)
 		s.sel.Place(j)
 	}
 	s.runAdd(j)
 
-	end, state := s.terminalOutcome(j, t)
-	j.end, j.state = end, state
+	end, state := s.terminalOutcome(j, tNs)
+	j.end = end
+	j.setState(state)
 	s.pushEvent(event{t: end, kind: evEnd, j: j, gen: j.gen, seq: s.nextSeq()})
 }
 
-// terminalOutcome resolves when and how a started job ends.
-func (s *Simulator) terminalOutcome(j *job, start time.Time) (time.Time, slurm.State) {
+// terminalOutcome resolves when and how a job started at start ends.
+func (s *Simulator) terminalOutcome(j *job, start int64) (int64, slurm.State) {
 	r := j.req
 	run := r.TrueRuntime
 	state := r.Outcome
@@ -977,11 +1047,11 @@ func (s *Simulator) terminalOutcome(j *job, start time.Time) (time.Time, slurm.S
 		// Enforced by the limit check below.
 		state = slurm.StateCompleted
 	}
-	end := start.Add(run)
-	if limitEnd := start.Add(r.Timelimit); end.After(limitEnd) {
-		end, state = limitEnd, slurm.StateTimeout
+	if run > r.Timelimit {
+		run, state = r.Timelimit, slurm.StateTimeout
 	}
-	if !j.cancelAt.IsZero() && j.cancelAt.After(start) && j.cancelAt.Before(end) {
+	end := start + int64(run)
+	if j.cancelAt > start && j.cancelAt < end {
 		end, state = j.cancelAt, slurm.StateCancelled
 	}
 	return end, state

@@ -295,19 +295,19 @@ func TestFairShareDecaysPriority(t *testing.T) {
 	}
 	mk := func(user string, nodes int) *job {
 		r := req(user, t0, nodes, time.Hour, time.Hour)
-		return &job{req: &r, cores: nodes * 8}
+		return &job{req: &r, cores: int32(nodes * 8)}
 	}
 	heavy, light := mk("heavy", 2), mk("light", 2)
 	// Accrue a large usage history for heavy.
 	hj := mk("heavy", 10)
-	hj.start = t0.Add(-2 * time.Hour)
-	hj.end = t0
+	hj.start = t0.Add(-2 * time.Hour).UnixNano()
+	hj.end = t0.UnixNano()
 	// Several machine-hours of history.
 	for i := 0; i < 50; i++ {
 		sim.accrueUsage(hj)
 	}
-	ph := sim.priorityAt(heavy, t0)
-	pl := sim.priorityAt(light, t0)
+	ph := sim.priorityAt(heavy, t0.UnixNano())
+	pl := sim.priorityAt(light, t0.UnixNano())
 	if ph >= pl {
 		t.Errorf("heavy user priority %d ≥ light %d", ph, pl)
 	}
@@ -315,8 +315,8 @@ func TestFairShareDecaysPriority(t *testing.T) {
 	later := t0.Add(20 * 7 * 24 * time.Hour)
 	heavy.req.Submit = later
 	light.req.Submit = later
-	ph2 := sim.priorityAt(heavy, later)
-	pl2 := sim.priorityAt(light, later)
+	ph2 := sim.priorityAt(heavy, later.UnixNano())
+	pl2 := sim.priorityAt(light, later.UnixNano())
 	if pl2-ph2 >= pl-ph {
 		t.Errorf("fair-share penalty did not decay: %d vs %d", pl2-ph2, pl-ph)
 	}

@@ -415,7 +415,10 @@ func score(res *sched.Result) PolicyScore {
 		slowSum                   float64
 	}
 	classes := map[string]*agg{}
+	// The whole field needs only the mean wait, so it keeps a running sum
+	// in outcome order, the order mean would add the waits in.
 	var total agg
+	var waitSum float64
 	for o := range res.Outcomes {
 		class := o.Req.Class
 		if class == "" {
@@ -440,7 +443,7 @@ func score(res *sched.Result) PolicyScore {
 		}
 		w := wait.Seconds()
 		a.waits = append(a.waits, w)
-		total.waits = append(total.waits, w)
+		waitSum += w
 		sd := boundedSlowdown(wait, o.End.Sub(o.Start))
 		a.slowSum += sd
 		total.slowSum += sd
@@ -448,7 +451,7 @@ func score(res *sched.Result) PolicyScore {
 
 	ps.Started = total.started
 	if total.started > 0 {
-		ps.MeanWaitSec = mean(total.waits)
+		ps.MeanWaitSec = waitSum / float64(total.started)
 		ps.MeanSlowdown = total.slowSum / float64(total.started)
 		ps.BackfillFrac = float64(total.backfilled) / float64(total.started)
 	}
