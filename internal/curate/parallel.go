@@ -33,7 +33,8 @@ func Stats() PassStats {
 // It is called at most once per chunk, possibly from several goroutines
 // concurrently (guard shared state); the consumer it returns is then
 // called only from that chunk's worker, in chunk row order, with records
-// that alias decoder scratch (copy to retain). Returning false from the
+// that alias decoder scratch, TRES maps included, which the next row
+// rewrites (Record.Clone to retain). Returning false from the
 // consumer stops the whole parallel stream early. A nil ShardFunc (or a
 // nil returned consumer) decodes for the sidecar and Report only.
 type ShardFunc func(chunk int) func(*slurm.Record) bool

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"slurmsight/internal/obs"
 	"slurmsight/internal/slurm"
@@ -221,5 +222,74 @@ func TestStreamEarlyStopCountsSidecarErrors(t *testing.T) {
 	}
 	if !stopped.Load() || rep.Kept != 1 || rep.SidecarErrors == 0 {
 		t.Errorf("flush failure after early stop not counted: stopped=%v %+v", stopped.Load(), rep)
+	}
+}
+
+// buildTRESPeriod writes n full-selection rows whose ReqTRES and
+// TRESUsageInAve cells have the simulator's shape, cycling a few users so
+// the decoder's interner stops growing after the first rows.
+func buildTRESPeriod(t *testing.T, n int) string {
+	t.Helper()
+	fields := slurm.SelectedNames()
+	var sb strings.Builder
+	sb.WriteString(slurm.Header(fields))
+	sb.WriteByte('\n')
+	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < n; i++ {
+		nodes := int64(1 + i%4)
+		rec := slurm.Record{
+			ID: slurm.NewJobID(int64(100000 + i)), User: fmt.Sprintf("u%d", i%5), Account: "csc000",
+			Cluster: "frontier", Partition: "batch", State: slurm.StateCompleted,
+			Submit: base.Add(time.Duration(i) * time.Minute), Start: base.Add(time.Duration(i+5) * time.Minute),
+			End: base.Add(time.Duration(i+65) * time.Minute), Elapsed: time.Hour, Timelimit: 2 * time.Hour,
+			NNodes: nodes, NCPUs: 56 * nodes, Flags: []string{slurm.FlagBackfill},
+			TRESReq:        slurm.TRES{"cpu": 56 * nodes, "mem": nodes * 512 << 30, "node": nodes, "gres/gpu": 8 * nodes},
+			TRESUsageInAve: slurm.TRES{"cpu": 40 * nodes, "mem": int64(i%7+1) << 30},
+		}
+		line, err := slurm.EncodeRecord(&rec, fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb.WriteString(line)
+		sb.WriteByte('\n')
+	}
+	path := filepath.Join(t.TempDir(), fmt.Sprintf("period%d.txt", n))
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestStreamFileParallelAllocsDoNotScaleWithRows is the curate stage's
+// allocation pin: with a sidecar and a consumer that reads the TRES
+// maps, at one worker and at two, a period of 4N TRES-bearing rows costs
+// what a period of N costs, give or take a few buffer growth steps.
+func TestStreamFileParallelAllocsDoNotScaleWithRows(t *testing.T) {
+	const n = 500
+	small, large := buildTRESPeriod(t, n), buildTRESPeriod(t, 4*n)
+	csvPath := filepath.Join(t.TempDir(), "out.csv")
+	for _, workers := range []int{1, 2} {
+		opts := DefaultOptions()
+		opts.Workers = workers
+		allocs := func(in string, rows int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				var rep Report
+				var gpus atomic.Int64
+				_, err := StreamFileParallel(in, csvPath, opts, &rep, func(int) func(*slurm.Record) bool {
+					return func(rec *slurm.Record) bool {
+						gpus.Add(rec.TRESReq["gres/gpu"])
+						return true
+					}
+				})
+				if err != nil || rep.Kept != rows || gpus.Load() == 0 {
+					t.Fatalf("workers=%d: kept %d of %d rows (gpus %d), %v", workers, rep.Kept, rows, gpus.Load(), err)
+				}
+			})
+		}
+		a, b := allocs(small, n), allocs(large, 4*n)
+		t.Logf("workers=%d: %v allocs for %d rows, %v for %d", workers, a, n, b, 4*n)
+		if b-a > 8 {
+			t.Errorf("workers=%d: curate allocates %v times for %d rows and %v for %d: it allocates per row", workers, a, n, b, 4*n)
+		}
 	}
 }

@@ -62,10 +62,22 @@ type rowWriter struct {
 	err    error // first write error; sticky, like csv.Writer's
 }
 
-const flushAt = 1 << 16
+// flushAt is the buffered size past which a row writer writes out, and
+// rowHeadroom what its buffer holds beyond that: the row that crosses
+// flushAt. A sacct row is well under 4 KiB; a longer one grows the
+// buffer once.
+const (
+	flushAt     = 1 << 16
+	rowHeadroom = 4 << 10
+)
 
+// newRowWriter sizes the buffer once, for a chunk's worth of rows: the
+// curate stage has no short answer for a small buffer to save, unlike
+// sacct's textWriter, which grows from empty to keep a short /query
+// answer short (DESIGN.md §5l).
 func newRowWriter(w io.Writer, fields []string, opts Options) *rowWriter {
-	return &rowWriter{w: w, fields: fields, kinds: columnKinds(fields, opts)}
+	return &rowWriter{w: w, fields: fields, kinds: columnKinds(fields, opts),
+		buf: make([]byte, 0, flushAt+rowHeadroom)}
 }
 
 // row buffers one row, writing the buffer out when it is full. A cell

@@ -475,12 +475,14 @@ func Load(r io.Reader) (*Store, int, error) {
 	malformed := 0
 	var readErr error
 	err = st.addAll(func(yield func(*slurm.Record) bool) {
+		var kept slurm.Record // addAll copies the struct; the maps must be the row's own
 		for rec, err := range br.All() {
 			var rowErr *slurm.RowError
 			switch {
 			case err == nil:
-				// A shallow copy is the row's own: see slurm.ByteRecordReader.
-				if !yield(rec) {
+				// The reader refills rec's TRES maps on the next row.
+				kept = rec.Clone()
+				if !yield(&kept) {
 					return
 				}
 			case errors.As(err, &rowErr):

@@ -504,7 +504,7 @@ func decodeRows(header, rows []byte) (recs []slurm.Record, malformed int, err er
 		var rowErr *slurm.RowError
 		switch {
 		case err == nil:
-			recs = append(recs, *rec) // a shallow copy is the row's own: see slurm.ByteRecordReader
+			recs = append(recs, rec.Clone()) // the reader refills rec's TRES maps on the next row
 		case errors.As(err, &rowErr):
 			malformed++
 		default:

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -604,6 +605,67 @@ func TestTextRowsDumpTheSameThroughLoadAndIngest(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Errorf("the same two text rows dump to different colstore bytes: %d via Load, %d via ingest", len(a), len(b))
+	}
+}
+
+// TestLoadAndIngestKeepRowsOfTheirOwn: the text reader refills one pair
+// of TRES maps row after row, so the two doors that keep its rows —
+// sacct.Load and decodeRows (POST /ingest, -watch) — must Clone them.
+// Every kept row holds TRES maps of its own however alike the cells, a
+// blank cell is nil, and the flag lists rows share are never written
+// through: the Backfill column merging its flag in, or an append to one
+// row's flags, reallocates.
+func TestLoadAndIngestKeepRowsOfTheirOwn(t *testing.T) {
+	text := "JobID|User|Submit|Flags|Backfill|ReqTRES|TRESUsageInAve\n" +
+		"1|alice|2031-01-01T00:00:00|SchedMain|1|cpu=8,mem=4G|cpu=7\n" +
+		"2|bob|2031-01-01T00:01:00|SchedMain|0|cpu=8,mem=4G|\n" +
+		"3|carol|2031-01-01T00:02:00|SchedMain|1|cpu=8,mem=4G|cpu=7\n"
+	loaded, malformed, err := sacct.Load(strings.NewReader(text))
+	if err != nil || malformed != 0 {
+		t.Fatalf("load: %d malformed, %v", malformed, err)
+	}
+	var viaLoad []slurm.Record
+	for r, err := range loaded.Scan(sacct.Query{IncludeSteps: true}) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaLoad = append(viaLoad, *r) // in-memory rows: the store's own maps
+	}
+	header, rows := splitHeader([]byte(text))
+	viaIngest, malformed, err := decodeRows(header, rows)
+	if err != nil || malformed != 0 {
+		t.Fatalf("decodeRows: %d malformed, %v", malformed, err)
+	}
+
+	for door, rows := range map[string][]slurm.Record{"Load": viaLoad, "decodeRows": viaIngest} {
+		if len(rows) != 3 {
+			t.Fatalf("%s kept %d rows, want 3", door, len(rows))
+		}
+		wantFlags := [][]string{{slurm.FlagMain, slurm.FlagBackfill}, {slurm.FlagMain}, {slurm.FlagMain, slurm.FlagBackfill}}
+		for i, want := range wantFlags {
+			if !slices.Equal(rows[i].Flags, want) {
+				t.Errorf("%s: row %d flags %v, want %v", door, i+1, rows[i].Flags, want)
+			}
+		}
+		if rows[0].User != "alice" || rows[1].User != "bob" || rows[2].User != "carol" {
+			t.Errorf("%s: users %q %q %q", door, rows[0].User, rows[1].User, rows[2].User)
+		}
+		if rows[1].TRESUsageInAve != nil {
+			t.Errorf("%s: row 2 TRESUsageInAve %v, want nil for a blank cell", door, rows[1].TRESUsageInAve)
+		}
+		rows[0].TRESReq["cpu"], rows[0].TRESUsageInAve["cpu"] = 99, 99
+		rows[1].Flags = append(rows[1].Flags, "Mine")
+		for i := 1; i < 3; i++ {
+			if rows[i].TRESReq["cpu"] != 8 {
+				t.Errorf("%s: row %d shares its ReqTRES map with row 1", door, i+1)
+			}
+		}
+		if rows[2].TRESUsageInAve["cpu"] != 7 {
+			t.Errorf("%s: row 3 shares its TRESUsageInAve map with row 1", door)
+		}
+		if !slices.Equal(rows[2].Flags, wantFlags[2]) || !slices.Equal(rows[0].Flags, wantFlags[0]) {
+			t.Errorf("%s: an append to row 2's flags reached rows 1 and 3: %v, %v", door, rows[0].Flags, rows[2].Flags)
+		}
 	}
 }
 

@@ -23,24 +23,27 @@ const internCap = 1 << 15
 // are pulled straight from the read buffer as []byte, columns are
 // tokenized without string conversion, and typed fields decode through
 // the Field.SetBytes parsers (ParseTimeBytes, ParseDurationBytes, ...).
-// Free-form string columns are interned — one allocation per distinct
-// value per reader, not per row — so steady-state decode of a
-// repetitive trace allocates nothing per row. The returned record and
-// the Row backing storage are valid only until the following Next call,
-// but a shallow copy of the record is the row's own for good: every row
-// gets TRES maps of its own, and the strings and flag lists it shares
-// with other rows are never written through.
+// Free-form string columns and TRES keys are interned — one allocation
+// per distinct value per reader, not per row — and the two TRES maps are
+// the reader's own, cleared and refilled row after row, so steady-state
+// decode of a repetitive trace allocates nothing per row.
+//
+// The contract is colstore.Cursor's: the returned record, its TRES maps
+// included, and the Row backing storage are valid only until the
+// following Next call, and Record.Clone is how a caller keeps a row. A
+// blank TRES cell is a nil map. The strings and flag lists a record
+// shares with other rows are never written through.
 type ByteRecordReader struct {
-	r      *bufio.Reader
+	lineReader
 	fields []*Field // pre-resolved header columns, in header order
 	names  []string // header spellings, for error attribution
 	cols   [][]byte // per-row column scratch; subslices alias the read buffer
 	rec    Record   // per-row record scratch
-	line   int      // lines consumed so far (base included)
-	long   []byte   // spill for lines longer than the read buffer
 
-	interned   *Interner           // cell bytes → immutable string, for Set-path fields
+	interned   *Interner           // cell bytes → immutable string, for Set-path fields and TRES keys
 	flagsCache map[string][]string // raw Flags cell → pre-split, capacity-clipped slice
+	reqTRES    TRES                // ReqTRES's map, refilled per row
+	usageTRES  TRES                // TRESUsageInAve's map, refilled per row
 }
 
 // NewByteRecordReader reads and validates the header line of r. An
@@ -69,11 +72,10 @@ func NewByteRecordReader(r io.Reader) (*ByteRecordReader, error) {
 // numbers are then chunk-relative.
 func newByteRecordReader(r *bufio.Reader, fields []*Field, names []string, lineBase int) *ByteRecordReader {
 	return &ByteRecordReader{
-		r:          r,
+		lineReader: lineReader{r: r, line: lineBase},
 		fields:     fields,
 		names:      names,
 		cols:       make([][]byte, 0, len(fields)),
-		line:       lineBase,
 		interned:   NewInterner(),
 		flagsCache: make(map[string][]string),
 	}
@@ -93,23 +95,32 @@ func (br *ByteRecordReader) Line() int { return br.line }
 // following Next call.
 func (br *ByteRecordReader) Row() [][]byte { return br.cols }
 
-// readLine returns the next input line with its trailing "\n" (and one
-// "\r" before it) stripped, the final unterminated line included, and
-// counts it. The slice aliases the read buffer (or the long-line spill,
-// which grows only when a line outgrows the buffer) and is valid until
-// the next call.
-func (br *ByteRecordReader) readLine() ([]byte, error) {
-	line, err := br.r.ReadSlice('\n')
+// lineReader pulls lines out of a bufio.Reader under the one row cap,
+// MaxLineLen, counting them. The reader of a chunk and the scanner that
+// reads a file's header both read through one.
+type lineReader struct {
+	r    *bufio.Reader
+	long []byte // spill for lines longer than the read buffer
+	line int    // lines consumed so far (base included)
+}
+
+// next returns the next input line as read, its "\n" included, the
+// final unterminated line included, and counts it. The slice aliases
+// the read buffer (or the long-line spill, which grows only when a line
+// outgrows the buffer) and is valid until the next call. A line longer
+// than MaxLineLen, its "\n" not counted, is an error naming it.
+func (lr *lineReader) next() ([]byte, error) {
+	line, err := lr.r.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
-		br.long = append(br.long[:0], line...)
+		lr.long = append(lr.long[:0], line...)
 		for err == bufio.ErrBufferFull {
-			if len(br.long) > MaxLineLen {
-				return nil, br.tooLong(br.line + 1)
+			if len(lr.long) > MaxLineLen {
+				return nil, tooLong(lr.line + 1)
 			}
-			line, err = br.r.ReadSlice('\n')
-			br.long = append(br.long, line...)
+			line, err = lr.r.ReadSlice('\n')
+			lr.long = append(lr.long, line...)
 		}
-		line = br.long
+		line = lr.long
 	}
 	if err != nil && err != io.EOF {
 		return nil, err
@@ -117,20 +128,29 @@ func (br *ByteRecordReader) readLine() ([]byte, error) {
 	if len(line) == 0 {
 		return nil, io.EOF
 	}
-	br.line++
-	if n := len(line); line[n-1] == '\n' {
-		line = line[:n-1]
-	}
-	if len(line) > MaxLineLen {
-		return nil, br.tooLong(br.line)
-	}
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
+	lr.line++
+	if len(trimEOL(line, '\n')) > MaxLineLen {
+		return nil, tooLong(lr.line)
 	}
 	return line, nil
 }
 
-func (br *ByteRecordReader) tooLong(line int) error {
+// readLine is next with the trailing "\n" and one "\r" before it
+// stripped.
+func (lr *lineReader) readLine() ([]byte, error) {
+	line, err := lr.next()
+	return trimEOL(trimEOL(line, '\n'), '\r'), err
+}
+
+// trimEOL drops one trailing c.
+func trimEOL(line []byte, c byte) []byte {
+	if n := len(line); n > 0 && line[n-1] == c {
+		return line[:n-1]
+	}
+	return line
+}
+
+func tooLong(line int) error {
 	return fmt.Errorf("slurm: line %d: row exceeds %d bytes", line, MaxLineLen)
 }
 
@@ -162,11 +182,18 @@ func (br *ByteRecordReader) Next() (*Record, error) {
 	}
 }
 
-// setField routes one cell to its decoder: the byte fast path when the
-// field has one, the cached-split path for Flags, and Set over an
-// interned copy for the free-form string columns.
-func (br *ByteRecordReader) setField(f *Field, col []byte) error {
+// setField routes one cell to its decoder: the reader's own maps for
+// the TRES columns, the byte fast path when the field has one, the
+// cached-split path for Flags, and Set over an interned copy for the
+// free-form string columns.
+func (br *ByteRecordReader) setField(f *Field, col []byte) (err error) {
 	switch {
+	case f == reqTRESField:
+		br.rec.TRESReq, err = parseTRES(&br.reqTRES, col, br.interned)
+		return err
+	case f == usageTRESField:
+		br.rec.TRESUsageInAve, err = parseTRES(&br.usageTRES, col, br.interned)
+		return err
 	case f.SetBytes != nil:
 		return f.SetBytes(&br.rec, col)
 	case f == flagsField:

@@ -29,9 +29,14 @@ type ChunkScanner struct {
 	chunks []Chunk
 }
 
-// chunkAlignBuf sizes the read buffer used to find the newline after a
-// candidate chunk boundary.
-const chunkAlignBuf = 64 << 10
+// scanBuf sizes the two buffers a plan reads with: the one the header
+// line is read through (a real header is about 600 bytes) and the one
+// that looks for the newline after a candidate chunk boundary. Each
+// grows only for a longer line, the second up to scanBufMax.
+const (
+	scanBuf    = 4 << 10
+	scanBufMax = 64 << 10
+)
 
 // NewChunkScanner resolves path's header and plans up to n newline-
 // aligned chunks over its data region. An empty input or a header
@@ -85,37 +90,27 @@ func NewChunkScanner(path string, n int) (*ChunkScanner, error) {
 	return cs, nil
 }
 
-// readHeaderLine reads the first line of f, returning its text (without
-// the terminator) and the file offset of the first data byte.
+// readHeaderLine reads the first line of f under the row cap, returning
+// its text (without the terminator) and the file offset of the first
+// data byte.
 func readHeaderLine(f *os.File) (string, int64, error) {
-	br := bufio.NewReaderSize(f, 1<<16)
-	line, err := br.ReadString('\n')
-	if err != nil && err != io.EOF {
-		return "", 0, err
-	}
-	if line == "" {
+	lr := lineReader{r: bufio.NewReaderSize(f, scanBuf)}
+	line, err := lr.next()
+	if err == io.EOF {
 		return "", 0, fmt.Errorf("slurm: input has no header")
 	}
-	off := int64(len(line))
-	line = trimLineEnd(line)
-	return line, off, nil
-}
-
-// trimLineEnd drops a trailing "\n" and one "\r" before it.
-func trimLineEnd(s string) string {
-	if n := len(s); n > 0 && s[n-1] == '\n' {
-		s = s[:n-1]
+	if err != nil {
+		return "", 0, err
 	}
-	if n := len(s); n > 0 && s[n-1] == '\r' {
-		s = s[:n-1]
-	}
-	return s
+	return string(trimEOL(trimEOL(line, '\n'), '\r')), int64(len(line)), nil
 }
 
 // nextLineStart returns the offset of the first byte after the next
-// '\n' at or beyond off, or size when no newline remains.
+// '\n' at or beyond off, or size when no newline remains. Its buffer
+// starts at scanBuf and doubles, up to scanBufMax, while a line outruns
+// it.
 func nextLineStart(f *os.File, off, size int64) (int64, error) {
-	buf := make([]byte, chunkAlignBuf)
+	buf := make([]byte, scanBuf)
 	for off < size {
 		n, err := f.ReadAt(buf, off)
 		if n > 0 {
@@ -129,6 +124,9 @@ func nextLineStart(f *os.File, off, size int64) (int64, error) {
 		}
 		if err != nil {
 			return 0, err
+		}
+		if len(buf) < scanBufMax {
+			buf = make([]byte, 2*len(buf))
 		}
 	}
 	return size, nil

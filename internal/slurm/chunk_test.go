@@ -152,3 +152,54 @@ func FuzzChunkBoundaries(f *testing.F) {
 		}
 	})
 }
+
+// TestChunkScannerHeaderCap: the header is a line like any other, so the
+// scanner refuses one past MaxLineLen with the reader's error instead of
+// reading it whole.
+func TestChunkScannerHeaderCap(t *testing.T) {
+	body := "JobID|" + strings.Repeat("x", 9<<20) + "\n1|a\n"
+	const want = "slurm: line 1: row exceeds 8388608 bytes"
+	if _, err := NewChunkScanner(writeTrace(t, body), 2); err == nil || err.Error() != want {
+		t.Errorf("chunk scanner: err = %.80v, want %s", err, want)
+	}
+	if _, err := NewByteRecordReader(strings.NewReader(body)); err == nil || err.Error() != want {
+		t.Errorf("reader: err = %.80v, want %s", err, want)
+	}
+}
+
+// TestChunkBoundaryInsideLongRow: a candidate boundary that lands inside
+// a row several times longer than the scanner's buffer still moves to
+// the end of that row, so the chunks decode to what one reader over the
+// whole file yields.
+func TestChunkBoundaryInsideLongRow(t *testing.T) {
+	long := strings.Repeat("c", 5*scanBuf+17)
+	body := "JobID|Comment\n1|a\n2|" + long + "\n3|b\n4|" + long + "x\n5|c\n"
+	path := writeTrace(t, body)
+	whole, err := NewByteRecordReader(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderSeq(t, whole.All(), whole.Fields())
+	for _, n := range []int{2, 3, 4, 8} {
+		cs, err := NewChunkScanner(path, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for i := 0; i < cs.NumChunks(); i++ {
+			c := cs.chunks[i]
+			if c.Off+c.Len < int64(len(body)) && body[c.Off+c.Len-1] != '\n' {
+				t.Errorf("n=%d: chunk %d ends mid-row at %d", n, i, c.Off+c.Len)
+			}
+			br, closer, err := cs.Open(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, renderSeq(t, br.All(), br.Fields())...)
+			closer.Close()
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("n=%d: %d chunks decode to %d events, want the whole file's %d", n, cs.NumChunks(), len(got), len(want))
+		}
+	}
+}

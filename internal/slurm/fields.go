@@ -93,10 +93,11 @@ func addField(f Field) {
 	catalogue = append(catalogue, f)
 }
 
-// flagsField is the one catalogue entry ByteRecordReader special-cases:
-// its Set splits a flag list per call, so the byte decoder swaps in a
-// cached pre-split slice instead.
-var flagsField *Field
+// The catalogue entries ByteRecordReader special-cases. Flags' Set
+// splits a flag list per call, so the byte decoder swaps in a cached
+// pre-split slice instead; the two TRES columns' SetBytes build a map
+// per call, so it refills a map of its own instead.
+var flagsField, reqTRESField, usageTRESField *Field
 
 func init() {
 	defineFields()
@@ -106,6 +107,7 @@ func init() {
 		fieldIndex[strings.ToLower(catalogue[i].Name)] = &catalogue[i]
 	}
 	flagsField = fieldIndex["flags"]
+	reqTRESField, usageTRESField = fieldIndex["reqtres"], fieldIndex["tresusageinave"]
 }
 
 func defineFields() {
@@ -258,31 +260,18 @@ func defineFields() {
 		Set:    func(r *Record, s string) error { r.setFlags(s); return nil }})
 	addField(Field{Name: "TRESUsageInAve", Category: CatScheduling, Doc: "average trackable-resource usage",
 		Append: func(dst []byte, r *Record) []byte { return r.TRESUsageInAve.Append(dst) },
-		SetBytes: func(r *Record, b []byte) error {
-			if len(bytes.TrimSpace(b)) == 0 {
-				r.TRESUsageInAve = nil // renders identically to an empty map
-				return nil
-			}
-			t, err := ParseTRES(string(b))
-			if err != nil {
-				return err
-			}
-			r.TRESUsageInAve = t
-			return nil
+		SetBytes: func(r *Record, b []byte) (err error) {
+			// A blank cell is nil, which renders identically to an empty map.
+			var t TRES
+			r.TRESUsageInAve, err = parseTRES(&t, b, nil)
+			return err
 		}})
 	addField(Field{Name: "ReqTRES", Category: CatScheduling, Doc: "requested trackable resources",
 		Append: func(dst []byte, r *Record) []byte { return r.TRESReq.Append(dst) },
-		SetBytes: func(r *Record, b []byte) error {
-			if len(bytes.TrimSpace(b)) == 0 {
-				r.TRESReq = nil // renders identically to an empty map
-				return nil
-			}
-			t, err := ParseTRES(string(b))
-			if err != nil {
-				return err
-			}
-			r.TRESReq = t
-			return nil
+		SetBytes: func(r *Record, b []byte) (err error) {
+			var t TRES
+			r.TRESReq, err = parseTRES(&t, b, nil)
+			return err
 		}})
 
 	// --- Special Indicators ---

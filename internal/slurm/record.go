@@ -93,9 +93,12 @@ type Record struct {
 // Clone returns a copy of r that shares nothing a producer rewrites: the
 // TRES maps are copied (nil stays nil, empty stays empty). It is what a
 // consumer of a RecordSeq calls to keep a record past the iteration that
-// yielded it. Flags still points at the same strings — producers share
-// one immutable slice between every row with the same flags — clipped, so
-// that an append to the copy's cannot reach them.
+// yielded it: both row producers, ByteRecordReader and colstore.Cursor,
+// clear and refill one pair of TRES maps row after row, so a shallow
+// copy of the struct is not the row's own. Flags still points at the
+// same strings — producers share one immutable slice between every row
+// with the same flags — clipped, so that an append to the copy's cannot
+// reach them.
 func (r *Record) Clone() Record {
 	c := *r
 	c.Flags = slices.Clip(r.Flags)

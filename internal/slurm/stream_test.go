@@ -3,6 +3,7 @@ package slurm
 import (
 	"errors"
 	"io"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -81,47 +82,57 @@ func TestRecordReaderScratchReuse(t *testing.T) {
 	}
 }
 
-// TestRecordReaderShallowCopiesOwnTheirRow pins the contract that lets
-// sacct.Load and /ingest keep reader rows by shallow copy: every row gets
-// TRES maps of its own, however alike the cells, and the flag lists the
-// reader shares between rows with the same Flags cell are never written
-// through — the Backfill column merging its flag in reallocates.
-func TestRecordReaderShallowCopiesOwnTheirRow(t *testing.T) {
+// TestRecordReaderRefillsTRESMapsUntilCloned pins the reader's side of
+// the one scan contract it shares with colstore.Cursor: a row's TRES
+// maps are the reader's, cleared and refilled by the next row, a blank
+// cell is nil, and Record.Clone is how a row is kept — its maps and
+// flags stay as they were whatever the reader goes on to decode.
+func TestRecordReaderRefillsTRESMapsUntilCloned(t *testing.T) {
 	const text = "JobID|User|Flags|Backfill|ReqTRES|TRESUsageInAve\n" +
 		"1|alice|SchedMain|1|cpu=8,mem=4G|cpu=7\n" +
-		"2|bob|SchedMain|0|cpu=8,mem=4G|\n" +
-		"3|carol|SchedMain|1|cpu=8,mem=4G|cpu=7\n"
+		"2|bob|SchedMain|0|gres/gpu=2,node=1|\n" +
+		"3|carol|SchedMain|1|cpu=16|cpu=9\n"
 	rr, err := NewByteRecordReader(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []Record
-	for rec, err := range rr.All() {
+	next := func() *Record {
+		t.Helper()
+		rec, err := rr.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = append(rows, *rec)
+		return rec
 	}
-	if len(rows) != 3 {
-		t.Fatalf("read %d rows, want 3", len(rows))
+	first := next()
+	kept := first.Clone()
+	req, usage := first.TRESReq, first.TRESUsageInAve
+
+	second := next()
+	if !maps.Equal(req, TRES{"gres/gpu": 2, "node": 1}) {
+		t.Errorf("row 1's ReqTRES map after row 2 = %v, want row 2's entries: the reader refills one map", req)
 	}
-	rows[0].TRESReq["cpu"], rows[0].TRESUsageInAve["cpu"] = 99, 99
-	for i := 1; i < 3; i++ {
-		if rows[i].TRESReq["cpu"] != 8 {
-			t.Errorf("row %d shares its ReqTRES map with row 0", i+1)
-		}
+	if second.TRESUsageInAve != nil {
+		t.Errorf("blank TRESUsageInAve cell = %v, want nil", second.TRESUsageInAve)
 	}
-	if rows[2].TRESUsageInAve["cpu"] != 7 || rows[1].TRESUsageInAve != nil {
-		t.Errorf("TRESUsageInAve: row 3 %v (want its own cpu=7), row 2 %v (want nil for an empty cell)", rows[2].TRESUsageInAve, rows[1].TRESUsageInAve)
+	third := next()
+	if !maps.Equal(usage, TRES{"cpu": 9}) || !maps.Equal(third.TRESUsageInAve, usage) {
+		t.Errorf("TRESUsageInAve after row 3: reader map %v, row %v, want both cpu=9", usage, third.TRESUsageInAve)
 	}
-	wantFlags := [][]string{{FlagMain, FlagBackfill}, {FlagMain}, {FlagMain, FlagBackfill}}
-	for i, want := range wantFlags {
-		if !slices.Equal(rows[i].Flags, want) {
-			t.Errorf("row %d flags %v, want %v", i+1, rows[i].Flags, want)
-		}
+
+	if !maps.Equal(kept.TRESReq, TRES{"cpu": 8, "mem": 4 << 30}) || !maps.Equal(kept.TRESUsageInAve, TRES{"cpu": 7}) {
+		t.Errorf("clone of row 1 holds ReqTRES %v, TRESUsageInAve %v after the reader moved on", kept.TRESReq, kept.TRESUsageInAve)
 	}
-	if rows[0].User != "alice" || rows[1].User != "bob" || rows[2].User != "carol" {
-		t.Errorf("users %q %q %q after the reader moved on", rows[0].User, rows[1].User, rows[2].User)
+	if !slices.Equal(kept.Flags, []string{FlagMain, FlagBackfill}) || kept.User != "alice" {
+		t.Errorf("clone of row 1: user %q, flags %v", kept.User, kept.Flags)
+	}
+	kept.TRESReq["cpu"] = 99
+	if third.TRESReq["cpu"] != 16 {
+		t.Error("a clone's ReqTRES map is the reader's")
+	}
+	kept.Flags = append(kept.Flags, "Mine")
+	if !slices.Equal(third.Flags, []string{FlagMain, FlagBackfill}) {
+		t.Errorf("an append to a clone's flags reached row 3's: %v", third.Flags)
 	}
 }
 

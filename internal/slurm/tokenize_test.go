@@ -232,9 +232,9 @@ func TestByteRecordReaderFlagsCacheIsolated(t *testing.T) {
 	}
 }
 
-// TestByteRecordReaderZeroAllocs is the tentpole's allocation pin: after
-// the interner warms up, decoding one row of the full curated selection
-// allocates nothing.
+// TestByteRecordReaderZeroAllocs is the decoder's allocation pin: after
+// the interner warms up, decoding one row of the full curated selection,
+// both TRES maps included, allocates nothing.
 func TestByteRecordReaderZeroAllocs(t *testing.T) {
 	fields := SelectedNames()
 	rec := benchRecord()
@@ -271,7 +271,8 @@ func TestByteRecordReaderZeroAllocs(t *testing.T) {
 
 // benchRecord is a representative full-width record whose cells exercise
 // the typed byte parsers (timestamps, durations, counts, memory, state,
-// exit code, flags) without touching a slow path.
+// exit code, flags, TRES in the simulator's shape) without touching a
+// slow path.
 func benchRecord() Record {
 	return Record{
 		ID: NewJobID(123456), JobName: "bench", User: "alice", Account: "csc000",
@@ -283,7 +284,9 @@ func benchRecord() Record {
 		NNodes: 128, NCPUs: 8192, ReqNodes: 128, ReqCPUs: 8192,
 		ReqMem: 512 << 20, State: StateCompleted, ExitCode: 0,
 		Flags: []string{FlagBackfill}, QOS: "normal", Priority: 100000,
-		Eligible: time.Date(2024, 3, 1, 10, 0, 0, 0, time.UTC),
+		Eligible:       time.Date(2024, 3, 1, 10, 0, 0, 0, time.UTC),
+		TRESReq:        TRES{"cpu": 8192, "mem": 64 << 30, "node": 128, "gres/gpu": 1024},
+		TRESUsageInAve: TRES{"cpu": 5734, "mem": 23 << 30},
 	}
 }
 

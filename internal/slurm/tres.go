@@ -1,6 +1,7 @@
 package slurm
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"slices"
@@ -20,34 +21,70 @@ func memLike(key string) bool {
 
 // ParseTRES parses a TRES string. An empty string yields an empty map.
 func ParseTRES(s string) (TRES, error) {
-	out := TRES{}
-	t := strings.TrimSpace(s)
-	if t == "" {
-		return out, nil
+	var t TRES
+	parsed, err := parseTRES(&t, []byte(s), nil)
+	if parsed == nil && err == nil {
+		return TRES{}, nil
 	}
-	for _, kv := range strings.Split(t, ",") {
-		i := strings.IndexByte(kv, '=')
-		if i <= 0 {
-			return nil, fmt.Errorf("slurm: malformed TRES entry %q in %q", kv, s)
+	return parsed, err
+}
+
+// parseTRES is the one body of the TRES grammar. A blank cell returns
+// nil and leaves *dst alone; any other cell is parsed into *dst, cleared
+// first and made when nil, which is returned. A key comes from keys when
+// it is non-nil, so a key seen before costs no allocation, and is a fresh
+// string otherwise. An entry without a key, a bad memory size and a
+// count that is negative, not finite or past int64 are errors that quote
+// the entry.
+func parseTRES(dst *TRES, cell []byte, keys *Interner) (TRES, error) {
+	t := bytes.TrimSpace(cell)
+	if len(t) == 0 {
+		return nil, nil
+	}
+	if *dst == nil {
+		*dst = TRES{}
+	}
+	m := *dst
+	clear(m)
+	for {
+		kv := t
+		next := bytes.IndexByte(t, ',')
+		if next >= 0 {
+			kv, t = t[:next], t[next+1:]
 		}
-		key, val := strings.TrimSpace(kv[:i]), strings.TrimSpace(kv[i+1:])
-		var n int64
-		if memLike(key) {
-			b, _, err := ParseMemoryBytes([]byte(val))
-			if err != nil {
-				return nil, fmt.Errorf("slurm: bad TRES memory %q: %v", kv, err)
-			}
-			n = b
+		i := bytes.IndexByte(kv, '=')
+		k := bytes.TrimSpace(kv[:max(i, 0)])
+		if len(k) == 0 { // no '=', or no key before it
+			// string(...), not the slices: boxing them would make cell
+			// escape, and ParseTRES's []byte(s) would then allocate.
+			return nil, fmt.Errorf("slurm: malformed TRES entry %q in %q", string(kv), string(cell))
+		}
+		var key string
+		if keys != nil {
+			key = keys.Intern(k)
 		} else {
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil || v < 0 {
-				return nil, fmt.Errorf("slurm: bad TRES count %q", kv)
-			}
-			n = int64(v)
+			key = string(k)
 		}
-		out[key] = n
+		val := bytes.TrimSpace(kv[i+1:])
+		if memLike(key) {
+			n, _, err := ParseMemoryBytes(val)
+			if err != nil {
+				return nil, fmt.Errorf("slurm: bad TRES memory %q: %v", string(kv), err)
+			}
+			m[key] = n
+		} else {
+			// !(v >= 0 && v < 2^63) also refuses NaN, which every
+			// comparison fails, and ±Inf.
+			v, err := strconv.ParseFloat(bstr(val), 64)
+			if err != nil || !(v >= 0 && v < 1<<63) {
+				return nil, fmt.Errorf("slurm: bad TRES count %q", string(kv))
+			}
+			m[key] = int64(v)
+		}
+		if next < 0 {
+			return m, nil
+		}
 	}
-	return out, nil
 }
 
 // String renders the map with keys sorted, the canonical Slurm encoding.

@@ -155,9 +155,10 @@ func TestExitCode(t *testing.T) {
 	}
 }
 
-// TestParseMemoryOfStringDoesNotAllocate: ParseTRES hands each mem-like
-// value over as []byte(val); that conversion stays free only while
-// ParseMemoryBytes lets its argument neither escape nor be written.
+// TestParseMemoryOfStringDoesNotAllocate: a []byte(s) conversion handed
+// to ParseMemoryBytes stays free only while ParseMemoryBytes lets its
+// argument neither escape nor be written; ParseTRES's []byte(s), whose
+// mem-like values reach it, relies on that.
 func TestParseMemoryOfStringDoesNotAllocate(t *testing.T) {
 	val := "512G"
 	if allocs := testing.AllocsPerRun(100, func() {
