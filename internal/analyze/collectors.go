@@ -45,41 +45,53 @@ func Collect(seq slurm.RecordSeq, bucket time.Duration) (*Bundle, error) {
 // CollectCtx is Collect under a request context: when ctx carries an
 // active obs span, the pass reports itself as an "analyze-collect"
 // child span carrying the observed row count — the serving plane's
-// per-request attribution for figure recomputation cost.
+// per-request attribution for figure recomputation cost. The pass looks
+// at ctx every cancelCheckRows rows and stops with its error once it is
+// done.
 func CollectCtx(ctx context.Context, seq slurm.RecordSeq, bucket time.Duration) (*Bundle, error) {
 	return collectInto(ctx, seq, NewBundle(bucket))
 }
 
-// RecollectCtx is CollectCtx for the bundle that replaces prev, a bundle
-// of the same stream a few appends ago: every sample slice starts at
-// prev's length plus an eighth, so the pass allocates its final size once
-// where append regrowth from empty allocates about five times that.
+// RecollectCtx is CollectCtx into prev, a bundle of the same stream a
+// few appends ago: prev is emptied in place — every sample slice cut to
+// length zero with its capacity kept, every map cleared — and refilled,
+// so a re-collect allocates only where the stream has outgrown what prev
+// held. It returns prev. On error prev holds part of the stream and must
+// not be read; the caller drops it.
 func RecollectCtx(ctx context.Context, seq slurm.RecordSeq, prev *Bundle) (*Bundle, error) {
-	return collectInto(ctx, seq, prev.sizedAlike())
+	prev.reset()
+	return collectInto(ctx, seq, prev)
 }
 
+// cancelCheckRows is how many rows a collect observes between looks at
+// its context.
+const cancelCheckRows = 1 << 12
+
 func collectInto(ctx context.Context, seq slurm.RecordSeq, b *Bundle) (*Bundle, error) {
-	if sp := obs.SpanFromContext(ctx).Child("analyze-collect"); sp != nil {
-		var rows int64
-		counted := slurm.RecordSeq(func(yield func(*slurm.Record, error) bool) {
-			seq(func(r *slurm.Record, err error) bool {
-				if err == nil {
-					rows++
-				}
-				return yield(r, err)
-			})
-		})
-		err := FanOut(counted, b)
+	sp := obs.SpanFromContext(ctx).Child("analyze-collect")
+	var rows int64
+	var err error
+	for r, rerr := range seq {
+		if rerr != nil {
+			err = rerr
+			break
+		}
+		if rows%cancelCheckRows == 0 {
+			if err = ctx.Err(); err != nil {
+				break
+			}
+		}
+		rows++
+		b.Observe(r)
+	}
+	if sp != nil {
 		sp.SetAttrInt("rows", rows)
 		if err != nil {
 			sp.SetAttr("error", err.Error())
-			sp.End()
-			return nil, err
 		}
 		sp.End()
-		return b, nil
 	}
-	if err := FanOut(seq, b); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -404,7 +416,7 @@ func (c *ClassCollector) Result() []ClassSummary {
 	out := make([]ClassSummary, 0, len(c.byClass))
 	for class, a := range c.byClass {
 		if a.jobs == 0 {
-			continue // presized by sizedAlike, never observed
+			continue // emptied by a re-collect and not observed since
 		}
 		out = append(out, a.summary(class))
 	}
@@ -467,23 +479,22 @@ func NewBundle(bucket time.Duration) *Bundle {
 	}
 }
 
-// sizedAlike returns an empty bundle at b's timeline resolution whose
-// sample slices have room for what b holds and an eighth more.
-func (b *Bundle) sizedAlike() *Bundle {
-	room := func(n int) int { return n + n/8 }
-	nb := NewBundle(b.Timeline.bucket)
-	nb.Scale.points = make([]NodesElapsedPoint, 0, room(len(b.Scale.points)))
-	nb.Waits.points = make([]WaitPoint, 0, room(len(b.Waits.points)))
-	nb.Backfill.points = make([]BackfillPoint, 0, room(len(b.Backfill.points)))
-	nb.Timeline.edges = make([]tlEdge, 0, room(len(b.Timeline.edges)))
-	for class, a := range b.Classes.byClass {
-		nb.Classes.byClass[class] = &classAcc{
-			waits:  make([]float64, 0, room(len(a.waits))),
-			nodes:  make([]float64, 0, room(len(a.nodes))),
-			ratios: make([]float64, 0, room(len(a.ratios))),
-		}
+// reset empties b in place for RecollectCtx: counts and sums zeroed,
+// maps cleared, and every sample slice cut to length zero with its
+// storage kept for the next pass. A class accumulator stays in its map,
+// zeroed, and ClassCollector.Result skips it until a job lands in it.
+func (b *Bundle) reset() {
+	b.Records, b.Jobs = 0, 0
+	clear(b.Volume.byYear)
+	b.Scale.points = b.Scale.points[:0]
+	b.Waits.points = b.Waits.points[:0]
+	clear(b.Users.byUser)
+	b.Backfill.points = b.Backfill.points[:0]
+	b.Reclaim.total = 0
+	b.Timeline.reset()
+	for _, a := range b.Classes.byClass {
+		*a = classAcc{waits: a.waits[:0], nodes: a.nodes[:0], ratios: a.ratios[:0]}
 	}
-	return nb
 }
 
 // Observe feeds one record to every collector.

@@ -74,10 +74,12 @@ func (k edgeKind) queue() int {
 // figure state: the sweep needs every lifecycle event, so this is the
 // one place the streaming pipeline still collects (see DESIGN.md §5).
 // Result runs the bucket sweep and caches it until the next Observe or
-// Merge.
+// Merge; the edges it sorted stay sorted, so the next sweep sorts only
+// the edges observed or merged since.
 type TimelineCollector struct {
 	bucket time.Duration
 	edges  []tlEdge
+	sorted int // edges[:sorted] are in instant order
 	lo, hi time.Time
 	cached []TimelinePoint
 	dirty  bool
@@ -90,6 +92,14 @@ func NewTimelineCollector(bucket time.Duration) *TimelineCollector {
 		bucket = time.Hour
 	}
 	return &TimelineCollector{bucket: bucket}
+}
+
+// reset empties the collector for a re-collect, keeping the edges'
+// storage.
+func (c *TimelineCollector) reset() {
+	c.edges, c.sorted = c.edges[:0], 0
+	c.lo, c.hi = time.Time{}, time.Time{}
+	c.cached, c.dirty = nil, false
 }
 
 // Bucket returns the collector's bucket width.
@@ -153,12 +163,35 @@ func (c *TimelineCollector) Result() []TimelinePoint {
 	return c.cached
 }
 
+// sortEdges puts the edges in instant order. Observe and Merge only
+// append, so the prefix an earlier sweep sorted is still sorted: the
+// suffix behind it is sorted alone and merged in from the back through a
+// copy of itself. The sweep sums the edges of one instant as a group, so
+// their order among themselves is free and neither step is stable.
+func (c *TimelineCollector) sortEdges() {
+	done, added := c.edges[:c.sorted], c.edges[c.sorted:]
+	c.sorted = len(c.edges)
+	slices.SortFunc(added, compareEdges)
+	if len(done) == 0 || len(added) == 0 || compareEdges(done[len(done)-1], added[0]) <= 0 {
+		return
+	}
+	added = slices.Clone(added)
+	i, w := len(done)-1, len(c.edges)-1
+	for j := len(added) - 1; j >= 0; w-- {
+		if i >= 0 && compareEdges(done[i], added[j]) > 0 {
+			c.edges[w], i = done[i], i-1
+		} else {
+			c.edges[w], j = added[j], j-1
+		}
+	}
+}
+
 func (c *TimelineCollector) sweep() []TimelinePoint {
-	edges, lo, hi, bucket := c.edges, c.lo, c.hi, c.bucket
-	if len(edges) == 0 || !lo.Before(hi) {
+	if len(c.edges) == 0 || !c.lo.Before(c.hi) {
 		return nil
 	}
-	slices.SortStableFunc(edges, compareEdges)
+	c.sortEdges()
+	edges, lo, hi, bucket := c.edges, c.lo, c.hi, c.bucket
 
 	// hi.Sub saturates, so a span longer than time.Duration's ~292 years
 	// ends in the bucket holding lo plus that much; end is that bucket's

@@ -9,9 +9,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"time"
 
@@ -57,6 +59,10 @@ const TimelineBucket = 6 * time.Hour
 // ExtendedFigureKeys key) from a collected bundle — the one way a chart
 // is built. topUsers bounds the Figure 5 user list; capacityNodes draws
 // the load-timeline reference line when positive. Unknown keys error.
+// The chart never aliases the bundle's storage: every slice and string
+// it holds is its own or immutable, so it stays valid, and may be
+// encoded without a lock, while the bundle observes more records or is
+// re-collected in place.
 func ChartFromBundle(key, system string, b *analyze.Bundle, topUsers, capacityNodes int) (*plot.Chart, error) {
 	return ChartFromBundleCtx(context.Background(), key, system, b, topUsers, capacityNodes)
 }
@@ -111,52 +117,40 @@ func volumeChart(system string, vols []analyze.VolumeByYear) *plot.Chart {
 	}
 }
 
-// nodesElapsedChart builds the Figure 3/7 log-log scatter.
+// nodesElapsedChart builds the Figure 3/7 log-log scatter. A job
+// recorded with no nodes is drawn at one, the log axis's floor, as the
+// other two scatters floor their sub-second times.
 func nodesElapsedChart(system string, points []analyze.NodesElapsedPoint) *plot.Chart {
-	perState := map[slurm.State]*plot.Series{}
-	for _, p := range points {
-		s, ok := perState[p.State]
-		if !ok {
-			s = &plot.Series{Name: p.State.String(), Color: plot.StateColor(p.State), Marker: plot.Dot}
-			perState[p.State] = s
-		}
-		s.X = append(s.X, p.ElapsedSec)
-		s.Y = append(s.Y, float64(p.Nodes))
-	}
-	c := &plot.Chart{
+	series, note := stateScatter(points,
+		func(p *analyze.NodesElapsedPoint) slurm.State { return p.State },
+		func(p *analyze.NodesElapsedPoint) (x, y float64) { return p.ElapsedSec, max(float64(p.Nodes), 1) })
+	return &plot.Chart{
 		Title:  fmt.Sprintf("Allocated nodes versus job elapsed time on %s", system),
 		XLabel: "elapsed time (s)", YLabel: "allocated nodes",
 		Kind: plot.Scatter, XScale: plot.Log10, YScale: plot.Log10,
-		Series: orderedStateSeries(perState),
+		Series: series, Notes: note,
 	}
-	return c.Downsample(maxChartPoints)
 }
 
 // waitChart builds the Figure 4 wait-time scatter, colour-coded by final
 // state.
 func waitChart(system string, points []analyze.WaitPoint) *plot.Chart {
-	perState := map[slurm.State]*plot.Series{}
-	for _, p := range points {
-		s, ok := perState[p.State]
-		if !ok {
-			s = &plot.Series{Name: p.State.String(), Color: plot.StateColor(p.State), Marker: plot.Dot}
-			perState[p.State] = s
-		}
-		// Log axes reject zero; a sub-second wait reads as one second.
-		w := p.WaitSec
-		if w < 1 {
-			w = 1
-		}
-		s.X = append(s.X, float64(p.Submit.Unix()))
-		s.Y = append(s.Y, w)
-	}
-	c := &plot.Chart{
+	series, note := stateScatter(points,
+		func(p *analyze.WaitPoint) slurm.State { return p.State },
+		func(p *analyze.WaitPoint) (x, y float64) {
+			// Log axes reject zero; a sub-second wait reads as one second.
+			w := p.WaitSec
+			if w < 1 {
+				w = 1
+			}
+			return float64(p.Submit.Unix()), w
+		})
+	return &plot.Chart{
 		Title:  fmt.Sprintf("Job queue wait times on %s by final state", system),
 		XLabel: "submission time", YLabel: "wait time (s)",
 		Kind: plot.Scatter, YScale: plot.Log10, XTime: true,
-		Series: orderedStateSeries(perState),
+		Series: series, Notes: note,
 	}
-	return c.Downsample(maxChartPoints)
 }
 
 // statesChart builds the Figure 5/8 stacked bars from a ranked user list.
@@ -189,34 +183,37 @@ func statesChart(system string, users []analyze.UserStates) *plot.Chart {
 // backfillChart builds the Figure 6/9 requested-versus-actual scatter
 // with backfilled jobs marked by plus symbols.
 func backfillChart(system string, points []analyze.BackfillPoint) *plot.Chart {
-	regular := plot.Series{Name: "regular", Marker: plot.Dot, Color: "#1f77b4"}
-	backfilled := plot.Series{Name: "backfilled", Marker: plot.Plus, Color: "#d62728"}
-	for _, p := range points {
+	// Series 0 is the regular jobs, series 1 the backfilled ones.
+	kind := func(p *analyze.BackfillPoint) int {
+		if p.Backfilled {
+			return 1
+		}
+		return 0
+	}
+	var sc scatter
+	for i := range points {
+		sc.count(kind(&points[i]))
+	}
+	note := sc.size(func(k int) plot.Series {
+		if k == 1 {
+			return plot.Series{Name: "backfilled", Marker: plot.Plus, Color: "#d62728"}
+		}
+		return plot.Series{Name: "regular", Marker: plot.Dot, Color: "#1f77b4"}
+	})
+	for i := range points {
+		p := &points[i]
 		a := p.ActualSec
 		if a < 1 {
 			a = 1 // log axis floor for instantly-failing jobs
 		}
-		if p.Backfilled {
-			backfilled.X = append(backfilled.X, p.RequestedSec)
-			backfilled.Y = append(backfilled.Y, a)
-		} else {
-			regular.X = append(regular.X, p.RequestedSec)
-			regular.Y = append(regular.Y, a)
-		}
+		sc.add(kind(p), p.RequestedSec, a)
 	}
-	var series []plot.Series
-	for _, s := range []plot.Series{regular, backfilled} {
-		if len(s.Y) > 0 {
-			series = append(series, s)
-		}
-	}
-	c := &plot.Chart{
+	return &plot.Chart{
 		Title:  fmt.Sprintf("Requested versus actual walltimes on %s", system),
 		XLabel: "requested walltime (s)", YLabel: "actual duration (s)",
 		Kind: plot.Scatter, XScale: plot.Log10, YScale: plot.Log10,
-		Series: series,
+		Series: sc.series, Notes: note,
 	}
-	return c.Downsample(maxChartPoints)
 }
 
 // loadTimelineChart builds the extended system-load view: mean busy
@@ -259,17 +256,114 @@ func queueDepthChart(system string, points []analyze.TimelinePoint) *plot.Chart 
 	}
 }
 
-// orderedStateSeries flattens a per-state series map in canonical state
-// order so artifact output is deterministic.
-func orderedStateSeries(m map[slurm.State]*plot.Series) []plot.Series {
-	states := make([]slurm.State, 0, len(m))
-	for st := range m {
-		states = append(states, st)
+// stateScatter builds the series of a scatter coloured by final state,
+// one per state in state order, through scatter.
+func stateScatter[P any](points []P, state func(*P) slurm.State, xy func(*P) (x, y float64)) ([]plot.Series, string) {
+	var sc scatter
+	for i := range points {
+		sc.count(int(state(&points[i])))
 	}
-	sort.Slice(states, func(i, j int) bool { return states[i] < states[j] })
-	out := make([]plot.Series, 0, len(states))
-	for _, st := range states {
-		out = append(out, *m[st])
+	note := sc.size(func(key int) plot.Series {
+		st := slurm.State(key)
+		return plot.Series{Name: st.String(), Color: plot.StateColor(st), Marker: plot.Dot}
+	})
+	for i := range points {
+		p := &points[i]
+		x, y := xy(p)
+		sc.add(int(state(p)), x, y)
 	}
-	return out
+	return sc.series, note
+}
+
+// scatter sizes a scatter chart's series before it fills them, so a
+// chart allocates the points it shows and never a copy of every point
+// it was offered. A counting pass offers each point's key to count;
+// size orders the series by key, fixes each one's sampleStride and
+// allocates it at its final length; a fill pass offers every point again,
+// in the same order, to add, which copies only the points its series
+// samples. A key no point carries has no series.
+type scatter struct {
+	slots  []scatterSlot
+	series []plot.Series // series k is slots[k]'s
+}
+
+type scatterSlot struct {
+	key    int
+	n      int // points counted
+	stride int // every stride-th point is kept, the first included
+	seen   int // points the fill pass has offered
+}
+
+// slot returns key's slot index, or -1. A chart has a handful of keys,
+// so a scan beats a map.
+func (sc *scatter) slot(key int) int {
+	for k := range sc.slots {
+		if sc.slots[k].key == key {
+			return k
+		}
+	}
+	return -1
+}
+
+func (sc *scatter) count(key int) {
+	k := sc.slot(key)
+	if k < 0 {
+		k = len(sc.slots)
+		sc.slots = append(sc.slots, scatterSlot{key: key})
+	}
+	sc.slots[k].n++
+}
+
+// size allocates every series, named and styled by template, at the
+// length its stride leaves it, all of them in one backing array, and
+// returns the chart's note: empty, or what the sampling kept.
+func (sc *scatter) size(template func(key int) plot.Series) string {
+	slices.SortFunc(sc.slots, func(a, b scatterSlot) int { return cmp.Compare(a.key, b.key) })
+	total := 0
+	for _, s := range sc.slots {
+		total += s.n
+	}
+	kept := 0
+	for k := range sc.slots {
+		s := &sc.slots[k]
+		s.stride = sampleStride(s.n, total, maxChartPoints)
+		kept += (s.n + s.stride - 1) / s.stride
+	}
+	buf := make([]float64, 2*kept)
+	sc.series = make([]plot.Series, len(sc.slots))
+	for k, s := range sc.slots {
+		m := (s.n + s.stride - 1) / s.stride
+		sc.series[k] = template(s.key)
+		sc.series[k].X, buf = buf[:0:m], buf[m:]
+		sc.series[k].Y, buf = buf[:0:m], buf[m:]
+	}
+	if total <= maxChartPoints {
+		return ""
+	}
+	return fmt.Sprintf("downsampled from %d to %d points", total, kept)
+}
+
+// add offers the next point of key's series, which keeps it when its
+// stride samples it.
+func (sc *scatter) add(key int, x, y float64) {
+	k := sc.slot(key)
+	s := &sc.slots[k]
+	if s.seen%s.stride == 0 {
+		sc.series[k].X = append(sc.series[k].X, x)
+		sc.series[k].Y = append(sc.series[k].Y, y)
+	}
+	s.seen++
+}
+
+// sampleStride is the one rule that thins a scatter chart of total
+// points to about limit: a series of n points keeps its share of limit,
+// keep = round(n·limit/total) and at least one, by taking every
+// stride-th point from its first, stride = ⌈n/keep⌉. A chart within
+// limit keeps every point.
+func sampleStride(n, total, limit int) int {
+	if total <= limit {
+		return 1
+	}
+	keep := max(int(math.Round(float64(n)*float64(limit)/float64(total))), 1)
+	return (n + keep - 1) / keep
 }

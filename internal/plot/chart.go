@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Kind selects the mark type.
@@ -172,41 +171,6 @@ func (c *Chart) Points() int {
 		n += len(c.Series[i].Y)
 	}
 	return n
-}
-
-// Downsample returns a copy whose scatter series keep at most maxPoints
-// marks in total, decimated by stride so the distribution shape survives.
-// Bar and line charts are returned unchanged.
-func (c *Chart) Downsample(maxPoints int) *Chart {
-	if maxPoints <= 0 || c.Points() <= maxPoints || c.Kind != Scatter {
-		return c
-	}
-	out := *c
-	out.Series = make([]Series, len(c.Series))
-	total := c.Points()
-	for i := range c.Series {
-		s := c.Series[i]
-		keep := int(math.Round(float64(len(s.Y)) * float64(maxPoints) / float64(total)))
-		if keep < 1 {
-			keep = 1
-		}
-		stride := (len(s.Y) + keep - 1) / keep
-		ns := Series{Name: s.Name, Marker: s.Marker, Color: s.Color}
-		for j := 0; j < len(s.Y); j += stride {
-			ns.X = append(ns.X, s.X[j])
-			ns.Y = append(ns.Y, s.Y[j])
-		}
-		out.Series[i] = ns
-	}
-	out.Notes = appendNote(c.Notes, fmt.Sprintf("downsampled from %d to %d points", total, out.Points()))
-	return &out
-}
-
-func appendNote(existing, note string) string {
-	if existing == "" {
-		return note
-	}
-	return existing + "; " + note
 }
 
 // MarshalJSON is the chart-spec artifact written next to each rendering.

@@ -196,38 +196,6 @@ func TestHTMLEmbedsSpec(t *testing.T) {
 	}
 }
 
-func TestDownsample(t *testing.T) {
-	n := 10000
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := range xs {
-		xs[i] = float64(i + 1)
-		ys[i] = float64(i%100 + 1)
-	}
-	c := &Chart{
-		Title: "big", XLabel: "x", YLabel: "y", Kind: Scatter,
-		Series: []Series{{Name: "s", X: xs, Y: ys}},
-	}
-	d := c.Downsample(500)
-	if d.Points() > 600 {
-		t.Errorf("downsample kept %d points", d.Points())
-	}
-	if !strings.Contains(d.Notes, "downsampled") {
-		t.Error("downsampling not recorded in Notes")
-	}
-	if c.Points() != n {
-		t.Error("original chart mutated")
-	}
-	// Small charts and bar charts pass through unchanged.
-	if scatterChart().Downsample(100) == nil {
-		t.Error("nil result")
-	}
-	b := barChart()
-	if b.Downsample(1) != b {
-		t.Error("bar chart should pass through")
-	}
-}
-
 func TestTicks(t *testing.T) {
 	ts := niceTicks(0, 100, 5)
 	if len(ts) < 3 {

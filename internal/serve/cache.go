@@ -2,6 +2,8 @@ package serve
 
 import (
 	"container/list"
+	"context"
+	"errors"
 	"sync"
 
 	"slurmsight/internal/obs"
@@ -76,7 +78,10 @@ func newRespCache(max int, m *obs.Registry) *respCache {
 // generation gen, computing it at most once no matter how many identical
 // requests arrive concurrently: the first caller runs compute, later
 // callers block until it finishes and share its result (errors included —
-// a failed computation is not cached, so the next request retries). The
+// a failed computation is not cached, so the next request retries). A
+// context error is the exception: the first caller's request was
+// cancelled, not the computation refused, so a waiter runs it again under
+// its own request instead of failing with someone else's hang-up. The
 // first request at a newer generation empties the cache, and a
 // computation that finishes for an older generation than the newest is
 // shared with its waiters but not kept; both count as stale.
@@ -99,6 +104,9 @@ func (c *respCache) do(gen uint64, key string, compute func() (*entry, error)) (
 		c.mu.Unlock()
 		c.coalesced.Inc()
 		<-f.done
+		if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
+			return c.do(gen, key, compute)
+		}
 		return f.ent, cacheCoalesced, f.err
 	}
 	f := &flight{done: make(chan struct{})}

@@ -33,6 +33,9 @@ import (
 const (
 	// maxIngestBody bounds one POST /ingest batch.
 	maxIngestBody = 256 << 20
+	// maxIngestPresize bounds the buffer a stated Content-Length reserves
+	// before the body arrives.
+	maxIngestPresize = 1 << 20
 	// maxCacheBody keeps huge rendered responses out of the LRU: they
 	// are still computed once per concurrent burst (single-flight) but
 	// not retained.
@@ -89,7 +92,9 @@ type Server struct {
 	// batch into the bundle under it, and chartAt builds charts under it,
 	// so nothing reads the bundle's maps while a batch lands in them. The
 	// bundle holds exactly the store's generation figGen; a label behind
-	// the store's marks a stale bundle, kept only to size its successor.
+	// the store's marks a stale bundle, kept only for its storage, which
+	// the next re-collect empties and refills. A nil bundle is the next
+	// figure's cue to collect from scratch.
 	figMu       sync.Mutex
 	figGen      uint64
 	figBundle   *analyze.Bundle
@@ -309,8 +314,12 @@ func validFigure(key string) bool {
 // generation is used as it stands — collected at it, or brought to it by
 // appendBatch. Any other label means something changed the store without
 // the bundle seeing it (a late batch, a watcher), so the bundle is
-// re-collected from one snapshot of every shard and the generation they
-// belong to, sized after the stale bundle it replaces.
+// re-collected, in place, from one snapshot of every shard and the
+// generation they belong to. A re-collect that fails — its request
+// cancelled mid-scan, a corrupt page — leaves the bundle half filled, so
+// it is dropped and the next figure collects afresh. The chart is built
+// under figMu but holds none of the bundle's storage, so the caller
+// encodes it after the lock is gone.
 func (s *Server) chartAt(ctx context.Context, key string) (*plot.Chart, uint64, error) {
 	s.figMu.Lock()
 	defer s.figMu.Unlock()
@@ -328,6 +337,7 @@ func (s *Server) chartAt(ctx context.Context, key string) (*plot.Chart, uint64, 
 			b, err = analyze.CollectCtx(ctx, seq, core.TimelineBucket)
 		}
 		if err != nil {
+			s.figBundle = nil
 			return nil, 0, err
 		}
 		s.figBundle, s.figGen, path = b, gen, "recollect"
@@ -394,16 +404,14 @@ type ingestResponse struct {
 // client that re-queries with at least it in X-Store-Generation has
 // proof its rows are visible. A batch the store refuses lands nothing.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, maxIngestBody)); err != nil {
+	body, err := ingestBody(r)
+	if err != nil {
 		http.Error(w, fmt.Sprintf("serve: ingest body: %v (limit %d bytes)", err, maxIngestBody), http.StatusRequestEntityTooLarge)
 		return
 	}
 	var (
-		body      = buf.Bytes()
 		recs      []slurm.Record
 		malformed int
-		err       error
 	)
 	decode := func() {
 		if colstore.SniffBytes(body) {
@@ -446,6 +454,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Store-Generation", strconv.FormatUint(gen, 10))
 	json.NewEncoder(w).Encode(ingestResponse{Rows: len(recs), Malformed: malformed, Generation: gen})
+}
+
+// ingestBody reads a POST /ingest body of at most maxIngestBody bytes.
+// A stated Content-Length up to maxIngestPresize sizes the buffer once,
+// with bytes.MinRead of room past it so that ReadFrom sees EOF without
+// growing it. A longer body, or one of unstated length, grows as it
+// arrives: a client cannot make the server reserve more than
+// maxIngestPresize for bytes it never sends.
+func ingestBody(r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		buf.Grow(int(min(n, maxIngestPresize)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, maxIngestBody))
+	return buf.Bytes(), err
 }
 
 // decodeBinaryBatch opens a columnar blob where it lies, in the request
@@ -494,12 +517,22 @@ func splitHeader(text []byte) (header, rows []byte) {
 // decodeRows is the one pipe-text decoder behind POST /ingest and the
 // Watcher: the data rows under header, through the byte record reader.
 // Malformed rows are counted and skipped; an unusable header or an
-// over-long line is an error.
+// over-long line is an error. The read buffer is no larger than the
+// text, and recs is reserved once: one row per line, but no more than a
+// row per header field's worth of bytes, since a row that decodes has a
+// separator or newline after every field. So a batch of junk lines
+// reserves no more rows than it could decode.
 func decodeRows(header, rows []byte) (recs []slurm.Record, malformed int, err error) {
-	br, err := slurm.NewByteRecordReader(io.MultiReader(bytes.NewReader(header), bytes.NewReader(rows)))
+	size := min(len(header)+len(rows), 1<<16)
+	br, err := slurm.NewByteRecordReaderSize(io.MultiReader(bytes.NewReader(header), bytes.NewReader(rows)), size)
 	if err != nil {
 		return nil, 0, err
 	}
+	lines := bytes.Count(rows, []byte{'\n'})
+	if len(rows) > 0 && rows[len(rows)-1] != '\n' {
+		lines++
+	}
+	recs = make([]slurm.Record, 0, min(lines, len(rows)/len(br.Fields())))
 	for rec, err := range br.All() {
 		var rowErr *slurm.RowError
 		switch {

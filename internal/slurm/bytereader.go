@@ -46,10 +46,19 @@ type ByteRecordReader struct {
 	usageTRES  TRES                // TRESUsageInAve's map, refilled per row
 }
 
-// NewByteRecordReader reads and validates the header line of r. An
-// empty input or a header naming an unknown field is an error.
+// NewByteRecordReader reads and validates the header line of r through
+// a 64 KiB read buffer. An empty input or a header naming an unknown
+// field is an error.
 func NewByteRecordReader(r io.Reader) (*ByteRecordReader, error) {
-	br := newByteRecordReader(bufio.NewReaderSize(r, 1<<16), nil, nil, 0)
+	return NewByteRecordReaderSize(r, 1<<16)
+}
+
+// NewByteRecordReaderSize is NewByteRecordReader with a read buffer of
+// size bytes (16 at least), for a caller whose whole input is smaller
+// than the default. A line longer than the buffer still decodes, through
+// the reader's long-line spill, up to MaxLineLen.
+func NewByteRecordReaderSize(r io.Reader, size int) (*ByteRecordReader, error) {
+	br := newByteRecordReader(bufio.NewReaderSize(r, size), nil, nil, 0)
 	header, err := br.readLine()
 	if err == io.EOF {
 		return nil, fmt.Errorf("slurm: input has no header")
