@@ -5,8 +5,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"slurmsight/internal/obs"
 	"slurmsight/internal/sacct/colstore"
@@ -80,6 +82,34 @@ func TestBinaryRoundTripQueryIdentical(t *testing.T) {
 	for i := range a {
 		if a[i].ID != b[i].ID || !a[i].Submit.Equal(b[i].Submit) || a[i].State != b[i].State {
 			t.Fatalf("record %d differs after binary round trip", i)
+		}
+	}
+}
+
+// TestBinaryDumpRefusesTimesTheFormatCannotHold: a store holding a row
+// that ends in 2400 dumped it to a file that read the row back as ending
+// in 1815, with a nil error. DumpBinaryFile now refuses it with the error
+// Seal gives, and leaves neither the file nor its temp file behind.
+func TestBinaryDumpRefusesTimesTheFormatCannotHold(t *testing.T) {
+	_, res := buildStore(t, 5)
+	st := NewStore()
+	if err := st.Ingest(res); err != nil {
+		t.Fatal(err)
+	}
+	submit := time.Date(2024, 3, 4, 5, 6, 7, 0, time.UTC)
+	far := slurm.Record{ID: slurm.NewJobID(999999999), User: "far", State: slurm.StateCompleted,
+		Submit: submit, Start: submit, End: time.Date(2400, 1, 1, 0, 0, 0, 0, time.UTC)}
+	if err := st.Add(far); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "store.colstore")
+	err := st.DumpBinaryFile(path)
+	if err == nil || !strings.Contains(err.Error(), "is outside what the format holds") {
+		t.Fatalf("DumpBinaryFile of a row ending in 2400: %v", err)
+	}
+	for _, p := range []string{path, path + ".tmp"} {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s is left behind (%v)", filepath.Base(p), err)
 		}
 	}
 }

@@ -13,10 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"slurmsight/internal/cluster"
-	"slurmsight/internal/sched"
+	"slurmsight/internal/sched/schedtest"
 	"slurmsight/internal/slurm"
-	"slurmsight/internal/tracegen"
 )
 
 // readRows reads a shard through a cursor into owned records.
@@ -70,40 +68,11 @@ func referenceDecode(sh *Shard, cols ColSet) ([]slurm.Record, error) {
 	return recs, nil
 }
 
-// goldenFrontier simulates the workload internal/sched pins as
-// TestGoldenFrontierMixed — chains, arrays, preemption, a reservation,
-// steps: 35,009 rows that reach every column encoding — and returns them
-// in emission order, nil and empty TRES maps and flag lists included.
+// goldenFrontier is the golden Frontier run's rows (schedtest) in
+// emission order, nil and empty TRES maps and flag lists included.
 func goldenFrontier(t testing.TB) []slurm.Record {
 	t.Helper()
-	t0 := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
-	p := tracegen.FrontierProfile()
-	p.JobsPerDay, p.Users = 120, 60
-	reqs, err := tracegen.Generate([]tracegen.Phase{{Profile: p, Start: t0, End: t0.AddDate(0, 0, 6)}}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range reqs {
-		if i%23 == 0 && reqs[i].Nodes <= 256 {
-			reqs[i].Reservation = "beamline-a"
-		}
-	}
-	cfg := sched.DefaultConfig(cluster.Frontier())
-	cfg.Seed = 7
-	cfg.Reservations = []sched.Reservation{{Name: "beamline-a", Nodes: 256, Start: t0.AddDate(0, 0, 2), End: t0.AddDate(0, 0, 3)}}
-	sim, err := sched.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(reqs, sched.Options{EmitSteps: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs, steps := res.Collect()
-	recs := append(jobs, steps...)
-	if len(recs) != 35009 {
-		t.Fatalf("golden Frontier run has %d rows, want 35009", len(recs))
-	}
+	recs := schedtest.FrontierRecords(t)
 	slices.SortStableFunc(recs, func(a, b slurm.Record) int { return recordCompare(&a, &b) })
 	return recs
 }

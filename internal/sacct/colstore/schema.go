@@ -33,6 +33,8 @@ type colEncoder struct {
 	prev    int64 // delta chain for time columns
 	dict    map[string]uint64
 	dictBuf []byte
+	keys    []string // tresVal's sort scratch, refilled row after row
+	text    []byte   // a Flags rendering, refilled row after row
 }
 
 func (e *colEncoder) reset() {
@@ -69,6 +71,16 @@ func (e *colEncoder) dictIdx(s string) uint64 {
 
 func (e *colEncoder) dictVal(s string) { e.uVal(e.dictIdx(s)) }
 
+// dictBytesVal is dictVal of string(b), which allocates only the first
+// time the dictionary meets it.
+func (e *colEncoder) dictBytesVal(b []byte) {
+	idx, ok := e.dict[string(b)]
+	if !ok {
+		idx = e.dictIdx(string(b))
+	}
+	e.uVal(idx)
+}
+
 // tresVal encodes one TRES map natively — key-dictionary index plus
 // zigzag value per entry, keys in sorted order — so the exact int64
 // base-unit values survive, unlike the 2-decimal text rendering. The
@@ -80,12 +92,12 @@ func (e *colEncoder) tresVal(m slurm.TRES) {
 		return
 	}
 	e.uVal(uint64(len(m)) + 1)
-	keys := make([]string, 0, len(m))
+	e.keys = e.keys[:0]
 	for k := range m {
-		keys = append(keys, k)
+		e.keys = append(e.keys, k)
 	}
-	slices.Sort(keys)
-	for _, k := range keys {
+	slices.Sort(e.keys)
+	for _, k := range e.keys {
 		e.uVal(e.dictIdx(k))
 		e.intVal(m[k])
 	}
@@ -382,7 +394,10 @@ func memCol() colDef {
 func flagsCol() colDef {
 	fld, _ := slurm.FieldByName("Flags")
 	return colDef{name: "Flags", kind: kindDict,
-		enc: func(e *colEncoder, r *slurm.Record) { e.dictVal(fld.Get(r)) },
+		enc: func(e *colEncoder, r *slurm.Record) {
+			e.text = fld.Append(e.text[:0], r)
+			e.dictBytesVal(e.text)
+		},
 		dec: func(d *colDecoder, r *slurm.Record) error {
 			idx, err := d.dictIdx()
 			if err != nil {

@@ -7,44 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"slurmsight/internal/cluster"
-	"slurmsight/internal/sched"
-	"slurmsight/internal/tracegen"
+	"slurmsight/internal/sched/schedtest"
 )
-
-// goldenFrontierResult simulates the workload internal/sched pins as
-// TestGoldenFrontierMixed: 35,009 job and step rows that reach every
-// column encoding.
-func goldenFrontierResult(t *testing.T) *sched.Result {
-	t.Helper()
-	t0 := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
-	p := tracegen.FrontierProfile()
-	p.JobsPerDay, p.Users = 120, 60
-	reqs, err := tracegen.Generate([]tracegen.Phase{{Profile: p, Start: t0, End: t0.AddDate(0, 0, 6)}}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range reqs {
-		if i%23 == 0 && reqs[i].Nodes <= 256 {
-			reqs[i].Reservation = "beamline-a"
-		}
-	}
-	cfg := sched.DefaultConfig(cluster.Frontier())
-	cfg.Seed = 7
-	cfg.Reservations = []sched.Reservation{{Name: "beamline-a", Nodes: 256, Start: t0.AddDate(0, 0, 2), End: t0.AddDate(0, 0, 3)}}
-	sim, err := sched.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(reqs, sched.Options{EmitSteps: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := res.Len() + res.StepRows(); n != 35009 {
-		t.Fatalf("golden Frontier run has %d rows, want 35009", n)
-	}
-	return res
-}
 
 func liveHeap() uint64 {
 	runtime.GC()
@@ -61,7 +25,7 @@ func liveHeap() uint64 {
 // this replaced held each row as a Record, 886 bytes of heap with its
 // TRES maps. A full scan afterwards leaves nothing behind either.
 func TestWarmHoldsNoRecords(t *testing.T) {
-	res := goldenFrontierResult(t)
+	res := schedtest.FrontierResult(t)
 	mem := NewStore()
 	if err := mem.Ingest(res); err != nil {
 		t.Fatal(err)

@@ -44,7 +44,16 @@ func (noBackfill) Pass(*Simulator, *job, int64) {}
 // easyBackfill implements EASY backfill: find the shadow time at which the
 // head can start, assuming running jobs end at their walltime limits, then
 // start lower-priority jobs that cannot delay it. This is the pre-refactor
-// backfillPass verbatim; the golden determinism tests pin it bit for bit.
+// backfillPass, bar the stop below; the golden determinism tests pin it bit
+// for bit.
+//
+// Both passes stop once no core is free. That drops nothing: free cores
+// only fall during a pass, every job needs at least one, the jobs left in
+// the heap are kept as they would have been (a reservation-tagged one is
+// only ever kept), and conservative's profile is rebuilt every pass, so a
+// reservation for a job the scan never reached would have constrained
+// nothing it did reach. The pending key is a total order, so jobs left
+// unpopped change no later pop.
 type easyBackfill struct{}
 
 func (easyBackfill) Name() string { return "easy" }
@@ -57,7 +66,7 @@ func (easyBackfill) Pass(s *Simulator, head *job, tNs int64) {
 		depth = s.npending
 	}
 	considered := 0
-	for considered < depth {
+	for considered < depth && s.freeCores > 0 {
 		j := s.nextPending()
 		if j == nil {
 			break
@@ -123,7 +132,7 @@ func (c *conservativeBackfill) Pass(s *Simulator, head *job, tNs int64) {
 		depth = s.npending
 	}
 	considered := 0
-	for considered < depth {
+	for considered < depth && s.freeCores > 0 {
 		j := s.nextPending()
 		if j == nil {
 			break

@@ -118,21 +118,22 @@ func goldenFrontierTrace(t *testing.T) []tracegen.Request {
 	return reqs
 }
 
-// goldenReservations is the advance reservation goldenFrontierTrace tags.
-func goldenReservations() []Reservation {
-	return []Reservation{{
+// goldenFrontierConfig is the configuration goldenFrontierTrace runs
+// under, with the advance reservation the trace tags.
+func goldenFrontierConfig() Config {
+	cfg := DefaultConfig(cluster.Frontier())
+	cfg.Seed = 7
+	cfg.Reservations = []Reservation{{
 		Name: "beamline-a", Nodes: 256,
 		Start: t0.AddDate(0, 0, 2), End: t0.AddDate(0, 0, 3),
 	}}
+	return cfg
 }
 
 // goldenFrontierSim is a fresh simulator configured for goldenFrontierTrace.
 func goldenFrontierSim(t *testing.T) *Simulator {
 	t.Helper()
-	cfg := DefaultConfig(cluster.Frontier())
-	cfg.Seed = 7
-	cfg.Reservations = goldenReservations()
-	sim, err := New(cfg)
+	sim, err := New(goldenFrontierConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

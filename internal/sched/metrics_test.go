@@ -139,9 +139,68 @@ func TestUnmeteredRunReadsNoClock(t *testing.T) {
 		sim.clk.start()
 		sim.clk.enter(phaseBackfill)
 		sim.mDepthSum.Add(1)
+		sim.mPops.Add(1)
 		sim.clk.publish(nil)
 	})
 	if allocs != 0 {
 		t.Errorf("nil phase clock allocated %.0f times per pass", allocs)
+	}
+}
+
+// passProbe wraps a backfill policy and records, for every pass that
+// reached it, the free cores it started with and the jobs it popped.
+type passProbe struct {
+	BackfillPolicy
+	free, pops []int
+}
+
+func (p *passProbe) Pass(s *Simulator, head *job, tNs int64) {
+	free, before := s.freeCores, len(s.pending)
+	p.BackfillPolicy.Pass(s, head, tNs)
+	p.free, p.pops = append(p.free, free), append(p.pops, before-len(s.pending))
+}
+
+// TestBackfillScanStopsWithNoFreeCores saturates the tiny machine with one
+// whole-machine job, then queues five one-node jobs behind it, one a
+// second. Each submit runs a pass whose head is blocked with no core free:
+// the backfill scan behind it must pop nothing, under both policies that
+// scan, and sched_pending_pops_total counts only the pops made — one per
+// pass for the head, the big job's own, and the five started when it ends.
+func TestBackfillScanStopsWithNoFreeCores(t *testing.T) {
+	reqs := []tracegen.Request{req("big", t0, 10, 2*time.Hour, 2*time.Hour)}
+	for i := 1; i <= 5; i++ {
+		reqs = append(reqs, req("small", t0.Add(time.Duration(i)*time.Second), 1, time.Hour, time.Hour))
+	}
+	for _, bf := range []string{"easy", "conservative"} {
+		t.Run(bf, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			cfg := DefaultConfig(tinySystem())
+			cfg.Backfill, cfg.Metrics = bf, reg
+			sim, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe := &passProbe{BackfillPolicy: sim.bf}
+			sim.bf = probe
+			res, err := sim.Run(reqs, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Backfilled != 0 || res.Stats.JobsCompleted != len(reqs) {
+				t.Fatalf("stats %+v, want every job completed and none backfilled", res.Stats)
+			}
+			// The second to fifth submits each queue behind a blocked head.
+			if len(probe.free) != 4 {
+				t.Fatalf("backfill ran %d passes, want 4", len(probe.free))
+			}
+			for i := range probe.free {
+				if probe.free[i] != 0 || probe.pops[i] != 0 {
+					t.Errorf("pass %d began with %d cores free and popped %d jobs, want 0 and 0", i, probe.free[i], probe.pops[i])
+				}
+			}
+			if got, want := reg.Counter("sched_pending_pops_total").Value(), int64(1+5+5); got != want {
+				t.Errorf("sched_pending_pops_total = %d, want %d", got, want)
+			}
+		})
 	}
 }

@@ -240,8 +240,9 @@ type Simulator struct {
 	mQueueDepth     *obs.Gauge
 	mRunning        *obs.Gauge
 	// mDepthSum adds the pending depth at every pass: over mPasses it is
-	// the mean depth a pass worked on.
+	// the mean depth a pass worked on. mPops adds the heap pops a pass made.
 	mDepthSum *obs.Counter
+	mPops     *obs.Counter
 	clk       *phaseClock // nil when unmetered: no clock reads
 }
 
@@ -280,6 +281,7 @@ func New(cfg Config) (*Simulator, error) {
 		s.mQueueDepth = cfg.Metrics.Gauge("sched_queue_depth")
 		s.mRunning = cfg.Metrics.Gauge("sched_jobs_running")
 		s.mDepthSum = cfg.Metrics.Counter("sched_pending_depth_sum")
+		s.mPops = cfg.Metrics.Counter("sched_pending_pops_total")
 		s.clk = &phaseClock{}
 		if _, pool := s.sel.(poolSelector); !pool {
 			s.sel = timedSelector{s.sel, s.clk}
@@ -782,12 +784,15 @@ func (s *Simulator) schedule(tNs int64) {
 		s.reservationPass(tNs)
 	}
 	s.heapifyPending()
+	heaped := len(s.pending)
 	head := s.mainPass(tNs)
 	if head != nil && s.npending > 1 {
 		s.clk.enter(phaseBackfill)
 		s.bf.Pass(s, head, tNs)
 		s.clk.enter(phaseMainPass)
 	}
+	// Nothing joins or leaves the heap during a pass but by a pop.
+	s.mPops.Add(int64(heaped - len(s.pending)))
 	s.finishPass(head)
 	s.clk.enter(phaseEvents)
 	s.mQueueDepth.Set(int64(s.npending))

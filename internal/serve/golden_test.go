@@ -12,49 +12,23 @@ import (
 	"testing"
 	"time"
 
-	"slurmsight/internal/cluster"
 	"slurmsight/internal/sacct"
-	"slurmsight/internal/sched"
+	"slurmsight/internal/sched/schedtest"
 	"slurmsight/internal/slurm"
-	"slurmsight/internal/tracegen"
 )
 
-// goldenFrontierStore simulates the workload internal/sched pins as
-// TestGoldenFrontierMixed — 35,009 job and step rows of January 2024 that
-// reach every column encoding — dumps it to the columnar format and opens
-// the dump, so every row is sealed on disk.
+// goldenFrontierStore is the golden Frontier run (schedtest) dumped to the
+// columnar format and opened, so every one of its rows is sealed on disk.
 func goldenFrontierStore(t *testing.T) *sacct.Store {
 	t.Helper()
-	t0 := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
-	p := tracegen.FrontierProfile()
-	p.JobsPerDay, p.Users = 120, 60
-	reqs, err := tracegen.Generate([]tracegen.Phase{{Profile: p, Start: t0, End: t0.AddDate(0, 0, 6)}}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range reqs {
-		if i%23 == 0 && reqs[i].Nodes <= 256 {
-			reqs[i].Reservation = "beamline-a"
-		}
-	}
-	cfg := sched.DefaultConfig(cluster.Frontier())
-	cfg.Seed = 7
-	cfg.Reservations = []sched.Reservation{{Name: "beamline-a", Nodes: 256, Start: t0.AddDate(0, 0, 2), End: t0.AddDate(0, 0, 3)}}
-	sim, err := sched.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(reqs, sched.Options{EmitSteps: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := schedtest.FrontierResult(t)
 	mem := sacct.NewStore()
 	if err := mem.Ingest(res); err != nil {
 		t.Fatal(err)
 	}
 	mem.Finalize()
-	if mem.Len() != 35009 {
-		t.Fatalf("golden Frontier run has %d rows, want 35009", mem.Len())
+	if mem.Len() != schedtest.FrontierRows {
+		t.Fatalf("golden Frontier store has %d rows, want %d", mem.Len(), schedtest.FrontierRows)
 	}
 	path := filepath.Join(t.TempDir(), "golden.colstore")
 	if err := mem.DumpBinaryFile(path); err != nil {
