@@ -27,7 +27,6 @@ import (
 	"context"
 	"expvar"
 	"flag"
-	"fmt"
 	"log"
 	"log/slog"
 	"net/http"
@@ -45,7 +44,6 @@ func main() {
 
 	var (
 		trace  = flag.String("trace", "", "accounting trace to serve (empty starts an empty store)")
-		format = flag.String("store-format", "auto", "trace format: auto, text, or binary")
 		addr   = flag.String("addr", ":8070", "listen address")
 		system = flag.String("system", "cluster", "system name for figure titles")
 
@@ -67,7 +65,7 @@ func main() {
 	)
 	flag.Parse()
 
-	st, err := openStore(*trace, *format)
+	st, err := openStore(*trace)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -140,22 +138,12 @@ func main() {
 	}
 }
 
-// openStore loads the trace in the requested format; an empty path
-// starts an append-only store that fills entirely over /ingest.
-func openStore(path, format string) (*sacct.Store, error) {
+// openStore loads the trace in either format; an empty path starts an
+// append-only store that fills entirely over /ingest.
+func openStore(path string) (*sacct.Store, error) {
 	if path == "" {
 		return sacct.NewStore(), nil
 	}
-	switch format {
-	case "auto":
-		st, _, err := sacct.OpenFile(path)
-		return st, err
-	case "text":
-		st, _, err := sacct.LoadFile(path)
-		return st, err
-	case "binary":
-		return sacct.OpenBinary(path)
-	default:
-		return nil, fmt.Errorf("unknown -store-format %q (want auto, text, or binary)", format)
-	}
+	st, _, err := sacct.OpenFile(path)
+	return st, err
 }

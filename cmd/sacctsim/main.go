@@ -25,23 +25,6 @@ import (
 	"slurmsight/internal/slurm"
 )
 
-// openStore loads a trace in the requested store format. The binary
-// columnar format opens lazily — a projected query (-o) then decodes
-// only the selected columns.
-func openStore(path, format string) (*sacct.Store, int, error) {
-	switch format {
-	case "auto":
-		return sacct.OpenFile(path)
-	case "text":
-		return sacct.LoadFile(path)
-	case "binary":
-		st, err := sacct.OpenBinary(path)
-		return st, 0, err
-	default:
-		return nil, 0, fmt.Errorf("unknown -store-format %q (want auto, text, or binary)", format)
-	}
-}
-
 func parseDay(s, name string) time.Time {
 	if s == "" {
 		return time.Time{}
@@ -70,12 +53,12 @@ func main() {
 		listOnly  = flag.Bool("months", false, "list populated months and exit")
 		jobID     = flag.String("j", "", "show one job and its steps, then exit")
 		convert   = flag.String("convert", "", "write the trace to this path as a binary columnar store, then exit")
-		format    = flag.String("store-format", "auto",
-			"trace format: auto (sniff the magic), text, or binary (columnar)")
 	)
 	flag.Parse()
 
-	store, malformed, err := openStore(*trace, *format)
+	// A columnar trace opens lazily, so a projected query (-o) decodes only
+	// the selected columns.
+	store, malformed, err := sacct.OpenFile(*trace)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,7 +10,7 @@
 // Examples:
 //
 //	schedbench -system frontier -days 7 -jobs-per-day 150 -seed 42 \
-//	  -policies default,aging,fifo,conservative -out BENCH_sched.json
+//	  -policies default,aging,fifo,conservative -out sched.json
 //
 //	llmserve -addr :8080 &
 //	schedbench -system frontier -days 7 -seed 42 \

@@ -44,9 +44,7 @@ func main() {
 		workers = flag.Int("n", 4, "workflow concurrency (swift-t -n)")
 		ingestW = flag.Int("ingest-workers", 0,
 			"chunk decoders per period file (0 = GOMAXPROCS); outputs are byte-identical at every width")
-		trace       = flag.String("trace", "trace.txt", "accounting dump to analyze")
-		storeFormat = flag.String("store-format", "auto",
-			"trace format: auto (sniff the magic), text, or binary (columnar)")
+		trace    = flag.String("trace", "trace.txt", "accounting dump to analyze")
 		system   = flag.String("system", "frontier", "system name for chart titles")
 		dateSpec = flag.String("date-spec", "months", "retrieval granularity: months or years")
 		dates    = flag.String("dates", "", "window as START:END (2024-01:2024-12 or 2024-01-01:2024-12-31)")
@@ -83,7 +81,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	store, malformed, err := openStore(*trace, *storeFormat)
+	// A columnar trace reloads in O(open + footer) and defers shard
+	// decodes to the workflow's first scan.
+	store, malformed, err := sacct.OpenFile(*trace)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -214,23 +214,6 @@ func writeChromeTrace(tr *obs.Tracer, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// openStore loads a trace in the requested store format. The binary
-// columnar format reloads in O(open + footer) and defers shard decodes
-// to the workflow's first scan.
-func openStore(path, format string) (*sacct.Store, int, error) {
-	switch format {
-	case "auto":
-		return sacct.OpenFile(path)
-	case "text":
-		return sacct.LoadFile(path)
-	case "binary":
-		st, err := sacct.OpenBinary(path)
-		return st, 0, err
-	default:
-		return nil, 0, fmt.Errorf("unknown -store-format %q (want auto, text, or binary)", format)
-	}
 }
 
 // parseDates accepts 2024-01:2024-12 (month granularity) or full dates.

@@ -97,21 +97,6 @@ func collectInto(ctx context.Context, seq slurm.RecordSeq, b *Bundle) (*Bundle, 
 	return b, nil
 }
 
-// FanOut drains a record stream into every collector. Terminal stream
-// errors stop the pass and are returned; the collectors keep whatever
-// they saw before the failure.
-func FanOut(seq slurm.RecordSeq, cs ...Collector) error {
-	for r, err := range seq {
-		if err != nil {
-			return err
-		}
-		for _, c := range cs {
-			c.Observe(r)
-		}
-	}
-	return nil
-}
-
 // VolumeCollector folds the Figure 1 per-year job/step counts.
 type VolumeCollector struct {
 	byYear map[int]*VolumeByYear

@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"encoding/json"
+	"maps"
 	"reflect"
 	"testing"
 	"time"
@@ -140,34 +141,50 @@ func TestBundleMergeMatchesSinglePass(t *testing.T) {
 	}
 }
 
-// TestFanOutFromScratchStream drives collectors from a stream that
-// reuses one scratch record, the aliasing regime of slurm.ByteRecordReader: the
-// collectors must copy what they retain.
-func TestFanOutFromScratchStream(t *testing.T) {
-	jobs := fixedJobs()
-	var scratch slurm.Record
+// TestCollectFromScratchStream drives Collect from a stream that reuses
+// one scratch record and refills its TRES maps and Flags slice in place
+// between rows — the "valid until the next row" contract of colstore.Cursor
+// and slurm.ByteRecordReader. Every collector must copy what it retains,
+// so the bundle must equal one collected from owned clones of the rows.
+func TestCollectFromScratchStream(t *testing.T) {
+	rows := goldenTrace(t)
+	scratch := slurm.Record{TRESReq: slurm.TRES{}, TRESUsageInAve: slurm.TRES{}}
 	seq := slurm.RecordSeq(func(yield func(*slurm.Record, error) bool) {
-		for i := range jobs {
-			scratch = jobs[i] // overwrite shared scratch each step
+		for i := range rows {
+			req, usage, flags := scratch.TRESReq, scratch.TRESUsageInAve, scratch.Flags
+			scratch = rows[i]
+			clear(req)
+			maps.Copy(req, rows[i].TRESReq)
+			clear(usage)
+			maps.Copy(usage, rows[i].TRESUsageInAve)
+			scratch.TRESReq, scratch.TRESUsageInAve = req, usage
+			scratch.Flags = append(flags[:0], rows[i].Flags...)
 			if !yield(&scratch, nil) {
 				return
 			}
 		}
 	})
-	users := NewUserStatesCollector()
-	scale := NewScaleCollector()
-	if err := FanOut(seq, users, scale); err != nil {
+	got, err := Collect(seq, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := mustJSON(t, users.Result(0)), mustJSON(t, observeAll(NewUserStatesCollector(), jobs).Result(0)); got != want {
-		t.Errorf("fan-out users diverge:\n got %s\nwant %s", got, want)
+	owned := make([]slurm.Record, len(rows))
+	for i := range rows {
+		owned[i] = rows[i].Clone()
 	}
-	if got, want := mustJSON(t, scale.Result()), mustJSON(t, observeAll(NewScaleCollector(), jobs).Result()); got != want {
-		t.Errorf("fan-out scale diverges:\n got %s\nwant %s", got, want)
+	want, err := Collect(recordSeq(owned), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, ws := bundleSurfaces(t, got), bundleSurfaces(t, want)
+	for k := range ws {
+		if gs[k] != ws[k] {
+			t.Errorf("%s from a scratch stream diverges:\n got %s\nwant %s", k, gs[k], ws[k])
+		}
 	}
 }
 
-func TestFanOutPropagatesTerminalError(t *testing.T) {
+func TestCollectPropagatesTerminalError(t *testing.T) {
 	boom := slurm.RecordSeq(func(yield func(*slurm.Record, error) bool) {
 		r := fixedJobs()[0]
 		if !yield(&r, nil) {
@@ -175,12 +192,12 @@ func TestFanOutPropagatesTerminalError(t *testing.T) {
 		}
 		yield(nil, errSentinel)
 	})
-	c := NewVolumeCollector()
-	if err := FanOut(boom, c); err != errSentinel {
-		t.Errorf("FanOut error = %v, want sentinel", err)
+	b, err := Collect(boom, 0)
+	if err != errSentinel {
+		t.Errorf("Collect error = %v, want sentinel", err)
 	}
-	if vols := c.Result(); len(vols) != 1 || vols[0].Jobs != 1 {
-		t.Errorf("pre-error observations lost: %+v", vols)
+	if b != nil {
+		t.Error("Collect returned a bundle beside its error")
 	}
 }
 

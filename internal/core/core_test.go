@@ -251,6 +251,7 @@ func TestWorkflowConfigValidation(t *testing.T) {
 		{"no output", func(c *Config) { c.OutputDir = "" }},
 		{"empty window", func(c *Config) { c.End = c.Start }},
 		{"ai without client", func(c *Config) { c.EnableAI = true }},
+		{"negative ingest workers", func(c *Config) { c.IngestWorkers = -1 }},
 	}
 	for _, tc := range cases {
 		cfg := base

@@ -87,7 +87,7 @@ func RunFederated(ctx context.Context, outDir string, members []Member) (*Federa
 
 	chart := ComparisonChart(&cmp)
 	fed.ComparisonChartPath = filepath.Join(outDir, "federated-comparison.html")
-	if _, err := writePage(fed.ComparisonChartPath, chart, 960, 540); err != nil {
+	if _, err := writePage(fed.ComparisonChartPath, chart, chartWidth, chartHeight); err != nil {
 		return nil, err
 	}
 
@@ -107,11 +107,11 @@ func RunFederated(ctx context.Context, outDir string, members []Member) (*Federa
 		if err != nil {
 			return nil, err
 		}
-		pngA, err := raster.PNG(chartA, 960, 540)
+		pngA, err := raster.PNG(chartA, chartWidth, chartHeight)
 		if err != nil {
 			return nil, err
 		}
-		pngB, err := raster.PNG(chartB, 960, 540)
+		pngB, err := raster.PNG(chartB, chartWidth, chartHeight)
 		if err != nil {
 			return nil, err
 		}

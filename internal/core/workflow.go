@@ -52,8 +52,7 @@ type Config struct {
 	// other instead of oversubscribing the host.
 	IngestWorkers int
 
-	TopUsers                int // users shown in the states figure (default 50)
-	ChartWidth, ChartHeight int
+	TopUsers int // users shown in the states figure (default 50)
 
 	// AI subworkflow (the orange stages). When EnableAI is set, LLM must
 	// point at an analyze endpoint.
@@ -94,6 +93,9 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
+// Every chart page and PNG is drawn at this size.
+const chartWidth, chartHeight = 960, 540
+
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.Workers <= 0 {
@@ -101,17 +103,9 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.IngestWorkers == 0 {
 		out.IngestWorkers = runtime.GOMAXPROCS(0)
-	} else if out.IngestWorkers < 0 {
-		out.IngestWorkers = 1
 	}
 	if out.TopUsers <= 0 {
 		out.TopUsers = 50
-	}
-	if out.ChartWidth <= 0 {
-		out.ChartWidth = 960
-	}
-	if out.ChartHeight <= 0 {
-		out.ChartHeight = 540
 	}
 	if out.CacheDir == "" {
 		out.CacheDir = filepath.Join(out.OutputDir, "cache")
@@ -131,6 +125,9 @@ func (c *Config) validate() error {
 	}
 	if c.Start.IsZero() || c.End.IsZero() || !c.Start.Before(c.End) {
 		return fmt.Errorf("core: config window is empty")
+	}
+	if c.IngestWorkers < 0 {
+		return fmt.Errorf("core: config IngestWorkers is negative (%d)", c.IngestWorkers)
 	}
 	if c.EnableAI && c.LLM == nil {
 		return fmt.Errorf("core: AI subworkflow enabled without an LLM client")
@@ -431,7 +428,7 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 					return err
 				}
 				chartOut.Set(ctx, chart)
-				spec, err := writePage(fig.HTMLPath, chart, cfg.ChartWidth, cfg.ChartHeight)
+				spec, err := writePage(fig.HTMLPath, chart, chartWidth, chartHeight)
 				if err != nil {
 					return fmt.Errorf("rendering %s: %w", key, err)
 				}
@@ -471,7 +468,7 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 				Writes: []string{fig.PNGPath},
 				Run: func(ctx context.Context) error {
 					annotate(ctx, "render", "figure", key)
-					return raster.FromHTMLFile(fig.HTMLPath, fig.PNGPath, cfg.ChartWidth, cfg.ChartHeight)
+					return raster.FromHTMLFile(fig.HTMLPath, fig.PNGPath, chartWidth, chartHeight)
 				},
 			}); err != nil {
 				return nil, err
@@ -648,11 +645,11 @@ func runCompare(ctx context.Context, cfg Config, points []analyze.WaitPoint, out
 	}
 	a := waitChart(cfg.SystemName+" (first half)", early)
 	b := waitChart(cfg.SystemName+" (second half)", late)
-	pngA, err := raster.PNG(a, cfg.ChartWidth, cfg.ChartHeight)
+	pngA, err := raster.PNG(a, chartWidth, chartHeight)
 	if err != nil {
 		return err
 	}
-	pngB, err := raster.PNG(b, cfg.ChartWidth, cfg.ChartHeight)
+	pngB, err := raster.PNG(b, chartWidth, chartHeight)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package llm
 
 import (
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -249,9 +248,4 @@ func EncodeImage(name string, pngData []byte, c *plot.Chart) (Image, error) {
 		return Image{}, err
 	}
 	return Image{Name: name, PNG: pngData, Spec: string(spec)}, nil
-}
-
-// DecodePNGBase64 is a helper for tooling that stores the wire form.
-func DecodePNGBase64(s string) ([]byte, error) {
-	return base64.StdEncoding.DecodeString(s)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"os"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -452,24 +451,8 @@ func (s *Shard) SubmitWindow(start, end time.Time) (lo, hi int, err error) {
 // String renders the shard's month, "2024-03".
 func (s *Shard) String() string { return fmt.Sprintf("%04d-%02d", s.meta.year, int(s.meta.mon)) }
 
-// SniffBytes reports whether b starts with the columnar magic — the
-// in-memory counterpart of Sniff, for request bodies that may carry
-// either format.
+// SniffBytes reports whether b starts with the columnar magic, for request
+// bodies that may carry either format.
 func SniffBytes(b []byte) bool {
 	return len(b) >= len(headerMagic) && string(b[:len(headerMagic)]) == headerMagic
-}
-
-// Sniff reports whether path starts with the columnar magic, without
-// parsing anything else. The cheap auto-detect for format selection.
-func Sniff(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	buf := make([]byte, len(headerMagic))
-	if _, err := f.Read(buf); err != nil {
-		return false
-	}
-	return string(buf) == headerMagic
 }

@@ -330,25 +330,22 @@ func (v *storeView) run(ctx context.Context, p *scanPlan, yield func(*slurm.Reco
 // concurrent with Add/AppendBatch/Ingest is safe and reads the store as it
 // stood when the iteration began; use Generation to detect that the answer
 // may already be stale.
-func (s *Store) Scan(q Query) slurm.RecordSeq { return s.ScanCtx(context.Background(), q) }
-
-// ScanCtx is Scan under a request context: when ctx carries an active
-// obs span, the pass reports itself as a "store-scan" child span with
-// shard/row attributes, and any first load of a sealed column it triggers
-// reports under it — how a serving-plane request decomposes a slow scan.
-func (s *Store) ScanCtx(ctx context.Context, q Query) slurm.RecordSeq {
+func (s *Store) Scan(q Query) slurm.RecordSeq {
 	return func(yield func(*slurm.Record, error) bool) {
 		_, st, filterState, err := q.validate()
 		if err != nil {
 			yield(nil, err)
 			return
 		}
-		s.scan(ctx, q.plan(st, filterState, colstore.AllColumns), yield)
+		s.scan(context.Background(), q.plan(st, filterState, colstore.AllColumns), yield)
 	}
 }
 
-// scan captures a view and runs p over it under a "store-scan" span,
-// returning the generation the yielded rows belong to.
+// scan captures a view and runs p over it, returning the generation the
+// yielded rows belong to. When ctx carries an active obs span, the pass
+// reports itself as a "store-scan" child span with shard/row attributes,
+// and any first load of a sealed column it triggers reports under it —
+// how a serving-plane request decomposes a slow scan.
 func (s *Store) scan(ctx context.Context, p *scanPlan, yield func(*slurm.Record, error) bool) uint64 {
 	sp := obs.SpanFromContext(ctx).Child("store-scan")
 	if sp != nil {
@@ -378,7 +375,7 @@ func spanErrors(sp *obs.Span, yield func(*slurm.Record, error) bool) func(*slurm
 // the returned sequence yields exactly the records of the returned
 // generation, in Scan order, whatever lands while the caller iterates.
 // fields names what the consumer reads of each record (nil for all);
-// sealed rows decode only the columns behind them. Like ScanCtx it
+// sealed rows decode only the columns behind them. Like AppendQueryCtx it
 // reports a "store-scan" span — the capture and the first load of any
 // sealed column in the projection, which is also where a corrupt shard
 // fails the call — and yields records valid until the next iteration.
@@ -432,7 +429,7 @@ func (s *Store) Select(q Query) ([]slurm.Record, error) {
 // format the workflow's "Obtain data" stage stores on disk. Sealed rows
 // decode only the selected (plus filtered) columns.
 func (s *Store) Write(w io.Writer, q Query) (int, error) {
-	return s.WriteNCtx(context.Background(), w, q, 0)
+	return s.WriteN(w, q, 0)
 }
 
 // WriteN is Write with a row bound: limit > 0 stops the scan after that
@@ -440,24 +437,21 @@ func (s *Store) Write(w io.Writer, q Query) (int, error) {
 // layer can cap response sizes without scanning past the cut. limit ≤ 0
 // writes everything.
 func (s *Store) WriteN(w io.Writer, q Query, limit int) (int, error) {
-	return s.WriteNCtx(context.Background(), w, q, limit)
-}
-
-// WriteNCtx is WriteN under a request context, reporting the underlying
-// scan (and any first column load it triggers) as spans per ScanCtx.
-func (s *Store) WriteNCtx(ctx context.Context, w io.Writer, q Query, limit int) (int, error) {
 	tw := textWriter{w: w}
-	n, _, err := s.writeText(ctx, &tw, &q, limit)
+	n, _, err := s.writeText(context.Background(), &tw, &q, limit)
 	if err != nil {
 		return n, err
 	}
 	return n, tw.flush()
 }
 
-// AppendQueryCtx is WriteNCtx into memory: it appends the header and the
-// matching rows to dst and returns the extended buffer, the row count,
-// and the generation those rows belong to — they come from one capture
-// of the store, so the label holds whatever lands during the scan.
+// AppendQueryCtx is WriteN into memory under a request context: it
+// appends the header and the matching rows to dst and returns the
+// extended buffer, the row count, and the generation those rows belong
+// to — they come from one capture of the store, so the label holds
+// whatever lands during the scan. When ctx carries an active obs span, the
+// scan and any first column load it triggers report under it as a
+// "store-scan" span.
 func (s *Store) AppendQueryCtx(ctx context.Context, dst []byte, q Query, limit int) ([]byte, int, uint64, error) {
 	tw := textWriter{buf: dst}
 	n, gen, err := s.writeText(ctx, &tw, &q, limit)

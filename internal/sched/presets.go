@@ -89,9 +89,3 @@ func PresetNames() []string {
 	sort.Strings(names)
 	return names
 }
-
-// Preset returns the named preset for inspection.
-func Preset(name string) (WeightPreset, bool) {
-	p, ok := presets[name]
-	return p, ok
-}

@@ -159,10 +159,3 @@ func (mw Middleware) Wrap(next http.Handler) http.Handler {
 		}
 	})
 }
-
-// Instrument wraps a handler with request accounting under the given
-// metric prefix — Middleware without a recorder or log, kept for
-// callers that only want the counters.
-func Instrument(m *obs.Registry, prefix string, next http.Handler) http.Handler {
-	return Middleware{Registry: m, Prefix: prefix}.Wrap(next)
-}

@@ -355,14 +355,6 @@ func addBytes(name string, cat Category, doc string, ref func(*Record) *int64) {
 		}})
 }
 
-// Catalogue returns the curated Table 1 field selection in canonical
-// order. The returned slice is a copy; the Field values share accessors.
-func Catalogue() []Field {
-	out := make([]Field, len(catalogue))
-	copy(out, catalogue)
-	return out
-}
-
 // FieldByName looks up a field case-insensitively.
 func FieldByName(name string) (Field, bool) {
 	f := lookupField(name)

@@ -1,9 +1,6 @@
 package slurm
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // FuzzParseDuration checks the duration parser never panics and that
 // every accepted value re-parses to the same duration after formatting.
@@ -99,32 +96,6 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		if rec2.ID != rec.ID || rec2.State != rec.State || rec2.NNodes != rec.NNodes {
 			t.Fatalf("decode drift on %q", line)
-		}
-	})
-}
-
-// FuzzExpandNodeList checks the hostlist expander never panics and agrees
-// with the counter on accepted inputs.
-func FuzzExpandNodeList(f *testing.F) {
-	for _, seed := range []string{
-		"frontier[000001-000003]", "a01,b[02-03]", "n[5]", "", "a[1", "a[5-2]", "x[0-100000]",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		if strings.Count(s, "-") > 4 || len(s) > 64 {
-			return // bound expansion size for fuzz throughput
-		}
-		names, err := ExpandNodeList(s)
-		if err != nil {
-			return
-		}
-		n, err := NodeListCount(s)
-		if err != nil {
-			t.Fatalf("expanded but not countable: %q (%v)", s, err)
-		}
-		if n != len(names) {
-			t.Fatalf("count mismatch on %q: %d vs %d", s, n, len(names))
 		}
 	})
 }

@@ -163,115 +163,3 @@ func TestFitLine(t *testing.T) {
 		t.Error("degenerate x: want error")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 1.9, 2, 5, 9.99, -3, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.Counts[0] != 3 { // 0, 1.9, clamped -3
-		t.Errorf("bin0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9.99 and clamped 42
-		t.Errorf("bin4 = %d, want 2", h.Counts[4])
-	}
-	edges := h.BinEdges()
-	if len(edges) != 6 || edges[0] != 0 || edges[5] != 10 {
-		t.Errorf("edges = %v", edges)
-	}
-	if _, err := NewHistogram(5, 5, 3, false); err == nil {
-		t.Error("min==max: want error")
-	}
-	if _, err := NewHistogram(0, 10, 0, false); err == nil {
-		t.Error("zero bins: want error")
-	}
-	if _, err := NewHistogram(0, 10, 3, true); err == nil {
-		t.Error("log with min=0: want error")
-	}
-}
-
-func TestLogHistogram(t *testing.T) {
-	h, err := NewHistogram(1, 1e4, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One observation per decade.
-	for _, x := range []float64{3, 30, 300, 3000} {
-		h.Add(x)
-	}
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Errorf("log bin %d = %d, want 1 (%v)", i, c, h.Counts)
-		}
-	}
-	if m := h.Mode(); m <= 0 {
-		t.Errorf("Mode = %v", m)
-	}
-	h.Add(0) // non-positive clamps to first bin
-	if h.Counts[0] != 2 {
-		t.Errorf("non-positive handling: %v", h.Counts)
-	}
-}
-
-func TestHistogramTotalProperty(t *testing.T) {
-	f := func(raw []int16) bool {
-		h, err := NewHistogram(-100, 100, 13, false)
-		if err != nil {
-			return false
-		}
-		for _, v := range raw {
-			h.Add(float64(v))
-		}
-		return h.Total() == len(raw)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGrid2D(t *testing.T) {
-	g, err := NewGrid2D(0, 10, 10, false, 0, 10, 10, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Add(1, 5) // above diagonal
-	g.Add(5, 1) // below
-	g.Add(9, 1) // below
-	if g.Total() != 3 {
-		t.Errorf("Total = %d", g.Total())
-	}
-	frac := g.FractionBelowDiagonal()
-	if !almostEq(frac, 2.0/3.0, 1e-12) {
-		t.Errorf("FractionBelowDiagonal = %v", frac)
-	}
-	if g.At(axisIndex(5, 0, 10, 10, false), axisIndex(1, 0, 10, 10, false)) != 1 {
-		t.Error("At lookup failed")
-	}
-	if _, err := NewGrid2D(0, 10, 0, false, 0, 10, 10, false); err == nil {
-		t.Error("zero dims: want error")
-	}
-	if _, err := NewGrid2D(0, 10, 4, true, 1, 10, 4, false); err == nil {
-		t.Error("log x with min 0: want error")
-	}
-}
-
-func TestGrid2DLogAxes(t *testing.T) {
-	g, err := NewGrid2D(1, 1e4, 4, true, 1, 1e4, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Add(10, 1000)
-	g.Add(1000, 10)
-	if g.Total() != 2 {
-		t.Errorf("Total = %d", g.Total())
-	}
-	if f := g.FractionBelowDiagonal(); !almostEq(f, 0.5, 1e-12) {
-		t.Errorf("FractionBelowDiagonal = %v", f)
-	}
-}
