@@ -7,13 +7,13 @@ import (
 
 // BackfillPolicy decides which lower-priority pending jobs may start while
 // the highest-priority job is blocked waiting for capacity. The pass runs
-// after the main priority loop, consumes jobs via s.nextPending(), and must
-// either start each examined job (s.startJob with backfill=true) or return
-// it via s.keep.
+// after the main priority loop, consumes jobs via s.nextPending(), and
+// starts the ones it admits (s.startJob with backfill=true); a job it
+// leaves stays queued.
 type BackfillPolicy interface {
 	Name() string
 	// Pass runs the backfill phase at tNs (Unix ns); head is the blocked
-	// highest-priority job (still pending, re-queued after the pass).
+	// highest-priority job (still pending).
 	Pass(s *Simulator, head *job, tNs int64)
 }
 
@@ -48,9 +48,9 @@ func (noBackfill) Pass(*Simulator, *job, int64) {}
 // for bit.
 //
 // Both passes stop once no core is free. That drops nothing: free cores
-// only fall during a pass, every job needs at least one, the jobs left in
-// the heap are kept as they would have been (a reservation-tagged one is
-// only ever kept), and conservative's profile is rebuilt every pass, so a
+// only fall during a pass, every job needs at least one, the jobs left
+// unpopped stay queued as they would have (a reservation-tagged one always
+// does), and conservative's profile is rebuilt every pass, so a
 // reservation for a job the scan never reached would have constrained
 // nothing it did reach. The pending key is a total order, so jobs left
 // unpopped change no later pop.
@@ -72,13 +72,11 @@ func (easyBackfill) Pass(s *Simulator, head *job, tNs int64) {
 			break
 		}
 		if j.res != nil {
-			s.keep = append(s.keep, j)
 			continue
 		}
 		considered++
 		cores := int(j.cores)
 		if cores > free || !s.sel.Fits(j) {
-			s.keep = append(s.keep, j)
 			continue
 		}
 		endsByNs := tNs + int64(j.req.Timelimit)
@@ -89,9 +87,7 @@ func (easyBackfill) Pass(s *Simulator, head *job, tNs int64) {
 			if endsByNs > shadowNs && fitsExtra {
 				extra -= cores
 			}
-			continue
 		}
-		s.keep = append(s.keep, j)
 	}
 	s.mBackfillAtt.Add(int64(considered))
 }
@@ -138,7 +134,6 @@ func (c *conservativeBackfill) Pass(s *Simulator, head *job, tNs int64) {
 			break
 		}
 		if j.res != nil {
-			s.keep = append(s.keep, j)
 			continue
 		}
 		considered++
@@ -155,7 +150,6 @@ func (c *conservativeBackfill) Pass(s *Simulator, head *job, tNs int64) {
 		if at >= 0 {
 			c.prof.reserve(at, cores, durNs)
 		}
-		s.keep = append(s.keep, j)
 	}
 	s.mBackfillAtt.Add(int64(considered))
 }

@@ -33,6 +33,9 @@ func TestSimulatorMetrics(t *testing.T) {
 	if got := reg.Counter("sched_backfill_attempts_total").Value(); got < reg.Counter("sched_backfill_starts_total").Value() {
 		t.Errorf("backfill attempts %d < starts", got)
 	}
+	if got := reg.Counter("sched_priority_refreshes_total").Value(); got <= 0 {
+		t.Errorf("sched_priority_refreshes_total = %d, want > 0", got)
+	}
 	// Everything drained: the end-of-run gauges must read empty.
 	if got := reg.Gauge("sched_queue_depth").Value(); got != 0 {
 		t.Errorf("sched_queue_depth = %d at end of run", got)
@@ -140,6 +143,7 @@ func TestUnmeteredRunReadsNoClock(t *testing.T) {
 		sim.clk.enter(phaseBackfill)
 		sim.mDepthSum.Add(1)
 		sim.mPops.Add(1)
+		sim.mRefreshes.Add(1)
 		sim.clk.publish(nil)
 	})
 	if allocs != 0 {
@@ -155,9 +159,9 @@ type passProbe struct {
 }
 
 func (p *passProbe) Pass(s *Simulator, head *job, tNs int64) {
-	free, before := s.freeCores, len(s.pending)
+	free, before := s.freeCores, s.pops
 	p.BackfillPolicy.Pass(s, head, tNs)
-	p.free, p.pops = append(p.free, free), append(p.pops, before-len(s.pending))
+	p.free, p.pops = append(p.free, free), append(p.pops, int(s.pops-before))
 }
 
 // TestBackfillScanStopsWithNoFreeCores saturates the tiny machine with one

@@ -16,11 +16,12 @@ const (
 	// requests, popping and handling events, the skipped-pass decay sweep
 	// and the end-of-run drain.
 	phaseEvents phase = iota
-	// phaseReprioritize is the per-pass priority refresh.
+	// phaseReprioritize is the per-pass fair terms, one per non-empty
+	// pending lane.
 	phaseReprioritize
-	// phaseMainPass is the reservation pass, heapifyPending, mainPass and
-	// finishPass: placing heads in priority order and returning the
-	// examined jobs to the queue.
+	// phaseMainPass is the reservation pass, buildHeads, mainPass and
+	// finishPass: seeding the merge heap with each lane's best, placing
+	// heads in priority order, and compacting the lanes that lost a job.
 	phaseMainPass
 	// phaseBackfill is the backfill policy's Pass.
 	phaseBackfill

@@ -33,6 +33,10 @@ type PriorityPolicy interface {
 	// Age is the age factor's contribution from an age in nanoseconds,
 	// saturating at the policy's age horizon.
 	Age(ageNs int64) int64
+	// AgeSlope bounds the age term's growth: Age(age) ≤ AgeSlope()·age for
+	// every age ≥ 0, up to float rounding, capped or not. The pending queue
+	// orders each user's jobs by it (queue.go); 0 says the age term is 0.
+	AgeSlope() float64
 	// Fair is the fair-share contribution given the user's decayed usage
 	// in node-seconds.
 	Fair(decayedUsage float64) int64
@@ -91,6 +95,12 @@ func (p *MultifactorPriority) Age(ageNs int64) int64 {
 	return int64(float64(p.AgeWeight) * (float64(ageNs) / float64(p.AgeMax)))
 }
 
+// AgeSlope is the ramp's slope, AgeWeight per AgeMax: a saturated term,
+// AgeWeight, is at most the slope times any age past AgeMax.
+func (p *MultifactorPriority) AgeSlope() float64 {
+	return float64(p.AgeWeight) / float64(p.AgeMax)
+}
+
 // Fair maps decayed usage through the exponential fair-share curve
 // 2^(−usage/share).
 func (p *MultifactorPriority) Fair(decayedUsage float64) int64 {
@@ -106,6 +116,7 @@ type FIFOPriority struct{}
 func (FIFOPriority) Name() string                { return "fifo" }
 func (FIFOPriority) Static(float64, int64) int64 { return 0 }
 func (FIFOPriority) Age(int64) int64             { return 0 }
+func (FIFOPriority) AgeSlope() float64           { return 0 }
 func (FIFOPriority) Fair(float64) int64          { return 0 }
 
 // PriorityByName resolves a priority policy for a validated config:

@@ -267,7 +267,7 @@ func TestPropertyChainOrdering(t *testing.T) {
 
 // orderWitness is a NodeSelector that watches every placement for a job
 // started past one that outranks it. The pending jobs of a pass are the
-// heap, the examined-and-kept jobs and the tail of requeued victims; a
+// jobs still queued in the lanes and the tail of requeued victims; a
 // reservation-tagged job waits for its window without blocking, and a
 // victim evicted in this pass queues behind everything in eviction order,
 // so neither counts — and a start inside an active reservation is placed
@@ -287,14 +287,11 @@ func (w *orderWitness) Place(j *job) {
 		p := s.priorityAt(k, s.now)
 		return p > j.priority || p == j.priority && k.seq < j.seq
 	}
-	for i := range s.pending {
-		if outranks(s.pending[i].j) {
-			w.outOfOrder++
-		}
-	}
-	for _, k := range s.keep {
-		if outranks(k) {
-			w.outOfOrder++
+	for _, li := range s.active {
+		for _, e := range s.lanes[li].ent {
+			if e.j.queued && outranks(e.j) {
+				w.outOfOrder++
+			}
 		}
 	}
 	w.NodeSelector.Place(j)

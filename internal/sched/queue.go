@@ -1,20 +1,34 @@
 package sched
 
+import "slices"
+
 // Hot-path containers for the simulator core. Three sets dominate the
 // per-event cost profile:
 //
-//   - s.pending is a position-tracked array (j.pendIdx) of compact
-//     pendEntry values giving O(1) swap-removal between passes; each
-//     scheduling pass heapifies it in place into a max-heap on
-//     (priority desc, seq asc) and pops only the jobs it actually
-//     examines. Because seq is unique the key is a total order, so
-//     popping reproduces the legacy stable sort's order exactly without
-//     ever sorting the whole queue. The entries carry every
-//     priority-recompute input inline (eligibility, static term, usage
-//     accumulator), so the per-pass refresh and the heap comparisons
-//     stream over one contiguous array instead of chasing job pointers
-//     across the arena — the difference between a memory-bound and a
-//     compute-bound pass on deep queues.
+//   - The pending queue is one lane per user. A lane holds its user's
+//     pending jobs sorted on a key that does not move with time,
+//     a = static − slope·(eligible − origin), then seq ascending, where
+//     slope (PriorityPolicy.AgeSlope) bounds the age term's growth:
+//     Age(age) ≤ slope·age whether the age is capped or not. Every job of
+//     a lane shares its user's fair term, so a pass computes one fair term
+//     per non-empty lane, not one priority per job. The lanes are carved at
+//     Run start from one entry array, each sized to its user's request
+//     count, since a job is in its lane at most once.
+//
+//     A pass merges the lanes' bests in a small heap of inline-keyed heads,
+//     one per lane. A lane's best is found by scanning forward from its
+//     cursor, computing exact keys, while a + slope·t + ε can still reach
+//     the best exact key found so far: past that point no entry's key can
+//     tie it, so the ±1 truncation ties of the age term are covered and
+//     the merge yields exactly the old (priority desc, seq asc) order. ε
+//     bounds the float rounding of the bound. Under FIFO or a zero age
+//     weight slope and ε are 0, the key is the static term exactly, and a
+//     lane's first unvisited entry is its best.
+//
+//     A pass never re-queues what it looks at. The lane remembers the last
+//     key it yielded, and everything at or above it is visited; startJob
+//     marks a job taken, and finishPass compacts only the lanes that lost a
+//     job and re-queues preemption victims.
 //   - s.running is maintained as a min-heap keyed by walltime-limit end,
 //     so the backfill shadow computation consumes releases in limit order
 //     from a scratch copy instead of re-sorting every running job on each
@@ -27,60 +41,216 @@ package sched
 // billions of comparisons per run, and the ns difference of two wall-clock
 // Times is bit-identical to Time.Sub for the simulated epochs.
 
-// pendEntry is one pending job's slot in the queue: the heap key plus the
-// inputs reprioritize needs, snapshotted at insertion (all are invariant
-// while the job is in the container — eligibility only changes when a job
-// re-enters after a dependency release or an eviction).
-type pendEntry struct {
-	prio   int64      // heap key: current priority
-	seq    int64      // heap tie-break: submission order
-	eligNs int64      // eligible time, Unix ns (age-term input)
-	static int64      // base + size + QoS priority component
-	usage  *userUsage // the job's user's fair-share accumulator
+// laneEntry is one pending job in its user's lane: the sort key and the
+// inputs of its exact priority, inline, so a scan streams over the lane
+// instead of chasing job pointers. All are invariant while the job is
+// queued; eligibility only changes when a job re-enters after a dependency
+// release or an eviction.
+type laneEntry struct {
+	a      float64 // static − slope·(eligible − origin), the lane order
+	static int64   // base + size + QoS priority component
+	elig   int64   // eligible time, Unix ns (age-term input)
+	seq    int64   // submission order, the tie-break
 	j      *job
 }
 
-// pendBefore orders the pending queue: priority descending, submission
-// sequence ascending as the tie-break.
-func pendBefore(a, b *pendEntry) bool {
-	if a.prio != b.prio {
-		return a.prio > b.prio
+// laneBefore orders a lane: the time-invariant key descending, then the
+// static term descending (which makes the order exact when slope is 0),
+// then seq ascending.
+func laneBefore(x, y *laneEntry) bool {
+	if x.a != y.a {
+		return x.a > y.a
 	}
-	return a.seq < b.seq
+	if x.static != y.static {
+		return x.static > y.static
+	}
+	return x.seq < y.seq
 }
 
-// pendAdd appends a job to the pending array. No heap order is maintained
-// between passes; heapifyPending restores it at the start of each pass.
-// The carried priority only matters in cadence mode, where a skipped job
-// must keep the value from its last recompute.
+// lane is one user's pending jobs and what the current pass knows of them.
+type lane struct {
+	ent   []laneEntry // sorted by laneBefore; capacity is the user's request count
+	usage *userUsage
+	fair  int64 // the pass's fair term
+	act   int32 // position in s.active, -1 while the lane is empty
+	cur   int32 // entries before it have been visited this pass
+	// The last entry the pass took from the lane, as its lane-local key
+	// (static + age) and seq: every entry ranking at or above it has been
+	// visited, and none below it has.
+	lastKey, lastSeq int64
+	popped           bool
+	dirty            bool // lost a job this pass: compact at its end
+}
+
+// laneHead is a lane's best unvisited entry in the pass's merge heap, keyed
+// inline: (prio desc, seq asc) is the old pending queue's total order.
+type laneHead struct {
+	prio int64 // exact priority: lane-local key + fair term
+	seq  int64
+	lane int32
+	idx  int32 // entry index in the lane
+}
+
+func headBefore(x, y *laneHead) bool {
+	if x.prio != y.prio {
+		return x.prio > y.prio
+	}
+	return x.seq < y.seq
+}
+
+// carveLanes gives each user's lane its share of one entry array of n
+// entries: counts holds each lane's request count, in lane order.
+func (s *Simulator) carveLanes(n int, counts []int32) {
+	ents := make([]laneEntry, n)
+	s.lanes = make([]lane, len(counts))
+	off := 0
+	for i, n := range counts {
+		s.lanes[i].ent = ents[off : off : off+int(n)]
+		s.lanes[i].act = -1
+		off += int(n)
+	}
+	for _, u := range s.usage {
+		s.lanes[u.lane].usage = u
+	}
+}
+
+// pendAdd queues a job in its user's lane, in lane order.
 func (s *Simulator) pendAdd(j *job) {
-	j.pendIdx = int32(len(s.pending))
-	s.pending = append(s.pending, pendEntry{
-		prio: j.priority, seq: j.seq, eligNs: j.eligible, static: j.static,
-		usage: j.usage, j: j,
-	})
-}
-
-// pendRemove swap-removes a pending job by its tracked index in O(1).
-func (s *Simulator) pendRemove(j *job) {
-	i := j.pendIdx
-	last := int32(len(s.pending) - 1)
-	s.pending[i] = s.pending[last]
-	s.pending[i].j.pendIdx = i
-	s.pending[last] = pendEntry{}
-	s.pending = s.pending[:last]
-	j.pendIdx = -1
-}
-
-// heapifyPending establishes the max-heap property over the pending array.
-func (s *Simulator) heapifyPending() {
-	for i := len(s.pending)/2 - 1; i >= 0; i-- {
-		s.pendSiftDown(i)
+	li := j.usage.lane
+	l := &s.lanes[li]
+	e := laneEntry{
+		a:      float64(j.static) - s.slope*float64(j.eligible-s.origin),
+		static: j.static, elig: j.eligible, seq: j.seq, j: j,
+	}
+	n := len(l.ent)
+	i, hi := 0, n
+	for i < hi {
+		m := int(uint(i+hi) >> 1)
+		if laneBefore(&l.ent[m], &e) {
+			i = m + 1
+		} else {
+			hi = m
+		}
+	}
+	l.ent = l.ent[:n+1]
+	copy(l.ent[i+1:], l.ent[i:n])
+	l.ent[i] = e
+	j.queued = true
+	if n == 0 {
+		l.act = int32(len(s.active))
+		s.active = append(s.active, li)
 	}
 }
 
-func (s *Simulator) pendSiftDown(i int) {
-	h := s.pending
+// pendRemove takes a cancelled job out of its lane between passes.
+func (s *Simulator) pendRemove(j *job) {
+	l := &s.lanes[j.usage.lane]
+	i := slices.IndexFunc(l.ent, func(e laneEntry) bool { return e.j == j })
+	copy(l.ent[i:], l.ent[i+1:])
+	l.ent[len(l.ent)-1] = laneEntry{}
+	l.ent = l.ent[:len(l.ent)-1]
+	j.queued = false
+	if len(l.ent) == 0 {
+		s.deactivate(l)
+	}
+}
+
+// deactivate drops an emptied lane from the active list.
+func (s *Simulator) deactivate(l *lane) {
+	last := len(s.active) - 1
+	moved := s.active[last]
+	s.active[l.act] = moved
+	s.lanes[moved].act = l.act
+	s.active = s.active[:last]
+	l.act = -1
+}
+
+// take marks a queued job started; its lane is compacted at the pass's
+// end.
+func (s *Simulator) take(j *job) {
+	j.queued = false
+	li := j.usage.lane
+	if l := &s.lanes[li]; !l.dirty {
+		l.dirty = true
+		s.dirtyLanes = append(s.dirtyLanes, li)
+	}
+}
+
+// compactLanes drops the taken jobs from every lane that lost one.
+func (s *Simulator) compactLanes() {
+	for _, li := range s.dirtyLanes {
+		l := &s.lanes[li]
+		w := 0
+		for i := range l.ent {
+			if l.ent[i].j.queued {
+				l.ent[w] = l.ent[i]
+				w++
+			}
+		}
+		clear(l.ent[w:])
+		l.ent = l.ent[:w]
+		l.dirty = false
+		if w == 0 {
+			s.deactivate(l)
+		}
+	}
+	s.dirtyLanes = s.dirtyLanes[:0]
+}
+
+// laneBest finds lane li's best entry the pass has not visited and writes
+// it to h; false when every entry has been visited. Each exact key it
+// computes is one priority refresh.
+func (s *Simulator) laneBest(li int32, h *laneHead) bool {
+	l := &s.lanes[li]
+	tNs := s.passT
+	bi := -1
+	var best int64
+	var bestF float64
+	for i := int(l.cur); i < len(l.ent); i++ {
+		e := &l.ent[i]
+		if bi >= 0 {
+			if s.slope == 0 || e.a+s.passA+s.eps < bestF {
+				break // nothing from here on can reach the best
+			}
+			if b := &l.ent[bi]; e.static == b.static && e.elig == b.elig {
+				continue // the best's key and a later seq: it cannot win
+			}
+		}
+		k := e.static + s.prio.Age(tNs-e.elig)
+		s.refreshes++
+		if l.popped && (k > l.lastKey || k == l.lastKey && e.seq <= l.lastSeq) {
+			if i == int(l.cur) {
+				l.cur++
+			}
+			continue // visited
+		}
+		if bi < 0 || k > best || k == best && e.seq < l.ent[bi].seq {
+			bi, best, bestF = i, k, float64(k)
+		}
+	}
+	if bi < 0 {
+		return false
+	}
+	*h = laneHead{prio: best + l.fair, seq: l.ent[bi].seq, lane: li, idx: int32(bi)}
+	return true
+}
+
+// buildHeads seeds the merge heap with every lane's best.
+func (s *Simulator) buildHeads() {
+	s.heads = s.heads[:0]
+	for _, li := range s.active {
+		var h laneHead
+		if s.laneBest(li, &h) {
+			s.heads = append(s.heads, h)
+		}
+	}
+	for i := len(s.heads)/2 - 1; i >= 0; i-- {
+		s.headSiftDown(i)
+	}
+}
+
+func (s *Simulator) headSiftDown(i int) {
+	h := s.heads
 	n := len(h)
 	for {
 		l := 2*i + 1
@@ -88,33 +258,35 @@ func (s *Simulator) pendSiftDown(i int) {
 			return
 		}
 		best := l
-		if r := l + 1; r < n && pendBefore(&h[r], &h[l]) {
+		if r := l + 1; r < n && headBefore(&h[r], &h[l]) {
 			best = r
 		}
-		if !pendBefore(&h[best], &h[i]) {
+		if !headBefore(&h[best], &h[i]) {
 			return
 		}
 		h[i], h[best] = h[best], h[i]
-		h[i].j.pendIdx, h[best].j.pendIdx = int32(i), int32(best)
 		i = best
 	}
 }
 
-// pendPop removes and returns the highest-priority pending job; the array
-// must satisfy the heap property.
-func (s *Simulator) pendPop() *job {
-	h := s.pending
-	last := len(h) - 1
-	top := h[0].j
-	h[0] = h[last]
-	h[0].j.pendIdx = 0
-	h[last] = pendEntry{}
-	s.pending = h[:last]
-	if last > 0 {
-		s.pendSiftDown(0)
+// popHead yields the highest-priority unvisited pending job and replaces
+// its lane's head with the lane's next best.
+func (s *Simulator) popHead() *job {
+	h := &s.heads[0]
+	l := &s.lanes[h.lane]
+	j := l.ent[h.idx].j
+	l.lastKey, l.lastSeq, l.popped = h.prio-l.fair, h.seq, true
+	if h.idx == l.cur {
+		l.cur++
 	}
-	top.pendIdx = -1
-	return top
+	s.pops++
+	if !s.laneBest(h.lane, h) {
+		last := len(s.heads) - 1
+		s.heads[0] = s.heads[last]
+		s.heads = s.heads[:last]
+	}
+	s.headSiftDown(0)
+	return j
 }
 
 // runBefore orders the running min-heap: walltime-limit end ascending,

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -763,5 +764,98 @@ func TestReferenceSchedulerMatchesRun(t *testing.T) {
 	if !testing.Short() && (backfills == 0 || evictions == 0 || resStarts == 0) {
 		t.Errorf("the workloads exercised %d backfills, %d evictions and %d reservation starts: each must be above zero",
 			backfills, evictions, resStarts)
+	}
+}
+
+// TestReferenceSchedulerMatchesRunAtAgeEdges holds Run to the reference
+// scheduler where the pending lanes' bound (queue.go) is tightest and its
+// ties are thickest: age horizons from seconds, where nearly every age
+// saturates, to the default two weeks; age weights from 0 to the largest
+// an evolve round may set; no size term, so static terms tie; and every
+// third submit moved to 0–4 s after its predecessor, so neighbouring ages
+// truncate to equal terms. Every composition, job for job, with both
+// backfill contracts on every pass.
+func TestReferenceSchedulerMatchesRunAtAgeEdges(t *testing.T) {
+	ageMaxes := []time.Duration{7 * time.Second, time.Minute, time.Hour, 14 * 24 * time.Hour}
+	ageWeights := []int64{0, 1, 3, 300_000, 10_000_000}
+	seeds := 4
+	if testing.Short() {
+		seeds = 1
+	}
+	for _, c := range compositions() {
+		t.Run(c.name, func(t *testing.T) {
+			seed := int64(7000)
+			for _, ageMax := range ageMaxes {
+				for _, w := range ageWeights {
+					for range seeds {
+						seed++
+						sim, reqs, _ := randomWorkload(t, c, seed, seed%2 == 0)
+						if len(reqs) == 0 {
+							continue
+						}
+						cfg := sim.cfg
+						cfg.AgeMax, cfg.AgeWeight, cfg.SizeWeight = ageMax, w, 0
+						sim, err := New(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						crowdSubmits(reqs, seed)
+						if len(cfg.Reservations) > 0 {
+							window := cfg.Reservations[0]
+							for i := range reqs {
+								if i%4 == 0 && reqs[i].Nodes <= window.Nodes {
+									reqs[i].Reservation = window.Name
+								}
+							}
+						}
+						label := fmt.Sprintf("AgeMax %v, AgeWeight %d, seed %d", ageMax, w, seed)
+						matchReference(t, sim, reqs, label)
+					}
+				}
+			}
+		})
+	}
+}
+
+// crowdSubmits moves every third submit, in submit order, to 0–4 s after
+// its predecessor's.
+func crowdSubmits(reqs []tracegen.Request, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	slices.SortStableFunc(reqs, func(a, b tracegen.Request) int { return a.Submit.Compare(b.Submit) })
+	for i := 2; i < len(reqs); i += 3 {
+		reqs[i].Submit = reqs[i-1].Submit.Add(time.Duration(rng.Intn(5)) * time.Second)
+	}
+}
+
+// matchReference runs reqs through sim and through the reference
+// scheduler, and requires the same start, end, eligibility, state and
+// backfill flag for every job, and no broken backfill contract.
+func matchReference(t *testing.T, sim *Simulator, reqs []tracegen.Request, label string) {
+	t.Helper()
+	res, err := sim.Run(reqs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ref := refRun(t, sim.cfg, reqs)
+	for _, v := range ref.violations {
+		t.Errorf("%s: %s", label, v)
+	}
+	i := 0
+	for o := range res.Outcomes {
+		w := want[i]
+		var wantStart time.Time
+		if w.started {
+			wantStart = w.start
+		}
+		if o.Req != w.req || !o.Start.Equal(wantStart) || !o.End.Equal(w.end) ||
+			!o.Eligible.Equal(w.eligible) || o.State != w.state || o.Backfilled != (w.started && w.backfill) {
+			t.Fatalf("%s: job %d: Run gives start %v end %v eligible %v %v backfilled=%v; reference %v %v %v %v backfilled=%v",
+				label, i, o.Start, o.End, o.Eligible, o.State, o.Backfilled,
+				wantStart, w.end, w.eligible, w.state, w.started && w.backfill)
+		}
+		i++
+	}
+	if i != len(want) {
+		t.Fatalf("%s: %d outcomes for %d requests", label, i, len(want))
 	}
 }

@@ -45,7 +45,6 @@ type job struct {
 	waited time.Duration // eligible-but-pending time across scheduling segments
 
 	cores    int32  // allocation size in cores (the scheduling unit)
-	pendIdx  int32  // position in s.pending, -1 when absent
 	runIdx   int32  // position in s.running, -1 when absent
 	gen      uint32 // bumped on preemption to invalidate stale end events
 	restarts int32
@@ -58,6 +57,7 @@ type job struct {
 	finished    bool
 	held        bool // waiting on a dependency
 	backfill    bool
+	queued      bool // in its user's pending lane
 }
 
 // noCancel is the cancelAt of a job with no planned cancel: no end comes
@@ -170,27 +170,20 @@ type event struct {
 }
 
 // userUsage tracks exponentially decayed node-seconds per user for the
-// fair-share factor. epoch bumps on every accrual; term memoises the
-// computed fair-share priority term for (termAtNs, termEpoch) so a pass
-// computes one Exp2 per user instead of one per pending job. Timestamps
-// are Unix ns (0 = unset; all simulated instants are far from the epoch).
+// fair-share factor, as of asOfNs (Unix ns). lane is the user's pending
+// lane in s.lanes.
 type userUsage struct {
 	value  float64
 	asOfNs int64
-	epoch  int64
-
-	term      int64
-	termAtNs  int64
-	termEpoch int64
+	lane   int32
 }
 
 // Simulator executes submissions against a cluster model.
 type Simulator struct {
 	cfg       Config
 	freeCores int
-	pending   []pendEntry // position-tracked; heap-ordered only during a pass
-	npending  int         // pending jobs across all pass-time containers
-	running   []*job      // min-heap on (limitEnd, seq)
+	npending  int    // pending jobs: the lanes' and this pass's victims
+	running   []*job // min-heap on (limitEnd, seq)
 	usage     map[string]*userUsage
 	qosDefs   map[string]cluster.QOS
 	events    []event
@@ -211,12 +204,31 @@ type Simulator struct {
 	lastPassT int64
 	ran       bool // Run is single-shot: stats, usage and seq are the run's
 
+	// The pending queue (queue.go): a lane per user, the lanes holding
+	// pending jobs, and the pass's merge heap of lane bests.
+	lanes      []lane
+	active     []int32 // indices of the non-empty lanes, in no order
+	heads      []laneHead
+	dirtyLanes []int32 // lanes that lost a job this pass
+	// The lane key's parameters: slope bounds the age term's growth per ns
+	// (PriorityPolicy.AgeSlope), origin is the first submission, and
+	// epsBase the magnitudes ε scales with besides the pass's own term.
+	slope   float64
+	origin  int64
+	epsBase float64
+	// This pass's instant, slope·(passT − origin) and ε.
+	passT       int64
+	passA, eps  float64
+	pops        int64 // jobs taken from the merge heap, over the run
+	refreshes   int64 // exact priorities computed, over the run
+	decayDt     int64 // the last decay step and its Exp2 factor
+	decayFactor float64
+
 	// Reusable pass-time buffers.
 	appended  []*job // preemption victims requeued mid-pass, FIFO
 	appCursor int
-	keep      []*job      // examined but not started this pass
-	resBuf    []pendEntry // reservation-tagged subset
-	shadowBuf []*job      // scratch copy of the running heap
+	resBuf    []laneHead // reservation-tagged subset
+	shadowBuf []*job     // scratch copy of the running heap
 	victimBuf []*job
 
 	halfF float64 // FairShareHalfLife as float ns, the decay divisor
@@ -240,10 +252,12 @@ type Simulator struct {
 	mQueueDepth     *obs.Gauge
 	mRunning        *obs.Gauge
 	// mDepthSum adds the pending depth at every pass: over mPasses it is
-	// the mean depth a pass worked on. mPops adds the heap pops a pass made.
-	mDepthSum *obs.Counter
-	mPops     *obs.Counter
-	clk       *phaseClock // nil when unmetered: no clock reads
+	// the mean depth a pass worked on. mPops adds the heap pops a pass made,
+	// mRefreshes the exact priorities the run computed.
+	mDepthSum  *obs.Counter
+	mPops      *obs.Counter
+	mRefreshes *obs.Counter
+	clk        *phaseClock // nil when unmetered: no clock reads
 }
 
 // New builds a simulator; the configuration is validated.
@@ -264,6 +278,7 @@ func New(cfg Config) (*Simulator, error) {
 	if s.prio, err = PriorityByName(cfg.Priority, &cfg); err != nil {
 		return nil, err
 	}
+	s.slope = s.prio.AgeSlope()
 	if s.bf, err = BackfillByName(cfg.Backfill); err != nil {
 		return nil, err
 	}
@@ -282,6 +297,7 @@ func New(cfg Config) (*Simulator, error) {
 		s.mRunning = cfg.Metrics.Gauge("sched_jobs_running")
 		s.mDepthSum = cfg.Metrics.Counter("sched_pending_depth_sum")
 		s.mPops = cfg.Metrics.Counter("sched_pending_pops_total")
+		s.mRefreshes = cfg.Metrics.Counter("sched_priority_refreshes_total")
 		s.clk = &phaseClock{}
 		if _, pool := s.sel.(poolSelector); !pool {
 			s.sel = timedSelector{s.sel, s.clk}
@@ -355,6 +371,8 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 	})
 	s.events = make([]event, 0, 2*len(reqs)+2*len(s.resPools))
 	byChain := map[chainKey]*job{}
+	var laneSize []int32 // requests per user, in lane order
+	staticMax := 0.0
 	for n, idx := range order {
 		r := &reqs[idx]
 		if r.Nodes <= 0 || r.Nodes > s.cfg.System.Nodes {
@@ -383,7 +401,7 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 		submit := r.Submit.UnixNano()
 		j := &arena[n]
 		*j = job{seq: int64(n), req: r, cores: int32(cores), state: uint8(slurm.StatePending),
-			eligible: submit, cancelAt: noCancel, pendIdx: -1, runIdx: -1}
+			eligible: submit, cancelAt: noCancel, runIdx: -1}
 		sizef := float64(j.cores) / float64(s.cfg.System.TotalCores())
 		var qosW int64
 		if q, ok := s.qosDefs[r.QOS]; ok {
@@ -392,11 +410,14 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 			j.preemptible = q.Preemptible
 		}
 		j.static = s.prio.Static(sizef, qosW)
+		staticMax = max(staticMax, math.Abs(float64(j.static)))
 		u, ok := s.usage[r.User]
 		if !ok {
-			u = &userUsage{asOfNs: submit}
+			u = &userUsage{asOfNs: submit, lane: int32(len(laneSize))}
 			s.usage[r.User] = u
+			laneSize = append(laneSize, 0)
 		}
+		laneSize[u.lane]++
 		j.usage = u
 		if r.ArrayID != 0 {
 			if _, ok := arrayBase[r.ArrayID]; !ok {
@@ -440,8 +461,11 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 		s.pushEvent(event{t: rp.startNs, kind: evResStart, res: rp, seq: s.nextSeq()})
 		s.pushEvent(event{t: rp.endNs, kind: evResEnd, res: rp, seq: s.nextSeq()})
 	}
+	s.carveLanes(len(arena), laneSize)
 
 	first := arena[0].eligible // the first submission
+	s.origin = first
+	s.epsBase = staticMax + float64(s.prio.Age(math.MaxInt64))
 	for len(s.events) > 0 {
 		e := s.popEvent()
 		t := e.t
@@ -456,10 +480,6 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 			s.lastPassT = t
 		}
 	}
-	// Skipped passes defer priority writes; pending jobs' records must
-	// carry the value the last pass would have written.
-	s.reprioritize(s.now, true)
-
 	// Final gauge readings: a pass may have been skipped since the last
 	// capacity change, so publish the drained state explicitly.
 	s.mQueueDepth.Set(int64(s.npending))
@@ -467,15 +487,25 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 
 	// Anything still pending at drain time never had resources; that
 	// cannot happen with a consistent request stream, but guard anyway.
-	for i := range s.pending {
-		j := s.pending[i].j
-		j.finished = true
-		j.setState(slurm.StateCancelled)
-		j.end = s.now
-		s.stats.JobsCancelled++
-		s.stats.NeverStarted++
+	// Skipped passes defer priority writes, so its record carries the
+	// value the last pass would have written.
+	for _, li := range s.active {
+		l := &s.lanes[li]
+		fair := s.prio.Fair(s.decayUser(l.usage, s.now))
+		for i := range l.ent {
+			e := &l.ent[i]
+			j := e.j
+			j.priority = e.static + s.prio.Age(s.now-e.elig) + fair
+			s.refreshes++
+			j.queued = false
+			j.finished = true
+			j.setState(slurm.StateCancelled)
+			j.end = s.now
+			s.stats.JobsCancelled++
+			s.stats.NeverStarted++
+		}
 	}
-	s.pending = nil
+	s.lanes, s.active = nil, nil
 	s.npending = 0
 	// Held jobs whose predecessors never resolved are likewise cancelled.
 	for i := range arena {
@@ -497,6 +527,7 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 	}
 	s.stats.NodeSecondsCap = float64(s.cfg.System.Nodes) * time.Duration(last-first).Seconds()
 
+	s.mRefreshes.Add(s.refreshes)
 	s.clk.publish(s.cfg.Metrics)
 	return &Result{
 		Stats: s.stats, jobs: arena, emitSteps: opts.EmitSteps,
@@ -536,7 +567,7 @@ func (s *Simulator) handle(e event) {
 		j.end = e.t
 		s.stats.JobsCancelled++
 		s.stats.NeverStarted++
-		if !j.held && j.pendIdx >= 0 {
+		if j.queued {
 			// The legacy pass rewrote every pending priority at each
 			// drained timestamp; with skipped passes the record must
 			// still carry the value from the last pass before the
@@ -575,9 +606,11 @@ func (s *Simulator) handle(e event) {
 		rp.free, rp.carved = 0, 0
 		// Pending jobs that targeted the window fall back to the general
 		// pool.
-		for i := range s.pending {
-			if j := s.pending[i].j; j.res == rp {
-				j.res = nil
+		for _, li := range s.active {
+			for _, e := range s.lanes[li].ent {
+				if e.j.res == rp {
+					e.j.res = nil
+				}
 			}
 		}
 		s.schedDirty = true
@@ -683,13 +716,18 @@ func (s *Simulator) countOutcome(j *job) {
 
 // decayUser steps a user's usage decay forward to tNs (Unix ns) and
 // returns the value. The ns difference equals Time.Sub exactly, so the
-// float stepping matches the Time-based form bit for bit.
+// float stepping matches the Time-based form bit for bit. The Exp2 factor
+// is a pure function of the step, and the users a pass decays mostly
+// share the last pass's step, so the last one is kept.
 func (s *Simulator) decayUser(u *userUsage, tNs int64) float64 {
 	dt := tNs - u.asOfNs
 	if dt <= 0 {
 		return u.value
 	}
-	u.value *= math.Exp2(-(float64(dt) / s.halfF))
+	if dt != s.decayDt {
+		s.decayDt, s.decayFactor = dt, math.Exp2(-(float64(dt) / s.halfF))
+	}
+	u.value *= s.decayFactor
 	u.asOfNs = tNs
 	return u.value
 }
@@ -711,15 +749,14 @@ func (s *Simulator) accrueUsage(j *job) {
 	}
 	s.decayUser(u, j.end)
 	u.value += s.nodeEquivalents(j) * time.Duration(j.end-j.start).Seconds()
-	u.epoch++
 }
 
 // priorityAt computes a pending job's priority from scratch through the
 // priority policy. Age accrues from eligibility (held dependents only age
 // once released). The scheduling pass uses the decomposed fast path
-// (job.static + Age + memoised Fair); this reference form and the fast
-// path agree exactly: each term is truncated to int64 by the policy
-// separately, and int64 addition is associative.
+// (the entry's static term + Age + its lane's Fair); this reference form
+// and the fast path agree exactly: each term is truncated to int64 by the
+// policy separately, and int64 addition is associative.
 func (s *Simulator) priorityAt(j *job, tNs int64) int64 {
 	sizef := float64(j.cores) / float64(s.cfg.System.TotalCores())
 	var qosW int64
@@ -731,30 +768,21 @@ func (s *Simulator) priorityAt(j *job, tNs int64) int64 {
 		s.prio.Fair(s.decayedUsage(j.req.User, tNs))
 }
 
-// fairTerm computes the fair-share contribution for a user at tNs,
-// memoised per (timestamp, accrual epoch) so each pass pays one policy
-// Fair evaluation (an Exp2 under multifactor) per user rather than one
-// per pending job.
-func (s *Simulator) fairTerm(u *userUsage, tNs int64) int64 {
-	if u.termAtNs == tNs && u.termEpoch == u.epoch {
-		return u.term
+// reprioritize opens a pass at tNs: one fair term per non-empty lane,
+// every lane's cursor rewound, and the lane bound's pass term and ε (see
+// queue.go). ε is 2^-44 of the magnitudes the bound's float rounding
+// scales with — the static terms, the saturated age term and
+// slope·(tNs − origin) — hundreds of times the few ulps a bound loses.
+func (s *Simulator) reprioritize(tNs int64) {
+	s.passT = tNs
+	s.passA = s.slope * float64(tNs-s.origin)
+	if s.slope > 0 {
+		s.eps = 0x1p-44 * (s.epsBase + s.passA)
 	}
-	u.term = s.prio.Fair(s.decayUser(u, tNs))
-	u.termAtNs, u.termEpoch = tNs, u.epoch
-	return u.term
-}
-
-// reprioritize recomputes every pending job's priority at tNs. A pass
-// consumes the refreshed keys through its heap alone, so the hot loop
-// streams over the contiguous entry array; writeBack (the drain-time call)
-// also stores each key on its job, where the record reads it.
-func (s *Simulator) reprioritize(tNs int64, writeBack bool) {
-	for i := range s.pending {
-		e := &s.pending[i]
-		e.prio = e.static + s.prio.Age(tNs-e.eligNs) + s.fairTerm(e.usage, tNs)
-		if writeBack {
-			e.j.priority = e.prio
-		}
+	for _, li := range s.active {
+		l := &s.lanes[li]
+		l.fair = s.prio.Fair(s.decayUser(l.usage, tNs))
+		l.cur, l.popped = 0, false
 	}
 }
 
@@ -769,8 +797,8 @@ func (s *Simulator) schedule(tNs int64) {
 		// pass would start nothing. The legacy pass still stepped each
 		// pending user's fair-share decay here; keep that float
 		// stepping identical so later terms match bit for bit.
-		for i := range s.pending {
-			s.decayUser(s.pending[i].usage, tNs)
+		for _, li := range s.active {
+			s.decayUser(s.lanes[li].usage, tNs)
 		}
 		return
 	}
@@ -778,22 +806,21 @@ func (s *Simulator) schedule(tNs int64) {
 	s.mPasses.Inc()
 	s.mDepthSum.Add(int64(s.npending))
 	s.clk.enter(phaseReprioritize)
-	s.reprioritize(tNs, false)
+	s.reprioritize(tNs)
 	s.clk.enter(phaseMainPass)
 	if len(s.resPools) > 0 {
 		s.reservationPass(tNs)
 	}
-	s.heapifyPending()
-	heaped := len(s.pending)
+	s.buildHeads()
+	pops := s.pops
 	head := s.mainPass(tNs)
 	if head != nil && s.npending > 1 {
 		s.clk.enter(phaseBackfill)
 		s.bf.Pass(s, head, tNs)
 		s.clk.enter(phaseMainPass)
 	}
-	// Nothing joins or leaves the heap during a pass but by a pop.
-	s.mPops.Add(int64(heaped - len(s.pending)))
-	s.finishPass(head)
+	s.mPops.Add(s.pops - pops)
+	s.finishPass()
 	s.clk.enter(phaseEvents)
 	s.mQueueDepth.Set(int64(s.npending))
 	s.mRunning.Set(int64(len(s.running)))
@@ -801,38 +828,43 @@ func (s *Simulator) schedule(tNs int64) {
 
 // reservationPass starts reservation-tagged jobs that fit their window, in
 // priority order over the tagged subset (their relative order in the old
-// full sort).
+// full sort). The jobs it starts leave their lanes before the main pass,
+// so every job the main pass meets in a lane is still queued.
 func (s *Simulator) reservationPass(tNs int64) {
 	s.resBuf = s.resBuf[:0]
-	for i := range s.pending {
-		if s.pending[i].j.res != nil {
-			s.resBuf = append(s.resBuf, s.pending[i])
+	for _, li := range s.active {
+		l := &s.lanes[li]
+		for i := range l.ent {
+			if e := &l.ent[i]; e.j.res != nil {
+				s.refreshes++
+				s.resBuf = append(s.resBuf, laneHead{
+					prio: e.static + s.prio.Age(tNs-e.elig) + l.fair,
+					seq:  e.seq, lane: li, idx: int32(i),
+				})
+			}
 		}
 	}
-	if len(s.resBuf) == 0 {
-		return
-	}
-	slices.SortFunc(s.resBuf, func(a, b pendEntry) int {
-		if a.prio != b.prio {
-			return cmp.Compare(b.prio, a.prio)
+	slices.SortFunc(s.resBuf, func(a, b laneHead) int {
+		if headBefore(&a, &b) {
+			return -1
 		}
-		return cmp.Compare(a.seq, b.seq)
+		return 1
 	})
-	for i := range s.resBuf {
-		j := s.resBuf[i].j
+	for _, h := range s.resBuf {
+		j := s.lanes[h.lane].ent[h.idx].j
 		if s.canStartInReservation(j, tNs) {
-			s.pendRemove(j)
 			s.startJob(j, tNs, false)
 		}
 	}
+	s.compactLanes()
 }
 
-// nextPending yields jobs in scheduling order: the pending heap first,
-// then preemption victims requeued during this pass in eviction order
-// (they joined the tail of the old sorted slice mid-iteration).
+// nextPending yields jobs in scheduling order: the lanes' merge heap
+// first, then preemption victims requeued during this pass in eviction
+// order (they joined the tail of the old sorted slice mid-iteration).
 func (s *Simulator) nextPending() *job {
-	if len(s.pending) > 0 {
-		return s.pendPop()
+	if len(s.heads) > 0 {
+		return s.popHead()
 	}
 	if s.appCursor < len(s.appended) {
 		j := s.appended[s.appCursor]
@@ -852,7 +884,6 @@ func (s *Simulator) mainPass(tNs int64) *job {
 			return nil
 		}
 		if j.res != nil {
-			s.keep = append(s.keep, j)
 			continue
 		}
 		if int(j.cores) <= s.freeCores && s.sel.Fits(j) {
@@ -868,19 +899,17 @@ func (s *Simulator) mainPass(tNs int64) *job {
 	}
 }
 
-// finishPass returns every examined-but-unstarted job to the pending
-// array and resets the pass buffers.
-func (s *Simulator) finishPass(head *job) {
-	for _, j := range s.keep {
-		s.pendAdd(j)
+// finishPass drops the started jobs from their lanes, queues the victims
+// the pass evicted and did not restart, and resets the pass buffers. A job
+// the pass looked at and left is still in its lane.
+func (s *Simulator) finishPass() {
+	s.compactLanes()
+	for _, j := range s.appended {
+		if !j.started && !j.queued {
+			s.pendAdd(j)
+		}
 	}
-	if head != nil {
-		s.pendAdd(head)
-	}
-	for _, j := range s.appended[s.appCursor:] {
-		s.pendAdd(j)
-	}
-	s.keep = s.keep[:0]
+	s.heads = s.heads[:0]
 	s.appended = s.appended[:0]
 	s.appCursor = 0
 }
@@ -937,7 +966,7 @@ func (s *Simulator) tryPreempt(urgent *job, tNs int64) bool {
 
 // evict requeues a running preemptible job. The victim joins the FIFO
 // tail of this pass (it re-enters consideration after every job already
-// queued) and the pending array at pass end.
+// queued) and its lane at pass end.
 func (s *Simulator) evict(v *job, tNs int64) {
 	s.mPreemptEvict.Inc()
 	v.gen++ // invalidate the scheduled end event
@@ -1007,6 +1036,9 @@ func satAddDuration(a, b time.Duration) time.Duration {
 
 // startJob dispatches a job at tNs and schedules its end event.
 func (s *Simulator) startJob(j *job, tNs int64, backfill bool) {
+	if j.queued {
+		s.take(j)
+	}
 	j.started = true
 	j.backfill = backfill
 	if backfill {
