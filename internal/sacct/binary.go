@@ -17,9 +17,10 @@ import (
 // DumpBinary/OpenBinary persistence and format auto-detection. Reading
 // the sealed shards is the scan's business (query.go).
 
-// DumpBinary writes the full store in the binary columnar format. Months
-// with a base shard or segments are re-encoded from owned copies, merged
-// with whatever was added since.
+// DumpBinary writes the full store in the binary columnar format. A
+// month that is one base shard or one segment and nothing else has its
+// column regions copied as they are, once they verify; any other month is
+// encoded from its scan.
 func (s *Store) DumpBinary(w io.Writer) error {
 	shards, err := s.shardInputs()
 	if err != nil {
@@ -39,21 +40,26 @@ func (s *Store) DumpBinaryFile(path string) error {
 }
 
 // shardInputs is every month, in order, as the writer takes it: the
-// in-memory slice itself where that is all the month holds, else the
-// month's scan collected into a slice of its own.
+// month's one frozen shard where that is all it holds, the in-memory
+// slice itself where that is, else the month's scan collected into a
+// slice of its own.
 func (s *Store) shardInputs() ([]colstore.ShardInput, error) {
 	v := s.view(&Query{IncludeSteps: true})
 	ins := make([]colstore.ShardInput, len(v.months))
 	for i, mv := range v.months {
 		ins[i] = colstore.ShardInput{Year: mv.m.Year, Mon: mv.m.Mon, Records: mv.mem}
-		if mv.base == nil && len(mv.segs) == 0 {
-			continue
+		switch {
+		case mv.merges():
+			recs, err := collectMonth(mv)
+			if err != nil {
+				return nil, err
+			}
+			ins[i].Records = recs
+		case mv.base != nil:
+			ins[i].Shard = mv.base
+		case len(mv.segs) == 1:
+			ins[i].Shard = mv.segs[0]
 		}
-		recs, err := collectMonth(mv)
-		if err != nil {
-			return nil, err
-		}
-		ins[i].Records = recs
 	}
 	return ins, nil
 }

@@ -455,3 +455,15 @@ func TestWriteIsDeterministic(t *testing.T) {
 		t.Error("two writes of the same shards differ byte-for-byte")
 	}
 }
+
+// recordCompare is the shard emission order sacct keeps: submit time,
+// ties broken by sacct job-id order.
+func recordCompare(a, b *slurm.Record) int {
+	if !a.Submit.Equal(b.Submit) {
+		if a.Submit.Before(b.Submit) {
+			return -1
+		}
+		return 1
+	}
+	return slurm.CompareJobID(a.ID, b.ID)
+}

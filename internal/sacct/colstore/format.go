@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"runtime"
 	"time"
 )
@@ -104,6 +105,11 @@ func appendUvarint(b []byte, u uint64) []byte {
 	return binary.AppendUvarint(b, u)
 }
 
+// uvarintLen is the length of u in unsigned LEB128 form.
+func uvarintLen(u uint64) int {
+	return (bits.Len64(u|1) + 6) / 7
+}
+
 // byteReader walks an encoded region with bounds checking; every decode
 // error maps to ErrCorrupt so callers need not distinguish truncation
 // from garbage.
@@ -171,11 +177,6 @@ func (r *byteReader) lenBytes() ([]byte, error) {
 		return nil, fmt.Errorf("%w: string length %d exceeds region", ErrCorrupt, n)
 	}
 	return r.bytes(int(n))
-}
-
-func (r *byteReader) str() (string, error) {
-	b, err := r.lenBytes()
-	return string(b), err
 }
 
 func appendString(b []byte, s string) []byte {
@@ -286,8 +287,14 @@ func parseFooter(data []byte, fileSize uint64) ([]shardMeta, error) {
 		sh.cols = make([]columnMeta, 0, ncols)
 		for j := uint64(0); j < ncols; j++ {
 			var c columnMeta
-			if c.name, err = r.str(); err != nil {
+			name, err := r.lenBytes()
+			if err != nil {
 				return nil, err
+			}
+			if ci, ok := columnIndex[string(name)]; ok && columns[ci].name == string(name) {
+				c.name = columns[ci].name // the usual name, not a copy of it
+			} else {
+				c.name = string(name)
 			}
 			kb, err := r.bytes(1)
 			if err != nil {

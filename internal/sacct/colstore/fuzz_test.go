@@ -16,13 +16,15 @@ func FuzzColumnDecode(f *testing.F) {
 	// Seed with one real region per column so the fuzzer starts from
 	// structurally valid varint streams.
 	recs := genRecords(99, 16, monthStart(2024, time.April))
-	enc := &colEncoder{dict: map[string]uint64{}}
-	for ci := range columns {
-		enc.reset()
-		for ri := range recs {
-			columns[ci].enc(enc, &recs[ri])
+	var b Builder
+	b.Reset(2024, time.April, len(recs))
+	for ri := range recs {
+		if err := b.Add(&recs[ri]); err != nil {
+			f.Fatal(err)
 		}
-		f.Add(uint8(ci), enc.region(columns[ci].kind, nil))
+	}
+	for ci := range columns {
+		f.Add(uint8(ci), b.encs[ci].appendRegion(columns[ci].kind, nil))
 	}
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(3), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"time"
 
@@ -57,27 +58,39 @@ func (r *Result) Outcomes(yield func(Outcome) bool) {
 // on every call: each job's row, then its step rows under
 // Options.EmitSteps. The *Record is scratch the next yield overwrites —
 // copy the struct to keep a row; its TRES maps and Flags are the row's own.
+// It is JobRecords over every job.
 func (r *Result) Records(yield func(*slurm.Record) bool) {
-	// One generator, reseeded for each job that draws — one that never
-	// started and did not fail reads nothing: the stream a fresh
-	// rand.NewSource per job would give. Its lazySource makes the reseed
-	// O(1) and computes only the state words the job's ~100 draws read,
-	// where math/rand's Seed fills all 607 (9 µs).
-	rng := rand.New(&lazySource{})
-	var rec slurm.Record
-	var steps []slurm.Record
-	for i := range r.jobs {
-		j := &r.jobs[i]
-		if j.started || j.State() == slurm.StateFailed {
-			rng.Seed(r.seed ^ (j.seq+1)*0x9E3779B9)
-		}
-		steps = r.materialize(j, &rec, steps[:0], rng)
-		if !yield(&rec) {
-			return
-		}
-		for k := range steps {
-			if !yield(&steps[k]) {
+	r.JobRecords(0, len(r.jobs))(yield)
+}
+
+// JobRecords streams the rows of jobs [lo, hi) in submission order, as
+// Records does: the stream of every job is the streams of any split of
+// them, concatenated. Each job reseeds the generator its rows draw from,
+// so a range needs nothing of the jobs before it, and ranges may stream
+// at once, each on its own goroutine.
+func (r *Result) JobRecords(lo, hi int) iter.Seq[*slurm.Record] {
+	return func(yield func(*slurm.Record) bool) {
+		// One generator, reseeded for each job that draws — one that never
+		// started and did not fail reads nothing: the stream a fresh
+		// rand.NewSource per job would give. Its lazySource makes the reseed
+		// O(1) and computes only the state words the job's ~100 draws read,
+		// where math/rand's Seed fills all 607 (9 µs).
+		rng := rand.New(&lazySource{})
+		var rec slurm.Record
+		var steps []slurm.Record
+		for i := lo; i < hi; i++ {
+			j := &r.jobs[i]
+			if j.started || j.State() == slurm.StateFailed {
+				rng.Seed(r.seed ^ (j.seq+1)*0x9E3779B9)
+			}
+			steps = r.materialize(j, &rec, steps[:0], rng)
+			if !yield(&rec) {
 				return
+			}
+			for k := range steps {
+				if !yield(&steps[k]) {
+					return
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -88,5 +89,44 @@ func TestRecordsStreamRepeatsAndRowsKeep(t *testing.T) {
 	}
 	if i != len(lines) {
 		t.Fatalf("second iteration yielded %d rows, first %d", i, len(lines))
+	}
+}
+
+// TestJobRecordsSplitAnywhere: the stream of any split of the jobs into
+// ranges, concatenated, is Records row for row, steps on and off — each
+// job reseeds its own generator, so a range streams without the jobs in
+// front of it.
+func TestJobRecordsSplitAnywhere(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, steps := range []bool{true, false} {
+		res, err := goldenFrontierSim(t).Run(goldenFrontierTrace(t), Options{EmitSteps: steps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []slurm.Record
+		for rec := range res.Records {
+			want = append(want, *rec)
+		}
+		for trial := 0; trial < 4; trial++ {
+			cuts := []int{0, res.Len()}
+			for range 1 + rng.Intn(12) {
+				cuts = append(cuts, rng.Intn(res.Len()+1))
+			}
+			slices.Sort(cuts)
+			var got []slurm.Record
+			for k := 1; k < len(cuts); k++ {
+				for rec := range res.JobRecords(cuts[k-1], cuts[k]) {
+					got = append(got, *rec)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("steps %v, cuts %v: %d rows, Records has %d", steps, cuts, len(got), len(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("steps %v, cuts %v: row %d differs from Records':\n got %+v\nwant %+v", steps, cuts, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
