@@ -26,7 +26,7 @@ var storeCache = map[int]struct {
 
 // buildStore simulates a small Frontier workload spanning two months and
 // ingests it. Results are cached per window length.
-func buildStore(t *testing.T, days int) (*Store, *sched.Result) {
+func buildStore(t testing.TB, days int) (*Store, *sched.Result) {
 	t.Helper()
 	if c, ok := storeCache[days]; ok {
 		return c.st, c.res
