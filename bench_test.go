@@ -25,7 +25,6 @@ import (
 	"slurmsight/internal/llm"
 	"slurmsight/internal/obs"
 	"slurmsight/internal/plot"
-	"slurmsight/internal/raster"
 	"slurmsight/internal/sacct"
 	"slurmsight/internal/sched"
 	"slurmsight/internal/slurm"
@@ -397,7 +396,7 @@ func BenchmarkFigure9AndesBackfill(b *testing.B) {
 func BenchmarkLLMInsight(b *testing.B) {
 	f := frontier(b)
 	chart := figure(b, core.FigBackfill, "frontier", f.bundle)
-	png, err := raster.PNG(chart, 960, 540)
+	png, err := plot.PNG(chart, 960, 540)
 	if err != nil {
 		b.Fatal(err)
 	}

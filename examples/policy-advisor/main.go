@@ -25,7 +25,6 @@ import (
 	"slurmsight/internal/llm"
 	"slurmsight/internal/plot"
 	"slurmsight/internal/predict"
-	"slurmsight/internal/raster"
 	"slurmsight/internal/sched"
 	"slurmsight/internal/tracegen"
 )
@@ -128,11 +127,11 @@ func main() {
 
 	chartA := waitChart("baseline requests", baseBundle)
 	chartB := waitChart("predicted requests", predBundle)
-	pngA, err := raster.PNG(chartA, 960, 540)
+	pngA, err := plot.PNG(chartA, 960, 540)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pngB, err := raster.PNG(chartB, 960, 540)
+	pngB, err := plot.PNG(chartB, 960, 540)
 	if err != nil {
 		log.Fatal(err)
 	}

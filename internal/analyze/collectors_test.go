@@ -225,7 +225,7 @@ func TestTimelineCollectorCache(t *testing.T) {
 	if len(third) != 0 && len(first) != 0 && &third[0] == &first[0] {
 		t.Error("cache not invalidated by Observe")
 	}
-	if c.Bucket() != time.Hour {
-		t.Errorf("Bucket = %v", c.Bucket())
+	if len(first) < 2 || first[1].At.Sub(first[0].At) != time.Hour {
+		t.Errorf("points are not a bucket (1h) apart: %v", first)
 	}
 }

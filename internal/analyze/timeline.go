@@ -102,9 +102,6 @@ func (c *TimelineCollector) reset() {
 	c.cached, c.dirty = nil, false
 }
 
-// Bucket returns the collector's bucket width.
-func (c *TimelineCollector) Bucket() time.Duration { return c.bucket }
-
 // Observe implements Collector; steps and submit-less records are
 // skipped.
 func (c *TimelineCollector) Observe(r *slurm.Record) {

@@ -29,7 +29,7 @@ func TestWorkflowColstoreParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer binStore.Close()
-	if !binStore.Binary() {
+	if _, binary := binStore.ColstoreStats(); !binary {
 		t.Fatal("binary dump not detected as columnar")
 	}
 

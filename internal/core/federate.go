@@ -11,7 +11,6 @@ import (
 	"slurmsight/internal/analyze"
 	"slurmsight/internal/llm"
 	"slurmsight/internal/plot"
-	"slurmsight/internal/raster"
 	"slurmsight/internal/sacct"
 )
 
@@ -107,11 +106,11 @@ func RunFederated(ctx context.Context, outDir string, members []Member) (*Federa
 		if err != nil {
 			return nil, err
 		}
-		pngA, err := raster.PNG(chartA, chartWidth, chartHeight)
+		pngA, err := plot.PNG(chartA, chartWidth, chartHeight)
 		if err != nil {
 			return nil, err
 		}
-		pngB, err := raster.PNG(chartB, chartWidth, chartHeight)
+		pngB, err := plot.PNG(chartB, chartWidth, chartHeight)
 		if err != nil {
 			return nil, err
 		}

@@ -20,7 +20,6 @@ import (
 	"slurmsight/internal/obs"
 	"slurmsight/internal/plot"
 	"slurmsight/internal/pool"
-	"slurmsight/internal/raster"
 	"slurmsight/internal/sacct"
 	"slurmsight/internal/slurm"
 )
@@ -468,7 +467,7 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 				Writes: []string{fig.PNGPath},
 				Run: func(ctx context.Context) error {
 					annotate(ctx, "render", "figure", key)
-					return raster.FromHTMLFile(fig.HTMLPath, fig.PNGPath, chartWidth, chartHeight)
+					return htmlToPNG(fig.HTMLPath, fig.PNGPath)
 				},
 			}); err != nil {
 				return nil, err
@@ -645,11 +644,11 @@ func runCompare(ctx context.Context, cfg Config, points []analyze.WaitPoint, out
 	}
 	a := waitChart(cfg.SystemName+" (first half)", early)
 	b := waitChart(cfg.SystemName+" (second half)", late)
-	pngA, err := raster.PNG(a, chartWidth, chartHeight)
+	pngA, err := plot.PNG(a, chartWidth, chartHeight)
 	if err != nil {
 		return err
 	}
-	pngB, err := raster.PNG(b, chartWidth, chartHeight)
+	pngB, err := plot.PNG(b, chartWidth, chartHeight)
 	if err != nil {
 		return err
 	}
@@ -698,6 +697,24 @@ func writePage(path string, chart *plot.Chart, width, height int) ([]byte, error
 		return nil, err
 	}
 	return spec, nil
+}
+
+// htmlToPNG is the HTML2PNG stage: it recovers the chart spec embedded in
+// a page and rasterises it, as the paper's headless-browser screenshot.
+func htmlToPNG(htmlPath, pngPath string) error {
+	page, err := os.ReadFile(htmlPath)
+	if err != nil {
+		return err
+	}
+	chart, err := plot.SpecFromHTML(page)
+	if err != nil {
+		return fmt.Errorf("html2png: %s: %w", htmlPath, err)
+	}
+	img, err := plot.PNG(chart, chartWidth, chartHeight)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(pngPath, img, 0o644)
 }
 
 // dashboardIndex renders the consolidated dashboard page linking every

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"image/png"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"slurmsight/internal/curate"
 	"slurmsight/internal/dataflow"
 	"slurmsight/internal/llm"
+	"slurmsight/internal/plot"
 )
 
 // TestWorkflowEmitGoldenDigest pins the three files a single-system run
@@ -80,5 +83,48 @@ func TestWorkflowCombineSkipped(t *testing.T) {
 	// Empty and nil slices and maps print alike: every field is zero.
 	if got, zero := fmt.Sprintf("%+v", art.Summaries), fmt.Sprintf("%+v", Summaries{}); got != zero {
 		t.Errorf("summaries %+v, want zero", art.Summaries)
+	}
+}
+
+// TestHTMLToPNG runs the HTML2PNG stage on a page: the spec embedded in
+// the HTML comes back as a decodable PNG, and a missing page or one
+// without a spec is an error.
+func TestHTMLToPNG(t *testing.T) {
+	dir := t.TempDir()
+	c := &plot.Chart{
+		Title: "Wait times", XLabel: "submit", YLabel: "wait (s)",
+		Kind: plot.Scatter, YScale: plot.Log10,
+		Series: []plot.Series{
+			{Name: "COMPLETED", X: []float64{1, 2, 3}, Y: []float64{10, 100, 1000}, Color: "#2ca02c"},
+			{Name: "FAILED", X: []float64{1.5, 2.5}, Y: []float64{50, 500}, Marker: plot.Plus, Color: "#d62728"},
+		},
+	}
+	htmlPath := filepath.Join(dir, "chart.html")
+	if _, err := writePage(htmlPath, c, 640, 400); err != nil {
+		t.Fatal(err)
+	}
+	outPath := filepath.Join(dir, "fromhtml.png")
+	if err := htmlToPNG(htmlPath, outPath); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := png.Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("invalid PNG: %v", err)
+	}
+	if b := img.Bounds(); b.Dx() != chartWidth || b.Dy() != chartHeight {
+		t.Errorf("dimensions = %dx%d", b.Dx(), b.Dy())
+	}
+
+	if err := htmlToPNG(filepath.Join(dir, "missing.html"), outPath); err == nil {
+		t.Error("missing HTML: want error")
+	}
+	bad := filepath.Join(dir, "nospec.html")
+	os.WriteFile(bad, []byte("<html></html>"), 0o644)
+	if err := htmlToPNG(bad, outPath); err == nil {
+		t.Error("HTML without spec: want error")
 	}
 }

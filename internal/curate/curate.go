@@ -11,15 +11,10 @@ import (
 	"slurmsight/internal/pool"
 )
 
-// Options tune the normalisation pass.
+// Options tune the curation stream. The normalisation itself is fixed:
+// duration columns become decimal minutes (the paper's seconds→minutes
+// readability conversion) and abbreviated counts ("9.4K") plain integers.
 type Options struct {
-	// DurationsAsMinutes renders duration columns as decimal minutes
-	// instead of HH:MM:SS (the paper's seconds→minutes readability
-	// conversion).
-	DurationsAsMinutes bool
-	// ExpandCounts rewrites abbreviated counts ("9.4K") as plain
-	// integers.
-	ExpandCounts bool
 	// Metrics, when non-nil, counts the stream's work under
 	// curate_rows_read_total / curate_rows_kept_total /
 	// curate_rows_dropped_total and ingest_chunks_total /
@@ -38,9 +33,10 @@ type Options struct {
 	Pool *pool.Pool
 }
 
-// DefaultOptions matches the paper's preprocessing.
+// DefaultOptions is the paper's preprocessing: the zero Options, since the
+// normalisation is no longer optional.
 func DefaultOptions() Options {
-	return Options{DurationsAsMinutes: true, ExpandCounts: true}
+	return Options{}
 }
 
 // Report summarises one curation run.
@@ -71,13 +67,13 @@ func (r Report) MalformedFraction() float64 {
 	return float64(r.Malformed) / float64(r.Total)
 }
 
-// durationFields are the columns DurationsAsMinutes rewrites.
+// durationFields are the columns rendered as decimal minutes.
 var durationFields = map[string]bool{
 	"Elapsed": true, "Timelimit": true, "Suspended": true,
 	"AveCPU": true, "TotalCPU": true, "UserCPU": true, "SystemCPU": true,
 }
 
-// countFields are the columns ExpandCounts rewrites.
+// countFields are the columns whose abbreviated counts are expanded.
 var countFields = map[string]bool{
 	"NNodes": true, "NCPUS": true, "NTasks": true, "ReqNodes": true,
 	"ReqCPUS": true, "Restarts": true, "ConsumedEnergy": true,

@@ -157,24 +157,6 @@ func TestToCSVNormalisation(t *testing.T) {
 	}
 }
 
-func TestToCSVWithoutNormalisation(t *testing.T) {
-	for _, w := range widths {
-		_, rows, _, err := curateText(t, sample, Options{}, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rows[0][3] != "Elapsed" {
-			t.Errorf("workers=%d: header renamed despite opts: %v", w, rows[0])
-		}
-		if rows[1][3] != "01:30:00" {
-			t.Errorf("workers=%d: duration converted despite opts: %q", w, rows[1][3])
-		}
-		if rows[2][5] != "9.4K" {
-			t.Errorf("workers=%d: count expanded despite opts: %q", w, rows[2][5])
-		}
-	}
-}
-
 func TestToCSVFileAndLoadFiles(t *testing.T) {
 	dir := t.TempDir()
 	in1 := filepath.Join(dir, "jan.txt")

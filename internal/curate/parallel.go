@@ -87,7 +87,7 @@ func StreamFileParallel(inPath, csvPath string, opts Options, rep *Report, shard
 		}
 		bw = bufio.NewWriterSize(out, 1<<16)
 		// Buffered: a failed write surfaces from finishSidecar's flush.
-		bw.Write(appendSidecarHeader(nil, cs.Fields(), columnKinds(cs.Fields(), opts)))
+		bw.Write(appendSidecarHeader(nil, cs.Fields(), columnKinds(cs.Fields())))
 	}
 	if chunks == 0 {
 		return 0, finishSidecar(out, bw, csvPath, nil)
@@ -243,7 +243,7 @@ func runChunk(cs *slurm.ChunkScanner, i int, spillPath string, opts Options, loc
 			stopped.Store(true)
 			return fmt.Errorf("create sidecar shard: %w", err)
 		}
-		sw = newRowWriter(sf, cs.Fields(), opts)
+		sw = newRowWriter(sf, cs.Fields())
 	}
 
 	var terminal error

@@ -20,13 +20,13 @@ const (
 )
 
 // columnKinds resolves each column's normalisation once from the header.
-func columnKinds(fields []string, opts Options) []colKind {
+func columnKinds(fields []string) []colKind {
 	kinds := make([]colKind, len(fields))
 	for i, f := range fields {
 		switch {
-		case opts.DurationsAsMinutes && durationFields[f]:
+		case durationFields[f]:
 			kinds[i] = colMinutes
-		case opts.ExpandCounts && countFields[f]:
+		case countFields[f]:
 			kinds[i] = colCount
 		}
 	}
@@ -75,8 +75,8 @@ const (
 // curate stage has no short answer for a small buffer to save, unlike
 // sacct's textWriter, which grows from empty to keep a short /query
 // answer short (DESIGN.md §5l).
-func newRowWriter(w io.Writer, fields []string, opts Options) *rowWriter {
-	return &rowWriter{w: w, fields: fields, kinds: columnKinds(fields, opts),
+func newRowWriter(w io.Writer, fields []string) *rowWriter {
+	return &rowWriter{w: w, fields: fields, kinds: columnKinds(fields),
 		buf: make([]byte, 0, flushAt+rowHeadroom)}
 }
 

@@ -53,7 +53,7 @@ func FuzzSidecarRowMatchesEncodingCSV(f *testing.F) {
 		want := csvReference(t, a, b, c, elapsed, int64(nodes))
 
 		var out bytes.Buffer
-		rw := newRowWriter(&out, sidecarFuzzFields, DefaultOptions())
+		rw := newRowWriter(&out, sidecarFuzzFields)
 		rw.buf = appendSidecarHeader(rw.buf, rw.fields, rw.kinds)
 		if err := rw.row(cells(a, durCell, b, countCell, c)); err != nil {
 			t.Fatal(err)
@@ -81,7 +81,7 @@ func cells(row ...string) [][]byte {
 // included.
 func TestSidecarRowZeroAllocs(t *testing.T) {
 	row := cells("a,\"b\"", "1-02:03:04", " x", "9.4K", "/lustre/orion/prj")
-	rw := newRowWriter(&bytes.Buffer{}, sidecarFuzzFields, DefaultOptions())
+	rw := newRowWriter(&bytes.Buffer{}, sidecarFuzzFields)
 	if allocs := testing.AllocsPerRun(100, func() {
 		if err := rw.row(row); err != nil {
 			t.Fatal(err)
@@ -95,7 +95,7 @@ func TestSidecarRowZeroAllocs(t *testing.T) {
 // and leaves no partial row; a failed write sticks.
 func TestSidecarRowErrors(t *testing.T) {
 	var out bytes.Buffer
-	rw := newRowWriter(&out, sidecarFuzzFields, DefaultOptions())
+	rw := newRowWriter(&out, sidecarFuzzFields)
 	if err := rw.row(cells("ok", "xx:yy", "b", "4", "c")); err == nil || rw.err != nil ||
 		err.Error() != `curate: normalising Elapsed: slurm: malformed duration "xx:yy"` {
 		t.Errorf("bad duration: err = %v, sticky = %v", err, rw.err)
@@ -107,7 +107,7 @@ func TestSidecarRowErrors(t *testing.T) {
 		t.Errorf("after a refused row: %q, %v", out.String(), err)
 	}
 
-	fw := newRowWriter(&failWriter{}, sidecarFuzzFields, DefaultOptions())
+	fw := newRowWriter(&failWriter{}, sidecarFuzzFields)
 	fw.buf = appendSidecarHeader(fw.buf, fw.fields, fw.kinds)
 	if err := fw.flush(); err == nil || fw.flush() != err {
 		t.Errorf("write error not sticky: %v then %v", err, fw.flush())

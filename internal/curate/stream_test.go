@@ -71,7 +71,7 @@ func TestStreamEarlyBreakStillFlushesCSV(t *testing.T) {
 		}
 		// Header plus the one row that was handed over must have been
 		// flushed; later chunks may or may not have run before the stop.
-		want := "JobID,User,State,Elapsed,Timelimit,NNodes\n100001,alice,COMPLETED,01:30:00,02:00:00,128\n"
+		want := "JobID,User,State,ElapsedMinutes,TimelimitMinutes,NNodes\n100001,alice,COMPLETED,90.00,120.00,128\n"
 		if !strings.HasPrefix(string(data), want) || (w == 1 && string(data) != want) {
 			t.Errorf("workers=%d: flushed sidecar = %q", w, data)
 		}

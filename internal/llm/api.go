@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"slurmsight/internal/plot"
+	"slurmsight/internal/ratelimit"
 )
 
 // Image is one chart attachment: the PNG rendering plus the chart spec
@@ -40,12 +42,13 @@ type apiError struct {
 }
 
 // Server is the mock model endpoint: bearer-token auth, a token-bucket
-// rate limit per key, and the analyst behind POST /v1/analyze.
+// rate limit per client, and the analyst behind POST /v1/analyze.
 type Server struct {
 	// APIKeys lists accepted bearer tokens; empty disables auth.
 	APIKeys []string
-	// RatePerSec and Burst configure the per-key token bucket; zero
-	// disables limiting.
+	// RatePerSec and Burst configure the per-client token bucket (a
+	// client is its API key, or its remote host when auth is off); zero
+	// disables limiting. Set them before the first request.
 	RatePerSec float64
 	Burst      float64
 	// ModelName is echoed in responses.
@@ -53,13 +56,8 @@ type Server struct {
 	// Now is the clock (overridable in tests).
 	Now func() time.Time
 
-	mu      sync.Mutex
-	buckets map[string]*bucket
-}
-
-type bucket struct {
-	tokens float64
-	last   time.Time
+	limOnce sync.Once
+	lim     *ratelimit.Limiter // built from the fields above on first use
 }
 
 // NewServer returns a server with the paper's chosen backend name.
@@ -140,47 +138,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// authorize validates the bearer token and applies the rate limit.
+// authorize validates the bearer token and applies the rate limit. With
+// auth on, a client is its token; with it off, the token is unchecked, so
+// a client is its remote host.
 func (s *Server) authorize(r *http.Request) (int, error) {
-	key := ""
-	if auth := r.Header.Get("Authorization"); strings.HasPrefix(auth, "Bearer ") {
-		key = strings.TrimPrefix(auth, "Bearer ")
-	}
+	credential := ""
 	if len(s.APIKeys) > 0 {
-		ok := false
-		for _, k := range s.APIKeys {
-			if key == k {
-				ok = true
-				break
-			}
+		key := ""
+		if auth := r.Header.Get("Authorization"); strings.HasPrefix(auth, "Bearer ") {
+			key = strings.TrimPrefix(auth, "Bearer ")
 		}
-		if !ok {
+		if !slices.Contains(s.APIKeys, key) {
 			return http.StatusUnauthorized, fmt.Errorf("invalid API key")
 		}
+		credential = key
 	}
-	if s.RatePerSec <= 0 {
-		return 0, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.buckets == nil {
-		s.buckets = map[string]*bucket{}
-	}
-	b, ok := s.buckets[key]
-	now := s.Now()
-	if !ok {
-		b = &bucket{tokens: s.Burst, last: now}
-		s.buckets[key] = b
-	}
-	b.tokens += now.Sub(b.last).Seconds() * s.RatePerSec
-	if b.tokens > s.Burst {
-		b.tokens = s.Burst
-	}
-	b.last = now
-	if b.tokens < 1 {
+	s.limOnce.Do(func() { s.lim = ratelimit.New(s.RatePerSec, s.Burst, s.Now, nil) })
+	if ok, _ := s.lim.Allow(ratelimit.ClientKey(r, credential)); !ok {
 		return http.StatusTooManyRequests, fmt.Errorf("rate limit exceeded")
 	}
-	b.tokens--
 	return 0, nil
 }
 

@@ -2,6 +2,7 @@ package llm
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -333,6 +334,31 @@ func TestServerBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/analyze = %d", resp.StatusCode)
+	}
+}
+
+// TestRateLimitWithoutAuthKeysByHost: with auth off the bearer token is
+// unchecked, so a client that rotates tokens is still one client.
+func TestRateLimitWithoutAuthKeysByHost(t *testing.T) {
+	s := NewServer()
+	s.RatePerSec = 1
+	s.Burst = 1
+	now := time.Unix(1000, 0)
+	s.Now = func() time.Time { return now }
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	ctx := context.Background()
+	img := imageFor(t, waitChart())
+	if _, err := NewClient(ts.URL, "token-1").Analyze(ctx, InsightPrompt, img); err != nil {
+		t.Fatalf("first request: %v", err)
+	}
+	second := NewClient(ts.URL, "token-2")
+	second.MaxRetries = 0
+	_, err := second.Analyze(ctx, InsightPrompt, img)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
+		t.Fatalf("second request under a new token: err = %v, want a 429", err)
 	}
 }
 

@@ -79,9 +79,6 @@ func newTracer(now func() time.Time) *Tracer {
 	return &Tracer{now: now, base: now()}
 }
 
-// Enabled reports whether spans are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Start opens a root span. On a nil tracer it returns a nil span, on
 // which every operation is a free no-op.
 func (t *Tracer) Start(name string) *Span {

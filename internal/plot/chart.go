@@ -1,9 +1,12 @@
-// Package plot is the visualization substrate standing in for Plotly: a
-// declarative chart model, an SVG renderer with native hover tooltips, a
-// self-contained interactive HTML wrapper (wheel zoom and pan), and a JSON
-// encoding of the chart spec. The JSON spec doubles as the "image" the
-// simulated multimodal LLM analyses, so every artifact the AI subworkflow
-// consumes is also machine-checkable.
+// Package plot is the visualization substrate standing in for Plotly and
+// the headless-browser screenshot: a declarative chart model, one layout
+// walk that places every mark, and two pens that draw it — an SVG emitter
+// with native hover tooltips inside a self-contained interactive HTML page
+// (wheel zoom and pan), and an RGBA canvas behind PNG, so the picture
+// handed to the LLM is the figure the page shows. The JSON encoding of
+// the chart spec doubles as the "image" the simulated multimodal LLM
+// analyses, so every artifact the AI subworkflow consumes is also
+// machine-checkable.
 package plot
 
 import (

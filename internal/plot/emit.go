@@ -17,9 +17,10 @@ import (
 // bytes are fmt's: f is %.1f, g is %g, d is %d, s is %s and x is %s of an
 // XML-escaped label.
 type emitter struct {
-	w   io.Writer
-	buf []byte
-	err error
+	w     io.Writer
+	buf   []byte
+	err   error
+	first bool // the open polyline has no vertex yet
 }
 
 const flushAt = 1 << 16

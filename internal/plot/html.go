@@ -25,7 +25,7 @@ func WriteHTML(w io.Writer, c *Chart, width, height int) (spec []byte, err error
 	}
 	e := emitter{w: w}
 	e.s(pageHead).x(c.Title).s(pageStyle)
-	e.svg(c, width, height)
+	draw(&e, c, width, height)
 	e.s(pageSpecOpen)
 	e.embed(spec)
 	e.s(pageTail)

@@ -1,399 +1,9 @@
+// Package raster is a forwarder to plot.PNG, kept because the benchmark
+// harness's raster.png probe (loopbench/layers.go) calls raster.PNG. The
+// canvas, the font and the layout they draw live in internal/plot.
 package raster
 
-import (
-	"bytes"
-	"fmt"
-	"image"
-	"image/color"
-	"image/png"
-	"math"
-	"os"
-	"strconv"
-	"strings"
-	"unicode"
+import "slurmsight/internal/plot"
 
-	"slurmsight/internal/plot"
-)
-
-// canvas wraps an RGBA image with the drawing primitives the renderer
-// needs.
-type canvas struct {
-	img *image.RGBA
-}
-
-func newCanvas(w, h int) *canvas {
-	img := image.NewRGBA(image.Rect(0, 0, w, h))
-	for i := range img.Pix {
-		img.Pix[i] = 0xFF // white background, opaque alpha
-	}
-	return &canvas{img: img}
-}
-
-func (c *canvas) set(x, y int, col color.RGBA) {
-	if image.Pt(x, y).In(c.img.Rect) {
-		c.img.SetRGBA(x, y, col)
-	}
-}
-
-// line draws with Bresenham's algorithm.
-func (c *canvas) line(x0, y0, x1, y1 int, col color.RGBA) {
-	dx, dy := abs(x1-x0), -abs(y1-y0)
-	sx, sy := 1, 1
-	if x0 >= x1 {
-		sx = -1
-	}
-	if y0 >= y1 {
-		sy = -1
-	}
-	err := dx + dy
-	for {
-		c.set(x0, y0, col)
-		if x0 == x1 && y0 == y1 {
-			return
-		}
-		e2 := 2 * err
-		if e2 >= dy {
-			err += dy
-			x0 += sx
-		}
-		if e2 <= dx {
-			err += dx
-			y0 += sy
-		}
-	}
-}
-
-func (c *canvas) fillRect(x0, y0, x1, y1 int, col color.RGBA) {
-	if x1 < x0 {
-		x0, x1 = x1, x0
-	}
-	if y1 < y0 {
-		y0, y1 = y1, y0
-	}
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			c.set(x, y, col)
-		}
-	}
-}
-
-func (c *canvas) rect(x0, y0, x1, y1 int, col color.RGBA) {
-	c.line(x0, y0, x1, y0, col)
-	c.line(x1, y0, x1, y1, col)
-	c.line(x1, y1, x0, y1, col)
-	c.line(x0, y1, x0, y0, col)
-}
-
-// disc draws a filled circle of the given radius.
-func (c *canvas) disc(cx, cy, r int, col color.RGBA) {
-	for dy := -r; dy <= r; dy++ {
-		for dx := -r; dx <= r; dx++ {
-			if dx*dx+dy*dy <= r*r {
-				c.set(cx+dx, cy+dy, col)
-			}
-		}
-	}
-}
-
-// text draws a string with the built-in 5x7 font; unknown runes render as
-// a small box.
-func (c *canvas) text(x, y int, s string, col color.RGBA) {
-	for i, r := range s {
-		g, ok := glyphs[unicode.ToUpper(r)]
-		if !ok {
-			g = glyphs['-']
-		}
-		for row := 0; row < glyphH; row++ {
-			bits := g[row]
-			for bit := 0; bit < 5; bit++ {
-				if bits&(1<<(4-bit)) != 0 {
-					c.set(x+i*glyphW+bit, y+row, col)
-				}
-			}
-		}
-	}
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// parseColor reads "#rrggbb".
-func parseColor(s string) color.RGBA {
-	if len(s) == 7 && s[0] == '#' {
-		r, err1 := strconv.ParseUint(s[1:3], 16, 8)
-		g, err2 := strconv.ParseUint(s[3:5], 16, 8)
-		b, err3 := strconv.ParseUint(s[5:7], 16, 8)
-		if err1 == nil && err2 == nil && err3 == nil {
-			return color.RGBA{uint8(r), uint8(g), uint8(b), 0xFF}
-		}
-	}
-	return color.RGBA{0, 0, 0, 0xFF}
-}
-
-var (
-	black = color.RGBA{0, 0, 0, 0xFF}
-	grey  = color.RGBA{0x88, 0x88, 0x88, 0xFF}
-	faint = color.RGBA{0xEE, 0xEE, 0xEE, 0xFF}
-)
-
-// Geometry shared with the SVG renderer.
-const (
-	marginLeft   = 70
-	marginRight  = 140
-	marginTop    = 40
-	marginBottom = 55
-)
-
-// PNG rasterises a chart. The layout mirrors the SVG renderer so the two
-// artifacts depict the same figure.
-func PNG(c *plot.Chart, width, height int) ([]byte, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if width < 200 || height < 150 {
-		return nil, fmt.Errorf("raster: canvas %dx%d too small", width, height)
-	}
-	cv := newCanvas(width, height)
-	title := c.Title
-	cv.text((width-len(title)*glyphW)/2, 12, title, black)
-
-	l, r := marginLeft, width-marginRight
-	t, b := marginTop, height-marginBottom
-	cv.rect(l, t, r, b, grey)
-
-	switch c.Kind {
-	case plot.StackedBar, plot.GroupedBar:
-		rasterBars(cv, c, l, r, t, b)
-	default:
-		rasterXY(cv, c, l, r, t, b)
-	}
-
-	// Legend.
-	for i := range c.Series {
-		col := parseColor(effectiveColor(c, i))
-		y := t + i*16
-		cv.fillRect(r+10, y, r+20, y+10, col)
-		cv.text(r+26, y+2, c.Series[i].Name, black)
-	}
-	// Axis labels.
-	cv.text((l+r)/2-len(c.XLabel)*glyphW/2, height-16, c.XLabel, black)
-	cv.text(4, t-14, c.YLabel, black)
-
-	var buf bytes.Buffer
-	if err := png.Encode(&buf, cv.img); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// effectiveColor mirrors the SVG palette assignment.
-func effectiveColor(c *plot.Chart, i int) string {
-	if c.Series[i].Color != "" {
-		return c.Series[i].Color
-	}
-	fallback := []string{
-		"#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
-		"#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
-	}
-	return fallback[i%len(fallback)]
-}
-
-type axis struct {
-	lo, hi       float64
-	pxLo, pxHi   int
-	log, flipped bool
-}
-
-func (a *axis) pos(v float64) int {
-	lo, hi, x := a.lo, a.hi, v
-	if a.log {
-		lo, hi, x = math.Log10(lo), math.Log10(hi), math.Log10(x)
-	}
-	f := (x - lo) / (hi - lo)
-	if a.flipped {
-		f = 1 - f
-	}
-	return a.pxLo + int(f*float64(a.pxHi-a.pxLo))
-}
-
-func rangeOf(c *plot.Chart, ofX bool) (float64, float64) {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for i := range c.Series {
-		vals := c.Series[i].Y
-		if ofX {
-			vals = c.Series[i].X
-		}
-		for _, v := range vals {
-			lo, hi = math.Min(lo, v), math.Max(hi, v)
-		}
-	}
-	if math.IsInf(lo, 1) {
-		return 0, 1
-	}
-	if lo == hi {
-		hi = lo + 1
-	}
-	return lo, hi
-}
-
-func rasterXY(cv *canvas, c *plot.Chart, l, r, t, b int) {
-	xlo, xhi := rangeOf(c, true)
-	ylo, yhi := rangeOf(c, false)
-	xa := &axis{lo: xlo, hi: xhi, pxLo: l, pxHi: r, log: c.XScale == plot.Log10}
-	ya := &axis{lo: ylo, hi: yhi, pxLo: b, pxHi: t, log: c.YScale == plot.Log10, flipped: true}
-	if xa.log && xa.lo <= 0 {
-		xa.lo = 1e-9
-	}
-	if ya.log && ya.lo <= 0 {
-		ya.lo = 1e-9
-	}
-	// Sparse gridlines and tick labels.
-	for _, f := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		gy := t + int(f*float64(b-t))
-		cv.line(l+1, gy, r-1, gy, faint)
-		v := yAt(ya, 1-f)
-		cv.text(l-len(lbl(v))*glyphW-4, gy-3, lbl(v), grey)
-		gx := l + int(f*float64(r-l))
-		v = yAt(xa, f)
-		cv.text(gx-len(lbl(v))*glyphW/2, b+6, lbl(v), grey)
-	}
-	for i := range c.Series {
-		s := &c.Series[i]
-		col := parseColor(effectiveColor(c, i))
-		if c.Kind == plot.Line {
-			for j := 1; j < len(s.X); j++ {
-				cv.line(xa.pos(s.X[j-1]), ya.pos(s.Y[j-1]), xa.pos(s.X[j]), ya.pos(s.Y[j]), col)
-			}
-			continue
-		}
-		for j := range s.X {
-			px, py := xa.pos(s.X[j]), ya.pos(s.Y[j])
-			switch s.Marker {
-			case plot.Plus:
-				cv.line(px-2, py, px+2, py, col)
-				cv.line(px, py-2, px, py+2, col)
-			case plot.Square:
-				cv.fillRect(px-2, py-2, px+2, py+2, col)
-			default:
-				cv.disc(px, py, 2, col)
-			}
-		}
-	}
-}
-
-// yAt inverts an axis fraction back to a data value for labelling.
-func yAt(a *axis, f float64) float64 {
-	lo, hi := a.lo, a.hi
-	if a.log {
-		lo, hi = math.Log10(lo), math.Log10(hi)
-		return math.Pow(10, lo+f*(hi-lo))
-	}
-	return lo + f*(hi-lo)
-}
-
-// lbl renders a compact numeric label.
-func lbl(v float64) string {
-	av := math.Abs(v)
-	switch {
-	case av >= 1e6:
-		return trim(v/1e6) + "M"
-	case av >= 1e3:
-		return trim(v/1e3) + "K"
-	default:
-		return trim(v)
-	}
-}
-
-func trim(v float64) string {
-	s := strconv.FormatFloat(v, 'f', 1, 64)
-	return strings.TrimSuffix(s, ".0")
-}
-
-func rasterBars(cv *canvas, c *plot.Chart, l, r, t, b int) {
-	ncat := len(c.Categories)
-	maxY := 0.0
-	for j := 0; j < ncat; j++ {
-		stack := 0.0
-		for i := range c.Series {
-			v := c.Series[i].Y[j]
-			if c.Kind == plot.StackedBar {
-				stack += v
-			} else if v > stack {
-				stack = v
-			}
-		}
-		maxY = math.Max(maxY, stack)
-	}
-	if maxY <= 0 {
-		maxY = 1
-	}
-	ya := &axis{lo: 0, hi: maxY * 1.05, pxLo: b, pxHi: t, flipped: true}
-	slot := float64(r-l) / float64(ncat)
-	barW := int(slot * 0.7)
-	if barW < 1 {
-		barW = 1
-	}
-	labelStride := (ncat + 19) / 20
-	for j := 0; j < ncat; j++ {
-		x0 := l + int(float64(j)*slot+slot*0.15)
-		if j%labelStride == 0 && ncat <= 200 {
-			name := c.Categories[j]
-			if len(name) > 6 {
-				name = name[:6]
-			}
-			cv.text(x0, b+6, name, grey)
-		}
-		if c.Kind == plot.StackedBar {
-			base := 0.0
-			for i := range c.Series {
-				v := c.Series[i].Y[j]
-				if v <= 0 {
-					continue
-				}
-				col := parseColor(effectiveColor(c, i))
-				cv.fillRect(x0, ya.pos(base+v), x0+barW, ya.pos(base), col)
-				base += v
-			}
-			continue
-		}
-		gw := barW / len(c.Series)
-		if gw < 1 {
-			gw = 1
-		}
-		for i := range c.Series {
-			v := c.Series[i].Y[j]
-			if v <= 0 {
-				continue
-			}
-			col := parseColor(effectiveColor(c, i))
-			cv.fillRect(x0+i*gw, ya.pos(v), x0+i*gw+gw-1, b-1, col)
-		}
-	}
-}
-
-// WritePNGFile rasterises a chart to a file.
-func WritePNGFile(path string, c *plot.Chart, width, height int) error {
-	data, err := PNG(c, width, height)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// FromHTMLFile implements the HTML2PNG stage: it recovers the chart spec
-// embedded in a plot HTML artifact and rasterises it to pngPath.
-func FromHTMLFile(htmlPath, pngPath string, width, height int) error {
-	page, err := os.ReadFile(htmlPath)
-	if err != nil {
-		return err
-	}
-	spec, err := plot.SpecFromHTML(page)
-	if err != nil {
-		return fmt.Errorf("raster: %s: %w", htmlPath, err)
-	}
-	return WritePNGFile(pngPath, spec, width, height)
-}
+// PNG is plot.PNG.
+func PNG(c *plot.Chart, width, height int) ([]byte, error) { return plot.PNG(c, width, height) }

@@ -3,8 +3,6 @@ package raster
 import (
 	"bytes"
 	"image/png"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"slurmsight/internal/plot"
@@ -98,78 +96,5 @@ func TestPNGErrors(t *testing.T) {
 	}
 	if _, err := PNG(testChart(), 10, 10); err == nil {
 		t.Error("tiny canvas: want error")
-	}
-}
-
-func TestWriteAndFromHTML(t *testing.T) {
-	dir := t.TempDir()
-	c := testChart()
-	pngPath := filepath.Join(dir, "chart.png")
-	if err := WritePNGFile(pngPath, c, 640, 400); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(pngPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decode(t, data)
-
-	// Full HTML2PNG path: HTML artifact → embedded spec → PNG.
-	page, err := plot.HTML(c, 640, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	htmlPath := filepath.Join(dir, "chart.html")
-	if err := os.WriteFile(htmlPath, page, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outPath := filepath.Join(dir, "fromhtml.png")
-	if err := FromHTMLFile(htmlPath, outPath, 640, 400); err != nil {
-		t.Fatal(err)
-	}
-	data, err = os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decode(t, data)
-
-	if err := FromHTMLFile(filepath.Join(dir, "missing.html"), outPath, 640, 400); err == nil {
-		t.Error("missing HTML: want error")
-	}
-	bad := filepath.Join(dir, "nospec.html")
-	os.WriteFile(bad, []byte("<html></html>"), 0o644)
-	if err := FromHTMLFile(bad, outPath, 640, 400); err == nil {
-		t.Error("HTML without spec: want error")
-	}
-}
-
-func TestParseColor(t *testing.T) {
-	c := parseColor("#2ca02c")
-	if c.R != 0x2c || c.G != 0xa0 || c.B != 0x2c {
-		t.Errorf("parseColor = %+v", c)
-	}
-	if parseColor("red") != black {
-		t.Error("invalid colors should fall back to black")
-	}
-	if parseColor("#zzzzzz") != black {
-		t.Error("bad hex should fall back to black")
-	}
-}
-
-func TestCanvasPrimitives(t *testing.T) {
-	cv := newCanvas(20, 20)
-	cv.set(-5, -5, black) // out of bounds must be a no-op
-	cv.line(0, 0, 19, 19, black)
-	cv.disc(10, 10, 3, black)
-	cv.text(1, 1, "A1?", black) // '?' falls back to a dash glyph
-	found := false
-	for _, p := range cv.img.Pix {
-		if p != 0xFF {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Error("primitives drew nothing")
 	}
 }

@@ -1,4 +1,7 @@
-package serve
+// Package ratelimit is the per-client token bucket that the query service
+// (internal/serve) and the model endpoint (internal/llm) both throttle
+// with, and the client key they bucket by.
+package ratelimit
 
 import (
 	"net"
@@ -9,16 +12,16 @@ import (
 	"slurmsight/internal/obs"
 )
 
-// limiter is a per-client token bucket: each client key accrues rate
+// Limiter is a per-client token bucket: each client key accrues rate
 // tokens per second up to burst, and every admitted request spends one.
 // It bounds what any single client can extract from the service no
-// matter how many connections it opens. A nil limiter admits everything.
-type limiter struct {
+// matter how many connections it opens. A nil Limiter admits everything.
+type Limiter struct {
 	rate, burst float64
 
 	mu      sync.Mutex
 	clients map[string]*bucket
-	now     func() time.Time // test hook
+	now     func() time.Time
 
 	throttled *obs.Counter
 }
@@ -33,32 +36,28 @@ type bucket struct {
 // clients) are swept.
 const maxClients = 8192
 
-func newLimiter(rate, burst float64, m *obs.Registry) *limiter {
+// New returns a limiter reading the clock now and counting denials on
+// throttled (which may be nil), or nil when rate is not positive.
+func New(rate, burst float64, now func() time.Time, throttled *obs.Counter) *Limiter {
 	if rate <= 0 {
 		return nil
 	}
 	if burst < 1 {
 		burst = 1
 	}
-	return &limiter{
+	return &Limiter{
 		rate:      rate,
 		burst:     burst,
 		clients:   map[string]*bucket{},
-		now:       time.Now,
-		throttled: m.Counter("serve_throttled_total"),
+		now:       now,
+		throttled: throttled,
 	}
 }
 
-// allow reports whether the client may proceed, spending one token.
-func (l *limiter) allow(key string) bool {
-	ok, _ := l.allowRetry(key)
-	return ok
-}
-
-// allowRetry is allow plus, on denial, how long until the bucket
-// refills to a whole token — the honest Retry-After value rather than a
-// constant guess.
-func (l *limiter) allowRetry(key string) (bool, time.Duration) {
+// Allow reports whether the client may proceed, spending one token, and
+// on denial how long until the bucket refills to a whole token — the
+// honest Retry-After value rather than a constant guess.
+func (l *Limiter) Allow(key string) (bool, time.Duration) {
 	if l == nil {
 		return true, 0
 	}
@@ -85,7 +84,7 @@ func (l *limiter) allowRetry(key string) (bool, time.Duration) {
 
 // sweepLocked drops buckets that have refilled to burst — clients idle
 // long enough that evicting them changes nothing.
-func (l *limiter) sweepLocked(now time.Time) {
+func (l *Limiter) sweepLocked(now time.Time) {
 	for k, b := range l.clients {
 		if b.tokens+l.rate*now.Sub(b.last).Seconds() >= l.burst {
 			delete(l.clients, k)
@@ -93,13 +92,14 @@ func (l *limiter) sweepLocked(now time.Time) {
 	}
 }
 
-// clientKey identifies the caller for throttling: the API key header
-// when present (one bucket per credential however many hosts share it),
-// otherwise the remote host (one bucket per address however many
-// connections it opens).
-func clientKey(r *http.Request) string {
-	if k := r.Header.Get("X-API-Key"); k != "" {
-		return "key:" + k
+// ClientKey identifies the caller: its credential when it has one the
+// service checked (one bucket per credential however many hosts share
+// it), otherwise the remote host (one bucket per address however many
+// connections it opens). A credential the service does not check must not
+// be passed: a client could mint a fresh bucket per request.
+func ClientKey(r *http.Request, credential string) string {
+	if credential != "" {
+		return "key:" + credential
 	}
 	host, _, err := net.SplitHostPort(r.RemoteAddr)
 	if err != nil {

@@ -152,9 +152,6 @@ func OpenFile(path string) (*Store, int, error) {
 	return nil, 0, err
 }
 
-// Binary reports whether the store is backed by a columnar file.
-func (s *Store) Binary() bool { return s.bin != nil }
-
 // Instrument publishes the store into reg: the live tail's sacct_*
 // metrics (see instrumentTail) and, for a store opened from a columnar
 // file, that file's read counters (colstore_* metrics). No-op for a nil

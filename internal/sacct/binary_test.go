@@ -152,7 +152,7 @@ func TestOpenFileAutoDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromText.Binary() {
+	if _, binary := fromText.ColstoreStats(); binary {
 		t.Error("text dump opened as binary")
 	}
 	fromBin, _, err := OpenFile(binPath)
@@ -160,7 +160,7 @@ func TestOpenFileAutoDetect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fromBin.Close()
-	if !fromBin.Binary() {
+	if _, binary := fromBin.ColstoreStats(); !binary {
 		t.Error("binary dump not detected")
 	}
 	if fromText.Len() != st.Len() || fromBin.Len() != st.Len() {

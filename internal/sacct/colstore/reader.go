@@ -238,15 +238,6 @@ func (s *Shard) SubmitRange() (min, max time.Time, ok bool) {
 	return time.Unix(0, s.meta.minSub).UTC(), time.Unix(0, s.meta.maxSub).UTC(), true
 }
 
-// ColumnNames returns the shard's column names in file order.
-func (s *Shard) ColumnNames() []string {
-	out := make([]string, len(s.meta.cols))
-	for i := range s.meta.cols {
-		out[i] = s.meta.cols[i].name
-	}
-	return out
-}
-
 // ColumnBytes returns the stored size of one column region, 0 when the
 // column is unknown.
 func (s *Shard) ColumnBytes(name string) int64 {

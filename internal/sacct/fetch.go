@@ -49,7 +49,6 @@ func ParseGranularity(s string) (Granularity, error) {
 type FetchSpec struct {
 	Granularity Granularity
 	Start, End  time.Time // half-open window
-	Fields      []string  // empty = full curated selection
 	UseCache    bool      // reuse files already present in CacheDir
 
 	// CorruptionRate injects malformed rows at the given probability,
@@ -91,15 +90,13 @@ func (s FetchSpec) periods() ([]FetchedFile, []Query, error) {
 		for m := MonthOf(s.Start); m.Start().Before(s.End); m = m.Next() {
 			files = append(files, FetchedFile{Period: m.String()})
 			queries = append(queries, Query{
-				Fields: s.Fields, Start: m.Start(), End: m.Next().Start(),
-				IncludeSteps: true,
+				Start: m.Start(), End: m.Next().Start(), IncludeSteps: true,
 			})
 		}
 	case Yearly:
 		for y := s.Start.Year(); y <= s.End.Add(-time.Second).Year(); y++ {
 			files = append(files, FetchedFile{Period: fmt.Sprintf("%04d", y)})
 			queries = append(queries, Query{
-				Fields:       s.Fields,
 				Start:        time.Date(y, 1, 1, 0, 0, 0, 0, time.UTC),
 				End:          time.Date(y+1, 1, 1, 0, 0, 0, 0, time.UTC),
 				IncludeSteps: true,

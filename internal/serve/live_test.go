@@ -25,14 +25,14 @@ import (
 // cached answer about the old one — counted as stale, not evicted.
 func TestLiveTailInstruments(t *testing.T) {
 	m := obs.NewRegistry()
-	s, ts := testServer(t, Config{Metrics: m})
+	_, ts := testServer(t, Config{Metrics: m})
 	for _, p := range []string{"/query?fields=JobID", "/query?fields=JobID,User&steps=1", "/figures/fig1-volume.json"} {
 		if resp, body := get(t, ts.URL+p); resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", p, resp.StatusCode, body)
 		}
 	}
-	if s.CacheLen() != 3 {
-		t.Fatalf("cache holds %d entries, want 3", s.CacheLen())
+	if n := cacheEntries(t, ts.URL); n != 3 {
+		t.Fatalf("cache holds %d entries, want 3", n)
 	}
 
 	feb := time.Date(2024, 2, 1, 0, 0, 0, 0, time.UTC)
@@ -48,8 +48,8 @@ func TestLiveTailInstruments(t *testing.T) {
 	if resp, _ := get(t, ts.URL+"/query?fields=JobID"); resp.Header.Get("X-Rows") != "15" || resp.Header.Get("X-Cache") != "miss" {
 		t.Fatalf("query after the batch: X-Rows %s, X-Cache %s", resp.Header.Get("X-Rows"), resp.Header.Get("X-Cache"))
 	}
-	if s.CacheLen() != 1 {
-		t.Fatalf("cache holds %d entries after a request at a newer generation, want only that one", s.CacheLen())
+	if n := cacheEntries(t, ts.URL); n != 1 {
+		t.Fatalf("cache holds %d entries after a request at a newer generation, want only that one", n)
 	}
 
 	_, body := get(t, ts.URL+"/healthz")

@@ -25,6 +25,7 @@ import (
 	"slurmsight/internal/core"
 	"slurmsight/internal/obs"
 	"slurmsight/internal/plot"
+	"slurmsight/internal/ratelimit"
 	"slurmsight/internal/sacct"
 	"slurmsight/internal/sacct/colstore"
 	"slurmsight/internal/slurm"
@@ -80,7 +81,7 @@ type Server struct {
 	cfg   Config
 	m     *obs.Registry
 	cache *respCache
-	lim   *limiter
+	lim   *ratelimit.Limiter
 	rec   *obs.Recorder
 	logf  func(string, ...any)
 
@@ -135,7 +136,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		m:     m,
 		cache: newRespCache(cfg.CacheEntries, m),
-		lim:   newLimiter(cfg.RatePerSec, cfg.Burst, m),
+		lim:   ratelimit.New(cfg.RatePerSec, cfg.Burst, time.Now, m.Counter("serve_throttled_total")),
 		rec:   rec,
 		logf:  logf,
 
@@ -159,9 +160,6 @@ func (s *Server) Recorder() *obs.Recorder { return s.rec }
 // Metrics returns the registry the server meters into (the configured
 // one, or the private registry New allocated).
 func (s *Server) Metrics() *obs.Registry { return s.m }
-
-// CacheLen reports the current response-cache population.
-func (s *Server) CacheLen() int { return s.cache.len() }
 
 func (s *Server) updateStoreGauges() {
 	s.genGauge.Set(int64(s.store.Generation()))
@@ -210,7 +208,7 @@ func (s *Server) Handler() http.Handler {
 // recorder.
 func (s *Server) throttled(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		ok, retry := s.lim.allowRetry(clientKey(r))
+		ok, retry := s.lim.Allow(clientKey(r))
 		if !ok {
 			secs := int(retry/time.Second) + 1 // round up; 0 is not a valid Retry-After
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
@@ -223,6 +221,12 @@ func (s *Server) throttled(h http.HandlerFunc) http.HandlerFunc {
 		}
 		h(w, r)
 	}
+}
+
+// clientKey identifies the caller for throttling and traces: the API key
+// header when present, otherwise the remote host (ratelimit.ClientKey).
+func clientKey(r *http.Request) string {
+	return ratelimit.ClientKey(r, r.Header.Get("X-API-Key"))
 }
 
 // handleQuery answers GET /query: the sacct.Query surface as URL

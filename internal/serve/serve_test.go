@@ -71,6 +71,19 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// cacheEntries reads the response-cache population /healthz reports.
+func cacheEntries(t *testing.T, base string) int {
+	t.Helper()
+	_, body := get(t, base+"/healthz")
+	var h struct {
+		CacheEntries int `json:"cache_entries"`
+	}
+	if err := json.Unmarshal([]byte(body), &h); err != nil {
+		t.Fatal(err)
+	}
+	return h.CacheEntries
+}
+
 func get(t *testing.T, url string) (*http.Response, string) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -176,7 +189,7 @@ func TestQueryIngestGeneration(t *testing.T) {
 	if misses.Value() != 2 {
 		t.Fatalf("misses after one generation bump = %d, want exactly 2", misses.Value())
 	}
-	if s.CacheLen() == 0 {
+	if cacheEntries(t, ts.URL) == 0 {
 		t.Fatal("cache is empty")
 	}
 }
@@ -454,25 +467,6 @@ func TestCacheEvictionAndBypass(t *testing.T) {
 	_, out, err := c.do(0, "err", func() (*entry, error) { return &entry{body: []byte("ok")}, nil })
 	if err != nil || out != cacheMiss {
 		t.Fatalf("error entry was cached (outcome %v err %v)", out, err)
-	}
-}
-
-func TestLimiterRefill(t *testing.T) {
-	now := time.Unix(1000, 0)
-	l := newLimiter(2, 2, obs.NewRegistry())
-	l.now = func() time.Time { return now }
-	if !l.allow("a") || !l.allow("a") {
-		t.Fatal("burst refused")
-	}
-	if l.allow("a") {
-		t.Fatal("over-burst admitted")
-	}
-	if !l.allow("b") {
-		t.Fatal("independent client refused")
-	}
-	now = now.Add(time.Second) // 2 tokens refilled
-	if !l.allow("a") || !l.allow("a") || l.allow("a") {
-		t.Fatal("refill arithmetic wrong")
 	}
 }
 

@@ -199,9 +199,6 @@ func TestStateParsing(t *testing.T) {
 	if _, err := ParseState("EXPLODED"); err == nil {
 		t.Error("ParseState(EXPLODED): want error")
 	}
-	if !StateCompleted.Success() || StateFailed.Success() {
-		t.Error("Success classification wrong")
-	}
 	if StatePending.Terminal() || !StateTimeout.Terminal() {
 		t.Error("Terminal classification wrong")
 	}

@@ -66,9 +66,6 @@ func (s State) Terminal() bool {
 	return true
 }
 
-// Success reports whether the state indicates the job ran to completion.
-func (s State) Success() bool { return s == StateCompleted }
-
 // ParseState converts a sacct State column value. sacct renders cancelled
 // jobs as "CANCELLED by <uid>"; the suffix is accepted and dropped.
 func ParseState(s string) (State, error) {
