@@ -16,7 +16,6 @@ import (
 	"os"
 	"time"
 
-	"slurmsight/internal/cluster"
 	"slurmsight/internal/sacct"
 	"slurmsight/internal/sched"
 	"slurmsight/internal/tracegen"
@@ -36,10 +35,11 @@ func main() {
 	)
 	flag.Parse()
 
-	sys, err := cluster.ByName(*system)
+	builtin, err := tracegen.ProfileByName(*system)
 	if err != nil {
 		log.Fatal(err)
 	}
+	sys := builtin.System
 	store, malformed, err := sacct.LoadFile(*trace)
 	if err != nil {
 		log.Fatal(err)

@@ -1,6 +1,9 @@
 // Command dashboard serves a workflow output directory as an interactive
-// dashboard, with the standard operational surface alongside it:
-// /metrics, /debug/vars, /debug/requests, and /debug/pprof/.
+// dashboard inside the serving shell every slurmsight server shares
+// (serve.Serve): /metrics, /debug/vars, /debug/requests and
+// /debug/pprof/ sit beside the pages, and every request, those included,
+// is counted under dashboard_* and traced. SIGINT/SIGTERM drain
+// in-flight requests before exit (-grace bounds the drain).
 //
 // Example:
 //
@@ -11,13 +14,9 @@ import (
 	"context"
 	"flag"
 	"log"
-	"log/slog"
-	"net/http"
-	"os"
 	"time"
 
 	"slurmsight/internal/dashboard"
-	"slurmsight/internal/obs"
 	"slurmsight/internal/serve"
 )
 
@@ -29,10 +28,7 @@ func main() {
 		dir   = flag.String("dir", "out", "workflow output directory to serve")
 		addr  = flag.String("addr", ":8080", "listen address")
 		grace = flag.Duration("grace", 5*time.Second, "shutdown drain budget for in-flight requests")
-
-		slow       = flag.Duration("slow", 250*time.Millisecond, "log requests slower than this (0 disables the slow log)")
-		flightRing = flag.Int("flight-ring", 256, "flight recorder: recent traces retained (negative disables recording)")
-		flightTail = flag.Int("flight-tail", 8, "flight recorder: slowest traces kept per route")
+		slow  = flag.Duration("slow", 250*time.Millisecond, "log requests slower than this (0 disables the slow log)")
 	)
 	flag.Parse()
 
@@ -40,29 +36,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	metrics := obs.NewRegistry()
-	metrics.PublishExpvar("dashboard")
-	recorder := obs.NewRecorder(*flightRing, *flightTail)
-	if *flightRing < 0 {
-		recorder = nil
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/", serve.Middleware{
-		Registry:      metrics,
-		Prefix:        "dashboard",
-		Recorder:      recorder,
-		SlowThreshold: *slow,
-		Log:           slog.New(slog.NewJSONHandler(os.Stderr, nil)),
-	}.Wrap(srv.Handler()))
-	serve.MountDebug(mux, metrics, recorder)
-
 	log.Printf("serving %s on %s", *dir, *addr)
-	httpServer := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	if err := serve.ListenAndDrain(context.Background(), httpServer, *grace, log.Printf); err != nil {
+	if err := serve.Serve(context.Background(), *addr, "dashboard", nil, srv.Handler(), *slow, *grace, log.Printf); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -12,23 +12,22 @@
 //	llmserve -addr :9090 -key sk-local-dev \
 //	  -fault-429 0.2 -fault-500 0.1 -fault-stall 0.05 -fault-seed 7
 //
-// The server exposes its own operational surface alongside the API:
-// Prometheus-style counters at /metrics, expvar at /debug/vars, the
-// flight recorder at /debug/requests, and the standard pprof profiles
-// under /debug/pprof/. SIGINT/SIGTERM drain in-flight requests before
-// exit (-grace bounds the drain).
+// The API runs inside the serving shell every slurmsight server shares
+// (serve.Serve): Prometheus-style counters at /metrics, expvar at
+// /debug/vars, the flight recorder at /debug/requests, and the standard
+// pprof profiles under /debug/pprof/. Every request, those included, is
+// counted under llmserve_* and traced; the shell sits outside the fault
+// injection, so injected 429/500s are counted as clients see them.
+// SIGINT/SIGTERM drain in-flight requests before exit (-grace bounds the
+// drain).
 package main
 
 import (
 	"context"
 	"flag"
 	"log"
-	"log/slog"
-	"net/http"
-	"os"
 	"time"
 
-	"slurmsight/internal/obs"
 	"slurmsight/internal/serve"
 )
 
@@ -50,9 +49,7 @@ func main() {
 		retryAfter = flag.Duration("fault-retry-after", time.Second, "Retry-After hint on injected 429s")
 		faultSeed  = flag.Int64("fault-seed", 1, "seed for the fault schedule")
 
-		slow       = flag.Duration("slow", 250*time.Millisecond, "log requests slower than this (0 disables the slow log)")
-		flightRing = flag.Int("flight-ring", 256, "flight recorder: recent traces retained (negative disables recording)")
-		flightTail = flag.Int("flight-tail", 8, "flight recorder: slowest traces kept per route")
+		slow = flag.Duration("slow", 250*time.Millisecond, "log requests slower than this (0 disables the slow log)")
 	)
 	flag.Parse()
 
@@ -74,33 +71,9 @@ func main() {
 		handler = faults.Middleware(handler)
 	}
 
-	// Metrics wrap the fault middleware so injected 429/500s are counted
-	// exactly as clients see them.
-	metrics := obs.NewRegistry()
-	metrics.PublishExpvar("llmserve")
-	recorder := obs.NewRecorder(*flightRing, *flightTail)
-	if *flightRing < 0 {
-		recorder = nil
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/", serve.Middleware{
-		Registry:      metrics,
-		Prefix:        "llmserve",
-		Recorder:      recorder,
-		SlowThreshold: *slow,
-		Log:           slog.New(slog.NewJSONHandler(os.Stderr, nil)),
-	}.Wrap(handler))
-	serve.MountDebug(mux, metrics, recorder)
-
-	httpServer := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
 	log.Printf("serving the %s analyst on %s (metrics: /metrics, profiles: /debug/pprof/)",
 		server.ModelName, *addr)
-	if err := serve.ListenAndDrain(context.Background(), httpServer, *grace, log.Printf); err != nil {
+	if err := serve.Serve(context.Background(), *addr, "llmserve", nil, handler, *slow, *grace, log.Printf); err != nil {
 		log.Fatal(err)
 	}
 }

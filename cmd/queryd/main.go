@@ -19,17 +19,19 @@
 // Every successful append bumps the store generation (reported in the
 // X-Store-Generation response header), so cached query responses are
 // invalidated exactly when the data changes and never otherwise.
+// The service runs inside the serving shell every slurmsight server
+// shares (serve.Server.Handler): every request, the debug routes
+// included, is counted under serve_* and traced, and one slower than
+// -slow is logged as a JSON line on stderr carrying its trace ID.
 // SIGINT/SIGTERM drain in-flight requests before exit (-grace bounds
 // the drain).
 package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"log"
 	"log/slog"
-	"net/http"
 	"os"
 	"time"
 
@@ -59,9 +61,7 @@ func main() {
 		watchInterval = flag.Duration("watch-interval", 2*time.Second, "tail poll period")
 		grace         = flag.Duration("grace", 10*time.Second, "shutdown drain budget for in-flight requests")
 
-		slow       = flag.Duration("slow", 250*time.Millisecond, "log requests slower than this (0 disables the slow log)")
-		flightRing = flag.Int("flight-ring", 256, "flight recorder: recent traces retained (negative disables recording)")
-		flightTail = flag.Int("flight-tail", 8, "flight recorder: slowest traces kept per route")
+		slow = flag.Duration("slow", 250*time.Millisecond, "log requests slower than this (0 disables the slow log)")
 	)
 	flag.Parse()
 
@@ -80,10 +80,6 @@ func main() {
 
 	metrics := obs.NewRegistry()
 	metrics.PublishExpvar("queryd")
-	slowThreshold := *slow
-	if slowThreshold == 0 {
-		slowThreshold = -1 // flag 0 means off; Config 0 means default
-	}
 	srv, err := serve.New(serve.Config{
 		Store:         st,
 		System:        *system,
@@ -94,19 +90,13 @@ func main() {
 		MaxRows:       *maxRows,
 		TopUsers:      *topUsers,
 		Nodes:         *nodes,
-		FlightRing:    *flightRing,
-		FlightTail:    *flightTail,
-		SlowThreshold: slowThreshold,
+		SlowThreshold: *slow,
 		Log:           slog.New(slog.NewJSONHandler(os.Stderr, nil)),
 		Logf:          log.Printf,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	mux := http.NewServeMux()
-	mux.Handle("/", srv.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -126,14 +116,9 @@ func main() {
 		log.Printf("tailing %s every %s", *watch, *watchInterval)
 	}
 
-	httpServer := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
 	log.Printf("serving %d rows across %d months on %s (generation %d)",
 		st.Len(), len(st.Months()), *addr, st.Generation())
-	if err := serve.ListenAndDrain(ctx, httpServer, *grace, log.Printf); err != nil {
+	if err := serve.ListenAndDrain(ctx, *addr, srv.Handler(), *grace, log.Printf); err != nil {
 		log.Fatal(err)
 	}
 }

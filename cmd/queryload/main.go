@@ -202,10 +202,10 @@ func selfHost(ctx context.Context, st *sacct.Store, rate float64, cacheN int, in
 		CacheEntries: cacheN,
 	}
 	if instrumented {
+		cfg.SlowThreshold = 250 * time.Millisecond
 		cfg.Log = slog.New(slog.NewJSONHandler(io.Discard, nil))
 	} else {
 		cfg.FlightRing = -1
-		cfg.SlowThreshold = -1
 	}
 	srv, err := serve.New(cfg)
 	if err != nil {

@@ -31,7 +31,6 @@ import (
 	"strings"
 	"time"
 
-	"slurmsight/internal/cluster"
 	"slurmsight/internal/core"
 	"slurmsight/internal/llm"
 	"slurmsight/internal/obs"
@@ -71,18 +70,11 @@ func main() {
 		log.Fatalf("-days must be ≥1")
 	}
 
-	var sys *cluster.System
-	var profile tracegen.Profile
-	switch *system {
-	case "frontier":
-		sys = cluster.Frontier()
-		profile = tracegen.FrontierProfile()
-	case "andes":
-		sys = cluster.Andes()
-		profile = tracegen.AndesProfile()
-	default:
-		log.Fatalf("unknown system %q", *system)
+	profile, err := tracegen.ProfileByName(*system)
+	if err != nil {
+		log.Fatal(err)
 	}
+	sys := profile.System
 	if *jobsPerDay > 0 {
 		profile.JobsPerDay = *jobsPerDay
 	}

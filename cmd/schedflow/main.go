@@ -20,8 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
-	"net/http"
 	"os"
 	"runtime"
 	"strings"
@@ -178,26 +176,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if metrics == nil {
-			metrics = obs.NewRegistry()
-		}
-		recorder := obs.NewRecorder(0, 0)
-		mux := http.NewServeMux()
-		mux.Handle("/", srvpkg.Middleware{
-			Registry:      metrics,
-			Prefix:        "schedflow",
-			Recorder:      recorder,
-			SlowThreshold: 250 * time.Millisecond,
-			Log:           slog.New(slog.NewJSONHandler(os.Stderr, nil)),
-		}.Wrap(srv.Handler()))
-		srvpkg.MountDebug(mux, metrics, recorder)
 		log.Printf("serving dashboard on %s", *serve)
-		httpServer := &http.Server{
-			Addr:              *serve,
-			Handler:           mux,
-			ReadHeaderTimeout: 10 * time.Second,
-		}
-		if err := srvpkg.ListenAndDrain(context.Background(), httpServer, 5*time.Second, log.Printf); err != nil {
+		err = srvpkg.Serve(context.Background(), *serve, "schedflow", metrics, srv.Handler(),
+			250*time.Millisecond, 5*time.Second, log.Printf)
+		if err != nil {
 			log.Fatal(err)
 		}
 	}

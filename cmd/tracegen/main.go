@@ -19,7 +19,6 @@ import (
 	"os"
 	"time"
 
-	"slurmsight/internal/cluster"
 	"slurmsight/internal/sacct"
 	"slurmsight/internal/sched"
 	"slurmsight/internal/tracegen"
@@ -56,7 +55,6 @@ func main() {
 	}
 
 	var phases []tracegen.Phase
-	var sys *cluster.System
 	switch {
 	case *profile != "":
 		p, err := tracegen.LoadProfile(*profile)
@@ -66,27 +64,19 @@ func main() {
 		if p.System == nil {
 			log.Fatalf("profile %s carries no system model", *profile)
 		}
-		sys = p.System
 		phases = []tracegen.Phase{{Profile: p, Start: startT, End: endT}}
 	case *scenario == "full-frontier":
-		sys = cluster.Frontier()
 		phases = tracegen.FrontierScenario(startT, endT)
 	case *scenario != "":
 		log.Fatalf("unknown scenario %q", *scenario)
 	default:
-		var builtin tracegen.Profile
-		switch *system {
-		case "frontier":
-			sys = cluster.Frontier()
-			builtin = tracegen.FrontierProfile()
-		case "andes":
-			sys = cluster.Andes()
-			builtin = tracegen.AndesProfile()
-		default:
-			log.Fatalf("unknown system %q", *system)
+		p, err := tracegen.ProfileByName(*system)
+		if err != nil {
+			log.Fatal(err)
 		}
-		phases = []tracegen.Phase{{Profile: builtin, Start: startT, End: endT}}
+		phases = []tracegen.Phase{{Profile: p, Start: startT, End: endT}}
 	}
+	sys := phases[0].Profile.System
 	for i := range phases {
 		if *jobsPerDay > 0 {
 			phases[i].Profile.JobsPerDay = *jobsPerDay

@@ -212,14 +212,3 @@ func Andes() *System {
 	}
 	return s
 }
-
-// ByName returns a built-in system model.
-func ByName(name string) (*System, error) {
-	switch name {
-	case "frontier":
-		return Frontier(), nil
-	case "andes":
-		return Andes(), nil
-	}
-	return nil, fmt.Errorf("cluster: unknown system %q", name)
-}

@@ -311,9 +311,9 @@ func TestChartBuilders(t *testing.T) {
 }
 
 // TestWorkflowFactsReportConcurrent runs export-facts and report — two
-// tasks gated only on records.ready — side by side many times, so that
-// `go test -race` sees any artifact field one writes while the other
-// reads.
+// tasks that both read the analysis value, and here nothing else — side
+// by side many times, so that `go test -race` sees any artifact field
+// one writes while the other reads.
 func TestWorkflowFactsReportConcurrent(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		cfg := baseConfig(t)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -101,8 +102,8 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, apiError{"POST only"})
 		return
 	}
-	if status, err := s.authorize(r); err != nil {
-		s.deny(w, status, err)
+	if status, wait, err := s.authorize(r); err != nil {
+		s.deny(w, status, wait, err)
 		return
 	}
 	var req ChatRequest
@@ -118,16 +119,13 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ChatResponse{Reply: reply, Model: s.ModelName})
 }
 
-// deny writes an auth or rate-limit rejection, attaching a Retry-After
-// hint to 429s so retry-aware clients pace themselves off the server's
-// token-bucket refill instead of their own guess.
-func (s *Server) deny(w http.ResponseWriter, status int, err error) {
+// deny writes an auth or rate-limit rejection, attaching to a 429 the
+// Retry-After the token bucket computed (wait until the next whole
+// token), so retry-aware clients pace themselves off the server's refill
+// instead of their own guess.
+func (s *Server) deny(w http.ResponseWriter, status int, wait time.Duration, err error) {
 	if status == http.StatusTooManyRequests {
-		secs := 1
-		if s.RatePerSec > 0 && s.RatePerSec < 1 {
-			secs = int(1/s.RatePerSec + 0.5)
-		}
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
+		w.Header().Set("Retry-After", strconv.Itoa(ratelimit.RetryAfter(wait)))
 	}
 	writeJSON(w, status, apiError{err.Error()})
 }
@@ -138,10 +136,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// authorize validates the bearer token and applies the rate limit. With
-// auth on, a client is its token; with it off, the token is unchecked, so
-// a client is its remote host.
-func (s *Server) authorize(r *http.Request) (int, error) {
+// authorize validates the bearer token and applies the rate limit,
+// returning on a 429 how long until the client's next token. With auth
+// on, a client is its token; with it off, the token is unchecked, so a
+// client is its remote host.
+func (s *Server) authorize(r *http.Request) (int, time.Duration, error) {
 	credential := ""
 	if len(s.APIKeys) > 0 {
 		key := ""
@@ -149,15 +148,15 @@ func (s *Server) authorize(r *http.Request) (int, error) {
 			key = strings.TrimPrefix(auth, "Bearer ")
 		}
 		if !slices.Contains(s.APIKeys, key) {
-			return http.StatusUnauthorized, fmt.Errorf("invalid API key")
+			return http.StatusUnauthorized, 0, fmt.Errorf("invalid API key")
 		}
 		credential = key
 	}
 	s.limOnce.Do(func() { s.lim = ratelimit.New(s.RatePerSec, s.Burst, s.Now, nil) })
-	if ok, _ := s.lim.Allow(ratelimit.ClientKey(r, credential)); !ok {
-		return http.StatusTooManyRequests, fmt.Errorf("rate limit exceeded")
+	if ok, wait := s.lim.Allow(ratelimit.ClientKey(r, credential)); !ok {
+		return http.StatusTooManyRequests, wait, fmt.Errorf("rate limit exceeded")
 	}
-	return 0, nil
+	return 0, 0, nil
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
@@ -173,8 +172,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, apiError{"POST only"})
 		return
 	}
-	if status, err := s.authorize(r); err != nil {
-		s.deny(w, status, err)
+	if status, wait, err := s.authorize(r); err != nil {
+		s.deny(w, status, wait, err)
 		return
 	}
 	var req Request

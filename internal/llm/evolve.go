@@ -109,8 +109,8 @@ func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, apiError{"POST only"})
 		return
 	}
-	if status, err := s.authorize(r); err != nil {
-		s.deny(w, status, err)
+	if status, wait, err := s.authorize(r); err != nil {
+		s.deny(w, status, wait, err)
 		return
 	}
 	var req EvolveRequest

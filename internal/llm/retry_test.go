@@ -241,6 +241,40 @@ func TestRateLimit429CarriesRetryAfter(t *testing.T) {
 	}
 }
 
+// TestRateLimitRetryAfterIsTheBucketWait pins the 429's Retry-After to
+// the limiter's own wait under ratelimit.RetryAfter's rounding: at 0.2
+// tokens a second and burst 1, a request 4 s after the first finds 0.8
+// tokens, waits 1 s for the next, and is told 2 (the next whole second
+// past the wait) — not 1/rate.
+func TestRateLimitRetryAfterIsTheBucketWait(t *testing.T) {
+	s := NewServer()
+	s.RatePerSec = 0.2
+	s.Burst = 1
+	now := time.Unix(1000, 0)
+	s.Now = func() time.Time { return now }
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func() *http.Response {
+		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	if resp := post(); resp.StatusCode == http.StatusTooManyRequests {
+		t.Fatal("first request throttled")
+	}
+	now = now.Add(4 * time.Second)
+	resp := post()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("second request = %d, want 429", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "2" {
+		t.Errorf("Retry-After = %q, want 2", got)
+	}
+}
+
 // --- Fault-injection middleware ---
 
 func TestFaultPolicyAll500(t *testing.T) {

@@ -9,6 +9,7 @@ package predict
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -117,9 +118,12 @@ func (e Evaluation) ReclaimedShare() float64 {
 	return e.ReclaimedNodeHours / e.ReclaimableNodeHours
 }
 
-// Evaluate replays job records in submission order: each job is predicted
-// before its own runtime is observed (no leakage). The job's class is
-// taken from the Comment field, where the simulator records it.
+// Evaluate replays job records in time order: submits and ends merge
+// into one stream, so each job is predicted from the runtimes of jobs
+// that had ended by its submit, never from its own or from one still
+// running (no leakage). An end at the instant of a submit counts as
+// before it. The job's class is taken from the Comment field, where the
+// simulator records it.
 func Evaluate(jobs []slurm.Record, p *Predictor) (Evaluation, error) {
 	if p == nil {
 		return Evaluation{}, fmt.Errorf("predict: nil predictor")
@@ -134,8 +138,19 @@ func Evaluate(jobs []slurm.Record, p *Predictor) (Evaluation, error) {
 	sort.SliceStable(ordered, func(i, j int) bool {
 		return ordered[i].Submit.Before(ordered[j].Submit)
 	})
+	// A job still running when the trace was cut has no End and never
+	// informs a prediction.
+	ended := slices.DeleteFunc(slices.Clone(ordered), func(j *slurm.Record) bool { return j.End.IsZero() })
+	sort.SliceStable(ended, func(i, j int) bool {
+		return ended[i].End.Before(ended[j].End)
+	})
 	var ev Evaluation
 	for _, j := range ordered {
+		for len(ended) > 0 && !ended[0].End.After(j.Submit) {
+			e := ended[0]
+			p.Observe(e.User, e.Comment, e.Elapsed)
+			ended = ended[1:]
+		}
 		ev.Jobs++
 		proposal := p.Predict(j.User, j.Comment, j.Timelimit)
 		if proposal != j.Timelimit {
@@ -148,7 +163,6 @@ func Evaluate(jobs []slurm.Record, p *Predictor) (Evaluation, error) {
 		if slack := j.Timelimit - j.Elapsed; slack > 0 {
 			ev.ReclaimableNodeHours += float64(j.NNodes) * slack.Hours()
 		}
-		p.Observe(j.User, j.Comment, j.Elapsed)
 	}
 	if ev.Covered > 0 {
 		ev.TimeoutRisk = float64(ev.Undershoots) / float64(ev.Covered)
@@ -161,6 +175,14 @@ func Evaluate(jobs []slurm.Record, p *Predictor) (Evaluation, error) {
 // re-simulating a schedule with reclaimed time. Each element exposes its
 // fields through the accessor callbacks so predict stays decoupled from
 // the request type. It returns how many requests were tightened.
+//
+// Unlike Evaluate, it is not causal: it observes each request's
+// TrueRuntime at that request's submit, before the job could have run,
+// so a later prediction may use the runtime of a job still pending or
+// running. That cannot be fixed here. A request stream has no end times
+// until it is scheduled, and tightened limits change the schedule, so
+// only the simulator, feeding completions back as they happen, can make
+// the what-if causal.
 func ApplyToRequests(n int, p *Predictor,
 	get func(i int) (user, class string, limit, trueRuntime time.Duration),
 	set func(i int, limit time.Duration)) int {

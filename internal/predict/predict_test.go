@@ -149,6 +149,29 @@ func TestEvaluateNoLeakage(t *testing.T) {
 	}
 }
 
+func TestEvaluateObservesRuntimesAtTheirEnd(t *testing.T) {
+	// Five 10-hour jobs of one stream, a minute apart, then a sixth
+	// submitted an hour later: none of the five has ended, so the sixth
+	// has no history and must not be covered.
+	var jobs []slurm.Record
+	for i := 0; i < 5; i++ {
+		jobs = append(jobs, mkJob("alice", time.Duration(i)*time.Minute, 1, 24*time.Hour, 10*time.Hour))
+	}
+	jobs = append(jobs, mkJob("alice", time.Hour, 1, 24*time.Hour, 10*time.Hour))
+	ev, err := Evaluate(jobs, NewPredictor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Covered != 0 {
+		t.Errorf("Covered = %d, want 0: a job was predicted from runtimes still running", ev.Covered)
+	}
+	// Once the five have ended, a seventh has their history.
+	jobs = append(jobs, mkJob("alice", 11*time.Hour, 1, 24*time.Hour, 10*time.Hour))
+	if ev, _ = Evaluate(jobs, NewPredictor()); ev.Covered != 1 {
+		t.Errorf("Covered = %d, want 1 once five runtimes have ended", ev.Covered)
+	}
+}
+
 func TestEvaluateSkipsStepsAndPending(t *testing.T) {
 	j := mkJob("alice", 0, 1, time.Hour, time.Minute)
 	step := j

@@ -4,6 +4,7 @@
 package ratelimit
 
 import (
+	"math"
 	"net"
 	"net/http"
 	"sync"
@@ -76,10 +77,20 @@ func (l *Limiter) Allow(key string) (bool, time.Duration) {
 	b.last = now
 	if b.tokens < 1 {
 		l.throttled.Inc()
-		return false, time.Duration((1 - b.tokens) / l.rate * float64(time.Second))
+		// Rounded up to the nanosecond: a wait cut short by float error
+		// would name an instant at which the request is still refused.
+		return false, time.Duration(math.Ceil((1 - b.tokens) / l.rate * float64(time.Second)))
 	}
 	b.tokens--
 	return true, 0
+}
+
+// RetryAfter renders a wait from Allow as a Retry-After header value in
+// whole seconds: the next whole second past the wait, so a client that
+// honours it finds a token, and never 0, which is not a valid
+// Retry-After. Both throttled services answer with it.
+func RetryAfter(wait time.Duration) int {
+	return int(wait/time.Second) + 1
 }
 
 // sweepLocked drops buckets that have refilled to burst — clients idle

@@ -11,20 +11,21 @@ import (
 	"time"
 )
 
-// ListenAndDrain runs srv until ctx is cancelled or the process
+// ListenAndDrain serves h on addr until ctx is cancelled or the process
 // receives SIGINT/SIGTERM, then drains in-flight requests within the
 // grace budget before returning — the shutdown path every long-running
 // server in this repo shares (llmserve, queryd, the dashboards), so a
-// deploy's TERM never cuts a response mid-body. A listener error before
+// deploy's TERM never cuts a response mid-body. The server bounds how
+// long a client may take to send its headers. A listener error before
 // any signal (a failed bind, typically) is returned immediately. A
 // clean drain returns nil; requests still open past grace are abandoned
 // and the Shutdown error returned.
-func ListenAndDrain(ctx context.Context, srv *http.Server, grace time.Duration, logf func(string, ...any)) error {
-	ln, err := net.Listen("tcp", srv.Addr)
+func ListenAndDrain(ctx context.Context, addr string, h http.Handler, grace time.Duration, logf func(string, ...any)) error {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	return Drain(ctx, srv, ln, grace, logf)
+	return Drain(ctx, &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}, ln, grace, logf)
 }
 
 // Drain is ListenAndDrain over an existing listener, for callers that

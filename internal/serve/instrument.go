@@ -55,7 +55,7 @@ func routeOf(p string) string {
 	return "/" + rest[:i]
 }
 
-// Middleware is the serving plane's request instrumentation: RED
+// middleware is the serving plane's request instrumentation: RED
 // metrics (request/error counters and a latency histogram, total and
 // per-route), and — when a Recorder or Log is set — a per-request trace:
 // a minted trace ID (echoed in X-Trace-Id), a root span propagated via
@@ -69,7 +69,7 @@ func routeOf(p string) string {
 // metrics wrapper (the pre-tracing baseline): no per-request
 // allocations beyond the status shim. A nil Registry meters nothing at
 // no cost.
-type Middleware struct {
+type middleware struct {
 	Registry *obs.Registry
 	Prefix   string // metric name prefix, e.g. "serve"
 
@@ -78,10 +78,10 @@ type Middleware struct {
 	Log           *slog.Logger  // nil: no structured request log
 }
 
-// Wrap instruments next. Wrap it around whatever the client actually
-// observes (outside fault injection, inside nothing) so the counters
-// agree with client-side measurements.
-func (mw Middleware) Wrap(next http.Handler) http.Handler {
+// wrap instruments next. shell wraps it around whatever the client
+// actually observes (outside fault injection, inside nothing) so the
+// counters agree with client-side measurements.
+func (mw middleware) wrap(next http.Handler) http.Handler {
 	m := mw.Registry
 	requests := m.Counter(mw.Prefix + "_requests_total")
 	class2xx := m.Counter(mw.Prefix + "_responses_2xx_total")

@@ -15,7 +15,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -58,16 +57,14 @@ type Config struct {
 	TopUsers     int     // figure 5 user count; default 15
 	Nodes        int     // capacity reference line for ext-load-timeline
 
-	// Flight recorder sizing: ring of recent traces and slowest-N kept
-	// per route. Zero takes the defaults (256/8); negative FlightRing
-	// disables recording entirely, which also turns off per-request
-	// tracing unless a slow log is configured.
+	// FlightRing < 0 turns the flight recorder off, which also turns off
+	// per-request tracing unless a slow log is configured. Otherwise the
+	// recorder keeps every serving process's size: the 256 most recent
+	// traces and the 8 slowest per route.
 	FlightRing int
-	FlightTail int
 
 	// SlowThreshold is the latency past which a request earns a
-	// structured log line (with its trace ID). Zero defaults to 250ms;
-	// negative disables the slow log.
+	// structured log line (with its trace ID); ≤ 0 disables the slow log.
 	SlowThreshold time.Duration
 	Log           *slog.Logger // slow-request log sink; nil disables
 
@@ -116,16 +113,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Burst <= 0 {
 		cfg.Burst = 2 * cfg.RatePerSec
 	}
-	if cfg.SlowThreshold == 0 {
-		cfg.SlowThreshold = 250 * time.Millisecond
-	}
 	m := cfg.Metrics
 	if m == nil {
 		m = obs.NewRegistry()
 	}
 	var rec *obs.Recorder
 	if cfg.FlightRing >= 0 {
-		rec = obs.NewRecorder(cfg.FlightRing, cfg.FlightTail)
+		rec = obs.NewRecorder(flightRing, flightTail)
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -148,7 +142,6 @@ func New(cfg Config) (*Server, error) {
 		rowsGauge:       m.Gauge("serve_store_rows"),
 	}
 	s.store.Instrument(m)
-	obs.PublishRuntime(m)
 	s.updateStoreGauges()
 	return s, nil
 }
@@ -173,33 +166,21 @@ func (s *Server) updateStoreGauges() {
 //	GET  /figures/<k>.json  chart spec for a figure key
 //	GET  /healthz        liveness + store shape
 //	GET  /metrics        Prometheus text
+//	GET  /debug/vars     expvar JSON
 //	GET  /debug/requests flight recorder (HTML; ?format=json)
 //	GET  /debug/pprof/*  profiling
 //
-// The whole mux is wrapped in request instrumentation under the
-// "serve" metric prefix: RED metrics always, and — when the flight
-// recorder or slow log is enabled — a per-request trace whose ID is
-// echoed in X-Trace-Id.
+// The debug routes share one mux with the API, and shell wraps the whole
+// mux in request instrumentation under the "serve" metric prefix: RED
+// metrics always, and — when the flight recorder or slow log is enabled
+// — a per-request trace whose ID is echoed in X-Trace-Id.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /query", s.throttled(s.handleQuery))
 	mux.HandleFunc("POST /ingest", s.throttled(s.handleIngest))
 	mux.HandleFunc("GET /figures/{name}", s.throttled(s.handleFigure))
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.Handle("GET /metrics", s.m.Handler())
-	mux.Handle("GET /debug/requests", s.rec.Handler())
-	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	return Middleware{
-		Registry:      s.m,
-		Prefix:        "serve",
-		Recorder:      s.rec,
-		SlowThreshold: s.cfg.SlowThreshold,
-		Log:           s.cfg.Log,
-	}.Wrap(mux)
+	return shell(mux, "serve", s.m, s.rec, s.cfg.SlowThreshold, s.cfg.Log)
 }
 
 // throttled gates a handler behind the per-client token bucket. Denials
@@ -210,7 +191,7 @@ func (s *Server) throttled(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ok, retry := s.lim.Allow(clientKey(r))
 		if !ok {
-			secs := int(retry/time.Second) + 1 // round up; 0 is not a valid Retry-After
+			secs := ratelimit.RetryAfter(retry)
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
 			if sp := obs.SpanFromContext(r.Context()); sp != nil {
 				sp.SetAttr("throttled", "true")

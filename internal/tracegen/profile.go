@@ -1,6 +1,7 @@
 package tracegen
 
 import (
+	"fmt"
 	"time"
 
 	"slurmsight/internal/cluster"
@@ -253,6 +254,18 @@ func AndesProfile() Profile {
 			},
 		},
 	}
+}
+
+// ProfileByName returns a system's built-in production profile, which
+// carries the system's model: "frontier" or "andes".
+func ProfileByName(name string) (Profile, error) {
+	switch name {
+	case "frontier":
+		return FrontierProfile(), nil
+	case "andes":
+		return AndesProfile(), nil
+	}
+	return Profile{}, fmt.Errorf("tracegen: unknown system %q", name)
 }
 
 // Phase pairs a profile with the half-open time window it governs.

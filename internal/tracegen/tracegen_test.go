@@ -22,6 +22,24 @@ func smallFrontier(days int) []Phase {
 	return []Phase{{Profile: p, Start: start, End: end}}
 }
 
+func TestProfileByName(t *testing.T) {
+	for _, name := range []string{"frontier", "andes"} {
+		p, err := ProfileByName(name)
+		if err != nil {
+			t.Fatalf("ProfileByName(%s): %v", name, err)
+		}
+		if p.System == nil || p.System.Name != name {
+			t.Fatalf("ProfileByName(%s) carries system %+v", name, p.System)
+		}
+		if err := p.System.Validate(); err != nil {
+			t.Errorf("%s invalid: %v", name, err)
+		}
+	}
+	if _, err := ProfileByName("summit"); err == nil {
+		t.Error("ProfileByName(summit): want error")
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	a, err := Generate(smallFrontier(7), 42)
 	if err != nil {
