@@ -9,6 +9,7 @@
 // workflow that ties them together.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record. The benchmark harness in bench_test.go
-// regenerates every table and figure of the paper's evaluation.
+// paper-versus-measured record. TestPaperReproduction (paper_test.go)
+// regenerates every table and figure of the paper's evaluation from what
+// the workflow writes and holds them to the golden EXPERIMENTS.md quotes.
 package slurmsight

@@ -16,8 +16,7 @@ import (
 // internal/ and cmd/ that no non-test Go calls, each with the reason it
 // stays.
 var uncalledExports = map[string]string{
-	"slurmsight/internal/curate.Stats":                     "process-wide pass counters; the one-pass test of StreamFileParallel reads them",
-	"slurmsight/internal/llm.Choose":                       "the paper's model selection, which the llm tests and bench_test.go reproduce",
+	"slurmsight/internal/llm.Choose":                       "the paper's model selection, which the llm tests and TestPaperReproduction reproduce",
 	"slurmsight/internal/llm.Client.Chat":                  "the Go client of the served /v1/chat endpoint, which the chat tests drive it through",
 	"slurmsight/internal/llm.Client.Models":                "the Go client of the served /v1/models endpoint, which the registry and bounded-read tests drive it through",
 	"slurmsight/internal/llm.FaultPolicy.Injected":         "how many faults the policy delivered, which the retry tests match against what the client survived",
@@ -33,8 +32,8 @@ var uncalledExports = map[string]string{
 	"slurmsight/internal/sched.PresetNames":                "a *Names lister the policy property tests iterate",
 	"slurmsight/internal/sched.PriorityNames":              "a *Names lister the policy property tests iterate",
 	"slurmsight/internal/sched.SelectorNames":              "a *Names lister the policy property tests iterate",
-	"slurmsight/internal/slurm.AllFieldNames":              "Table 1's column universe, which the fields tests and bench_test.go count",
-	"slurmsight/internal/slurm.Categories":                 "Table 1's categories, which the fields tests and bench_test.go count",
+	"slurmsight/internal/slurm.AllFieldNames":              "Table 1's column universe, which the fields tests and TestPaperReproduction count",
+	"slurmsight/internal/slurm.Categories":                 "Table 1's categories, which the fields tests and TestPaperReproduction count",
 	"slurmsight/internal/slurm.FieldsInCategory":           "Table 1's per-category fields, which the fields tests count",
 	"slurmsight/internal/slurm.FormatCount":                "a Format* reference formatter the parse tests round-trip through; the encoder uses AppendCount",
 	"slurmsight/internal/slurm.FormatDuration":             "a Format* reference formatter the parse fuzzer round-trips through; the encoder uses AppendDuration",

@@ -5,37 +5,48 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"slurmsight/internal/analyze"
-	"slurmsight/internal/curate"
+	"slurmsight/internal/obs"
 	"slurmsight/internal/sacct"
 	"slurmsight/internal/slurm"
 )
 
 // TestWorkflowSinglePassCounting pins the streaming pipeline's central
-// claim with the curate package's pass counters: a run opens each period
-// file exactly once, and decodes each row exactly once — the CSV sidecar
-// and every figure are fed from that single pass.
+// claim from the run's own record: one curate-<p> task per period, run
+// in one attempt, and one decode per row (the run registry's
+// curate_rows_read_total) — the CSV sidecar and every figure are fed
+// from that single pass.
 func TestWorkflowSinglePassCounting(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.ExtendedFigures = true
+	cfg.Metrics = obs.NewRegistry()
 
-	before := curate.Stats()
 	art, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := curate.Stats()
 
 	if len(art.Fetched) == 0 || art.Curation.Total == 0 {
 		t.Fatalf("degenerate run: %d periods, %d rows", len(art.Fetched), art.Curation.Total)
 	}
-	opened := after.FilesOpened - before.FilesOpened
-	if want := int64(len(art.Fetched)); opened != want {
-		t.Errorf("opened %d period files, want exactly one open per period (%d)", opened, want)
+	passes := map[string]int{}
+	for _, task := range art.Trace.Tasks {
+		if p, ok := strings.CutPrefix(task.Name, "curate-"); ok {
+			passes[p] += len(task.Attempts)
+		}
 	}
-	decoded := after.RowsDecoded - before.RowsDecoded
+	if len(passes) != len(art.Fetched) {
+		t.Errorf("%d curate tasks for %d periods", len(passes), len(art.Fetched))
+	}
+	for _, f := range art.Fetched {
+		if passes[f.Period] != 1 {
+			t.Errorf("period %s curated in %d attempts, want one pass", f.Period, passes[f.Period])
+		}
+	}
+	decoded := cfg.Metrics.Counter("curate_rows_read_total").Value()
 	if want := int64(art.Curation.Total); decoded != want {
 		t.Errorf("decoded %d rows, want one decode per record (%d): figures must share the pass", decoded, want)
 	}

@@ -13,22 +13,6 @@ import (
 	"slurmsight/internal/slurm"
 )
 
-// PassStats counts the curate stage's work since process start. Tests
-// pin the data plane's single-pass properties against it: a workflow
-// run over P period files with R rows must open exactly P files and
-// decode each input row exactly once.
-type PassStats struct {
-	FilesOpened int64 // period files opened by StreamFileParallel
-	RowsDecoded int64 // data rows decoded (kept + malformed)
-}
-
-var passFiles, passRows atomic.Int64
-
-// Stats returns the cumulative pass counters.
-func Stats() PassStats {
-	return PassStats{FilesOpened: passFiles.Load(), RowsDecoded: passRows.Load()}
-}
-
 // ShardFunc hands StreamFileParallel the record consumer for one chunk.
 // It is called at most once per chunk, possibly from several goroutines
 // concurrently (guard shared state); the consumer it returns is then
@@ -66,7 +50,6 @@ func StreamFileParallel(inPath, csvPath string, opts Options, rep *Report, shard
 	if err != nil {
 		return 0, fmt.Errorf("curate: %s: %w", inPath, err)
 	}
-	passFiles.Add(1) // one logical open per period file
 	chunks = cs.NumChunks()
 
 	m := chunkMetrics{
@@ -254,7 +237,6 @@ func runChunk(cs *slurm.ChunkScanner, i int, spillPath string, opts Options, loc
 		}
 		if err != nil {
 			if _, ok := err.(*slurm.RowError); ok {
-				passRows.Add(1)
 				local.Total++
 				local.Malformed++
 				continue
@@ -262,7 +244,6 @@ func runChunk(cs *slurm.ChunkScanner, i int, spillPath string, opts Options, loc
 			terminal = err
 			break
 		}
-		passRows.Add(1)
 		local.Total++
 		if sw != nil {
 			// A write error, or a normalise error — which cannot happen

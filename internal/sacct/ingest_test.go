@@ -280,6 +280,34 @@ func TestDumpOfCorruptStoreLeavesNoFile(t *testing.T) {
 	}
 }
 
+// TestTextDumpOfCorruptStoreKeepsOldFile: a text dump that fails
+// mid-scan returns the error and leaves the file it would have replaced
+// as it was, with no temp file beside it.
+func TestTextDumpOfCorruptStoreKeepsOldFile(t *testing.T) {
+	st, _ := buildStore(t, 40)
+	path := dumpBinary(t, st)
+	corruptFirstColumn(t, path)
+	bin, err := OpenBinary(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bin.Close()
+	out := filepath.Join(t.TempDir(), "trace.txt")
+	old := []byte("JobID|User\n1|previous\n")
+	if err := os.WriteFile(out, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := bin.DumpFile(out); !errors.Is(err, colstore.ErrCorrupt) {
+		t.Fatalf("text dump of a corrupt store: %v, want ErrCorrupt", err)
+	}
+	if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, old) {
+		t.Errorf("the failed dump changed the previous file: %q, %v", got, err)
+	}
+	if _, err := os.Stat(out + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("trace.txt.tmp is left behind (%v)", err)
+	}
+}
+
 // TestIngestHoldsColumnsNotRecords pins what an ingested store costs: its
 // rows are column segments, about a tenth of the 760-byte Record (and its
 // TRES maps) each row was held as before.

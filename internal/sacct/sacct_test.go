@@ -3,6 +3,7 @@ package sacct
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -374,5 +375,22 @@ func TestParseGranularity(t *testing.T) {
 	}
 	if Monthly.String() != "monthly" || Yearly.String() != "yearly" {
 		t.Error("String() spellings wrong")
+	}
+}
+
+// BenchmarkFetch is the Obtain-data stage on a six-month store, one
+// period file at a time and eight at once.
+func BenchmarkFetch(b *testing.B) {
+	st, _ := buildStore(b, 180)
+	spec := FetchSpec{Granularity: Monthly, Start: base, End: base.AddDate(0, 6, 0)}
+	for _, workers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f := &Fetcher{Store: st, CacheDir: b.TempDir(), Workers: workers}
+				if _, err := f.Fetch(context.Background(), spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -530,17 +530,27 @@ func (s *Store) Dump(w io.Writer) error {
 	return err
 }
 
-// DumpFile writes the store to a file.
+// DumpFile writes the store to a file through a temp file renamed into
+// place, so a dump that fails part-way — a corrupt base shard met
+// mid-scan — leaves the previous file whole.
 func (s *Store) DumpFile(path string) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := s.Dump(f); err != nil {
-		f.Close()
-		return err
+	err = s.Dump(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("sacct: dumping to %s: %w", path, err)
+	}
+	return nil
 }
 
 // Load reads a text Dump back into a store through the one row decoder
