@@ -96,7 +96,7 @@ func (rw *rowWriter) row(cells [][]byte) error {
 			if err != nil {
 				return fmt.Errorf("curate: normalising %s: %w", rw.fields[i], err)
 			}
-			buf = strconv.AppendFloat(buf, d.Minutes(), 'f', 2, 64)
+			buf = slurm.AppendMinutes(buf, d)
 		case colCount:
 			n, err := slurm.ParseCountBytes(c)
 			if err != nil {

@@ -204,10 +204,12 @@ func (s *Server) throttled(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// clientKey identifies the caller for throttling and traces: the API key
-// header when present, otherwise the remote host (ratelimit.ClientKey).
+// clientKey identifies the caller for throttling and traces: its remote
+// host. queryd checks no credential, so a header such as X-API-Key must
+// not pick the bucket: a throttled client would get a fresh one per
+// request by sending a fresh value (ratelimit.ClientKey).
 func clientKey(r *http.Request) string {
-	return ratelimit.ClientKey(r, r.Header.Get("X-API-Key"))
+	return ratelimit.ClientKey(r, "")
 }
 
 // handleQuery answers GET /query: the sacct.Query surface as URL

@@ -375,6 +375,31 @@ func TestThrottle(t *testing.T) {
 	}
 }
 
+// TestThrottleIgnoresUncheckedAPIKey pins the bucket to the remote host:
+// queryd checks no credential, so a client that sends a fresh X-API-Key
+// on every request is still one client.
+func TestThrottleIgnoresUncheckedAPIKey(t *testing.T) {
+	_, ts := testServer(t, Config{RatePerSec: 0.001, Burst: 1})
+	var got []int
+	for _, key := range []string{"a", "b", "c"} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/query?fields=JobID", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-API-Key", key)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		got = append(got, resp.StatusCode)
+	}
+	if want := []int{200, 429, 429}; !slices.Equal(got, want) {
+		t.Fatalf("statuses %v for keys a, b, c from one host, want %v", got, want)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	resp, body := get(t, ts.URL+"/healthz")

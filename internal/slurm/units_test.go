@@ -1,8 +1,13 @@
 package slurm
 
 import (
+	"bytes"
+	"math"
+	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestParseCount(t *testing.T) {
@@ -115,6 +120,72 @@ func TestFormatMemory(t *testing.T) {
 	for _, c := range cases {
 		if got := FormatMemory(c.bytes, c.perCPU); got != c.want {
 			t.Errorf("FormatMemory(%d, %v) = %q, want %q", c.bytes, c.perCPU, got, c.want)
+		}
+	}
+}
+
+// TestIntegerRenderersMatchStrconv pins AppendMinutes and appendSize to
+// the strconv.AppendFloat(…, 'f', 2, 64) rendering they replace: every
+// whole second up to 40 days, sub-second and negative durations, and
+// random sizes on both sides of 2^53 — a third of them exact ties at
+// the third decimal (1152 B is 1.125K, rendered 1.12K).
+func TestIntegerRenderersMatchStrconv(t *testing.T) {
+	var got, want []byte
+	minutes := func(d time.Duration) {
+		t.Helper()
+		got, want = AppendMinutes(got[:0], d), strconv.AppendFloat(want[:0], d.Minutes(), 'f', 2, 64)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendMinutes(%v) = %q, want %q", d, got, want)
+		}
+	}
+	secs := int64(40 * 24 * 3600)
+	if testing.Short() || raceEnabled {
+		secs = 2 * 24 * 3600
+	}
+	for s := int64(0); s <= secs; s++ {
+		minutes(time.Duration(s) * time.Second)
+	}
+	for _, d := range []time.Duration{-time.Second, -90 * time.Second, 1, 1500 * time.Millisecond,
+		math.MaxInt64 / time.Second * time.Second, math.MaxInt64} {
+		minutes(d)
+	}
+
+	size := func(n int64) {
+		t.Helper()
+		want = strconv.AppendInt(want[:0], n, 10)
+		for _, u := range memUnits {
+			if n >= u.div {
+				v := float64(n) / float64(u.div)
+				if v == float64(int64(v)) {
+					want = append(strconv.AppendInt(want[:0], int64(v), 10), u.name)
+				} else {
+					want = append(strconv.AppendFloat(want[:0], v, 'f', 2, 64), u.name)
+				}
+				break
+			}
+		}
+		if got = appendSize(got[:0], n); !bytes.Equal(got, want) {
+			t.Fatalf("appendSize(%d) = %q, want %q", n, got, want)
+		}
+	}
+	for _, b := range []int64{-1, 0, 1023, 1024, 1152, 1<<20 - 1, maxExactSize - 1, maxExactSize,
+		maxExactSize + 1, math.MaxInt64/100 + 1, math.MaxInt64} {
+		size(b)
+	}
+	rng := rand.New(rand.NewSource(1))
+	n := 1_000_000
+	if testing.Short() || raceEnabled {
+		n = 100_000
+	}
+	for i := 0; i < n; i++ {
+		switch i % 3 {
+		case 0: // an exact tie: a whole unit plus an odd number of eighths
+			u := memUnits[rng.Intn(len(memUnits))]
+			size((1+rng.Int63n(1023))*u.div + (2*rng.Int63n(4)+1)*(u.div/8))
+		case 1: // at most 2^53, where the integer path runs
+			size(rng.Int63n(maxExactSize + 1))
+		default: // any size, the strconv fallback included
+			size(rng.Int63n(1 << uint(10+rng.Intn(53))))
 		}
 	}
 }
