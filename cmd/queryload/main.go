@@ -1,10 +1,16 @@
 // Command queryload is the serving plane's tracing-overhead gate. It
-// opens and warms one trace, then drives the same load twice over real
-// HTTP against a self-hosted queryd on that store: first with the flight
-// recorder and slow log off (the baseline), then with them on (the
-// instrumented phase). It reports the throughput and latency deltas, so
+// drives the same load over real HTTP against a self-hosted queryd with
+// the flight recorder and slow log off (the baseline) and on (the
+// instrumented phase), and reports the throughput and latency deltas, so
 // a tracing regression shows up as a number instead of a hunch; CI fails
 // the build when the instrumented phase loses more than 5 % throughput.
+//
+// -duration is each side's share of the run, cut into four alternating
+// pairs of phases: the baseline goes first in the first and third pair,
+// the instrumented phase in the second and fourth, so neither side always
+// meets a process the other has just warmed. Every phase opens and warms
+// its own store from -trace, so no phase serves rows another appended.
+// The reported loss is the median of the four pairs' losses.
 //
 // Each phase is a closed loop of query clients over a fixed 16-way mix,
 // beside a live appender that posts a 200-row batch every second and
@@ -42,11 +48,13 @@ import (
 )
 
 // The load each phase drives: the row cap of every query, and the
-// appender's cadence and batch size.
+// appender's cadence and batch size; and the number of alternating
+// baseline/instrumented pairs -duration is cut into.
 const (
 	queryLimit  = 200
 	appendEvery = time.Second
 	appendRows  = 200
+	pairs       = 4
 )
 
 func main() {
@@ -61,28 +69,33 @@ func main() {
 	)
 	flag.Parse()
 	if *trace == "" {
-		log.Fatal("need -trace (both phases self-host it)")
+		log.Fatal("need -trace (every phase self-hosts it)")
 	}
-
-	// Warm every shard once, so both phases measure serving rather than
-	// first-touch decodes: an always-on queryd pays those at boot.
-	st, _, err := sacct.OpenFile(*trace)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer st.Close()
-	tWarm := time.Now()
-	if err := st.Warm(); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("warmed %d rows in %s", st.Len(), time.Since(tWarm).Round(time.Millisecond))
 
 	client := &http.Client{Timeout: 60 * time.Second, Transport: &http.Transport{
 		MaxIdleConns:        4 * *clients,
 		MaxIdleConnsPerHost: 4 * *clients,
 	}}
-	base := drive(client, st, false, *clients, *duration)
-	inst := drive(client, st, true, *clients, *duration)
+	phase := *duration / pairs
+	var base, inst []summary
+	losses := make([]float64, pairs)
+	for p := range pairs {
+		var b, i summary
+		if p%2 == 0 {
+			b = drive(client, *trace, false, *clients, phase)
+			i = drive(client, *trace, true, *clients, phase)
+		} else {
+			i = drive(client, *trace, true, *clients, phase)
+			b = drive(client, *trace, false, *clients, phase)
+		}
+		base, inst = append(base, b), append(inst, i)
+		losses[p] = loss(i.qps, b.qps)
+	}
+	qpsLoss := round2(median(losses))
+	for p := range losses {
+		losses[p] = round2(losses[p])
+	}
+	b, i := pool(base), pool(inst)
 
 	// Overhead as the instrumented slowdown in percent: positive means
 	// tracing costs something, negative means noise won the round.
@@ -92,17 +105,14 @@ func main() {
 		}
 		return round2((instrumented - baseline) / baseline * 100)
 	}
-	qpsLoss := 0.0
-	if base.qps > 0 {
-		qpsLoss = round2((1 - inst.qps/base.qps) * 100)
-	}
 	blob, err := json.MarshalIndent(map[string]any{
 		"obs_overhead": map[string]any{
-			"qps_baseline":     round2(base.qps),
-			"qps_instrumented": round2(inst.qps),
+			"qps_baseline":     round2(b.qps),
+			"qps_instrumented": round2(i.qps),
 			"qps_loss_pct":     qpsLoss,
-			"p50_overhead_pct": pct(inst.p50, base.p50),
-			"p99_overhead_pct": pct(inst.p99, base.p99),
+			"pair_loss_pct":    losses,
+			"p50_overhead_pct": pct(i.p50, b.p50),
+			"p99_overhead_pct": pct(i.p99, b.p99),
 		},
 	}, "", "  ")
 	if err != nil {
@@ -114,31 +124,92 @@ func main() {
 	} else if err := os.WriteFile(*out, blob, 0o644); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("overhead: qps %.0f -> %.0f (%.2f%% loss), p50 %.3fms -> %.3fms (%+.2f%%), p99 %.3fms -> %.3fms (%+.2f%%)",
-		base.qps, inst.qps, qpsLoss,
-		base.p50, inst.p50, pct(inst.p50, base.p50),
-		base.p99, inst.p99, pct(inst.p99, base.p99))
-	if n := base.errors + inst.errors; n > 0 {
+	log.Printf("overhead: qps %.0f -> %.0f (median pair loss %.2f%%, pairs %v), p50 %.3fms -> %.3fms (%+.2f%%), p99 %.3fms -> %.3fms (%+.2f%%)",
+		b.qps, i.qps, qpsLoss, losses,
+		b.p50, i.p50, pct(i.p50, b.p50),
+		b.p99, i.p99, pct(i.p99, b.p99))
+	if n := b.errors + i.errors; n > 0 {
 		log.Fatalf("%d requests failed", n)
 	}
 }
 
+// loss is the instrumented phase's throughput loss against the
+// baseline's, in percent.
+func loss(instrumented, baseline float64) float64 {
+	if baseline == 0 {
+		return 0
+	}
+	return (1 - instrumented/baseline) * 100
+}
+
+// median of a few values (the mean of the middle two when even).
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
 // summary is one phase's digest: throughput, latency percentiles in
-// milliseconds, and the requests that did not answer 200.
+// milliseconds, and the requests that did not answer 200; pool adds the
+// phases of one side up.
 type summary struct {
+	requests int64
+	elapsed  time.Duration
+	samples  []float64 // sorted latencies, ms
 	qps      float64
 	p50, p99 float64
 	errors   int64
 }
 
-// drive runs one phase: it mounts a serve.Server over st on a loopback
-// listener, then runs closed-loop query clients and the live appender
-// against it until the same deadline. The server keeps serve's defaults
-// (no throttle, 1,024 cache entries); instrumented toggles the whole
-// tracing layer: flight recorder plus a slow log swallowed by
-// io.Discard, so the measured cost is the instrumentation, not terminal
-// I/O.
-func drive(client *http.Client, st *sacct.Store, instrumented bool, clients int, duration time.Duration) summary {
+func summarize(requests, errors int64, elapsed time.Duration, samples []float64) summary {
+	sort.Float64s(samples)
+	return summary{
+		requests: requests,
+		elapsed:  elapsed,
+		samples:  samples,
+		qps:      float64(requests) / elapsed.Seconds(),
+		p50:      percentile(samples, 50),
+		p99:      percentile(samples, 99),
+		errors:   errors,
+	}
+}
+
+func pool(phases []summary) summary {
+	var requests, errors int64
+	var elapsed time.Duration
+	var samples []float64
+	for _, p := range phases {
+		requests, errors, elapsed = requests+p.requests, errors+p.errors, elapsed+p.elapsed
+		samples = append(samples, p.samples...)
+	}
+	return summarize(requests, errors, elapsed, samples)
+}
+
+// drive runs one phase: it opens and warms the trace — so the phase
+// measures serving rather than first-touch decodes, as an always-on
+// queryd pays those at boot, and serves none of another phase's appends —
+// mounts a serve.Server over it on a loopback listener, then runs
+// closed-loop query clients and the live appender against it until the
+// same deadline. The server keeps serve's defaults (no throttle, 1,024
+// cache entries); instrumented toggles the whole tracing layer: flight
+// recorder plus a slow log swallowed by io.Discard, so the measured cost
+// is the instrumentation, not terminal I/O.
+func drive(client *http.Client, trace string, instrumented bool, clients int, duration time.Duration) summary {
+	st, _, err := sacct.OpenFile(trace)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer st.Close()
+	tWarm := time.Now()
+	if err := st.Warm(); err != nil {
+		log.Fatal(err)
+	}
+	warmed := time.Since(tWarm).Round(time.Millisecond)
+
 	cfg := serve.Config{Store: st, System: "bench", Metrics: obs.NewRegistry()}
 	mode := "baseline (tracing off)"
 	if instrumented {
@@ -157,11 +228,21 @@ func drive(client *http.Client, st *sacct.Store, instrumented bool, clients int,
 		log.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go serve.Drain(ctx, &http.Server{Handler: srv.Handler()}, ln, 5*time.Second, nil)
+	drained := make(chan struct{})
+	go func() {
+		serve.Drain(ctx, &http.Server{Handler: srv.Handler()}, ln, 5*time.Second, nil)
+		close(drained)
+	}()
+	defer func() {
+		// Idle connections first: the drain waits on a connection the
+		// transport opened but never sent a request on.
+		client.CloseIdleConnections()
+		cancel()
+		<-drained
+	}()
 	base := "http://" + ln.Addr().String()
 	months := queryMonths(client, base)
-	log.Printf("phase %s on %s: %d clients for %s", mode, base, clients, duration)
+	log.Printf("phase %s on %s: %d rows warmed in %s, %d clients for %s", mode, base, st.Len(), warmed, clients, duration)
 
 	var (
 		requests, errors atomic.Int64
@@ -198,15 +279,7 @@ func drive(client *http.Client, st *sacct.Store, instrumented bool, clients int,
 	}()
 	t0 := time.Now()
 	wg.Wait()
-	elapsed := time.Since(t0)
-
-	sort.Float64s(samples)
-	return summary{
-		qps:    float64(requests.Load()) / elapsed.Seconds(),
-		p50:    percentile(samples, 50),
-		p99:    percentile(samples, 99),
-		errors: errors.Load(),
-	}
+	return summarize(requests.Load(), errors.Load(), time.Since(t0), samples)
 }
 
 // pickQuery spreads clients across a realistic mix: repeated canonical

@@ -438,14 +438,15 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 		}
 	}
 
-	dashPath := filepath.Join(cfg.OutputDir, "dashboard.html")
+	// Set before the graph runs: the report task links it.
+	art.DashboardPath = filepath.Join(cfg.OutputDir, "dashboard.html")
 	if err := g.Add(dataflow.Task{
 		Name:   "dashboard",
 		Reads:  htmlPaths,
-		Writes: []string{dashPath},
+		Writes: []string{art.DashboardPath},
 		Run: func(ctx context.Context) error {
 			annotate(ctx, "render")
-			return os.WriteFile(dashPath, dashboardIndex(cfg.SystemName, art), 0o644)
+			return os.WriteFile(art.DashboardPath, dashboardIndex(cfg.SystemName, art), 0o644)
 		},
 	}); err != nil {
 		return nil, err
@@ -576,7 +577,6 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 	art.Fetched = fetched.Get(ctx)
 	art.Trace = trace
 	art.CSVPaths = csvPaths
-	art.DashboardPath = dashPath
 	art.StatusDOTPath = filepath.Join(cfg.OutputDir, "workflow-status.dot")
 	if werr := os.WriteFile(art.StatusDOTPath, []byte(g.DOTTrace(trace)), 0o644); werr != nil && err == nil {
 		err = werr

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"slurmsight/internal/curate"
@@ -22,9 +23,11 @@ import (
 // emits after its figures: workflow.dot (the Figure 2 graph), report.md
 // and facts.json, with the AI stages off and on. The constants were
 // recorded before the run's in-memory hand-offs became dataflow values,
-// so the declared graph must draw the edges the marker file drew.
+// so the declared graph must draw the edges the marker file drew, and
+// re-recorded when report.md's dashboard link gained its target (the
+// only byte change; TestReportLinksResolve).
 func TestWorkflowEmitGoldenDigest(t *testing.T) {
-	want := map[bool]uint64{false: 0x6bcbef7e4014aa75, true: 0xd2e133fc0240b5e2}
+	want := map[bool]uint64{false: 0x7a364998fc4a47a9, true: 0x9e4c48e050d6b8b0}
 	for _, ai := range []bool{false, true} {
 		cfg := baseConfig(t)
 		cfg.ExtendedFigures = true
@@ -52,6 +55,31 @@ func TestWorkflowEmitGoldenDigest(t *testing.T) {
 		if got := h.Sum64(); got != want[ai] {
 			t.Errorf("ai=%v: workflow.dot + report.md + facts.json digest to %#x, want %#x", ai, got, want[ai])
 		}
+	}
+}
+
+// TestReportLinksResolve reads every link target in report.md: each one
+// names a file the run wrote beside the report. The dashboard link is the
+// one a report written before the dashboard's path was known left empty.
+func TestReportLinksResolve(t *testing.T) {
+	art, err := Run(context.Background(), baseConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := os.ReadFile(art.ReportPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := regexp.MustCompile(`\[([^\]]+)\]\(([^)]*)\)`).FindAllStringSubmatch(string(report), -1)
+	targets := map[string]string{}
+	for _, l := range links {
+		targets[l[1]] = l[2]
+		if _, err := os.Stat(filepath.Join(filepath.Dir(art.ReportPath), l[2])); l[2] == "" || err != nil {
+			t.Errorf("report links [%s](%s), which names no file the run wrote", l[1], l[2])
+		}
+	}
+	if got := targets["dashboard"]; got != filepath.Base(art.DashboardPath) {
+		t.Errorf("dashboard link target %q, want %q", got, filepath.Base(art.DashboardPath))
 	}
 }
 

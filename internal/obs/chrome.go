@@ -48,7 +48,7 @@ func (a argsJSON) MarshalJSON() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, err := json.Marshal(kv.Value)
+		v, err := json.Marshal(kv.Text())
 		if err != nil {
 			return nil, err
 		}
@@ -200,7 +200,7 @@ func attrSuffix(attrs []Attr) string {
 		}
 		b.WriteString(a.Key)
 		b.WriteString("=")
-		b.WriteString(a.Value)
+		b.WriteString(a.Text())
 	}
 	b.WriteString("]")
 	return b.String()

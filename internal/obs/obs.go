@@ -19,6 +19,7 @@ package obs
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -26,9 +27,23 @@ import (
 
 // Attr is one key/value annotation on a span. Attribute order is
 // preserved — exports render attributes in the order they were set.
+//
+// An integer attribute (SetAttrInt) keeps its value unformatted in num,
+// with an empty Value, until an export reads it through Text. Zero, which
+// an empty Value could not tell from a string attribute's "", is kept as
+// the constant "0", so a zero num with an empty Value is always a string.
 type Attr struct {
 	Key   string
 	Value string
+	num   int64
+}
+
+// Text renders the attribute's value.
+func (a Attr) Text() string {
+	if a.Value == "" && a.num != 0 {
+		return strconv.FormatInt(a.num, 10)
+	}
+	return a.Value
 }
 
 // SpanEvent is a point-in-time marker inside a span (a retry, a fault,
@@ -41,31 +56,23 @@ type SpanEvent struct {
 // Span is one timed region of a run: a workflow stage, a task, an
 // attempt. Spans nest via Child and carry ordered attributes and
 // events. All methods are safe on a nil *Span and safe for concurrent
-// use.
+// use. A span is a handle on its entry in the tracer's list: what it
+// records lands there directly, under the tracer's lock.
 type Span struct {
-	tr       *Tracer
-	id       int64
-	parentID int64 // 0 for root spans
-	name     string
-	start    time.Time
-
-	mu     sync.Mutex
-	end    time.Time
-	ended  bool
-	attrs  []Attr
-	events []SpanEvent
+	tr *Tracer
+	i  int // tr.spans[i]
 }
 
 // Tracer records the spans of one run against a single monotonic base
 // timestamp. The zero value is not usable; a nil *Tracer is the
 // documented "tracing off" state and every method on it is a no-op.
 type Tracer struct {
-	now func() time.Time
+	now  func() time.Time
+	base time.Time
 
 	mu     sync.Mutex
-	base   time.Time
-	nextID int64
-	spans  []*Span
+	spans  []SpanData // start order; an open span's entry is its live state
+	closed bool       // a finished request trace (EndRequest): no span records any more
 }
 
 // NewTracer starts a run-scoped tracer; the moment of creation is the
@@ -90,11 +97,12 @@ func (t *Tracer) startSpan(name string, parent int64) *Span {
 		return nil
 	}
 	t.mu.Lock()
-	t.nextID++
-	sp := &Span{tr: t, id: t.nextID, parentID: parent, name: name, start: t.now()}
-	t.spans = append(t.spans, sp)
-	t.mu.Unlock()
-	return sp
+	defer t.mu.Unlock()
+	if t.closed {
+		return nil
+	}
+	t.spans = append(t.spans, SpanData{ID: int64(len(t.spans) + 1), ParentID: parent, Name: name, Start: t.now()})
+	return &Span{tr: t, i: len(t.spans) - 1}
 }
 
 // Child opens a span nested under s.
@@ -102,7 +110,17 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.tr.startSpan(name, s.id)
+	return s.tr.startSpan(name, int64(s.i+1))
+}
+
+// lock takes the tracer's lock and returns the span's entry, or nil when
+// its request trace is finished; the caller unlocks.
+func (s *Span) lock() *SpanData {
+	s.tr.mu.Lock()
+	if s.tr.closed {
+		return nil
+	}
+	return &s.tr.spans[s.i]
 }
 
 // SetAttr annotates the span. Setting the same key again appends; the
@@ -111,17 +129,26 @@ func (s *Span) SetAttr(key, value string) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
-	s.mu.Unlock()
+	if d := s.lock(); d != nil {
+		d.Attrs = append(d.Attrs, Attr{Key: key, Value: value})
+	}
+	s.tr.mu.Unlock()
 }
 
-// SetAttrInt annotates the span with an integer value.
+// SetAttrInt annotates the span with an integer value, formatted only
+// when an export reads it.
 func (s *Span) SetAttrInt(key string, v int64) {
 	if s == nil {
 		return
 	}
-	s.SetAttr(key, strconv.FormatInt(v, 10))
+	a := Attr{Key: key, num: v}
+	if v == 0 {
+		a.Value = "0"
+	}
+	if d := s.lock(); d != nil {
+		d.Attrs = append(d.Attrs, a)
+	}
+	s.tr.mu.Unlock()
 }
 
 // Event records a point-in-time marker inside the span.
@@ -130,9 +157,10 @@ func (s *Span) Event(msg string) {
 		return
 	}
 	at := s.tr.now()
-	s.mu.Lock()
-	s.events = append(s.events, SpanEvent{At: at, Msg: msg})
-	s.mu.Unlock()
+	if d := s.lock(); d != nil {
+		d.Events = append(d.Events, SpanEvent{At: at, Msg: msg})
+	}
+	s.tr.mu.Unlock()
 }
 
 // End closes the span. Ending twice keeps the first end time.
@@ -141,12 +169,10 @@ func (s *Span) End() {
 		return
 	}
 	at := s.tr.now()
-	s.mu.Lock()
-	if !s.ended {
-		s.end = at
-		s.ended = true
+	if d := s.lock(); d != nil && !d.Ended {
+		d.End, d.Ended = at, true
 	}
-	s.mu.Unlock()
+	s.tr.mu.Unlock()
 }
 
 // SpanData is an immutable snapshot of one span, in the tracer's
@@ -169,42 +195,32 @@ func (d *SpanData) Duration() time.Duration { return d.End.Sub(d.Start) }
 func (d *SpanData) Attr(key string) string {
 	for i := len(d.Attrs) - 1; i >= 0; i-- {
 		if d.Attrs[i].Key == key {
-			return d.Attrs[i].Value
+			return d.Attrs[i].Text()
 		}
 	}
 	return ""
 }
 
 // Snapshot returns every recorded span in start order. Spans still open
-// are reported with End at the snapshot instant and Ended false.
+// are reported with End at the snapshot instant and Ended false. The
+// copy shares each span's attributes and events with the tracer, cut to
+// their length: the tracer only ever appends past it, so what the
+// snapshot shows never changes.
 func (t *Tracer) Snapshot() []SpanData {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	now := t.now()
-	spans := make([]*Span, len(t.spans))
-	copy(spans, t.spans)
+	out := make([]SpanData, len(t.spans))
+	copy(out, t.spans)
 	t.mu.Unlock()
-
-	out := make([]SpanData, 0, len(spans))
-	for _, sp := range spans {
-		sp.mu.Lock()
-		d := SpanData{
-			ID:       sp.id,
-			ParentID: sp.parentID,
-			Name:     sp.name,
-			Start:    sp.start,
-			End:      sp.end,
-			Ended:    sp.ended,
-			Attrs:    append([]Attr(nil), sp.attrs...),
-			Events:   append([]SpanEvent(nil), sp.events...),
-		}
-		sp.mu.Unlock()
+	for i := range out {
+		d := &out[i]
+		d.Attrs, d.Events = slices.Clip(d.Attrs), slices.Clip(d.Events)
 		if !d.Ended {
 			d.End = now
 		}
-		out = append(out, d)
 	}
 	return out
 }

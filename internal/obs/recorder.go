@@ -1,11 +1,13 @@
 package obs
 
 import (
-	"crypto/rand"
+	crand "crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"html"
+	"math/rand/v2"
 	"net/http"
 	"sort"
 	"strings"
@@ -13,17 +15,30 @@ import (
 	"time"
 )
 
+// traceIDs is the process's trace ID source, seeded once from
+// crypto/rand.
+var traceIDs struct {
+	sync.Mutex
+	src *rand.ChaCha8
+}
+
 // NewTraceID mints a 16-hex-character request trace ID. IDs are random,
 // not sequential, so traces from restarted or replicated processes never
 // collide in aggregated logs.
 func NewTraceID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failing is effectively fatal elsewhere; degrade to
-		// a constant rather than panicking in request handling.
-		return "0000000000000000"
+	traceIDs.Lock()
+	if traceIDs.src == nil {
+		var seed [32]byte
+		crand.Read(seed[:])
+		traceIDs.src = rand.NewChaCha8(seed)
 	}
-	return hex.EncodeToString(b[:])
+	v := traceIDs.src.Uint64()
+	traceIDs.Unlock()
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], v)
+	var h [16]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 // RequestTrace is one completed request: identity, outcome, and the
@@ -38,7 +53,45 @@ type RequestTrace struct {
 	Client   string // throttle client key (API key or remote host)
 	Start    time.Time
 	Duration time.Duration
-	Spans    []SpanData // tracer snapshot, start order, roots first
+	Spans    []SpanData // start order, roots first
+}
+
+// requestTracer is the one allocation behind a request's trace: the
+// tracer its spans record into and the handle on its root.
+type requestTracer struct {
+	tr   Tracer
+	root Span
+}
+
+// StartRequest opens the trace of one request that began at start: its
+// root span, named name, with room for attrs attributes. Every span the
+// request's layers open under the root records straight into the trace,
+// and EndRequest hands the list over as it stands.
+func StartRequest(name string, start time.Time, attrs int) *Span {
+	rq := &requestTracer{tr: Tracer{now: time.Now, base: start}}
+	rq.tr.spans = []SpanData{{ID: 1, Name: name, Start: start, Attrs: make([]Attr, 0, attrs)}}
+	rq.root = Span{tr: &rq.tr}
+	return &rq.root
+}
+
+// EndRequest ends root, a span from StartRequest, and closes its trace:
+// any later call on one of the request's spans is a no-op, and a span
+// still open reads as a snapshot's would, ending now. It returns the
+// trace's spans — the list they were recorded in, not a copy — for
+// RequestTrace.Spans.
+func EndRequest(root *Span) []SpanData {
+	root.End()
+	t := root.tr
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	now := t.now()
+	for i := range t.spans {
+		if !t.spans[i].Ended {
+			t.spans[i].End = now
+		}
+	}
+	t.closed = true
+	return t.spans
 }
 
 // maxRecorderRoutes bounds the tail-sampler map: past it, traces on
@@ -190,7 +243,7 @@ func spanTree(spans []SpanData, base time.Time) []*spanJSON {
 		if len(d.Attrs) > 0 {
 			js.Attrs = make(map[string]string, len(d.Attrs))
 			for _, a := range d.Attrs {
-				js.Attrs[a.Key] = a.Value
+				js.Attrs[a.Key] = a.Text()
 			}
 		}
 		for _, e := range d.Events {
@@ -206,6 +259,25 @@ func spanTree(spans []SpanData, base time.Time) []*spanJSON {
 	return roots
 }
 
+// traceTree is t's span tree for /debug/requests. Its roots show the
+// request's path and client among their attributes, unless a root set its
+// own: a request trace keeps them once, in its own fields, and not again
+// on its root span.
+func traceTree(t *RequestTrace) []*spanJSON {
+	roots := spanTree(t.Spans, t.Start)
+	for _, root := range roots {
+		if root.Attrs == nil {
+			root.Attrs = make(map[string]string, 2)
+		}
+		for _, a := range [...]Attr{{Key: "path", Value: t.Path}, {Key: "client", Value: t.Client}} {
+			if _, set := root.Attrs[a.Key]; !set {
+				root.Attrs[a.Key] = a.Value
+			}
+		}
+	}
+	return roots
+}
+
 func renderTrace(t *RequestTrace) traceJSON {
 	return traceJSON{
 		ID:         t.ID,
@@ -216,7 +288,7 @@ func renderTrace(t *RequestTrace) traceJSON {
 		Client:     t.Client,
 		Start:      t.Start,
 		DurationMS: float64(t.Duration.Microseconds()) / 1000,
-		Spans:      spanTree(t.Spans, t.Start),
+		Spans:      traceTree(t),
 	}
 }
 
@@ -317,6 +389,6 @@ func writeTraceHTML(w http.ResponseWriter, t *RequestTrace) {
 			emit(sp.Children, depth+1)
 		}
 	}
-	emit(spanTree(t.Spans, t.Start), 0)
+	emit(traceTree(t), 0)
 	fmt.Fprintf(w, "</div>")
 }

@@ -15,8 +15,8 @@ import (
 // following Next or Open; a consumer that keeps a row clones it
 // (slurm.Record.Clone). Steady-state Next allocates nothing.
 //
-// A cursor is built once per scan and re-pointed from shard to shard with
-// Open. It is not safe for concurrent use; any number of cursors may read
+// A cursor is built (or Reset) once per scan and re-pointed from shard to
+// shard with Open. It is not safe for concurrent use; any number of cursors may read
 // one shard at once.
 type Cursor struct {
 	rec  slurm.Record
@@ -46,12 +46,26 @@ type cursorCol struct {
 // rejects the row, and whatever columns it had not reached are stepped
 // over later, undecoded. Cheap, selective filters go first.
 func NewCursor(filters []Filter, cols ColSet) *Cursor {
+	c := new(Cursor)
+	c.Reset(filters, cols)
+	return c
+}
+
+// Reset makes a closed cursor what NewCursor(filters, cols) would build,
+// keeping only the storage of its column list, so that one cursor can
+// serve scan after scan.
+func (c *Cursor) Reset(filters []Filter, cols ColSet) {
 	var filtered ColSet
 	for _, f := range filters {
 		filtered |= f.Col
 	}
 	cols |= filtered
-	c := &Cursor{set: cols, cols: make([]cursorCol, 0, cols.Len())}
+	list := c.cols[:cap(c.cols)]
+	clear(list)
+	if cap(list) < cols.Len() {
+		list = make([]cursorCol, 0, cols.Len())
+	}
+	*c = Cursor{set: cols, cols: list[:0]}
 	add := func(set ColSet, f *Filter) {
 		for ; set != 0; set &= set - 1 {
 			ci := bits.TrailingZeros64(uint64(set))
@@ -62,7 +76,6 @@ func NewCursor(filters []Filter, cols ColSet) *Cursor {
 		add(filters[i].Col, &filters[i])
 	}
 	add(cols&^filtered, nil)
-	return c
 }
 
 // Open points the cursor at the first row of sh, loading any projected

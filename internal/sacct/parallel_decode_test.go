@@ -3,6 +3,8 @@ package sacct
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -49,6 +51,70 @@ func scanners(n int, fn func(g int)) {
 	wg.Wait()
 }
 
+// parityFixture is what the scan and warm parity tests share: the
+// 100-day store (4 month shards) dumped to the columnar format once, and
+// the text store's answer to each parity query.
+var parityFixture struct {
+	once sync.Once
+	dump []byte
+	want []string
+	err  error
+}
+
+// parityDump writes the shared dump into the test's own directory, which
+// goes with the test, and returns the reference answers.
+func parityDump(t *testing.T) (path string, want []string) {
+	t.Helper()
+	st, _ := buildStore(t, 100)
+	f := &parityFixture
+	f.once.Do(func() {
+		var dump bytes.Buffer
+		if f.err = st.DumpBinary(&dump); f.err != nil {
+			return
+		}
+		f.dump = dump.Bytes()
+		for _, q := range parityQueries() {
+			var buf bytes.Buffer
+			if _, f.err = st.Write(&buf, q); f.err != nil {
+				return
+			}
+			f.want = append(f.want, buf.String())
+		}
+	})
+	if f.err != nil {
+		t.Fatal(f.err)
+	}
+	path = filepath.Join(t.TempDir(), "store.colstore")
+	if err := os.WriteFile(path, f.dump, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path, f.want
+}
+
+// sameText checks what a scan writes against want as it arrives, so that
+// a parity check never buffers a second copy of a large answer.
+type sameText struct {
+	want string
+	off  int
+	diff bool
+}
+
+func (w *sameText) Write(p []byte) (int, error) {
+	if !w.diff && len(p) <= len(w.want)-w.off && w.want[w.off:w.off+len(p)] == string(p) {
+		w.off += len(p)
+	} else {
+		w.diff = true
+	}
+	return len(p), nil
+}
+
+// writesText reports whether q on st writes exactly want.
+func writesText(st *Store, q Query, want string) (bool, error) {
+	w := sameText{want: want}
+	_, err := st.Write(&w, q)
+	return !w.diff && w.off == len(want), err
+}
+
 // TestParallelScanParity pins what is left of the multi-core read plane:
 // any number of scans share a store's sealed shards, each through a
 // cursor of its own, and whichever of them touches a column first loads
@@ -56,21 +122,15 @@ func scanners(n int, fn func(g int)) {
 // race for those first loads, every query yields byte-identical output to
 // the in-memory text store.
 func TestParallelScanParity(t *testing.T) {
-	st, _ := buildStore(t, 100) // 4 month shards
-	path := dumpBinary(t, st)
+	path, want := parityDump(t)
 	queries := parityQueries()
-	want := make([]string, len(queries))
-	for i, q := range queries {
-		want[i] = queryText(t, st, q)
-	}
 	for _, width := range []int{1, 2, 4, 8} {
 		bin := openBinaryFresh(t, path)
 		scanners(width, func(g int) {
 			for i := g; i < len(queries); i += width { // each query once, dealt round the scanners
-				var buf bytes.Buffer
-				if _, err := bin.Write(&buf, queries[i]); err != nil {
+				if same, err := writesText(bin, queries[i], want[i]); err != nil {
 					t.Errorf("width %d query %d: %v", width, i, err)
-				} else if buf.String() != want[i] {
+				} else if !same {
 					t.Errorf("width %d query %d: output diverges from text store", width, i)
 				}
 			}
@@ -83,13 +143,8 @@ func TestParallelScanParity(t *testing.T) {
 // loads nothing more), no row has left the disk, and every query still
 // matches the text store byte for byte.
 func TestParallelWarmParity(t *testing.T) {
-	st, _ := buildStore(t, 100)
-	path := dumpBinary(t, st)
+	path, want := parityDump(t)
 	queries := parityQueries()
-	want := make([]string, len(queries))
-	for i, q := range queries {
-		want[i] = queryText(t, st, q)
-	}
 	for _, width := range []int{1, 2, 4, 8} {
 		bin := openBinaryFresh(t, path)
 		scanners(width, func(g int) {
@@ -109,7 +164,9 @@ func TestParallelWarmParity(t *testing.T) {
 			}
 		}
 		for i, q := range queries {
-			if queryText(t, bin, q) != want[i] {
+			if same, err := writesText(bin, q, want[i]); err != nil {
+				t.Fatal(err)
+			} else if !same {
 				t.Fatalf("width %d query %d: warm output diverges", width, i)
 			}
 		}

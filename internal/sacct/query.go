@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"slurmsight/internal/obs"
@@ -209,7 +210,9 @@ func (fp *frozenParts) open(ctx context.Context, mv *month) error {
 func (fp *frozenParts) add(ctx context.Context, sh *colstore.Shard) error {
 	i := len(fp.heads)
 	if i == len(fp.curs) {
-		fp.curs = append(fp.curs, colstore.NewCursor(fp.p.filters, fp.cols))
+		cur := cursors.Get().(*colstore.Cursor)
+		cur.Reset(fp.p.filters, fp.cols)
+		fp.curs = append(fp.curs, cur)
 	}
 	cur := fp.curs[i]
 	if err := cur.Open(ctx, sh); err != nil {
@@ -245,11 +248,18 @@ func (fp *frozenParts) next(i int) (err error) {
 	return err
 }
 
+// close closes the scan's cursors and returns them for the next scan.
 func (fp *frozenParts) close() {
 	for _, c := range fp.curs {
 		c.Close()
+		cursors.Put(c)
 	}
 }
+
+// cursors recycles part cursors from scan to scan. Reset keeps only a
+// cursor's column list: its record starts from zero, as a new cursor's
+// does. An idle cursor lasts until the second garbage collection.
+var cursors = sync.Pool{New: func() any { return new(colstore.Cursor) }}
 
 // run streams the view's matching records in emission order: month by
 // month, a k-way merge of the month's frozen parts and its in-memory rows
@@ -484,9 +494,10 @@ func (s *Store) writeText(ctx context.Context, tw *textWriter, q *Query, limit i
 // AppendQueryCtx: one slurm.Encoder appending rows into one buffer. With a
 // sink, the buffer is handed to w and reused each time it passes flushAt;
 // without one it just grows and is the result. Either way it starts from
-// what the caller gave (nothing, for Write) and grows by append, so a
-// short answer costs what it holds (a /query miss of a few rows must not
-// pay for a bulk dump's buffer) and a long one stops allocating once the
+// what the caller gave — nothing for Write, the serving plane's reused
+// render buffer for AppendQueryCtx — and grows by append, so a short
+// answer costs what it holds (a /query miss of a few rows must not pay
+// for a bulk dump's buffer) and a long one stops allocating once the
 // buffer has grown past flushAt.
 type textWriter struct {
 	w   io.Writer // nil: keep everything in buf

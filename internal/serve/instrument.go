@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"slurmsight/internal/obs"
@@ -78,6 +79,31 @@ type middleware struct {
 	Log           *slog.Logger  // nil: no structured request log
 }
 
+// rootAttrs is the room a request's root span reserves for what the
+// handler and the middleware add: cache, generation and rows on /query,
+// bundle on a figure miss, throttled and retry_after_s on a 429, and the
+// status. Its path and client are the trace's own fields, which
+// /debug/requests shows among the root's attributes.
+const rootAttrs = 4
+
+// routeMeters are one route's request counter and latency histogram and
+// the root span name of a GET on it, resolved on the route's first
+// request. Its error counter is resolved on its first error, so a route
+// that never failed shows no error series.
+type routeMeters struct {
+	requests *obs.Counter
+	latency  *obs.Histogram
+	get      string
+}
+
+// rootName is the root span's name for a request on the route.
+func (rm *routeMeters) rootName(method, route string) string {
+	if method == http.MethodGet {
+		return rm.get
+	}
+	return method + " " + route
+}
+
 // wrap instruments next. shell wraps it around whatever the client
 // actually observes (outside fault injection, inside nothing) so the
 // counters agree with client-side measurements.
@@ -90,24 +116,53 @@ func (mw middleware) wrap(next http.Handler) http.Handler {
 	latency := m.Histogram(mw.Prefix+"_request_seconds", obs.LatencyBuckets)
 	inflight := m.Gauge(mw.Prefix + "_inflight_requests")
 	tracing := mw.Recorder != nil || (mw.Log != nil && mw.SlowThreshold > 0)
+
+	// The route cache holds a pointer per route the registry already
+	// holds metrics for, so it grows no faster than the registry does.
+	var (
+		routesMu sync.RWMutex
+		routes   = map[string]*routeMeters{}
+	)
+	metersFor := func(route string) *routeMeters {
+		routesMu.RLock()
+		rm := routes[route]
+		routesMu.RUnlock()
+		if rm != nil {
+			return rm
+		}
+		rm = &routeMeters{
+			requests: m.Counter(obs.Label(mw.Prefix+"_route_requests_total", "route", route)),
+			latency:  m.Histogram(obs.Label(mw.Prefix+"_route_request_seconds", "route", route), obs.LatencyBuckets),
+			get:      http.MethodGet + " " + route,
+		}
+		routesMu.Lock()
+		routes[route] = rm
+		routesMu.Unlock()
+		return rm
+	}
+
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		route := routeOf(r.URL.Path)
+		rm := metersFor(route)
 		requests.Inc()
-		m.Counter(obs.Label(mw.Prefix+"_route_requests_total", "route", route)).Inc()
+		rm.requests.Inc()
 		inflight.Add(1)
 		t0 := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 
-		var tr *obs.Tracer
+		var rt *obs.RequestTrace
 		var root *obs.Span
-		var id string
 		if tracing {
-			id = obs.NewTraceID()
-			tr = obs.NewTracer()
-			root = tr.Start(r.Method + " " + route)
-			root.SetAttr("path", r.URL.Path)
-			root.SetAttr("client", clientKey(r))
-			w.Header().Set("X-Trace-Id", id)
+			rt = &obs.RequestTrace{
+				ID:     obs.NewTraceID(),
+				Route:  route,
+				Method: r.Method,
+				Path:   r.URL.Path,
+				Client: clientKey(r),
+				Start:  t0,
+			}
+			root = obs.StartRequest(rm.rootName(r.Method, route), t0, rootAttrs)
+			w.Header().Set("X-Trace-Id", rt.ID)
 			r = r.WithContext(obs.ContextWithSpan(r.Context(), root))
 		}
 
@@ -115,8 +170,7 @@ func (mw middleware) wrap(next http.Handler) http.Handler {
 
 		dur := time.Since(t0)
 		latency.Observe(dur.Seconds())
-		m.Histogram(obs.Label(mw.Prefix+"_route_request_seconds", "route", route), obs.LatencyBuckets).
-			Observe(dur.Seconds())
+		rm.latency.Observe(dur.Seconds())
 		inflight.Add(-1)
 		switch {
 		case sw.status >= 500:
@@ -132,22 +186,12 @@ func (mw middleware) wrap(next http.Handler) http.Handler {
 			return
 		}
 		root.SetAttrInt("status", int64(sw.status))
-		root.End()
-		rt := &obs.RequestTrace{
-			ID:       id,
-			Route:    route,
-			Method:   r.Method,
-			Path:     r.URL.Path,
-			Status:   sw.status,
-			Client:   clientKey(r),
-			Start:    t0,
-			Duration: dur,
-			Spans:    tr.Snapshot(),
-		}
+		rt.Status, rt.Duration = sw.status, dur
+		rt.Spans = obs.EndRequest(root)
 		mw.Recorder.Record(rt)
 		if mw.Log != nil && mw.SlowThreshold > 0 && dur >= mw.SlowThreshold {
 			mw.Log.LogAttrs(context.Background(), slog.LevelWarn, "slow request",
-				slog.String("trace_id", id),
+				slog.String("trace_id", rt.ID),
 				slog.String("route", route),
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),

@@ -186,8 +186,11 @@ func (s *Server) Handler() http.Handler {
 // throttled gates a handler behind the per-client token bucket. Denials
 // carry a Retry-After computed from the actual token refill rate and
 // mark the request's trace so a 429 is self-explanatory in the flight
-// recorder.
+// recorder. With throttling off it is h itself.
 func (s *Server) throttled(h http.HandlerFunc) http.HandlerFunc {
+	if s.lim == nil {
+		return h
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		ok, retry := s.lim.Allow(clientKey(r))
 		if !ok {
@@ -233,10 +236,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// The scan reads one capture of the store and says which
 		// generation it was: that, not the one in the key, labels the body
 		// when an append lands in between.
-		body, n, gen, err := s.store.AppendQueryCtx(r.Context(), nil, q, limit)
+		buf := renderBufs.Get().(*[]byte)
+		defer putRenderBuf(buf)
+		text, n, gen, err := s.store.AppendQueryCtx(r.Context(), (*buf)[:0], q, limit)
+		*buf = text
 		if err != nil {
 			return nil, err
 		}
+		body := bytes.Clone(text)
 		return &entry{
 			body:   body,
 			ctype:  "text/plain; charset=utf-8",
@@ -250,6 +257,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeCached(w, r, ent, outcome)
+}
+
+// renderBufs holds the scratch buffers /query misses render into. A
+// body is rendered into one, copied out at its exact size for the cache
+// (or, past maxCacheBody, for the requests sharing it), and the buffer
+// goes back for the next miss. A sync.Pool keeps an idle buffer through
+// one garbage collection and drops it at the next.
+var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledRender is the largest render buffer kept for reuse: one huge
+// answer must not leave a buffer its size behind.
+const maxPooledRender = 1 << 20
+
+func putRenderBuf(buf *[]byte) {
+	if cap(*buf) <= maxPooledRender {
+		renderBufs.Put(buf)
+	}
 }
 
 // handleFigure answers GET /figures/<key>.json with the chart spec for
@@ -548,31 +572,66 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// timeLayouts are the accepted start/end spellings, most to least
-// specific. All-digit strings of unix-seconds length are epoch seconds.
-var timeLayouts = []string{
-	time.RFC3339Nano,
-	time.RFC3339,
-	"2006-01-02T15:04:05",
-	"2006-01-02 15:04:05",
-	"2006-01-02",
-	"2006-01",
-	"2006",
-}
-
+// parseTimeParam reads a start/end value: RFC 3339 (with or without
+// fractional seconds), 2006-01-02T15:04:05, 2006-01-02 15:04:05,
+// 2006-01-02, 2006-01 or 2006, all UTC unless zoned, or a run of at least
+// nine digits, which is epoch seconds. Each spelling has its own shape — a
+// date-time has its separator at byte 10 and ends in a zone only if it is
+// RFC 3339, and the other three have fixed lengths — so a value is parsed
+// only with the layouts its shape can match: a well-formed value meets no
+// failed time.Parse, each of which allocates its error.
 func parseTimeParam(s string) (time.Time, error) {
 	if s == "" {
 		return time.Time{}, nil
 	}
-	if n, err := strconv.ParseInt(s, 10, 64); err == nil && len(s) >= 9 {
-		return time.Unix(n, 0).UTC(), nil
+	if len(s) >= 9 && isInteger(s) {
+		if n, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return time.Unix(n, 0).UTC(), nil
+		}
 	}
-	for _, layout := range timeLayouts {
+	var layouts []string
+	switch {
+	case len(s) > 10 && s[10] == 'T' && hasZone(s):
+		layouts = []string{time.RFC3339Nano, time.RFC3339}
+	case len(s) > 10 && s[10] == 'T':
+		layouts = []string{"2006-01-02T15:04:05"}
+	case len(s) > 10 && s[10] == ' ':
+		layouts = []string{"2006-01-02 15:04:05"}
+	case len(s) == 10:
+		layouts = []string{"2006-01-02"}
+	case len(s) == 7:
+		layouts = []string{"2006-01"}
+	case len(s) == 4:
+		layouts = []string{"2006"}
+	}
+	for _, layout := range layouts {
 		if t, err := time.Parse(layout, s); err == nil {
 			return t.UTC(), nil
 		}
 	}
 	return time.Time{}, fmt.Errorf("unparseable time %q (try RFC3339, 2006-01-02, 2006-01, or epoch seconds)", s)
+}
+
+// isInteger reports whether s is what strconv.ParseInt reads in base 10:
+// an optional sign, then digits.
+func isInteger(s string) bool {
+	if s[0] == '+' || s[0] == '-' {
+		s = s[1:]
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return s != ""
+}
+
+// hasZone reports whether a date-time ends the way an RFC 3339 zone must:
+// in Z, or in a signed hh:mm. A value with no zone ends in its seconds or
+// their fraction, whose last six bytes hold no sign.
+func hasZone(s string) bool {
+	n := len(s)
+	return s[n-1] == 'Z' || n >= 6 && (s[n-6] == '+' || s[n-6] == '-')
 }
 
 // parseQuery maps URL parameters onto a sacct.Query plus a row limit,

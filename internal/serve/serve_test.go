@@ -708,3 +708,57 @@ func TestIngestOversizedRowNamesTheLine(t *testing.T) {
 		t.Error("a refused batch moved the generation")
 	}
 }
+
+// TestParseTimeParamByShape pins that choosing layouts by a value's shape
+// changes no answer: every value, well formed or not, parses to what the
+// first of all seven layouts to accept it gives, or fails when none
+// does. A well-formed value parses without allocating.
+func TestParseTimeParamByShape(t *testing.T) {
+	allLayouts := func(s string) (time.Time, bool) {
+		if n, err := strconv.ParseInt(s, 10, 64); err == nil && len(s) >= 9 {
+			return time.Unix(n, 0).UTC(), true
+		}
+		for _, layout := range []string{time.RFC3339Nano, time.RFC3339, "2006-01-02T15:04:05",
+			"2006-01-02 15:04:05", "2006-01-02", "2006-01", "2006"} {
+			if t, err := time.Parse(layout, s); err == nil {
+				return t.UTC(), true
+			}
+		}
+		return time.Time{}, false
+	}
+	values := []string{
+		"2024", "2024-02", "2024-02-29", "2023-02-29", "2024-02-03T04:05:06", "2024-02-03 04:05:06",
+		"2024-02-03  04:05:06", "2024-02-03T4:05:06", "2024-02-03T04:05:06.5", "2024-02-03T04:05:06,25",
+		"2024-02-03T04:05:06.123456789", "2024-02-03T04:05:06Z", "2024-02-03T04:05:06.5Z",
+		"2024-02-03T04:05:06+02:00", "2024-02-03T04:05:06-07:30", "2024-02-03T04:05:06.123-07:30",
+		"2024-02-03T4:05:06Z", "2024-02-03t04:05:06Z", "2024-02-03T04:05:06z", "2024-02-03T04:05",
+		"2024-02-03T04:05:06+0200", "2024-02-03T04:05:06 ", "1700000000", "-1700000000", "+170000000",
+		"17000000", "99999999999999999999", "2024-2-3", "2024-13", "24-02-03", "+202-02-03", "-202",
+		"abcd", "abcdefg", "abcdefghij", "2024-02-03X04:05:06", "2024-02-03T24:00:00", "2024-02-03T04:05:06Q",
+		"x", "2024-02-03T04:05:06+02:00Z", "２０２４",
+	}
+	// And every one-byte change of each well-formed spelling.
+	for _, tmpl := range []string{"2024-02-03T04:05:06.5+02:00", "2024-02-03T04:05:06Z", "2024-02-03T04:05:06",
+		"2024-02-03 04:05:06", "2024-02-03", "2024-02", "2024", "1700000000"} {
+		for i := range tmpl {
+			for _, c := range []byte("0159-+:.,TZz tx") {
+				values = append(values, tmpl[:i]+string(c)+tmpl[i+1:])
+			}
+		}
+	}
+	for _, s := range values {
+		want, ok := allLayouts(s)
+		got, err := parseTimeParam(s)
+		if ok != (err == nil) || !got.Equal(want) || got.Location() != want.Location() {
+			t.Errorf("%q: got %v (err %v), every layout in turn gives %v (ok %v)", s, got, err, want, ok)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	for _, s := range []string{"2024", "2024-02", "2024-02-03", "2024-02-03T04:05:06", "2024-02-03 04:05:06", "2024-02-03T04:05:06Z", "1700000000"} {
+		if n := testing.AllocsPerRun(100, func() { parseTimeParam(s) }); n != 0 {
+			t.Errorf("%q: %v allocations per parse, want 0", s, n)
+		}
+	}
+}
