@@ -16,6 +16,7 @@ import (
 // internal/ and cmd/ that no non-test Go calls, each with the reason it
 // stays.
 var uncalledExports = map[string]string{
+	"slurmsight/internal/core.RunFederated":                "the §4.3 cross-facility run, which TestPaperReproduction drives",
 	"slurmsight/internal/llm.Choose":                       "the paper's model selection, which the llm tests and TestPaperReproduction reproduce",
 	"slurmsight/internal/llm.Client.Chat":                  "the Go client of the served /v1/chat endpoint, which the chat tests drive it through",
 	"slurmsight/internal/llm.Client.Models":                "the Go client of the served /v1/models endpoint, which the registry and bounded-read tests drive it through",

@@ -255,36 +255,38 @@ func TestFrontierAndesComparisonShape(t *testing.T) {
 	}
 	frontier := gen(tracegen.FrontierProfile(), cluster.Frontier(), 31)
 	andes := gen(tracegen.AndesProfile(), cluster.Andes(), 32)
-	cmp := CompareSystems("frontier", frontier, "andes", andes)
+	fScale, aScale := SummarizeScale(frontier.Scale.Result()), SummarizeScale(andes.Scale.Result())
+	fUsers, aUsers := SummarizeUsers(frontier.Users.Result(0)), SummarizeUsers(andes.Users.Result(0))
+	fBackfill, aBackfill := SummarizeBackfill(frontier.Backfill.Result()), SummarizeBackfill(andes.Backfill.Result())
 
 	// Figure 7 vs 3: Andes concentrates small, short jobs.
-	if cmp.ScaleB.MedianNodes > cmp.ScaleA.MedianNodes {
-		t.Errorf("Andes median nodes %.1f > Frontier %.1f", cmp.ScaleB.MedianNodes, cmp.ScaleA.MedianNodes)
+	if aScale.MedianNodes > fScale.MedianNodes {
+		t.Errorf("Andes median nodes %.1f > Frontier %.1f", aScale.MedianNodes, fScale.MedianNodes)
 	}
-	if cmp.ScaleB.SmallShortShare <= cmp.ScaleA.SmallShortShare {
+	if aScale.SmallShortShare <= fScale.SmallShortShare {
 		t.Errorf("Andes small-short share %.2f ≤ Frontier %.2f",
-			cmp.ScaleB.SmallShortShare, cmp.ScaleA.SmallShortShare)
+			aScale.SmallShortShare, fScale.SmallShortShare)
 	}
-	if cmp.ScaleA.LargeLongShare <= cmp.ScaleB.LargeLongShare {
+	if fScale.LargeLongShare <= aScale.LargeLongShare {
 		t.Errorf("Frontier large-long share %.3f ≤ Andes %.3f",
-			cmp.ScaleA.LargeLongShare, cmp.ScaleB.LargeLongShare)
+			fScale.LargeLongShare, aScale.LargeLongShare)
 	}
 	// Figure 8 vs 5: Andes fails less, more uniformly.
-	if cmp.UsersB.MeanFailedShare >= cmp.UsersA.MeanFailedShare {
+	if aUsers.MeanFailedShare >= fUsers.MeanFailedShare {
 		t.Errorf("Andes mean failed share %.3f ≥ Frontier %.3f",
-			cmp.UsersB.MeanFailedShare, cmp.UsersA.MeanFailedShare)
+			aUsers.MeanFailedShare, fUsers.MeanFailedShare)
 	}
-	if cmp.UsersB.StdFailedShare >= cmp.UsersA.StdFailedShare {
+	if aUsers.StdFailedShare >= fUsers.StdFailedShare {
 		t.Errorf("Andes failure variance %.3f ≥ Frontier %.3f",
-			cmp.UsersB.StdFailedShare, cmp.UsersA.StdFailedShare)
+			aUsers.StdFailedShare, fUsers.StdFailedShare)
 	}
 	// Figure 9 vs 6: over-estimation on both; tighter on Andes.
-	if cmp.BackfillA.OverestimateShare < 0.3 || cmp.BackfillB.OverestimateShare < 0.3 {
+	if fBackfill.OverestimateShare < 0.3 || aBackfill.OverestimateShare < 0.3 {
 		t.Errorf("over-estimation should be systematic on both: %.2f / %.2f",
-			cmp.BackfillA.OverestimateShare, cmp.BackfillB.OverestimateShare)
+			fBackfill.OverestimateShare, aBackfill.OverestimateShare)
 	}
-	if cmp.BackfillB.MedianUseRatio <= cmp.BackfillA.MedianUseRatio {
+	if aBackfill.MedianUseRatio <= fBackfill.MedianUseRatio {
 		t.Errorf("Andes use ratio %.2f ≤ Frontier %.2f; want tighter estimates on Andes",
-			cmp.BackfillB.MedianUseRatio, cmp.BackfillA.MedianUseRatio)
+			aBackfill.MedianUseRatio, fBackfill.MedianUseRatio)
 	}
 }

@@ -20,7 +20,7 @@ func (a *classAcc) summary(class string) ClassSummary {
 	s := ClassSummary{
 		Class:     class,
 		Jobs:      a.jobs,
-		NodeHours: a.nodeHours,
+		NodeHours: a.nodeHours.hours(),
 	}
 	s.MedianWaitS, _ = stats.Quantile(a.waits, 0.5)
 	s.MedianNodes, _ = stats.Quantile(a.nodes, 0.5)

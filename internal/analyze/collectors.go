@@ -289,11 +289,37 @@ func (c *BackfillCollector) Merge(o *BackfillCollector) {
 // Result returns the scatter points in observation order.
 func (c *BackfillCollector) Result() []BackfillPoint { return c.points }
 
+// nodeSeconds sums nodes·duration exactly, as whole node-seconds and
+// the node-nanoseconds short of the next one. An integer sum does not
+// depend on the order it is added in, so a total merged from chunk shards
+// equals one pass's at every ingest width; it becomes hours once, when
+// read. (One node·ns int64 would wrap after about eleven full-machine
+// Frontier days.)
+type nodeSeconds struct{ sec, ns int64 } // ns in [0, 1e9)
+
+func (s *nodeSeconds) add(nodes int64, d time.Duration) {
+	s.merge(nodeSeconds{nodes * int64(d/time.Second), nodes * int64(d%time.Second)})
+}
+
+func (s *nodeSeconds) merge(o nodeSeconds) {
+	const second = int64(time.Second)
+	s.sec, s.ns = s.sec+o.sec, s.ns+o.ns
+	carry := s.ns / second
+	if s.ns%second < 0 {
+		carry-- // floor, so a negative term borrows a whole second
+	}
+	s.sec, s.ns = s.sec+carry, s.ns-carry*second
+}
+
+func (s nodeSeconds) hours() float64 {
+	return (float64(s.sec) + float64(s.ns)/float64(time.Second)) / 3600
+}
+
 // ReclaimableCollector sums nodes·(requested − actual) over started jobs —
 // the capacity a perfect walltime predictor would hand back to the
 // scheduler, grounding the paper's time-reclamation recommendation.
 type ReclaimableCollector struct {
-	total float64
+	total nodeSeconds
 }
 
 // NewReclaimableCollector returns an empty reclaimable-hours collector.
@@ -305,15 +331,15 @@ func (c *ReclaimableCollector) Observe(r *slurm.Record) {
 		return
 	}
 	if slack := r.WalltimeSlack(); slack > 0 {
-		c.total += float64(r.NNodes) * slack.Hours()
+		c.total.add(r.NNodes, slack)
 	}
 }
 
 // Merge adds another collector's partial sum.
-func (c *ReclaimableCollector) Merge(o *ReclaimableCollector) { c.total += o.total }
+func (c *ReclaimableCollector) Merge(o *ReclaimableCollector) { c.total.merge(o.total) }
 
 // Result returns nodes·(requested − actual) summed over started jobs.
-func (c *ReclaimableCollector) Result() float64 { return c.total }
+func (c *ReclaimableCollector) Result() float64 { return c.total.hours() }
 
 // ClassCollector folds the per-workload-class breakdown — the "who
 // actually uses the machine, and how well" table behind the figures.
@@ -323,7 +349,7 @@ type ClassCollector struct {
 
 type classAcc struct {
 	jobs      int
-	nodeHours float64
+	nodeHours nodeSeconds
 	waits     []float64
 	nodes     []float64
 	ratios    []float64
@@ -357,7 +383,7 @@ func (c *ClassCollector) Observe(r *slurm.Record) {
 		return
 	}
 	a.started++
-	a.nodeHours += float64(r.NNodes) * r.Elapsed.Hours()
+	a.nodeHours.add(r.NNodes, r.Elapsed)
 	if w, ok := r.WaitTime(); ok {
 		a.waits = append(a.waits, w.Seconds())
 	}
@@ -375,7 +401,7 @@ func (c *ClassCollector) Merge(o *ClassCollector) {
 	for class, oa := range o.byClass {
 		a := c.acc(class)
 		a.jobs += oa.jobs
-		a.nodeHours += oa.nodeHours
+		a.nodeHours.merge(oa.nodeHours)
 		a.waits = append(a.waits, oa.waits...)
 		a.nodes = append(a.nodes, oa.nodes...)
 		a.ratios = append(a.ratios, oa.ratios...)
@@ -475,7 +501,7 @@ func (b *Bundle) reset() {
 	b.Waits.points = b.Waits.points[:0]
 	clear(b.Users.byUser)
 	b.Backfill.points = b.Backfill.points[:0]
-	b.Reclaim.total = 0
+	b.Reclaim.total = nodeSeconds{}
 	b.Timeline.reset()
 	for _, a := range b.Classes.byClass {
 		*a = classAcc{waits: a.waits[:0], nodes: a.nodes[:0], ratios: a.ratios[:0]}

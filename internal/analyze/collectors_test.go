@@ -3,6 +3,7 @@ package analyze
 import (
 	"encoding/json"
 	"maps"
+	"math/big"
 	"reflect"
 	"testing"
 	"time"
@@ -227,5 +228,68 @@ func TestTimelineCollectorCache(t *testing.T) {
 	}
 	if len(first) < 2 || first[1].At.Sub(first[0].At) != time.Hour {
 		t.Errorf("points are not a bucket (1h) apart: %v", first)
+	}
+}
+
+// TestNodeSecondsIsExactInAnyOrder: the node-hour sums the reclaimable
+// and class collectors fold are the same value whatever order and
+// grouping the records arrive in — one pass, reversed, or chunk shards
+// merged in either direction — as ingest widths split them. Float sums
+// of nodes·hours moved in the last place between widths.
+func TestNodeSecondsIsExactInAnyOrder(t *testing.T) {
+	type term struct {
+		nodes int64
+		d     time.Duration
+	}
+	var terms []term
+	var wantNS big.Int
+	for i := range 500 {
+		tm := term{int64(1 + i*37%9408), time.Duration(i) * 7919 * time.Millisecond / 3}
+		if i%5 == 0 {
+			tm.d = -tm.d // a negative term borrows from the whole seconds
+		}
+		terms = append(terms, tm)
+		wantNS.Add(&wantNS, new(big.Int).Mul(big.NewInt(tm.nodes), big.NewInt(int64(tm.d))))
+	}
+	var forward, backward nodeSeconds
+	for i := range terms {
+		forward.add(terms[i].nodes, terms[i].d)
+		back := terms[len(terms)-1-i]
+		backward.add(back.nodes, back.d)
+	}
+	var chunks []nodeSeconds
+	for lo := 0; lo < len(terms); lo += 77 {
+		var c nodeSeconds
+		for _, tm := range terms[lo:min(lo+77, len(terms))] {
+			c.add(tm.nodes, tm.d)
+		}
+		chunks = append(chunks, c)
+	}
+	var merged, mergedBack nodeSeconds
+	for i := range chunks {
+		merged.merge(chunks[i])
+		mergedBack.merge(chunks[len(chunks)-1-i])
+	}
+	for name, got := range map[string]nodeSeconds{"backward": backward, "merged": merged, "merged backward": mergedBack} {
+		if got != forward {
+			t.Errorf("%s sum %+v != one forward pass %+v", name, got, forward)
+		}
+	}
+	if forward.ns < 0 || forward.ns >= int64(time.Second) {
+		t.Errorf("sub-second remainder %d outside [0, 1e9)", forward.ns)
+	}
+	gotNS := new(big.Int).Mul(big.NewInt(forward.sec), big.NewInt(int64(time.Second)))
+	if gotNS.Add(gotNS, big.NewInt(forward.ns)); gotNS.Cmp(&wantNS) != 0 {
+		t.Errorf("sum is %v node-ns, want %v", gotNS, &wantNS)
+	}
+
+	// A hundred full-machine Frontier days: past where one node·ns int64
+	// would have wrapped, and still exact.
+	var days nodeSeconds
+	for range 100 {
+		days.add(9408, 24*time.Hour)
+	}
+	if got, want := days.hours(), float64(100*9408*24); got != want {
+		t.Errorf("100 full-machine days sum to %v node-hours, want %v", got, want)
 	}
 }

@@ -176,7 +176,7 @@ func SummarizeScale(points []NodesElapsedPoint) ScaleSummary {
 }
 
 // SystemComparison pairs two systems' summaries — the §4.3 portability
-// analysis (and the future-work federated analytics hook).
+// analysis, which core.RunFederated fills from its members' runs.
 type SystemComparison struct {
 	NameA, NameB string
 	ScaleA       ScaleSummary
@@ -185,19 +185,4 @@ type SystemComparison struct {
 	UsersB       UserBehaviorSummary
 	BackfillA    BackfillSummary
 	BackfillB    BackfillSummary
-}
-
-// CompareSystems computes the full cross-system contrast from two systems'
-// collected bundles.
-func CompareSystems(nameA string, a *Bundle, nameB string, b *Bundle) SystemComparison {
-	return SystemComparison{
-		NameA:     nameA,
-		NameB:     nameB,
-		ScaleA:    SummarizeScale(a.Scale.Result()),
-		ScaleB:    SummarizeScale(b.Scale.Result()),
-		UsersA:    SummarizeUsers(a.Users.Result(0)),
-		UsersB:    SummarizeUsers(b.Users.Result(0)),
-		BackfillA: SummarizeBackfill(a.Backfill.Result()),
-		BackfillB: SummarizeBackfill(b.Backfill.Result()),
-	}
 }

@@ -6,18 +6,13 @@ import (
 	"html"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"slurmsight/internal/analyze"
 	"slurmsight/internal/llm"
 	"slurmsight/internal/plot"
-	"slurmsight/internal/sacct"
 )
-
-// Member is one system in a federated analysis.
-type Member struct {
-	Config Config
-}
 
 // FederatedArtifacts is the product of a multi-cluster run: each member's
 // own artifacts plus the cross-facility comparison layer — the paper's
@@ -36,31 +31,35 @@ type FederatedArtifacts struct {
 }
 
 // RunFederated executes the workflow for every member under
-// outDir/<system> and builds the cross-facility layer. Members run
-// sequentially (each already parallelises internally); at least two are
-// required.
-func RunFederated(ctx context.Context, outDir string, members []Member) (*FederatedArtifacts, error) {
+// outDir/<system> (unless the member sets its own OutputDir) and builds
+// the cross-facility layer from what the members wrote: the comparison
+// from their summaries, the values each facts.json serialises, and the
+// LLM note from their Figure 6 specs. Members run sequentially (each
+// already parallelises internally); at least two are required, and
+// every one is named, uniquely, before any runs.
+func RunFederated(ctx context.Context, outDir string, members []Config) (*FederatedArtifacts, error) {
 	if len(members) < 2 {
 		return nil, fmt.Errorf("core: federated analysis needs at least 2 members, got %d", len(members))
 	}
 	if outDir == "" {
 		return nil, fmt.Errorf("core: federated analysis needs an output directory")
 	}
+	names := make([]string, len(members))
+	for i, cfg := range members {
+		if cfg.SystemName == "" {
+			return nil, fmt.Errorf("core: federated member %d has no system name", i)
+		}
+		if slices.Contains(names[:i], cfg.SystemName) {
+			return nil, fmt.Errorf("core: duplicate federated member %q", cfg.SystemName)
+		}
+		names[i] = cfg.SystemName
+	}
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return nil, err
 	}
 	fed := &FederatedArtifacts{Members: map[string]*Artifacts{}}
-	names := make([]string, 0, len(members))
-	bundles := map[string]*analyze.Bundle{}
 	var aiClient *llm.Client
-	for i := range members {
-		cfg := members[i].Config
-		if cfg.SystemName == "" {
-			return nil, fmt.Errorf("core: federated member %d has no system name", i)
-		}
-		if _, dup := fed.Members[cfg.SystemName]; dup {
-			return nil, fmt.Errorf("core: duplicate federated member %q", cfg.SystemName)
-		}
+	for _, cfg := range members {
 		if cfg.OutputDir == "" {
 			cfg.OutputDir = filepath.Join(outDir, cfg.SystemName)
 		}
@@ -69,24 +68,21 @@ func RunFederated(ctx context.Context, outDir string, members []Member) (*Federa
 			return nil, fmt.Errorf("core: member %s: %w", cfg.SystemName, err)
 		}
 		fed.Members[cfg.SystemName] = art
-		names = append(names, cfg.SystemName)
-		b, err := analyze.Collect(cfg.Store.Scan(sacct.Query{Start: cfg.Start, End: cfg.End}), TimelineBucket)
-		if err != nil {
-			return nil, err
-		}
-		bundles[cfg.SystemName] = b
 		if cfg.EnableAI && aiClient == nil {
 			aiClient = cfg.LLM
 		}
 	}
 
-	a, b := names[0], names[1]
-	cmp := analyze.CompareSystems(a, bundles[a], b, bundles[b])
-	fed.Comparison = &cmp
+	a, b := fed.Members[names[0]].Summaries, fed.Members[names[1]].Summaries
+	fed.Comparison = &analyze.SystemComparison{
+		NameA: names[0], NameB: names[1],
+		ScaleA: a.Scale, ScaleB: b.Scale,
+		UsersA: a.Users, UsersB: b.Users,
+		BackfillA: a.Backfill, BackfillB: b.Backfill,
+	}
 
-	chart := ComparisonChart(&cmp)
 	fed.ComparisonChartPath = filepath.Join(outDir, "federated-comparison.html")
-	if _, err := writePage(fed.ComparisonChartPath, chart, chartWidth, chartHeight); err != nil {
+	if _, err := writePage(fed.ComparisonChartPath, comparisonChart(fed.Comparison), chartWidth, chartHeight); err != nil {
 		return nil, err
 	}
 
@@ -95,34 +91,27 @@ func RunFederated(ctx context.Context, outDir string, members []Member) (*Federa
 		return nil, err
 	}
 
-	// Cross-facility LLM comparison: the two systems' backfill figures
-	// side by side (the §4.3 narrative, machine-generated).
+	// Cross-facility LLM comparison: the two systems' backfill figures,
+	// as their runs wrote them, side by side (the §4.3 narrative,
+	// machine-generated).
 	if aiClient != nil {
-		chartA, err := ChartFromBundle(FigBackfill, a, bundles[a], 0, 0)
-		if err != nil {
-			return nil, err
+		imgs := make([]llm.Image, 2)
+		for i, name := range names[:2] {
+			spec, err := os.ReadFile(fed.Members[name].Figures[FigBackfill].SpecPath)
+			if err != nil {
+				return nil, err
+			}
+			chart, err := plot.FromJSON(spec)
+			if err != nil {
+				return nil, err
+			}
+			png, err := plot.PNG(chart, chartWidth, chartHeight)
+			if err != nil {
+				return nil, err
+			}
+			imgs[i] = llm.Image{Name: name, PNG: png, Spec: string(spec)}
 		}
-		chartB, err := ChartFromBundle(FigBackfill, b, bundles[b], 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		pngA, err := plot.PNG(chartA, chartWidth, chartHeight)
-		if err != nil {
-			return nil, err
-		}
-		pngB, err := plot.PNG(chartB, chartWidth, chartHeight)
-		if err != nil {
-			return nil, err
-		}
-		imgA, err := llm.EncodeImage(a, pngA, chartA)
-		if err != nil {
-			return nil, err
-		}
-		imgB, err := llm.EncodeImage(b, pngB, chartB)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := aiClient.Analyze(ctx, llm.ComparePrompt, imgA, imgB)
+		resp, err := aiClient.Analyze(ctx, llm.ComparePrompt, imgs...)
 		if err != nil {
 			return nil, fmt.Errorf("core: federated LLM compare: %w", err)
 		}
@@ -134,13 +123,9 @@ func RunFederated(ctx context.Context, outDir string, members []Member) (*Federa
 	return fed, nil
 }
 
-// ComparisonChart renders the §4.3 contrasts as grouped bars over shared,
+// comparisonChart renders the §4.3 contrasts as grouped bars over shared,
 // dimensionless metrics.
-func ComparisonChart(cmp *analyze.SystemComparison) *plot.Chart {
-	cats := []string{
-		"small-short share", "overestimation share",
-		"median use ratio", "mean failed share", "backfilled share",
-	}
+func comparisonChart(cmp *analyze.SystemComparison) *plot.Chart {
 	rowOf := func(scale analyze.ScaleSummary, users analyze.UserBehaviorSummary, bf analyze.BackfillSummary) []float64 {
 		return []float64{
 			scale.SmallShortShare, bf.OverestimateShare,
@@ -150,8 +135,11 @@ func ComparisonChart(cmp *analyze.SystemComparison) *plot.Chart {
 	return &plot.Chart{
 		Title:  fmt.Sprintf("Cross-facility comparison: %s vs %s", cmp.NameA, cmp.NameB),
 		XLabel: "metric", YLabel: "share",
-		Kind:       plot.GroupedBar,
-		Categories: cats,
+		Kind: plot.GroupedBar,
+		Categories: []string{
+			"small-short share", "overestimation share",
+			"median use ratio", "mean failed share", "backfilled share",
+		},
 		Series: []plot.Series{
 			{Name: cmp.NameA, Y: rowOf(cmp.ScaleA, cmp.UsersA, cmp.BackfillA), Color: "#1f77b4"},
 			{Name: cmp.NameB, Y: rowOf(cmp.ScaleB, cmp.UsersB, cmp.BackfillB), Color: "#ff7f0e"},

@@ -3,13 +3,18 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"hash/fnv"
+	"io/fs"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"slurmsight/internal/analyze"
 	"slurmsight/internal/cluster"
 	"slurmsight/internal/llm"
 	"slurmsight/internal/plot"
@@ -51,39 +56,65 @@ func testAndesStore(t *testing.T) *sacct.Store {
 	return st
 }
 
-// runTestFederation runs the Frontier (AI on, canned analyst) + Andes
-// federation the federated tests share.
+// federation is the Frontier (AI on, canned analyst) + Andes run the
+// federated tests share, made once per test binary in a directory
+// TestMain removes.
+var federation struct {
+	once sync.Once
+	dir  string
+	fed  *FederatedArtifacts
+	err  error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if federation.dir != "" {
+		os.RemoveAll(federation.dir)
+	}
+	os.Exit(code)
+}
+
+// runTestFederation returns the shared federation, running it on the
+// first call.
 func runTestFederation(t *testing.T) *FederatedArtifacts {
 	t.Helper()
-	analyst := httptest.NewServer(llm.NewServer("sk-fed").Handler())
-	defer analyst.Close()
-	client := llm.NewClient(analyst.URL, "sk-fed")
+	f := &federation
+	f.once.Do(func() {
+		analyst := httptest.NewServer(llm.NewServer("sk-fed").Handler())
+		defer analyst.Close()
+		client := llm.NewClient(analyst.URL, "sk-fed")
 
-	outDir := t.TempDir()
-	frontierCfg := baseConfig(t)
-	frontierCfg.OutputDir = "" // federated default placement
-	frontierCfg.EnableAI = true
-	frontierCfg.LLM = client
+		if f.dir, f.err = os.MkdirTemp("", "federation-"); f.err != nil {
+			return
+		}
+		frontierCfg := baseConfig(t)
+		frontierCfg.OutputDir = "" // federated default placement
+		frontierCfg.EnableAI = true
+		frontierCfg.LLM = client
 
-	andesCfg := baseConfig(t)
-	andesCfg.SystemName = "andes"
-	andesCfg.Store = testAndesStore(t)
-	andesCfg.OutputDir = ""
+		andesCfg := baseConfig(t)
+		andesCfg.SystemName = "andes"
+		andesCfg.Store = testAndesStore(t)
+		andesCfg.OutputDir = ""
 
-	fed, err := RunFederated(context.Background(), outDir, []Member{
-		{Config: frontierCfg}, {Config: andesCfg},
+		f.fed, f.err = RunFederated(context.Background(), f.dir, []Config{frontierCfg, andesCfg})
 	})
-	if err != nil {
-		t.Fatal(err)
+	if f.err != nil {
+		t.Fatal(f.err)
 	}
-	return fed
+	if f.fed == nil {
+		t.Fatal("the shared federation failed in an earlier test")
+	}
+	return f.fed
 }
 
 // TestRunFederatedGoldenDigest pins the bytes of the cross-facility
 // layer: the Comparison as JSON, federated-comparison.html, the canned
 // analyst's federated-compare.md and every member's facts.json. The
-// constant was recorded at 349efae, where RunFederated compared two
-// Select'ed record slices; the bundle path must reproduce it.
+// constant was re-recorded when the comparison and the compare note came
+// to read what the members wrote (whole-second Elapsed, where a second
+// pass over the stores saw sub-second) and node-hours came to sum
+// exactly, so that it no longer depends on GOMAXPROCS.
 func TestRunFederatedGoldenDigest(t *testing.T) {
 	fed := runTestFederation(t)
 	h := fnv.New64a()
@@ -102,7 +133,7 @@ func TestRunFederatedGoldenDigest(t *testing.T) {
 		}
 		h.Write(data)
 	}
-	const want = 0xd0bfb5ca62ad02ec
+	const want = 0xcacc4d46304b9955
 	if got := h.Sum64(); got != want {
 		t.Errorf("comparison + chart + compare + facts digest to %#x, want %#x", got, uint64(want))
 	}
@@ -122,11 +153,31 @@ func TestRunFederated(t *testing.T) {
 			t.Errorf("member %s dashboard missing: %v", name, err)
 		}
 	}
-	// The comparison layer reproduces the §4.3 contrasts.
+	// The comparison is the members' own summaries, the values each
+	// facts.json serialises, read back as they are.
 	cmp := fed.Comparison
 	if cmp == nil {
 		t.Fatal("no comparison")
 	}
+	if cmp.NameA != "frontier" || cmp.NameB != "andes" {
+		t.Errorf("comparison names %q, %q", cmp.NameA, cmp.NameB)
+	}
+	for _, side := range []struct {
+		name     string
+		scale    analyze.ScaleSummary
+		users    analyze.UserBehaviorSummary
+		backfill analyze.BackfillSummary
+	}{
+		{"frontier", cmp.ScaleA, cmp.UsersA, cmp.BackfillA},
+		{"andes", cmp.ScaleB, cmp.UsersB, cmp.BackfillB},
+	} {
+		s := fed.Members[side.name].Summaries
+		if side.scale != s.Scale || side.users != s.Users || side.backfill != s.Backfill {
+			t.Errorf("%s: comparison %+v %+v %+v, want the member's summaries %+v %+v %+v",
+				side.name, side.scale, side.users, side.backfill, s.Scale, s.Users, s.Backfill)
+		}
+	}
+	// The comparison layer reproduces the §4.3 contrasts.
 	if cmp.ScaleB.MedianNodes > cmp.ScaleA.MedianNodes {
 		t.Errorf("Andes median nodes %v > Frontier %v", cmp.ScaleB.MedianNodes, cmp.ScaleA.MedianNodes)
 	}
@@ -143,7 +194,32 @@ func TestRunFederated(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(spec.Series) != 2 || len(spec.Categories) != 5 {
-		t.Errorf("comparison chart shape: %d series, %d categories", len(spec.Series), len(spec.Categories))
+		t.Fatalf("comparison chart shape: %d series, %d categories", len(spec.Series), len(spec.Categories))
+	}
+	// Each member's bars are the numbers its facts.json states, and the
+	// agent that answers for the member answers from those facts.
+	for i, name := range []string{"frontier", "andes"} {
+		art := fed.Members[name]
+		data, err := os.ReadFile(art.FactsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var facts llm.Facts
+		if err := json.Unmarshal(data, &facts); err != nil {
+			t.Fatal(err)
+		}
+		want := []float64{facts.SmallShortShare, facts.OverestimateShare,
+			facts.MedianUseRatio, facts.MeanFailedShare, facts.BackfilledShare}
+		if s := spec.Series[i]; s.Name != name || !slices.Equal(s.Y, want) {
+			t.Errorf("comparison series %d: %s %v, want %s's facts.json %v", i, s.Name, s.Y, name, want)
+		}
+		if art.Facts(name) != facts {
+			t.Errorf("%s: the agent's facts %+v differ from facts.json %+v", name, art.Facts(name), facts)
+		}
+		reply := llm.NewAgent(art.Facts(name)).Ask("what should we tune first?", "")
+		if reply.Topic != llm.TopicRecommend || !strings.Contains(reply.Text, "Ranked policy recommendations for "+name) {
+			t.Errorf("%s agent: %s reply\n%s", name, reply.Topic, reply.Text)
+		}
 	}
 	// Federated index links both members.
 	index, err := os.ReadFile(fed.IndexPath)
@@ -187,19 +263,25 @@ func TestFederatedIndexEscapesMemberName(t *testing.T) {
 
 func TestRunFederatedErrors(t *testing.T) {
 	cfg := baseConfig(t)
-	if _, err := RunFederated(context.Background(), t.TempDir(), []Member{{Config: cfg}}); err == nil {
+	if _, err := RunFederated(context.Background(), t.TempDir(), []Config{cfg}); err == nil {
 		t.Error("single member: want error")
 	}
-	if _, err := RunFederated(context.Background(), "", []Member{{Config: cfg}, {Config: cfg}}); err == nil {
+	if _, err := RunFederated(context.Background(), "", []Config{cfg, cfg}); err == nil {
 		t.Error("no out dir: want error")
 	}
 	dup := baseConfig(t)
-	if _, err := RunFederated(context.Background(), t.TempDir(), []Member{{Config: cfg}, {Config: dup}}); err == nil {
+	if _, err := RunFederated(context.Background(), t.TempDir(), []Config{cfg, dup}); err == nil {
 		t.Error("duplicate system names: want error")
 	}
 	unnamed := baseConfig(t)
 	unnamed.SystemName = ""
-	if _, err := RunFederated(context.Background(), t.TempDir(), []Member{{Config: cfg}, {Config: unnamed}}); err == nil {
+	if _, err := RunFederated(context.Background(), t.TempDir(), []Config{cfg, unnamed}); err == nil {
 		t.Error("unnamed member: want error")
+	}
+	// Every member is checked before any runs: the first never wrote.
+	for _, dir := range []string{cfg.OutputDir, cfg.CacheDir} {
+		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("a refused federation left %s behind (stat: %v)", dir, err)
+		}
 	}
 }

@@ -27,7 +27,7 @@ import (
 // re-recorded when report.md's dashboard link gained its target (the
 // only byte change; TestReportLinksResolve).
 func TestWorkflowEmitGoldenDigest(t *testing.T) {
-	want := map[bool]uint64{false: 0x7a364998fc4a47a9, true: 0x9e4c48e050d6b8b0}
+	want := map[bool]uint64{false: 0xba87f7278be5a62c, true: 0xa9265486273493bd}
 	for _, ai := range []bool{false, true} {
 		cfg := baseConfig(t)
 		cfg.ExtendedFigures = true

@@ -1,9 +1,10 @@
 // The paper's evaluation — Tables 1–2, Figures 1–9, the §4.2 LLM
 // readings — and the simulator ablations behind its policy discussion,
 // regenerated along the repository's own path (tracegen → sched →
-// sacct.Store.Ingest → core.Run, the AI stages answered by the canned
-// analyst) and read back from the files the run writes. Every row goes
-// into one golden that EXPERIMENTS.md quotes verbatim:
+// sacct.Store.Ingest → core.RunFederated and core.Run, the AI stages
+// answered by the canned analyst) and read back from the files the runs
+// write. Every row goes into one golden that EXPERIMENTS.md quotes
+// verbatim:
 //
 //	go test -run TestPaperReproduction .           # check
 //	go test -run TestPaperReproduction -update .   # regenerate both
@@ -24,6 +25,7 @@ import (
 	"testing"
 	"time"
 
+	"slurmsight/internal/analyze"
 	"slurmsight/internal/cluster"
 	"slurmsight/internal/core"
 	"slurmsight/internal/llm"
@@ -61,15 +63,16 @@ func (sc scenario) String() string {
 		start.Format(time.DateOnly), end.Format(time.DateOnly), p.JobsPerDay, p.Users, sc.seed)
 }
 
-// output is one core.Run's output directory.
+// output is one run's output directory.
 type output struct {
 	dir   string
 	facts llm.Facts
 }
 
-// workflow simulates sc and runs the workflow over the ingested store.
-// Figure 5 lists every user, so its spec carries the per-user spread.
-func workflow(t *testing.T, sc scenario, analyst *llm.Client) *output {
+// config simulates sc and configures the workflow over the ingested
+// store. Figure 5 lists every user, so its spec carries the per-user
+// spread.
+func config(t *testing.T, sc scenario, analyst *llm.Client) core.Config {
 	t.Helper()
 	reqs, err := tracegen.Generate(sc.phases, sc.seed)
 	if err != nil {
@@ -87,20 +90,22 @@ func workflow(t *testing.T, sc scenario, analyst *llm.Client) *output {
 	if err := store.Ingest(res); err != nil {
 		t.Fatal(err)
 	}
-	out := &output{dir: filepath.Join(t.TempDir(), sc.system)}
-	if _, err := core.Run(context.Background(), core.Config{
+	return core.Config{
 		SystemName:  sc.system,
 		Store:       store,
-		OutputDir:   out.dir,
 		Granularity: sc.granularity,
 		Start:       sc.phases[0].Start,
 		End:         sc.phases[len(sc.phases)-1].End,
 		TopUsers:    1 << 20,
 		EnableAI:    sc.ai,
 		LLM:         analyst,
-	}); err != nil {
-		t.Fatal(err)
 	}
+}
+
+// written reads the facts.json of the run that wrote art.
+func written(t *testing.T, art *core.Artifacts) *output {
+	t.Helper()
+	out := &output{dir: filepath.Dir(art.FactsPath)}
 	if err := json.Unmarshal([]byte(out.read(t, "facts.json")), &out.facts); err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +244,23 @@ func TestPaperReproduction(t *testing.T) {
 		{"andes", cluster.Andes(), month(tracegen.AndesProfile(), 250, 160), 6, sacct.Monthly, false, true},
 		{"frontier", cluster.Frontier(), years, 9, sacct.Yearly, true, false},
 	}
-	runs := make([]*output, len(scenarios))
-	for i, sc := range scenarios {
-		runs[i] = workflow(t, sc, analyst)
+	// The two months run as one federation, the §4.3 cross-facility run;
+	// Figure 1's years run alone.
+	fed, err := core.RunFederated(context.Background(), t.TempDir(), []core.Config{
+		config(t, scenarios[0], analyst), config(t, scenarios[1], analyst),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	frontier, andes, volume := runs[0], runs[1], runs[2]
+	frontier, andes := written(t, fed.Members["frontier"]), written(t, fed.Members["andes"])
+	yearsCfg := config(t, scenarios[2], analyst)
+	yearsCfg.OutputDir = filepath.Join(t.TempDir(), yearsCfg.SystemName)
+	art, err := core.Run(context.Background(), yearsCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	volume := written(t, art)
+	comparedAsWritten(t, fed.Comparison, frontier.facts, andes.facts)
 
 	r := &report{t: t}
 	for _, sc := range scenarios {
@@ -283,6 +300,27 @@ func TestPaperReproduction(t *testing.T) {
 	}
 	if quoted := string(doc[begin : end+len(blockEnd)]); quoted != blockBegin+string(want)+blockEnd {
 		t.Errorf("%s does not quote %s verbatim (regenerate with -update)", experimentsPath, goldenPath)
+	}
+}
+
+// comparedAsWritten checks that the federation's comparison holds the
+// numbers each member's facts.json states, exactly: the §4.3 contrasts
+// below are read from one reader, whichever file they come from.
+func comparedAsWritten(t *testing.T, c *analyze.SystemComparison, a, b llm.Facts) {
+	t.Helper()
+	side := func(s analyze.ScaleSummary, u analyze.UserBehaviorSummary, bf analyze.BackfillSummary) []float64 {
+		return []float64{s.MedianNodes, s.SmallShortShare, float64(u.Users), u.MeanFailedShare,
+			u.TopDecileFailures, bf.OverestimateShare, bf.MedianUseRatio, bf.BackfilledShare}
+	}
+	facts := func(f llm.Facts) []float64 {
+		return []float64{f.MedianNodes, f.SmallShortShare, float64(f.Users), f.MeanFailedShare,
+			f.TopDecileFailures, f.OverestimateShare, f.MedianUseRatio, f.BackfilledShare}
+	}
+	if got, want := side(c.ScaleA, c.UsersA, c.BackfillA), facts(a); c.NameA != a.System || !slices.Equal(got, want) {
+		t.Errorf("comparison side A (%s) %v, want %s's facts.json %v", c.NameA, got, a.System, want)
+	}
+	if got, want := side(c.ScaleB, c.UsersB, c.BackfillB), facts(b); c.NameB != b.System || !slices.Equal(got, want) {
+		t.Errorf("comparison side B (%s) %v, want %s's facts.json %v", c.NameB, got, b.System, want)
 	}
 }
 
