@@ -44,7 +44,7 @@ func (s *Store) DumpBinaryFile(path string) error {
 // slice itself where that is, else the month's scan collected into a
 // slice of its own.
 func (s *Store) shardInputs() ([]colstore.ShardInput, error) {
-	v := s.view(&Query{IncludeSteps: true})
+	v := s.view()
 	ins := make([]colstore.ShardInput, len(v.months))
 	for i, mv := range v.months {
 		ins[i] = colstore.ShardInput{Year: mv.m.Year, Mon: mv.m.Mon, Records: mv.mem}

@@ -63,49 +63,64 @@ func (q *Query) validate() ([]string, slurm.State, bool, error) {
 	return fields, st, filterState, nil
 }
 
-// overlaps reports whether a month can hold a row of the query's window:
+// overlaps reports whether a month can hold a row of the plan's window:
 // its calendar extent first, then the submit extent its rows actually
 // span (sealed rows answer from their footer), so a window that misses
 // every month's data opens no shard.
-func (q *Query) overlaps(m Month, rg shardRange) bool {
+func (p *scanPlan) overlaps(mv *month) bool {
 	// Compared as times: a bound may lie outside what int64 nanoseconds hold.
-	if !q.Start.IsZero() && (!m.Next().Start().After(q.Start) || q.Start.After(time.Unix(0, rg.max))) {
+	if !p.start.IsZero() && (!mv.m.Next().Start().After(p.start) || p.start.After(time.Unix(0, mv.rng.max))) {
 		return false // the month ends, or its last submit falls, before the window opens
 	}
-	if !q.End.IsZero() && (!m.Start().Before(q.End) || !q.End.After(time.Unix(0, rg.min))) {
+	if !p.end.IsZero() && (!mv.m.Start().Before(p.end) || !p.end.After(time.Unix(0, mv.rng.min))) {
 		return false // the month begins, or its first submit falls, at or after the window's close
 	}
 	return true
 }
 
-// storeView is what one scan reads: a copy of every month the query's
-// window can reach, in order, and the generation they belong to, captured
-// under one read lock — so nothing that lands while the scan runs shows up
-// in it, and the generation is a true label for the rows it yields. The
-// copies alias store storage; a scan does not write through them.
+// storeView is what a scan reads: a copy of every populated month, in
+// order, and the generation they belong to, captured under one read lock
+// — so nothing that lands while the scan runs shows up in it, and the
+// generation is a true label for the rows it yields. The copies alias
+// store storage; no scan writes through them, so scans share one view.
 type storeView struct {
 	gen    uint64
 	months []month
-	merges bool // some month merges parts
 }
 
-func (s *Store) view(q *Query) storeView {
+// view returns the store's current view. The first scan after a change
+// captures it, and every scan after shares it until the next change drops
+// it (bumpLocked), so a scan's capture allocates nothing.
+func (s *Store) view() *storeView {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v := storeView{gen: s.gen.Load(), months: make([]month, 0, len(s.months))}
+	if v := s.views.Load(); v != nil {
+		return v
+	}
+	v := &storeView{gen: s.gen.Load(), months: make([]month, 0, len(s.months))}
 	for _, mo := range s.months {
-		if mo.rows() == 0 || !q.overlaps(mo.m, mo.rng) {
+		if mo.rows() == 0 {
 			continue
 		}
 		mv := *mo
 		if mv.base != nil && mv.base.Rows() == 0 {
 			mv.base = nil
 		}
-		v.merges = v.merges || mv.merges()
 		v.months = append(v.months, mv)
 	}
 	slices.SortFunc(v.months, func(a, b month) int { return a.m.Compare(b.m) })
+	s.views.Store(v) // a racing scan may store its own capture: the same months
 	return v
+}
+
+// merges reports that some month the plan's window reaches merges parts.
+func (v *storeView) merges(p *scanPlan) bool {
+	for i := range v.months {
+		if mv := &v.months[i]; mv.merges() && p.overlaps(mv) {
+			return true
+		}
+	}
+	return false
 }
 
 // rows counts the view's rows before any window or filter.
@@ -116,40 +131,55 @@ func (v *storeView) rows() (n int) {
 	return n
 }
 
-// window narrows in-memory rows to the query's submit-time bounds by
+// window narrows in-memory rows to the plan's submit-time bounds by
 // binary search.
-func (q *Query) window(shard []slurm.Record) []slurm.Record {
+func (p *scanPlan) window(shard []slurm.Record) []slurm.Record {
 	lo, hi := 0, len(shard)
-	if !q.Start.IsZero() {
+	if !p.start.IsZero() {
 		lo = sort.Search(len(shard), func(i int) bool {
-			return !shard[i].Submit.Before(q.Start)
+			return !shard[i].Submit.Before(p.start)
 		})
 	}
-	if !q.End.IsZero() {
+	if !p.end.IsZero() {
 		hi = lo + sort.Search(len(shard)-lo, func(i int) bool {
-			return !shard[lo+i].Submit.Before(q.End)
+			return !shard[lo+i].Submit.Before(p.end)
 		})
 	}
 	return shard[lo:hi]
 }
 
-// scanPlan is a validated query, ready to run: the window that narrows
-// each month, the row tests, and the columns the consumer reads of each
-// record.
+// scanPlan is a validated query, ready to run: the submit window that
+// narrows each month, the row tests, and the columns the consumer reads of
+// each record.
 type scanPlan struct {
-	q       *Query
-	filters []colstore.Filter
-	cols    colstore.ColSet
+	start, end time.Time
+	filters    []colstore.Filter
+	cols       colstore.ColSet
+
+	inWindow colstore.Filter // a pooled plan's Submit test, reading start and end
 }
 
-// plan takes q's row test apart, one filter per field the query filters
-// or windows on, each on the column that backs the field — which is how a
-// cursor applies them. They go cheapest first: the equality filters read
-// one small varint a row and turn most rows away, and behind a refusal
-// JobID's four varints and Submit's delta chain are stepped over, not
-// decoded.
+// plans recycles the plans of windowed and filtered scans with their
+// filter storage and window test, so that a scan builds none of them.
+var plans = sync.Pool{New: func() any {
+	p := new(scanPlan)
+	submit, _ := colstore.ColumnsFor("Submit")
+	p.inWindow = colstore.Filter{Col: submit, Keep: func(r *slurm.Record) bool {
+		return (p.start.IsZero() || !r.Submit.Before(p.start)) && (p.end.IsZero() || r.Submit.Before(p.end))
+	}}
+	return p
+}}
+
+// plan takes q's row test apart into a pooled plan, one filter per field
+// the query filters or windows on, each on the column that backs the field
+// — which is how a cursor applies them. They go cheapest first: the
+// equality filters read one small varint a row and turn most rows away,
+// and behind a refusal JobID's four varints and Submit's delta chain are
+// stepped over, not decoded. The caller releases the plan when its scan
+// has ended.
 func (q *Query) plan(st slurm.State, filterState bool, cols colstore.ColSet) *scanPlan {
-	p := &scanPlan{q: q, cols: cols}
+	p := plans.Get().(*scanPlan)
+	p.start, p.end, p.cols = q.Start, q.End, cols
 	for _, eq := range [...]struct{ field, want string }{{"User", q.User}, {"Account", q.Account}, {"Partition", q.Partition}} {
 		if eq.want != "" {
 			f, _ := colstore.Equal(eq.field, eq.want) // all three are dictionary columns
@@ -163,12 +193,17 @@ func (q *Query) plan(st slurm.State, filterState bool, cols colstore.ColSet) *sc
 		p.filters = append(p.filters, colstore.JobRows())
 	}
 	if !q.Start.IsZero() || !q.End.IsZero() {
-		submit, _ := colstore.ColumnsFor("Submit")
-		p.filters = append(p.filters, colstore.Filter{Col: submit, Keep: func(r *slurm.Record) bool {
-			return (q.Start.IsZero() || !r.Submit.Before(q.Start)) && (q.End.IsZero() || r.Submit.Before(q.End))
-		}})
+		p.filters = append(p.filters, p.inWindow)
 	}
 	return p
+}
+
+// release returns a plan from plan to the pool, keeping none of its
+// filters' values.
+func (p *scanPlan) release() {
+	clear(p.filters)
+	p.filters = p.filters[:0]
+	plans.Put(p)
 }
 
 // keep applies the row tests to a record that has every field.
@@ -218,7 +253,7 @@ func (fp *frozenParts) add(ctx context.Context, sh *colstore.Shard) error {
 	if err := cur.Open(ctx, sh); err != nil {
 		return err
 	}
-	lo, hi, err := sh.SubmitWindow(fp.p.q.Start, fp.p.q.End)
+	lo, hi, err := sh.SubmitWindow(fp.p.start, fp.p.end)
 	if err != nil {
 		return err
 	}
@@ -273,7 +308,7 @@ var cursors = sync.Pool{New: func() any { return new(colstore.Cursor) }}
 // consumer is the consumer's, and goes on up.
 func (v *storeView) run(ctx context.Context, p *scanPlan, yield func(*slurm.Record, error) bool) (shards, rows int64) {
 	fp := frozenParts{p: p, cols: p.cols}
-	if v.merges {
+	if v.merges(p) {
 		fp.cols |= mergeKey
 	}
 	inYield := false
@@ -297,8 +332,11 @@ func (v *storeView) run(ctx context.Context, p *scanPlan, yield func(*slurm.Reco
 	}
 	for i := range v.months {
 		mv := &v.months[i]
+		if !p.overlaps(mv) {
+			continue
+		}
 		shards++
-		mem := p.q.window(mv.mem)
+		mem := p.window(mv.mem)
 		if err := fp.open(ctx, mv); err != nil {
 			yield(nil, err)
 			return shards, rows
@@ -347,7 +385,9 @@ func (s *Store) Scan(q Query) slurm.RecordSeq {
 			yield(nil, err)
 			return
 		}
-		s.scan(context.Background(), q.plan(st, filterState, colstore.AllColumns), yield)
+		p := q.plan(st, filterState, colstore.AllColumns)
+		s.scan(context.Background(), p, yield)
+		p.release()
 	}
 }
 
@@ -362,7 +402,7 @@ func (s *Store) scan(ctx context.Context, p *scanPlan, yield func(*slurm.Record,
 		ctx = obs.ContextWithSpan(ctx, sp)
 		yield = spanErrors(sp, yield)
 	}
-	v := s.view(p.q)
+	v := s.view()
 	shards, rows := v.run(ctx, p, yield)
 	sp.SetAttrInt("shards", shards)
 	sp.SetAttrInt("rows", rows)
@@ -397,16 +437,16 @@ func (s *Store) SnapshotCtx(ctx context.Context, fields []string) (uint64, slurm
 			return 0, nil, fmt.Errorf("sacct: %w", err)
 		}
 	}
-	p := &scanPlan{q: &Query{IncludeSteps: true}, cols: cols}
+	p := &scanPlan{cols: cols}
 	sp := obs.SpanFromContext(ctx).Child("store-scan")
 	if sp != nil {
 		ctx = obs.ContextWithSpan(ctx, sp)
 		defer sp.End()
 	}
-	v := s.view(p.q)
+	v := s.view()
 	sp.SetAttrInt("shards", int64(len(v.months)))
 	sp.SetAttrInt("rows", int64(v.rows()))
-	if v.merges {
+	if v.merges(p) {
 		cols |= mergeKey
 	}
 	for i := range v.months {
@@ -480,13 +520,15 @@ func (s *Store) writeText(ctx context.Context, tw *textWriter, q *Query, limit i
 	if err != nil {
 		cols = colstore.AllColumns // a field no column backs: the encoder reads what it reads
 	}
-	gen = s.scan(ctx, q.plan(st, filterState, cols), func(r *slurm.Record, rerr error) bool {
+	p := q.plan(st, filterState, cols)
+	gen = s.scan(ctx, p, func(r *slurm.Record, rerr error) bool {
 		if err = rerr; err == nil {
 			n++
 			err = tw.record(r)
 		}
 		return err == nil && (limit <= 0 || n < limit)
 	})
+	p.release()
 	return n, gen, err
 }
 

@@ -1,7 +1,11 @@
 package sacct
 
 import (
+	"bytes"
+	"context"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -251,5 +255,65 @@ func BenchmarkAdd(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestWindowMissAllocsDoNotScaleWithMonths pins that a windowed query
+// pays only for its rows: the same two-day window over a columnar store of
+// one month and of six, the window's month the same in both, makes as many
+// allocations of as many bytes. Scans share the store's capture of its
+// months until the next change, and take their plan, filter storage and
+// window test from a pool, so nothing grows with the months the window
+// misses.
+func TestWindowMissAllocsDoNotScaleWithMonths(t *testing.T) {
+	if raceEnabled {
+		t.Skip("malloc counts are not stable under -race")
+	}
+	origin := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	q := Query{Fields: []string{"JobID", "User", "State"}, Start: origin.AddDate(0, 0, 9), End: origin.AddDate(0, 0, 11)}
+	cost := func(months int) (allocs, size float64) {
+		st := NewStore()
+		for m := range months {
+			for i := range 100 {
+				id := 1000*m + i
+				if err := st.Add(appendRec(id, id, origin.AddDate(0, m, 0).Add(time.Duration(i)*6*time.Hour))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var dump bytes.Buffer
+		if err := st.DumpBinary(&dump); err != nil {
+			t.Fatal(err)
+		}
+		bin, err := OpenBinaryBytes(dump.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf []byte
+		miss := func() {
+			var n int
+			if buf, n, _, err = bin.AppendQueryCtx(context.Background(), buf[:0], q, 0); err != nil || n != 8 {
+				t.Fatalf("%d months: %d rows, %v; want the window's 8", months, n, err)
+			}
+		}
+		miss() // loads the columns the window reads
+		const runs = 200
+		allocs = testing.AllocsPerRun(runs, miss)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			miss()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	allocs1, bytes1 := cost(1)
+	allocs6, bytes6 := cost(6)
+	t.Logf("a window miss: %v allocations of %.0f B over 1 month, %v of %.0f B over 6", allocs1, bytes1, allocs6, bytes6)
+	// A collection that empties the pools mid-run costs a scan's share of
+	// one new plan and cursor; a month the view copies costs every scan 88 B.
+	if allocs6 != allocs1 || math.Abs(bytes6-bytes1) > 32 {
+		t.Errorf("a window miss makes %v allocations of %.0f B over 1 month, %v of %.0f B over 6",
+			allocs1, bytes1, allocs6, bytes6)
 	}
 }

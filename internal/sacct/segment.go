@@ -90,8 +90,8 @@ func (s *Store) foldLocked(mo *month) {
 
 // collectMonth reads one month in scan order into owned copies.
 func collectMonth(mv month) ([]slurm.Record, error) {
-	p := &scanPlan{q: &Query{IncludeSteps: true}, cols: colstore.AllColumns}
-	v := storeView{months: []month{mv}, merges: mv.merges()}
+	p := &scanPlan{cols: colstore.AllColumns}
+	v := storeView{months: []month{mv}}
 	recs := make([]slurm.Record, 0, mv.rows())
 	var err error
 	v.run(context.Background(), p, func(r *slurm.Record, rerr error) bool {

@@ -108,7 +108,8 @@ type Store struct {
 	limits       sealLimits
 	seals, folds *obs.Counter // nil until Instrument
 
-	gen atomic.Uint64 // bumped on every successful logical mutation
+	gen   atomic.Uint64             // bumped on every successful logical mutation
+	views atomic.Pointer[storeView] // the months scans share; nil after a change
 }
 
 // month is one month of a store, every part of it. A scan reads a copy
@@ -203,6 +204,16 @@ func (s *Store) monthLocked(m Month) *month {
 	return mo
 }
 
+// bumpLocked marks a change to the store's months: it drops the view
+// scans share and advances the generation, which it returns. Every change
+// ends in one — a seal or a fold only ever happens in a call that lands
+// rows — so a view never outlives the months it copies. The caller holds
+// s.mu for writing.
+func (s *Store) bumpLocked() uint64 {
+	s.views.Store(nil)
+	return s.gen.Add(1)
+}
+
 // Generation returns the store's mutation counter: it advances once per
 // AppendBatch that lands, once per Add/Ingest that lands records, and
 // never otherwise. Two reads returning the same value bracket a window in
@@ -268,7 +279,7 @@ func (s *Store) addAll(recs iter.Seq[*slurm.Record]) error {
 			mo.land(rows)
 		}
 		if added {
-			s.gen.Add(1)
+			s.bumpLocked()
 		}
 	}()
 	var mo *month
@@ -358,7 +369,7 @@ func (s *Store) AppendBatch(records []slurm.Record) (gen uint64, tail bool, err 
 		lo = hi
 	}
 	s.sealTouched(touched, last, populated)
-	return s.gen.Add(1), tail, nil
+	return s.bumpLocked(), tail, nil
 }
 
 // lastMonthLocked returns the latest populated month, every part
@@ -438,7 +449,7 @@ func (s *Store) Ingest(res *sched.Result) error {
 		}
 	}
 	if len(spans) > 0 {
-		s.gen.Add(1)
+		s.bumpLocked()
 	}
 	return nil
 }

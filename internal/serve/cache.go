@@ -4,14 +4,17 @@ import (
 	"container/list"
 	"context"
 	"errors"
+	"strconv"
 	"sync"
+	"time"
 
 	"slurmsight/internal/obs"
+	"slurmsight/internal/slurm"
 )
 
 // respCache is the generation-keyed response cache behind /query and
-// /figures: rendered response bodies keyed by (canonical request,
-// store generation), bounded by an LRU, with single-flight deduplication
+// /figures: rendered response bodies keyed by (parsed request, store
+// generation), bounded by an LRU, with single-flight deduplication
 // of identical in-flight computations. Because the store generation is
 // part of every key, an append invalidates the whole cached view at
 // once — the first request per (key, new generation) recomputes, and
@@ -24,20 +27,60 @@ type respCache struct {
 	max      int
 	gen      uint64     // the newest generation a request has arrived at
 	lru      *list.List // *entry, most recent at front
-	byKey    map[string]*list.Element
-	inflight map[string]*flight
+	byKey    map[cacheKey]*list.Element
+	inflight map[cacheKey]*flight
 
 	hits, misses, coalesced, evictions, stale *obs.Counter
 }
 
-// entry is one cached rendered response.
+// cacheKey is what a cached response answers: a figure by its name, or a
+// /query by everything that decides its body (parseQuery), at the store
+// generation the request arrived at. It is a comparable value that points
+// into the request instead of holding a string of its own, so a hit finds
+// its entry with one map lookup and allocates nothing.
+type cacheKey struct {
+	gen    uint64
+	figure string // a /figures key; "" on a /query
+
+	// A /query's field list is its catalogue positions in order, each
+	// plus one so that a zero ends the list, and moreFields, a byte per
+	// position, holds those past the array. start and end are UTC instants
+	// with no monotonic reading, so == compares instants. limit is the
+	// one the scan runs with, MaxRows applied.
+	fields                   [16]uint8
+	moreFields               string
+	start, end               time.Time
+	state                    slurm.State
+	byState, steps           bool
+	user, account, partition string
+	limit                    int
+}
+
+// entry is one cached rendered response with its response headers,
+// rendered once (newEntry).
 type entry struct {
-	key    string
+	key    cacheKey
 	body   []byte
-	ctype  string
 	rows   int    // -1 when not a row-count response
 	gen    uint64 // store generation the body shows
 	bypass bool   // too large to keep: share with concurrent callers, skip LRU
+
+	// Header values, each its own one-element slice (nil rowsHdr: no
+	// X-Rows): a response's header map takes them as they are, and one
+	// that adds a value reallocates rather than write past them.
+	ctypeHdr, genHdr, rowsHdr []string
+}
+
+// newEntry builds the entry for body, its three header values cut from one
+// array with full-slice expressions.
+func newEntry(body []byte, ctype string, rows int, gen uint64) *entry {
+	hdr := []string{ctype, strconv.FormatUint(gen, 10), ""}
+	e := &entry{body: body, rows: rows, gen: gen, ctypeHdr: hdr[0:1:1], genHdr: hdr[1:2:2]}
+	if rows >= 0 {
+		hdr[2] = strconv.Itoa(rows)
+		e.rowsHdr = hdr[2:3:3]
+	}
+	return e
 }
 
 // flight is one in-progress computation that followers wait on.
@@ -57,6 +100,13 @@ const (
 	cacheCoalesced cacheOutcome = "coalesced"
 )
 
+// outcomeHdr holds each outcome's X-Cache value, as entry holds its own.
+var outcomeHdr = map[cacheOutcome][]string{
+	cacheHit:       {string(cacheHit)},
+	cacheMiss:      {string(cacheMiss)},
+	cacheCoalesced: {string(cacheCoalesced)},
+}
+
 func newRespCache(max int, m *obs.Registry) *respCache {
 	if max <= 0 {
 		max = 1024
@@ -64,8 +114,8 @@ func newRespCache(max int, m *obs.Registry) *respCache {
 	return &respCache{
 		max:       max,
 		lru:       list.New(),
-		byKey:     map[string]*list.Element{},
-		inflight:  map[string]*flight{},
+		byKey:     map[cacheKey]*list.Element{},
+		inflight:  map[cacheKey]*flight{},
 		hits:      m.Counter("serve_cache_hits_total"),
 		misses:    m.Counter("serve_cache_misses_total"),
 		coalesced: m.Counter("serve_cache_coalesced_total"),
@@ -74,9 +124,9 @@ func newRespCache(max int, m *obs.Registry) *respCache {
 	}
 }
 
-// do returns the cached entry for key, a request that arrived at store
-// generation gen, computing it at most once no matter how many identical
-// requests arrive concurrently: the first caller runs compute, later
+// do returns the cached entry for key at store generation gen — the
+// request's, which do writes into the key — computing it at most once no
+// matter how many identical requests arrive concurrently: the first caller runs compute, later
 // callers block until it finishes and share its result (errors included —
 // a failed computation is not cached, so the next request retries). A
 // context error is the exception: the first caller's request was
@@ -85,7 +135,8 @@ func newRespCache(max int, m *obs.Registry) *respCache {
 // first request at a newer generation empties the cache, and a
 // computation that finishes for an older generation than the newest is
 // shared with its waiters but not kept; both count as stale.
-func (c *respCache) do(gen uint64, key string, compute func() (*entry, error)) (*entry, cacheOutcome, error) {
+func (c *respCache) do(gen uint64, key cacheKey, compute func() (*entry, error)) (*entry, cacheOutcome, error) {
+	key.gen = gen
 	c.mu.Lock()
 	if gen > c.gen {
 		c.gen = gen

@@ -82,7 +82,7 @@ func TestCacheKeepsNothingForADeadGeneration(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ent, _, err := c.do(1, "g=1|old", func() (*entry, error) {
+		ent, _, err := c.do(1, cacheKey{figure: "old"}, func() (*entry, error) {
 			close(started)
 			<-release
 			return &entry{body: []byte("old")}, nil
@@ -92,7 +92,7 @@ func TestCacheKeepsNothingForADeadGeneration(t *testing.T) {
 		}
 	}()
 	<-started
-	if _, _, err := c.do(2, "g=2|new", func() (*entry, error) { return &entry{body: []byte("new")}, nil }); err != nil {
+	if _, _, err := c.do(2, cacheKey{figure: "new"}, func() (*entry, error) { return &entry{body: []byte("new")}, nil }); err != nil {
 		t.Fatal(err)
 	}
 	close(release)
@@ -101,7 +101,7 @@ func TestCacheKeepsNothingForADeadGeneration(t *testing.T) {
 		t.Fatalf("cache holds %d entries, %d stale; want the newer one kept and the older one counted stale",
 			c.len(), reg.Counter("serve_cache_stale_total").Value())
 	}
-	if _, out, _ := c.do(2, "g=2|new", func() (*entry, error) { return nil, nil }); out != cacheHit {
+	if _, out, _ := c.do(2, cacheKey{figure: "new"}, func() (*entry, error) { return nil, nil }); out != cacheHit {
 		t.Fatalf("the newer entry came back %v", out)
 	}
 }

@@ -198,7 +198,7 @@ func TestCacheWaiterOutlivesCancelledLeader(t *testing.T) {
 	release := make(chan struct{})
 	leader := make(chan error, 1)
 	go func() {
-		_, _, err := c.do(0, "k", func() (*entry, error) {
+		_, _, err := c.do(0, cacheKey{figure: "k"}, func() (*entry, error) {
 			<-release
 			return nil, context.Canceled
 		})
@@ -206,7 +206,7 @@ func TestCacheWaiterOutlivesCancelledLeader(t *testing.T) {
 	}()
 	for {
 		c.mu.Lock()
-		_, inflight := c.inflight["k"]
+		_, inflight := c.inflight[cacheKey{figure: "k"}]
 		c.mu.Unlock()
 		if inflight {
 			break
@@ -215,7 +215,7 @@ func TestCacheWaiterOutlivesCancelledLeader(t *testing.T) {
 	}
 	waiter := make(chan *entry, 1)
 	go func() {
-		ent, _, err := c.do(0, "k", func() (*entry, error) { return &entry{body: []byte("v")}, nil })
+		ent, _, err := c.do(0, cacheKey{figure: "k"}, func() (*entry, error) { return &entry{body: []byte("v")}, nil })
 		if err != nil {
 			t.Errorf("waiter: %v", err)
 		}

@@ -15,6 +15,8 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -220,37 +222,31 @@ func clientKey(r *http.Request) string {
 // steps, limit), rendered as pipe-text. Responses carry
 // X-Store-Generation (the generation whose rows the body holds, which is
 // at least the one the request arrived at), X-Cache (hit/miss/coalesced),
-// and X-Rows.
+// and X-Rows. A hit is the parse and one map lookup; the sacct.Query is
+// built only on a miss.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, limit, key, err := parseQuery(r.URL.Query())
+	qr, err := parseQuery(r.URL.RawQuery)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if s.cfg.MaxRows > 0 && (limit <= 0 || limit > s.cfg.MaxRows) {
-		limit = s.cfg.MaxRows
-		key += "|cap=" + strconv.Itoa(limit)
+	if s.cfg.MaxRows > 0 && (qr.key.limit <= 0 || qr.key.limit > s.cfg.MaxRows) {
+		qr.key.limit = s.cfg.MaxRows
 	}
-	gen := s.store.Generation()
-	ent, outcome, err := s.cache.do(gen, fmt.Sprintf("q|g=%d|%s", gen, key), func() (*entry, error) {
+	ent, outcome, err := s.cache.do(s.store.Generation(), qr.key, func() (*entry, error) {
 		// The scan reads one capture of the store and says which
 		// generation it was: that, not the one in the key, labels the body
 		// when an append lands in between.
 		buf := renderBufs.Get().(*[]byte)
 		defer putRenderBuf(buf)
-		text, n, gen, err := s.store.AppendQueryCtx(r.Context(), (*buf)[:0], q, limit)
+		text, n, gen, err := s.store.AppendQueryCtx(r.Context(), (*buf)[:0], qr.query(), qr.key.limit)
 		*buf = text
 		if err != nil {
 			return nil, err
 		}
-		body := bytes.Clone(text)
-		return &entry{
-			body:   body,
-			ctype:  "text/plain; charset=utf-8",
-			rows:   n,
-			gen:    gen,
-			bypass: len(body) > maxCacheBody,
-		}, nil
+		ent := newEntry(bytes.Clone(text), "text/plain; charset=utf-8", n, gen)
+		ent.bypass = len(ent.body) > maxCacheBody
+		return ent, nil
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -287,8 +283,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown figure %q", name), http.StatusNotFound)
 		return
 	}
-	gen := s.store.Generation()
-	ent, outcome, err := s.cache.do(gen, fmt.Sprintf("fig|g=%d|%s", gen, key), func() (*entry, error) {
+	ent, outcome, err := s.cache.do(s.store.Generation(), cacheKey{figure: key}, func() (*entry, error) {
 		chart, gen, err := s.chartAt(r.Context(), key)
 		if err != nil {
 			return nil, err
@@ -297,7 +292,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return &entry{body: body, ctype: "application/json", rows: -1, gen: gen}, nil
+		return newEntry(body, "application/json", -1, gen), nil
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -386,11 +381,11 @@ func (s *Server) appendBatch(recs []slurm.Record) (uint64, error) {
 
 func (s *Server) writeCached(w http.ResponseWriter, r *http.Request, ent *entry, outcome cacheOutcome) {
 	h := w.Header()
-	h.Set("Content-Type", ent.ctype)
-	h.Set("X-Store-Generation", strconv.FormatUint(ent.gen, 10))
-	h.Set("X-Cache", string(outcome))
-	if ent.rows >= 0 {
-		h.Set("X-Rows", strconv.Itoa(ent.rows))
+	h["Content-Type"] = ent.ctypeHdr
+	h["X-Store-Generation"] = ent.genHdr
+	h["X-Cache"] = outcomeHdr[outcome]
+	if ent.rowsHdr != nil {
+		h["X-Rows"] = ent.rowsHdr
 	}
 	if sp := obs.SpanFromContext(r.Context()); sp != nil {
 		sp.SetAttr("cache", string(outcome))
@@ -634,73 +629,131 @@ func hasZone(s string) bool {
 	return s[n-1] == 'Z' || n >= 6 && (s[n-6] == '+' || s[n-6] == '-')
 }
 
-// parseQuery maps URL parameters onto a sacct.Query plus a row limit,
-// returning a canonical cache-key fragment (generation excluded — the
-// caller prefixes it). Validation failures here become 400s; anything
-// that survives and still errors during the scan is a 500.
-func parseQuery(v map[string][]string) (q sacct.Query, limit int, key string, err error) {
-	get := func(name string) string {
-		if vals := v[name]; len(vals) > 0 {
-			return strings.TrimSpace(vals[0])
+// The /query parameters, by their place in a parse.
+const (
+	paramFields = iota
+	paramStart
+	paramEnd
+	paramUser
+	paramAccount
+	paramPartition
+	paramState
+	paramSteps
+	paramLimit
+	numParams
+)
+
+var paramNames = [numParams]string{"fields", "start", "end", "user", "account", "partition", "state", "steps", "limit"}
+
+// queryRequest is a parsed /query: its cache key, and the spellings of its
+// field list and state filter, which the key folds away but the answer
+// keeps — the header names each field as the request spelled it.
+type queryRequest struct {
+	key           cacheKey
+	fields, state string
+}
+
+// parseQuery reads a /query from its raw query string in one pass. A
+// parameter's value is that of its first occurrence url.ParseQuery would
+// keep, unescaped and trimmed; one holding no escape is a substring of
+// raw, so a request without escapes parses without allocating (a state
+// name not in upper case aside). Requests that ask for the same rows get
+// equal keys: field and state names in any case, an instant however it
+// is spelled. Validation failures here become 400s; anything that
+// survives and still errors during the scan is a 500.
+func parseQuery(raw string) (qr queryRequest, err error) {
+	var vals [numParams]string
+	var seen uint
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.IndexByte(pair, ';') >= 0 {
+			continue // url.ParseQuery drops a pair with a semicolon
 		}
-		return ""
+		name, value, _ := strings.Cut(pair, "=")
+		name, ok := unescapeParam(name)
+		if !ok {
+			continue
+		}
+		i := slices.Index(paramNames[:], name)
+		if i < 0 || seen&(1<<i) != 0 {
+			continue
+		}
+		if value, ok = unescapeParam(value); ok {
+			vals[i], seen = strings.TrimSpace(value), seen|1<<i
+		}
 	}
-	if f := get("fields"); f != "" {
-		for _, name := range strings.Split(f, ",") {
+	k := &qr.key
+	if f := vals[paramFields]; f != "" {
+		n := 0
+		for rest, more := f, true; more; n++ {
+			var name string
+			name, rest, more = strings.Cut(rest, ",")
 			name = strings.TrimSpace(name)
-			if _, ok := slurm.FieldByName(name); !ok {
-				return q, 0, "", fmt.Errorf("unknown field %q", name)
+			i, ok := slurm.FieldIndex(name)
+			if !ok {
+				return qr, fmt.Errorf("unknown field %q", name)
 			}
-			q.Fields = append(q.Fields, name)
+			if n < len(k.fields) {
+				k.fields[n] = uint8(i + 1)
+			} else {
+				k.moreFields += string(rune(i + 1)) // a position below 128 is one byte
+			}
 		}
+		qr.fields = f
 	}
-	if q.Start, err = parseTimeParam(get("start")); err != nil {
-		return q, 0, "", fmt.Errorf("start: %w", err)
+	if k.start, err = parseTimeParam(vals[paramStart]); err != nil {
+		return qr, fmt.Errorf("start: %w", err)
 	}
-	if q.End, err = parseTimeParam(get("end")); err != nil {
-		return q, 0, "", fmt.Errorf("end: %w", err)
+	if k.end, err = parseTimeParam(vals[paramEnd]); err != nil {
+		return qr, fmt.Errorf("end: %w", err)
 	}
-	if !q.Start.IsZero() && !q.End.IsZero() && !q.Start.Before(q.End) {
-		return q, 0, "", fmt.Errorf("empty window: start %s is not before end %s", q.Start, q.End)
+	if !k.start.IsZero() && !k.end.IsZero() && !k.start.Before(k.end) {
+		return qr, fmt.Errorf("empty window: start %s is not before end %s", k.start, k.end)
 	}
-	q.User = get("user")
-	q.Account = get("account")
-	q.Partition = get("partition")
-	if st := get("state"); st != "" {
-		if _, err := slurm.ParseState(st); err != nil {
-			return q, 0, "", err
+	k.user, k.account, k.partition = vals[paramUser], vals[paramAccount], vals[paramPartition]
+	if st := vals[paramState]; st != "" {
+		if k.state, err = slurm.ParseState(st); err != nil {
+			return qr, err
 		}
-		q.State = st
+		k.byState, qr.state = true, st
 	}
-	switch steps := get("steps"); steps {
+	switch steps := vals[paramSteps]; steps {
 	case "", "0", "false":
 	case "1", "true":
-		q.IncludeSteps = true
+		k.steps = true
 	default:
-		return q, 0, "", fmt.Errorf("steps must be a boolean, got %q", steps)
+		return qr, fmt.Errorf("steps must be a boolean, got %q", steps)
 	}
-	if l := get("limit"); l != "" {
-		limit, err = strconv.Atoi(l)
-		if err != nil || limit < 0 {
-			return q, 0, "", fmt.Errorf("limit must be a non-negative integer, got %q", l)
+	if l := vals[paramLimit]; l != "" {
+		if k.limit, err = strconv.Atoi(l); err != nil || k.limit < 0 {
+			return qr, fmt.Errorf("limit must be a non-negative integer, got %q", l)
 		}
 	}
-	tkey := func(t time.Time) string {
-		if t.IsZero() {
-			return ""
-		}
-		return strconv.FormatInt(t.UnixNano(), 10)
+	return qr, nil
+}
+
+// unescapeParam is url.QueryUnescape for the part of a query pair that
+// needs it: one with no '%' or '+' stands for itself.
+func unescapeParam(s string) (string, bool) {
+	if !strings.ContainsAny(s, "%+") {
+		return s, true
 	}
-	key = strings.Join([]string{
-		"f=" + strings.ToLower(strings.Join(q.Fields, ",")),
-		"s=" + tkey(q.Start),
-		"e=" + tkey(q.End),
-		"u=" + q.User,
-		"a=" + q.Account,
-		"p=" + q.Partition,
-		"st=" + strings.ToLower(q.State),
-		"steps=" + strconv.FormatBool(q.IncludeSteps),
-		"n=" + strconv.Itoa(limit),
-	}, "|")
-	return q, limit, key, nil
+	u, err := url.QueryUnescape(s)
+	return u, err == nil
+}
+
+// query is the sacct.Query the request asks for, built on a miss.
+func (qr *queryRequest) query() sacct.Query {
+	k := &qr.key
+	q := sacct.Query{
+		Start: k.start, End: k.end, IncludeSteps: k.steps,
+		User: k.user, Account: k.account, Partition: k.partition, State: qr.state,
+	}
+	if qr.fields != "" {
+		for _, name := range strings.Split(qr.fields, ",") {
+			q.Fields = append(q.Fields, strings.TrimSpace(name))
+		}
+	}
+	return q
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Category groups accounting fields the way Table 1 of the paper does.
@@ -75,9 +76,9 @@ func strField(get func(*Record) string, set func(*Record, string)) (func(*Record
 // catalogue is the ordered Table 1 selection. Built once at init.
 var catalogue []Field
 
-// fieldIndex maps field names to catalogue entries, under both the
+// fieldIndex maps field names to catalogue positions, under both the
 // canonical spelling and its lower-cased form.
-var fieldIndex map[string]*Field
+var fieldIndex map[string]int
 
 // addField appends f to the catalogue, deriving whichever of Get and
 // Append the entry left out from the one it wrote.
@@ -101,13 +102,13 @@ var flagsField, reqTRESField, usageTRESField *Field
 
 func init() {
 	defineFields()
-	fieldIndex = make(map[string]*Field, 2*len(catalogue))
+	fieldIndex = make(map[string]int, 2*len(catalogue))
 	for i := range catalogue {
-		fieldIndex[catalogue[i].Name] = &catalogue[i]
-		fieldIndex[strings.ToLower(catalogue[i].Name)] = &catalogue[i]
+		fieldIndex[catalogue[i].Name] = i
+		fieldIndex[strings.ToLower(catalogue[i].Name)] = i
 	}
-	flagsField = fieldIndex["flags"]
-	reqTRESField, usageTRESField = fieldIndex["reqtres"], fieldIndex["tresusageinave"]
+	flagsField = lookupField("flags")
+	reqTRESField, usageTRESField = lookupField("reqtres"), lookupField("tresusageinave")
 }
 
 func defineFields() {
@@ -364,14 +365,41 @@ func FieldByName(name string) (Field, bool) {
 	return *f, true
 }
 
-// lookupField resolves name to its catalogue entry, or nil. The exact
-// canonical spelling — what every internal caller passes — is tried
-// first, so only a foreign spelling pays for the lower-cased copy.
-func lookupField(name string) *Field {
-	if f, ok := fieldIndex[name]; ok {
-		return f
+// FieldIndex returns the catalogue position of the field FieldByName
+// resolves name to: its place in SelectedNames.
+func FieldIndex(name string) (int, bool) {
+	if i, ok := fieldIndex[name]; ok {
+		return i, true
 	}
-	return fieldIndex[strings.ToLower(strings.TrimSpace(name))]
+	t := strings.TrimSpace(name)
+	var buf [24]byte
+	if len(t) <= len(buf) {
+		n := 0
+		for ; n < len(t) && t[n] < utf8.RuneSelf; n++ {
+			c := t[n]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			buf[n] = c
+		}
+		if n == len(t) { // ASCII, which strings.ToLower folds byte for byte
+			i, ok := fieldIndex[string(buf[:n])]
+			return i, ok
+		}
+	}
+	i, ok := fieldIndex[strings.ToLower(t)]
+	return i, ok
+}
+
+// lookupField resolves name to its catalogue entry, or nil. The exact
+// canonical spelling — what every internal caller passes — is one map
+// lookup; any other ASCII spelling is lower-cased on the stack, so only a
+// long or non-ASCII one pays for a lower-cased copy.
+func lookupField(name string) *Field {
+	if i, ok := FieldIndex(name); ok {
+		return &catalogue[i]
+	}
+	return nil
 }
 
 // SelectedNames returns the names of the curated field selection in order.

@@ -38,11 +38,9 @@ func resolveHeader(line string) ([]*Field, []string, error) {
 	names := strings.Split(strings.TrimSpace(line), Separator)
 	fields := make([]*Field, len(names))
 	for i, name := range names {
-		f, ok := fieldIndex[strings.ToLower(strings.TrimSpace(name))]
-		if !ok {
+		if fields[i] = lookupField(name); fields[i] == nil {
 			return nil, nil, fmt.Errorf("slurm: unknown field %q in header", name)
 		}
-		fields[i] = f
 	}
 	return fields, names, nil
 }
