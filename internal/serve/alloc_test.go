@@ -104,7 +104,7 @@ func TestHitAllocs(t *testing.T) {
 	}
 	want := map[string]map[bool]float64{
 		hitQuery:  {false: 1, true: 10},
-		hitFolded: {false: 1, true: 10},
+		hitFolded: {false: 2, true: 11},
 		hitFigure: {false: 2, true: 11},
 	}
 	for _, url := range []string{hitQuery, hitFolded, hitFigure} {

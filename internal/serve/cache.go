@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -54,6 +55,17 @@ type cacheKey struct {
 	byState, steps           bool
 	user, account, partition string
 	limit                    int
+}
+
+// detach returns k with strings of its own. A parsed key's filter values
+// and a figure's name are substrings of the request line, which may be
+// padded with parameters the parser ignores; a key the cache keeps must
+// not hold that whole string alive. moreFields is already built fresh by
+// the parse. Only a miss that stores its entry pays for the copies.
+func (k cacheKey) detach() cacheKey {
+	k.figure = strings.Clone(k.figure)
+	k.user, k.account, k.partition = strings.Clone(k.user), strings.Clone(k.account), strings.Clone(k.partition)
+	return k
 }
 
 // entry is one cached rendered response with its response headers,
@@ -166,6 +178,9 @@ func (c *respCache) do(gen uint64, key cacheKey, compute func() (*entry, error))
 
 	c.misses.Inc()
 	f.ent, f.err = compute()
+	if f.err == nil && !f.ent.bypass {
+		key = key.detach()
+	}
 
 	c.mu.Lock()
 	delete(c.inflight, key)

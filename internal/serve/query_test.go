@@ -2,13 +2,17 @@ package serve
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
+	"slurmsight/internal/obs"
 	"slurmsight/internal/sacct"
 	"slurmsight/internal/slurm"
 )
@@ -148,11 +152,12 @@ var queryKeySeeds = []string{
 	"fields=JobID,User&user=u01&start=2024-01-01&end=2024-03-01",
 	"fields=JobID,User&limit=4",
 	"fields=JobID,User,State&limit=5",
-	// loopbench's serve-read shapes: a hot month, a two-day window, a
-	// user/state filter, and mixed-case fields.
+	// loopbench's serve-read shapes: a hot month, a two-day window and a
+	// user/state filter.
 	"fields=JobID,User,State&start=2024-01-01T00:00:00&end=2024-02-01T00:00:00&limit=200",
 	"fields=JobID,Submit,NNodes&start=2024-01-03T08:00:00&end=2024-01-05T08:00:00&limit=200",
 	"fields=JobID,User,State,Elapsed&start=2024-01-01T00:00:00&end=2024-02-01T00:00:00&user=user0007&state=TIMEOUT&limit=200",
+	// Field names in other cases, which share the canonical spelling's key.
 	"fields=jobid,USER,State&limit=200",
 	// Escapes, '+', ';', empty values, repeats and an epoch start.
 	"fields=JobID%2CUser&user=a%2Bb",
@@ -225,4 +230,40 @@ func checkQueryParse(t *testing.T, raw string) (cacheKey, reference, bool) {
 		t.Fatalf("%q: parseQuery limits to %d, the reference %d", raw, qr.key.limit, ref.limit)
 	}
 	return qr.key, ref, true
+}
+
+// TestCachedKeyDropsTheRawQuery checks that a cached /query entry's key
+// holds its filter values in strings of its own, not in the request's
+// raw query: a request padded with parameters the parser ignores must
+// not stay alive as long as its entry.
+func TestCachedKeyDropsTheRawQuery(t *testing.T) {
+	s, err := New(Config{Store: columnarStore(t, 50), Metrics: obs.NewRegistry(), FlightRing: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := "/query?fields=JobID,User&user=u01&account=acct&partition=batch&pad=" + strings.Repeat("x", 1<<16)
+	r := httptest.NewRequest("GET", url, nil)
+	w := &sink{h: http.Header{}}
+	serveOnce(s.Handler(), w, r)
+	if w.status != http.StatusOK || w.h.Get("X-Cache") != "miss" {
+		t.Fatalf("status %d, X-Cache %q, want 200 and miss", w.status, w.h.Get("X-Cache"))
+	}
+	raw := r.URL.RawQuery
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(raw)))
+	hi := lo + uintptr(len(raw))
+	if s.cache.len() != 1 {
+		t.Fatalf("%d cached entries, want 1", s.cache.len())
+	}
+	k := s.cache.lru.Front().Value.(*entry).key
+	for name, v := range map[string]string{"user": k.user, "account": k.account, "partition": k.partition} {
+		if v == "" {
+			t.Fatalf("%s is empty in the cached key", name)
+		}
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(v))); lo <= p && p < hi {
+			t.Errorf("cached key's %s %q points into the request's raw query", name, v)
+		}
+	}
+	if e, ok := s.cache.byKey[k]; !ok || e.Value.(*entry).key != k {
+		t.Error("the entry's key is not the one the cache indexes it by")
+	}
 }

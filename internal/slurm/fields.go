@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-	"unicode/utf8"
 )
 
 // Category groups accounting fields the way Table 1 of the paper does.
@@ -366,35 +365,18 @@ func FieldByName(name string) (Field, bool) {
 }
 
 // FieldIndex returns the catalogue position of the field FieldByName
-// resolves name to: its place in SelectedNames.
+// resolves name to: its place in SelectedNames. The exact canonical
+// spelling — what every internal caller passes — is tried first, so only
+// a foreign spelling pays for the lower-cased copy.
 func FieldIndex(name string) (int, bool) {
 	if i, ok := fieldIndex[name]; ok {
 		return i, true
 	}
-	t := strings.TrimSpace(name)
-	var buf [24]byte
-	if len(t) <= len(buf) {
-		n := 0
-		for ; n < len(t) && t[n] < utf8.RuneSelf; n++ {
-			c := t[n]
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			buf[n] = c
-		}
-		if n == len(t) { // ASCII, which strings.ToLower folds byte for byte
-			i, ok := fieldIndex[string(buf[:n])]
-			return i, ok
-		}
-	}
-	i, ok := fieldIndex[strings.ToLower(t)]
+	i, ok := fieldIndex[strings.ToLower(strings.TrimSpace(name))]
 	return i, ok
 }
 
-// lookupField resolves name to its catalogue entry, or nil. The exact
-// canonical spelling — what every internal caller passes — is one map
-// lookup; any other ASCII spelling is lower-cased on the stack, so only a
-// long or non-ASCII one pays for a lower-cased copy.
+// lookupField resolves name to its catalogue entry, or nil.
 func lookupField(name string) *Field {
 	if i, ok := FieldIndex(name); ok {
 		return &catalogue[i]
