@@ -23,6 +23,7 @@ func TestRunAllocationCeiling(t *testing.T) {
 	sim := goldenFrontierSim(t)
 	var before, after runtime.MemStats
 	runtime.GC()
+	runtime.GC() // empties the pools: an earlier test's scratch would be reused
 	runtime.ReadMemStats(&before)
 	if _, err := sim.Run(reqs, Options{}); err != nil {
 		t.Fatal(err)
@@ -37,6 +38,34 @@ func TestRunAllocationCeiling(t *testing.T) {
 	}
 	if !raceEnabled && allocs > maxAllocsPerJob {
 		t.Errorf("Run made %.2f mallocs per request, ceiling %.2f", allocs, maxAllocsPerJob)
+	}
+}
+
+// TestKeptResultHoldsOnlyItsJobs pins what a Result that is never
+// released keeps alive once its Run returns: the job arena and the array
+// bases, about 156 B per request on the golden Frontier trace. The order,
+// event heap and lanes are the run's scratch, back in their pool when Run
+// returns; a Result that held them kept 290 B.
+func TestKeptResultHoldsOnlyItsJobs(t *testing.T) {
+	const maxBytesPerJob = 200
+	reqs := goldenFrontierTrace(t)
+	sim := goldenFrontierSim(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // a sync.Pool is empty after two collections
+	runtime.ReadMemStats(&before)
+	res, err := sim.Run(reqs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	kept := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(reqs))
+	runtime.KeepAlive(res)
+	t.Logf("%d requests: a kept Result holds %.0f B per request", len(reqs), kept)
+	if kept > maxBytesPerJob {
+		t.Errorf("a kept Result holds %.0f B per request, ceiling %d", kept, maxBytesPerJob)
 	}
 }
 

@@ -99,14 +99,16 @@ func headBefore(x, y *laneHead) bool {
 }
 
 // carveLanes gives each user's lane its share of one entry array of n
-// entries: counts holds each lane's request count, in lane order.
-func (s *Simulator) carveLanes(n int, counts []int32) {
-	ents := make([]laneEntry, n)
-	s.lanes = make([]lane, len(counts))
+// entries: counts holds each lane's request count, in lane order. Both
+// arrays come from the run's scratch.
+func (s *Simulator) carveLanes(sc *runScratch, n int, counts []int32) {
+	sc.ents = reuse(sc.ents, n)[:n]
+	sc.lanes = reuse(sc.lanes, len(counts))[:len(counts)]
+	ents := sc.ents
+	s.lanes = sc.lanes
 	off := 0
 	for i, n := range counts {
-		s.lanes[i].ent = ents[off : off : off+int(n)]
-		s.lanes[i].act = -1
+		s.lanes[i] = lane{ent: ents[off : off : off+int(n)], act: -1}
 		off += int(n)
 	}
 	for _, u := range s.usage {

@@ -24,25 +24,50 @@ type Outcome struct {
 	Steps      int // planned step rows: numbered + batch + extern, 0 if never started
 }
 
+// Release gives the run's job arena back for a later Run to reuse. The
+// jobs go with it: Stats stays readable, and every other read of the
+// Result panics. A caller that keeps its Result never calls it; a second
+// Release does nothing.
+func (r *Result) Release() {
+	pa := r.arena
+	if pa == nil {
+		return
+	}
+	r.arena, r.jobs = nil, nil
+	clear((*pa)[:cap(*pa)]) // the pool keeps no request alive
+	arenas.Put(pa)
+}
+
+// live returns the jobs, or panics once the Result is released: a read
+// after Release is a caller's bug, never an empty run.
+func (r *Result) live() []job {
+	if r.arena == nil {
+		panic("sched: Result read after Release")
+	}
+	return r.jobs
+}
+
 // Len is the number of jobs: one per request.
-func (r *Result) Len() int { return len(r.jobs) }
+func (r *Result) Len() int { return len(r.live()) }
 
 // StepRows is the number of step rows Records yields: every job's planned
 // steps under Options.EmitSteps, else none.
 func (r *Result) StepRows() (n int) {
+	jobs := r.live()
 	if !r.emitSteps {
 		return 0
 	}
-	for i := range r.jobs {
-		n += plannedSteps(&r.jobs[i])
+	for i := range jobs {
+		n += plannedSteps(&jobs[i])
 	}
 	return n
 }
 
 // Outcomes yields every job's outcome in submission order.
 func (r *Result) Outcomes(yield func(Outcome) bool) {
-	for i := range r.jobs {
-		j := &r.jobs[i]
+	jobs := r.live()
+	for i := range jobs {
+		j := &jobs[i]
 		o := Outcome{Req: j.req, Cores: int(j.cores), Eligible: j.at(j.eligible), End: j.at(j.end),
 			State: j.State(), Started: j.started, Steps: plannedSteps(j)}
 		if j.started {
@@ -60,7 +85,7 @@ func (r *Result) Outcomes(yield func(Outcome) bool) {
 // copy the struct to keep a row; its TRES maps and Flags are the row's own.
 // It is JobRecords over every job.
 func (r *Result) Records(yield func(*slurm.Record) bool) {
-	r.JobRecords(0, len(r.jobs))(yield)
+	r.JobRecords(0, len(r.live()))(yield)
 }
 
 // JobRecords streams the rows of jobs [lo, hi) in submission order, as
@@ -70,6 +95,7 @@ func (r *Result) Records(yield func(*slurm.Record) bool) {
 // at once, each on its own goroutine.
 func (r *Result) JobRecords(lo, hi int) iter.Seq[*slurm.Record] {
 	return func(yield func(*slurm.Record) bool) {
+		jobs := r.live()
 		// One generator, reseeded for each job that draws — one that never
 		// started and did not fail reads nothing: the stream a fresh
 		// rand.NewSource per job would give. Its lazySource makes the reseed
@@ -79,7 +105,7 @@ func (r *Result) JobRecords(lo, hi int) iter.Seq[*slurm.Record] {
 		var rec slurm.Record
 		var steps []slurm.Record
 		for i := lo; i < hi; i++ {
-			j := &r.jobs[i]
+			j := &jobs[i]
 			if j.started || j.State() == slurm.StateFailed {
 				rng.Seed(r.seed ^ (j.seq+1)*0x9E3779B9)
 			}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"slurmsight/internal/cluster"
@@ -314,6 +315,44 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
+// runScratch is the storage a Run works in and is done with when it
+// returns, sized by the request count: the submit order, the event heap
+// and the lanes' entry array and headers. Run takes one from scratches and
+// grows a slice only when its capacity is short, and puts it back before
+// it returns, so a process's runs after its first reuse it. A Run that
+// fails drops its scratch.
+type runScratch struct {
+	order  []int
+	events []event
+	ents   []laneEntry
+	lanes  []lane
+}
+
+var scratches = sync.Pool{New: func() any { return new(runScratch) }}
+
+// recycle puts sc back. The event heap and the lane compaction zero every
+// slot they vacate, but a job still pending when the events drain leaves
+// its lane entry behind: the entries are cleared, so the pool keeps no
+// pointer into a run's jobs.
+func (sc *runScratch) recycle() {
+	clear(sc.ents[:cap(sc.ents)])
+	scratches.Put(sc)
+}
+
+// arenas holds job arenas for Run to reuse. An arena outlives its Run,
+// since the Result reads it; Result.Release gives it back, so a caller
+// that scores a run and drops it (the tournament) leaves the arena to the
+// next run, and a Result that is kept keeps only its arena.
+var arenas = sync.Pool{New: func() any { return new([]job) }}
+
+// reuse returns s emptied, or a new slice when s cannot hold n elements.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
 // Result is what a run leaves behind: the statistics, and the finished
 // jobs with what record emission reads of the configuration. It holds no
 // records: Outcomes reads the jobs and Records builds rows as it yields
@@ -321,7 +360,8 @@ func New(cfg Config) (*Simulator, error) {
 type Result struct {
 	Stats RunStats
 
-	jobs         []job // submission order
+	arena        *[]job // from arenas; nil once released
+	jobs         []job  // submission order: *arena, one job per request
 	emitSteps    bool
 	seed         int64
 	sys          *cluster.System
@@ -360,16 +400,20 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 		return nil, fmt.Errorf("sched: no requests")
 	}
 	s.clk.start()
-	arena := make([]job, len(reqs)) // one allocation for every job
-	arrayBase := map[int64]int64{}  // tracegen array group → base job id
-	order := make([]int, len(reqs))
+	pa := arenas.Get().(*[]job)
+	*pa = reuse(*pa, len(reqs))[:len(reqs)] // every job, in one array
+	arena := *pa
+	arrayBase := map[int64]int64{} // tracegen array group → base job id
+	sc := scratches.Get().(*runScratch)
+	sc.order = reuse(sc.order, len(reqs))[:len(reqs)]
+	order := sc.order
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		return reqs[order[a]].Submit.Before(reqs[order[b]].Submit)
 	})
-	s.events = make([]event, 0, 2*len(reqs)+2*len(s.resPools))
+	s.events = reuse(sc.events, 2*len(reqs)+2*len(s.resPools))
 	byChain := map[chainKey]*job{}
 	var laneSize []int32 // requests per user, in lane order
 	staticMax := 0.0
@@ -461,7 +505,7 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 		s.pushEvent(event{t: rp.startNs, kind: evResStart, res: rp, seq: s.nextSeq()})
 		s.pushEvent(event{t: rp.endNs, kind: evResEnd, res: rp, seq: s.nextSeq()})
 	}
-	s.carveLanes(len(arena), laneSize)
+	s.carveLanes(sc, len(arena), laneSize)
 
 	first := arena[0].eligible // the first submission
 	s.origin = first
@@ -529,8 +573,10 @@ func (s *Simulator) Run(reqs []tracegen.Request, opts Options) (*Result, error) 
 
 	s.mRefreshes.Add(s.refreshes)
 	s.clk.publish(s.cfg.Metrics)
+	sc.events, s.events = s.events, nil // keep the heap if a preemption grew it
+	sc.recycle()
 	return &Result{
-		Stats: s.stats, jobs: arena, emitSteps: opts.EmitSteps,
+		Stats: s.stats, arena: pa, jobs: arena, emitSteps: opts.EmitSteps,
 		seed: s.cfg.Seed, sys: s.cfg.System, reservations: s.cfg.Reservations,
 		arrayBase: arrayBase, leadNode: nodeListFor(s.cfg.System.Name, 1),
 	}, nil

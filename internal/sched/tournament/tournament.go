@@ -9,20 +9,24 @@
 // mutates its input; it orders via an index permutation) and a memo of
 // every configuration simulated on it. The simulator is deterministic in
 // (config, requests, seed), so a field simulates each distinct
-// materialised configuration once, concurrently with the others it has
-// not seen, and an N-policy tournament costs one trace generation and at
-// most N simulations — one, in the evolution loop, for every round after
-// the first. Everything in the scorecard except the wall-clock elapsed_ms
-// fields is a pure function of the trace and the policy set:
+// materialised configuration once, on at most GOMAXPROCS workers with the
+// others it has not seen, and an N-policy tournament costs one trace
+// generation and at most N simulations — one, in the evolution loop, for
+// every round after the first. A scored simulation gives its run storage
+// back (sched.Result.Release), so the next one, in this round or a later
+// one, runs in it. Everything in the scorecard except the wall-clock
+// elapsed_ms fields is a pure function of the trace and the policy set:
 // byte-identical across runs and across memo hits, which CI asserts.
 package tournament
 
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"slurmsight/internal/cluster"
@@ -134,8 +138,10 @@ type Scorecard struct {
 	Schema   string        `json:"schema"`
 	Trace    TraceInfo     `json:"trace"`
 	Policies []PolicyScore `json:"policies"`
-	// ElapsedMS is the tournament wall-clock; the one non-deterministic
-	// field at this level (CI strips elapsed_ms before diffing runs).
+	// ElapsedMS is the tournament wall-clock: its unseen configurations
+	// simulated at most GOMAXPROCS at a time. It is the one
+	// non-deterministic field at this level (CI strips elapsed_ms before
+	// diffing runs).
 	ElapsedMS int64 `json:"elapsed_ms"`
 }
 
@@ -172,8 +178,11 @@ type PolicyScore struct {
 	// (Request.Class), sorted by class name.
 	Classes []ClassScore `json:"classes"`
 
-	// ElapsedMS is this policy's simulation wall-clock (excluded from
-	// determinism comparisons).
+	// ElapsedMS is the wall-clock of the simulation that produced the row:
+	// its own run on one worker, not time-sliced with the other arms,
+	// since a tournament runs no more simulations at once than GOMAXPROCS.
+	// A memoised row carries its simulation's time. Excluded from
+	// determinism comparisons.
 	ElapsedMS int64 `json:"elapsed_ms"`
 }
 
@@ -242,11 +251,12 @@ func NewField(reqs []tracegen.Request, system *cluster.System, seed int64, metri
 	}
 }
 
-// Run scores every spec and returns the scorecard, simulating concurrently
-// the configurations the field has not seen. The policy order follows the
-// spec order; all metric content is deterministic for a given (trace,
-// specs). A row answered from the memo carries the elapsed_ms of the
-// simulation that produced it; Scorecard.ElapsedMS is this call's wall.
+// Run scores every spec and returns the scorecard, simulating the
+// configurations the field has not seen on at most GOMAXPROCS goroutines.
+// The policy order follows the spec order; all metric content is
+// deterministic for a given (trace, specs), whatever the worker count. A
+// row answered from the memo carries the elapsed_ms of the simulation that
+// produced it; Scorecard.ElapsedMS is this call's wall.
 func (f *Field) Run(specs []Spec) (*Scorecard, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("tournament: no specs")
@@ -292,16 +302,28 @@ func (f *Field) Run(specs []Spec) (*Scorecard, error) {
 		}
 	}
 	root.SetAttrInt("simulated", int64(len(sim)))
+	// At most GOMAXPROCS simulations run at once, each on a worker that
+	// takes the next unseen arm in spec order, so no more runs' storage is
+	// live than there are processors to fill it, and an arm's elapsed_ms
+	// is its own simulation's time.
 	rows := make([]*PolicyScore, len(sim))
 	errs := make([]error, len(sim))
-	var wg sync.WaitGroup
-	for n, i := range sim {
-		wg.Add(1)
-		go func(n, i int) {
-			defer wg.Done()
+	var next atomic.Int64 // the next entry of sim a worker takes
+	work := func() {
+		for n := int(next.Add(1)) - 1; n < len(sim); n = int(next.Add(1)) - 1 {
+			i := sim[n]
 			rows[n], errs[n] = f.simulate(cfgs[i], specs[i].Name, root)
-		}(n, i)
+		}
 	}
+	var wg sync.WaitGroup
+	for range min(len(sim), runtime.GOMAXPROCS(0)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	for n, err := range errs {
 		if err != nil {
@@ -369,6 +391,7 @@ func (f *Field) simulate(cfg sched.Config, policy string, parent *obs.Span) (*Po
 	}
 
 	ps := score(res)
+	res.Release() // the row is all the field keeps of a run
 	ps.ElapsedMS = elapsed.Milliseconds()
 	return &ps, nil
 }

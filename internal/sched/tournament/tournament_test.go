@@ -35,6 +35,12 @@ func testSystem() *cluster.System {
 
 func testTrace(t *testing.T, sys *cluster.System) []tracegen.Request {
 	t.Helper()
+	return traceOfDays(t, sys, 3)
+}
+
+// traceOfDays is the test workload over days days from t0.
+func traceOfDays(t *testing.T, sys *cluster.System, days int) []tracegen.Request {
+	t.Helper()
 	rng := rand.New(rand.NewSource(31))
 	day := func(h float64) float64 { return h * 3600 }
 	mk := func(name string, w float64) tracegen.Class {
@@ -55,7 +61,7 @@ func testTrace(t *testing.T, sys *cluster.System) []tracegen.Request {
 		Classes:    []tracegen.Class{mk("small", 0.6), mk("large", 0.4)},
 	}
 	reqs, err := tracegen.Generate([]tracegen.Phase{{
-		Profile: p, Start: t0, End: t0.AddDate(0, 0, 3),
+		Profile: p, Start: t0, End: t0.AddDate(0, 0, days),
 	}}, 31)
 	if err != nil {
 		t.Fatal(err)

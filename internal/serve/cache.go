@@ -47,9 +47,11 @@ type cacheKey struct {
 	// plus one so that a zero ends the list, and moreFields, a byte per
 	// position, holds those past the array. start and end are UTC instants
 	// with no monotonic reading, so == compares instants. limit is the
-	// one the scan runs with, MaxRows applied.
+	// one the scan runs with, MaxRows applied. spelling is the request's
+	// field list when a name in it is not in its catalogue spelling, which
+	// the header line then echoes, and "" when every name is.
 	fields                   [16]uint8
-	moreFields               string
+	moreFields, spelling     string
 	start, end               time.Time
 	state                    slurm.State
 	byState, steps           bool
@@ -57,13 +59,14 @@ type cacheKey struct {
 	limit                    int
 }
 
-// detach returns k with strings of its own. A parsed key's filter values
-// and a figure's name are substrings of the request line, which may be
-// padded with parameters the parser ignores; a key the cache keeps must
-// not hold that whole string alive. moreFields is already built fresh by
-// the parse. Only a miss that stores its entry pays for the copies.
+// detach returns k with strings of its own. A parsed key's filter values,
+// field spelling and a figure's name are substrings of the request line,
+// which may be padded with parameters the parser ignores; a key the cache
+// keeps must not hold that whole string alive. moreFields is already built
+// fresh by the parse. Only a miss that stores its entry pays for the
+// copies.
 func (k cacheKey) detach() cacheKey {
-	k.figure = strings.Clone(k.figure)
+	k.figure, k.spelling = strings.Clone(k.figure), strings.Clone(k.spelling)
 	k.user, k.account, k.partition = strings.Clone(k.user), strings.Clone(k.account), strings.Clone(k.partition)
 	return k
 }

@@ -90,7 +90,9 @@ func referenceParseQuery(v map[string][]string) (q sacct.Query, limit int, key s
 // reference is what referenceParseQuery makes of a raw query, as the
 // handler called it. Its key spells an accepted state filter as the state
 // it names: the new key holds the parsed slurm.State, so "CANCELLED by 7"
-// and "cancelled" share an entry, as their answers are the same rows.
+// and "cancelled" share an entry, as their answers are the same rows. Its
+// query names the state canonically too, as a query built from the key
+// does: a state filter's spelling reaches no answer byte.
 type reference struct {
 	q     sacct.Query
 	limit int
@@ -106,6 +108,7 @@ func referenceOf(raw string) reference {
 		st, _ := slurm.ParseState(ref.q.State)
 		v["state"] = []string{st.String()}
 		_, _, ref.key, _ = referenceParseQuery(v)
+		ref.q.State = st.String()
 	}
 	return ref
 }
@@ -117,6 +120,18 @@ func referenceOf(raw string) reference {
 func collides(a, b sacct.Query) bool {
 	return !a.Start.Equal(b.Start) || !a.End.Equal(b.End) ||
 		a.User != b.User || a.Account != b.Account || a.Partition != b.Partition
+}
+
+// spelled reports a field list with a name not in its catalogue spelling.
+// The answer's header echoes it, so the new key keeps that spelling, where
+// the reference folded field names to lower case.
+func spelled(q sacct.Query) bool {
+	for _, name := range q.Fields {
+		if f, _ := slurm.FieldByName(name); f.Name != name {
+			return true
+		}
+	}
+	return false
 }
 
 // queryKeySeeds is the corpus FuzzQueryKey starts from: every /query in
@@ -179,7 +194,8 @@ var queryKeySeeds = []string{
 // strings: the two accept and reject alike, with the same text, and build
 // the same sacct.Query and limit. And two raw queries get equal keys
 // exactly when the reference gives them equal key strings, but for the
-// collisions of that string the new key does not share (collides).
+// collisions of that string the new key does not share (collides) and
+// field lists the new key keeps apart by their spelling (spelled).
 func FuzzQueryKey(f *testing.F) {
 	for i, raw := range queryKeySeeds {
 		f.Add(raw, queryKeySeeds[(i+1)%len(queryKeySeeds)])
@@ -205,7 +221,7 @@ func FuzzQueryKey(f *testing.F) {
 		if same && !refSame {
 			t.Fatalf("%q and %q share a key; the reference keys them apart:\n%s\n%s", a, b, refA.key, refB.key)
 		}
-		if refSame && !same && !collides(refA.q, refB.q) {
+		if refSame && !same && !collides(refA.q, refB.q) && !spelled(refA.q) && !spelled(refB.q) {
 			t.Fatalf("%q and %q get different keys; the reference shares %s", a, b, refA.key)
 		}
 	})
@@ -216,32 +232,62 @@ func FuzzQueryKey(f *testing.F) {
 func checkQueryParse(t *testing.T, raw string) (cacheKey, reference, bool) {
 	t.Helper()
 	ref := referenceOf(raw)
-	qr, err := parseQuery(raw)
+	key, err := parseQuery(raw)
 	if (err == nil) != (ref.err == nil) || err != nil && err.Error() != ref.err.Error() {
 		t.Fatalf("%q: parseQuery says %v, the reference %v", raw, err, ref.err)
 	}
 	if err != nil {
 		return cacheKey{}, ref, false
 	}
-	if q := qr.query(); !reflect.DeepEqual(q, ref.q) {
+	if q := key.query(); !reflect.DeepEqual(q, ref.q) {
 		t.Fatalf("%q: parseQuery builds %+v, the reference %+v", raw, q, ref.q)
 	}
-	if qr.key.limit != ref.limit {
-		t.Fatalf("%q: parseQuery limits to %d, the reference %d", raw, qr.key.limit, ref.limit)
+	if key.limit != ref.limit {
+		t.Fatalf("%q: parseQuery limits to %d, the reference %d", raw, key.limit, ref.limit)
 	}
-	return qr.key, ref, true
+	return key, ref, true
+}
+
+// TestQueryBodyIsAFunctionOfItsKey checks that a /query body does not
+// depend on which request missed first: fields=jobid and fields=JobID,
+// in either order, each get a header in their own spelling, the same bytes
+// in both orders, and never the other's cached body.
+func TestQueryBodyIsAFunctionOfItsKey(t *testing.T) {
+	bodies := map[string]string{}
+	for _, order := range [][2]string{{"jobid", "JobID"}, {"JobID", "jobid"}} {
+		s, err := New(Config{Store: columnarStore(t, 50), Metrics: obs.NewRegistry(), FlightRing: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		for _, spelling := range order {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/query?fields="+spelling+"&limit=1", nil))
+			if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "miss" {
+				t.Fatalf("fields=%s: status %d, X-Cache %q, want 200 and miss", spelling, rec.Code, rec.Header().Get("X-Cache"))
+			}
+			body := rec.Body.String()
+			if header, _, _ := strings.Cut(body, "\n"); header != spelling {
+				t.Errorf("fields=%s after fields=%s: header line %q", spelling, order[0], header)
+			}
+			if prev, ok := bodies[spelling]; ok && prev != body {
+				t.Errorf("fields=%s: body depends on the request order:\n%q\n%q", spelling, prev, body)
+			}
+			bodies[spelling] = body
+		}
+	}
 }
 
 // TestCachedKeyDropsTheRawQuery checks that a cached /query entry's key
-// holds its filter values in strings of its own, not in the request's
-// raw query: a request padded with parameters the parser ignores must
-// not stay alive as long as its entry.
+// holds its filter values and field spelling in strings of its own, not
+// in the request's raw query: a request padded with parameters the parser
+// ignores must not stay alive as long as its entry.
 func TestCachedKeyDropsTheRawQuery(t *testing.T) {
 	s, err := New(Config{Store: columnarStore(t, 50), Metrics: obs.NewRegistry(), FlightRing: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	url := "/query?fields=JobID,User&user=u01&account=acct&partition=batch&pad=" + strings.Repeat("x", 1<<16)
+	url := "/query?fields=JobID,user&user=u01&account=acct&partition=batch&pad=" + strings.Repeat("x", 1<<16)
 	r := httptest.NewRequest("GET", url, nil)
 	w := &sink{h: http.Header{}}
 	serveOnce(s.Handler(), w, r)
@@ -255,7 +301,7 @@ func TestCachedKeyDropsTheRawQuery(t *testing.T) {
 		t.Fatalf("%d cached entries, want 1", s.cache.len())
 	}
 	k := s.cache.lru.Front().Value.(*entry).key
-	for name, v := range map[string]string{"user": k.user, "account": k.account, "partition": k.partition} {
+	for name, v := range map[string]string{"user": k.user, "account": k.account, "partition": k.partition, "field spelling": k.spelling} {
 		if v == "" {
 			t.Fatalf("%s is empty in the cached key", name)
 		}

@@ -225,21 +225,21 @@ func clientKey(r *http.Request) string {
 // and X-Rows. A hit is the parse and one map lookup; the sacct.Query is
 // built only on a miss.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	qr, err := parseQuery(r.URL.RawQuery)
+	key, err := parseQuery(r.URL.RawQuery)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if s.cfg.MaxRows > 0 && (qr.key.limit <= 0 || qr.key.limit > s.cfg.MaxRows) {
-		qr.key.limit = s.cfg.MaxRows
+	if s.cfg.MaxRows > 0 && (key.limit <= 0 || key.limit > s.cfg.MaxRows) {
+		key.limit = s.cfg.MaxRows
 	}
-	ent, outcome, err := s.cache.do(s.store.Generation(), qr.key, func() (*entry, error) {
+	ent, outcome, err := s.cache.do(s.store.Generation(), key, func() (*entry, error) {
 		// The scan reads one capture of the store and says which
 		// generation it was: that, not the one in the key, labels the body
 		// when an append lands in between.
 		buf := renderBufs.Get().(*[]byte)
 		defer putRenderBuf(buf)
-		text, n, gen, err := s.store.AppendQueryCtx(r.Context(), (*buf)[:0], qr.query(), qr.key.limit)
+		text, n, gen, err := s.store.AppendQueryCtx(r.Context(), (*buf)[:0], key.query(), key.limit)
 		*buf = text
 		if err != nil {
 			return nil, err
@@ -645,23 +645,17 @@ const (
 
 var paramNames = [numParams]string{"fields", "start", "end", "user", "account", "partition", "state", "steps", "limit"}
 
-// queryRequest is a parsed /query: its cache key, and the spellings of its
-// field list and state filter, which the key folds away but the answer
-// keeps — the header names each field as the request spelled it.
-type queryRequest struct {
-	key           cacheKey
-	fields, state string
-}
-
-// parseQuery reads a /query from its raw query string in one pass. A
-// parameter's value is that of its first occurrence url.ParseQuery would
-// keep, unescaped and trimmed; one holding no escape is a substring of
-// raw, so a request without escapes parses without allocating (a state
-// name not in upper case aside). Requests that ask for the same rows get
-// equal keys: field and state names in any case, an instant however it
-// is spelled. Validation failures here become 400s; anything that
-// survives and still errors during the scan is a 500.
-func parseQuery(raw string) (qr queryRequest, err error) {
+// parseQuery reads a /query's cache key from its raw query string in one
+// pass. A parameter's value is that of its first occurrence
+// url.ParseQuery would keep, unescaped and trimmed; one holding no escape
+// is a substring of raw, so a request without escapes parses without
+// allocating (a state name not in upper case aside). Requests that ask for the same rows get
+// equal keys: a state name in any case, an instant however it is spelled,
+// field names in their catalogue spelling. A field list spelled otherwise
+// is keyed with its spelling, which the answer's header echoes.
+// Validation failures here become 400s; anything that survives and still
+// errors during the scan is a 500.
+func parseQuery(raw string) (k cacheKey, err error) {
 	var vals [numParams]string
 	var seen uint
 	for raw != "" {
@@ -683,7 +677,6 @@ func parseQuery(raw string) (qr queryRequest, err error) {
 			vals[i], seen = strings.TrimSpace(value), seen|1<<i
 		}
 	}
-	k := &qr.key
 	if f := vals[paramFields]; f != "" {
 		n := 0
 		for rest, more := f, true; more; n++ {
@@ -692,7 +685,10 @@ func parseQuery(raw string) (qr queryRequest, err error) {
 			name = strings.TrimSpace(name)
 			i, ok := slurm.FieldIndex(name)
 			if !ok {
-				return qr, fmt.Errorf("unknown field %q", name)
+				return k, fmt.Errorf("unknown field %q", name)
+			}
+			if name != fieldNames[i] {
+				k.spelling = f
 			}
 			if n < len(k.fields) {
 				k.fields[n] = uint8(i + 1)
@@ -700,37 +696,36 @@ func parseQuery(raw string) (qr queryRequest, err error) {
 				k.moreFields += string(rune(i + 1)) // a position below 128 is one byte
 			}
 		}
-		qr.fields = f
 	}
 	if k.start, err = parseTimeParam(vals[paramStart]); err != nil {
-		return qr, fmt.Errorf("start: %w", err)
+		return k, fmt.Errorf("start: %w", err)
 	}
 	if k.end, err = parseTimeParam(vals[paramEnd]); err != nil {
-		return qr, fmt.Errorf("end: %w", err)
+		return k, fmt.Errorf("end: %w", err)
 	}
 	if !k.start.IsZero() && !k.end.IsZero() && !k.start.Before(k.end) {
-		return qr, fmt.Errorf("empty window: start %s is not before end %s", k.start, k.end)
+		return k, fmt.Errorf("empty window: start %s is not before end %s", k.start, k.end)
 	}
 	k.user, k.account, k.partition = vals[paramUser], vals[paramAccount], vals[paramPartition]
 	if st := vals[paramState]; st != "" {
 		if k.state, err = slurm.ParseState(st); err != nil {
-			return qr, err
+			return k, err
 		}
-		k.byState, qr.state = true, st
+		k.byState = true
 	}
 	switch steps := vals[paramSteps]; steps {
 	case "", "0", "false":
 	case "1", "true":
 		k.steps = true
 	default:
-		return qr, fmt.Errorf("steps must be a boolean, got %q", steps)
+		return k, fmt.Errorf("steps must be a boolean, got %q", steps)
 	}
 	if l := vals[paramLimit]; l != "" {
 		if k.limit, err = strconv.Atoi(l); err != nil || k.limit < 0 {
-			return qr, fmt.Errorf("limit must be a non-negative integer, got %q", l)
+			return k, fmt.Errorf("limit must be a non-negative integer, got %q", l)
 		}
 	}
-	return qr, nil
+	return k, nil
 }
 
 // unescapeParam is url.QueryUnescape for the part of a query pair that
@@ -743,17 +738,43 @@ func unescapeParam(s string) (string, bool) {
 	return u, err == nil
 }
 
-// query is the sacct.Query the request asks for, built on a miss.
-func (qr *queryRequest) query() sacct.Query {
-	k := &qr.key
+// fieldNames is the field catalogue's canonical names, by position.
+var fieldNames = slurm.SelectedNames()
+
+// query is the sacct.Query a /query key asks for, built on a miss from
+// the key alone, so two requests that share an entry get the same body
+// whichever of them missed first. The header line names each field as
+// the key's spelling does, or by its catalogue name when the key has
+// none; the state filter is the state's canonical name.
+func (k *cacheKey) query() sacct.Query {
 	q := sacct.Query{
 		Start: k.start, End: k.end, IncludeSteps: k.steps,
-		User: k.user, Account: k.account, Partition: k.partition, State: qr.state,
+		User: k.user, Account: k.account, Partition: k.partition,
 	}
-	if qr.fields != "" {
-		for _, name := range strings.Split(qr.fields, ",") {
+	if k.byState {
+		q.State = k.state.String()
+	}
+	n := 0
+	for n < len(k.fields) && k.fields[n] != 0 {
+		n++
+	}
+	if n == 0 {
+		return q
+	}
+	q.Fields = make([]string, 0, n+len(k.moreFields))
+	if k.spelling != "" {
+		for rest, more := k.spelling, true; more; {
+			var name string
+			name, rest, more = strings.Cut(rest, ",")
 			q.Fields = append(q.Fields, strings.TrimSpace(name))
 		}
+		return q
+	}
+	for _, pos := range k.fields[:n] {
+		q.Fields = append(q.Fields, fieldNames[pos-1])
+	}
+	for i := range len(k.moreFields) {
+		q.Fields = append(q.Fields, fieldNames[k.moreFields[i]-1])
 	}
 	return q
 }
