@@ -24,7 +24,6 @@ var uncalledExports = map[string]string{
 	"slurmsight/internal/llm.PaperCriteria":                "the paper's model-selection criteria, passed to Choose",
 	"slurmsight/internal/obs.StartSpan":                    "the tracing API's context-carrying opener; the obs tests pin its nil-tracer no-op",
 	"slurmsight/internal/plot.SVG":                         "the bare SVG document TestRenderGoldenDigest pins and TestPNGIsThePage holds plot.PNG to; pages embed the same walk through WriteHTML",
-	"slurmsight/internal/pool.Pool.Free":                   "the slots not lent out, which the pool and curate tests check all come back",
 	"slurmsight/internal/sacct.Store.ColstoreStats":        "a snapshot of the read counters Instrument publishes; the projection tests diff two around one scan",
 	"slurmsight/internal/sacct.Store.DumpBinary":           "the dump to an io.Writer that the trace-build, ingest and live-append goldens hash; production writes files through DumpBinaryFile",
 	"slurmsight/internal/sacct/colstore.ColumnNames":       "the pinned column order the projection tests count against",

@@ -19,7 +19,6 @@ import (
 	"slurmsight/internal/llm"
 	"slurmsight/internal/obs"
 	"slurmsight/internal/plot"
-	"slurmsight/internal/pool"
 	"slurmsight/internal/sacct"
 	"slurmsight/internal/slurm"
 )
@@ -45,10 +44,10 @@ type Config struct {
 	// and decoded concurrently during the curate stage. 0 (the default)
 	// resolves to runtime.GOMAXPROCS(0); 1 decodes each file as one
 	// chunk. Sidecars and figure data are byte-identical at every
-	// worker count. Concurrent period tasks
-	// share one pool of GOMAXPROCS borrowable decode slots (each task
-	// keeps one guaranteed slot), so many periods in flight narrow each
-	// other instead of oversubscribing the host.
+	// worker count. Each curate task runs one decoder per chunk, so
+	// Workers periods in flight run up to Workers × IngestWorkers
+	// CPU-bound goroutines, which the Go scheduler shares among the
+	// processors.
 	IngestWorkers int
 
 	TopUsers int // users shown in the states figure (default 50)
@@ -278,13 +277,7 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 	empty := analyze.NewBundle(TimelineBucket)
 	analyzed.Set(ctx, analysis{bundle: empty, summaries: summarize(empty, cfg.SystemNodes)})
 
-	// One shared budget of borrowable decode slots for every concurrent
-	// period task: each task keeps a guaranteed decoder and borrows up
-	// to IngestWorkers-1 more, so Workers × IngestWorkers in-flight
-	// goroutines collapse to at most Workers + GOMAXPROCS decoders.
-	ingestPool := pool.New(runtime.GOMAXPROCS(0))
 	cfg.Metrics.Gauge("ingest_workers_resolved").Set(int64(cfg.IngestWorkers))
-	cfg.Metrics.Gauge("ingest_pool_budget").Set(int64(ingestPool.Budget()))
 	art := &Artifacts{Figures: map[string]*FigureResult{}}
 	fetcher := &sacct.Fetcher{Store: cfg.Store, CacheDir: cfg.CacheDir, Workers: cfg.Workers}
 
@@ -336,7 +329,6 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 				opts := curate.DefaultOptions()
 				opts.Metrics = cfg.Metrics
 				opts.Workers = cfg.IngestWorkers
-				opts.Pool = ingestPool
 				// Each chunk observes into its own collector shard, merged
 				// back in chunk order so the figure data is bit-exact at
 				// every width.

@@ -6,10 +6,7 @@
 // downstream analysis — the exact responsibilities §3.1 assigns the stage.
 package curate
 
-import (
-	"slurmsight/internal/obs"
-	"slurmsight/internal/pool"
-)
+import "slurmsight/internal/obs"
 
 // Options tune the curation stream. The normalisation itself is fixed:
 // duration columns become decimal minutes (the paper's seconds→minutes
@@ -24,13 +21,6 @@ type Options struct {
 	// file into and decodes concurrently. Values below 2 select a
 	// single chunk (the whole data region).
 	Workers int
-	// Pool, when non-nil, is the shared ingest-worker budget that
-	// concurrent period tasks borrow extra decoders from: each
-	// StreamFileParallel always runs at least one decoder (its own
-	// goroutine) and borrows up to Workers-1 more, non-blocking, so
-	// the decode width adapts to how many periods are in flight. Nil
-	// grants every requested worker.
-	Pool *pool.Pool
 }
 
 // DefaultOptions is the paper's preprocessing: the zero Options, since the

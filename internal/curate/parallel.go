@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"slurmsight/internal/obs"
+	"slurmsight/internal/pool"
 	"slurmsight/internal/slurm"
 )
 
@@ -42,11 +42,7 @@ type ShardFunc func(chunk int) func(*slurm.Record) bool
 // are chunk-relative except in chunk 0. The first terminal error in
 // chunk order is returned, wrapped with the input path.
 func StreamFileParallel(inPath, csvPath string, opts Options, rep *Report, shard ShardFunc) (chunks int, err error) {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	cs, err := slurm.NewChunkScanner(inPath, workers)
+	cs, err := slurm.NewChunkScanner(inPath, opts.Workers)
 	if err != nil {
 		return 0, fmt.Errorf("curate: %s: %w", inPath, err)
 	}
@@ -82,41 +78,6 @@ func StreamFileParallel(inPath, csvPath string, opts Options, rep *Report, shard
 	chunkDone := make([]chan struct{}, chunks)
 	for i := range chunkDone {
 		chunkDone[i] = make(chan struct{})
-	}
-	var stopped atomic.Bool
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	nw := min(workers, chunks)
-	// Borrow the extra decoders from the shared pool: the first worker
-	// is this task's guaranteed slot, each one beyond it runs only if
-	// the pool grants a slot right now. A busy pool narrows the stream
-	// rather than queueing it; slots return as each worker finishes.
-	granted := 1
-	for granted < nw && opts.Pool.TryAcquire() {
-		granted++
-	}
-	nw = granted
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		borrowed := w > 0 && opts.Pool != nil
-		go func() {
-			defer wg.Done()
-			if borrowed {
-				defer opts.Pool.Release()
-			}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= chunks {
-					return
-				}
-				sp := ""
-				if csvPath != "" {
-					sp = spillPath(i)
-				}
-				chunkErrs[i] = runChunk(cs, i, sp, opts, &reports[i], shard, &stopped, m)
-				close(chunkDone[i])
-			}
-		}()
 	}
 
 	// The single ordered sidecar writer: as each chunk completes, in
@@ -155,7 +116,20 @@ func StreamFileParallel(inPath, csvPath string, opts Options, rep *Report, shard
 		writerDone <- werr
 	}()
 
-	wg.Wait()
+	// The decoders: min(opts.Workers, chunks), the caller's goroutine
+	// among them, each taking the next chunk. Every chunk closes its
+	// chunkDone whatever happened to it, because the writer waits on
+	// each in turn; so no call fails, and stopped carries the stop.
+	var stopped atomic.Bool
+	pool.Run(chunks, opts.Workers, func(_, i int) error {
+		sp := ""
+		if csvPath != "" {
+			sp = spillPath(i)
+		}
+		chunkErrs[i] = runChunk(cs, i, sp, opts, &reports[i], shard, &stopped, m)
+		close(chunkDone[i])
+		return nil
+	})
 	werr := <-writerDone
 	for i := range reports {
 		rep.Add(reports[i])

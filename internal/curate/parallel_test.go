@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -314,5 +315,64 @@ func BenchmarkStreamFileParallelMetrics(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestStreamFileParallelConcurrentPeriods runs several period tasks
+// concurrently — the core.Run shape — and checks each still matches its
+// own one-chunk pass.
+func TestStreamFileParallelConcurrentPeriods(t *testing.T) {
+	const periods = 4
+	type period struct {
+		in, seqCSV, parCSV string
+		seqRep             Report
+	}
+	var ps []period
+	dir := t.TempDir()
+	for i := 0; i < periods; i++ {
+		rng := rand.New(rand.NewSource(int64(100 + i)))
+		pd := period{
+			in:     buildPeriod(t, rng, 300),
+			seqCSV: filepath.Join(dir, "seq"+string(rune('a'+i))+".csv"),
+			parCSV: filepath.Join(dir, "par"+string(rune('a'+i))+".csv"),
+		}
+		if _, err := StreamFileParallel(pd.in, pd.seqCSV, DefaultOptions(), &pd.seqRep, nil); err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, pd)
+	}
+
+	var wg sync.WaitGroup
+	errs := make([]error, periods)
+	reps := make([]Report, periods)
+	for i := range ps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			opts := DefaultOptions()
+			opts.Workers = 4
+			_, errs[i] = StreamFileParallel(ps[i].in, ps[i].parCSV, opts, &reps[i], nil)
+		}()
+	}
+	wg.Wait()
+
+	for i, pd := range ps {
+		if errs[i] != nil {
+			t.Fatalf("period %d: %v", i, errs[i])
+		}
+		if reps[i] != pd.seqRep {
+			t.Errorf("period %d: report diverges from one chunk", i)
+		}
+		want, err := os.ReadFile(pd.seqCSV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(pd.parCSV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("period %d: sidecar diverges from one chunk", i)
+		}
 	}
 }

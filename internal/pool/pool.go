@@ -1,77 +1,52 @@
-// Package pool provides a shared, non-blocking worker-slot budget for
-// the ingest plane. Concurrent period-curation tasks each get one
-// guaranteed decode slot (their own goroutine) and borrow extra slots
-// from a process-wide pool, so many periods × many chunks neither
-// oversubscribes a laptop nor undersubscribes a 64-core node: total
-// extra decoders across every borrower never exceeds the budget, and a
-// borrower that finds the pool empty simply runs narrower instead of
-// queueing.
+// Package pool is the one fan-out loop: n independent calls spread over
+// a few goroutines. The workflow's concurrency is the paper's GNU
+// Parallel fan-out of sacct queries, the curate stage's chunk decoders,
+// the store's month builds and the tournament's arms; each of them is a
+// Run.
 package pool
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// Pool is a fixed budget of borrowable worker slots. The zero-value
-// pointer (nil) means "unlimited": TryAcquire always grants, Release is
-// a no-op — callers never need to nil-check.
-type Pool struct {
-	budget int
-	free   atomic.Int64
-}
-
-// New returns a pool with the given number of borrowable slots. A
-// budget below zero is treated as zero (nothing borrowable; every
-// caller runs on its guaranteed slot alone). For an unlimited pool use
-// a nil *Pool instead.
-func New(budget int) *Pool {
-	if budget < 0 {
-		budget = 0
-	}
-	p := &Pool{budget: budget}
-	p.free.Store(int64(budget))
-	return p
-}
-
-// Budget returns the pool's total borrowable slots; 0 for nil
-// (unlimited) pools.
-func (p *Pool) Budget() int {
-	if p == nil {
-		return 0
-	}
-	return p.budget
-}
-
-// TryAcquire takes one slot if any is free, without blocking. A nil
-// pool always grants.
-func (p *Pool) TryAcquire() bool {
-	if p == nil {
-		return true
-	}
-	for {
-		n := p.free.Load()
-		if n <= 0 {
-			return false
-		}
-		if p.free.CompareAndSwap(n, n-1) {
-			return true
+// Run calls fn(w, i) once for every i in [0, n), on max(1, min(workers,
+// n)) goroutines, the caller's among them, and returns when every call
+// has returned. Each worker takes the next index in order; w is its own
+// index, in [0, max(1, min(workers, n))), so a caller may keep scratch
+// per worker. Once a call fails, no index above it starts, and Run
+// returns the error of the failing call with the lowest index, nil when
+// none failed. Because indices are taken in order, that is the lowest
+// index whose call fails at all, whatever the interleaving.
+func Run(n, workers int, fn func(w, i int) error) error {
+	var (
+		next atomic.Int64 // the next index a worker takes
+		stop atomic.Int64 // indices at or past it do not start
+		mu   sync.Mutex   // orders the writes of stop and err
+		err  error
+	)
+	stop.Store(int64(n))
+	work := func(w int) {
+		for i := next.Add(1) - 1; i < stop.Load(); i = next.Add(1) - 1 {
+			if e := fn(w, int(i)); e != nil {
+				mu.Lock()
+				if i < stop.Load() {
+					stop.Store(i)
+					err = e
+				}
+				mu.Unlock()
+			}
 		}
 	}
-}
-
-// Release returns one previously acquired slot. A nil pool is a no-op.
-// Releasing more than was acquired is a caller bug; the pool does not
-// guard against it.
-func (p *Pool) Release() {
-	if p == nil {
-		return
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
 	}
-	p.free.Add(1)
-}
-
-// Free reports the currently borrowable slots (for logs and gauges);
-// 0 for nil pools.
-func (p *Pool) Free() int {
-	if p == nil {
-		return 0
-	}
-	return int(p.free.Load())
+	work(0)
+	wg.Wait()
+	return err
 }

@@ -1,112 +1,74 @@
 package pool
 
 import (
-	"sync"
+	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
-func TestNilPoolIsUnlimited(t *testing.T) {
-	var p *Pool
-	for i := 0; i < 100; i++ {
-		if !p.TryAcquire() {
-			t.Fatal("nil pool refused a slot")
-		}
-	}
-	p.Release() // no-op, must not panic
-	if p.Budget() != 0 || p.Free() != 0 {
-		t.Fatal("nil pool reports a nonzero budget")
-	}
-}
-
-func TestAcquireRelease(t *testing.T) {
-	p := New(2)
-	if p.Budget() != 2 || p.Free() != 2 {
-		t.Fatalf("budget/free = %d/%d, want 2/2", p.Budget(), p.Free())
-	}
-	if !p.TryAcquire() || !p.TryAcquire() {
-		t.Fatal("could not drain a fresh pool")
-	}
-	if p.TryAcquire() {
-		t.Fatal("acquired beyond the budget")
-	}
-	p.Release()
-	if p.Free() != 1 {
-		t.Fatalf("free = %d after release, want 1", p.Free())
-	}
-	if !p.TryAcquire() {
-		t.Fatal("released slot not reusable")
-	}
-}
-
-func TestZeroAndNegativeBudget(t *testing.T) {
-	for _, budget := range []int{0, -5} {
-		p := New(budget)
-		if p.Budget() != 0 {
-			t.Fatalf("New(%d).Budget() = %d, want 0", budget, p.Budget())
-		}
-		if p.TryAcquire() {
-			t.Fatalf("New(%d) granted a slot", budget)
-		}
-	}
-}
-
-// TestConcurrentAcquireNeverOversubscribes hammers the pool from many
-// goroutines and checks the invariant the ingest plane relies on: the
-// number of held slots never exceeds the budget.
-func TestConcurrentAcquireNeverOversubscribes(t *testing.T) {
-	const budget = 4
-	p := New(budget)
-	var held, peak, over sync2Int
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				if p.TryAcquire() {
-					h := held.add(1)
-					peak.max(h)
-					if h > budget {
-						over.add(1)
-					}
-					held.add(-1)
-					p.Release()
-				}
+// TestRunCallsEveryIndexOnce checks that every index runs exactly once and
+// that each call's worker index lies in [0, max(1, min(workers, n))).
+func TestRunCallsEveryIndexOnce(t *testing.T) {
+	for _, c := range []struct{ n, workers int }{
+		{0, 4}, {1, 0}, {5, -3}, {7, 3}, {3, 8}, {100, 4},
+	} {
+		width := max(1, min(c.workers, c.n))
+		calls := make([]atomic.Int32, c.n)
+		var badW atomic.Int32
+		err := Run(c.n, c.workers, func(w, i int) error {
+			if w < 0 || w >= width {
+				badW.Add(1)
 			}
-		}()
-	}
-	wg.Wait()
-	if over.load() != 0 {
-		t.Fatalf("budget exceeded %d times (peak %d > %d)", over.load(), peak.load(), budget)
-	}
-	if p.Free() != budget {
-		t.Fatalf("free = %d after all releases, want %d", p.Free(), budget)
-	}
-}
-
-// sync2Int is a tiny atomic int with a max helper for the test above.
-type sync2Int struct {
-	mu sync.Mutex
-	v  int64
-}
-
-func (s *sync2Int) add(d int64) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.v += d
-	return s.v
-}
-
-func (s *sync2Int) max(v int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v > s.v {
-		s.v = v
+			calls[i].Add(1)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("Run(%d, %d) = %v", c.n, c.workers, err)
+		}
+		for i := range calls {
+			if got := calls[i].Load(); got != 1 {
+				t.Errorf("Run(%d, %d): index %d ran %d times", c.n, c.workers, i, got)
+			}
+		}
+		if badW.Load() != 0 {
+			t.Errorf("Run(%d, %d): %d calls had a worker index outside [0, %d)", c.n, c.workers, badW.Load(), width)
+		}
 	}
 }
 
-func (s *sync2Int) load() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.v
+// TestRunReturnsLowestIndexError fails several indices and checks that the
+// lowest one's error comes back at every width.
+func TestRunReturnsLowestIndexError(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		err := Run(50, workers, func(_, i int) error {
+			if i == 17 || i == 23 || i == 40 {
+				return fmt.Errorf("index %d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "index 17" {
+			t.Errorf("workers=%d: err = %v, want index 17", workers, err)
+		}
+	}
+}
+
+// TestRunStopsAfterFailure checks that, on one worker, no index after a
+// failing one starts.
+func TestRunStopsAfterFailure(t *testing.T) {
+	boom := errors.New("boom")
+	var ran []int
+	err := Run(10, 1, func(w, i int) error {
+		ran = append(ran, i)
+		if i == 3 {
+			return boom
+		}
+		return nil
+	})
+	if err != boom {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if fmt.Sprint(ran) != "[0 1 2 3]" {
+		t.Errorf("ran %v, want [0 1 2 3]", ran)
+	}
 }

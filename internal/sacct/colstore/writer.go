@@ -19,10 +19,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"slurmsight/internal/pool"
 	"slurmsight/internal/slurm"
 )
 
@@ -143,31 +143,21 @@ func appendTrailer(b []byte, offset uint64, footer []byte) []byte {
 // that a build returned, and once one has failed no further build starts.
 func Build(n, workers int, build func(b *Builder, i int) (*Shard, error)) ([]*Shard, error) {
 	out := make([]*Shard, n)
-	errs := make([]error, n)
-	var next atomic.Int64 // the next shard a goroutine takes
-	var failed atomic.Bool
-	work := func() {
-		var b Builder
-		for i := int(next.Add(1)) - 1; i < n && !failed.Load(); i = int(next.Add(1)) - 1 {
-			if out[i], errs[i] = build(&b, i); errs[i] != nil {
-				failed.Store(true)
-			}
+	bs := make([]*Builder, max(1, min(workers, n))) // apart, so no two share a cache line
+	var started atomic.Int64
+	err := pool.Run(n, workers, func(w, i int) (err error) {
+		started.Add(1)
+		if bs[w] == nil {
+			bs[w] = new(Builder)
 		}
-	}
-	var wg sync.WaitGroup
-	for range max(1, min(workers, n)) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		out[i], err = build(bs[w], i)
+		if started.Load() == int64(n) {
+			bs[w] = nil // no month is left for w: free its scratch while the rest finish
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

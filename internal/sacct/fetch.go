@@ -9,9 +9,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
+	"slurmsight/internal/pool"
 	"slurmsight/internal/slurm"
 )
 
@@ -62,8 +62,10 @@ type FetchSpec struct {
 // Fetcher executes the Obtain-data stage: for each period in the window
 // it queries the store and writes a pipe-separated text file into
 // CacheDir, skipping periods whose file already exists when UseCache is
-// set. Periods are fetched concurrently by Workers goroutines — the Go
-// replacement for the paper's GNU Parallel fan-out.
+// set. Periods are fetched on Workers goroutines (pool.Run) — the Go
+// replacement for the paper's GNU Parallel fan-out. A period starts only
+// while ctx is live, and the first failure, in period order, ends the
+// fetch: no later period starts.
 type Fetcher struct {
 	Store    *Store
 	CacheDir string
@@ -146,9 +148,7 @@ func (f *Fetcher) Fetch(ctx context.Context, spec FetchSpec) ([]FetchedFile, err
 		workers = 4
 	}
 
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	errs := make([]error, len(files))
+	var todo []int // the periods the cache does not satisfy
 	for i := range files {
 		files[i].Path = filepath.Join(f.CacheDir, PeriodFileName(files[i].Period))
 		if spec.UseCache {
@@ -158,24 +158,17 @@ func (f *Fetcher) Fetch(ctx context.Context, spec FetchSpec) ([]FetchedFile, err
 				continue
 			}
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
-			}
-			errs[i] = f.fetchOne(&files[i], queries[i], spec)
-		}(i)
+		todo = append(todo, i)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	err = pool.Run(len(todo), workers, func(_, k int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		i := todo[k]
+		return f.fetchOne(&files[i], queries[i], spec)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return files, nil
 }

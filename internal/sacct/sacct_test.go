@@ -3,6 +3,7 @@ package sacct
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -346,16 +347,22 @@ func TestFetchErrors(t *testing.T) {
 	if _, err := noDir.Fetch(context.Background(), FetchSpec{}); err == nil {
 		t.Error("no cache dir: want error")
 	}
+	// Every period checks the context before it starts, so a fetch whose
+	// context is already cancelled writes nothing.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := f.Fetch(ctx, FetchSpec{
 		Granularity: Monthly, Start: base, End: base.AddDate(0, 2, 0),
 	})
-	if err == nil {
-		// A cancelled context may still win the race for tiny stores; the
-		// guarantee is only that cancellation is honoured when workers
-		// block, so do not fail hard here — but the files must be valid.
-		t.Log("cancelled fetch completed before observing cancellation")
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled fetch: err = %v, want context.Canceled", err)
+	}
+	left, err := os.ReadDir(f.CacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("cancelled fetch left %s in the cache dir", e.Name())
 	}
 }
 

@@ -25,12 +25,11 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"slurmsight/internal/cluster"
 	"slurmsight/internal/obs"
+	"slurmsight/internal/pool"
 	"slurmsight/internal/sched"
 	"slurmsight/internal/tracegen"
 )
@@ -307,28 +306,15 @@ func (f *Field) Run(specs []Spec) (*Scorecard, error) {
 	// live than there are processors to fill it, and an arm's elapsed_ms
 	// is its own simulation's time.
 	rows := make([]*PolicyScore, len(sim))
-	errs := make([]error, len(sim))
-	var next atomic.Int64 // the next entry of sim a worker takes
-	work := func() {
-		for n := int(next.Add(1)) - 1; n < len(sim); n = int(next.Add(1)) - 1 {
-			i := sim[n]
-			rows[n], errs[n] = f.simulate(cfgs[i], specs[i].Name, root)
+	err := pool.Run(len(sim), runtime.GOMAXPROCS(0), func(_, n int) (err error) {
+		i := sim[n]
+		if rows[n], err = f.simulate(cfgs[i], specs[i].Name, root); err != nil {
+			return fmt.Errorf("tournament: policy %q: %w", specs[i].Name, err)
 		}
-	}
-	var wg sync.WaitGroup
-	for range min(len(sim), runtime.GOMAXPROCS(0)) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	for n, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("tournament: policy %q: %w", specs[sim[n]].Name, err)
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for n, i := range sim {
 		f.rows[keys[i]] = rows[n]

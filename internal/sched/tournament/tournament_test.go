@@ -244,6 +244,35 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestFieldArmFailure runs a field over a trace the simulator refuses: a
+// submit instant Unix nanoseconds cannot hold. Run must return the first
+// simulated spec's error, keep no row and count no arm.
+func TestFieldArmFailure(t *testing.T) {
+	sys := testSystem()
+	reqs := append([]tracegen.Request(nil), testTrace(t, sys)...)
+	reqs[0].Submit = time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC)
+	reg := obs.NewRegistry()
+	f := NewField(reqs, sys, 31, reg, nil)
+	_, err := f.Run([]Spec{
+		{Name: "default"},
+		{Name: "fifo", Preset: "fifo"},
+		{Name: "evolved"}, // default's twin: answered from the memo, were there a row
+		{Name: "conservative", Backfill: "conservative"},
+	})
+	if err == nil {
+		t.Fatal("Run accepted a trace the simulator refuses")
+	}
+	if want := `tournament: policy "default": sched: request 0: submit`; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("err = %q, want prefix %q", err, want)
+	}
+	if len(f.rows) != 0 {
+		t.Errorf("the field kept %d rows after a failed run", len(f.rows))
+	}
+	if sim, memo := armsTotal(reg, "simulated"), armsTotal(reg, "memoised"); sim != 0 || memo != 0 {
+		t.Errorf("arms counted after a failed run: %d simulated, %d memoised", sim, memo)
+	}
+}
+
 func ptr[T any](v T) *T { return &v }
 
 // armsTotal reads schedbench_arms_total{source=…}.
