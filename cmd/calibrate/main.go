@@ -40,10 +40,11 @@ func main() {
 		log.Fatal(err)
 	}
 	sys := builtin.System
-	store, malformed, err := sacct.LoadFile(*trace)
+	store, malformed, err := sacct.OpenFile(*trace)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer store.Close()
 	if malformed > 0 {
 		log.Printf("warning: %d malformed rows dropped on load", malformed)
 	}

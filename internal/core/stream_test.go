@@ -56,7 +56,7 @@ func TestWorkflowSinglePassCounting(t *testing.T) {
 // test: the figure spec JSON written by the streaming per-period
 // bundle-and-merge path must be byte-identical to charts built by an
 // independent reference — every period file loaded into a store
-// (sacct.LoadFile, never the curate stage), its records selected into
+// (sacct.OpenFile, never the curate stage), its records selected into
 // one slice, globally sorted by job ID, and observed by one bundle in a
 // single pass with no merge.
 func TestWorkflowFiguresMatchDirectBuilders(t *testing.T) {
@@ -71,7 +71,7 @@ func TestWorkflowFiguresMatchDirectBuilders(t *testing.T) {
 
 	var recs []slurm.Record
 	for _, f := range art.Fetched {
-		st, _, err := sacct.LoadFile(filepath.Join(cfg.CacheDir, sacct.PeriodFileName(f.Period)))
+		st, _, err := sacct.OpenFile(filepath.Join(cfg.CacheDir, sacct.PeriodFileName(f.Period)))
 		if err != nil {
 			t.Fatal(err)
 		}

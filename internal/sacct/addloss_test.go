@@ -81,11 +81,11 @@ func TestAddIntoCorruptLazyShardSurfacesError(t *testing.T) {
 	}
 }
 
-// TestAddPartialBatchBumpsGeneration pins the partial-application
-// contract: when a batch fails mid-way, records already inserted stay
-// inserted and the generation moves so cached responses cannot claim
-// the pre-batch state is current.
-func TestAddPartialBatchBumpsGeneration(t *testing.T) {
+// TestAddLandsAllOrNothing pins Add's batch contract, AppendBatch's: a
+// batch with one record bound for a corrupt shard is refused whole — the
+// record for a healthy month does not land either, and the generation
+// stays where it was, so a cached response about the store stays current.
+func TestAddLandsAllOrNothing(t *testing.T) {
 	st, _ := buildStore(t, 40)
 	path := dumpBinary(t, st)
 	corruptFirstColumn(t, path)
@@ -96,7 +96,7 @@ func TestAddPartialBatchBumpsGeneration(t *testing.T) {
 	}
 	defer bin.Close()
 	months := bin.Months()
-	gen0 := bin.Generation()
+	gen0, len0 := bin.Generation(), bin.Len()
 
 	good := slurm.Record{
 		ID:     slurm.NewJobID(9_000_001),
@@ -113,15 +113,18 @@ func TestAddPartialBatchBumpsGeneration(t *testing.T) {
 	if err := bin.Add(good, bad); err == nil {
 		t.Fatal("batch touching the corrupt shard returned nil")
 	}
-	if got := bin.Generation(); got <= gen0 {
-		t.Fatalf("generation = %d after a partially applied batch, want > %d", got, gen0)
+	if got := bin.Generation(); got != gen0 {
+		t.Fatalf("generation = %d after a refused batch, want %d", got, gen0)
+	}
+	if got := bin.Len(); got != len0 {
+		t.Fatalf("Len = %d after a refused batch, want %d", got, len0)
 	}
 	rows, err := bin.Select(Query{Start: good.Submit.Add(-time.Hour)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].User != "ok" {
-		t.Fatalf("pre-failure record not visible: %v", rows)
+	if len(rows) != 0 {
+		t.Fatalf("a record of the refused batch is visible: %v", rows)
 	}
 }
 
@@ -178,8 +181,7 @@ func TestConcurrentAddScanRace(t *testing.T) {
 	}
 	defer bin.Close()
 	months := bin.Months()
-	// Add into the first month so sealed and in-memory rows coexist in it,
-	// unsorted until the appender's first Finalize.
+	// Add into the first month so it holds a segment beside its base shard.
 	late := slurm.Record{ID: slurm.NewJobID(4_999_999), User: "raceuser", Submit: months[0].Start().Add(36 * time.Hour), State: slurm.StateCompleted}
 	if err := bin.Add(late); err != nil {
 		t.Fatal(err)

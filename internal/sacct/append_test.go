@@ -84,8 +84,8 @@ func appendStream(seed int64, batches int) [][]slurm.Record {
 }
 
 // TestAppendBatchMatchesAddFinalize pins the batch append against the
-// pair it replaces on the live path: the same batches through
-// AppendBatch and through Add+Finalize leave the same scan, AppendBatch
+// in-memory reference: the same batches through AppendBatch and through
+// addRef+Finalize leave the same scan, AppendBatch
 // moves the generation exactly once a call, and its tail verdict is
 // true exactly when the new scan is the old scan plus the batch.
 func TestAppendBatchMatchesAddFinalize(t *testing.T) {
@@ -93,7 +93,7 @@ func TestAppendBatchMatchesAddFinalize(t *testing.T) {
 		got, want := NewStore(), NewStore()
 		tails := 0
 		for b, batch := range appendStream(seed, 60) {
-			if err := want.Add(batch...); err != nil {
+			if err := want.addRef(batch...); err != nil {
 				t.Fatal(err)
 			}
 			want.Finalize()
@@ -110,7 +110,7 @@ func TestAppendBatchMatchesAddFinalize(t *testing.T) {
 			}
 			after := scanKeys(t, got)
 			if !slices.Equal(after, scanKeys(t, want)) {
-				t.Fatalf("seed %d batch %d: scan differs from Add+Finalize", seed, b)
+				t.Fatalf("seed %d batch %d: scan differs from addRef+Finalize", seed, b)
 			}
 			if !slices.IsSortedFunc(mine, recordCmp) {
 				t.Fatalf("seed %d batch %d: batch was not left in scan order", seed, b)
@@ -229,18 +229,18 @@ func TestAppendBatchLateKeepsOpenScan(t *testing.T) {
 // TestSealedMonthsScanLikeATextStore pins the month a scan merges: a store
 // opened from a dump keeps those rows sealed and takes every later batch —
 // tail, late into a sealed month, across a month boundary, on top of a
-// stored key, shuffled, and Added without order until a Finalize — into
-// its in-memory part, yet reads row for row, duplicates in arrival order
-// included, like a text-loaded store given the same rows through Add and
-// Finalize: the full scan, and a draw of windows and filters after every
-// batch. AppendBatch's tail verdict is held to the same definition as on a
-// store with nothing sealed.
+// stored key, shuffled, and every fifth one through addRef, which lands it
+// in memory beside the sealed rows and never seals — yet reads row for
+// row, duplicates in arrival order included, like an in-memory store given
+// the same rows through addRef and Finalize: the full scan, and a draw of
+// windows and filters after every batch. AppendBatch's tail verdict is
+// held to the same definition as on a store with nothing sealed.
 func TestSealedMonthsScanLikeATextStore(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		stream := appendStream(seed, 70)
 		ref := NewStore()
 		for _, batch := range stream[:30] {
-			if err := ref.Add(batch...); err != nil {
+			if err := ref.addRef(batch...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -270,8 +270,9 @@ func TestSealedMonthsScanLikeATextStore(t *testing.T) {
 			mine := slices.Clone(batch)
 			tail, viaAdd := false, b%5 == 4
 			if viaAdd {
-				// The bulk pair: unsorted beside the sealed rows until Finalize.
-				if err := got.Add(mine...); err != nil {
+				// In-memory rows beside the base shard, which AppendBatch
+				// would seal into a segment had they landed late.
+				if err := got.addRef(mine...); err != nil {
 					t.Fatal(err)
 				}
 				if unsorted := scanKeys(t, got); len(unsorted) != len(before)+len(mine) {
@@ -281,7 +282,7 @@ func TestSealedMonthsScanLikeATextStore(t *testing.T) {
 			} else if _, tail, err = got.AppendBatch(mine); err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.Add(batch...); err != nil {
+			if err := ref.addRef(batch...); err != nil {
 				t.Fatal(err)
 			}
 			ref.Finalize()

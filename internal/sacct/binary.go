@@ -140,14 +140,14 @@ func readShard(sh *colstore.Shard) (_ []slurm.Record, err error) {
 
 // OpenFile opens a store dump in either format: binary columnar files
 // load lazily via OpenBinary, anything else goes through the text
-// loader (malformed returned as from LoadFile, always 0 for binary).
+// loader, Load (malformed is its count, always 0 for binary).
 func OpenFile(path string) (*Store, int, error) {
 	st, err := OpenBinary(path)
 	if err == nil {
 		return st, 0, nil
 	}
 	if errors.Is(err, colstore.ErrNotColstore) {
-		return LoadFile(path)
+		return loadFile(path)
 	}
 	return nil, 0, err
 }

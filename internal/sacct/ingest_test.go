@@ -59,10 +59,10 @@ func TestIngestLandsEachJobBeforeItsSteps(t *testing.T) {
 	_, res := buildStore(t, 40)
 	jobs, steps := res.Collect()
 	want := NewStore()
-	if err := want.Add(jobs...); err != nil {
+	if err := want.addRef(jobs...); err != nil {
 		t.Fatal(err)
 	}
-	if err := want.Add(steps...); err != nil {
+	if err := want.addRef(steps...); err != nil {
 		t.Fatal(err)
 	}
 	want.Finalize()
@@ -86,7 +86,7 @@ func TestIngestLandsEachJobBeforeItsSteps(t *testing.T) {
 		t.Errorf("Finalize after Ingest moved the generation %d → %d", gen, got.Generation())
 	}
 	if !reflect.DeepEqual(selectAll(t, got), selectAll(t, want)) {
-		t.Fatal("Ingest + Finalize scans differently from Add(jobs) + Add(steps) + Finalize")
+		t.Fatal("Ingest + Finalize scans differently from addRef(jobs) + addRef(steps) + Finalize")
 	}
 }
 
@@ -112,12 +112,12 @@ func sixMonths(t *testing.T) *sched.Result {
 
 // TestIngestBytesIndependentOfWidth: months encode on GOMAXPROCS
 // goroutines, and at any width the store dumps the bytes of one built by
-// Add of the same rows.
+// addRef of the same rows.
 func TestIngestBytesIndependentOfWidth(t *testing.T) {
 	res := sixMonths(t)
 	ref := NewStore()
 	for r := range res.Records {
-		if err := ref.Add(*r); err != nil {
+		if err := ref.addRef(*r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,14 +140,14 @@ func TestIngestBytesIndependentOfWidth(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("GOMAXPROCS %d: Ingest dumps %d bytes that differ from Add's %d", width, got.Len(), want.Len())
+			t.Errorf("GOMAXPROCS %d: Ingest dumps %d bytes that differ from addRef's %d", width, got.Len(), want.Len())
 		}
 	}
 }
 
 // TestIngestKeepsArrivalOrder: rows that tie a row already in the store
 // scan after it, whether it was added or ingested before them — the order
-// a store built by Add of every row, in arrival order, scans in.
+// a store built by addRef of every row, in arrival order, scans in.
 func TestIngestKeepsArrivalOrder(t *testing.T) {
 	_, res := buildStore(t, 40)
 	var rows []slurm.Record
@@ -166,12 +166,12 @@ func TestIngestKeepsArrivalOrder(t *testing.T) {
 		first func(*Store) error
 		want  [][]slurm.Record
 	}{
-		{"Add then Ingest", func(st *Store) error { return st.Add(dups...) }, [][]slurm.Record{dups, rows}},
+		{"in-memory rows then Ingest", func(st *Store) error { return st.addRef(dups...) }, [][]slurm.Record{dups, rows}},
 		{"Ingest twice", func(st *Store) error { return st.Ingest(res) }, [][]slurm.Record{rows, rows}},
 	} {
 		want := NewStore()
 		for _, batch := range tc.want {
-			if err := want.Add(batch...); err != nil {
+			if err := want.addRef(batch...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -186,15 +186,15 @@ func TestIngestKeepsArrivalOrder(t *testing.T) {
 			t.Errorf("%s: generation %d, want 2", tc.name, got.Generation())
 		}
 		if !reflect.DeepEqual(selectAll(t, got), selectAll(t, want)) {
-			t.Errorf("%s: the store scans differently from Add of every row in arrival order", tc.name)
+			t.Errorf("%s: the store scans differently from addRef of every row in arrival order", tc.name)
 		}
 	}
 }
 
 // TestIngestBesideRowsThatCannotSeal: a month whose in-memory rows cannot
-// seal — Add took a row ending in 2400 — does not fail the Ingest. The
+// seal — addRef took a row ending in 2400 — does not fail the Ingest. The
 // result's rows for that month land in memory behind it, the other months
-// seal as usual, and the store scans as Add of every row in arrival order.
+// seal as usual, and the store scans as addRef of every row in arrival order.
 func TestIngestBesideRowsThatCannotSeal(t *testing.T) {
 	_, res := buildStore(t, 40)
 	var rows []slurm.Record
@@ -211,11 +211,11 @@ func TestIngestBesideRowsThatCannotSeal(t *testing.T) {
 	want := NewStore()
 	got := NewStore()
 	for _, st := range []*Store{want, got} {
-		if err := st.Add(early...); err != nil {
+		if err := st.addRef(early...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := want.Add(rows...); err != nil {
+	if err := want.addRef(rows...); err != nil {
 		t.Fatal(err)
 	}
 	if err := got.Ingest(res); err != nil {
@@ -231,7 +231,7 @@ func TestIngestBesideRowsThatCannotSeal(t *testing.T) {
 		t.Errorf("a month that can seal kept %d in-memory rows", len(mo.mem))
 	}
 	if !reflect.DeepEqual(selectAll(t, got), selectAll(t, want)) {
-		t.Error("the store scans differently from Add of every row in arrival order")
+		t.Error("the store scans differently from addRef of every row in arrival order")
 	}
 }
 

@@ -18,10 +18,10 @@ import (
 	"slurmsight/internal/slurm"
 )
 
-// TestSealRuleScansLikeAddFinalize holds the seal rule to the pair it must
-// read like. With the limits lowered so a few hundred rows seal and fold
-// many times over, the same batches through AppendBatch and through
-// Add+Finalize leave the same full scan and the same answer to a draw of
+// TestSealRuleScansLikeAddFinalize holds the seal rule to the in-memory
+// reference it must read like. With the limits lowered so a few hundred
+// rows seal and fold many times over, the same batches through AppendBatch
+// and through addRef+Finalize leave the same full scan and the same answer to a draw of
 // windows and filters after every batch, AppendBatch's tail verdict keeps
 // its definition, and the store holds Records only in its newest month,
 // fewer than the seal limit.
@@ -35,7 +35,7 @@ func TestSealRuleScansLikeAddFinalize(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tails := 0
 		for b, batch := range appendStream(seed, 120) {
-			if err := want.Add(batch...); err != nil {
+			if err := want.addRef(batch...); err != nil {
 				t.Fatal(err)
 			}
 			want.Finalize()
@@ -51,7 +51,7 @@ func TestSealRuleScansLikeAddFinalize(t *testing.T) {
 			}
 			after := scanKeys(t, got)
 			if !slices.Equal(after, scanKeys(t, want)) {
-				t.Fatalf("seed %d batch %d: scan differs from Add+Finalize", seed, b)
+				t.Fatalf("seed %d batch %d: scan differs from addRef+Finalize", seed, b)
 			}
 			var sorted []string
 			for i := range mine {
@@ -79,7 +79,7 @@ func TestSealRuleScansLikeAddFinalize(t *testing.T) {
 					q.Fields, q.User = []string{"JobID", "User"}, mine[0].User
 				}
 				if queryText(t, got, q) != queryText(t, want, q) {
-					t.Fatalf("seed %d batch %d: query %+v differs from Add+Finalize's answer", seed, b, q)
+					t.Fatalf("seed %d batch %d: query %+v differs from addRef+Finalize's answer", seed, b, q)
 				}
 			}
 		}
@@ -177,7 +177,7 @@ func TestScansDuringSealsAndFolds(t *testing.T) {
 	stream := appendStream(9, 150)
 	ref := NewStore()
 	for _, batch := range stream[:40] {
-		if err := ref.Add(batch...); err != nil {
+		if err := ref.addRef(batch...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,7 +193,7 @@ func TestScansDuringSealsAndFolds(t *testing.T) {
 	live := stream[40:]
 	want := []uint64{digest(scanKeys(t, ref))} // want[g]: the full scan at generation g
 	for _, batch := range live {
-		if err := ref.Add(batch...); err != nil {
+		if err := ref.addRef(batch...); err != nil {
 			t.Fatal(err)
 		}
 		ref.Finalize()
@@ -250,7 +250,7 @@ func TestScansDuringSealsAndFolds(t *testing.T) {
 			})
 			<-done
 			if got := scanKeys(t, st); digest(got) != want[len(want)-1] {
-				t.Fatal("after the stream the store scans differently from Add+Finalize")
+				t.Fatal("after the stream the store scans differently from addRef+Finalize")
 			}
 			seals, folds := reg.Counter("sacct_seals_total").Value(), reg.Counter("sacct_folds_total").Value()
 			t.Logf("%d snapshots over %d batches, %d seals, %d folds", scans.Load(), len(live), seals, folds)

@@ -59,7 +59,7 @@ func sameAnswers(t *testing.T, rng *rand.Rand, got, want *Store, what string) {
 }
 
 // TestAddKeepsScanOrder: rows Added in any order, with no Finalize, scan
-// as Add followed by Finalize leaves them — duplicate keys in arrival
+// as the in-memory reference (addRef, then Finalize) leaves them — duplicate keys in arrival
 // order — on a text store, on a store opened from a dump, and on one whose
 // months hold a base shard, segments and in-memory rows at once: the full
 // scan, and a draw of windows and filters after every batch.
@@ -68,7 +68,7 @@ func TestAddKeepsScanOrder(t *testing.T) {
 		stream := appendStream(seed, 90)
 		base := NewStore()
 		for _, batch := range stream[:30] {
-			if err := base.Add(batch...); err != nil {
+			if err := base.addRef(batch...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -87,12 +87,12 @@ func TestAddKeepsScanOrder(t *testing.T) {
 				defer got.Close()
 				got.setSealLimits(16, 3)
 				for _, batch := range stream[:30] {
-					if err := ref.Add(batch...); err != nil {
+					if err := ref.addRef(batch...); err != nil {
 						t.Fatal(err)
 					}
 				}
 				for _, batch := range stream[30:60] {
-					if err := ref.Add(batch...); err != nil {
+					if err := ref.addRef(batch...); err != nil {
 						t.Fatal(err)
 					}
 					var err error
@@ -111,7 +111,7 @@ func TestAddKeepsScanOrder(t *testing.T) {
 				if err := got.Add(batch...); err != nil {
 					t.Fatal(err)
 				}
-				if err := ref.Add(batch...); err != nil {
+				if err := ref.addRef(batch...); err != nil {
 					t.Fatal(err)
 				}
 				ref.Finalize()
@@ -178,7 +178,7 @@ func TestUnsortedShardFileScansInOrder(t *testing.T) {
 	defer got.Close()
 	ref := NewStore()
 	for _, in := range ins {
-		if err := ref.Add(in.Records...); err != nil {
+		if err := ref.addRef(in.Records...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +188,7 @@ func TestUnsortedShardFileScansInOrder(t *testing.T) {
 		if _, _, err := got.AppendBatch(slices.Clone(batch)); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Add(batch...); err != nil {
+		if err := ref.addRef(batch...); err != nil {
 			t.Fatal(err)
 		}
 		ref.Finalize()

@@ -97,7 +97,7 @@ func TestReloadBeatsTextLoadTenfold(t *testing.T) {
 		slices.Sort(walls)
 		return walls[1]
 	}
-	textLoad := median(func() (*Store, error) { s, _, err := LoadFile(text); return s, err })
+	textLoad := median(func() (*Store, error) { s, _, err := loadFile(text); return s, err })
 	binOpen := median(func() (*Store, error) { return OpenBinary(bin) })
 	t.Logf("%d rows: text load %v, binary open %v (%.0fx)", st.Len(), textLoad, binOpen, float64(textLoad)/float64(binOpen))
 	if textLoad < 10*binOpen {

@@ -254,14 +254,14 @@ func TestDumpFileLoadFile(t *testing.T) {
 	if err := st.DumpFile(path); err != nil {
 		t.Fatal(err)
 	}
-	st2, _, err := LoadFile(path)
+	st2, _, err := loadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st2.Len() != st.Len() {
 		t.Errorf("file round trip lost records")
 	}
-	if _, _, err := LoadFile(filepath.Join(t.TempDir(), "missing.txt")); err == nil {
+	if _, _, err := loadFile(filepath.Join(t.TempDir(), "missing.txt")); err == nil {
 		t.Error("missing file: want error")
 	}
 }

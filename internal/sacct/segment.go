@@ -22,8 +22,8 @@ import (
 //     over;
 //   - (c) the month holds sealRows in-memory rows.
 //
-// A month with more than maxSegments segments folds them into one. Add,
-// the bulk load, never seals.
+// A month with more than maxSegments segments folds them into one. Add
+// and Load land through AppendBatch, so their months seal too.
 const (
 	sealRows    = 4096
 	maxSegments = 8

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"iter"
 	"maps"
 	"math"
 	"os"
@@ -83,16 +82,16 @@ func ParseMonth(s string) (Month, error) {
 // the month's shard of the columnar file the store was opened from, which
 // stays on disk as mapped columns; segments, in-memory one-shard columnar
 // files that Ingest builds and AppendBatch seals its rows into (oldest
-// first); and an in-memory []Record of what Add and AppendBatch put there
-// since, always in scan order. The base shard and segments are read through
+// first); and an in-memory []Record of what AppendBatch — the one way in
+// for rows, which Add and Load use — landed and has not sealed, always in
+// scan order. The base shard and segments are read through
 // colstore.Cursors. A scan merges the parts — on a key tie the base shard
 // first, then segments oldest first, then the in-memory rows, which is
 // where a stable sort of the rows in arrival order puts them — so a store
-// opened from a dump and appended to reads exactly like a text-loaded
-// store of the same rows, while holding Records only for the part of the
-// tail not yet sealed.
+// reads exactly like that stable sort of its rows, while holding Records
+// only for the part of the tail not yet sealed.
 //
-// Queries, Add, AppendBatch and Ingest may run concurrently: mutators never
+// Queries, AppendBatch and Ingest may run concurrently: mutators never
 // write through storage a reader could be holding (rows that sort before a
 // month's last row are merged with it into a fresh slice, rows that do not
 // are appended past every captured length, a seal starts the month's rows
@@ -215,10 +214,10 @@ func (s *Store) bumpLocked() uint64 {
 }
 
 // Generation returns the store's mutation counter: it advances once per
-// AppendBatch that lands, once per Add/Ingest that lands records, and
-// never otherwise. Two reads returning the same value bracket a window in
-// which every query answer was stable, which is what makes it usable as a
-// response-cache key.
+// AppendBatch, Add or Ingest that lands records (so once per batch Load
+// landed), and never otherwise. Two reads returning the same value bracket
+// a window in which every query answer was stable, which is what makes it
+// usable as a response-cache key.
 func (s *Store) Generation() uint64 { return s.gen.Load() }
 
 // recordCmp is the shard emission order: submission time, ties broken
@@ -240,70 +239,13 @@ func cmpRecords(a, b *slurm.Record) int {
 	return slurm.CompareJobID(a.ID, b.ID)
 }
 
-// Add inserts records, sharding by submission month, into each month's
-// in-memory rows in scan order: a scan sees them where a stable sort of
-// every row the month was given, in arrival order, puts them.
-//
-// Before the first record joins a month with a base shard, every column of
-// that shard is verified. A corrupt shard aborts the insert at that record
-// and returns the error: records earlier in the batch stay inserted, the
-// failing record and everything after it do not, and the corrupt month
-// keeps its on-disk rows visible to Months/Len and its error surfacing on
-// every later scan — nothing is silently dropped on either side.
+// Add lands records as one batch: it is AppendBatch of a copy, so the
+// caller's slice keeps its order, and it lands every record or none — a
+// record bound for a corrupt base shard refuses the whole call, and the
+// generation stays put.
 func (s *Store) Add(records ...slurm.Record) error {
-	return s.addAll(func(yield func(*slurm.Record) bool) {
-		for i := range records {
-			if !yield(&records[i]) {
-				return
-			}
-		}
-	})
-}
-
-// addAll lands a copy of every yielded record in its month's in-memory
-// rows, under one lock and one generation, stopping at the first that a
-// corrupt base shard refuses. A record that sorts at or after its month's
-// last row is appended in place; any other is held back as late, and when
-// the call ends each month's late rows get one stable sort and one merge
-// (land). In-order rows only ever increase, so no later one ties a late
-// row, and that is where a stable sort of all of them in arrival order
-// puts each.
-func (s *Store) addAll(recs iter.Seq[*slurm.Record]) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	added := false
-	var late map[*month][]slurm.Record
-	defer func() {
-		for mo, rows := range late {
-			slices.SortStableFunc(rows, recordCmp)
-			mo.land(rows)
-		}
-		if added {
-			s.bumpLocked()
-		}
-	}()
-	var mo *month
-	for r := range recs {
-		if m := MonthOf(r.Submit); mo == nil || mo.m != m {
-			if mo = s.months[m]; mo != nil && mo.base != nil {
-				if err := mo.base.Load(context.Background(), colstore.AllColumns); err != nil {
-					return fmt.Errorf("sacct: add into shard %s: %w", m, err)
-				}
-			}
-			mo = s.monthLocked(m)
-		}
-		if n := len(mo.mem); n > 0 && cmpRecords(&mo.mem[n-1], r) > 0 {
-			if late == nil {
-				late = map[*month][]slurm.Record{}
-			}
-			late[mo] = append(late[mo], *r)
-		} else {
-			mo.mem = append(mo.mem, *r)
-			mo.rng = mo.rng.extend(r.Submit)
-		}
-		added = true
-	}
-	return nil
+	_, _, err := s.AppendBatch(slices.Clone(records))
+	return err
 }
 
 // AppendBatch is the live-append path: it lands one batch atomically —
@@ -314,10 +256,10 @@ func (s *Store) addAll(recs iter.Seq[*slurm.Record]) error {
 // order a scan visits it. Every base shard the batch reaches is verified,
 // all columns, before anything changes, so a corrupt backing shard
 // refuses the whole batch: nothing lands and the generation stays put.
-// The rows join their month's in-memory rows the way Add's do (land), and
-// the base shard and segments are never touched: a scan's merge is what
-// puts a late row between two frozen ones. The result is the scan order
-// Add would produce.
+// The rows join their month's in-memory rows (land), and the base shard
+// and segments are never touched: a scan's merge is what puts a late row
+// between two frozen ones. The result is the scan order a stable sort of
+// every row the month was given, in arrival order, produces.
 //
 // Once the batch has landed, the seal rule (sealTouched) may turn a
 // month's in-memory rows into a segment, which moves no row and no
@@ -410,8 +352,8 @@ func mergeBehind(shard, rows []slurm.Record) []slurm.Record {
 // month's newest segment — the latest in tie order, where arrival order
 // puts them. A month that holds in-memory rows is sealed first, so that a
 // row of the result that ties one of them keeps behind it; if they cannot
-// seal (Add took a row with a time the format cannot hold), the month's
-// share of the result lands beside them in memory instead. Every base
+// seal (one holds a time the format cannot hold), the month's share of
+// the result lands beside them in memory instead. Every base
 // shard the result reaches is verified before anything changes, so a
 // corrupt one refuses the whole call and nothing lands. A month past
 // maxSegments segments folds them. The segments load lazily, as mapped
@@ -569,6 +511,12 @@ func (s *Store) DumpFile(path string) error {
 // with its line number). Malformed lines are returned in count; the
 // paper's curation stage discards them downstream, so the store keeps
 // only clean rows.
+//
+// The rows land through AppendBatch in batches, each handed over once it
+// holds sealRows rows and the next row opens another month, and the seal
+// rule seals each month as the next arrives: a dump in scan order loads
+// as one segment a month, late rows merge as AppendBatch merges them, and
+// a month holding a time the columnar format cannot hold stays in memory.
 func Load(r io.Reader) (*Store, int, error) {
 	br, err := slurm.NewByteRecordReader(r)
 	if err != nil {
@@ -576,37 +524,34 @@ func Load(r io.Reader) (*Store, int, error) {
 	}
 	st := NewStore()
 	malformed := 0
-	var readErr error
-	err = st.addAll(func(yield func(*slurm.Record) bool) {
-		var kept slurm.Record // addAll copies the struct; the maps must be the row's own
-		for rec, err := range br.All() {
-			var rowErr *slurm.RowError
-			switch {
-			case err == nil:
-				// The reader refills rec's TRES maps on the next row.
-				kept = rec.Clone()
-				if !yield(&kept) {
-					return
+	var batch []slurm.Record
+	for rec, err := range br.All() {
+		var rowErr *slurm.RowError
+		switch {
+		case err == nil:
+			if n := len(batch); n >= sealRows && MonthOf(batch[n-1].Submit) != MonthOf(rec.Submit) {
+				if _, _, err := st.AppendBatch(batch); err != nil {
+					return nil, malformed, err
 				}
-			case errors.As(err, &rowErr):
-				malformed++
-			default:
-				readErr = err
-				return
+				clear(batch) // AppendBatch copied the rows: drop their strings and maps
+				batch = batch[:0]
 			}
+			// The reader refills rec's TRES maps on the next row.
+			batch = append(batch, rec.Clone())
+		case errors.As(err, &rowErr):
+			malformed++
+		default:
+			return nil, malformed, err
 		}
-	})
-	if err == nil {
-		err = readErr
 	}
-	if err != nil {
+	if _, _, err := st.AppendBatch(batch); err != nil {
 		return nil, malformed, err
 	}
 	return st, malformed, nil
 }
 
-// LoadFile reads a text dump file.
-func LoadFile(path string) (*Store, int, error) {
+// loadFile reads a text dump file.
+func loadFile(path string) (*Store, int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
