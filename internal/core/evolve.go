@@ -128,11 +128,10 @@ func evolve(ctx context.Context, cfg EvolveConfig, score func([]tournament.Spec)
 	span.SetAttr("objective", cfg.Objective)
 	defer span.End()
 
-	// The target is cloned: applyDelta writes through Spec.Weights, which
-	// a plain slice copy would still share with the caller's spec (and, in
-	// a chained run, with the previous call's FinalSpec).
+	// Each delta is applied to a clone of the target, kept only if valid:
+	// nothing writes through a spec's Weights, so the caller's specs and
+	// every round's Spec stay as they were.
 	specs := append([]tournament.Spec(nil), cfg.Specs...)
-	specs[targetIdx] = specs[targetIdx].Clone()
 	res := &EvolveResult{Schema: "evolve/v1", Objective: cfg.Objective, Target: cfg.Target}
 
 	for round := 0; round < cfg.Rounds; round++ {
@@ -165,16 +164,18 @@ func evolve(ctx context.Context, cfg EvolveConfig, score func([]tournament.Spec)
 			Proposed:  resp.Deltas,
 		}
 		for _, d := range resp.Deltas {
-			if reason := applyDelta(&specs[targetIdx], cfg.System, cfg.Seed, d); reason != "" {
+			next := specs[targetIdx].Clone()
+			if reason := applyDelta(&next, cfg.System, cfg.Seed, d); reason != "" {
 				rec.Rejected = append(rec.Rejected, RejectedDelta{Delta: d, Reason: reason})
 				cfg.Metrics.Counter("evolve_deltas_rejected_total").Inc()
 				span.Event(fmt.Sprintf("round %d: rejected %s: %s", round, d.Param, reason))
 			} else {
+				specs[targetIdx] = next
 				rec.Applied = append(rec.Applied, d)
 				cfg.Metrics.Counter("evolve_deltas_applied_total").Inc()
 			}
 		}
-		rec.Spec = specs[targetIdx].Clone()
+		rec.Spec = specs[targetIdx]
 		res.Rounds = append(res.Rounds, rec)
 
 		if len(resp.Deltas) == 0 {
@@ -190,14 +191,16 @@ func evolve(ctx context.Context, cfg EvolveConfig, score func([]tournament.Spec)
 		return nil, fmt.Errorf("evolve final score: %w", err)
 	}
 	res.Final = final
-	res.FinalSpec = specs[targetIdx].Clone()
+	res.FinalSpec = specs[targetIdx]
 	return res, nil
 }
 
 // applyDelta validates one proposal against the target spec and applies
 // it in place. The returned string is empty on success, or the rejection
-// reason. Validation is belt and braces: structural checks here, then a
-// full sched.Config materialisation so nothing invalid survives.
+// reason, and then sp may be half changed: the caller applies it to a
+// clone and keeps the clone only on success. Validation is belt and
+// braces: structural checks here, then a full sched.Config
+// materialisation so nothing invalid survives.
 func applyDelta(sp *tournament.Spec, sys *cluster.System, seed int64, d llm.ParamDelta) string {
 	if d.Policy != sp.Name {
 		return fmt.Sprintf("delta targets %q, evolving %q", d.Policy, sp.Name)

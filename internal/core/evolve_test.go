@@ -382,6 +382,39 @@ func TestEvolveLeavesCallerSpecsUntouched(t *testing.T) {
 	}
 }
 
+// TestEvolveRejectedDeltaLeavesSpecUntouched: a delta the loop rejects
+// changes nothing. A scale out of range on a target with no weight
+// overrides used to leave an empty Weights behind, so the round's Spec
+// recorded "weights":{} and the trajectory showed a change that was
+// refused.
+func TestEvolveRejectedDeltaLeavesSpecUntouched(t *testing.T) {
+	ts := stubAdvisor(t, func(int) []llm.ParamDelta {
+		return append(ageScale(0.01), llm.ParamDelta{Policy: "evolved", Param: "backfill_depth", Op: "set", Value: -5})
+	})
+	sys := evolveSystem()
+	res, err := Evolve(context.Background(), EvolveConfig{
+		Client: llm.NewClient(ts.URL, ""), Rounds: 1, Target: "evolved",
+		Specs: []tournament.Spec{{Name: "evolved"}, {Name: "fifo", Preset: "fifo"}},
+		Reqs:  evolveTrace(t, sys), System: sys, Seed: 53,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := res.Rounds[0]
+	if len(round.Applied) != 0 || len(round.Rejected) != 2 {
+		t.Fatalf("applied %+v, rejected %+v; want both deltas rejected", round.Applied, round.Rejected)
+	}
+	for what, sp := range map[string]tournament.Spec{"round 0": round.Spec, "final": res.FinalSpec} {
+		raw, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := `{"name":"evolved"}`; string(raw) != want {
+			t.Errorf("%s spec %s after rejected deltas, want %s", what, raw, want)
+		}
+	}
+}
+
 // TestEvolveMemoisedMatchesFreshFields holds a three-round trajectory from
 // the shared field against the same loop scoring every tournament on a
 // field of its own: the evolve/v1 bytes must agree once the wall-clock

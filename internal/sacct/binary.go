@@ -69,9 +69,9 @@ func (s *Store) shardInputs() ([]colstore.ShardInput, error) {
 // column by column as scans project them. The exception is a shard the
 // footer marks unsorted — a file the store did not write, since the store
 // dumps every month in scan order — which is read whole, here, sorted, and
-// held as in-memory rows, so that every shard a scan meets is in order. A
-// file without the columnar magic returns colstore.ErrNotColstore; callers
-// wanting text fallback should use OpenFile instead.
+// sealed into the month's one segment, so that every shard a scan meets
+// is in order. A file without the columnar magic returns
+// colstore.ErrNotColstore; callers wanting text fallback use OpenFile.
 func OpenBinary(path string) (*Store, error) {
 	f, err := colstore.Open(path)
 	if err != nil {
@@ -109,12 +109,15 @@ func openFile(f *colstore.File) (*Store, error) {
 			continue
 		}
 		recs, err := readShard(sh)
+		if err == nil {
+			slices.SortStableFunc(recs, recordCmp)
+			sh, err = colstore.Seal(m.Year, m.Mon, recs)
+		}
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("sacct: loading unsorted shard %s: %w", m, err)
 		}
-		slices.SortStableFunc(recs, recordCmp)
-		mo.mem = recs
+		mo.segs = []*colstore.Shard{sh}
 	}
 	return st, nil
 }

@@ -87,25 +87,34 @@ func TestBinaryRoundTripQueryIdentical(t *testing.T) {
 }
 
 // TestBinaryDumpRefusesTimesTheFormatCannotHold: a store holding a row
-// that ends in 2400 dumped it to a file that read the row back as ending
-// in 1815, with a nil error. DumpBinaryFile now refuses it with the error
-// Seal gives, and leaves neither the file nor its temp file behind.
+// that ends in 2400 once dumped it to a file that read the row back as
+// ending in 1815, with a nil error. A store now refuses the row at the
+// door: Add of it and a good row returns the error Seal gives and lands
+// neither. The writer refuses it too, and a refused colstore.WriteFile
+// leaves neither the file nor its temp file behind.
 func TestBinaryDumpRefusesTimesTheFormatCannotHold(t *testing.T) {
 	_, res := buildStore(t, 5)
 	st := NewStore()
 	if err := st.Ingest(res); err != nil {
 		t.Fatal(err)
 	}
+	rows, gen := st.Len(), st.Generation()
 	submit := time.Date(2024, 3, 4, 5, 6, 7, 0, time.UTC)
-	far := slurm.Record{ID: slurm.NewJobID(999999999), User: "far", State: slurm.StateCompleted,
-		Submit: submit, Start: submit, End: time.Date(2400, 1, 1, 0, 0, 0, 0, time.UTC)}
-	if err := st.Add(far); err != nil {
-		t.Fatal(err)
+	good := slurm.Record{ID: slurm.NewJobID(999999998), User: "good", State: slurm.StateCompleted,
+		Submit: submit, Start: submit, End: submit.Add(time.Hour)}
+	far := good
+	far.ID, far.User, far.End = slurm.NewJobID(999999999), "far", time.Date(2400, 1, 1, 0, 0, 0, 0, time.UTC)
+	err := st.Add(good, far)
+	if err == nil || !strings.Contains(err.Error(), "is outside what the format holds") {
+		t.Fatalf("Add of a row ending in 2400: %v", err)
+	}
+	if st.Len() != rows || st.Generation() != gen {
+		t.Errorf("refused Add left %d rows at generation %d, want %d at %d", st.Len(), st.Generation(), rows, gen)
 	}
 	path := filepath.Join(t.TempDir(), "store.colstore")
-	err := st.DumpBinaryFile(path)
+	err = colstore.WriteFile(path, []colstore.ShardInput{{Year: 2024, Mon: time.March, Records: []slurm.Record{good, far}}})
 	if err == nil || !strings.Contains(err.Error(), "is outside what the format holds") {
-		t.Fatalf("DumpBinaryFile of a row ending in 2400: %v", err)
+		t.Fatalf("WriteFile of a row ending in 2400: %v", err)
 	}
 	for _, p := range []string{path, path + ".tmp"} {
 		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {

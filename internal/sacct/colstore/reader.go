@@ -180,9 +180,6 @@ func (f *File) Close() error {
 	return nil
 }
 
-// Path returns the file the store was opened from.
-func (f *File) Path() string { return f.path }
-
 // Size returns the mapped file size in bytes.
 func (f *File) Size() int64 { return int64(len(f.data)) }
 

@@ -219,14 +219,23 @@ func (b *Builder) Reset(year int, mon time.Month, rows int) {
 	}
 }
 
-// Add encodes one row. A row with a time the format cannot hold — outside
-// what int64 unix nanoseconds span, 1678 to 2262, it would read back as a
-// different time — is an error, and the builder is to be Reset.
-func (b *Builder) Add(r *slurm.Record) error {
+// Holds reports whether the format can hold r: a nonzero time outside what
+// int64 unix nanoseconds span, 1678 to 2262, would read back as a
+// different time, and is an error. A zero time ("Unknown") is held.
+func Holds(r *slurm.Record) error {
 	for _, t := range [...]*time.Time{&r.Submit, &r.Eligible, &r.Start, &r.End} {
 		if !t.IsZero() && (t.Before(minTime) || t.After(maxTime)) {
-			return fmt.Errorf("colstore: row %d: time %s is outside what the format holds", b.rows, *t)
+			return fmt.Errorf("time %s is outside what the format holds", *t)
 		}
+	}
+	return nil
+}
+
+// Add encodes one row. A row the format cannot hold (Holds) is an error,
+// and the builder is to be Reset.
+func (b *Builder) Add(r *slurm.Record) error {
+	if err := Holds(r); err != nil {
+		return fmt.Errorf("colstore: row %d: %w", b.rows, err)
 	}
 	sub := r.Submit.UnixNano()
 	if b.rows == 0 {

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -96,6 +97,32 @@ func TestWriteBytesIndependentOfWorkers(t *testing.T) {
 	}
 	if !bytes.Equal(sh.f.data, one.Bytes()) {
 		t.Error("Seal's bytes differ from a four-worker Write of the same shard")
+	}
+}
+
+// TestHoldsIsTheWritersCheck: Holds passes a row whose times are zero
+// ("Unknown") or within 1678 to 2262, without allocating, and refuses one
+// with any of its four times in 1600 or 2400, with the text the writer's
+// error carries.
+func TestHoldsIsTheWritersCheck(t *testing.T) {
+	r := genRecords(5, 1, monthStart(2024, time.May))[0]
+	r.Eligible, r.End = time.Time{}, time.Time{}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := Holds(&r); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Holds allocates %v times for a row that fits, want 0", n)
+	}
+	for _, at := range []time.Time{time.Date(1600, 3, 10, 0, 0, 0, 0, time.UTC), time.Date(2400, 1, 1, 0, 0, 0, 0, time.UTC)} {
+		for i := range 4 {
+			far := r
+			field := [...]*time.Time{&far.Submit, &far.Eligible, &far.Start, &far.End}[i]
+			*field = at
+			if err := Holds(&far); err == nil || !strings.Contains(err.Error(), "is outside what the format holds") {
+				t.Errorf("time %d set to %v: Holds returned %v", i, at, err)
+			}
+		}
 	}
 }
 

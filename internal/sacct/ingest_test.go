@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"slurmsight/internal/cluster"
 	"slurmsight/internal/sacct/colstore"
@@ -188,50 +187,6 @@ func TestIngestKeepsArrivalOrder(t *testing.T) {
 		if !reflect.DeepEqual(selectAll(t, got), selectAll(t, want)) {
 			t.Errorf("%s: the store scans differently from addRef of every row in arrival order", tc.name)
 		}
-	}
-}
-
-// TestIngestBesideRowsThatCannotSeal: a month whose in-memory rows cannot
-// seal — addRef took a row ending in 2400 — does not fail the Ingest. The
-// result's rows for that month land in memory behind it, the other months
-// seal as usual, and the store scans as addRef of every row in arrival order.
-func TestIngestBesideRowsThatCannotSeal(t *testing.T) {
-	_, res := buildStore(t, 40)
-	var rows []slurm.Record
-	for r := range res.Records {
-		rows = append(rows, r.Clone())
-	}
-	first, last := rows[0].Clone(), rows[len(rows)-1].Clone()
-	if MonthOf(first.Submit) == MonthOf(last.Submit) {
-		t.Fatal("the fixture should span more than one month")
-	}
-	first.User, first.End = "far", time.Date(2400, time.January, 1, 0, 0, 0, 0, time.UTC)
-	last.User = "dup"
-	early := []slurm.Record{first, last}
-	want := NewStore()
-	got := NewStore()
-	for _, st := range []*Store{want, got} {
-		if err := st.addRef(early...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := want.addRef(rows...); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Ingest(res); err != nil {
-		t.Fatalf("Ingest beside a row the format cannot hold: %v", err)
-	}
-	if got.Generation() != 2 {
-		t.Errorf("generation %d, want 2", got.Generation())
-	}
-	if mo := got.months[MonthOf(first.Submit)]; len(mo.mem) == 0 || len(mo.segs) != 0 {
-		t.Errorf("the month that cannot seal holds %d in-memory rows and %d segments; want rows, no segments", len(mo.mem), len(mo.segs))
-	}
-	if mo := got.months[MonthOf(last.Submit)]; len(mo.mem) != 0 {
-		t.Errorf("a month that can seal kept %d in-memory rows", len(mo.mem))
-	}
-	if !reflect.DeepEqual(selectAll(t, got), selectAll(t, want)) {
-		t.Error("the store scans differently from addRef of every row in arrival order")
 	}
 }
 

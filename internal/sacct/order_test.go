@@ -3,7 +3,6 @@ package sacct
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -124,16 +123,11 @@ func TestAddKeepsScanOrder(t *testing.T) {
 	}
 }
 
-// TestUnsortedShardFileScansInOrder: a columnar file written straight from
-// shuffled rows marks its shards unsorted in the footer — the one way rows
-// out of scan order still reach a store — and OpenBinary must scan it in
-// recordCmp order, duplicate keys in file order, and keep doing so as
-// AppendBatch lands batches beside it.
-func TestUnsortedShardFileScansInOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	stream := appendStream(5, 80)
-	rows := slices.Concat(stream[:40]...)
-	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+// unsortedFile writes rows, in the order given, to a columnar file of one
+// shard a month, and returns its path and the shards as written. Rows out
+// of scan order make the footer mark their shard unsorted.
+func unsortedFile(t *testing.T, rows []slurm.Record) (string, []colstore.ShardInput) {
+	t.Helper()
 	var ins []colstore.ShardInput
 	byMonth := map[Month]int{}
 	for i := range rows {
@@ -146,22 +140,32 @@ func TestUnsortedShardFileScansInOrder(t *testing.T) {
 		ins[at].Records = append(ins[at].Records, rows[i])
 	}
 	path := filepath.Join(t.TempDir(), "unsorted.colstore")
-	out, err := os.Create(path)
-	if err != nil {
+	if err := colstore.WriteFile(path, ins); err != nil {
 		t.Fatal(err)
 	}
-	if err := colstore.Write(out, ins); err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return path, ins
+}
+
+// TestUnsortedShardFileScansInOrder: a columnar file written straight from
+// shuffled rows marks its shards unsorted in the footer — the one way rows
+// out of scan order still reach a store — and OpenBinary must scan it in
+// recordCmp order, duplicate keys in file order, and keep doing so as
+// AppendBatch lands batches beside it. An unsorted shard opens as its
+// month's one segment, sorted, and a sorted one as its base shard: no
+// month of an opened file holds Records.
+func TestUnsortedShardFileScansInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	stream := appendStream(5, 80)
+	rows := slices.Concat(stream[:40]...)
+	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	path, ins := unsortedFile(t, rows)
 	f, err := colstore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unsorted := 0
+	sorted, unsorted := map[Month]bool{}, 0
 	for _, sh := range f.Shards() {
+		sorted[Month{sh.Year(), sh.Mon()}] = sh.Sorted()
 		if !sh.Sorted() {
 			unsorted++
 		}
@@ -176,6 +180,16 @@ func TestUnsortedShardFileScansInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer got.Close()
+	for m, mo := range got.months {
+		segs := 1
+		if sorted[m] {
+			segs = 0
+		}
+		if len(mo.mem) != 0 || (mo.base != nil) != sorted[m] || len(mo.segs) != segs {
+			t.Errorf("%s (sorted %v) opened as base %v, %d segments, %d Records; want its base shard if sorted, else one segment",
+				m, sorted[m], mo.base != nil, len(mo.segs), len(mo.mem))
+		}
+	}
 	ref := NewStore()
 	for _, in := range ins {
 		if err := ref.addRef(in.Records...); err != nil {

@@ -23,7 +23,7 @@ import (
 // where a stable sort of all of them in arrival order puts each.
 //
 // It is also the way a test gives a month in-memory rows beside a base
-// shard or segments, or rows that cannot seal, as its starting state.
+// shard or segments as its starting state.
 func (s *Store) addRef(records ...slurm.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

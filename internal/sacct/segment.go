@@ -23,7 +23,8 @@ import (
 //   - (c) the month holds sealRows in-memory rows.
 //
 // A month with more than maxSegments segments folds them into one. Add
-// and Load land through AppendBatch, so their months seal too.
+// and Load land through AppendBatch, so their months seal too. Every row
+// a store holds fits the format (colstore.Holds), so every seal succeeds.
 const (
 	sealRows    = 4096
 	maxSegments = 8
@@ -55,8 +56,8 @@ func (s *Store) sealTouched(touched []Month, last Month, populated bool) {
 // folds the month's segments once there are more than the limit. The rows
 // and their order do not change, so neither does the generation. The
 // month's next row starts a fresh slice — a running scan may still hold
-// this one — and a segment that cannot be built (a row the format cannot
-// hold) leaves the rows in memory, served as before.
+// this one. Should the encoder fail, the rows stay in memory, served as
+// before: a seal never drops a row.
 func (s *Store) sealLocked(m Month) {
 	mo := s.months[m]
 	if mo == nil || len(mo.mem) == 0 {

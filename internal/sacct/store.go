@@ -88,8 +88,10 @@ func ParseMonth(s string) (Month, error) {
 // colstore.Cursors. A scan merges the parts — on a key tie the base shard
 // first, then segments oldest first, then the in-memory rows, which is
 // where a stable sort of the rows in arrival order puts them — so a store
-// reads exactly like that stable sort of its rows, while holding Records
-// only for the part of the tail not yet sealed.
+// reads exactly like that stable sort of its rows. It holds only rows its
+// columnar format holds (colstore.Holds, checked by AppendBatch), so every
+// row can seal: when a call returns, only the newest month holds Records,
+// fewer than sealRows.
 //
 // Queries, AppendBatch and Ingest may run concurrently: mutators never
 // write through storage a reader could be holding (rows that sort before a
@@ -253,8 +255,9 @@ func (s *Store) Add(records ...slurm.Record) error {
 //
 // The batch is sorted in place by recordCmp (stably, so duplicate
 // (submit, id) keys keep arrival order), and on return records is in the
-// order a scan visits it. Every base shard the batch reaches is verified,
-// all columns, before anything changes, so a corrupt backing shard
+// order a scan visits it. Every row is checked (colstore.Holds), and every
+// base shard the batch reaches verified, all columns, before anything
+// changes, so a row the format cannot hold or a corrupt backing shard
 // refuses the whole batch: nothing lands and the generation stays put.
 // The rows join their month's in-memory rows (land), and the base shard
 // and segments are never touched: a scan's merge is what puts a late row
@@ -283,6 +286,9 @@ func (s *Store) AppendBatch(records []slurm.Record) (gen uint64, tail bool, err 
 	var frozenTail *slurm.Record
 	var touched []Month
 	for i := range records {
+		if err := colstore.Holds(&records[i]); err != nil {
+			return s.gen.Load(), false, fmt.Errorf("sacct: append job %s: %w", records[i].ID, err)
+		}
 		m := MonthOf(records[i].Submit)
 		if i > 0 && MonthOf(records[i-1].Submit) == m {
 			continue
@@ -350,16 +356,17 @@ func mergeBehind(shard, rows []slurm.Record) []slurm.Record {
 //
 // The segments then land under one lock, for one generation, each as its
 // month's newest segment — the latest in tie order, where arrival order
-// puts them. A month that holds in-memory rows is sealed first, so that a
-// row of the result that ties one of them keeps behind it; if they cannot
-// seal (one holds a time the format cannot hold), the month's share of
-// the result lands beside them in memory instead. Every base
-// shard the result reaches is verified before anything changes, so a
-// corrupt one refuses the whole call and nothing lands. A month past
-// maxSegments segments folds them. The segments load lazily, as mapped
-// base shards do.
+// puts them. The months the result reaches are sealed first, so that a
+// row of the result that ties an in-memory row keeps behind it, and so is
+// the store's newest month if the result passes it. Every base shard the
+// result reaches is verified before anything changes, so a corrupt one
+// refuses the whole call and nothing lands. A month past maxSegments
+// segments folds them. The segments load lazily, as mapped base shards do.
 func (s *Store) Ingest(res *sched.Result) error {
 	spans := ingestSpans(res)
+	if len(spans) == 0 {
+		return nil
+	}
 	segs, err := colstore.Build(len(spans), runtime.GOMAXPROCS(0), func(b *colstore.Builder, i int) (*colstore.Shard, error) {
 		return spans[i].seal(b, res)
 	})
@@ -376,23 +383,20 @@ func (s *Store) Ingest(res *sched.Result) error {
 		}
 	}
 	for _, sp := range spans {
-		s.sealLocked(sp.m) // a month that cannot seal keeps its rows in memory
+		s.sealLocked(sp.m)
+	}
+	if last, ok := s.lastMonthLocked(); ok && last.Before(spans[len(spans)-1].m) {
+		s.sealLocked(last) // no longer the newest month
 	}
 	for i, sp := range spans {
 		mo := s.monthLocked(sp.m)
-		if len(mo.mem) > 0 { // they could not seal: the result's rows land behind them
-			mo.land(sp.records(res))
-			continue
-		}
 		lo, hi, _ := segs[i].SubmitRange()
 		mo.segs, mo.rng = append(mo.segs, segs[i]), mo.rng.extend(lo).extend(hi)
 		if len(mo.segs) > s.limits.segments {
 			s.foldLocked(mo)
 		}
 	}
-	if len(spans) > 0 {
-		s.bumpLocked()
-	}
+	s.bumpLocked()
 	return nil
 }
 
@@ -436,15 +440,6 @@ func (sp *ingestSpan) seal(b *colstore.Builder, res *sched.Result) (*colstore.Sh
 		err = fmt.Errorf("shard %s: the result streams its rows out of scan order", sp.m)
 	}
 	return sh, err
-}
-
-// records collects the span's rows as owned copies.
-func (sp *ingestSpan) records(res *sched.Result) []slurm.Record {
-	recs := make([]slurm.Record, 0, sp.rows)
-	for r := range res.JobRecords(sp.lo, sp.hi) {
-		recs = append(recs, r.Clone())
-	}
-	return recs
 }
 
 // Finalize does nothing: a month's in-memory rows are in scan order from
@@ -508,15 +503,15 @@ func (s *Store) DumpFile(path string) error {
 
 // Load reads a text Dump back into a store through the one row decoder
 // (slurm.ByteRecordReader: a row past slurm.MaxLineLen fails the load
-// with its line number). Malformed lines are returned in count; the
-// paper's curation stage discards them downstream, so the store keeps
-// only clean rows.
+// with its line number). Malformed lines — rows that do not decode, and
+// rows with a time the columnar format cannot hold (colstore.Holds) — are
+// skipped and returned in count; the paper's curation stage discards them
+// downstream, so the store keeps only clean rows.
 //
 // The rows land through AppendBatch in batches, each handed over once it
 // holds sealRows rows and the next row opens another month, and the seal
 // rule seals each month as the next arrives: a dump in scan order loads
-// as one segment a month, late rows merge as AppendBatch merges them, and
-// a month holding a time the columnar format cannot hold stays in memory.
+// as one segment a month, and late rows merge as AppendBatch merges them.
 func Load(r io.Reader) (*Store, int, error) {
 	br, err := slurm.NewByteRecordReader(r)
 	if err != nil {
@@ -528,7 +523,7 @@ func Load(r io.Reader) (*Store, int, error) {
 	for rec, err := range br.All() {
 		var rowErr *slurm.RowError
 		switch {
-		case err == nil:
+		case err == nil && colstore.Holds(rec) == nil:
 			if n := len(batch); n >= sealRows && MonthOf(batch[n-1].Submit) != MonthOf(rec.Submit) {
 				if _, _, err := st.AppendBatch(batch); err != nil {
 					return nil, malformed, err
@@ -538,7 +533,7 @@ func Load(r io.Reader) (*Store, int, error) {
 			}
 			// The reader refills rec's TRES maps on the next row.
 			batch = append(batch, rec.Clone())
-		case errors.As(err, &rowErr):
+		case err == nil, errors.As(err, &rowErr):
 			malformed++
 		default:
 			return nil, malformed, err

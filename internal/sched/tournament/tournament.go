@@ -71,8 +71,8 @@ type Weights struct {
 }
 
 // Clone returns a deep copy: mutating the clone's weights never touches
-// the original. The evolution loop relies on this to keep per-round audit
-// snapshots independent of the live spec it keeps mutating.
+// the original. The evolution loop applies each delta to a clone, so a
+// rejected delta, and every spec it has handed out, stay as they were.
 func (sp Spec) Clone() Spec {
 	if sp.Weights != nil {
 		w := *sp.Weights

@@ -522,12 +522,14 @@ func splitHeader(text []byte) (header, rows []byte) {
 
 // decodeRows is the one pipe-text decoder behind POST /ingest and the
 // Watcher: the data rows under header, through the byte record reader.
-// Malformed rows are counted and skipped; an unusable header or an
-// over-long line is an error. The read buffer is no larger than the
-// text, and recs is reserved once: one row per line, but no more than a
-// row per header field's worth of bytes, since a row that decodes has a
-// separator or newline after every field. So a batch of junk lines
-// reserves no more rows than it could decode.
+// Malformed rows — rows that do not decode, and rows the store would
+// refuse (colstore.Holds) — are counted and skipped, so a tailed file
+// never stops the Watcher; an unusable header or an over-long line is an
+// error. The read buffer is no larger than the text, and recs is reserved
+// once: one row per line, but no more than a row per header field's worth
+// of bytes, since a row that decodes has a separator or newline after
+// every field. So a batch of junk lines reserves no more rows than it
+// could decode.
 func decodeRows(header, rows []byte) (recs []slurm.Record, malformed int, err error) {
 	size := min(len(header)+len(rows), 1<<16)
 	br, err := slurm.NewByteRecordReaderSize(io.MultiReader(bytes.NewReader(header), bytes.NewReader(rows)), size)
@@ -542,9 +544,9 @@ func decodeRows(header, rows []byte) (recs []slurm.Record, malformed int, err er
 	for rec, err := range br.All() {
 		var rowErr *slurm.RowError
 		switch {
-		case err == nil:
+		case err == nil && colstore.Holds(rec) == nil:
 			recs = append(recs, rec.Clone()) // the reader refills rec's TRES maps on the next row
-		case errors.As(err, &rowErr):
+		case err == nil, errors.As(err, &rowErr):
 			malformed++
 		default:
 			return nil, 0, err

@@ -552,6 +552,45 @@ func TestWatcherTail(t *testing.T) {
 	}
 }
 
+// TestTextDoorsSkipRowsTheFormatCannotHold: a row submitted in 1600 is
+// one the store would refuse, so /ingest and the Watcher count it
+// malformed and land the rest of its batch, as they do a row that does
+// not decode: the batch is acked, and a tailed file keeps being tailed.
+func TestTextDoorsSkipRowsTheFormatCannotHold(t *testing.T) {
+	m := obs.NewRegistry()
+	s, ts := testServer(t, Config{Metrics: m})
+	rows := s.store.Len()
+	far := time.Date(1600, 3, 10, 0, 0, 0, 0, time.UTC)
+	good := time.Date(2031, 1, 1, 0, 0, 0, 0, time.UTC)
+	resp, err := http.Post(ts.URL+"/ingest", "text/plain", strings.NewReader(textBatch(t, testRecord(500, good), testRecord(501, far))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack ingestResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || ack.Rows != 1 || ack.Malformed != 1 || s.store.Len() != rows+1 {
+		t.Fatalf("ingest status %d, ack %+v, store %d rows; want 200, 1 row, 1 malformed, %d rows", resp.StatusCode, ack, s.store.Len(), rows+1)
+	}
+	if got := m.Counter("serve_ingest_malformed_total").Value(); got != 1 {
+		t.Errorf("serve_ingest_malformed_total = %d, want 1", got)
+	}
+
+	path := filepath.Join(t.TempDir(), "tail.txt")
+	if err := os.WriteFile(path, []byte(textBatch(t, testRecord(502, far), testRecord(503, good.Add(time.Hour)))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w := &Watcher{Path: path, Server: s}
+	if n, bad, err := w.poll(); err != nil || n != 1 || bad != 1 {
+		t.Fatalf("poll: n=%d bad=%d err=%v, want 1/1", n, bad, err)
+	}
+	if s.store.Len() != rows+2 {
+		t.Fatalf("store has %d rows, want %d", s.store.Len(), rows+2)
+	}
+}
+
 func TestDrainShutdown(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -94,11 +94,6 @@ func newByteRecordReader(r *bufio.Reader, fields []*Field, names []string, lineB
 // owned by the reader; callers must not modify it.
 func (br *ByteRecordReader) Fields() []string { return br.names }
 
-// Line returns the line number of the most recently consumed input
-// line: 1-based in the input when the reader saw the header itself,
-// chunk-relative for an interior chunk.
-func (br *ByteRecordReader) Line() int { return br.line }
-
 // Row returns the raw columns of the row Next most recently decoded.
 // The backing storage aliases the read buffer and is reused by the
 // following Next call.

@@ -68,12 +68,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// N returns the number of observations folded in so far.
-func (a *Accumulator) N() int { return a.n }
-
-// Mean returns the running mean (0 when empty).
-func (a *Accumulator) Mean() float64 { return a.mean }
-
 // Std returns the running sample standard deviation (0 when N < 2).
 func (a *Accumulator) Std() float64 {
 	if a.n < 2 {
