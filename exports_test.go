@@ -1,225 +1,264 @@
 package slurmsight_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
-	"path"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// uncalledExports lists the exported package-level funcs and methods under
-// internal/ and cmd/ that no non-test Go calls, each with the reason it
-// stays.
+// uncalledExports lists the exports under internal/ and cmd/ that no
+// non-test Go uses, each with the reason it stays.
 var uncalledExports = map[string]string{
-	"slurmsight/internal/core.RunFederated":                "the §4.3 cross-facility run, which TestPaperReproduction drives",
-	"slurmsight/internal/llm.Choose":                       "the paper's model selection, which the llm tests and TestPaperReproduction reproduce",
-	"slurmsight/internal/llm.Client.Chat":                  "the Go client of the served /v1/chat endpoint, which the chat tests drive it through",
-	"slurmsight/internal/llm.Client.Models":                "the Go client of the served /v1/models endpoint, which the registry and bounded-read tests drive it through",
-	"slurmsight/internal/llm.FaultPolicy.Injected":         "how many faults the policy delivered, which the retry tests match against what the client survived",
-	"slurmsight/internal/llm.PaperCriteria":                "the paper's model-selection criteria, passed to Choose",
-	"slurmsight/internal/obs.StartSpan":                    "the tracing API's context-carrying opener; the obs tests pin its nil-tracer no-op",
-	"slurmsight/internal/plot.SVG":                         "the bare SVG document TestRenderGoldenDigest pins and TestPNGIsThePage holds plot.PNG to; pages embed the same walk through WriteHTML",
-	"slurmsight/internal/sacct.Store.ColstoreStats":        "a snapshot of the read counters Instrument publishes; the projection tests diff two around one scan",
-	"slurmsight/internal/sacct.Store.DumpBinary":           "the dump to an io.Writer that the trace-build, ingest and live-append goldens hash; production writes files through DumpBinaryFile",
-	"slurmsight/internal/sacct/colstore.ColumnNames":       "the pinned column order the projection tests count against",
-	"slurmsight/internal/sacct/colstore.Shard.ColumnBytes": "a column region's stored size, which the projection test sums to check BytesRead",
-	"slurmsight/internal/sched.BackfillNames":              "a *Names lister the policy property tests iterate",
-	"slurmsight/internal/sched.PresetNames":                "a *Names lister the policy property tests iterate",
-	"slurmsight/internal/sched.PriorityNames":              "a *Names lister the policy property tests iterate",
-	"slurmsight/internal/sched.SelectorNames":              "a *Names lister the policy property tests iterate",
-	"slurmsight/internal/slurm.AllFieldNames":              "Table 1's column universe, which the fields tests and TestPaperReproduction count",
-	"slurmsight/internal/slurm.Categories":                 "Table 1's categories, which the fields tests and TestPaperReproduction count",
-	"slurmsight/internal/slurm.FieldsInCategory":           "Table 1's per-category fields, which the fields tests count",
-	"slurmsight/internal/slurm.FormatCount":                "a Format* reference formatter the parse tests round-trip through; the encoder uses AppendCount",
-	"slurmsight/internal/slurm.FormatDuration":             "a Format* reference formatter the parse fuzzer round-trips through; the encoder uses AppendDuration",
-	"slurmsight/internal/slurm.FormatMemory":               "a Format* reference formatter the parse tests round-trip through; the encoder uses AppendMemory",
-	"slurmsight/internal/slurm.FormatTime":                 "a Format* reference formatter the parse tests round-trip through; the encoder uses AppendTime",
-	"slurmsight/internal/slurm.ParseTRES":                  "the string form of the TRES parser the round-trip tests use",
+	"slurmsight/internal/core.RunFederated":      "the paper's §4.3 cross-facility workflow, a library entry point beside Run that no command wraps",
+	"slurmsight/internal/llm.Choose":             "Table 2 of the paper: the model selection over the registry, a library entry point no command wraps",
+	"slurmsight/internal/llm.PaperCriteria":      "Table 2 of the paper: the criteria Choose applies",
+	"slurmsight/internal/llm.Client.Chat":        "the Go client of llmserve's /v1/chat endpoint, which no command of this module calls",
+	"slurmsight/internal/llm.Client.Models":      "the Go client of llmserve's /v1/models endpoint, which no command of this module calls",
+	"slurmsight/internal/slurm.AllFieldNames":    "Table 1 of the paper: the 118-column sacct universe the 60 selected fields are drawn from",
+	"slurmsight/internal/sacct.Store.DumpBinary": "the binary dump as a stream, Dump's counterpart; DumpBinaryFile writes through colstore.WriteFile, and goldens outside sacct hash it, so it cannot move to a _test.go file",
 }
 
-// TestEveryExportHasACaller fails on an exported package-level func or
-// method under internal/ or cmd/ (internal/sched/schedtest aside) that no
-// non-test Go references, unless uncalledExports says why it stays. A
-// func is referenced by pkg.Name from another package, loopbench/ and
-// examples/ included, or by a bare Name in the same package outside its
-// own declaration. A method, keyed pkg.Type.Name, is referenced when any
-// selector anywhere names it; methods named for a standard interface
-// (interfaceMethods) are not checked.
+// interfaceMethods are method names the standard library calls through
+// an interface (fmt, errors, encoding/json, net/http), so no Go in the
+// module need use them.
+var interfaceMethods = map[string]bool{
+	"Error": true, "String": true, "Unwrap": true, "MarshalJSON": true, "UnmarshalJSON": true, "ServeHTTP": true,
+}
+
+// TestEveryExportHasACaller fails on an exported package-level func, type,
+// const or var under internal/ or cmd/ (internal/sched/schedtest aside),
+// or an exported method of a type declared there, that no non-test Go
+// uses, unless uncalledExports says why it stays. Every package of the
+// module is type-checked from its non-test files, loopbench/ and
+// examples/ included, so a use is an object, not a name: a call on one
+// type credits no other type's method of that name. A use inside the
+// object's own declaration (a recursive call, a type named in its own
+// methods' receivers) does not count. A method of an instance counts for
+// its generic origin, and a method also counts as used when its type (T
+// or *T) implements an interface method that non-test Go uses. Methods
+// named for a standard interface (interfaceMethods) are not checked.
 func TestEveryExportHasACaller(t *testing.T) {
 	const module = "slurmsight"
-	fset := token.NewFileSet()
-	type parsed struct {
-		pkg  string // import path of the file's package
-		file *ast.File
-	}
-	var files []parsed
-	pkgNames := map[string]string{} // import path -> package name
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || p == filepath.Join("loopbench", "out")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := path.Join(module, filepath.ToSlash(filepath.Dir(p)))
-		pkgNames[pkg] = f.Name.Name
-		files = append(files, parsed{pkg, f})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := typeCheckModule(t)
 
-	declared := map[string]bool{}     // "pkg.Name" of every covered func, "pkg.Type.Name" of every covered method
-	methodName := map[string]string{} // "pkg.Type.Name" -> Name
-	for _, pf := range files {
-		rel := strings.TrimPrefix(pf.pkg, module+"/")
+	// declared keys every checked object as pkg.Name or pkg.Type.Method.
+	declared := map[types.Object]string{}
+	for _, p := range pkgs {
+		rel := strings.TrimPrefix(p.Path(), module+"/")
 		if !(strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")) || rel == "internal/sched/schedtest" {
 			continue
 		}
-		for _, d := range pf.file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() {
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if !obj.Exported() {
 				continue
 			}
-			if fd.Recv == nil {
-				declared[pf.pkg+"."+fd.Name.Name] = true
+			declared[obj] = p.Path() + "." + name
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
 				continue
 			}
-			if recv := receiverType(fd.Recv); recv != "" && !interfaceMethods[fd.Name.Name] {
-				key := pf.pkg + "." + recv + "." + fd.Name.Name
-				declared[key] = true
-				methodName[key] = fd.Name.Name
+			named := tn.Type().(*types.Named)
+			for i := range named.NumMethods() {
+				if m := named.Method(i); m.Exported() && !interfaceMethods[m.Name()] {
+					declared[m] = p.Path() + "." + name + "." + m.Name()
+				}
 			}
 		}
 	}
 
-	// refs holds "pkg.Name" for every pkg.Name selector on an imported
-	// package and every bare Name used in pkg outside the declaration of
-	// the func called Name; selected holds every other selector's Name.
-	refs := map[string]bool{}
-	selected := map[string]bool{}
-	for _, pf := range files {
-		imports := map[string]string{} // local name -> import path
-		for _, is := range pf.file.Imports {
-			ip := strings.Trim(is.Path.Value, `"`)
-			name := pkgNames[ip]
-			if is.Name != nil {
-				name = is.Name.Name
+	used := map[types.Object]bool{}
+	for _, p := range pkgs {
+		for id, obj := range p.info.Uses {
+			switch o := obj.(type) {
+			case *types.Func:
+				obj = o.Origin()
+			case *types.Var:
+				obj = o.Origin()
 			}
-			if name != "" {
-				imports[name] = ip
+			if !p.within(obj, id.Pos()) {
+				used[obj] = true
 			}
 		}
-		for _, d := range pf.file.Decls {
-			self := ""
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
-				self = fd.Name.Name
+	}
+	var ifaceUsed []*types.Func // interface methods non-test Go uses
+	for obj := range used {
+		if f, ok := obj.(*types.Func); ok && f.Signature().Recv() != nil && types.IsInterface(f.Signature().Recv().Type()) {
+			ifaceUsed = append(ifaceUsed, f)
+		}
+	}
+	called := func(obj types.Object) bool {
+		if used[obj] {
+			return true
+		}
+		m, ok := obj.(*types.Func)
+		if !ok || m.Signature().Recv() == nil {
+			return false
+		}
+		recv := m.Signature().Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		for _, im := range ifaceUsed {
+			if im.Name() != m.Name() {
+				continue
 			}
-			var visit func(n ast.Node) bool
-			visit = func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					// The name declares; only the signature and body refer.
-					if n.Recv != nil {
-						ast.Inspect(n.Recv, visit)
-					}
-					ast.Inspect(n.Type, visit)
-					if n.Body != nil {
-						ast.Inspect(n.Body, visit)
-					}
-					return false
-				case *ast.SelectorExpr:
-					if x, ok := n.X.(*ast.Ident); ok {
-						if ip, ok := imports[x.Name]; ok {
-							refs[ip+"."+n.Sel.Name] = true
-							return false
-						}
-					}
-					selected[n.Sel.Name] = true
-					ast.Inspect(n.X, visit)
-					return false
-				case *ast.Field:
-					// Field and parameter names declare; only the type refers.
-					ast.Inspect(n.Type, visit)
-					return false
-				case *ast.Ident:
-					if n.Name != self {
-						refs[pf.pkg+"."+n.Name] = true
-					}
-				}
+			iface := im.Signature().Recv().Type().Underlying().(*types.Interface)
+			if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
 				return true
 			}
-			ast.Inspect(d, visit)
 		}
+		return false
 	}
 
-	called := func(key string) bool {
-		if name, ok := methodName[key]; ok {
-			return selected[name]
-		}
-		return refs[key]
-	}
+	byKey := map[string]types.Object{}
 	var missing []string
-	for key := range declared {
-		if _, ok := uncalledExports[key]; !ok && !called(key) {
+	for obj, key := range declared {
+		byKey[key] = obj
+		if _, ok := uncalledExports[key]; !ok && !called(obj) {
 			missing = append(missing, key)
 		}
 	}
 	sort.Strings(missing)
 	for _, key := range missing {
-		t.Errorf("%s is exported but no non-test Go calls it: delete it, or add it to uncalledExports with the reason it stays", key)
+		t.Errorf("%s is exported but no non-test Go uses it: delete it, or add it to uncalledExports with the reason it stays", key)
 	}
 	for key := range uncalledExports {
-		switch {
-		case !declared[key]:
+		switch obj, ok := byKey[key]; {
+		case !ok:
 			t.Errorf("%s is no longer declared: drop it from uncalledExports", key)
-		case called(key):
+		case called(obj):
 			t.Errorf("%s has a caller now: drop it from uncalledExports", key)
 		}
 	}
 }
 
-// interfaceMethods are method names a standard interface calls, which no
-// Go in the module need select.
-var interfaceMethods = map[string]bool{
-	"Error": true, "String": true, "Unwrap": true, "MarshalJSON": true, "UnmarshalJSON": true,
-	"ServeHTTP": true, "Int63": true, "Seed": true, "Uint64": true,
+// checkedPackage is one package of the module, type-checked from its
+// non-test files.
+type checkedPackage struct {
+	*types.Package
+	info *types.Info
+	own  map[types.Object][]ast.Node // the declarations a use inside does not count
 }
 
-// receiverType names a method's receiver type, pointer and type
-// parameters dropped.
-func receiverType(recv *ast.FieldList) string {
-	if len(recv.List) != 1 {
-		return ""
+// within reports whether pos lies inside one of obj's own declarations.
+func (p *checkedPackage) within(obj types.Object, pos token.Pos) bool {
+	for _, n := range p.own[obj] {
+		if n.Pos() <= pos && pos < n.End() {
+			return true
+		}
 	}
-	t := recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	switch x := t.(type) {
-	case *ast.IndexExpr:
-		t = x.X
-	case *ast.IndexListExpr:
-		t = x.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
+	return false
 }
+
+// typeCheckModule type-checks every package of the module from its
+// non-test source, in dependency order, against the standard library's
+// export data as `go list -export` names it.
+func typeCheckModule(t *testing.T) []*checkedPackage {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,Standard", "./...").Output()
+	if err != nil {
+		if ee, ok := err.(*exec.ExitError); ok {
+			t.Fatalf("go list: %v\n%s", err, ee.Stderr)
+		}
+		t.Fatalf("go list: %v", err)
+	}
+	type listed struct {
+		ImportPath, Dir, Export string
+		GoFiles                 []string
+		Standard                bool
+	}
+	var module []listed
+	exports := map[string]string{} // standard import path -> export data file
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var l listed
+		if err := dec.Decode(&l); err != nil {
+			t.Fatal(err)
+		}
+		if l.Standard {
+			exports[l.ImportPath] = l.Export
+		} else {
+			module = append(module, l)
+		}
+	}
+
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	var pkgs []*checkedPackage
+	for _, l := range module {
+		var files []*ast.File
+		for _, name := range l.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(l.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		p := &checkedPackage{
+			info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+			own:  map[types.Object][]ast.Node{},
+		}
+		if p.Package, err = conf.Check(l.ImportPath, fset, files, p.info); err != nil {
+			t.Fatalf("type-check %s: %v", l.ImportPath, err)
+		}
+		checked[l.ImportPath] = p.Package
+		for _, f := range files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					fn := p.info.Defs[d.Name].(*types.Func)
+					p.own[fn] = append(p.own[fn], d)
+					if tn := receiverTypeName(fn); tn != nil {
+						p.own[tn] = append(p.own[tn], d.Recv)
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						if ts, ok := s.(*ast.TypeSpec); ok {
+							p.own[p.info.Defs[ts.Name]] = append(p.own[p.info.Defs[ts.Name]], ts)
+						}
+					}
+				}
+			}
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs
+}
+
+// receiverTypeName is the type a method is declared on, nil for a func.
+func receiverTypeName(fn *types.Func) types.Object {
+	recv := fn.Signature().Recv()
+	if recv == nil {
+		return nil
+	}
+	typ := recv.Type()
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	return typ.(*types.Named).Origin().Obj()
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -33,7 +33,7 @@ func mkJob(id int64, user string, submit time.Time, waited time.Duration,
 
 // observeAll feeds every record to c and returns it: the one-shot form
 // the unit tests drive a collector through.
-func observeAll[C Collector](c C, recs []slurm.Record) C {
+func observeAll[C interface{ Observe(*slurm.Record) }](c C, recs []slurm.Record) C {
 	for i := range recs {
 		c.Observe(&recs[i])
 	}

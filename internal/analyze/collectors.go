@@ -10,16 +10,6 @@ import (
 	"slurmsight/internal/slurm"
 )
 
-// Collector is the single-pass analysis contract: an aggregation that
-// folds one record at a time. A streaming producer (curate, sacct.Scan)
-// drives every figure's collector from one pass over the records, so
-// peak memory is bounded by figure state rather than trace length.
-// Observe must copy anything it retains — the record may alias producer
-// scratch that is reused immediately after the call returns.
-type Collector interface {
-	Observe(r *slurm.Record)
-}
-
 // observedFields is every slurm field some collector's Observe reads —
 // through the record's helpers too: IsStep reads JobID, Backfilled reads
 // Flags, Year and WaitTime read Submit and Start.

@@ -4,7 +4,12 @@
 // job end states per user (Figs. 5 and 8), and requested-versus-actual
 // walltimes split by backfill (Figs. 6 and 9) — plus the cross-system
 // comparison used by the portability study (§4.3). Every aggregation is
-// a Collector folded one record at a time; a Bundle holds one of each.
+// a collector whose Observe(*slurm.Record) folds one record at a time; a
+// Bundle holds one of each. A streaming producer (curate, sacct.Scan)
+// drives every collector from one pass over the records, so peak memory
+// is bounded by figure state rather than trace length. Observe must copy
+// anything it retains — the record may alias producer scratch that is
+// reused immediately after the call returns.
 package analyze
 
 import (

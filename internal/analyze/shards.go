@@ -38,13 +38,6 @@ func (s *ShardSet) Shard(i int) *Bundle {
 	return b
 }
 
-// Len returns how many shards were created.
-func (s *ShardSet) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.shards)
-}
-
 // MergeIntoN folds every shard into dst in ascending chunk index, after
 // growing dst's sample slices once to their final length. Call it after
 // the parallel decode has finished; figure data is bit-exact with

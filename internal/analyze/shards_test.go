@@ -48,8 +48,8 @@ func TestShardSetMergeMatchesSequential(t *testing.T) {
 	merged := NewBundle(bucket)
 	s.MergeIntoN(merged, 1)
 
-	if s.Len() == 0 || s.Len() > chunks {
-		t.Fatalf("shards = %d", s.Len())
+	if len(s.shards) == 0 || len(s.shards) > chunks {
+		t.Fatalf("shards = %d", len(s.shards))
 	}
 	if merged.Records != whole.Records || merged.Jobs != whole.Jobs {
 		t.Fatalf("merged counters %d/%d != %d/%d",

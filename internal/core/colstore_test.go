@@ -29,7 +29,9 @@ func TestWorkflowColstoreParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer binStore.Close()
-	if _, binary := binStore.ColstoreStats(); !binary {
+	reg := obs.NewRegistry()
+	binStore.Instrument(reg)
+	if reg.Gauge("colstore_bytes_mapped").Value() == 0 {
 		t.Fatal("binary dump not detected as columnar")
 	}
 

@@ -25,35 +25,40 @@ import (
 // recorded before the run's in-memory hand-offs became dataflow values,
 // so the declared graph must draw the edges the marker file drew, and
 // re-recorded when report.md's dashboard link gained its target (the
-// only byte change; TestReportLinksResolve).
+// only byte change; TestReportLinksResolve). The bytes do not depend on
+// how many chunks a period file is split into: the default (GOMAXPROCS)
+// and 1, 3 and 8 give the same digest.
 func TestWorkflowEmitGoldenDigest(t *testing.T) {
 	want := map[bool]uint64{false: 0xba87f7278be5a62c, true: 0xa9265486273493bd}
+	ts := httptest.NewServer(llm.NewServer("sk-test").Handler())
+	defer ts.Close()
 	for _, ai := range []bool{false, true} {
-		cfg := baseConfig(t)
-		cfg.ExtendedFigures = true
-		cfg.SystemNodes = 9408
-		cfg.CorruptionRate, cfg.CorruptionSeed = 0.01, 5
-		if ai {
-			ts := httptest.NewServer(llm.NewServer("sk-test").Handler())
-			defer ts.Close()
-			cfg.EnableAI = true
-			cfg.LLM = llm.NewClient(ts.URL, "sk-test")
-		}
-		art, err := Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := fnv.New64a()
-		for _, path := range []string{art.DOTPath, art.ReportPath, art.FactsPath} {
-			data, err := os.ReadFile(path)
+		for _, width := range []int{0, 1, 3, 8} {
+			cfg := baseConfig(t)
+			cfg.ExtendedFigures = true
+			cfg.SystemNodes = 9408
+			cfg.CorruptionRate, cfg.CorruptionSeed = 0.01, 5
+			cfg.IngestWorkers = width
+			if ai {
+				cfg.EnableAI = true
+				cfg.LLM = llm.NewClient(ts.URL, "sk-test")
+			}
+			art, err := Run(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(h, "%s %d\n", filepath.Base(path), len(data))
-			h.Write(data)
-		}
-		if got := h.Sum64(); got != want[ai] {
-			t.Errorf("ai=%v: workflow.dot + report.md + facts.json digest to %#x, want %#x", ai, got, want[ai])
+			h := fnv.New64a()
+			for _, path := range []string{art.DOTPath, art.ReportPath, art.FactsPath} {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(h, "%s %d\n", filepath.Base(path), len(data))
+				h.Write(data)
+			}
+			if got := h.Sum64(); got != want[ai] {
+				t.Errorf("ai=%v, ingest width %d: workflow.dot + report.md + facts.json digest to %#x, want %#x", ai, width, got, want[ai])
+			}
 		}
 	}
 }

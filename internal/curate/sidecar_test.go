@@ -49,7 +49,7 @@ func FuzzSidecarRowMatchesEncodingCSV(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, a, b, c string, elapsedSec, nodes uint32) {
 		elapsed := time.Duration(elapsedSec) * time.Second
-		durCell, countCell := slurm.FormatDuration(elapsed), strconv.FormatUint(uint64(nodes), 10)
+		durCell, countCell := string(slurm.AppendDuration(nil, elapsed)), strconv.FormatUint(uint64(nodes), 10)
 		want := csvReference(t, a, b, c, elapsed, int64(nodes))
 
 		var out bytes.Buffer

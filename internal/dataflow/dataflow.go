@@ -78,9 +78,6 @@ func (g *Graph) Add(t Task) error {
 	return nil
 }
 
-// Len returns the task count.
-func (g *Graph) Len() int { return len(g.tasks) }
-
 // deps returns, for each task, the set of upstream task indices.
 func (g *Graph) deps() [][]int {
 	out := make([][]int, len(g.tasks))
@@ -158,21 +155,6 @@ func (g *Graph) levels() ([][]int, error) {
 		levels[d] = append(levels[d], i)
 	}
 	return levels, nil
-}
-
-// Rows returns the task names by concurrency row.
-func (g *Graph) Rows() ([][]string, error) {
-	levels, err := g.levels()
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]string, len(levels))
-	for d, idxs := range levels {
-		for _, i := range idxs {
-			out[d] = append(out[d], g.tasks[i].Name)
-		}
-	}
-	return out, nil
 }
 
 // DOT exports the inferred dataflow diagram in Graphviz format, tasks as

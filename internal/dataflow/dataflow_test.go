@@ -29,8 +29,8 @@ func TestAddValidation(t *testing.T) {
 	if err := g.Add(Task{Name: "b", Writes: []string{"f"}, Run: noop}); err == nil {
 		t.Error("duplicate writer: want error")
 	}
-	if g.Len() != 1 {
-		t.Errorf("Len = %d", g.Len())
+	if len(g.tasks) != 1 {
+		t.Errorf("Len = %d", len(g.tasks))
 	}
 }
 
@@ -73,8 +73,8 @@ func TestInferredDependencyOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trace.Tasks) != g.Len() {
-		t.Fatalf("traced %d of %d tasks", len(trace.Tasks), g.Len())
+	if len(trace.Tasks) != len(g.tasks) {
+		t.Fatalf("traced %d of %d tasks", len(trace.Tasks), len(g.tasks))
 	}
 	pos := map[string]int{}
 	for i, name := range log {

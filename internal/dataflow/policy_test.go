@@ -139,8 +139,8 @@ func TestContinueOnErrorRunsIndependentBranches(t *testing.T) {
 	if okN != 2 || failed != 2 || skipped != 3 {
 		t.Errorf("counts ok/failed/skipped = %d/%d/%d, want 2/2/3", okN, failed, skipped)
 	}
-	if len(trace.Tasks) != g.Len() {
-		t.Errorf("trace has %d entries for %d tasks", len(trace.Tasks), g.Len())
+	if len(trace.Tasks) != len(g.tasks) {
+		t.Errorf("trace has %d entries for %d tasks", len(trace.Tasks), len(g.tasks))
 	}
 	for _, tt := range trace.Tasks {
 		if tt.Skipped && !errors.Is(tt.Err, ErrSkipped) {

@@ -64,15 +64,15 @@ func TestPropertyRandomDAGsRespectDependencies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if len(trace.Tasks) != g.Len() {
-			t.Fatalf("seed %d: traced %d of %d tasks", seed, len(trace.Tasks), g.Len())
+		if len(trace.Tasks) != len(g.tasks) {
+			t.Fatalf("seed %d: traced %d of %d tasks", seed, len(trace.Tasks), len(g.tasks))
 		}
 		pos := map[string]int{}
 		for i, name := range log {
 			pos[name] = i
 		}
-		if len(pos) != g.Len() {
-			t.Fatalf("seed %d: %d tasks ran of %d", seed, len(pos), g.Len())
+		if len(pos) != len(g.tasks) {
+			t.Fatalf("seed %d: %d tasks ran of %d", seed, len(pos), len(g.tasks))
 		}
 		for task, ups := range wantBefore {
 			for _, up := range ups {

@@ -91,8 +91,8 @@ func TestStressFaultyDAGsAccountForEveryTask(t *testing.T) {
 			for _, tt := range trace.Tasks {
 				seen[tt.Name]++
 			}
-			if len(seen) != g.Len() {
-				t.Fatalf("trace names %d of %d tasks", len(seen), g.Len())
+			if len(seen) != len(g.tasks) {
+				t.Fatalf("trace names %d of %d tasks", len(seen), len(g.tasks))
 			}
 			for name, n := range seen {
 				if n != 1 {
@@ -101,8 +101,8 @@ func TestStressFaultyDAGsAccountForEveryTask(t *testing.T) {
 			}
 
 			okN, failed, skipped, _ := trace.Counts()
-			if okN+failed+skipped != g.Len() {
-				t.Fatalf("outcome counts %d+%d+%d != %d", okN, failed, skipped, g.Len())
+			if okN+failed+skipped != len(g.tasks) {
+				t.Fatalf("outcome counts %d+%d+%d != %d", okN, failed, skipped, len(g.tasks))
 			}
 
 			switch {
@@ -168,7 +168,7 @@ func TestStressMidRunCancellationReturnsPromptly(t *testing.T) {
 	if d := time.Since(start); d > 3*time.Second {
 		t.Fatalf("cancellation returned after %v", d)
 	}
-	if len(trace.Tasks) != g.Len() {
-		t.Fatalf("trace has %d entries for %d tasks", len(trace.Tasks), g.Len())
+	if len(trace.Tasks) != len(g.tasks) {
+		t.Fatalf("trace has %d entries for %d tasks", len(trace.Tasks), len(g.tasks))
 	}
 }

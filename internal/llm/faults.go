@@ -25,9 +25,8 @@ type FaultPolicy struct {
 	// Seed makes the fault sequence reproducible.
 	Seed int64
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	injected map[string]int
+	mu  sync.Mutex
+	rng *rand.Rand
 }
 
 // Middleware wraps next with the fault schedule.
@@ -67,30 +66,17 @@ func (p *FaultPolicy) roll() string {
 			seed = 1
 		}
 		p.rng = rand.New(rand.NewSource(seed))
-		p.injected = map[string]int{}
 	}
 	u := p.rng.Float64()
-	var kind string
 	switch {
 	case u < p.Rate429:
-		kind = "429"
+		return "429"
 	case u < p.Rate429+p.Rate500:
-		kind = "500"
+		return "500"
 	case u < p.Rate429+p.Rate500+p.RateStall:
-		kind = "stall"
-	default:
-		return ""
+		return "stall"
 	}
-	p.injected[kind]++
-	return kind
-}
-
-// Injected reports how many faults of one kind ("429", "500", "stall")
-// have been delivered.
-func (p *FaultPolicy) Injected(kind string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.injected[kind]
+	return ""
 }
 
 // Active reports whether any fault has a non-zero probability.

@@ -250,17 +250,3 @@ func SpanFromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanCtxKey{}).(*Span)
 	return s
 }
-
-// StartSpan opens a span as a child of the context's active span (or as
-// a root span when none is active) and returns the derived context.
-// With a nil tracer and no active span it returns ctx unchanged and a
-// nil span.
-func StartSpan(ctx context.Context, tr *Tracer, name string) (context.Context, *Span) {
-	var sp *Span
-	if parent := SpanFromContext(ctx); parent != nil {
-		sp = parent.Child(name)
-	} else {
-		sp = tr.Start(name)
-	}
-	return ContextWithSpan(ctx, sp), sp
-}

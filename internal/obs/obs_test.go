@@ -83,11 +83,12 @@ func TestContextPropagation(t *testing.T) {
 	if got := SpanFromContext(ctx); got != nil {
 		t.Fatalf("empty ctx span = %v", got)
 	}
-	ctx, root := StartSpan(ctx, tr, "root")
+	root := tr.Start("root")
+	ctx = ContextWithSpan(ctx, root)
 	if root == nil || SpanFromContext(ctx) != root {
 		t.Fatal("root span not in context")
 	}
-	_, child := StartSpan(ctx, tr, "child")
+	child := SpanFromContext(ctx).Child("child")
 	child.End()
 	root.End()
 	snap := tr.Snapshot()
@@ -117,9 +118,8 @@ func TestNilNoOpPaths(t *testing.T) {
 	if got := ContextWithSpan(ctx, nil); got != ctx {
 		t.Error("ContextWithSpan(nil) changed the context")
 	}
-	ctx2, sp2 := StartSpan(ctx, nil, "z")
-	if ctx2 != ctx || sp2 != nil {
-		t.Error("StartSpan on nil tracer not a no-op")
+	if got := SpanFromContext(ctx).Child("z"); got != nil {
+		t.Error("the empty context's span produced a child")
 	}
 	if got := tr.Snapshot(); got != nil {
 		t.Errorf("nil tracer snapshot = %v", got)
@@ -143,7 +143,8 @@ func TestDisabledPathsDoNotAllocate(t *testing.T) {
 			sp.End()
 		},
 		"context": func() {
-			ctx2, sp := StartSpan(ctx, tr, "stage")
+			sp := SpanFromContext(ctx).Child("stage")
+			ctx2 := ContextWithSpan(ctx, sp)
 			SpanFromContext(ctx2).SetAttrInt("rows", 1)
 			sp.End()
 		},

@@ -164,17 +164,6 @@ func (r *Recorder) Record(t *RequestTrace) {
 	r.slowest[t.Route] = tail
 }
 
-// Total returns how many traces have been recorded over the recorder's
-// lifetime (not how many are retained).
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
 // RecorderSnapshot is a point-in-time view of the recorder: the recent
 // ring newest-first and the per-route slowest traces, slowest-first.
 type RecorderSnapshot struct {

@@ -36,7 +36,7 @@ func TestNewTraceID(t *testing.T) {
 func TestRecorderNilNoop(t *testing.T) {
 	var r *Recorder
 	r.Record(testTrace("/query", 1, time.Millisecond)) // must not panic
-	if r.Total() != 0 {
+	if r.Snapshot().Total != 0 {
 		t.Fatal("nil recorder recorded something")
 	}
 	snap := r.Snapshot()
@@ -57,8 +57,8 @@ func TestRecorderRingWraparound(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Record(testTrace("/query", i, time.Duration(i)*time.Millisecond))
 	}
-	if r.Total() != 10 {
-		t.Fatalf("total %d, want 10", r.Total())
+	if r.Snapshot().Total != 10 {
+		t.Fatalf("total %d, want 10", r.Snapshot().Total)
 	}
 	snap := r.Snapshot()
 	if len(snap.Recent) != 4 {
@@ -106,8 +106,8 @@ func TestRecorderRouteBound(t *testing.T) {
 		t.Fatalf("tail sampler tracks %d routes, want cap %d", got, maxRecorderRoutes)
 	}
 	// Ring still records past the route cap.
-	if r.Total() != uint64(maxRecorderRoutes+10) {
-		t.Fatalf("total %d", r.Total())
+	if r.Snapshot().Total != uint64(maxRecorderRoutes+10) {
+		t.Fatalf("total %d", r.Snapshot().Total)
 	}
 }
 
@@ -150,8 +150,8 @@ func TestRecorderHammer(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if r.Total() != workers*perWorker {
-		t.Fatalf("total %d, want %d", r.Total(), workers*perWorker)
+	if r.Snapshot().Total != workers*perWorker {
+		t.Fatalf("total %d, want %d", r.Snapshot().Total, workers*perWorker)
 	}
 }
 

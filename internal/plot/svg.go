@@ -1,21 +1,5 @@
 package plot
 
-import "bytes"
-
-// SVG renders the chart to a standalone SVG document.
-func SVG(c *Chart, width, height int) ([]byte, error) {
-	if err := checkCanvas(c, width, height); err != nil {
-		return nil, err
-	}
-	var doc bytes.Buffer
-	e := &emitter{w: &doc}
-	draw(e, c, width, height)
-	if err := e.flush(); err != nil {
-		return nil, err
-	}
-	return doc.Bytes(), nil
-}
-
 // The emitter is the SVG pen: each mark becomes one element, and each
 // data mark ends with mark() so a page streams at a bounded footprint.
 

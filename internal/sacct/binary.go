@@ -166,15 +166,6 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	}
 }
 
-// ColstoreStats snapshots the backing file's read counters; ok is false
-// for text-backed stores.
-func (s *Store) ColstoreStats() (colstore.Stats, bool) {
-	if s.bin == nil {
-		return colstore.Stats{}, false
-	}
-	return s.bin.Stats(), true
-}
-
 // Close releases the backing columnar mapping, if any. In-memory rows
 // and records cloned out of a scan stay usable; sealed rows become
 // unreadable, so close only after the store's consumers are done.

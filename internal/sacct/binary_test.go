@@ -161,7 +161,7 @@ func TestOpenFileAutoDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, binary := fromText.ColstoreStats(); binary {
+	if fromText.bin != nil {
 		t.Error("text dump opened as binary")
 	}
 	fromBin, _, err := OpenFile(binPath)
@@ -169,7 +169,7 @@ func TestOpenFileAutoDetect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fromBin.Close()
-	if _, binary := fromBin.ColstoreStats(); !binary {
+	if fromBin.bin == nil {
 		t.Error("binary dump not detected")
 	}
 	if fromText.Len() != st.Len() || fromBin.Len() != st.Len() {
@@ -196,25 +196,25 @@ func TestProjectedWriteReadsOnlySelectedColumns(t *testing.T) {
 	}
 	defer bin.Close()
 
-	before, ok := bin.ColstoreStats()
-	if !ok {
-		t.Fatal("binary store reports no colstore stats")
-	}
+	reg := obs.NewRegistry()
+	bin.Instrument(reg)
+	columns, read := reg.Counter("colstore_columns_read_total"), reg.Counter("colstore_bytes_read_total")
+	before := columns.Value()
 	var buf bytes.Buffer
 	if _, err := bin.Write(&buf, Query{Fields: []string{"User", "Elapsed"}}); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := bin.ColstoreStats()
+	after := columns.Value()
 
 	// The projection needs User + Elapsed + JobID (step detection):
 	// three columns per shard, nothing else, and in particular far
 	// fewer bytes than the whole file.
 	months := int64(len(bin.Months()))
-	if n := after.ColumnsRead - before.ColumnsRead; n != 3*months {
+	if n := after - before; n != 3*months {
 		t.Errorf("ColumnsRead delta = %d, want %d", n, 3*months)
 	}
-	if after.BytesRead <= 0 || after.BytesRead >= after.BytesMapped {
-		t.Errorf("projected write read %d of %d mapped bytes, want 0 < read < mapped", after.BytesRead, after.BytesMapped)
+	if mapped := reg.Gauge("colstore_bytes_mapped").Value(); read.Value() <= 0 || read.Value() >= mapped {
+		t.Errorf("projected write read %d of %d mapped bytes, want 0 < read < mapped", read.Value(), mapped)
 	}
 
 	// And the rendered text must still match the text store exactly.
@@ -228,8 +228,7 @@ func TestProjectedWriteReadsOnlySelectedColumns(t *testing.T) {
 	if _, err := bin.Select(Query{IncludeSteps: true}); err != nil {
 		t.Fatal(err)
 	}
-	full, _ := bin.ColstoreStats()
-	if n, want := full.ColumnsRead-after.ColumnsRead, int64(len(colstore.ColumnNames()))*months; n != want {
+	if n, want := columns.Value()-after, int64(colstore.AllColumns.Len())*months; n != want {
 		t.Errorf("full scan read %d columns, want %d", n, want)
 	}
 	for m, mo := range bin.months {
@@ -262,9 +261,6 @@ func TestBinaryStoreInstrument(t *testing.T) {
 	}
 	// Text stores are a no-op, not a panic.
 	st.Instrument(reg)
-	if _, ok := st.ColstoreStats(); ok {
-		t.Error("text store claims colstore stats")
-	}
 }
 
 func TestBinaryConcurrentScans(t *testing.T) {

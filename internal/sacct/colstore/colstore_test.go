@@ -182,7 +182,7 @@ func TestFooterMetadata(t *testing.T) {
 			t.Fatalf("row %d submit %v outside footer range [%v, %v]", i, recs[i].Submit, min, max)
 		}
 	}
-	for _, name := range ColumnNames() {
+	for _, name := range AllColumns.Names() {
 		if sh.ColumnBytes(name) == 0 {
 			t.Errorf("shard has no %s column", name)
 		}

@@ -16,18 +16,6 @@ import (
 	"slurmsight/internal/slurm"
 )
 
-// Stats is a point-in-time snapshot of a file's read-side counters: the
-// projection proof. BytesRead counts only the column regions a cursor
-// projected (plus the footer), so a two-field query over a 59-column shard
-// shows two columns' bytes, not the shard's.
-type Stats struct {
-	ShardsOpened int64 // shards a cursor was opened over
-	ColumnsRead  int64 // column regions projected (every open counts)
-	BytesRead    int64 // bytes of those regions + footer bytes
-	BytesMapped  int64 // bytes of file mapped (or read on the fallback path)
-	RowsDecoded  int64 // rows cursors stepped over
-}
-
 // File is an opened columnar store. Opening costs one trailer read, one
 // footer parse, and one mapping — no row data is touched until a cursor
 // asks for it. A File is safe for concurrent cursors.
@@ -204,17 +192,6 @@ func (f *File) Instrument(reg *obs.Registry) {
 	f.gMapped.Set(int64(len(f.data)))
 }
 
-// Stats snapshots the read counters.
-func (f *File) Stats() Stats {
-	return Stats{
-		ShardsOpened: f.shardsOpened.Load(),
-		ColumnsRead:  f.columnsRead.Load(),
-		BytesRead:    f.bytesRead.Load(),
-		BytesMapped:  int64(len(f.data)),
-		RowsDecoded:  f.rowsDecoded.Load(),
-	}
-}
-
 // Year, Mon, Rows, Sorted, and the submit range expose the footer
 // metadata a reload needs — no row bytes are touched.
 func (s *Shard) Year() int       { return s.meta.year }
@@ -233,15 +210,6 @@ func (s *Shard) SubmitRange() (min, max time.Time, ok bool) {
 		return time.Time{}, time.Time{}, false
 	}
 	return time.Unix(0, s.meta.minSub).UTC(), time.Unix(0, s.meta.maxSub).UTC(), true
-}
-
-// ColumnBytes returns the stored size of one column region, 0 when the
-// column is unknown.
-func (s *Shard) ColumnBytes(name string) int64 {
-	if ci, ok := lookupColumn(name); ok && s.cols[ci].meta != nil {
-		return int64(s.cols[ci].meta.length)
-	}
-	return 0
 }
 
 // column returns column ci ready to step, loading it on first use: the

@@ -523,9 +523,6 @@ func buildColumns() []colDef {
 	}
 }
 
-// ColumnNames returns the canonical column names in pinned order.
-func ColumnNames() []string { return AllColumns.Names() }
-
 // ColSet is a set of columns, one bit per entry of the pinned order: what
 // a Cursor projects. The zero value is empty.
 type ColSet uint64
@@ -545,15 +542,6 @@ func init() {
 
 // Len returns the number of columns in the set.
 func (c ColSet) Len() int { return bits.OnesCount64(uint64(c)) }
-
-// Names returns the set's column names in pinned order.
-func (c ColSet) Names() []string {
-	out := make([]string, 0, c.Len())
-	for ; c != 0; c &= c - 1 {
-		out = append(out, columns[bits.TrailingZeros64(uint64(c))].name)
-	}
-	return out
-}
 
 // ColumnsFor maps a slurm field selection to the columns that back it:
 // each field's own column, with the derived Backfill field reading

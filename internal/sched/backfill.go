@@ -11,7 +11,6 @@ import (
 // starts the ones it admits (s.startJob with backfill=true); a job it
 // leaves stays queued.
 type BackfillPolicy interface {
-	Name() string
 	// Pass runs the backfill phase at tNs (Unix ns); head is the blocked
 	// highest-priority job (still pending).
 	Pass(s *Simulator, head *job, tNs int64)
@@ -31,14 +30,10 @@ func BackfillByName(name string) (BackfillPolicy, error) {
 	return nil, fmt.Errorf("sched: unknown backfill policy %q", name)
 }
 
-// BackfillNames lists the resolvable backfill policies.
-func BackfillNames() []string { return []string{"easy", "conservative", "none"} }
-
 // noBackfill is the ablation baseline: the blocked head blocks everything
 // (pure priority-order FIFO behind the head).
 type noBackfill struct{}
 
-func (noBackfill) Name() string                 { return "none" }
 func (noBackfill) Pass(*Simulator, *job, int64) {}
 
 // easyBackfill implements EASY backfill: find the shadow time at which the
@@ -55,8 +50,6 @@ func (noBackfill) Pass(*Simulator, *job, int64) {}
 // nothing it did reach. The pending key is a total order, so jobs left
 // unpopped change no later pop.
 type easyBackfill struct{}
-
-func (easyBackfill) Name() string { return "easy" }
 
 func (easyBackfill) Pass(s *Simulator, head *job, tNs int64) {
 	shadowNs, extra := s.shadowTime(head, tNs)
@@ -101,8 +94,6 @@ func (easyBackfill) Pass(s *Simulator, head *job, tNs int64) {
 type conservativeBackfill struct {
 	prof freeProfile // reusable pass-time availability profile
 }
-
-func (*conservativeBackfill) Name() string { return "conservative" }
 
 func (c *conservativeBackfill) Pass(s *Simulator, head *job, tNs int64) {
 	c.prof.reset(tNs, s.freeCores)

@@ -20,7 +20,6 @@ import (
 // node-resolved), so tracking selectors compose with advance reservations
 // only approximately; traces without reservations are modelled exactly.
 type NodeSelector interface {
-	Name() string
 	// Fits reports whether the job can be placed now. The pool capacity
 	// check (j.cores <= freeCores) is separate and always applies.
 	Fits(j *job) bool
@@ -47,14 +46,10 @@ func SelectorByName(name string) (NodeSelector, error) {
 	return nil, fmt.Errorf("sched: unknown node selector %q", name)
 }
 
-// SelectorNames lists the resolvable node selectors.
-func SelectorNames() []string { return []string{"pool", "firstfit", "bestfit"} }
-
 // poolSelector is the stateless scalar-pool model: any core arrangement
 // works, so placement never fails beyond the pool capacity check.
 type poolSelector struct{}
 
-func (poolSelector) Name() string          { return "pool" }
 func (poolSelector) Fits(*job) bool        { return true }
 func (poolSelector) Place(*job)            {}
 func (poolSelector) Release(*job)          {}
@@ -74,13 +69,6 @@ type trackingSelector struct {
 	used         []int32   // cores in use per node
 	freeNodes    int       // nodes with used == 0
 	held         [][]int32 // held[seq]: the nodes job seq was placed on
-}
-
-func (t *trackingSelector) Name() string {
-	if t.bestfit {
-		return "bestfit"
-	}
-	return "firstfit"
 }
 
 func (t *trackingSelector) Reset(sys *cluster.System) {

@@ -25,7 +25,6 @@ import (
 // whose terms match the legacy formulas reproduces legacy priorities
 // exactly (int64 addition is associative).
 type PriorityPolicy interface {
-	Name() string
 	// Static is the submission-time-invariant component: base priority
 	// plus the size and QoS contributions. sizeFrac is the job's core
 	// allocation over the system total.
@@ -75,8 +74,6 @@ func newMultifactorPriority(cfg *Config) *MultifactorPriority {
 	}
 }
 
-func (p *MultifactorPriority) Name() string { return "multifactor" }
-
 // Static computes base + size + QoS, truncating the size term exactly as
 // the legacy submission path did.
 func (p *MultifactorPriority) Static(sizeFrac float64, qosWeight int64) int64 {
@@ -113,7 +110,6 @@ func (p *MultifactorPriority) Fair(decayedUsage float64) int64 {
 // baseline the multifactor policy is measured against.
 type FIFOPriority struct{}
 
-func (FIFOPriority) Name() string                { return "fifo" }
 func (FIFOPriority) Static(float64, int64) int64 { return 0 }
 func (FIFOPriority) Age(int64) int64             { return 0 }
 func (FIFOPriority) AgeSlope() float64           { return 0 }
@@ -130,6 +126,3 @@ func PriorityByName(name string, cfg *Config) (PriorityPolicy, error) {
 	}
 	return nil, fmt.Errorf("sched: unknown priority policy %q", name)
 }
-
-// PriorityNames lists the resolvable priority policies.
-func PriorityNames() []string { return []string{"multifactor", "fifo"} }

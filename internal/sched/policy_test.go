@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -44,11 +45,19 @@ func TestValidateTypedErrors(t *testing.T) {
 	}
 }
 
+// The names PriorityByName, BackfillByName and SelectorByName resolve,
+// which the policy tests iterate.
+var (
+	priorityNames = []string{"multifactor", "fifo"}
+	backfillNames = []string{"easy", "conservative", "none"}
+	selectorNames = []string{"pool", "firstfit", "bestfit"}
+)
+
 // --- priority policies ---
 
 func TestPriorityByName(t *testing.T) {
 	cfg := DefaultConfig(tinySystem())
-	for _, name := range append(PriorityNames(), "") {
+	for _, name := range append(priorityNames, "") {
 		if _, err := PriorityByName(name, &cfg); err != nil {
 			t.Errorf("PriorityByName(%q): %v", name, err)
 		}
@@ -109,7 +118,7 @@ func TestFIFOPriorityOrdersBySubmission(t *testing.T) {
 // --- backfill policies ---
 
 func TestBackfillByName(t *testing.T) {
-	for _, name := range append(BackfillNames(), "") {
+	for _, name := range append(backfillNames, "") {
 		if _, err := BackfillByName(name); err != nil {
 			t.Errorf("BackfillByName(%q): %v", name, err)
 		}
@@ -122,8 +131,8 @@ func TestBackfillByName(t *testing.T) {
 // TestBackfillNameResolution: Config.Backfill alone decides the policy a
 // simulator runs, and empty means easy.
 func TestBackfillNameResolution(t *testing.T) {
-	for backfill, want := range map[string]string{
-		"": "easy", "easy": "easy", "conservative": "conservative", "none": "none",
+	for backfill, want := range map[string]BackfillPolicy{
+		"": easyBackfill{}, "easy": easyBackfill{}, "conservative": &conservativeBackfill{}, "none": noBackfill{},
 	} {
 		cfg := DefaultConfig(tinySystem())
 		cfg.Backfill = backfill
@@ -131,8 +140,8 @@ func TestBackfillNameResolution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sim.bf.Name(); got != want {
-			t.Errorf("Backfill %q runs %q, want %q", backfill, got, want)
+		if got, want := fmt.Sprintf("%T", sim.bf), fmt.Sprintf("%T", want); got != want {
+			t.Errorf("Backfill %q runs %s, want %s", backfill, got, want)
 		}
 	}
 }
@@ -190,7 +199,7 @@ func TestFreeProfile(t *testing.T) {
 // --- node selectors ---
 
 func TestSelectorByName(t *testing.T) {
-	for _, name := range append(SelectorNames(), "") {
+	for _, name := range append(selectorNames, "") {
 		if _, err := SelectorByName(name); err != nil {
 			t.Errorf("SelectorByName(%q): %v", name, err)
 		}
@@ -293,7 +302,7 @@ func TestPoolSelectorAlwaysFits(t *testing.T) {
 // --- weight presets ---
 
 func TestPresets(t *testing.T) {
-	for _, name := range PresetNames() {
+	for name := range presets {
 		cfg := DefaultConfig(tinySystem())
 		if err := ApplyPreset(&cfg, name); err != nil {
 			t.Errorf("ApplyPreset(%q): %v", name, err)

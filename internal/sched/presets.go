@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // weightPreset is a named multifactor weight composition: the policy
 // vocabulary the tournament and the LLM evolution loop mutate.
@@ -66,14 +63,4 @@ func ApplyPreset(cfg *Config, name string) error {
 		cfg.FairShareWeight = p.FairShareWeight
 	}
 	return nil
-}
-
-// PresetNames lists the named weight presets, sorted.
-func PresetNames() []string {
-	names := make([]string, 0, len(presets))
-	for n := range presets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

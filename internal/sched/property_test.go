@@ -67,8 +67,8 @@ func compositions() []composition {
 		{name: "conservative", backfill: "conservative"},
 		{name: "no-backfill", backfill: "none"},
 	}
-	for _, bf := range BackfillNames() {
-		for _, sel := range SelectorNames() {
+	for _, bf := range backfillNames {
+		for _, sel := range selectorNames {
 			cs = append(cs, composition{name: bf + "+" + sel, backfill: bf, nodeSelect: sel})
 		}
 	}
@@ -318,7 +318,7 @@ func TestPropertyNoBackfillKeepsPriorityOrder(t *testing.T) {
 	easy := 0
 	for seed := int64(3000); seed < 3020; seed++ {
 		for _, preset := range []string{"", "capability", "aging", "fairshare", "fifo"} {
-			for _, sel := range SelectorNames() {
+			for _, sel := range selectorNames {
 				c := composition{preset: preset, backfill: "none", nodeSelect: sel}
 				if n := witnessed(c, seed); n != 0 {
 					t.Fatalf("seed %d, preset %q, %s: %d starts past a higher-priority pending job", seed, preset, sel, n)

@@ -337,7 +337,7 @@ func TestStepsStructure(t *testing.T) {
 	var prevEnd time.Time
 	for i := range res.Steps {
 		st := &res.Steps[i]
-		if st.ID.Base() != job.ID {
+		if !st.ID.IsStep() || st.ID.Job != job.ID.Job {
 			t.Errorf("step %v does not belong to job %v", st.ID, job.ID)
 		}
 		if st.Start.Before(job.Start) || st.End.After(job.End) {

@@ -44,7 +44,7 @@ const Schema = "schedbench/v1"
 // default composition.
 type Spec struct {
 	Name string `json:"name"`
-	// Preset names a sched weight preset (sched.PresetNames) applied before the overrides.
+	// Preset names a sched weight preset (see sched.ApplyPreset) applied before the overrides.
 	Preset string `json:"preset,omitempty"`
 	// Priority / Backfill / NodeSelect override the policy names
 	// resolved by sched.PriorityByName / BackfillByName / SelectorByName.

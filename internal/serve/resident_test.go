@@ -294,6 +294,8 @@ func TestCollectorColumnsCoverObserve(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
+	reg := obs.NewRegistry()
+	store.Instrument(reg)
 
 	want, err := coldFigures(store, "cluster") // public Scan: every column
 	if err != nil {
@@ -334,9 +336,9 @@ func TestCollectorColumnsCoverObserve(t *testing.T) {
 	if narrow.Reclaim.Result() != full.Reclaim.Result() || full.Reclaim.Result() == 0 {
 		t.Errorf("reclaimable node-hours %v, want %v", narrow.Reclaim.Result(), full.Reclaim.Result())
 	}
-	stats, _ := store.ColstoreStats()
-	if months := int64(len(store.Months())); stats.ColumnsRead != (2*59+int64(len(analyze.ObservedFields())))*months {
-		t.Errorf("the three collects read %d columns over %d months, want 59, 59 and %d a month", stats.ColumnsRead, months, len(analyze.ObservedFields()))
+	read := reg.Counter("colstore_columns_read_total").Value()
+	if months := int64(len(store.Months())); read != (2*59+int64(len(analyze.ObservedFields())))*months {
+		t.Errorf("the three collects read %d columns over %d months, want 59, 59 and %d a month", read, months, len(analyze.ObservedFields()))
 	}
 }
 

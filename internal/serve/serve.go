@@ -148,10 +148,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Recorder exposes the server's flight recorder (nil when disabled) so
-// callers can mount its handler elsewhere or snapshot it in tests.
-func (s *Server) Recorder() *obs.Recorder { return s.rec }
-
 // Metrics returns the registry the server meters into (the configured
 // one, or the private registry New allocated).
 func (s *Server) Metrics() *obs.Registry { return s.m }

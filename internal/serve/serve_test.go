@@ -552,6 +552,45 @@ func TestWatcherTail(t *testing.T) {
 	}
 }
 
+// TestWatcherRotationToALongerFile: a new file renamed over the tailed
+// path is read from its top even when it is already longer than what the
+// watcher had read of the old one. Before, only a shrink reset the tail,
+// so the new file's first rows were skipped without a malformed count.
+func TestWatcherRotationToALongerFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "slurm-2024-01.txt")
+	st := sacct.NewStore()
+	srv, err := New(Config{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &Watcher{Path: path, Server: srv}
+	base := time.Date(2024, 1, 5, 0, 0, 0, 0, time.UTC)
+	if err := os.WriteFile(path, []byte(textBatch(t, testRecord(0, base), testRecord(1, base.Add(time.Hour)))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, bad, err := w.poll(); err != nil || n != 2 || bad != 0 {
+		t.Fatalf("first poll: n=%d bad=%d err=%v, want 2 rows", n, bad, err)
+	}
+	var next []slurm.Record
+	for i := range 4 {
+		next = append(next, testRecord(10+i, base.AddDate(0, 1, i)))
+	}
+	rotated := filepath.Join(dir, "next.txt")
+	if err := os.WriteFile(rotated, []byte(textBatch(t, next...)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(rotated, path); err != nil {
+		t.Fatal(err)
+	}
+	if n, bad, err := w.poll(); err != nil || n != 4 || bad != 0 {
+		t.Fatalf("post-rotation poll: n=%d bad=%d err=%v, want 4 rows", n, bad, err)
+	}
+	if st.Len() != 6 {
+		t.Fatalf("store has %d rows after rotation, want 6", st.Len())
+	}
+}
+
 // TestTextDoorsSkipRowsTheFormatCannotHold: a row submitted in 1600 is
 // one the store would refuse, so /ingest and the Watcher count it
 // malformed and land the rest of its batch, as they do a row that does

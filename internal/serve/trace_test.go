@@ -239,7 +239,7 @@ func TestTracingDisabled(t *testing.T) {
 	if id := resp.Header.Get("X-Trace-Id"); id != "" {
 		t.Fatalf("untraced request has X-Trace-Id %q", id)
 	}
-	if s.Recorder() != nil {
+	if s.rec != nil {
 		t.Fatal("recorder allocated despite FlightRing < 0")
 	}
 	resp, body := get(t, ts.URL+"/debug/requests?format=json")

@@ -16,9 +16,9 @@ import (
 // completed row to the server as one batch, the way POST /ingest does —
 // so a queryd pointed at a live slurm-YYYY-MM.txt serves appends no
 // client ever POSTs, and the resident figure bundle absorbs them like any
-// other tail batch. The first line ever read is the header; a shrink
-// (rotation or truncation) resets the tail to the top of the new file,
-// header included.
+// other tail batch. The first line ever read is the header; another file
+// at the path (rotation: a new file renamed over it) or a shrink
+// (truncation) resets the tail to the top of the file, header included.
 type Watcher struct {
 	Path     string
 	Server   *Server
@@ -26,9 +26,10 @@ type Watcher struct {
 	Metrics  *obs.Registry        // nil meters nothing
 	Logf     func(string, ...any) // nil discards
 
-	header  []byte // header line, nil until seen
-	offset  int64  // bytes consumed through the last complete row
-	partial []byte // bytes past the last newline, kept across polls
+	file    os.FileInfo // the file the last poll read, nil until one did
+	header  []byte      // header line, nil until seen
+	offset  int64       // bytes read from file, the partial row included
+	partial []byte      // bytes past the last newline, kept across polls
 }
 
 // Run tails the file until ctx is cancelled. A missing file is waited
@@ -73,26 +74,27 @@ func (w *Watcher) Run(ctx context.Context) error {
 
 // poll ingests whatever complete rows have appeared since the last call.
 func (w *Watcher) poll() (added, malformed int, err error) {
-	info, err := os.Stat(w.Path)
+	f, err := os.Open(w.Path)
 	if os.IsNotExist(err) {
 		return 0, 0, nil // not written yet; keep waiting
 	}
 	if err != nil {
 		return 0, 0, err
 	}
-	if info.Size() < w.offset {
-		// Rotated or truncated: the retained offset points past the new
-		// content, so start over, header included.
-		w.offset, w.header, w.partial = 0, nil, nil
-	}
-	if info.Size() == w.offset {
-		return 0, 0, nil
-	}
-	f, err := os.Open(w.Path)
+	defer f.Close()
+	info, err := f.Stat()
 	if err != nil {
 		return 0, 0, err
 	}
-	defer f.Close()
+	if (w.file != nil && !os.SameFile(w.file, info)) || info.Size() < w.offset {
+		// Rotated or truncated: the retained offset and partial row
+		// belong to other content, so start over, header included.
+		w.offset, w.header, w.partial = 0, nil, nil
+	}
+	w.file = info
+	if info.Size() == w.offset {
+		return 0, 0, nil
+	}
 	if _, err := f.Seek(w.offset, io.SeekStart); err != nil {
 		return 0, 0, err
 	}

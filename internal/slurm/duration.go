@@ -7,15 +7,9 @@ import (
 	"time"
 )
 
-// FormatDuration renders a duration in canonical sacct form: HH:MM:SS for
+// AppendDuration appends d in canonical sacct form: HH:MM:SS for
 // durations under a day, D-HH:MM:SS otherwise. Sub-second precision is
 // truncated, matching sacct's whole-second accounting.
-func FormatDuration(d time.Duration) string {
-	var buf [20]byte
-	return string(AppendDuration(buf[:0], d))
-}
-
-// AppendDuration appends d in FormatDuration's form.
 func AppendDuration(dst []byte, d time.Duration) []byte {
 	if d < 0 {
 		d = 0
@@ -58,14 +52,8 @@ func ParseTime(s string) (time.Time, error) {
 	return ts, nil
 }
 
-// FormatTime renders a timestamp in sacct form; the zero time renders as
+// AppendTime appends t in sacct form; the zero time renders as
 // "Unknown", matching sacct output for never-started jobs.
-func FormatTime(t time.Time) string {
-	var buf [len(timeLayout)]byte
-	return string(AppendTime(buf[:0], t))
-}
-
-// AppendTime appends t in FormatTime's form.
 func AppendTime(dst []byte, t time.Time) []byte {
 	if t.IsZero() {
 		return append(dst, "Unknown"...)

@@ -97,7 +97,7 @@ func TestPropertyEncodeDecodeRoundTrip(t *testing.T) {
 		if a != b {
 			t.Fatalf("seed %d: mismatch:\n got %+v\nwant %+v\nline: %s", seed, b, a, line)
 		}
-		if got.TRESReq.Get("cpu") != want.TRESReq.Get("cpu") {
+		if got.TRESReq["cpu"] != want.TRESReq["cpu"] {
 			t.Fatalf("seed %d: TRES lost", seed)
 		}
 		// Encoding the decoded record reproduces the identical line.

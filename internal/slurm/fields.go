@@ -11,8 +11,7 @@ import (
 // Category groups accounting fields the way Table 1 of the paper does.
 type Category string
 
-// The nine Table 1 categories, plus the bucket for the fields the study
-// excluded as redundant, sensitive, or uninformative.
+// The nine Table 1 categories.
 const (
 	CatIdentification Category = "Job Identification"
 	CatTiming         Category = "Timing Information"
@@ -23,16 +22,7 @@ const (
 	CatScheduling     Category = "Scheduling Metadata"
 	CatSpecial        Category = "Special Indicators"
 	CatMisc           Category = "Misc"
-	CatExcluded       Category = "Excluded"
 )
-
-// Categories returns the selected categories in Table 1 order.
-func Categories() []Category {
-	return []Category{
-		CatIdentification, CatTiming, CatRequests, CatUsage, CatIO,
-		CatState, CatScheduling, CatSpecial, CatMisc,
-	}
-}
 
 // Field describes one accounting column: its Table 1 category and the
 // accessors that render and parse its text form in sacct output.
@@ -389,17 +379,6 @@ func SelectedNames() []string {
 	out := make([]string, len(catalogue))
 	for i := range catalogue {
 		out[i] = catalogue[i].Name
-	}
-	return out
-}
-
-// FieldsInCategory returns the selected fields belonging to cat, in order.
-func FieldsInCategory(cat Category) []Field {
-	var out []Field
-	for _, f := range catalogue {
-		if f.Category == cat {
-			out = append(out, f)
-		}
 	}
 	return out
 }

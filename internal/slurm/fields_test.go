@@ -18,16 +18,23 @@ func TestTable1FieldSelection(t *testing.T) {
 	if len(all) != 118 {
 		t.Errorf("field universe = %d, want 118", len(all))
 	}
-	if got := len(Categories()); got != 9 {
-		t.Errorf("categories = %d, want 9", got)
+	// Every selected field belongs to one of Table 1's nine categories,
+	// and each category holds at least one.
+	table1 := map[Category]int{
+		CatIdentification: 0, CatTiming: 0, CatRequests: 0, CatUsage: 0, CatIO: 0,
+		CatState: 0, CatScheduling: 0, CatSpecial: 0, CatMisc: 0,
 	}
-	// Every selected field belongs to exactly one Table 1 category.
-	perCat := 0
-	for _, cat := range Categories() {
-		perCat += len(FieldsInCategory(cat))
+	for _, n := range sel {
+		f, _ := FieldByName(n)
+		if _, ok := table1[f.Category]; !ok {
+			t.Errorf("field %s has category %q, not one of Table 1's", n, f.Category)
+		}
+		table1[f.Category]++
 	}
-	if perCat != len(sel) {
-		t.Errorf("category partition covers %d fields, want %d", perCat, len(sel))
+	for cat, n := range table1 {
+		if n == 0 {
+			t.Errorf("category %q holds no selected field", cat)
+		}
 	}
 	// The paper's example of an excluded redundant field.
 	if _, ok := FieldByName("ElapsedRaw"); ok {
@@ -129,7 +136,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		!got.Backfilled() {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, r)
 	}
-	if got.TRESReq.Get("node") != 128 {
+	if got.TRESReq["node"] != 128 {
 		t.Errorf("TRESReq lost: %v", got.TRESReq)
 	}
 }
@@ -213,7 +220,7 @@ func TestTRESRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseTRES: %v", err)
 	}
-	if tr.Get("mem") != 512<<30 || tr.Get("gres/gpu") != 8 {
+	if tr["mem"] != 512<<30 || tr["gres/gpu"] != 8 {
 		t.Errorf("values: %v", tr)
 	}
 	if got := tr.String(); got != in {
@@ -221,7 +228,7 @@ func TestTRESRoundTrip(t *testing.T) {
 	}
 	clone := tr.Clone()
 	clone["cpu"] = 1
-	if tr.Get("cpu") == 1 {
+	if tr["cpu"] == 1 {
 		t.Error("Clone aliases original")
 	}
 	if _, err := ParseTRES("oops"); err == nil {

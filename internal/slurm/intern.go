@@ -31,6 +31,3 @@ func (in *Interner) Intern(b []byte) string {
 	}
 	return s
 }
-
-// Len returns the number of cached distinct values.
-func (in *Interner) Len() int { return len(in.m) }

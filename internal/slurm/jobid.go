@@ -44,12 +44,6 @@ func (id JobID) WithBatch() JobID {
 // IsStep reports whether the ID names a step rather than the job itself.
 func (id JobID) IsStep() bool { return id.Kind != StepJob }
 
-// Base returns the job-level ID with any step component stripped.
-func (id JobID) Base() JobID {
-	id.Kind, id.Step = StepJob, 0
-	return id
-}
-
 // String renders the ID in sacct form.
 func (id JobID) String() string {
 	var buf [32]byte

@@ -43,14 +43,13 @@ func TestParseJobID(t *testing.T) {
 	}
 }
 
-func TestJobIDBase(t *testing.T) {
-	id := NewJobID(42).WithStep(3)
-	if !id.IsStep() {
-		t.Error("WithStep: IsStep() = false")
+func TestJobIDIsStep(t *testing.T) {
+	id := NewJobID(42)
+	if id.IsStep() {
+		t.Error("NewJobID: IsStep() = true")
 	}
-	base := id.Base()
-	if base.IsStep() || base.Job != 42 {
-		t.Errorf("Base() = %v", base)
+	if !id.WithStep(3).IsStep() || !id.WithBatch().IsStep() {
+		t.Error("WithStep/WithBatch: IsStep() = false")
 	}
 }
 

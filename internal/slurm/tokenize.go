@@ -286,8 +286,7 @@ func ParseMemoryBytes(b []byte) (bytesOut int64, perCPU bool, err error) {
 	f, ferr := strconv.ParseFloat(bstr(t), 64)
 	if ferr != nil || math.IsNaN(f) || math.IsInf(f, 0) || f < 0 || f*float64(mult) > float64(1<<62) {
 		// string(b), not b: boxing b would make it escape, and with it
-		// the TRES cell b is cut from, so ParseTRES's []byte(s) would
-		// allocate.
+		// the TRES cell b is cut from.
 		return 0, false, fmt.Errorf("slurm: bad memory size %q", string(b))
 	}
 	return int64(f * float64(mult)), perCPU, nil

@@ -19,16 +19,6 @@ func memLike(key string) bool {
 	return key == "mem" || strings.HasSuffix(key, "/mem") || key == "vmem"
 }
 
-// ParseTRES parses a TRES string. An empty string yields an empty map.
-func ParseTRES(s string) (TRES, error) {
-	var t TRES
-	parsed, err := parseTRES(&t, []byte(s), nil)
-	if parsed == nil && err == nil {
-		return TRES{}, nil
-	}
-	return parsed, err
-}
-
 // parseTRES is the one body of the TRES grammar. A blank cell returns
 // nil and leaves *dst alone; any other cell is parsed into *dst, cleared
 // first and made when nil, which is returned. A key comes from keys when
@@ -55,8 +45,8 @@ func parseTRES(dst *TRES, cell []byte, keys *Interner) (TRES, error) {
 		i := bytes.IndexByte(kv, '=')
 		k := bytes.TrimSpace(kv[:max(i, 0)])
 		if len(k) == 0 { // no '=', or no key before it
-			// string(...), not the slices: boxing them would make cell
-			// escape, and ParseTRES's []byte(s) would then allocate.
+			// string(...), not the slices: boxing them would make cell,
+			// and every caller's row buffer, escape to the heap.
 			return nil, fmt.Errorf("slurm: malformed TRES entry %q in %q", string(kv), string(cell))
 		}
 		var key string
@@ -113,9 +103,6 @@ func (t TRES) Append(dst []byte) []byte {
 	}
 	return dst
 }
-
-// Get returns the value for key, or 0 when absent.
-func (t TRES) Get(key string) int64 { return t[key] }
 
 // Clone returns a deep copy; a nil map's is nil.
 func (t TRES) Clone() TRES { return maps.Clone(t) }

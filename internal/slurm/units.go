@@ -5,44 +5,10 @@ import (
 	"time"
 )
 
-// FormatCount renders a count the way sacct abbreviates large numbers:
-// values ≥ 10000 collapse to a one-decimal K/M suffix.
-func FormatCount(n int64) string {
-	var buf [24]byte
-	return string(AppendCount(buf[:0], n))
-}
-
-// AppendCount appends n in FormatCount's form.
-func AppendCount(dst []byte, n int64) []byte {
-	switch {
-	case n >= 10_000_000:
-		return append(appendOneDecimal(dst, float64(n)/1e6), 'M')
-	case n >= 10_000:
-		return append(appendOneDecimal(dst, float64(n)/1e3), 'K')
-	default:
-		return strconv.AppendInt(dst, n, 10)
-	}
-}
-
-// appendOneDecimal appends v rounded to one decimal, dropping a zero
-// one: 9.0 → "9", 9.4 → "9.4".
-func appendOneDecimal(dst []byte, v float64) []byte {
-	dst = strconv.AppendFloat(dst, v, 'f', 1, 64)
-	if n := len(dst); dst[n-1] == '0' {
-		dst = dst[:n-2]
-	}
-	return dst
-}
-
-// FormatMemory renders bytes in Slurm's usual whole-unit form, picking the
-// largest binary unit that divides cleanly enough to keep one decimal.
-func FormatMemory(bytes int64, perCPU bool) string {
-	var buf [32]byte
-	return string(AppendMemory(buf[:0], bytes, perCPU))
-}
-
-// AppendMemory appends bytes in FormatMemory's form: the size, then the
-// per-node ("n") or per-CPU ("c") qualifier ReqMem carries.
+// AppendMemory appends bytes in Slurm's usual whole-unit form, picking
+// the largest binary unit that divides cleanly enough to keep one
+// decimal, then the per-node ("n") or per-CPU ("c") qualifier ReqMem
+// carries.
 func AppendMemory(dst []byte, bytes int64, perCPU bool) []byte {
 	if perCPU {
 		return append(appendSize(dst, bytes), 'c')

@@ -336,8 +336,13 @@ func paperTables(t *testing.T, r *report, frontier *output) {
 	}
 	r.holds("the curated sidecar has one column per selected field", slices.Equal(columns, selected))
 	r.holds("ElapsedRaw is excluded", !slices.Contains(selected, "ElapsedRaw"))
+	categories := map[slurm.Category]bool{}
+	for _, name := range selected {
+		f, _ := slurm.FieldByName(name)
+		categories[f.Category] = true
+	}
 	r.row("table1", "%d of %d sacct fields selected across %d categories, one curated CSV column each",
-		len(selected), len(slurm.AllFieldNames()), len(slurm.Categories()))
+		len(selected), len(slurm.AllFieldNames()), len(categories))
 
 	registry := llm.Registry()
 	chosen, err := llm.Choose(registry, llm.PaperCriteria())
