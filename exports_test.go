@@ -20,13 +20,12 @@ import (
 // uncalledExports lists the exports under internal/ and cmd/ that no
 // non-test Go uses, each with the reason it stays.
 var uncalledExports = map[string]string{
-	"slurmsight/internal/core.RunFederated":      "the paper's §4.3 cross-facility workflow, a library entry point beside Run that no command wraps",
-	"slurmsight/internal/llm.Choose":             "Table 2 of the paper: the model selection over the registry, a library entry point no command wraps",
-	"slurmsight/internal/llm.PaperCriteria":      "Table 2 of the paper: the criteria Choose applies",
-	"slurmsight/internal/llm.Client.Chat":        "the Go client of llmserve's /v1/chat endpoint, which no command of this module calls",
-	"slurmsight/internal/llm.Client.Models":      "the Go client of llmserve's /v1/models endpoint, which no command of this module calls",
-	"slurmsight/internal/slurm.AllFieldNames":    "Table 1 of the paper: the 118-column sacct universe the 60 selected fields are drawn from",
-	"slurmsight/internal/sacct.Store.DumpBinary": "the binary dump as a stream, Dump's counterpart; DumpBinaryFile writes through colstore.WriteFile, and goldens outside sacct hash it, so it cannot move to a _test.go file",
+	"slurmsight/internal/core.RunFederated":   "the paper's §4.3 cross-facility workflow, a library entry point beside Run that no command wraps",
+	"slurmsight/internal/llm.Choose":          "Table 2 of the paper: the model selection over the registry, a library entry point no command wraps",
+	"slurmsight/internal/llm.PaperCriteria":   "Table 2 of the paper: the criteria Choose applies",
+	"slurmsight/internal/llm.Client.Chat":     "the Go client of llmserve's /v1/chat endpoint, which no command of this module calls",
+	"slurmsight/internal/llm.Client.Models":   "the Go client of llmserve's /v1/models endpoint, which no command of this module calls",
+	"slurmsight/internal/slurm.AllFieldNames": "Table 1 of the paper: the 118-column sacct universe the 60 selected fields are drawn from",
 }
 
 // interfaceMethods are method names the standard library calls through

@@ -22,9 +22,9 @@ func (a *classAcc) summary(class string) ClassSummary {
 		Jobs:      a.jobs,
 		NodeHours: a.nodeHours.hours(),
 	}
-	s.MedianWaitS, _ = stats.Quantile(a.waits, 0.5)
-	s.MedianNodes, _ = stats.Quantile(a.nodes, 0.5)
-	s.MedianUseRatio, _ = stats.Quantile(a.ratios, 0.5)
+	s.MedianWaitS, _ = stats.Quantile(a.waits.all(), 0.5)
+	s.MedianNodes, _ = stats.Quantile(a.nodes.all(), 0.5)
+	s.MedianUseRatio, _ = stats.Quantile(a.ratios.all(), 0.5)
 	if a.jobs > 0 {
 		s.FailedShare = float64(a.bad) / float64(a.jobs)
 	}

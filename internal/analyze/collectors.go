@@ -2,7 +2,6 @@ package analyze
 
 import (
 	"context"
-	"slices"
 	"sort"
 	"time"
 
@@ -43,11 +42,11 @@ func CollectCtx(ctx context.Context, seq slurm.RecordSeq, bucket time.Duration) 
 }
 
 // RecollectCtx is CollectCtx into prev, a bundle of the same stream a
-// few appends ago: prev is emptied in place — every sample slice cut to
-// length zero with its capacity kept, every map cleared — and refilled,
-// so a re-collect allocates only where the stream has outgrown what prev
-// held. It returns prev. On error prev holds part of the stream and must
-// not be read; the caller drops it.
+// few appends ago: prev is emptied in place — every sample list emptied
+// with its head's storage kept (samples.reset), every map cleared — and
+// refilled, so a re-collect allocates only where the stream has outgrown
+// what prev held. It returns prev. On error prev holds part of the
+// stream and must not be read; the caller drops it.
 func RecollectCtx(ctx context.Context, seq slurm.RecordSeq, prev *Bundle) (*Bundle, error) {
 	prev.reset()
 	return collectInto(ctx, seq, prev)
@@ -137,7 +136,7 @@ func (c *VolumeCollector) Result() []VolumeByYear {
 
 // ScaleCollector folds the Figure 3/7 nodes-versus-elapsed scatter.
 type ScaleCollector struct {
-	points []NodesElapsedPoint
+	points samples[NodesElapsedPoint]
 }
 
 // NewScaleCollector returns an empty Figure 3/7 collector.
@@ -148,7 +147,7 @@ func (c *ScaleCollector) Observe(r *slurm.Record) {
 	if r.IsStep() || r.Start.IsZero() || r.Elapsed <= 0 {
 		return
 	}
-	c.points = append(c.points, NodesElapsedPoint{
+	c.points.add(NodesElapsedPoint{
 		Nodes:      r.NNodes,
 		ElapsedSec: r.Elapsed.Seconds(),
 		State:      r.State,
@@ -156,16 +155,15 @@ func (c *ScaleCollector) Observe(r *slurm.Record) {
 }
 
 // Merge appends another collector's points, preserving their order.
-func (c *ScaleCollector) Merge(o *ScaleCollector) {
-	c.points = append(c.points, o.points...)
-}
+func (c *ScaleCollector) Merge(o *ScaleCollector) { c.points.merge(&o.points) }
 
-// Result returns the scatter points in observation order.
-func (c *ScaleCollector) Result() []NodesElapsedPoint { return c.points }
+// Result returns the scatter points in observation order. The caller
+// must not modify the slice.
+func (c *ScaleCollector) Result() []NodesElapsedPoint { return c.points.all() }
 
 // WaitCollector folds the Figure 4 queue-wait scatter.
 type WaitCollector struct {
-	points []WaitPoint
+	points samples[WaitPoint]
 }
 
 // NewWaitCollector returns an empty Figure 4 collector.
@@ -180,16 +178,15 @@ func (c *WaitCollector) Observe(r *slurm.Record) {
 	if !ok {
 		return
 	}
-	c.points = append(c.points, WaitPoint{Submit: r.Submit, WaitSec: w.Seconds(), State: r.State})
+	c.points.add(WaitPoint{Submit: r.Submit, WaitSec: w.Seconds(), State: r.State})
 }
 
 // Merge appends another collector's points, preserving their order.
-func (c *WaitCollector) Merge(o *WaitCollector) {
-	c.points = append(c.points, o.points...)
-}
+func (c *WaitCollector) Merge(o *WaitCollector) { c.points.merge(&o.points) }
 
-// Result returns the wait points in observation order.
-func (c *WaitCollector) Result() []WaitPoint { return c.points }
+// Result returns the wait points in observation order. The caller must
+// not modify the slice.
+func (c *WaitCollector) Result() []WaitPoint { return c.points.all() }
 
 // UserStatesCollector folds the Figure 5/8 per-user terminal-state mix.
 type UserStatesCollector struct {
@@ -251,7 +248,7 @@ func (c *UserStatesCollector) Result(topN int) []UserStates {
 
 // BackfillCollector folds the Figure 6/9 requested-versus-actual scatter.
 type BackfillCollector struct {
-	points []BackfillPoint
+	points samples[BackfillPoint]
 }
 
 // NewBackfillCollector returns an empty Figure 6/9 collector.
@@ -263,7 +260,7 @@ func (c *BackfillCollector) Observe(r *slurm.Record) {
 	if r.IsStep() || r.Start.IsZero() || r.Timelimit <= 0 {
 		return
 	}
-	c.points = append(c.points, BackfillPoint{
+	c.points.add(BackfillPoint{
 		RequestedSec: r.Timelimit.Seconds(),
 		ActualSec:    r.Elapsed.Seconds(),
 		Backfilled:   r.Backfilled(),
@@ -272,12 +269,11 @@ func (c *BackfillCollector) Observe(r *slurm.Record) {
 }
 
 // Merge appends another collector's points, preserving their order.
-func (c *BackfillCollector) Merge(o *BackfillCollector) {
-	c.points = append(c.points, o.points...)
-}
+func (c *BackfillCollector) Merge(o *BackfillCollector) { c.points.merge(&o.points) }
 
-// Result returns the scatter points in observation order.
-func (c *BackfillCollector) Result() []BackfillPoint { return c.points }
+// Result returns the scatter points in observation order. The caller
+// must not modify the slice.
+func (c *BackfillCollector) Result() []BackfillPoint { return c.points.all() }
 
 // nodeSeconds sums nodes·duration exactly, as whole node-seconds and
 // the node-nanoseconds short of the next one. An integer sum does not
@@ -335,14 +331,15 @@ func (c *ReclaimableCollector) Result() float64 { return c.total.hours() }
 // actually uses the machine, and how well" table behind the figures.
 type ClassCollector struct {
 	byClass map[string]*classAcc
+	block   int // sample block length of new accumulators; 0 is sampleBlock
 }
 
 type classAcc struct {
 	jobs      int
 	nodeHours nodeSeconds
-	waits     []float64
-	nodes     []float64
-	ratios    []float64
+	waits     samples[float64]
+	nodes     samples[float64]
+	ratios    samples[float64]
 	bad       int
 	backfill  int
 	started   int
@@ -364,7 +361,7 @@ func (c *ClassCollector) Observe(r *slurm.Record) {
 	}
 	a := c.acc(class)
 	a.jobs++
-	a.nodes = append(a.nodes, float64(r.NNodes))
+	a.nodes.add(float64(r.NNodes))
 	switch r.State {
 	case slurm.StateFailed, slurm.StateCancelled, slurm.StateNodeFail, slurm.StateOutOfMemory:
 		a.bad++
@@ -375,10 +372,10 @@ func (c *ClassCollector) Observe(r *slurm.Record) {
 	a.started++
 	a.nodeHours.add(r.NNodes, r.Elapsed)
 	if w, ok := r.WaitTime(); ok {
-		a.waits = append(a.waits, w.Seconds())
+		a.waits.add(w.Seconds())
 	}
 	if r.Timelimit > 0 {
-		a.ratios = append(a.ratios, float64(r.Elapsed)/float64(r.Timelimit))
+		a.ratios.add(float64(r.Elapsed) / float64(r.Timelimit))
 	}
 	if r.Backfilled() {
 		a.backfill++
@@ -392,9 +389,9 @@ func (c *ClassCollector) Merge(o *ClassCollector) {
 		a := c.acc(class)
 		a.jobs += oa.jobs
 		a.nodeHours.merge(oa.nodeHours)
-		a.waits = append(a.waits, oa.waits...)
-		a.nodes = append(a.nodes, oa.nodes...)
-		a.ratios = append(a.ratios, oa.ratios...)
+		a.waits.merge(&oa.waits)
+		a.nodes.merge(&oa.nodes)
+		a.ratios.merge(&oa.ratios)
 		a.bad += oa.bad
 		a.backfill += oa.backfill
 		a.started += oa.started
@@ -406,6 +403,7 @@ func (c *ClassCollector) acc(class string) *classAcc {
 	a, ok := c.byClass[class]
 	if !ok {
 		a = &classAcc{}
+		a.waits.block, a.nodes.block, a.ratios.block = c.block, c.block, c.block
 		c.byClass[class] = a
 	}
 	return a
@@ -448,21 +446,6 @@ type Bundle struct {
 	Reclaim  *ReclaimableCollector
 	Timeline *TimelineCollector
 	Classes  *ClassCollector
-
-	observed  *obs.Counter   // records fanned out, nil when uninstrumented
-	mergeHist *obs.Histogram // collector merge wall time
-}
-
-// Instrument points the bundle at a metrics registry: Observe counts
-// records under analyze_records_observed_total and Merge times the
-// collector fold into analyze_merge_seconds. A nil registry (or never
-// calling Instrument) leaves the bundle unmetered at zero cost.
-func (b *Bundle) Instrument(m *obs.Registry) {
-	if m == nil {
-		return
-	}
-	b.observed = m.Counter("analyze_records_observed_total")
-	b.mergeHist = m.Histogram("analyze_merge_seconds", obs.LatencyBuckets)
 }
 
 // NewBundle returns a bundle with every collector empty. bucket sets the
@@ -481,26 +464,28 @@ func NewBundle(bucket time.Duration) *Bundle {
 }
 
 // reset empties b in place for RecollectCtx: counts and sums zeroed,
-// maps cleared, and every sample slice cut to length zero with its
-// storage kept for the next pass. A class accumulator stays in its map,
-// zeroed, and ClassCollector.Result skips it until a job lands in it.
+// maps cleared, and every sample list emptied with its head's storage
+// kept for the next pass. A class accumulator stays in its map, zeroed,
+// and ClassCollector.Result skips it until a job lands in it.
 func (b *Bundle) reset() {
 	b.Records, b.Jobs = 0, 0
 	clear(b.Volume.byYear)
-	b.Scale.points = b.Scale.points[:0]
-	b.Waits.points = b.Waits.points[:0]
+	b.Scale.points.reset()
+	b.Waits.points.reset()
 	clear(b.Users.byUser)
-	b.Backfill.points = b.Backfill.points[:0]
+	b.Backfill.points.reset()
 	b.Reclaim.total = nodeSeconds{}
 	b.Timeline.reset()
 	for _, a := range b.Classes.byClass {
-		*a = classAcc{waits: a.waits[:0], nodes: a.nodes[:0], ratios: a.ratios[:0]}
+		a.waits.reset()
+		a.nodes.reset()
+		a.ratios.reset()
+		*a = classAcc{waits: a.waits, nodes: a.nodes, ratios: a.ratios}
 	}
 }
 
 // Observe feeds one record to every collector.
 func (b *Bundle) Observe(r *slurm.Record) {
-	b.observed.Inc()
 	b.Records++
 	if !r.IsStep() {
 		b.Jobs++
@@ -518,12 +503,10 @@ func (b *Bundle) Observe(r *slurm.Record) {
 // Merge folds another bundle into this one.
 func (b *Bundle) Merge(o *Bundle) { b.mergeAll(o) }
 
-// mergeAll folds bs into b in order, after growing every sample slice
-// once to the length the fold ends at.
+// mergeAll folds bs into b in order, after growing every sample list's
+// head once to the length the fold ends at, so each sample is copied
+// once and b is left with no blocks.
 func (b *Bundle) mergeAll(bs ...*Bundle) {
-	if b.mergeHist != nil {
-		defer b.mergeHist.ObserveSince(time.Now())
-	}
 	b.reserve(bs)
 	for _, o := range bs {
 		b.Records += o.Records
@@ -539,37 +522,36 @@ func (b *Bundle) mergeAll(bs ...*Bundle) {
 	}
 }
 
-// reserve gives every sample slice of b room for what bs hold: the
-// point collectors, the timeline edges and each class's waits, nodes and
-// ratios. An empty slice is sized to about its final length; a full one
-// regrows as append would, so repeated Merges stay amortized.
+// reserve gives every sample list of b room in its head for what bs
+// hold: the point collectors, the timeline edges and each class's waits,
+// nodes and ratios (samples.grow).
 func (b *Bundle) reserve(bs []*Bundle) {
 	var scale, waits, backfill, edges int
 	classes := map[string]*[3]int{}
 	for _, o := range bs {
-		scale += len(o.Scale.points)
-		waits += len(o.Waits.points)
-		backfill += len(o.Backfill.points)
-		edges += len(o.Timeline.edges)
+		scale += o.Scale.points.len()
+		waits += o.Waits.points.len()
+		backfill += o.Backfill.points.len()
+		edges += o.Timeline.edges.len()
 		for class, oa := range o.Classes.byClass {
 			n := classes[class]
 			if n == nil {
 				n = new([3]int)
 				classes[class] = n
 			}
-			n[0] += len(oa.waits)
-			n[1] += len(oa.nodes)
-			n[2] += len(oa.ratios)
+			n[0] += oa.waits.len()
+			n[1] += oa.nodes.len()
+			n[2] += oa.ratios.len()
 		}
 	}
-	b.Scale.points = slices.Grow(b.Scale.points, scale)
-	b.Waits.points = slices.Grow(b.Waits.points, waits)
-	b.Backfill.points = slices.Grow(b.Backfill.points, backfill)
-	b.Timeline.edges = slices.Grow(b.Timeline.edges, edges)
+	b.Scale.points.grow(scale)
+	b.Waits.points.grow(waits)
+	b.Backfill.points.grow(backfill)
+	b.Timeline.edges.grow(edges)
 	for class, n := range classes {
 		a := b.Classes.acc(class)
-		a.waits = slices.Grow(a.waits, n[0])
-		a.nodes = slices.Grow(a.nodes, n[1])
-		a.ratios = slices.Grow(a.ratios, n[2])
+		a.waits.grow(n[0])
+		a.nodes.grow(n[1])
+		a.ratios.grow(n[2])
 	}
 }

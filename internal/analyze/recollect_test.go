@@ -70,6 +70,33 @@ func TestRecollectMatchesCollect(t *testing.T) {
 	}
 }
 
+// randomJobs returns n started jobs, a minute apart, of 40 users and
+// four classes.
+func randomJobs(n int, seed int64) []slurm.Record {
+	rng := rand.New(rand.NewSource(seed))
+	jobs := make([]slurm.Record, n)
+	for i := range jobs {
+		jobs[i] = mkJob(int64(i+1), "u"+strconv.Itoa(rng.Intn(40)), t0.Add(time.Duration(i)*time.Minute),
+			time.Duration(rng.Intn(3600))*time.Second, 1+rng.Int63n(64), 4*time.Hour,
+			time.Duration(1+rng.Intn(4*3600))*time.Second, slurm.StateCompleted, rng.Intn(3) == 0)
+		jobs[i].Comment = []string{"", "sim", "ml", "io"}[rng.Intn(4)]
+	}
+	return jobs
+}
+
+// sampleBytes is what b's sample lists hold: the bytes of every point,
+// timeline edge and class sample.
+func sampleBytes(b *Bundle) int {
+	n := b.Scale.points.len()*int(unsafe.Sizeof(NodesElapsedPoint{})) +
+		b.Waits.points.len()*int(unsafe.Sizeof(WaitPoint{})) +
+		b.Backfill.points.len()*int(unsafe.Sizeof(BackfillPoint{})) +
+		b.Timeline.edges.len()*int(unsafe.Sizeof(tlEdge{}))
+	for _, a := range b.Classes.byClass {
+		n += 8 * (a.waits.len() + a.nodes.len() + a.ratios.len())
+	}
+	return n
+}
+
 // TestRecollectReusesStorage: a re-collect of the stream the bundle
 // already holds writes into the storage it has, so it allocates next to
 // nothing of the bundle's sample bytes, where a fresh bundle allocates
@@ -78,25 +105,12 @@ func TestRecollectReusesStorage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector pads allocations")
 	}
-	rng := rand.New(rand.NewSource(7))
-	trace := make([]slurm.Record, 20_000)
-	for i := range trace {
-		trace[i] = mkJob(int64(i+1), "u"+strconv.Itoa(rng.Intn(40)), t0.Add(time.Duration(i)*time.Minute),
-			time.Duration(rng.Intn(3600))*time.Second, 1+rng.Int63n(64), 4*time.Hour,
-			time.Duration(1+rng.Intn(4*3600))*time.Second, slurm.StateCompleted, rng.Intn(3) == 0)
-		trace[i].Comment = []string{"", "sim", "ml", "io"}[rng.Intn(4)]
-	}
+	trace := randomJobs(20_000, 7)
 	b, err := Collect(recordSeq(trace), 6*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := len(b.Scale.points)*int(unsafe.Sizeof(NodesElapsedPoint{})) +
-		len(b.Waits.points)*int(unsafe.Sizeof(WaitPoint{})) +
-		len(b.Backfill.points)*int(unsafe.Sizeof(BackfillPoint{})) +
-		len(b.Timeline.edges)*int(unsafe.Sizeof(tlEdge{}))
-	for _, a := range b.Classes.byClass {
-		samples += 8 * (len(a.waits) + len(a.nodes) + len(a.ratios))
-	}
+	samples := sampleBytes(b)
 	least := uint64(math.MaxUint64)
 	var before, after runtime.MemStats
 	for i := 0; i < 3; i++ {

@@ -7,11 +7,11 @@ import (
 
 // ShardSet holds one collector bundle per ingest chunk so parallel
 // chunk decoders can observe records lock-free: each worker writes only
-// its own shard, and MergeIntoN folds the shards in ascending chunk
-// index — which is file order — so order-sensitive collectors (the
-// point collectors append in observation order) reproduce the
-// sequential result exactly. Shard acquisition is the only synchronised
-// step.
+// its own shard, and Bundles lists the shards in ascending chunk index —
+// which is file order — so a fold in that order (MergeIntoN, TreeMerge)
+// reproduces the sequential result exactly for the order-sensitive
+// collectors (the point collectors append in observation order). Shard
+// acquisition is the only synchronised step.
 type ShardSet struct {
 	mu     sync.Mutex
 	bucket time.Duration
@@ -44,11 +44,12 @@ func (s *ShardSet) Shard(i int) *Bundle {
 // observing the whole file sequentially into dst. workers is accepted
 // and unused, as in TreeMerge.
 func (s *ShardSet) MergeIntoN(dst *Bundle, workers int) {
-	dst.mergeAll(s.ordered()...)
+	dst.mergeAll(s.Bundles()...)
 }
 
-// ordered snapshots the shard bundles in ascending chunk index.
-func (s *ShardSet) ordered() []*Bundle {
+// Bundles returns the shard bundles in ascending chunk index. Call it
+// after the parallel decode has finished.
+func (s *ShardSet) Bundles() []*Bundle {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	max := -1

@@ -78,8 +78,8 @@ func (k edgeKind) queue() int {
 // the edges observed or merged since.
 type TimelineCollector struct {
 	bucket time.Duration
-	edges  []tlEdge
-	sorted int // edges[:sorted] are in instant order
+	edges  samples[tlEdge]
+	sorted int // the first sorted edges are in instant order
 	lo, hi time.Time
 	cached []TimelinePoint
 	dirty  bool
@@ -97,7 +97,8 @@ func NewTimelineCollector(bucket time.Duration) *TimelineCollector {
 // reset empties the collector for a re-collect, keeping the edges'
 // storage.
 func (c *TimelineCollector) reset() {
-	c.edges, c.sorted = c.edges[:0], 0
+	c.edges.reset()
+	c.sorted = 0
 	c.lo, c.hi = time.Time{}, time.Time{}
 	c.cached, c.dirty = nil, false
 }
@@ -119,26 +120,26 @@ func (c *TimelineCollector) Observe(r *slurm.Record) {
 	if endOfLife.After(c.hi) {
 		c.hi = endOfLife
 	}
-	c.edges = append(c.edges, newEdge(r.Submit, 0, edgeSubmit))
+	c.edges.add(newEdge(r.Submit, 0, edgeSubmit))
 	if r.Start.IsZero() {
 		// Never ran: leaves the queue at its end (cancellation).
-		c.edges = append(c.edges, newEdge(endOfLife, 0, edgeCancel))
+		c.edges.add(newEdge(endOfLife, 0, edgeCancel))
 		return
 	}
 	// A zero End is the zero time: the edge sorts before every real one,
 	// releases its nodes before the sweep starts and lands in no bucket.
-	c.edges = append(c.edges, newEdge(r.Start, +r.NNodes, edgeStart))
-	c.edges = append(c.edges, newEdge(r.End, -r.NNodes, edgeEnd))
+	c.edges.add(newEdge(r.Start, +r.NNodes, edgeStart))
+	c.edges.add(newEdge(r.End, -r.NNodes, edgeEnd))
 }
 
 // Merge appends another collector's edges (in their observation order)
 // and widens the time extent.
 func (c *TimelineCollector) Merge(o *TimelineCollector) {
-	if len(o.edges) == 0 {
+	if o.edges.len() == 0 {
 		return
 	}
 	c.dirty = true
-	c.edges = append(c.edges, o.edges...)
+	c.edges.merge(&o.edges)
 	if c.lo.IsZero() || (!o.lo.IsZero() && o.lo.Before(c.lo)) {
 		c.lo = o.lo
 	}
@@ -160,35 +161,37 @@ func (c *TimelineCollector) Result() []TimelinePoint {
 	return c.cached
 }
 
-// sortEdges puts the edges in instant order. Observe and Merge only
-// append, so the prefix an earlier sweep sorted is still sorted: the
-// suffix behind it is sorted alone and merged in from the back through a
-// copy of itself. The sweep sums the edges of one instant as a group, so
-// their order among themselves is free and neither step is stable.
-func (c *TimelineCollector) sortEdges() {
-	done, added := c.edges[:c.sorted], c.edges[c.sorted:]
-	c.sorted = len(c.edges)
+// sortEdges folds the edges into one slice and puts them in instant
+// order, returning them. Observe and Merge only append, so the prefix an
+// earlier sweep sorted is still sorted: the suffix behind it is sorted
+// alone and merged in from the back through a copy of itself. The sweep
+// sums the edges of one instant as a group, so their order among
+// themselves is free and neither step is stable.
+func (c *TimelineCollector) sortEdges() []tlEdge {
+	edges := c.edges.all()
+	done, added := edges[:c.sorted], edges[c.sorted:]
+	c.sorted = len(edges)
 	slices.SortFunc(added, compareEdges)
 	if len(done) == 0 || len(added) == 0 || compareEdges(done[len(done)-1], added[0]) <= 0 {
-		return
+		return edges
 	}
 	added = slices.Clone(added)
-	i, w := len(done)-1, len(c.edges)-1
+	i, w := len(done)-1, len(edges)-1
 	for j := len(added) - 1; j >= 0; w-- {
 		if i >= 0 && compareEdges(done[i], added[j]) > 0 {
-			c.edges[w], i = done[i], i-1
+			edges[w], i = done[i], i-1
 		} else {
-			c.edges[w], j = added[j], j-1
+			edges[w], j = added[j], j-1
 		}
 	}
+	return edges
 }
 
 func (c *TimelineCollector) sweep() []TimelinePoint {
-	if len(c.edges) == 0 || !c.lo.Before(c.hi) {
+	if c.edges.len() == 0 || !c.lo.Before(c.hi) {
 		return nil
 	}
-	c.sortEdges()
-	edges, lo, hi, bucket := c.edges, c.lo, c.hi, c.bucket
+	edges, lo, hi, bucket := c.sortEdges(), c.lo, c.hi, c.bucket
 
 	// hi.Sub saturates, so a span longer than time.Duration's ~292 years
 	// ends in the bucket holding lo plus that much; end is that bucket's

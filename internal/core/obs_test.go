@@ -120,6 +120,10 @@ func TestWorkflowObservability(t *testing.T) {
 	if got := cfg.Metrics.Counter("analyze_records_observed_total").Value(); int(got) != art.Records {
 		t.Errorf("analyze_records_observed_total = %d, want %d", got, art.Records)
 	}
+	// combine is the one fold of a run, whatever the periods and chunks.
+	if got := cfg.Metrics.Histogram("analyze_merge_seconds", obs.LatencyBuckets).Count(); got != 1 {
+		t.Errorf("analyze_merge_seconds counts %d folds, want 1", got)
+	}
 	if got := cfg.Metrics.Counter("dataflow_tasks_ok_total").Value(); int(got) != len(art.Trace.Tasks) {
 		t.Errorf("dataflow_tasks_ok_total = %d, want %d", got, len(art.Trace.Tasks))
 	}

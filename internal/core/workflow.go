@@ -208,13 +208,15 @@ type Artifacts struct {
 }
 
 // analysis is the figure state and curation report of some records: one
-// period's, handed from curate-<p> to combine, or the whole run's, with
-// its summaries, handed from combine to every task downstream. combine
-// merges the period bundles in period order, which — because the
+// period's, as its chunk bundles in chunk order, handed from curate-<p>
+// to combine, or the whole run's, as one bundle with its summaries,
+// handed from combine to every task downstream. combine folds every
+// chunk bundle in period order, then chunk order, which — because the
 // streaming store emits records in (submit, job-id) order — reproduces
 // the figure data of one bundle fed every record.
 type analysis struct {
-	bundle    *analyze.Bundle
+	chunks    []*analyze.Bundle // a period's
+	bundle    *analyze.Bundle   // the run's
 	report    curate.Report
 	summaries Summaries
 }
@@ -320,18 +322,16 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 			Writes: []string{csv, out.Name()},
 			Run: func(ctx context.Context) error {
 				// Single pass: one read of the period file feeds the CSV
-				// sidecar and the figure collectors. The bundle and report
+				// sidecar and the figure collectors. The shards and report
 				// stay attempt-local and are Set only on success, so a
 				// retried attempt never half-counts a period.
-				b := analyze.NewBundle(TimelineBucket)
-				b.Instrument(cfg.Metrics)
 				var rep curate.Report
 				opts := curate.DefaultOptions()
 				opts.Metrics = cfg.Metrics
 				opts.Workers = cfg.IngestWorkers
-				// Each chunk observes into its own collector shard, merged
-				// back in chunk order so the figure data is bit-exact at
-				// every width.
+				// Each chunk observes into its own collector shard, which
+				// combine folds in chunk order so the figure data is
+				// bit-exact at every width.
 				shards := analyze.NewShardSet(TimelineBucket)
 				chunks, err := curate.StreamFileParallel(periodPath(p), csv, opts, &rep,
 					func(chunk int) func(*slurm.Record) bool {
@@ -344,16 +344,20 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 				if err != nil {
 					return err
 				}
-				shards.MergeIntoN(b, 1) // the fold is one copy at any width
-				// The shard bundles are uninstrumented (lock-free observe
-				// path); account their records here.
-				cfg.Metrics.Counter("analyze_records_observed_total").Add(b.Records)
+				// The shards count what they observed; publish it once
+				// here rather than per record.
+				bundles := shards.Bundles()
+				var observed int64
+				for _, b := range bundles {
+					observed += b.Records
+				}
+				cfg.Metrics.Counter("analyze_records_observed_total").Add(observed)
 				annotate(ctx, "curate", "period", p,
 					"rows_kept", fmt.Sprint(rep.Kept),
 					"rows_malformed", fmt.Sprint(rep.Malformed),
 					"ingest_chunks", fmt.Sprint(chunks),
 					"ingest_workers", fmt.Sprint(cfg.IngestWorkers))
-				out.Set(ctx, analysis{bundle: b, report: rep})
+				out.Set(ctx, analysis{chunks: bundles, report: rep})
 				return nil
 			},
 		}); err != nil {
@@ -370,18 +374,19 @@ func Run(ctx context.Context, cfg Config) (*Artifacts, error) {
 		Run: func(ctx context.Context) error {
 			annotate(ctx, "analyze", "periods", fmt.Sprint(len(periods)))
 			var an analysis
-			bundles := make([]*analyze.Bundle, len(perPeriod))
-			for i, v := range perPeriod {
+			var bundles []*analyze.Bundle
+			for _, v := range perPeriod {
 				period := v.Get(ctx)
-				bundles[i] = period.bundle
+				bundles = append(bundles, period.chunks...)
 				an.report.Add(period.report)
 			}
-			// One presized copy in period order into a fresh bundle: the
-			// inputs stay unmutated, so a retried attempt is safe.
+			// One presized copy of every chunk, in period then chunk
+			// order, into a fresh bundle with no blocks, which the plot
+			// tasks then only read. The inputs stay unmutated, so a
+			// retried attempt is safe.
 			start := time.Now()
 			an.bundle = analyze.TreeMerge(TimelineBucket, bundles, 1)
 			cfg.Metrics.Histogram("analyze_merge_seconds", obs.LatencyBuckets).ObserveSince(start)
-			an.bundle.Instrument(cfg.Metrics)
 			// Summarising also warms the timeline cache before the plot
 			// tasks, which run concurrently and may only read the bundle.
 			an.summaries = summarize(an.bundle, cfg.SystemNodes)

@@ -29,15 +29,8 @@ func (s *Store) DumpBinary(w io.Writer) error {
 	return colstore.Write(w, shards)
 }
 
-// DumpBinaryFile writes the binary columnar format to path atomically
-// (temp file + rename).
-func (s *Store) DumpBinaryFile(path string) error {
-	shards, err := s.shardInputs()
-	if err != nil {
-		return err
-	}
-	return colstore.WriteFile(path, shards)
-}
+// DumpBinaryFile writes the store's DumpBinary to path (writeFile).
+func (s *Store) DumpBinaryFile(path string) error { return writeFile(path, s.DumpBinary) }
 
 // shardInputs is every month, in order, as the writer takes it: the
 // month's one frozen shard where that is all it holds, the in-memory

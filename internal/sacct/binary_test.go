@@ -3,6 +3,7 @@ package sacct
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,8 +91,8 @@ func TestBinaryRoundTripQueryIdentical(t *testing.T) {
 // that ends in 2400 once dumped it to a file that read the row back as
 // ending in 1815, with a nil error. A store now refuses the row at the
 // door: Add of it and a good row returns the error Seal gives and lands
-// neither. The writer refuses it too, and a refused colstore.WriteFile
-// leaves neither the file nor its temp file behind.
+// neither. The writer refuses it too, and a refused colstore.Write
+// through writeFile leaves neither the file nor its temp file behind.
 func TestBinaryDumpRefusesTimesTheFormatCannotHold(t *testing.T) {
 	_, res := buildStore(t, 5)
 	st := NewStore()
@@ -112,9 +113,11 @@ func TestBinaryDumpRefusesTimesTheFormatCannotHold(t *testing.T) {
 		t.Errorf("refused Add left %d rows at generation %d, want %d at %d", st.Len(), st.Generation(), rows, gen)
 	}
 	path := filepath.Join(t.TempDir(), "store.colstore")
-	err = colstore.WriteFile(path, []colstore.ShardInput{{Year: 2024, Mon: time.March, Records: []slurm.Record{good, far}}})
+	err = writeFile(path, func(w io.Writer) error {
+		return colstore.Write(w, []colstore.ShardInput{{Year: 2024, Mon: time.March, Records: []slurm.Record{good, far}}})
+	})
 	if err == nil || !strings.Contains(err.Error(), "is outside what the format holds") {
-		t.Fatalf("WriteFile of a row ending in 2400: %v", err)
+		t.Fatalf("writeFile of a row ending in 2400: %v", err)
 	}
 	for _, p := range []string{path, path + ".tmp"} {
 		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {

@@ -89,7 +89,15 @@ func genRecords(seed int64, n int, month time.Time) []slurm.Record {
 func writeTemp(t *testing.T, shards []ShardInput) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "store.colstore")
-	if err := WriteFile(path, shards); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = Write(f, shards)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sync/atomic"
@@ -380,29 +379,6 @@ func Seal(year int, mon time.Month, recs []slurm.Record) (*Shard, error) {
 		return nil, err
 	}
 	return sh, nil
-}
-
-// WriteFile serialises shards to path via a temp-file rename, so a
-// crashed dump never leaves a half-written store behind, and a failed one
-// leaves nothing.
-func WriteFile(path string, shards []ShardInput) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = Write(f, shards)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("colstore: writing %s: %w", path, err)
-	}
-	return nil
 }
 
 // minTime and maxTime bound the times a time column holds.

@@ -2,11 +2,8 @@ package colstore
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"maps"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -18,8 +15,9 @@ import (
 
 // TestWriteRefusesTimesTheFormatCannotHold: a row ending in 2400 went
 // through Write and read back as a time in 1815, both with a nil error.
-// Write, WriteFile and Seal refuse it alike, and nothing reaches the
-// writer or the disk: no file, no temp file.
+// Write and Seal refuse it alike, and nothing reaches the writer. (That
+// a refused dump leaves no file is sacct's writeFile's to hold:
+// TestBinaryDumpRefusesTimesTheFormatCannotHold.)
 func TestWriteRefusesTimesTheFormatCannotHold(t *testing.T) {
 	recs := genRecords(5, 3, monthStart(2024, time.May))
 	recs[2].End = time.Date(2400, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -39,15 +37,6 @@ func TestWriteRefusesTimesTheFormatCannotHold(t *testing.T) {
 		}
 		if buf.Len() != 0 {
 			t.Errorf("%d workers: Write wrote %d bytes before refusing", workers, buf.Len())
-		}
-	}
-	path := filepath.Join(t.TempDir(), "store.colstore")
-	if err := WriteFile(path, shards); err == nil {
-		t.Fatal("WriteFile took a row ending in 2400")
-	}
-	for _, p := range []string{path, path + ".tmp"} {
-		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("%s is left behind (%v)", filepath.Base(p), err)
 		}
 	}
 	// The bounds themselves are held, and read back as written.
@@ -154,23 +143,6 @@ func TestWriteMallocsDoNotScaleWithRows(t *testing.T) {
 		if b-a > 64 {
 			t.Errorf("%d workers: 6,000 more TRES-bearing rows cost %.0f more mallocs, want a small constant", workers, b-a)
 		}
-	}
-}
-
-// TestWriteFileLeavesNoTempWhenRenameFails: a dump that was written in
-// full but could not be renamed into place — path is a directory — left
-// path.tmp behind. The failure now removes it, as every other one does.
-func TestWriteFileLeavesNoTempWhenRenameFails(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.colstore")
-	if err := os.Mkdir(path, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	shards := []ShardInput{{Year: 2024, Mon: time.May, Records: genRecords(8, 20, monthStart(2024, time.May))}}
-	if err := WriteFile(path, shards); err == nil {
-		t.Fatal("WriteFile renamed a file over a directory")
-	}
-	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("%s is left behind (%v)", filepath.Base(path)+".tmp", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package sacct
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -140,7 +141,7 @@ func unsortedFile(t *testing.T, rows []slurm.Record) (string, []colstore.ShardIn
 		ins[at].Records = append(ins[at].Records, rows[i])
 	}
 	path := filepath.Join(t.TempDir(), "unsorted.colstore")
-	if err := colstore.WriteFile(path, ins); err != nil {
+	if err := writeFile(path, func(w io.Writer) error { return colstore.Write(w, ins) }); err != nil {
 		t.Fatal(err)
 	}
 	return path, ins

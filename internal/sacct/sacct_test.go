@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -263,6 +264,60 @@ func TestDumpFileLoadFile(t *testing.T) {
 	}
 	if _, _, err := loadFile(filepath.Join(t.TempDir(), "missing.txt")); err == nil {
 		t.Error("missing file: want error")
+	}
+}
+
+// TestWriteFileLeavesNoTempWhenRenameFails: a dump that was written in
+// full but could not be renamed into place — path is a directory — left
+// path.tmp behind. The failure now removes it, as every other one does,
+// for the text dump and the binary one alike.
+func TestWriteFileLeavesNoTempWhenRenameFails(t *testing.T) {
+	st, _ := buildStore(t, 3)
+	for name, dump := range map[string]func(string) error{"DumpFile": st.DumpFile, "DumpBinaryFile": st.DumpBinaryFile} {
+		path := filepath.Join(t.TempDir(), "store")
+		if err := os.Mkdir(path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := dump(path); err == nil {
+			t.Fatalf("%s renamed a file over a directory", name)
+		}
+		if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: %s is left behind (%v)", name, filepath.Base(path)+".tmp", err)
+		}
+	}
+}
+
+// TestWriteFileKeepsThePreviousFileWhole: a write that fails after it has
+// written part of the file returns its error and leaves the file it would
+// have replaced as it was, or no file where there was none, and no temp
+// file either way.
+func TestWriteFileKeepsThePreviousFileWhole(t *testing.T) {
+	broken := errors.New("broken mid-write")
+	half := func(w io.Writer) error {
+		if _, err := w.Write([]byte("JobID|User\n1|half")); err != nil {
+			return err
+		}
+		return broken
+	}
+	dir := t.TempDir()
+	old := []byte("JobID|User\n1|previous\n")
+	kept, fresh := filepath.Join(dir, "kept.txt"), filepath.Join(dir, "fresh.txt")
+	if err := os.WriteFile(kept, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{kept, fresh} {
+		if err := writeFile(path, half); !errors.Is(err, broken) {
+			t.Fatalf("%s: writeFile returned %v, want the write's error", filepath.Base(path), err)
+		}
+		if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s.tmp is left behind (%v)", filepath.Base(path), err)
+		}
+	}
+	if got, err := os.ReadFile(kept); err != nil || !bytes.Equal(got, old) {
+		t.Errorf("the failed write changed the previous file: %q, %v", got, err)
+	}
+	if _, err := os.Stat(fresh); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the failed write left a file where there was none (%v)", err)
 	}
 }
 

@@ -478,24 +478,29 @@ func (s *Store) Dump(w io.Writer) error {
 	return err
 }
 
-// DumpFile writes the store to a file through a temp file renamed into
-// place, so a dump that fails part-way — a corrupt base shard met
-// mid-scan — leaves the previous file whole.
-func (s *Store) DumpFile(path string) error {
+// DumpFile writes the store's text Dump to path (writeFile).
+func (s *Store) DumpFile(path string) error { return writeFile(path, s.Dump) }
+
+// writeFile writes path through a temp file that write fills and that is
+// renamed into place once it is whole, so a dump that fails part-way — a
+// corrupt base shard met mid-scan, a row the format refuses — leaves the
+// previous file as it was, or no file, and no temp file beside it.
+func writeFile(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = s.Dump(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = os.Rename(tmp, path)
+		}
+		if err != nil {
+			os.Remove(tmp)
+		}
 	}
 	if err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("sacct: dumping to %s: %w", path, err)
 	}
 	return nil
